@@ -20,6 +20,7 @@ from .system import (
     DataRecord,
     FirStructure,
     Nonlinearity,
+    NonFiniteDataError,
     NonlinearityKind,
     SystemSpec,
     cubic,
@@ -42,13 +43,11 @@ from .numerics import (
 )
 from .bla import BlaEstimate, bussgang_gain, estimate_weighting, fit_bla
 from .pem import (
-    PredictorMoments,
     conditional_mean,
     conditional_variance,
     pem_estimate,
     predict,
     prediction_variance,
-    predictor_moments,
 )
 from .ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likelihood
 from .indirect import (

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import bla as bla_mod
 from .numerics import (
-    CostEvaluationError,
     OptimizerSettings,
     jacobian_fd,
     least_squares,
@@ -100,8 +99,8 @@ class AnalyticGaussianMap:
     sigma_v2: float
     inflation: float = 1.0
 
-    def __call__(self, theta: float) -> np.ndarray:
-        return np.array(beta_map_gaussian(theta, self.sigma_u2, self.sigma_v2))
+    def __call__(self, theta) -> np.ndarray:
+        return np.stack(beta_map_gaussian(theta, self.sigma_u2, self.sigma_v2), axis=-1)
 
     def derivative(self, theta: float) -> np.ndarray:
         return np.array(beta_map_gaussian_deriv(theta, self.sigma_u2, self.sigma_v2))[:, None]
@@ -119,8 +118,8 @@ class AnalyticUniformMap:
     sigma_v2: float
     inflation: float = 1.0
 
-    def __call__(self, theta: float) -> np.ndarray:
-        return np.array(beta_map_uniform(theta, self.sigma_u2, self.sigma_v2))
+    def __call__(self, theta) -> np.ndarray:
+        return np.stack(beta_map_uniform(theta, self.sigma_u2, self.sigma_v2), axis=-1)
 
     def derivative(self, theta: float) -> np.ndarray:
         return np.array(beta_map_uniform_deriv(theta, self.sigma_u2, self.sigma_v2))[:, None]
@@ -135,20 +134,6 @@ def analytic_map(input_kind: DistributionKind, sigma_u2: float, sigma_v2: float)
     return AnalyticUniformMap(sigma_u2, sigma_v2)
 
 
-def _simulated_beta(theta, u, spec_template, v_draws, lags) -> np.ndarray:
-    """Least-squares fit of the linear model on noise replicates stacked over s."""
-    lags = tuple(int(l) for l in lags)
-    lead = max(spec_template.fir.max_lag, max(lags))
-    n = len(u) - lead
-    lin = linear_output(spec_template.fir, [float(theta)], u)[-n:]
-    phi = lagged_matrix(u, n, lags)
-    s_count = v_draws.shape[0]
-    outputs = spec_template.nonlinearity.value(lin[None, :] + v_draws[:, -n:])
-    stacked_phi = np.tile(phi, (s_count, 1))
-    beta, _ = least_squares(stacked_phi, outputs.ravel())
-    return beta
-
-
 def beta_map_simulated(
     theta: float,
     u: np.ndarray,
@@ -159,25 +144,18 @@ def beta_map_simulated(
 ) -> np.ndarray:
     """Monte Carlo binding function: average linear fit over s_count
     process-noise replicates on the fixed input (measurement noise excluded)."""
-    if s_count < 1:
-        raise ValueError("s_count must be >= 1")
-    u = np.asarray(u, dtype=float)
-    n_max = len(u) - spec_template.fir.max_lag
-    v_dist = Distribution(DistributionKind.GAUSSIAN_WHITE, spec_template.sigma_v2)
-    v_draws = np.stack([
-        gen_white(v_dist, n_max, seed, path=(int(StreamRole.SIMULATION), s))
-        for s in range(s_count)
-    ])
-    return _simulated_beta(theta, u, spec_template, v_draws, lags)
+    return SimulatedMap(u, spec_template, s_count, seed, tuple(lags))(theta)
 
 
 @dataclass
 class SimulatedMap:
     """Simulated binding function with common random numbers.
 
-    The process-noise replicates are drawn once at construction and reused at
-    every theta the optimizer visits, so the matching criterion is a smooth
-    deterministic function of theta.
+    The process-noise replicates and the stacked regressors are built once at
+    construction and reused at every theta the optimizer visits, so the
+    matching criterion is a smooth deterministic function of theta.  A (G,)
+    array of theta gives a (G, len(lags)) array, one least-squares fit per
+    point.
     """
 
     u: np.ndarray
@@ -186,25 +164,35 @@ class SimulatedMap:
     seed: Seed
     lags: tuple[int, ...] = (0, 1)
     _v_draws: np.ndarray = field(init=False, repr=False)
+    _stacked_phi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.s_count < 1:
             raise ValueError("s_count must be >= 1")
         self.u = np.asarray(self.u, dtype=float)
         self.lags = tuple(int(l) for l in self.lags)
-        n_max = len(self.u) - self.spec_template.fir.max_lag
+        fir = self.spec_template.fir
+        n_max = len(self.u) - fir.max_lag
+        n = len(self.u) - max(fir.max_lag, *self.lags)
         v_dist = Distribution(DistributionKind.GAUSSIAN_WHITE, self.spec_template.sigma_v2)
         self._v_draws = np.stack([
             gen_white(v_dist, n_max, self.seed, path=(int(StreamRole.SIMULATION), s))
             for s in range(self.s_count)
-        ])
+        ])[:, -n:]
+        self._stacked_phi = np.tile(lagged_matrix(self.u, n, self.lags), (self.s_count, 1))
 
     @property
     def inflation(self) -> float:
         return 1.0 + 1.0 / self.s_count
 
-    def __call__(self, theta: float) -> np.ndarray:
-        return _simulated_beta(theta, self.u, self.spec_template, self._v_draws, self.lags)
+    def __call__(self, theta) -> np.ndarray:
+        if np.ndim(theta):
+            return np.array([self(t) for t in theta])
+        n = self._v_draws.shape[1]
+        lin = linear_output(self.spec_template.fir, [float(theta)], self.u)[-n:]
+        outputs = self.spec_template.nonlinearity.value(lin[None, :] + self._v_draws)
+        beta, _ = least_squares(self._stacked_phi, outputs.ravel())
+        return beta
 
 
 def step2(
@@ -218,7 +206,9 @@ def step2(
 ) -> IndirectReport:
     """Match the binding function to the auxiliary fit in the W metric.
 
-    The argmin is invariant to positive rescaling of W; the reported
+    beta_map broadcasts over theta: a float gives a vector like beta_hat and
+    a (G,) array gives a (G, len(beta_hat)) array, so the search scans its
+    grid in one call.  The argmin is invariant to positive rescaling of W; the reported
     predicted_cov = inflation * (G' W G)^-1 / n_obs is a covariance prediction
     only when W is normalized as Cov{sqrt(N) (beta_hat - beta)}^-1.
     """
@@ -232,12 +222,13 @@ def step2(
     if eigvals[0] <= 1e-12 * max(eigvals[-1], 0.0):
         raise ValueError(f"W must be positive definite (eigenvalues {eigvals})")
 
-    def cost(theta: float) -> float:
+    def cost(theta):
+        # theta is a float or a (G,) array.  vecdot takes each row through
+        # the same dot kernel as r @ W @ r on one row, so grid and Brent
+        # values agree bit for bit; an elementwise product and sum rounds
+        # differently.
         r = beta_map(theta) - beta_hat
-        val = float(r @ W @ r)
-        if not math.isfinite(val):
-            raise CostEvaluationError(theta, val)
-        return val
+        return np.vecdot(r @ W, r)
 
     result = minimize_scalar(cost, settings)
     theta_hat = result.argmin

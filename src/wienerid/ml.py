@@ -171,7 +171,11 @@ def ml_estimate(
     if spec_template.fir.n_free != 1:
         raise ValueError("scalar search supports exactly one free coefficient")
 
-    def cost(theta: float) -> float:
+    def cost(theta):
+        # one likelihood per grid point: a (G, N, nodes) batch would only
+        # multiply the memory, the work per point is the same
+        if np.ndim(theta):
+            return np.array([cost(t) for t in theta])
         return neg_log_likelihood(theta, data, spec_template, settings)
 
     result = minimize_scalar(cost, settings.optimizer)

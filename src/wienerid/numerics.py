@@ -182,20 +182,31 @@ class OptimizerSettings:
 
 @dataclass(frozen=True)
 class ScalarMinResult:
+    """Outcome of one bracketed search.
+
+    iterations counts every cost evaluation, grid points included;
+    at_bracket_edge is true when the grid minimum is the first or last grid
+    point, so the true minimum may lie outside the bracket.
+    """
+
     argmin: float
     min_value: float
     iterations: int
     degenerate: bool = False
+    at_bracket_edge: bool = False
 
 
 def minimize_scalar(cost, settings: OptimizerSettings = OptimizerSettings()) -> ScalarMinResult:
     """Minimize a scalar cost on a bracket.
 
-    A grid scan over settings.grid_points locates the coarse minimum (exact
-    ties preferring the point of smallest magnitude, for determinism on
-    symmetric costs), then golden-section/parabolic refinement runs on the
-    neighboring grid cell.  Non-finite cost values raise CostEvaluationError
-    with the offending point.
+    The cost broadcasts over theta: a float gives a float and a 1-D array
+    gives an array of the same shape (a cost that ignores theta may return a
+    scalar).  One call on the whole grid of settings.grid_points locates the
+    coarse minimum (exact ties preferring the point of smallest magnitude,
+    for determinism on symmetric costs), then golden-section/parabolic
+    refinement runs on the neighboring grid cell, calling the cost with one
+    float at a time.  Non-finite cost values raise CostEvaluationError with
+    the offending point, the first one in bracket order on the grid.
     """
 
     def checked(x: float) -> float:
@@ -206,7 +217,10 @@ def minimize_scalar(cost, settings: OptimizerSettings = OptimizerSettings()) -> 
 
     lo, hi = settings.bracket
     xs = np.linspace(lo, hi, settings.grid_points)
-    vals = np.array([checked(x) for x in xs])
+    vals = np.broadcast_to(np.asarray(cost(xs), dtype=float), xs.shape)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise CostEvaluationError(float(xs[bad[0]]), float(vals[bad[0]]))
     vmin = vals.min()
     if vals.max() == vmin:
         mid = xs[int(np.argmin(np.abs(xs)))]
@@ -224,7 +238,9 @@ def minimize_scalar(cost, settings: OptimizerSettings = OptimizerSettings()) -> 
     x_best, v_best = float(res.x), float(res.fun)
     if vmin < v_best:
         x_best, v_best = float(xs[i]), float(vmin)
-    return ScalarMinResult(x_best, v_best, len(xs) + int(res.nfev), degenerate=False)
+    return ScalarMinResult(
+        x_best, v_best, len(xs) + int(res.nfev), at_bracket_edge=i in (0, len(xs) - 1)
+    )
 
 
 def least_squares(regressors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,6 @@ consistent unweighted initial estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import OptimizerSettings, gauss_hermite, minimize_scalar
@@ -17,14 +15,6 @@ from .reports import EstimateReport
 from .system import DataRecord, Nonlinearity, NonlinearityKind, SystemSpec, linear_output
 
 FALLBACK_QUAD_ORDER = 50
-
-
-@dataclass(frozen=True)
-class PredictorMoments:
-    """Conditional mean and prediction-error variance given the input history."""
-
-    mean: float
-    variance: float
 
 
 def conditional_mean(nl: Nonlinearity, a, sigma_v2: float):
@@ -52,12 +42,20 @@ def conditional_variance(nl: Nonlinearity, a, sigma_v2: float, sigma_e2: float):
 
 
 def _quad_moments(nl: Nonlinearity, a: np.ndarray, sigma_v2: float):
-    """First and second moments of f(a + v) by Gauss-Hermite over v."""
+    """First and second moments of f(a + v) by Gauss-Hermite over v.
+
+    Accumulated node by node, so the work arrays stay the shape of a (a
+    (G, N) batch of PEM predictions needs no (G, N, nodes) array).
+    """
     rule = gauss_hermite(FALLBACK_QUAD_ORDER)
     v = np.sqrt(2.0 * sigma_v2) * rule.nodes
-    fv = nl.value(a[..., None] + v)
     norm = rule.weights / np.sqrt(np.pi)
-    return fv @ norm, (fv**2) @ norm
+    mean, second = np.zeros_like(a), np.zeros_like(a)
+    for v_k, w_k in zip(v, norm):
+        fv = nl.value(a + v_k)
+        mean += w_k * fv
+        second += w_k * (fv * fv)
+    return mean, second
 
 
 def predict(theta: float, u_t, u_tm1, sigma_v2: float):
@@ -70,13 +68,6 @@ def prediction_variance(theta: float, u_t, u_tm1, sigma_v2: float, sigma_e2: flo
     """Variance of the prediction error for the lag-one FIR with unit fixed tap."""
     a = np.asarray(theta, dtype=float) * np.asarray(u_t, dtype=float) + np.asarray(u_tm1, dtype=float)
     return 9.0 * sigma_v2 * a**4 + 36.0 * sigma_v2**2 * a**2 + 15.0 * sigma_v2**3 + sigma_e2
-
-
-def predictor_moments(theta, u_t, u_tm1, sigma_v2, sigma_e2) -> PredictorMoments:
-    return PredictorMoments(
-        mean=float(predict(theta, u_t, u_tm1, sigma_v2)),
-        variance=float(prediction_variance(theta, u_t, u_tm1, sigma_v2, sigma_e2)),
-    )
 
 
 def pem_estimate(
@@ -99,22 +90,21 @@ def pem_estimate(
     u = data.u
     fir = spec_template.fir
 
-    def noise_free_part(theta: float) -> np.ndarray:
+    def pred_errors(theta):
+        # a float theta gives (N,) errors, a (G,) array gives (G, N); the
         # trailing slice aligns records whose lead exceeds the FIR depth
-        return linear_output(fir, [theta], u)[-len(y):]
+        a = linear_output(fir, np.asarray(theta)[..., None], u)[..., -len(y):]
+        return y - conditional_mean(nl, a, sv2)
 
-    def pred_errors(theta: float) -> np.ndarray:
-        return y - conditional_mean(nl, noise_free_part(theta), sv2)
-
-    def unweighted_cost(theta: float) -> float:
-        eps = pred_errors(theta)
-        return float(np.mean(eps**2))
+    def unweighted_cost(theta):
+        return np.mean(pred_errors(theta) ** 2, axis=-1)
 
     initial = minimize_scalar(unweighted_cost, settings)
     if not weighted:
         return EstimateReport(initial.argmin, method="pem", diagnostics=initial)
 
-    weights = conditional_variance(nl, noise_free_part(initial.argmin), sv2, se2)
+    a = linear_output(fir, [initial.argmin], u)[-len(y):]
+    weights = conditional_variance(nl, a, sv2, se2)
     w_max = float(np.max(weights))
     if w_max <= 0.0:
         # noise-free data: constant (zero) weights reduce to the unweighted cost
@@ -122,9 +112,8 @@ def pem_estimate(
     else:
         weights = np.maximum(weights, 1e-12 * w_max)
 
-    def weighted_cost(theta: float) -> float:
-        eps = pred_errors(theta)
-        return float(np.mean(eps**2 / weights))
+    def weighted_cost(theta):
+        return np.mean(pred_errors(theta) ** 2 / weights, axis=-1)
 
     final = minimize_scalar(weighted_cost, settings)
     return EstimateReport(final.argmin, method="pem_weighted", diagnostics=final)

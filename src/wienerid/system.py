@@ -149,19 +149,24 @@ def lagged_matrix(u: np.ndarray, n_obs: int, lags) -> np.ndarray:
 
 
 def linear_output(fir: FirStructure, theta, u) -> np.ndarray:
-    """Noise-free FIR output for t = 1..N with N = len(u) - max_lag."""
+    """Noise-free FIR output for t = 1..N with N = len(u) - max_lag.
+
+    theta has shape (..., n_free); leading axes broadcast, so a (G, n_free)
+    stack of parameter vectors gives a (G, N) output, row g computed with
+    the same arithmetic as theta[g] alone.
+    """
     u = np.asarray(u, dtype=float)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != (fir.n_free,):
-        raise ValueError(f"expected {fir.n_free} free coefficients, got {theta.size}")
+    if theta.shape[-1] != fir.n_free:
+        raise ValueError(f"expected {fir.n_free} free coefficients, got {theta.shape[-1]}")
     n = len(u) - fir.max_lag
     if n < 1:
         raise ValueError(
             f"input of length {len(u)} cannot cover maximum lag {fir.max_lag}"
         )
-    out = np.zeros(n)
-    for coef, lag in zip(theta, fir.free_lags):
-        out += coef * u[fir.max_lag - lag : fir.max_lag - lag + n]
+    out = np.zeros(theta.shape[:-1] + (n,))
+    for j, lag in enumerate(fir.free_lags):
+        out += theta[..., j, None] * u[fir.max_lag - lag : fir.max_lag - lag + n]
     for lag, value in fir.fixed:
         out += value * u[fir.max_lag - lag : fir.max_lag - lag + n]
     return out
@@ -183,9 +188,23 @@ def simulate(spec: SystemSpec, u, v, e) -> tuple[np.ndarray, np.ndarray]:
     return z, y
 
 
+class NonFiniteDataError(ValueError):
+    """A data record holds a NaN or an infinite sample."""
+
+    def __init__(self, name: str, index: int, value: float):
+        self.name = name
+        self.index = index
+        self.value = value
+        super().__init__(f"non-finite sample {name}[{index}] = {value}")
+
+
 @dataclass
 class DataRecord:
-    """One experiment: inputs u(1-L .. N) and outputs y(1 .. N)."""
+    """One experiment: inputs u(1-L .. N) and outputs y(1 .. N).
+
+    Every sample must be finite; the first one that is not raises
+    NonFiniteDataError with its 0-based array index.
+    """
 
     u: np.ndarray
     y: np.ndarray
@@ -195,6 +214,10 @@ class DataRecord:
         self.y = np.asarray(self.y, dtype=float)
         if self.u.ndim != 1 or self.y.ndim != 1:
             raise ValueError("u and y must be one-dimensional")
+        for name, values in (("u", self.u), ("y", self.y)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise NonFiniteDataError(name, int(bad[0]), float(values[bad[0]]))
         if len(self.u) <= len(self.y):
             raise ValueError(
                 f"u (length {len(self.u)}) must carry at least one sample before "

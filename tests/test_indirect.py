@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wienerid.indirect as indirect_mod
 from wienerid.bla import estimate_weighting, fit_bla
 from wienerid.indirect import (
     AnalyticGaussianMap,
@@ -18,9 +19,11 @@ from wienerid.indirect import (
     zero_order_estimate,
 )
 from wienerid.numerics import OptimizerSettings, least_squares
-from wienerid.pem import conditional_mean
+from wienerid.pem import conditional_mean, pem_estimate
 from wienerid.signals import gaussian_white, gen_white, uniform_white
 from wienerid.system import DataRecord, SystemSpec, cubic, paper_fir, simulate
+
+from cost_checks import assert_grid_batch_is_pointwise, capture_costs
 
 SU2, SV2, SE2 = 1.0 / 3.0, 0.2, 0.1
 
@@ -204,6 +207,46 @@ class TestStep2:
         assert abs(report.theta_hat[0] - 0.5) < 1e-5
 
 
+class TestBatchedStep2Cost:
+    @pytest.mark.parametrize("input_dist", [gaussian_white(SU2), uniform_white(SU2)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_analytic_map_grid_batch_matches_pointwise(self, monkeypatch, input_dist, weighted):
+        spec, data = make_data(input_dist, 1000, 31)
+        costs = capture_costs(monkeypatch, indirect_mod)
+        first_order_estimate(data, spec, weighted=weighted)
+        (cost, settings), = costs
+        assert_grid_batch_is_pointwise(cost, settings)
+
+    def test_simulated_map_grid_batch_matches_pointwise(self, monkeypatch):
+        spec, data = make_data(gaussian_white(SU2), 300, 32)
+        smap = SimulatedMap(data.u, spec, s_count=2, seed=7)
+        est = estimate_weighting(data, fit_bla(data, (0, 1)))
+        costs = capture_costs(monkeypatch, indirect_mod)
+        step2(est.beta_hat, est.W, smap, n_obs=data.n_obs)
+        (cost, settings), = costs
+        assert_grid_batch_is_pointwise(cost, settings)
+
+
+class TestBracketEdge:
+    def estimates(self, theta):
+        spec, data = make_data(gaussian_white(SU2), 1000, 33, theta=theta)
+        return [
+            pem_estimate(data, spec, weighted=True),
+            first_order_estimate(data, spec, weighted=False),
+            first_order_estimate(data, spec, weighted=True),
+        ]
+
+    def test_true_theta_outside_bracket_is_flagged(self):
+        # PEM_W, II1_UNW and II1_W in turn; the bracket is [-3, 3]
+        for report in self.estimates(4.0):
+            assert report.diagnostics.at_bracket_edge
+            assert float(np.ravel(report.theta_hat)[0]) == 3.0
+
+    def test_paper_system_is_not_flagged(self):
+        for report in self.estimates(0.5):
+            assert not report.diagnostics.at_bracket_edge
+
+
 class TestMonotoneCubic:
     def test_paper_inversion_point(self):
         theta = solve_increasing_cubic(3 * SU2, 3 * (SU2 + SV2), 0.925)
@@ -288,9 +331,10 @@ def inflation_runs():
             inflation = 1.0
 
             def __call__(self, theta, _data=data, _phi=phi, _gram=gram, _spec=spec):
-                a = theta * _data.lagged(0) + _data.lagged(1)
+                # a float gives (2,), a (G,) array of theta gives (G, 2)
+                a = np.asarray(theta)[..., None] * _data.lagged(0) + _data.lagged(1)
                 target = conditional_mean(_spec.nonlinearity, a, _spec.sigma_v2)
-                return np.linalg.solve(_gram, _phi.T @ target)
+                return np.linalg.solve(_gram, (target @ _phi).T).T
 
         conditional[r] = step2(est.beta_hat, est.W, CondMap(), n_obs=INFLATION_N).theta_hat[0]
         for s in INFLATION_S:

@@ -153,15 +153,43 @@ class TestMinimizeScalar:
 
     def test_non_finite_cost_reports_point(self):
         def cost(x):
-            return float("nan") if x > 1.0 else x**2
+            return np.where(x > 1.0, np.nan, x**2)
 
         with pytest.raises(CostEvaluationError) as excinfo:
             minimize_scalar(cost, OptimizerSettings(bracket=(-2.0, 2.0)))
         assert excinfo.value.point > 1.0
 
+    def test_non_finite_cost_reports_first_grid_point_in_bracket_order(self):
+        def cost(x):
+            return np.where(x < -1.5, np.inf, np.where(x > 1.0, np.nan, x**2))
+
+        with pytest.raises(CostEvaluationError) as excinfo:
+            minimize_scalar(cost, OptimizerSettings(bracket=(-2.0, 2.0), grid_points=41))
+        assert excinfo.value.point == -2.0
+        assert excinfo.value.value == np.inf
+
+    def test_cost_called_once_on_the_grid_then_with_floats(self):
+        calls = []
+
+        def cost(x):
+            calls.append(x)
+            return (x - 0.3) ** 2
+
+        res = minimize_scalar(cost, OptimizerSettings(bracket=(-1.0, 1.0), grid_points=21))
+        np.testing.assert_array_equal(calls[0], np.linspace(-1.0, 1.0, 21))
+        assert all(np.ndim(x) == 0 for x in calls[1:])
+        assert res.iterations == 21 + len(calls) - 1
+
     def test_boundary_minimum(self):
         res = minimize_scalar(lambda x: x, OptimizerSettings(bracket=(-1.0, 1.0), abs_tol=1e-8))
         assert abs(res.argmin - (-1.0)) < 1e-6
+        assert res.at_bracket_edge
+        res = minimize_scalar(lambda x: -x, OptimizerSettings(bracket=(-1.0, 1.0)))
+        assert res.argmin == 1.0 and res.at_bracket_edge
+
+    def test_interior_minimum_not_at_edge(self):
+        res = minimize_scalar(lambda x: (x - 0.98) ** 2, OptimizerSettings(bracket=(-1.0, 1.0)))
+        assert not res.at_bracket_edge
 
     def test_symmetric_tie_prefers_smaller_magnitude(self):
         # even cost on a symmetric bracket: deterministic pick near the smaller |x|

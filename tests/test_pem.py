@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wienerid.pem as pem_mod
 from wienerid.numerics import OptimizerSettings
 from wienerid.pem import (
     conditional_mean,
@@ -10,10 +11,11 @@ from wienerid.pem import (
     pem_estimate,
     predict,
     prediction_variance,
-    predictor_moments,
 )
 from wienerid.signals import gaussian_white, gen_white
 from wienerid.system import DataRecord, SystemSpec, cubic, paper_fir, polynomial, simulate
+
+from cost_checks import assert_grid_batch_is_pointwise, capture_costs
 
 
 def paper_spec(sigma_v2=0.2, sigma_e2=0.1):
@@ -99,12 +101,6 @@ class TestMonteCarloOracle:
             var_se = centered.std(ddof=1) / np.sqrt(draws)
             assert abs(prediction_variance(theta, u_t, u_tm1, sv2, se2) - mc_var) < 3 * var_se
 
-    def test_predictor_moments_bundle(self):
-        pm = predictor_moments(0.5, 1.0, 1.0, 0.2, 0.1)
-        assert pm.mean == pytest.approx(4.275)
-        assert pm.variance == pytest.approx(12.5725)
-        assert pm.variance >= 0.1
-
 
 class TestPemEstimate:
     def make_data(self, sigma_v2, sigma_e2, n, seed):
@@ -141,3 +137,16 @@ class TestPemEstimate:
         base = pem_estimate(data, spec, weighted=True)
         shifted = pem_estimate(padded, spec, weighted=True)
         assert shifted.theta_hat == base.theta_hat
+
+    @pytest.mark.parametrize("lead_pad", [0, 2])
+    @pytest.mark.parametrize("quadrature", [False, True])
+    def test_grid_batch_matches_pointwise_costs(self, monkeypatch, lead_pad, quadrature):
+        spec, data = self.make_data(0.2, 0.1, 300, 15)
+        data = DataRecord(u=np.concatenate([np.full(lead_pad, 0.33), data.u]), y=data.y)
+        if quadrature:  # the cubic as a plain polynomial takes the fallback moments
+            spec.nonlinearity = polynomial([0.0, 0.0, 0.0, 1.0])
+        costs = capture_costs(monkeypatch, pem_mod)
+        pem_estimate(data, spec, weighted=True)
+        assert len(costs) == 2  # unweighted search, then the weighted one
+        for cost, settings in costs:
+            assert_grid_batch_is_pointwise(cost, settings)

@@ -7,6 +7,7 @@ from wienerid.signals import gaussian_white, gen_white
 from wienerid.system import (
     DataRecord,
     FirStructure,
+    NonFiniteDataError,
     SystemSpec,
     check_derivative,
     cubic,
@@ -54,6 +55,15 @@ class TestLinearOutput:
     def test_too_short_input_rejected(self):
         with pytest.raises(ValueError):
             linear_output(paper_fir(), [0.5], [1.0])
+
+    def test_leading_theta_axis_matches_rows(self):
+        fir = FirStructure(free_lags=(0, 2), fixed=((1, -1.0),))
+        u = gen_white(gaussian_white(1.0), 40, 5, path=(0,))
+        thetas = np.array([[2.0, 0.5], [-0.3, 1.7], [0.1, 0.0]])
+        out = linear_output(fir, thetas, u)
+        assert out.shape == (3, 38)
+        for row, theta in zip(out, thetas):
+            np.testing.assert_array_equal(row, linear_output(fir, theta, u))
 
     def test_larger_lags(self):
         # max lag 2, so u covers t = -1..2 and the output spans t = 1..2
@@ -185,6 +195,23 @@ class TestDataRecordCsv:
         path.write_text("t,u,y\n0,1.0,\n1,2.0,\n")
         with pytest.raises(ValueError, match="missing output"):
             DataRecord.from_csv(path)
+
+    @pytest.mark.parametrize("name, index", [("u", 0), ("y", 3)])
+    def test_non_finite_sample_rejected(self, name, index):
+        samples = {"u": np.arange(6.0), "y": np.arange(5.0)}
+        samples[name][index] = np.nan
+        samples[name][index + 1] = np.inf
+        with pytest.raises(NonFiniteDataError) as excinfo:
+            DataRecord(**samples)
+        assert isinstance(excinfo.value, ValueError)
+        assert (excinfo.value.name, excinfo.value.index) == (name, index)
+
+    def test_non_finite_sample_rejected_from_csv(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("t,u,y\n0,0.5,\n1,0.25,1.0\n2,-0.5,nan\n3,1.0,2.0\n")
+        with pytest.raises(NonFiniteDataError) as excinfo:
+            DataRecord.from_csv(path)
+        assert (excinfo.value.name, excinfo.value.index) == ("y", 1)
 
     def test_record_needs_leading_input(self):
         with pytest.raises(ValueError):
