@@ -3,7 +3,7 @@
 
 Runs the four fast estimators over 1000 seeded realizations per table, plus
 the reduced-order ML column (200 realizations at quadrature order 200) unless
---full-ml asks for the order-1000 x 1000-realization run (about 15 minutes).
+--full-ml asks for the order-1000 x 1000-realization run (about 9 minutes).
 """
 
 import argparse
@@ -43,7 +43,7 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, default=None, help="emit CSV reports here")
     parser.add_argument("--skip-ml", action="store_true")
     parser.add_argument("--full-ml", action="store_true",
-                        help="order-1000 quadrature over all realizations (about 15 minutes)")
+                        help="order-1000 quadrature over all realizations (about 9 minutes)")
     args = parser.parse_args(argv)
 
     for kind, label in (

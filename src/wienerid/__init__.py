@@ -53,6 +53,7 @@ from .ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likel
 from .indirect import (
     AnalyticGaussianMap,
     AnalyticUniformMap,
+    BindingMapError,
     IndirectReport,
     SimulatedMap,
     Weighting,

@@ -31,6 +31,20 @@ from .system import DataRecord, SystemSpec, lagged_matrix, linear_output
 JACOBIAN_STEP = 1e-5
 
 
+class BindingMapError(ValueError):
+    """A binding function broke step2's broadcast contract: a float must give
+    a vector like beta_hat and a (G,) array of theta a (G, len(beta_hat))
+    array."""
+
+    def __init__(self, theta_shape, width, detail):
+        self.theta_shape = theta_shape
+        super().__init__(
+            f"binding function {detail} for theta of shape {theta_shape}; step2 "
+            f"needs shape {theta_shape + (width,)}: the map must broadcast over "
+            f"theta (a float gives shape ({width},), a (G,) array gives (G, {width}))"
+        )
+
+
 class Weighting(enum.Enum):
     IDENTITY = "identity"
     SANDWICH = "sandwich"
@@ -208,9 +222,11 @@ def step2(
 
     beta_map broadcasts over theta: a float gives a vector like beta_hat and
     a (G,) array gives a (G, len(beta_hat)) array, so the search scans its
-    grid in one call.  The argmin is invariant to positive rescaling of W; the reported
-    predicted_cov = inflation * (G' W G)^-1 / n_obs is a covariance prediction
-    only when W is normalized as Cov{sqrt(N) (beta_hat - beta)}^-1.
+    grid in one call.  A map that does not (it fails on an array, or returns
+    any other shape) raises BindingMapError.  The argmin is invariant to
+    positive rescaling of W; the reported predicted_cov = inflation
+    * (G' W G)^-1 / n_obs is a covariance prediction only when W is
+    normalized as Cov{sqrt(N) (beta_hat - beta)}^-1.
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -227,7 +243,17 @@ def step2(
         # the same dot kernel as r @ W @ r on one row, so grid and Brent
         # values agree bit for bit; an elementwise product and sum rounds
         # differently.
-        r = beta_map(theta) - beta_hat
+        try:
+            mapped = beta_map(theta)
+        except (TypeError, ValueError) as exc:
+            if np.ndim(theta) == 0:
+                raise
+            raise BindingMapError(np.shape(theta), len(beta_hat), f"raised {exc!r}") from exc
+        if np.shape(mapped) != np.shape(theta) + (len(beta_hat),):
+            raise BindingMapError(
+                np.shape(theta), len(beta_hat), f"returned shape {np.shape(mapped)}"
+            )
+        r = mapped - beta_hat
         return np.vecdot(r @ W, r)
 
     result = minimize_scalar(cost, settings)

@@ -9,10 +9,13 @@ resolve, so every term gets its own integration window: the interval of s
 outside which the integrand is below exp(-k^2 / 2) times its peak, found from
 the standardized distances of the measurement-noise factor and of the
 process-noise factor (see `_windows`).  A Gauss-Legendre rule with
-`MlSettings.quad_order` nodes covers that window, and the sum is taken as a
-max-shifted log-sum-exp, so the fast decay of the integrand cannot underflow a
-whole term.  Additive constants of the likelihood that do not depend on theta
-are dropped.
+`MlSettings.quad_order` nodes covers that window.
+
+The terms are integrated in blocks of ROW_BLOCK rows with two reused work
+arrays, in about eleven array passes per block (see `_log_terms`), and every
+row is shifted by its peak exponent, so the fast decay of the integrand
+cannot underflow a whole term.  Additive constants of the likelihood that do
+not depend on theta are dropped.
 """
 
 from __future__ import annotations
@@ -32,7 +35,10 @@ DEFAULT_QUAD_ORDER = 1000
 WINDOW_K = 9.0
 
 # likelihood terms integrated per array pass; keeps the work arrays in cache
-ROW_BLOCK = 32
+ROW_BLOCK = 16
+
+# the most negative double: the shift of a row whose terms are all -inf
+_LOWEST = np.finfo(float).min
 
 # increasing nonlinearities whose inverse bounds the measurement-noise window
 _INVERSES = {NonlinearityKind.CUBIC: np.cbrt, NonlinearityKind.IDENTITY: np.positive}
@@ -57,11 +63,37 @@ class MlSettings:
 
     quad_order: int = DEFAULT_QUAD_ORDER
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
-    log_space: bool = True
 
     def __post_init__(self):
         if self.quad_order < 1:
             raise ValueError("quad_order must be >= 1")
+
+
+def _level_set_hull(coeffs, low, high):
+    """Smallest and largest z with low <= f(z) <= high, per entry, for the
+    polynomial f with ascending coefficients `coeffs`.
+
+    The ends of that set are real roots of f(z) = low or f(z) = high, taken
+    here from the eigenvalues of their companion matrices.  Roots whose
+    imaginary part is within rounding of zero count as real, which can only
+    widen the hull.  A non-finite level gives NaN ends.
+    """
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    degree = len(c) - 1
+    if degree < 1:
+        return np.full(len(low), -np.inf), np.full(len(low), np.inf)
+    levels = np.concatenate([low, high])
+    companion = np.zeros((len(levels), degree, degree))
+    companion[:, 1:, :-1] = np.eye(degree - 1)
+    companion[:, :, -1] = -c[:-1] / c[-1]
+    companion[:, 0, -1] += levels / c[-1]
+    finite = np.isfinite(levels)
+    roots = np.full((len(levels), degree), np.nan, dtype=complex)
+    roots[finite] = np.linalg.eigvals(companion[finite])
+    real = np.where(np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots)), roots.real, np.nan)
+    first, last = np.fmin.reduce(real, axis=1), np.fmax.reduce(real, axis=1)
+    n = len(low)
+    return np.fmin(first[:n], first[n:]), np.fmax(last[:n], last[n:])
 
 
 def _windows(y, a, nonlinearity, sigma_v: float, sigma_e: float):
@@ -73,71 +105,93 @@ def _windows(y, a, nonlinearity, sigma_v: float, sigma_e: float):
     every z where the integrand exceeds exp(-k^2 / 2) times the peak has both
     distances at most K = sqrt(k^2 + B^2).  The window is therefore the
     process-noise interval [a - K sigma_v, a + K sigma_v] intersected with
-    the measurement-noise interval [f^-1(y - K sigma_e), f^-1(y + K sigma_e)].
-    It always contains the peak, also where the two intervals at K = k do not
-    overlap.  Only the cubic and the identity have a known monotone inverse;
-    for other nonlinearities the window is the process-noise interval alone,
-    with B taken at z = a.
+    the measurement-noise set {z : |y - f(z)| <= K sigma_e}.  It always
+    contains the peak, also where the two sets at K = k do not overlap.  For
+    the cubic and the identity that set is [f^-1(y - K sigma_e),
+    f^-1(y + K sigma_e)]; a general polynomial need not be invertible, so its
+    window takes the hull of the set (see `_level_set_hull`), with B taken
+    at z = a.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gap = np.abs(y - nonlinearity.value(a)) / sigma_e
     inverse = _INVERSES.get(nonlinearity.kind)
     if inverse is None:
         reach = np.hypot(WINDOW_K, gap)
-        return -reach, reach
-    gap = np.minimum(gap, np.abs(inverse(y) - a) / sigma_v)
-    reach = np.hypot(WINDOW_K, gap)
-    lo = np.maximum(-reach, (inverse(y - reach * sigma_e) - a) / sigma_v)
-    hi = np.minimum(reach, (inverse(y + reach * sigma_e) - a) / sigma_v)
+        z_lo, z_hi = _level_set_hull(
+            nonlinearity.coeffs, y - reach * sigma_e, y + reach * sigma_e
+        )
+    else:
+        gap = np.minimum(gap, np.abs(inverse(y) - a) / sigma_v)
+        reach = np.hypot(WINDOW_K, gap)
+        z_lo, z_hi = inverse(y - reach * sigma_e), inverse(y + reach * sigma_e)
+    lo = np.maximum(-reach, (z_lo - a) / sigma_v)
+    hi = np.minimum(reach, (z_hi - a) / sigma_v)
     return lo, hi
 
 
 def _log_terms(y, a, spec: SystemSpec, settings: MlSettings) -> np.ndarray:
-    """Per-term log E{exp(-(y - f(a + v))^2 / (2 sigma_e^2))} over v."""
+    """Per-term log E{exp(-(y - f(a + v))^2 / (2 sigma_e^2))} over v.
+
+    On the window s = c + h x, x in [-1, 1], the log-integrand is
+    -(y - f(z))^2 / (2 sigma_e^2) - s^2 / 2 with z = a + sigma_v s.  z and
+    -s^2 / 2 + c^2 / 2 are linear in [1, x, x^2], so each comes from one
+    (rows, 2) @ (2, nodes) product; -c^2 / 2 is added back after the sum.
+    The measurement scale is folded into y and, for the cubic, into z, and
+    the weights are applied with one matrix-vector product.
+    """
     nl = spec.nonlinearity
-    scale = -0.5 / spec.sigma_e2
     if spec.sigma_v2 == 0.0:
         resid = y - nl.value(a)
         with np.errstate(over="ignore"):
-            return resid * resid * scale
+            return resid * resid * (-0.5 / spec.sigma_e2)
     sigma_v = math.sqrt(spec.sigma_v2)
     lo, hi = _windows(y, a, nl, sigma_v, math.sqrt(spec.sigma_e2))
     center = 0.5 * (lo + hi)
     half = 0.5 * np.maximum(hi - lo, 0.0)
     nodes, log_w = gauss_legendre(settings.quad_order)
-    out = np.empty(len(y))
-    # work arrays reused across row blocks: s, then the residual, then log g
-    s_buf, r_buf, g_buf = (np.empty((ROW_BLOCK, len(nodes))) for _ in range(3))
-    for start in range(0, len(y), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        m = len(out[rows])
-        s, r, g = s_buf[:m], r_buf[:m], g_buf[:m]
-        np.multiply(half[rows, None], nodes, out=s)
-        s += center[rows, None]
-        np.multiply(s, sigma_v, out=r)
-        r += a[rows, None]
-        np.subtract(y[rows, None], nl.value(r), out=r)
-        # overflow of resid^2 to inf is fine, that node just drops out
-        with np.errstate(over="ignore"):
+    # (y - f(z))^2 / (2 sigma_e^2) = (y / m - f(z) / m)^2, and for the cubic
+    # f(z) / m = (z m^(-1/3))^3
+    m = math.sqrt(2.0 * spec.sigma_e2)
+    cube = nl.kind is NonlinearityKind.CUBIC
+    z_scale = m ** (-1.0 / 3.0) if cube else 1.0
+    y_m = y / m
+    # z against [1; x], and -(c + h x)^2 / 2 + c^2 / 2 against [x; x^2]
+    z_coef = np.stack([a + sigma_v * center, sigma_v * half], axis=1) * z_scale
+    s_coef = np.stack([-center * half, -0.5 * half * half], axis=1)
+    one_x = np.stack([np.ones_like(nodes), nodes])
+    x_x2 = np.stack([nodes, nodes * nodes])
+    weights = np.exp(log_w)
+    n = len(y)
+    shift, total = np.empty(n), np.empty(n)
+    # work arrays reused across row blocks: z and then log g, the residual
+    z_buf, r_buf = np.empty((ROW_BLOCK, len(nodes))), np.empty((ROW_BLOCK, len(nodes)))
+    # overflow of f(z) or resid^2 to inf is fine, that node just drops out
+    with np.errstate(over="ignore"):
+        for start in range(0, n, ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, n)
+            z, r = z_buf[: stop - start], r_buf[: stop - start]
+            np.matmul(z_coef[start:stop], one_x, out=z)
+            if cube:
+                np.multiply(z, z, out=r)
+                r *= z
+            else:
+                np.multiply(nl.value(z), 1.0 / m, out=r)
+            np.subtract(y_m[start:stop, None], r, out=r)
             np.multiply(r, r, out=r)
-        r *= scale
-        np.multiply(s, s, out=g)
-        g *= -0.5
-        g += r
-        g += log_w
-        # max shift so that no term underflows as a whole; rows that are
-        # -inf or nan throughout pass through unshifted
-        if settings.log_space:
-            peak = g.max(axis=1)
-            shift = np.where(np.isfinite(peak), peak, 0.0)
-            g -= shift[:, None]
-        else:
-            shift = 0.0
-        np.exp(g, out=g)
-        with np.errstate(divide="ignore"):
-            out[rows] = np.log(g.sum(axis=1)) + shift
+            g = np.matmul(s_coef[start:stop], x_x2, out=z)
+            g -= r
+            # shift by the row peak so that no term underflows as a whole; a
+            # row that is -inf throughout keeps a finite shift and stays -inf
+            peak = g.max(axis=1, out=shift[start:stop])
+            np.maximum(peak, _LOWEST, out=peak)
+            g -= peak[:, None]
+            np.exp(g, out=g)
+            np.matmul(g, weights, out=total[start:stop])
     with np.errstate(divide="ignore"):
-        return out + np.log(half) - 0.5 * math.log(2.0 * math.pi)
+        return (
+            np.log(total) + shift - 0.5 * center * center + np.log(half)
+            - 0.5 * math.log(2.0 * math.pi)
+        )
 
 
 def neg_log_likelihood(

@@ -61,25 +61,6 @@ class QuadratureRule:
         """E{g(V)} for V ~ N(0, 1), evaluated as (1/sqrt(pi)) sum w g(sqrt(2) x)."""
         return float(self.weights @ g(math.sqrt(2.0) * self.nodes)) / SQRT_PI
 
-    def log_normal_expectation(self, log_g_values: np.ndarray) -> np.ndarray:
-        """log E{g(V)} from log g evaluated at sqrt(2) * nodes.
-
-        Accepts an (..., order) array of log-integrand values and reduces the
-        last axis with a max-shifted exponential sum, so individually
-        underflowing terms cannot zero out the result.
-        """
-        lw = log_g_values + self.log_norm_weights()
-        peak = np.max(lw, axis=-1, keepdims=True)
-        finite = np.isfinite(peak)
-        shift = np.where(finite, peak, 0.0)
-        with np.errstate(divide="ignore"):
-            out = np.log(np.sum(np.exp(lw - shift), axis=-1)) + np.squeeze(shift, -1)
-        return np.where(np.squeeze(finite, -1), out, -np.inf)
-
-    def log_norm_weights(self) -> np.ndarray:
-        """log(w_i / sqrt(pi)), finite for every node."""
-        return self.log_weights - 0.5 * math.log(math.pi)
-
 
 def _golub_welsch(off_diag: np.ndarray, log_mu0: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and log weights of the Gauss rule of a symmetric weight function.

@@ -8,6 +8,7 @@ from wienerid.bla import estimate_weighting, fit_bla
 from wienerid.indirect import (
     AnalyticGaussianMap,
     AnalyticUniformMap,
+    BindingMapError,
     SimulatedMap,
     Weighting,
     beta_map_gaussian,
@@ -179,7 +180,7 @@ class TestStep2:
             inflation = 1.0
 
             def __call__(self, theta):
-                return np.array([1.0, 2.0])
+                return np.broadcast_to([1.0, 2.0], np.shape(theta) + (2,))
 
             def derivative(self, theta):
                 return np.array([[0.0], [0.0]])
@@ -205,6 +206,30 @@ class TestStep2:
         assert report.inflation == pytest.approx(2.0)
         assert report.G.shape == (2, 1)
         assert abs(report.theta_hat[0] - 0.5) < 1e-5
+
+
+class TestBindingMapContract:
+    # step2 scans its grid with one (61,) array of theta, so a map must
+    # broadcast; one that does not gets a typed error naming the contract
+    samples = gen_white(gaussian_white(SU2), 500, 5, path=(0,))
+
+    @pytest.mark.parametrize("float_only", [
+        lambda theta: AnalyticGaussianMap(SU2, SV2)(float(theta)),
+        lambda theta: np.array([np.mean(theta * TestBindingMapContract.samples**4), 1.0]),
+    ], ids=["scalar-conversion", "sample-broadcast"])
+    def test_float_only_map_rejected(self, float_only):
+        beta_hat = AnalyticGaussianMap(SU2, SV2)(0.7)
+        with pytest.raises(BindingMapError, match="broadcast over theta") as excinfo:
+            step2(beta_hat, np.eye(2), float_only, n_obs=500)
+        assert excinfo.value.theta_shape == (61,)
+        assert isinstance(excinfo.value.__cause__, (TypeError, ValueError))
+
+    def test_map_reducing_over_theta_rejected(self):
+        # the grid call would see one vector for all 61 points: a flat,
+        # degenerate scan and theta_hat = 0.0 although the truth is 0.7
+        amap = AnalyticGaussianMap(SU2, SV2)
+        with pytest.raises(BindingMapError, match=r"returned shape \(2,\)"):
+            step2(amap(0.7), np.eye(2), lambda theta: amap(np.mean(theta)), n_obs=500)
 
 
 class TestBatchedStep2Cost:

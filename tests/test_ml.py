@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,18 +7,18 @@ from scipy.integrate import quad
 from wienerid.ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likelihood
 from wienerid.numerics import OptimizerSettings
 from wienerid.signals import gaussian_white, gen_white
-from wienerid.system import DataRecord, SystemSpec, cubic, paper_fir, simulate
+from wienerid.system import DataRecord, SystemSpec, cubic, identity, paper_fir, polynomial, simulate
 
 
-def paper_spec(sigma_v2=0.2, sigma_e2=0.1):
+def paper_spec(sigma_v2=0.2, sigma_e2=0.1, nl=None):
     return SystemSpec(
-        fir=paper_fir(), theta=np.array([0.5]), nonlinearity=cubic(),
+        fir=paper_fir(), theta=np.array([0.5]), nonlinearity=nl if nl is not None else cubic(),
         sigma_v2=sigma_v2, sigma_e2=sigma_e2, input_dist=gaussian_white(1 / 3),
     )
 
 
-def make_data(sigma_v2, sigma_e2, n, seed):
-    spec = paper_spec(sigma_v2, sigma_e2)
+def make_data(sigma_v2, sigma_e2, n, seed, nl=None):
+    spec = paper_spec(sigma_v2, sigma_e2, nl)
     u = gen_white(gaussian_white(1 / 3), n + 1, seed, path=(0,))
     v = gen_white(gaussian_white(sigma_v2), n, seed, path=(1,))
     e = gen_white(gaussian_white(sigma_e2), n, seed, path=(2,))
@@ -36,6 +38,25 @@ def log_term_oracle(theta, data, sigma_v2, sigma_e2, t):
     peak = float(np.clip((np.cbrt(y_t) - a) / sv, -13.0, 13.0))
     val, _ = quad(integrand, -14, 14, points=[peak, 0.0], limit=500, epsabs=1e-280, epsrel=1e-12)
     return float(np.log(val) - 0.5 * np.log(2 * np.pi))
+
+
+def log_term_oracle_f(nl, y_t, a, sigma_v2, sigma_e2):
+    """Adaptive quadrature of one likelihood term for any nonlinearity: the
+    integrand is scaled by its largest value on a fine grid of s, and that
+    point and 0 are the break points."""
+    sv = math.sqrt(sigma_v2)
+
+    def log_g(s):
+        return -((y_t - nl.value(a + sv * s)) ** 2) / (2 * sigma_e2) - s * s / 2.0
+
+    grid = np.linspace(-40.0, 40.0, 80001)
+    values = log_g(grid)
+    peak, top = float(grid[np.argmax(values)]), float(np.max(values))
+    val, _ = quad(
+        lambda s: math.exp(log_g(s) - top), min(-14.0, peak - 14.0), max(14.0, peak + 14.0),
+        points=[peak, 0.0], limit=500, epsabs=0.0, epsrel=1e-12,
+    )
+    return top + math.log(val) - 0.5 * math.log(2 * math.pi)
 
 
 class TestNegLogLikelihood:
@@ -64,7 +85,7 @@ class TestNegLogLikelihood:
             assert got == pytest.approx(want, abs=1e-6)
 
     @pytest.mark.parametrize("order", [200, 1000])
-    @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("theta", [-3.0, -1.0, 0.0, 0.5, 1.0, 3.0])
     def test_terms_match_oracle_across_theta(self, theta, order):
         # theta far from the truth puts the output's peak far from the
         # process-noise mode, where a fixed-node rule loses whole nats
@@ -75,6 +96,50 @@ class TestNegLogLikelihood:
             got = -neg_log_likelihood(theta, single, spec, settings)
             want = log_term_oracle(theta, data, 0.2, 0.1, int(t))
             assert got == pytest.approx(want, abs=1e-6), f"t = {t}"
+
+    @pytest.mark.parametrize("order", [200, 1000])
+    def test_identity_terms_match_closed_form(self, order):
+        # identity f: each term is a gaussian density in y - a, exactly; the
+        # measurement scale goes through the generic nonlinearity path
+        spec, data = make_data(0.2, 0.1, 300, 33, nl=identity())
+        for theta in (-3.0, 0.5, 3.0):
+            a = theta * data.lagged(0) + data.lagged(1)
+            want = -0.5 * np.log(0.3 / 0.1) - (data.y - a) ** 2 / (2 * 0.3)
+            for t in range(0, 300, 20):
+                single = DataRecord(u=data.u[t : t + 2], y=data.y[t : t + 1])
+                got = -neg_log_likelihood(theta, single, spec, MlSettings(quad_order=order))
+                assert got == pytest.approx(want[t], abs=1e-12), f"t = {t}"
+
+    @pytest.mark.parametrize("coeffs, order", [
+        ((0.0, 1.0, 0.0, 0.5), 200),
+        ((0.0, 1.0, 0.0, 0.5), 1000),
+        # not monotone: the integrand has two peaks where y is near a local
+        # extremum of f; order 200 resolves both to about 3e-6 only
+        ((1.0, -2.0, 0.0, 0.5, 0.25), 1000),
+    ], ids=["monotone-200", "monotone-1000", "quartic-1000"])
+    def test_polynomial_terms_match_oracle(self, coeffs, order):
+        nl = polynomial(coeffs)
+        spec, data = make_data(0.2, 0.1, 1000, 22, nl=nl)
+        for theta in (-3.0, 0.5, 3.0):
+            a = theta * data.lagged(0) + data.lagged(1)
+            for t in np.random.default_rng(1).integers(0, 1000, size=15):
+                single = DataRecord(u=data.u[t : t + 2], y=data.y[t : t + 1])
+                got = -neg_log_likelihood(theta, single, spec, MlSettings(quad_order=order))
+                want = log_term_oracle_f(nl, data.y[t], a[t], 0.2, 0.1)
+                assert got == pytest.approx(want, abs=1e-6), f"theta = {theta}, t = {t}"
+
+    def test_degenerate_polynomials(self):
+        # trailing zero coefficients do not change the window, and a constant
+        # f leaves nothing to integrate: each term is -(y - c)^2 / (2 sigma_e^2)
+        spec, data = make_data(0.2, 0.1, 200, 34, nl=identity())
+        settings = MlSettings(quad_order=200)
+        padded = paper_spec(nl=polynomial([0.0, 1.0, 0.0, 0.0]))
+        assert neg_log_likelihood(0.4, data, padded, settings) == pytest.approx(
+            neg_log_likelihood(0.4, data, spec, settings), rel=1e-13
+        )
+        constant = paper_spec(nl=polynomial([2.0]))
+        want = np.sum((data.y - 2.0) ** 2) / (2 * 0.1)
+        assert neg_log_likelihood(0.4, data, constant, settings) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("y_t, a_t", [(125.0, 0.0), (-125.0, 1.0), (8.0, -3.5)])
     def test_term_with_disjoint_windows(self, y_t, a_t):
@@ -127,15 +192,6 @@ class TestNegLogLikelihood:
             neg_log_likelihood(0.5, data, spec, MlSettings(quad_order=100))
         assert 8 in excinfo.value.time_indices  # t is 1-based
         assert excinfo.value.theta == 0.5
-
-    def test_plain_space_matches_log_space_on_mild_data(self):
-        spec, data = make_data(0.2, 0.1, 100, 27)
-        log_on = MlSettings(quad_order=150, log_space=True)
-        log_off = MlSettings(quad_order=150, log_space=False)
-        for theta in (0.3, 0.5):
-            a = neg_log_likelihood(theta, data, spec, log_on)
-            b = neg_log_likelihood(theta, data, spec, log_off)
-            assert a == pytest.approx(b, rel=1e-10)
 
     def test_measurement_noise_required(self):
         spec, data = make_data(0.2, 0.0, 50, 28)
