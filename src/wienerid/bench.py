@@ -16,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .indirect import SimulatedMap, Weighting, first_order_estimate, step2, zero_order_estimate
+from .indirect import SimulatedMap, first_order_estimate, zero_order_estimate
 from .ml import MlSettings, ml_estimate
 from .pem import pem_estimate
-from . import bla as bla_mod
 from .signals import Distribution, DistributionKind, Seed, StreamRole, gen_white
 from .system import DataRecord, SystemSpec, cubic, paper_fir, simulate
 
@@ -159,20 +158,14 @@ def run_method(
         report = zero_order_estimate(record, template, config.input_kind)
         return report.theta_hat, None
     if method in ("II1_UNW", "II1_W"):
-        weighted = method == "II1_W"
-        if config.s_count is None:
-            report = first_order_estimate(record, template, config.input_kind, weighted=weighted)
-        else:
-            est = bla_mod.fit_bla(record, lags=(0, 1))
-            if weighted:
-                est = bla_mod.estimate_weighting(record, est)
-                W, used = est.W, Weighting.SANDWICH
-            else:
-                W, used = np.eye(2), Weighting.IDENTITY
+        sim_map = None
+        if config.s_count is not None:
             sim_map = SimulatedMap(
                 record.u, template, config.s_count, _simulation_seed(config, realization)
             )
-            report = step2(est.beta_hat, W, sim_map, n_obs=record.n_obs, weighting=used)
+        report = first_order_estimate(
+            record, template, config.input_kind, weighted=method == "II1_W", beta_map=sim_map
+        )
         return float(report.theta_hat[0]), report.predicted_std
     raise ValueError(f"unknown method {method!r}")
 

@@ -4,8 +4,11 @@ Step 1 fits the auxiliary linear model (bla module).  Step 2 picks the
 structured parameter whose implied auxiliary coefficients best match the fit
 in a W-weighted metric, using either the closed-form binding functions of the
 cubic FIR example (gaussian and uniform input) or a simulated binding
-function with common random numbers.  The asymptotic covariance of the
-matched estimate is inflation * (G' W G)^-1 / N.
+function with common random numbers.  The simulated map draws its noise
+replicates, checks the rank of the lagged regressors and builds their
+pseudo-inverse once; each evaluation then averages the S replicate outputs
+and projects the mean, for a whole grid of theta at a time.  The asymptotic
+covariance of the matched estimate is inflation * (G' W G)^-1 / N.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 from . import bla as bla_mod
 from .numerics import (
     OptimizerSettings,
+    RankDeficiencyError,
     jacobian_fd,
     least_squares,
     minimize_scalar,
@@ -165,11 +169,16 @@ def beta_map_simulated(
 class SimulatedMap:
     """Simulated binding function with common random numbers.
 
-    The process-noise replicates and the stacked regressors are built once at
-    construction and reused at every theta the optimizer visits, so the
-    matching criterion is a smooth deterministic function of theta.  A (G,)
-    array of theta gives a (G, len(lags)) array, one least-squares fit per
-    point.
+    The process-noise replicates v_s and the pseudo-inverse of the N x m
+    lagged regressor matrix phi are built once at construction and reused at
+    every theta the optimizer visits, so the matching criterion is a smooth
+    deterministic function of theta.  The fit of the S stacked replicates on
+    tile(phi, S) equals pinv(phi) @ mean_s f(lin(theta) + v_s), so an
+    evaluation accumulates the S replicate outputs and projects their mean.
+    The rank check of the stacked problem depends on phi alone and runs at
+    construction: rank-deficient regressors raise RankDeficiencyError there.
+    A (G,) array of theta gives a (G, len(lags)) array, row g bit for bit
+    equal to the call with theta[g].
     """
 
     u: np.ndarray
@@ -178,7 +187,7 @@ class SimulatedMap:
     seed: Seed
     lags: tuple[int, ...] = (0, 1)
     _v_draws: np.ndarray = field(init=False, repr=False)
-    _stacked_phi: np.ndarray = field(init=False, repr=False)
+    _pinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.s_count < 1:
@@ -193,20 +202,30 @@ class SimulatedMap:
             gen_white(v_dist, n_max, self.seed, path=(int(StreamRole.SIMULATION), s))
             for s in range(self.s_count)
         ])[:, -n:]
-        self._stacked_phi = np.tile(lagged_matrix(self.u, n, self.lags), (self.s_count, 1))
+        m = len(self.lags)
+        left, sing, right_t = np.linalg.svd(lagged_matrix(self.u, n, self.lags), full_matrices=False)
+        # tile(phi, S) has the singular values sqrt(S) * sing, so this is
+        # least_squares' eps * max(rows, m) * s_max threshold on the stacked
+        # problem; fewer rows than lags leave a zero singular value
+        smallest = float(sing[-1]) if len(sing) == m else 0.0
+        if smallest <= np.finfo(float).eps * max(self.s_count * n, m) * sing[0]:
+            raise RankDeficiencyError(math.sqrt(self.s_count) * smallest)
+        self._pinv = (right_t.T / sing) @ left.T
 
     @property
     def inflation(self) -> float:
         return 1.0 + 1.0 / self.s_count
 
     def __call__(self, theta) -> np.ndarray:
-        if np.ndim(theta):
-            return np.array([self(t) for t in theta])
+        theta = np.asarray(theta, dtype=float)
         n = self._v_draws.shape[1]
-        lin = linear_output(self.spec_template.fir, [float(theta)], self.u)[-n:]
-        outputs = self.spec_template.nonlinearity.value(lin[None, :] + self._v_draws)
-        beta, _ = least_squares(self._stacked_phi, outputs.ravel())
-        return beta
+        lin = linear_output(self.spec_template.fir, theta[..., None], self.u)[..., -n:]
+        f = self.spec_template.nonlinearity.value
+        mean = f(lin + self._v_draws[0])
+        for v in self._v_draws[1:]:
+            mean += f(lin + v)
+        mean /= self.s_count
+        return np.vecdot(mean[..., None, :], self._pinv)
 
 
 def step2(
@@ -341,13 +360,18 @@ def first_order_estimate(
     input_kind: DistributionKind | None = None,
     weighted: bool = True,
     settings: OptimizerSettings = OptimizerSettings(),
+    beta_map=None,
 ) -> IndirectReport:
-    """Order-one indirect inference with the matching analytic binding function.
+    """Order-one indirect inference: fit the lag-(0, 1) BLA and match
+    beta_map to it in step2.
 
-    Unweighted uses the identity metric; weighted uses the inverse sandwich
-    covariance of the auxiliary fit.
+    beta_map defaults to the analytic binding function of input_kind; a
+    SimulatedMap gives the simulated variant.  Unweighted uses the identity
+    metric; weighted uses the inverse sandwich covariance of the auxiliary fit.
     """
-    kind = input_kind if input_kind is not None else spec_template.input_dist.kind
+    if beta_map is None:
+        kind = input_kind if input_kind is not None else spec_template.input_dist.kind
+        beta_map = analytic_map(kind, spec_template.input_dist.variance, spec_template.sigma_v2)
     est = bla_mod.fit_bla(data, lags=(0, 1))
     if weighted:
         est = bla_mod.estimate_weighting(data, est)
@@ -356,7 +380,6 @@ def first_order_estimate(
     else:
         W = np.eye(2)
         weighting = Weighting.IDENTITY
-    amap = analytic_map(kind, spec_template.input_dist.variance, spec_template.sigma_v2)
     return step2(
-        est.beta_hat, W, amap, settings, n_obs=data.n_obs, weighting=weighting
+        est.beta_hat, W, beta_map, settings, n_obs=data.n_obs, weighting=weighting
     )

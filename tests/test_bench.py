@@ -160,6 +160,15 @@ class TestRunExperiment:
         again = run_experiment(config)
         np.testing.assert_array_equal(result.estimates["II1_W"], again.estimates["II1_W"])
 
+    def test_simulated_step2_rank_deficiency_recorded(self):
+        # sigma_u2 = 0 gives u = 0: the simulated map refuses its regressors
+        config = small_config(methods=("II1_UNW", "II1_W"), s_count=3, realizations=2, sigma_u2=0.0)
+        result = run_experiment(config)
+        assert len(result.failures) == 4
+        assert all(f.message.startswith("RankDeficiencyError") for f in result.failures)
+        assert np.all(np.isnan(result.estimates["II1_UNW"]))
+        assert np.all(np.isnan(result.estimates["II1_W"]))
+
 
 class TestEmitReport:
     def test_csv_layout_and_round_trip(self, tmp_path):

@@ -19,10 +19,12 @@ from wienerid.indirect import (
     step2,
     zero_order_estimate,
 )
-from wienerid.numerics import OptimizerSettings, least_squares
+from wienerid.numerics import OptimizerSettings, RankDeficiencyError, least_squares
 from wienerid.pem import conditional_mean, pem_estimate
-from wienerid.signals import gaussian_white, gen_white, uniform_white
-from wienerid.system import DataRecord, SystemSpec, cubic, paper_fir, simulate
+from wienerid.signals import StreamRole, gaussian_white, gen_white, uniform_white
+from wienerid.system import (
+    DataRecord, SystemSpec, cubic, lagged_matrix, paper_fir, polynomial, simulate,
+)
 
 from cost_checks import assert_grid_batch_is_pointwise, capture_costs
 
@@ -144,6 +146,33 @@ class TestSimulatedMap:
         again = smap(0.5)
         np.testing.assert_array_equal(first, again)
         assert smap.inflation == pytest.approx(1 + 1 / 3)
+
+    @pytest.mark.parametrize("lags", [(0, 1), (0, 1, 2)])
+    @pytest.mark.parametrize("nl", [cubic(), polynomial((0.1, 1.0, -0.3, 0.5))],
+                             ids=["cubic", "polynomial"])
+    @pytest.mark.parametrize("s_count", [1, 3, 10])
+    def test_matches_stacked_least_squares(self, s_count, nl, lags):
+        # the map's definition: one least-squares fit of all S replicate
+        # outputs on the S-times stacked lagged regressors
+        spec = paper_spec()
+        spec.nonlinearity = nl
+        u = gen_white(gaussian_white(SU2), 401, 83, path=(0,))
+        smap = SimulatedMap(u, spec, s_count=s_count, seed=17, lags=lags)
+        n = len(u) - max(lags[-1], 1)
+        v = np.stack([
+            gen_white(gaussian_white(SV2), len(u) - 1, 17, path=(int(StreamRole.SIMULATION), s))
+            for s in range(s_count)
+        ])[:, -n:]
+        stacked = np.tile(lagged_matrix(u, n, lags), (s_count, 1))
+        for theta in (-3.0, -1.0, 0.0, 0.5, 1.0, 3.0):
+            lin = (theta * u[1:] + u[:-1])[-n:]
+            want, _ = least_squares(stacked, nl.value(lin + v).ravel())
+            np.testing.assert_allclose(smap(theta), want, rtol=1e-12)
+
+    def test_rank_deficient_regressors_rejected_at_construction(self):
+        # a constant input makes the lagged columns equal
+        with pytest.raises(RankDeficiencyError):
+            SimulatedMap(np.ones(301), paper_spec(), s_count=3, seed=1)
 
 
 class TestStep2:
