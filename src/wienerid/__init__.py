@@ -51,15 +51,12 @@ from .pem import (
 )
 from .ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likelihood
 from .indirect import (
-    AnalyticGaussianMap,
-    AnalyticUniformMap,
+    AnalyticMap,
     BindingMapError,
     IndirectReport,
     SimulatedMap,
     Weighting,
-    analytic_map,
     beta_map_gaussian,
-    beta_map_simulated,
     beta_map_uniform,
     first_order_estimate,
     solve_increasing_cubic,

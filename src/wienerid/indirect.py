@@ -2,9 +2,12 @@
 
 Step 1 fits the auxiliary linear model (bla module).  Step 2 picks the
 structured parameter whose implied auxiliary coefficients best match the fit
-in a W-weighted metric, using either the closed-form binding functions of the
-cubic FIR example (gaussian and uniform input) or a simulated binding
-function with common random numbers.  The simulated map draws its noise
+in a W-weighted metric, using either the closed-form binding function of the
+cubic FIR example or a simulated binding function with common random
+numbers.  For white input the closed form depends on the input only through
+its power sigma_u2 and its fourth-moment ratio kappa = E{u^4} / sigma_u2^2
+(Distribution.kurtosis), so one AnalyticMap serves every input kind.  The
+simulated map draws its noise
 replicates, checks the rank of the lagged regressors and builds their
 pseudo-inverse once; each evaluation then averages the S replicate outputs
 and projects the mean, for a whole grid of theta at a time.  The asymptotic
@@ -29,7 +32,9 @@ from .numerics import (
     ScalarMinResult,
 )
 from .reports import EstimateReport
-from .signals import Distribution, DistributionKind, Seed, StreamRole, gen_white
+from .signals import (
+    Distribution, DistributionKind, Seed, StreamRole, gaussian_white, gen_white, uniform_white,
+)
 from .system import DataRecord, SystemSpec, lagged_matrix, linear_output
 
 JACOBIAN_STEP = 1e-5
@@ -70,99 +75,57 @@ class IndirectReport:
         return float(np.sqrt(self.predicted_cov[0, 0]))
 
 
-def beta_map_gaussian(theta: float, sigma_u2: float, sigma_v2: float) -> tuple[float, float]:
-    """Asymptotic lag-(0,1) linear coefficients for gaussian white input.
-
-    Both components share the scalar gain 3 sigma_u2 theta^2
-    + 3 (sigma_u2 + sigma_v2), so beta1/beta2 = theta identically.
-    """
-    if sigma_u2 < 0 or sigma_v2 < 0:
-        raise ValueError("variances must be >= 0")
-    gain = 3.0 * sigma_u2 * theta**2 + 3.0 * (sigma_u2 + sigma_v2)
-    return gain * theta, gain
-
-
-def beta_map_gaussian_deriv(theta: float, sigma_u2: float, sigma_v2: float) -> tuple[float, float]:
-    return (
-        9.0 * sigma_u2 * theta**2 + 3.0 * (sigma_u2 + sigma_v2),
-        6.0 * sigma_u2 * theta,
-    )
-
-
-def beta_map_uniform(theta: float, sigma_u2: float, sigma_v2: float) -> tuple[float, float]:
-    """Asymptotic lag-(0,1) linear coefficients for uniform white input.
-
-    The fourth moment of a centered uniform is (9/5) sigma_u2^2, which breaks
-    the common-gain structure of the gaussian case.
-    """
-    if sigma_u2 < 0 or sigma_v2 < 0:
-        raise ValueError("variances must be >= 0")
-    beta1 = 1.8 * sigma_u2 * theta**3 + 3.0 * (sigma_u2 + sigma_v2) * theta
-    beta2 = 3.0 * sigma_u2 * theta**2 + 3.0 * (0.6 * sigma_u2 + sigma_v2)
-    return beta1, beta2
-
-
-def beta_map_uniform_deriv(theta: float, sigma_u2: float, sigma_v2: float) -> tuple[float, float]:
-    return (
-        5.4 * sigma_u2 * theta**2 + 3.0 * (sigma_u2 + sigma_v2),
-        6.0 * sigma_u2 * theta,
-    )
-
-
 @dataclass(frozen=True)
-class AnalyticGaussianMap:
-    """Closed-form binding function beta(theta), gaussian-input cubic FIR."""
+class AnalyticMap:
+    """Closed-form binding function beta(theta) of the cubic FIR example.
+
+    For white input of power sigma_u2 and fourth-moment ratio
+    kappa = E{u^4} / sigma_u2^2 (3 gaussian, 9/5 uniform):
+        beta1 = kappa sigma_u2 theta^3 + 3 (sigma_u2 + sigma_v2) theta
+        beta2 = 3 sigma_u2 theta^2 + kappa sigma_u2 + 3 sigma_v2
+    At kappa = 3 both components share one gain, so beta1/beta2 = theta.
+    A float theta gives shape (2,), a (G,) array gives (G, 2).
+    """
 
     sigma_u2: float
     sigma_v2: float
-    inflation: float = 1.0
+    kappa: float
+    inflation = 1.0  # exact map: no simulation noise to inflate by
+
+    def __post_init__(self):
+        if self.sigma_u2 < 0 or self.sigma_v2 < 0:
+            raise ValueError("variances must be >= 0")
+
+    def _components(self, theta):
+        su2, sv2, kappa = self.sigma_u2, self.sigma_v2, self.kappa
+        # grouped so that at kappa = 3 beta2 is bit for bit beta1's gain
+        beta1 = (kappa * su2 * theta**2 + 3.0 * (su2 + sv2)) * theta
+        beta2 = 3.0 * su2 * theta**2 + 3.0 * (kappa / 3.0 * su2 + sv2)
+        return beta1, beta2
 
     def __call__(self, theta) -> np.ndarray:
-        return np.stack(beta_map_gaussian(theta, self.sigma_u2, self.sigma_v2), axis=-1)
+        return np.stack(self._components(theta), axis=-1)
 
     def derivative(self, theta: float) -> np.ndarray:
-        return np.array(beta_map_gaussian_deriv(theta, self.sigma_u2, self.sigma_v2))[:, None]
+        su2, sv2 = self.sigma_u2, self.sigma_v2
+        return np.array([
+            [3.0 * self.kappa * su2 * theta**2 + 3.0 * (su2 + sv2)],
+            [6.0 * su2 * theta],
+        ])
 
     def beta1_coeffs(self) -> tuple[float, float]:
         """(cubic, linear) coefficients of the first component in theta."""
-        return 3.0 * self.sigma_u2, 3.0 * (self.sigma_u2 + self.sigma_v2)
+        return self.kappa * self.sigma_u2, 3.0 * (self.sigma_u2 + self.sigma_v2)
 
 
-@dataclass(frozen=True)
-class AnalyticUniformMap:
-    """Closed-form binding function beta(theta), uniform-input cubic FIR."""
-
-    sigma_u2: float
-    sigma_v2: float
-    inflation: float = 1.0
-
-    def __call__(self, theta) -> np.ndarray:
-        return np.stack(beta_map_uniform(theta, self.sigma_u2, self.sigma_v2), axis=-1)
-
-    def derivative(self, theta: float) -> np.ndarray:
-        return np.array(beta_map_uniform_deriv(theta, self.sigma_u2, self.sigma_v2))[:, None]
-
-    def beta1_coeffs(self) -> tuple[float, float]:
-        return 1.8 * self.sigma_u2, 3.0 * (self.sigma_u2 + self.sigma_v2)
+def beta_map_gaussian(theta, sigma_u2: float, sigma_v2: float):
+    """(beta1, beta2) for gaussian white input (kappa = 3)."""
+    return AnalyticMap(sigma_u2, sigma_v2, gaussian_white(sigma_u2).kurtosis)._components(theta)
 
 
-def analytic_map(input_kind: DistributionKind, sigma_u2: float, sigma_v2: float):
-    if input_kind is DistributionKind.GAUSSIAN_WHITE:
-        return AnalyticGaussianMap(sigma_u2, sigma_v2)
-    return AnalyticUniformMap(sigma_u2, sigma_v2)
-
-
-def beta_map_simulated(
-    theta: float,
-    u: np.ndarray,
-    spec_template: SystemSpec,
-    s_count: int,
-    seed: Seed,
-    lags,
-) -> np.ndarray:
-    """Monte Carlo binding function: average linear fit over s_count
-    process-noise replicates on the fixed input (measurement noise excluded)."""
-    return SimulatedMap(u, spec_template, s_count, seed, tuple(lags))(theta)
+def beta_map_uniform(theta, sigma_u2: float, sigma_v2: float):
+    """(beta1, beta2) for uniform white input (kappa = 9/5)."""
+    return AnalyticMap(sigma_u2, sigma_v2, uniform_white(sigma_u2).kurtosis)._components(theta)
 
 
 @dataclass
@@ -245,7 +208,8 @@ def step2(
     any other shape) raises BindingMapError.  The argmin is invariant to
     positive rescaling of W; the reported predicted_cov = inflation
     * (G' W G)^-1 / n_obs is a covariance prediction only when W is
-    normalized as Cov{sqrt(N) (beta_hat - beta)}^-1.
+    normalized as Cov{sqrt(N) (beta_hat - beta)}^-1.  It is infinite when
+    the criterion is flat or the search stops at a bracket edge.
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -285,11 +249,14 @@ def step2(
 
     inflation = float(getattr(beta_map, "inflation", 1.0))
     gwg = G.T @ W @ G
-    try:
-        predicted_cov = inflation * np.linalg.inv(gwg) / n_obs
-    except np.linalg.LinAlgError:
-        # flat criterion: no curvature, no finite covariance prediction
-        predicted_cov = np.full_like(gwg, np.inf)
+    # a flat criterion has no curvature, and at a bracket edge the minimum
+    # may lie outside the bracket: neither gives a finite prediction
+    predicted_cov = np.full_like(gwg, np.inf)
+    if not result.at_bracket_edge:
+        try:
+            predicted_cov = inflation * np.linalg.inv(gwg) / n_obs
+        except np.linalg.LinAlgError:
+            pass
     return IndirectReport(
         theta_hat=np.array([theta_hat]),
         G=G,
@@ -338,6 +305,14 @@ def solve_increasing_cubic(c3: float, c1: float, target: float, tol: float = 1e-
     return x
 
 
+def _analytic_binding(spec_template: SystemSpec, input_kind: DistributionKind | None) -> AnalyticMap:
+    """The closed-form map of the template's input, or of input_kind when given."""
+    dist = spec_template.input_dist
+    if input_kind is not None:
+        dist = Distribution(input_kind, dist.variance)
+    return AnalyticMap(dist.variance, spec_template.sigma_v2, dist.kurtosis)
+
+
 def zero_order_estimate(
     data: DataRecord,
     spec_template: SystemSpec,
@@ -346,10 +321,8 @@ def zero_order_estimate(
     """Order-zero indirect inference: regress y on u(t) alone and invert the
     first binding-function component (strictly increasing, so no weighting is
     needed and the inversion is unique)."""
-    kind = input_kind if input_kind is not None else spec_template.input_dist.kind
-    amap = analytic_map(kind, spec_template.input_dist.variance, spec_template.sigma_v2)
     beta1, _ = least_squares(data.lagged(0)[:, None], data.y)
-    c3, c1 = amap.beta1_coeffs()
+    c3, c1 = _analytic_binding(spec_template, input_kind).beta1_coeffs()
     theta_hat = solve_increasing_cubic(c3, c1, float(beta1[0]))
     return EstimateReport(theta_hat, method="ii0")
 
@@ -365,13 +338,13 @@ def first_order_estimate(
     """Order-one indirect inference: fit the lag-(0, 1) BLA and match
     beta_map to it in step2.
 
-    beta_map defaults to the analytic binding function of input_kind; a
-    SimulatedMap gives the simulated variant.  Unweighted uses the identity
+    beta_map defaults to the analytic binding function of the template's
+    input (of input_kind when given); a SimulatedMap gives the simulated
+    variant.  Unweighted uses the identity
     metric; weighted uses the inverse sandwich covariance of the auxiliary fit.
     """
     if beta_map is None:
-        kind = input_kind if input_kind is not None else spec_template.input_dist.kind
-        beta_map = analytic_map(kind, spec_template.input_dist.variance, spec_template.sigma_v2)
+        beta_map = _analytic_binding(spec_template, input_kind)
     est = bla_mod.fit_bla(data, lags=(0, 1))
     if weighted:
         est = bla_mod.estimate_weighting(data, est)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .numerics import OptimizerSettings, gauss_hermite, minimize_scalar
 from .reports import EstimateReport
-from .system import DataRecord, Nonlinearity, NonlinearityKind, SystemSpec, linear_output
+from .system import DataRecord, Nonlinearity, NonlinearityKind, SystemSpec, cubic, linear_output
 
 FALLBACK_QUAD_ORDER = 50
 
@@ -60,14 +60,12 @@ def _quad_moments(nl: Nonlinearity, a: np.ndarray, sigma_v2: float):
 
 def predict(theta: float, u_t, u_tm1, sigma_v2: float):
     """Conditional-mean output prediction for the lag-one FIR with unit fixed tap."""
-    a = np.asarray(theta, dtype=float) * np.asarray(u_t, dtype=float) + np.asarray(u_tm1, dtype=float)
-    return a**3 + 3.0 * a * sigma_v2
+    return conditional_mean(cubic(), np.multiply(theta, u_t) + u_tm1, sigma_v2)
 
 
 def prediction_variance(theta: float, u_t, u_tm1, sigma_v2: float, sigma_e2: float):
     """Variance of the prediction error for the lag-one FIR with unit fixed tap."""
-    a = np.asarray(theta, dtype=float) * np.asarray(u_t, dtype=float) + np.asarray(u_tm1, dtype=float)
-    return 9.0 * sigma_v2 * a**4 + 36.0 * sigma_v2**2 * a**2 + 15.0 * sigma_v2**3 + sigma_e2
+    return conditional_variance(cubic(), np.multiply(theta, u_t) + u_tm1, sigma_v2, sigma_e2)
 
 
 def pem_estimate(

@@ -27,6 +27,10 @@ class DistributionKind(enum.Enum):
     UNIFORM_WHITE = "uniform"
 
 
+# E{u^4} / E{u^2}^2: 3 for the normal, 9/5 for a symmetric uniform
+_KURTOSIS = {DistributionKind.GAUSSIAN_WHITE: 3.0, DistributionKind.UNIFORM_WHITE: 9 / 5}
+
+
 class StreamRole(enum.IntEnum):
     """Fixed substream roles within one Monte Carlo realization."""
 
@@ -57,6 +61,11 @@ class Distribution:
         if self.kind is not DistributionKind.UNIFORM_WHITE:
             raise ValueError("half_width is only defined for uniform distributions")
         return math.sqrt(3.0 * self.variance)
+
+    @property
+    def kurtosis(self) -> float:
+        """Fourth-moment ratio E{u^4} / variance^2, fixed by the kind alone."""
+        return _KURTOSIS[self.kind]
 
 
 def gaussian_white(variance: float) -> Distribution:

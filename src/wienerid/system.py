@@ -121,12 +121,6 @@ class SystemSpec:
         if self.sigma_v2 < 0 or self.sigma_e2 < 0:
             raise ValueError("noise variances must be >= 0")
 
-    def with_theta(self, theta) -> "SystemSpec":
-        return SystemSpec(
-            self.fir, np.asarray(theta, dtype=float), self.nonlinearity,
-            self.sigma_v2, self.sigma_e2, self.input_dist,
-        )
-
     def impulse_sq_norm(self) -> float:
         """Sum of squared FIR coefficients, free and fixed."""
         return float(np.sum(self.theta**2) + sum(v**2 for _, v in self.fir.fixed))

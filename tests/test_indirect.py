@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 import wienerid.indirect as indirect_mod
 from wienerid.bla import estimate_weighting, fit_bla
 from wienerid.indirect import (
-    AnalyticGaussianMap,
-    AnalyticUniformMap,
+    AnalyticMap,
     BindingMapError,
     SimulatedMap,
     Weighting,
     beta_map_gaussian,
-    beta_map_simulated,
     beta_map_uniform,
     first_order_estimate,
     solve_increasing_cubic,
@@ -95,10 +93,13 @@ class TestAnalyticMaps:
             beta_map_gaussian(0.5, -1.0, 0.2)
         with pytest.raises(ValueError):
             beta_map_uniform(0.5, 0.3, -0.1)
+        with pytest.raises(ValueError, match="variances"):
+            AnalyticMap(-1.0, 0.2, 3.0)
 
     def test_derivatives_match_finite_differences(self):
         h = 1e-6
-        for amap in (AnalyticGaussianMap(SU2, SV2), AnalyticUniformMap(SU2, SV2)):
+        for kappa in (3.0, 9 / 5, 1.0):
+            amap = AnalyticMap(SU2, SV2, kappa)
             for theta in (-1.0, 0.0, 0.5, 2.0):
                 fd = (amap(theta + h) - amap(theta - h)) / (2 * h)
                 np.testing.assert_allclose(amap.derivative(theta)[:, 0], fd, rtol=1e-7, atol=1e-7)
@@ -109,8 +110,8 @@ class TestSimulatedMap:
         spec = paper_spec()
         spec.sigma_v2 = 0.0
         u = gen_white(gaussian_white(SU2), 501, 77, path=(0,))
-        a = beta_map_simulated(0.5, u, spec, s_count=3, seed=1, lags=(0, 1))
-        b = beta_map_simulated(0.5, u, spec, s_count=5, seed=999, lags=(0, 1))
+        a = SimulatedMap(u, spec, s_count=3, seed=1, lags=(0, 1))(0.5)
+        b = SimulatedMap(u, spec, s_count=5, seed=999, lags=(0, 1))(0.5)
         np.testing.assert_allclose(a, b, rtol=1e-12)
         lin = spec.nonlinearity.value(0.5 * u[1:] + u[:-1])
         direct, _ = least_squares(np.column_stack([u[1:], u[:-1]]), lin)
@@ -119,15 +120,15 @@ class TestSimulatedMap:
     def test_same_seed_bitwise_identical(self):
         spec = paper_spec()
         u = gen_white(gaussian_white(SU2), 301, 78, path=(0,))
-        a = beta_map_simulated(0.4, u, spec, s_count=4, seed=123, lags=(0, 1))
-        b = beta_map_simulated(0.4, u, spec, s_count=4, seed=123, lags=(0, 1))
+        a = SimulatedMap(u, spec, s_count=4, seed=123, lags=(0, 1))(0.4)
+        b = SimulatedMap(u, spec, s_count=4, seed=123, lags=(0, 1))(0.4)
         np.testing.assert_array_equal(a, b)
 
     def test_matches_analytic_map_at_scale(self):
         spec = paper_spec()
         n = 10**5
         u = gen_white(gaussian_white(SU2), n + 1, 79, path=(0,))
-        beta = beta_map_simulated(0.5, u, spec, s_count=10, seed=5, lags=(0, 1))
+        beta = SimulatedMap(u, spec, s_count=10, seed=5, lags=(0, 1))(0.5)
         # conservative 3-sigma bound from a single-replicate sandwich fit
         v = gen_white(gaussian_white(SV2), n, 80, path=(1,))
         _, y_one = simulate(spec, u, v, np.zeros(n))
@@ -177,13 +178,13 @@ class TestSimulatedMap:
 
 class TestStep2:
     def test_exact_fixed_point(self):
-        amap = AnalyticGaussianMap(SU2, SV2)
+        amap = AnalyticMap(SU2, SV2, 3.0)
         report = step2(amap(0.5), np.eye(2), amap, n_obs=1000)
         assert report.theta_hat[0] == pytest.approx(0.5, abs=1e-6)
         assert report.inflation == 1.0
 
     def test_weighting_scale_invariance(self):
-        amap = AnalyticGaussianMap(SU2, SV2)
+        amap = AnalyticMap(SU2, SV2, 3.0)
         beta_hat = np.array([0.9, 1.8])
         W = np.array([[2.0, 0.3], [0.3, 1.0]])
         a = step2(beta_hat, W, amap, n_obs=500)
@@ -191,14 +192,14 @@ class TestStep2:
         assert a.theta_hat[0] == b.theta_hat[0]
 
     def test_identifiability_across_grid(self):
-        amap = AnalyticGaussianMap(SU2, SV2)
+        amap = AnalyticMap(SU2, SV2, 3.0)
         settings = OptimizerSettings(abs_tol=1e-9)
         for theta in np.linspace(-2.9, 2.9, 50):
             report = step2(amap(theta), np.eye(2), amap, settings, n_obs=100)
             assert abs(report.theta_hat[0] - theta) < 1e-6
 
     def test_non_positive_definite_weighting_rejected(self):
-        amap = AnalyticGaussianMap(SU2, SV2)
+        amap = AnalyticMap(SU2, SV2, 3.0)
         with pytest.raises(ValueError, match="positive definite"):
             step2(amap(0.5), np.array([[1.0, 0.0], [0.0, -1.0]]), amap, n_obs=100)
         with pytest.raises(ValueError, match="symmetric"):
@@ -219,7 +220,7 @@ class TestStep2:
         assert np.all(np.isinf(report.predicted_cov))
 
     def test_predicted_covariance_formula(self):
-        amap = AnalyticGaussianMap(SU2, SV2)
+        amap = AnalyticMap(SU2, SV2, 3.0)
         W = np.diag([2.0, 3.0])
         report = step2(amap(0.5), W, amap, n_obs=250)
         G = amap.derivative(report.theta_hat[0])
@@ -243,11 +244,11 @@ class TestBindingMapContract:
     samples = gen_white(gaussian_white(SU2), 500, 5, path=(0,))
 
     @pytest.mark.parametrize("float_only", [
-        lambda theta: AnalyticGaussianMap(SU2, SV2)(float(theta)),
+        lambda theta: AnalyticMap(SU2, SV2, 3.0)(float(theta)),
         lambda theta: np.array([np.mean(theta * TestBindingMapContract.samples**4), 1.0]),
     ], ids=["scalar-conversion", "sample-broadcast"])
     def test_float_only_map_rejected(self, float_only):
-        beta_hat = AnalyticGaussianMap(SU2, SV2)(0.7)
+        beta_hat = AnalyticMap(SU2, SV2, 3.0)(0.7)
         with pytest.raises(BindingMapError, match="broadcast over theta") as excinfo:
             step2(beta_hat, np.eye(2), float_only, n_obs=500)
         assert excinfo.value.theta_shape == (61,)
@@ -256,7 +257,7 @@ class TestBindingMapContract:
     def test_map_reducing_over_theta_rejected(self):
         # the grid call would see one vector for all 61 points: a flat,
         # degenerate scan and theta_hat = 0.0 although the truth is 0.7
-        amap = AnalyticGaussianMap(SU2, SV2)
+        amap = AnalyticMap(SU2, SV2, 3.0)
         with pytest.raises(BindingMapError, match=r"returned shape \(2,\)"):
             step2(amap(0.7), np.eye(2), lambda theta: amap(np.mean(theta)), n_obs=500)
 
@@ -292,13 +293,20 @@ class TestBracketEdge:
 
     def test_true_theta_outside_bracket_is_flagged(self):
         # PEM_W, II1_UNW and II1_W in turn; the bracket is [-3, 3]
-        for report in self.estimates(4.0):
+        reports = self.estimates(4.0)
+        for report in reports:
             assert report.diagnostics.at_bracket_edge
             assert float(np.ravel(report.theta_hat)[0]) == 3.0
+        # a flagged estimate carries no finite predicted std
+        for report in reports[1:]:
+            assert report.predicted_std == np.inf
 
     def test_paper_system_is_not_flagged(self):
-        for report in self.estimates(0.5):
+        reports = self.estimates(0.5)
+        for report in reports:
             assert not report.diagnostics.at_bracket_edge
+        for report in reports[1:]:
+            assert np.isfinite(report.predicted_std)
 
 
 class TestMonotoneCubic:
@@ -370,7 +378,7 @@ def inflation_runs():
     analytic = np.empty(INFLATION_R)
     conditional = np.empty(INFLATION_R)
     simulated = {s: np.empty(INFLATION_R) for s in INFLATION_S}
-    amap = AnalyticGaussianMap(SU2, SV2)
+    amap = AnalyticMap(SU2, SV2, 3.0)
     for r in range(INFLATION_R):
         spec, data = make_data(dist, INFLATION_N, 90000 + r)
         est = estimate_weighting(data, fit_bla(data, (0, 1)))

@@ -39,6 +39,14 @@ def test_large_sample_moments(make):
     assert abs(out.var() - var) < 0.05 * var
 
 
+@pytest.mark.parametrize("kind", list(DistributionKind))
+def test_kurtosis_matches_sample_fourth_moment(kind):
+    dist = Distribution(kind, 0.7)
+    ratio = gen_white(dist, 10**6, seed=2026) ** 4 / dist.variance**2
+    se = np.std(ratio) / np.sqrt(len(ratio))
+    assert abs(np.mean(ratio) - dist.kurtosis) < 3.0 * se
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     n=st.integers(min_value=1, max_value=200),
