@@ -32,6 +32,7 @@ from .system import (
 )
 from .numerics import (
     CostEvaluationError,
+    Estimate,
     OptimizerSettings,
     QuadratureRule,
     RankDeficiencyError,
@@ -41,7 +42,7 @@ from .numerics import (
     least_squares,
     minimize_scalar,
 )
-from .bla import BlaEstimate, bussgang_gain, estimate_weighting, fit_bla
+from .bla import BlaEstimate, estimate_weighting, fit_bla
 from .pem import (
     conditional_mean,
     conditional_variance,
@@ -53,9 +54,7 @@ from .ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likel
 from .indirect import (
     AnalyticMap,
     BindingMapError,
-    IndirectReport,
     SimulatedMap,
-    Weighting,
     beta_map_gaussian,
     beta_map_uniform,
     first_order_estimate,
@@ -78,7 +77,6 @@ from .bench import (
     run_experiment,
     run_method,
 )
-from .reports import EstimateReport
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

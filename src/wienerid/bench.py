@@ -18,6 +18,7 @@ import numpy as np
 
 from .indirect import SimulatedMap, first_order_estimate, zero_order_estimate
 from .ml import MlSettings, ml_estimate
+from .numerics import Estimate
 from .pem import pem_estimate
 from .signals import Distribution, DistributionKind, Seed, StreamRole, gen_white
 from .system import DataRecord, SystemSpec, cubic, paper_fir, simulate
@@ -144,29 +145,25 @@ def _simulation_seed(config: ExperimentConfig, realization: int) -> int:
 
 def run_method(
     config: ExperimentConfig, method: str, record: DataRecord, realization: int = 0
-) -> tuple[float, float | None]:
-    """One estimator on one record; returns (theta_hat, predicted_std or None)."""
+) -> Estimate:
+    """One estimator on one record."""
     template = config.template()
     if method == "ML":
         order = DESK_ML_QUAD_ORDER if config.desk_scale else config.ml_quad_order
-        report = ml_estimate(record, template, MlSettings(quad_order=order))
-        return report.theta_hat, None
+        return ml_estimate(record, template, MlSettings(quad_order=order))
     if method == "PEM_W":
-        report = pem_estimate(record, template, weighted=True)
-        return report.theta_hat, None
+        return pem_estimate(record, template, weighted=True)
     if method == "II0":
-        report = zero_order_estimate(record, template, config.input_kind)
-        return report.theta_hat, None
+        return zero_order_estimate(record, template, config.input_kind)
     if method in ("II1_UNW", "II1_W"):
         sim_map = None
         if config.s_count is not None:
             sim_map = SimulatedMap(
                 record.u, template, config.s_count, _simulation_seed(config, realization)
             )
-        report = first_order_estimate(
+        return first_order_estimate(
             record, template, config.input_kind, weighted=method == "II1_W", beta_map=sim_map
         )
-        return float(report.theta_hat[0]), report.predicted_std
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -194,10 +191,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for m in active:
             t0 = time.perf_counter()
             try:
-                theta_hat, pred_std = run_method(config, m, record, realization=r)
-                estimates[m][r] = theta_hat
-                if m in predicted and pred_std is not None:
-                    predicted[m][r] = pred_std
+                est = run_method(config, m, record, realization=r)
+                estimates[m][r] = est.theta_hat[0]
+                if m in predicted and est.predicted_std is not None:
+                    predicted[m][r] = est.predicted_std
             except Exception as exc:  # noqa: BLE001 - per-realization isolation
                 failures.append(FailureRecord(r, m, f"{type(exc).__name__}: {exc}"))
             wall[m] += time.perf_counter() - t0
@@ -229,7 +226,7 @@ def replay_realization(config: ExperimentConfig, realization: int) -> dict[str, 
     for m in [m for m in METHOD_ORDER if m in config.methods]:
         if m == "ML" and realization >= _ml_runs(config):
             continue
-        out[m] = run_method(config, m, record, realization=realization)[0]
+        out[m] = float(run_method(config, m, record, realization=realization).theta_hat[0])
     return out
 
 
@@ -249,10 +246,13 @@ def linear_baseline_std(config: ExperimentConfig) -> float:
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _REQUIRED = ("theta_o", "sigma_v2", "sigma_e2", "sigma_u2", "input_kind", "n_obs")
 
-_INPUT_KINDS = {
-    "gaussian": DistributionKind.GAUSSIAN_WHITE,
-    "uniform": DistributionKind.UNIFORM_WHITE,
-}
+
+def _input_kind(raw) -> DistributionKind:
+    try:
+        return DistributionKind(str(raw).lower())
+    except ValueError:
+        kinds = [k.value for k in DistributionKind]
+        raise ValueError(f"input_kind must be one of {kinds}, got {raw!r}") from None
 
 
 def _parse_value(name: str, raw: str):
@@ -272,9 +272,7 @@ def _parse_value(name: str, raw: str):
             return False
         raise ValueError(f"desk_scale must be true or false, got {raw!r}")
     if name == "input_kind":
-        if raw.lower() not in _INPUT_KINDS:
-            raise ValueError(f"input_kind must be gaussian or uniform, got {raw!r}")
-        return _INPUT_KINDS[raw.lower()]
+        return _input_kind(raw)
     if name == "methods":
         return tuple(part.strip() for part in raw.split(",") if part.strip())
     raise AssertionError(name)
@@ -314,7 +312,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     data = dict(data)
-    data["input_kind"] = _INPUT_KINDS[data["input_kind"]]
+    data["input_kind"] = _input_kind(data["input_kind"])
     data["methods"] = tuple(data["methods"])
     return ExperimentConfig(**data)
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import least_squares, gauss_hermite
-from .signals import DistributionKind
-from .system import DataRecord, NonlinearityKind, SystemSpec
+from .numerics import least_squares
+from .system import DataRecord
 
 RIDGE_CONDITION_LIMIT = 1e12
 
@@ -43,22 +42,6 @@ class BlaEstimate:
     @property
     def order(self) -> int:
         return len(self.beta_hat)
-
-    def report(self) -> str:
-        """Structured text rendering (matrices row-major)."""
-        lines = [
-            f"n_obs: {self.n_obs}",
-            f"lags: {', '.join(str(l) for l in self.lags)}",
-            "beta_hat: " + " ".join(f"{b:.17g}" for b in self.beta_hat),
-        ]
-        for name in ("I_hat", "J_hat", "W", "cov_beta"):
-            mat = getattr(self, name)
-            if mat is not None:
-                flat = " ".join(f"{v:.17g}" for v in np.asarray(mat).ravel())
-                lines.append(f"{name}: {flat}")
-        if self.ridge_applied:
-            lines.append("ridge_applied: true")
-        return "\n".join(lines) + "\n"
 
 
 def fit_bla(data: DataRecord, lags) -> BlaEstimate:
@@ -105,25 +88,3 @@ def estimate_weighting(data: DataRecord, est: BlaEstimate) -> BlaEstimate:
         est, I_hat=I_hat, J_hat=J_hat, W=W, cov_beta=cov_beta, ridge_applied=ridge_applied
     )
 
-
-def bussgang_gain(spec: SystemSpec, quad_order: int = 50) -> float:
-    """Expected slope b0 = E{f'(z)} of the nonlinearity over the stationary z.
-
-    Meaningful as the BLA scale only for gaussian input; other input kinds
-    get the same number under a gaussian approximation, with a warning.
-    """
-    if spec.input_dist.kind is not DistributionKind.GAUSSIAN_WHITE:
-        warnings.warn(
-            "bussgang gain assumes gaussian input; value returned under a "
-            "gaussian approximation of z",
-            stacklevel=2,
-        )
-    sigma_z2 = spec.impulse_sq_norm() * spec.input_dist.variance + spec.sigma_v2
-    nl = spec.nonlinearity
-    if nl.kind is NonlinearityKind.CUBIC:
-        return 3.0 * sigma_z2
-    if nl.kind is NonlinearityKind.IDENTITY:
-        return 1.0
-    sigma_z = np.sqrt(sigma_z2)
-    rule = gauss_hermite(quad_order)
-    return rule.normal_expectation(lambda v: nl.deriv(sigma_z * v))

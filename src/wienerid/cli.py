@@ -47,10 +47,10 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     config = _load(args)
     record = DataRecord.from_csv(args.data)
-    theta_hat, pred_std = bench.run_method(config, args.method, record)
-    line = f"method={args.method} theta_hat={theta_hat:.17g}"
-    if pred_std is not None:
-        line += f" predicted_std={pred_std:.17g}"
+    est = bench.run_method(config, args.method, record)
+    line = f"method={args.method} theta_hat={est.theta_hat[0]:.17g}"
+    if est.predicted_std is not None:
+        line += f" predicted_std={est.predicted_std:.17g}"
     print(line)
     return 0
 

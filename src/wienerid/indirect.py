@@ -10,13 +10,13 @@ its power sigma_u2 and its fourth-moment ratio kappa = E{u^4} / sigma_u2^2
 simulated map draws its noise
 replicates, checks the rank of the lagged regressors and builds their
 pseudo-inverse once; each evaluation then averages the S replicate outputs
-and projects the mean, for a whole grid of theta at a time.  The asymptotic
-covariance of the matched estimate is inflation * (G' W G)^-1 / N.
+and projects the mean, for a whole grid of theta at a time.  Step 2 reports
+the predicted standard deviation of the matched estimate, the square root of
+the asymptotic variance inflation * (G' W G)^-1 / N.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -24,14 +24,13 @@ import numpy as np
 
 from . import bla as bla_mod
 from .numerics import (
+    Estimate,
     OptimizerSettings,
     RankDeficiencyError,
     jacobian_fd,
     least_squares,
     minimize_scalar,
-    ScalarMinResult,
 )
-from .reports import EstimateReport
 from .signals import (
     Distribution, DistributionKind, Seed, StreamRole, gaussian_white, gen_white, uniform_white,
 )
@@ -52,27 +51,6 @@ class BindingMapError(ValueError):
             f"needs shape {theta_shape + (width,)}: the map must broadcast over "
             f"theta (a float gives shape ({width},), a (G,) array gives (G, {width}))"
         )
-
-
-class Weighting(enum.Enum):
-    IDENTITY = "identity"
-    SANDWICH = "sandwich"
-
-
-@dataclass
-class IndirectReport:
-    """Step-2 output: matched parameter, Jacobian, predicted covariance."""
-
-    theta_hat: np.ndarray
-    G: np.ndarray
-    predicted_cov: np.ndarray
-    inflation: float
-    weighting_used: Weighting
-    diagnostics: ScalarMinResult | None = None
-
-    @property
-    def predicted_std(self) -> float:
-        return float(np.sqrt(self.predicted_cov[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -198,18 +176,18 @@ def step2(
     settings: OptimizerSettings = OptimizerSettings(),
     *,
     n_obs: int,
-    weighting: Weighting = Weighting.SANDWICH,
-) -> IndirectReport:
+) -> Estimate:
     """Match the binding function to the auxiliary fit in the W metric.
 
     beta_map broadcasts over theta: a float gives a vector like beta_hat and
     a (G,) array gives a (G, len(beta_hat)) array, so the search scans its
     grid in one call.  A map that does not (it fails on an array, or returns
     any other shape) raises BindingMapError.  The argmin is invariant to
-    positive rescaling of W; the reported predicted_cov = inflation
-    * (G' W G)^-1 / n_obs is a covariance prediction only when W is
-    normalized as Cov{sqrt(N) (beta_hat - beta)}^-1.  It is infinite when
-    the criterion is flat or the search stops at a bracket edge.
+    positive rescaling of W; the reported predicted_std, the square root of
+    inflation * (G' W G)^-1 / n_obs, predicts the spread of the estimate only
+    when W is normalized as Cov{sqrt(N) (beta_hat - beta)}^-1.  It is
+    infinite when the criterion is flat or the search stops at a bracket
+    edge.
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -251,20 +229,13 @@ def step2(
     gwg = G.T @ W @ G
     # a flat criterion has no curvature, and at a bracket edge the minimum
     # may lie outside the bracket: neither gives a finite prediction
-    predicted_cov = np.full_like(gwg, np.inf)
+    cov = np.full_like(gwg, np.inf)
     if not result.at_bracket_edge:
         try:
-            predicted_cov = inflation * np.linalg.inv(gwg) / n_obs
+            cov = inflation * np.linalg.inv(gwg) / n_obs
         except np.linalg.LinAlgError:
             pass
-    return IndirectReport(
-        theta_hat=np.array([theta_hat]),
-        G=G,
-        predicted_cov=predicted_cov,
-        inflation=inflation,
-        weighting_used=weighting,
-        diagnostics=result,
-    )
+    return Estimate(np.array([theta_hat]), float(np.sqrt(cov[0, 0])), result)
 
 
 def solve_increasing_cubic(c3: float, c1: float, target: float, tol: float = 1e-13) -> float:
@@ -317,14 +288,13 @@ def zero_order_estimate(
     data: DataRecord,
     spec_template: SystemSpec,
     input_kind: DistributionKind | None = None,
-) -> EstimateReport:
+) -> Estimate:
     """Order-zero indirect inference: regress y on u(t) alone and invert the
     first binding-function component (strictly increasing, so no weighting is
     needed and the inversion is unique)."""
     beta1, _ = least_squares(data.lagged(0)[:, None], data.y)
     c3, c1 = _analytic_binding(spec_template, input_kind).beta1_coeffs()
-    theta_hat = solve_increasing_cubic(c3, c1, float(beta1[0]))
-    return EstimateReport(theta_hat, method="ii0")
+    return Estimate(np.array([solve_increasing_cubic(c3, c1, float(beta1[0]))]))
 
 
 def first_order_estimate(
@@ -334,7 +304,7 @@ def first_order_estimate(
     weighted: bool = True,
     settings: OptimizerSettings = OptimizerSettings(),
     beta_map=None,
-) -> IndirectReport:
+) -> Estimate:
     """Order-one indirect inference: fit the lag-(0, 1) BLA and match
     beta_map to it in step2.
 
@@ -349,10 +319,6 @@ def first_order_estimate(
     if weighted:
         est = bla_mod.estimate_weighting(data, est)
         W = est.W
-        weighting = Weighting.SANDWICH
     else:
         W = np.eye(2)
-        weighting = Weighting.IDENTITY
-    return step2(
-        est.beta_hat, W, beta_map, settings, n_obs=data.n_obs, weighting=weighting
-    )
+    return step2(est.beta_hat, W, beta_map, settings, n_obs=data.n_obs)

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import OptimizerSettings, gauss_legendre, minimize_scalar
-from .reports import EstimateReport
+from .numerics import Estimate, OptimizerSettings, gauss_legendre, minimize_scalar
 from .system import DataRecord, NonlinearityKind, SystemSpec, linear_output
 
 DEFAULT_QUAD_ORDER = 1000
@@ -220,7 +219,7 @@ def ml_estimate(
     data: DataRecord,
     spec_template: SystemSpec,
     settings: MlSettings = MlSettings(),
-) -> EstimateReport:
+) -> Estimate:
     """Minimize the negative log-likelihood over the optimizer bracket."""
     if spec_template.fir.n_free != 1:
         raise ValueError("scalar search supports exactly one free coefficient")
@@ -233,4 +232,4 @@ def ml_estimate(
         return neg_log_likelihood(theta, data, spec_template, settings)
 
     result = minimize_scalar(cost, settings.optimizer)
-    return EstimateReport(result.argmin, method="ml", diagnostics=result)
+    return Estimate(np.array([result.argmin]), diagnostics=result)

@@ -1,5 +1,6 @@
 """Shared numeric kernels: Gauss-Hermite and Gauss-Legendre quadrature, scalar
-minimization, linear least squares, and finite-difference Jacobians."""
+minimization, linear least squares, finite-difference Jacobians, and the
+Estimate record every estimator returns."""
 
 from __future__ import annotations
 
@@ -175,6 +176,21 @@ class ScalarMinResult:
     iterations: int
     degenerate: bool = False
     at_bracket_edge: bool = False
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """One estimator's output on one data record.
+
+    theta_hat is shaped like SystemSpec.theta; predicted_std is the
+    asymptotic standard deviation where the method predicts one (None
+    otherwise, inf when the prediction is undefined); diagnostics is the
+    scalar search behind the estimate, None for a closed form.
+    """
+
+    theta_hat: np.ndarray
+    predicted_std: float | None = None
+    diagnostics: ScalarMinResult | None = None
 
 
 def minimize_scalar(cost, settings: OptimizerSettings = OptimizerSettings()) -> ScalarMinResult:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import OptimizerSettings, gauss_hermite, minimize_scalar
-from .reports import EstimateReport
+from .numerics import Estimate, OptimizerSettings, gauss_hermite, minimize_scalar
 from .system import DataRecord, Nonlinearity, NonlinearityKind, SystemSpec, cubic, linear_output
 
 FALLBACK_QUAD_ORDER = 50
@@ -73,7 +72,7 @@ def pem_estimate(
     spec_template: SystemSpec,
     weighted: bool = True,
     settings: OptimizerSettings = OptimizerSettings(),
-) -> EstimateReport:
+) -> Estimate:
     """Minimize the (optionally variance-weighted) mean-square prediction error.
 
     The weighted search divides each squared prediction error by the
@@ -99,7 +98,7 @@ def pem_estimate(
 
     initial = minimize_scalar(unweighted_cost, settings)
     if not weighted:
-        return EstimateReport(initial.argmin, method="pem", diagnostics=initial)
+        return Estimate(np.array([initial.argmin]), diagnostics=initial)
 
     a = linear_output(fir, [initial.argmin], u)[-len(y):]
     weights = conditional_variance(nl, a, sv2, se2)
@@ -114,4 +113,4 @@ def pem_estimate(
         return np.mean(pred_errors(theta) ** 2 / weights, axis=-1)
 
     final = minimize_scalar(weighted_cost, settings)
-    return EstimateReport(final.argmin, method="pem_weighted", diagnostics=final)
+    return Estimate(np.array([final.argmin]), diagnostics=final)

@@ -25,7 +25,7 @@ class NonlinearityKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Known static nonlinearity exposing the map and its derivative.
+    """Known static nonlinearity y = f(z).
 
     Polynomial coefficients are in ascending powers; the cubic and identity
     kinds are special-cased so their conditional moments stay in closed form
@@ -48,14 +48,6 @@ class Nonlinearity:
         if self.kind is NonlinearityKind.IDENTITY:
             return x + 0.0
         return npoly.polyval(x, self.coeffs)
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind is NonlinearityKind.CUBIC:
-            return 3.0 * (x * x)
-        if self.kind is NonlinearityKind.IDENTITY:
-            return np.ones_like(x)
-        return npoly.polyval(x, npoly.polyder(self.coeffs))
 
 
 def cubic() -> Nonlinearity:
@@ -120,10 +112,6 @@ class SystemSpec:
             )
         if self.sigma_v2 < 0 or self.sigma_e2 < 0:
             raise ValueError("noise variances must be >= 0")
-
-    def impulse_sq_norm(self) -> float:
-        """Sum of squared FIR coefficients, free and fixed."""
-        return float(np.sum(self.theta**2) + sum(v**2 for _, v in self.fir.fixed))
 
 
 def lagged_matrix(u: np.ndarray, n_obs: int, lags) -> np.ndarray:
@@ -276,15 +264,3 @@ class DataRecord:
             raise ValueError(f"{path}: outputs must run from t = 1 to the last row")
         return cls(u=np.array(us), y=np.array(ys))
 
-
-def check_derivative(nl: Nonlinearity, grid=None, step: float = 1e-6, rtol: float = 1e-6) -> None:
-    """Verify f' against central differences of f on a grid; raises on mismatch."""
-    if grid is None:
-        grid = np.linspace(-3.0, 3.0, 25)
-    grid = np.asarray(grid, dtype=float)
-    fd = (nl.value(grid + step) - nl.value(grid - step)) / (2.0 * step)
-    exact = nl.deriv(grid)
-    scale = np.maximum(np.abs(exact), 1.0)
-    worst = float(np.max(np.abs(fd - exact) / scale))
-    if worst > rtol:
-        raise ValueError(f"derivative disagrees with finite differences by {worst:.3e}")

@@ -5,6 +5,7 @@ import pytest
 
 import wienerid.bench as bench
 from wienerid.bench import (
+    METHOD_ORDER,
     ExperimentConfig,
     emit_report,
     linear_baseline_std,
@@ -14,7 +15,9 @@ from wienerid.bench import (
     parse_config,
     replay_realization,
     run_experiment,
+    run_method,
 )
+from wienerid.numerics import Estimate
 from wienerid.signals import DistributionKind
 
 
@@ -76,6 +79,10 @@ class TestConfigParsing:
         config = parse_config(text)
         assert config.input_kind is DistributionKind.UNIFORM_WHITE
         assert config.desk_scale
+
+    def test_unknown_input_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"input_kind must be one of \['gaussian', 'uniform'\]"):
+            parse_config(CONFIG_TEXT.replace("input_kind = gaussian", "input_kind = binary"))
 
     def test_s_count_optional(self):
         config = parse_config(CONFIG_TEXT + "s_count = 7\n")
@@ -170,6 +177,26 @@ class TestRunExperiment:
         assert np.all(np.isnan(result.estimates["II1_W"]))
 
 
+class TestRunMethod:
+    # every method on one small record; ML at desk scale (order 200)
+    config = small_config(methods=METHOD_ORDER, realizations=1, desk_scale=True)
+
+    @pytest.fixture(scope="class")
+    def experiment(self):
+        return run_experiment(self.config)
+
+    @pytest.mark.parametrize("method", METHOD_ORDER)
+    def test_returns_the_experiment_cell(self, experiment, method):
+        est = run_method(self.config, method, make_record(self.config, 0), realization=0)
+        assert isinstance(est, Estimate)
+        assert est.theta_hat.shape == (1,)
+        assert est.theta_hat[0] == experiment.estimates[method][0]
+        if method.startswith("II1"):
+            assert est.predicted_std == experiment.predicted_stds[method][0]
+        else:
+            assert est.predicted_std is None
+
+
 class TestEmitReport:
     def test_csv_layout_and_round_trip(self, tmp_path):
         config = small_config()
@@ -212,6 +239,14 @@ class TestEmitReport:
         replayed = replay_realization(recovered, 2)
         stored = {m: v for r, m, v in load_raw(paths["raw"]) if r == 2}
         assert replayed == stored
+
+    def test_ledger_with_unknown_input_kind_rejected(self, tmp_path):
+        paths = emit_report(run_experiment(small_config(realizations=1)), out_dir=tmp_path)
+        ledger = json.loads(paths["ledger"].read_text())
+        ledger["config"]["input_kind"] = "binary"
+        paths["ledger"].write_text(json.dumps(ledger))
+        with pytest.raises(ValueError, match=r"input_kind must be one of \['gaussian', 'uniform'\]"):
+            load_ledger(paths["ledger"])
 
     def test_unknown_format_rejected(self, tmp_path):
         result = run_experiment(small_config(realizations=1))

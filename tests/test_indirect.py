@@ -9,7 +9,6 @@ from wienerid.indirect import (
     AnalyticMap,
     BindingMapError,
     SimulatedMap,
-    Weighting,
     beta_map_gaussian,
     beta_map_uniform,
     first_order_estimate,
@@ -17,7 +16,7 @@ from wienerid.indirect import (
     step2,
     zero_order_estimate,
 )
-from wienerid.numerics import OptimizerSettings, RankDeficiencyError, least_squares
+from wienerid.numerics import OptimizerSettings, RankDeficiencyError, jacobian_fd, least_squares
 from wienerid.pem import conditional_mean, pem_estimate
 from wienerid.signals import StreamRole, gaussian_white, gen_white, uniform_white
 from wienerid.system import (
@@ -181,7 +180,9 @@ class TestStep2:
         amap = AnalyticMap(SU2, SV2, 3.0)
         report = step2(amap(0.5), np.eye(2), amap, n_obs=1000)
         assert report.theta_hat[0] == pytest.approx(0.5, abs=1e-6)
-        assert report.inflation == 1.0
+        # the exact map carries no inflation
+        G = amap.derivative(report.theta_hat[0])
+        assert report.predicted_std**2 == pytest.approx(1.0 / float(G[:, 0] @ G[:, 0]) / 1000, rel=1e-9)
 
     def test_weighting_scale_invariance(self):
         amap = AnalyticMap(SU2, SV2, 3.0)
@@ -217,7 +218,7 @@ class TestStep2:
 
         report = step2(np.array([0.0, 0.0]), np.eye(2), FlatMap(), n_obs=100)
         assert report.diagnostics.degenerate
-        assert np.all(np.isinf(report.predicted_cov))
+        assert report.predicted_std == np.inf
 
     def test_predicted_covariance_formula(self):
         amap = AnalyticMap(SU2, SV2, 3.0)
@@ -225,7 +226,7 @@ class TestStep2:
         report = step2(amap(0.5), W, amap, n_obs=250)
         G = amap.derivative(report.theta_hat[0])
         expected = 1.0 / float(G[:, 0] @ W @ G[:, 0]) / 250
-        assert report.predicted_cov[0, 0] == pytest.approx(expected, rel=1e-9)
+        assert report.predicted_std**2 == pytest.approx(expected, rel=1e-9)
 
     def test_jacobian_fallback_for_simulated_map(self):
         spec = paper_spec()
@@ -233,9 +234,10 @@ class TestStep2:
         u = gen_white(gaussian_white(SU2), 2001, 82, path=(0,))
         smap = SimulatedMap(u, spec, s_count=1, seed=3)
         report = step2(smap(0.5), np.eye(2), smap, n_obs=2000)
-        assert report.inflation == pytest.approx(2.0)
-        assert report.G.shape == (2, 1)
         assert abs(report.theta_hat[0] - 0.5) < 1e-5
+        # the map has no derivative: a central-difference Jacobian, inflated by 1 + 1/S
+        G = jacobian_fd(lambda t: smap(float(t[0])), report.theta_hat, indirect_mod.JACOBIAN_STEP)
+        assert report.predicted_std**2 == pytest.approx(2.0 / float(G[:, 0] @ G[:, 0]) / 2000, rel=1e-9)
 
 
 class TestBindingMapContract:
@@ -341,15 +343,14 @@ class TestZeroOrder:
         dist = gaussian_white(SU2)
         spec, data = make_data(dist, 3000, 83)
         report = zero_order_estimate(data, spec)
-        assert report.method == "ii0"
-        assert abs(report.theta_hat - 0.5) < 0.2
+        assert abs(report.theta_hat[0] - 0.5) < 0.2
 
     def test_zero_coefficient_maps_to_zero_theta(self):
         dist = gaussian_white(SU2)
         spec, _ = make_data(dist, 100, 84)
         data = DataRecord(u=gen_white(dist, 101, 85, path=(0,)), y=np.zeros(100))
         report = zero_order_estimate(data, spec)
-        assert report.theta_hat == pytest.approx(0.0, abs=1e-12)
+        assert report.theta_hat[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestFirstOrder:
@@ -359,11 +360,15 @@ class TestFirstOrder:
         spec, data = make_data(dist, 2000, 86)
         unw = first_order_estimate(data, spec, weighted=False)
         wgt = first_order_estimate(data, spec, weighted=True)
-        assert unw.weighting_used is Weighting.IDENTITY
-        assert wgt.weighting_used is Weighting.SANDWICH
-        for report in (unw, wgt):
+        # unweighted matches in the identity metric, weighted in the sandwich one
+        amap = AnalyticMap(SU2, SV2, dist.kurtosis)
+        est = estimate_weighting(data, fit_bla(data, (0, 1)))
+        for report, W in ((unw, np.eye(2)), (wgt, est.W)):
+            direct = step2(est.beta_hat, W, amap, n_obs=data.n_obs)
+            assert report.theta_hat[0] == direct.theta_hat[0]
+            assert report.predicted_std == direct.predicted_std
             assert abs(report.theta_hat[0] - 0.5) < 0.25
-            assert report.predicted_cov[0, 0] > 0
+            assert report.predicted_std**2 > 0
 
 
 INFLATION_N = 500

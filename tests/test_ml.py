@@ -227,10 +227,9 @@ class TestMlEstimate:
         spec, data = make_data(1e-12, 1e-6, 500, 30)
         settings = MlSettings(quad_order=100, optimizer=OptimizerSettings(abs_tol=1e-8))
         report = ml_estimate(data, spec, settings)
-        assert report.theta_hat == pytest.approx(0.5, abs=1e-3)
-        assert report.method == "ml"
+        assert report.theta_hat[0] == pytest.approx(0.5, abs=1e-3)
 
     def test_paper_scale_single_run(self):
         spec, data = make_data(0.2, 0.1, 1000, 31)
         report = ml_estimate(data, spec, MlSettings(quad_order=200))
-        assert abs(report.theta_hat - 0.5) < 0.2
+        assert abs(report.theta_hat[0] - 0.5) < 0.2

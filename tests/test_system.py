@@ -9,7 +9,6 @@ from wienerid.system import (
     FirStructure,
     NonFiniteDataError,
     SystemSpec,
-    check_derivative,
     cubic,
     identity,
     linear_output,
@@ -132,16 +131,9 @@ class TestSimulate:
 
 
 class TestNonlinearity:
-    @pytest.mark.parametrize(
-        "nl", [cubic(), identity(), polynomial([1.0, -2.0, 0.0, 0.5, 0.25])]
-    )
-    def test_derivative_consistency(self, nl):
-        check_derivative(nl)
-
     def test_polynomial_value(self):
         nl = polynomial([1.0, 0.0, 2.0])
         np.testing.assert_allclose(nl.value(3.0), 1.0 + 2.0 * 9.0)
-        np.testing.assert_allclose(nl.deriv(3.0), 4.0 * 3.0)
 
     def test_empty_polynomial_rejected(self):
         with pytest.raises(ValueError):
