@@ -18,7 +18,7 @@ import numpy as np
 
 from .indirect import SimulatedMap, first_order_estimate, zero_order_estimate
 from .ml import MlSettings, ml_estimate
-from .numerics import Estimate
+from .numerics import Estimate, NumericsError
 from .pem import pem_estimate
 from .signals import Distribution, DistributionKind, Seed, StreamRole, gen_white
 from .system import DataRecord, SystemSpec, cubic, paper_fir, simulate
@@ -150,7 +150,12 @@ def run_method(
     template = config.template()
     if method == "ML":
         order = DESK_ML_QUAD_ORDER if config.desk_scale else config.ml_quad_order
-        return ml_estimate(record, template, MlSettings(quad_order=order))
+        # II1_W (about 0.3 ms) seeds the likelihood search near its minimum
+        try:
+            start = first_order_estimate(record, template, config.input_kind)
+        except (NumericsError, ValueError):
+            start = None
+        return ml_estimate(record, template, MlSettings(quad_order=order), start=start)
     if method == "PEM_W":
         return pem_estimate(record, template, weighted=True)
     if method == "II0":

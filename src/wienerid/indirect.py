@@ -12,7 +12,8 @@ replicates, checks the rank of the lagged regressors and builds their
 pseudo-inverse once; each evaluation then averages the S replicate outputs
 and projects the mean, for a whole grid of theta at a time.  Step 2 reports
 the predicted standard deviation of the matched estimate, the square root of
-the asymptotic variance inflation * (G' W G)^-1 / N.
+the asymptotic sandwich variance inflation * H^-1 G' W Sigma W G H^-1 with
+H = G' W G and Sigma the covariance of the auxiliary fit.
 """
 
 from __future__ import annotations
@@ -176,6 +177,7 @@ def step2(
     settings: OptimizerSettings = OptimizerSettings(),
     *,
     n_obs: int,
+    beta_cov: np.ndarray | None = None,
 ) -> Estimate:
     """Match the binding function to the auxiliary fit in the W metric.
 
@@ -183,11 +185,12 @@ def step2(
     a (G,) array gives a (G, len(beta_hat)) array, so the search scans its
     grid in one call.  A map that does not (it fails on an array, or returns
     any other shape) raises BindingMapError.  The argmin is invariant to
-    positive rescaling of W; the reported predicted_std, the square root of
-    inflation * (G' W G)^-1 / n_obs, predicts the spread of the estimate only
-    when W is normalized as Cov{sqrt(N) (beta_hat - beta)}^-1.  It is
-    infinite when the criterion is flat or the search stops at a bracket
-    edge.
+    positive rescaling of W.  The reported predicted_std is the square root
+    of the sandwich inflation * H^-1 G' W beta_cov W G H^-1, H = G' W G,
+    where beta_cov is the covariance of beta_hat; it defaults to
+    (n_obs W)^-1, for which the sandwich reduces to inflation * H^-1 / n_obs.
+    It is infinite when the criterion is flat or the search stops at a
+    bracket edge.
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -225,14 +228,17 @@ def step2(
     else:
         G = jacobian_fd(lambda t: beta_map(float(t[0])), [theta_hat], JACOBIAN_STEP)
 
+    if beta_cov is None:
+        beta_cov = np.linalg.inv(n_obs * W)
     inflation = float(getattr(beta_map, "inflation", 1.0))
-    gwg = G.T @ W @ G
+    wg = W @ G
     # a flat criterion has no curvature, and at a bracket edge the minimum
     # may lie outside the bracket: neither gives a finite prediction
-    cov = np.full_like(gwg, np.inf)
+    cov = np.full((1, 1), np.inf)
     if not result.at_bracket_edge:
         try:
-            cov = inflation * np.linalg.inv(gwg) / n_obs
+            h_inv = np.linalg.inv(G.T @ wg)
+            cov = inflation * h_inv @ (wg.T @ beta_cov @ wg) @ h_inv
         except np.linalg.LinAlgError:
             pass
     return Estimate(np.array([theta_hat]), float(np.sqrt(cov[0, 0])), result)
@@ -310,15 +316,12 @@ def first_order_estimate(
 
     beta_map defaults to the analytic binding function of the template's
     input (of input_kind when given); a SimulatedMap gives the simulated
-    variant.  Unweighted uses the identity
-    metric; weighted uses the inverse sandwich covariance of the auxiliary fit.
+    variant.  Unweighted uses the identity metric; weighted uses the inverse
+    sandwich covariance of the auxiliary fit.  Both predict their std from
+    that covariance.
     """
     if beta_map is None:
         beta_map = _analytic_binding(spec_template, input_kind)
-    est = bla_mod.fit_bla(data, lags=(0, 1))
-    if weighted:
-        est = bla_mod.estimate_weighting(data, est)
-        W = est.W
-    else:
-        W = np.eye(2)
-    return step2(est.beta_hat, W, beta_map, settings, n_obs=data.n_obs)
+    est = bla_mod.estimate_weighting(data, bla_mod.fit_bla(data, lags=(0, 1)))
+    W = est.W if weighted else np.eye(2)
+    return step2(est.beta_hat, W, beta_map, settings, n_obs=data.n_obs, beta_cov=est.cov_beta)

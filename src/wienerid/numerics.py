@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -15,6 +15,10 @@ from scipy.optimize import minimize_scalar as _brent_bounded
 SQRT_PI = math.sqrt(math.pi)
 
 MAX_QUAD_ORDER = 2000
+
+# a seeded search scans this many points on start +- LOCAL_HALF_WIDTH scales
+LOCAL_GRID_POINTS = 9
+LOCAL_HALF_WIDTH = 6.0
 
 # running sums of squared orthonormal polynomials are rescaled past this
 _RESCALE_AT = 1e200
@@ -167,8 +171,9 @@ class ScalarMinResult:
     """Outcome of one bracketed search.
 
     iterations counts every cost evaluation, grid points included;
-    at_bracket_edge is true when the grid minimum is the first or last grid
-    point, so the true minimum may lie outside the bracket.
+    at_bracket_edge is true when the grid minimum is an end of the bracket,
+    so the true minimum may lie outside it; fallback is true when a seeded
+    search fell back to the full bracket scan (see minimize_scalar).
     """
 
     argmin: float
@@ -176,6 +181,7 @@ class ScalarMinResult:
     iterations: int
     degenerate: bool = False
     at_bracket_edge: bool = False
+    fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -193,17 +199,13 @@ class Estimate:
     diagnostics: ScalarMinResult | None = None
 
 
-def minimize_scalar(cost, settings: OptimizerSettings = OptimizerSettings()) -> ScalarMinResult:
-    """Minimize a scalar cost on a bracket.
+def _scan_and_refine(cost, xs: np.ndarray, settings: OptimizerSettings):
+    """Scan the grid xs in one call of the cost, then refine in the cell
+    around the grid minimum with bounded Brent.
 
-    The cost broadcasts over theta: a float gives a float and a 1-D array
-    gives an array of the same shape (a cost that ignores theta may return a
-    scalar).  One call on the whole grid of settings.grid_points locates the
-    coarse minimum (exact ties preferring the point of smallest magnitude,
-    for determinism on symmetric costs), then golden-section/parabolic
-    refinement runs on the neighboring grid cell, calling the cost with one
-    float at a time.  Non-finite cost values raise CostEvaluationError with
-    the offending point, the first one in bracket order on the grid.
+    Returns the search result and whether the grid minimum is the first or
+    last grid point without being a bracket end (only a grid narrower than
+    the bracket has such an edge); a degenerate scan skips Brent.
     """
 
     def checked(x: float) -> float:
@@ -212,8 +214,6 @@ def minimize_scalar(cost, settings: OptimizerSettings = OptimizerSettings()) -> 
             raise CostEvaluationError(x, val)
         return val
 
-    lo, hi = settings.bracket
-    xs = np.linspace(lo, hi, settings.grid_points)
     vals = np.broadcast_to(np.asarray(cost(xs), dtype=float), xs.shape)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
@@ -221,7 +221,7 @@ def minimize_scalar(cost, settings: OptimizerSettings = OptimizerSettings()) -> 
     vmin = vals.min()
     if vals.max() == vmin:
         mid = xs[int(np.argmin(np.abs(xs)))]
-        return ScalarMinResult(float(mid), float(vmin), len(xs), degenerate=True)
+        return ScalarMinResult(float(mid), float(vmin), len(xs), degenerate=True), False
     ties = np.flatnonzero(vals == vmin)
     i = int(ties[np.argmin(np.abs(xs[ties]))])
     sub_lo = float(xs[max(i - 1, 0)])
@@ -235,9 +235,60 @@ def minimize_scalar(cost, settings: OptimizerSettings = OptimizerSettings()) -> 
     x_best, v_best = float(res.x), float(res.fun)
     if vmin < v_best:
         x_best, v_best = float(xs[i]), float(vmin)
-    return ScalarMinResult(
-        x_best, v_best, len(xs) + int(res.nfev), at_bracket_edge=i in (0, len(xs) - 1)
+    on_edge = i in (0, len(xs) - 1)
+    at_bracket_edge = on_edge and float(xs[i]) in settings.bracket
+    result = ScalarMinResult(
+        x_best, v_best, len(xs) + int(res.nfev), at_bracket_edge=at_bracket_edge
     )
+    return result, on_edge and not at_bracket_edge
+
+
+def _local_grid(start, lo: float, hi: float) -> np.ndarray | None:
+    """The seeded scan's grid on center +- LOCAL_HALF_WIDTH * scale, clipped
+    to [lo, hi]; None when the start is not usable."""
+    center, scale = (float(v) for v in start)
+    if not (math.isfinite(center) and math.isfinite(scale)) or scale <= 0:
+        return None
+    if not lo <= center <= hi:
+        return None
+    reach = LOCAL_HALF_WIDTH * scale
+    return np.linspace(max(lo, center - reach), min(hi, center + reach), LOCAL_GRID_POINTS)
+
+
+def minimize_scalar(
+    cost, settings: OptimizerSettings = OptimizerSettings(), start=None
+) -> ScalarMinResult:
+    """Minimize a scalar cost on a bracket.
+
+    The cost broadcasts over theta: a float gives a float and a 1-D array
+    gives an array of the same shape (a cost that ignores theta may return a
+    scalar).  One call on the whole grid of settings.grid_points locates the
+    coarse minimum (exact ties preferring the point of smallest magnitude,
+    for determinism on symmetric costs), then golden-section/parabolic
+    refinement runs on the neighboring grid cell, calling the cost with one
+    float at a time.  Non-finite cost values raise CostEvaluationError with
+    the offending point, the first one in bracket order on the grid.
+
+    start = (center, scale) seeds the search from a consistent first
+    estimate and its standard deviation: the grid is then LOCAL_GRID_POINTS
+    points on center +- LOCAL_HALF_WIDTH * scale, clipped to the bracket,
+    and the refinement runs in its cell as above.  The full bracket scan
+    runs after it (fallback=True, iterations counting both scans) when the
+    local minimum sits on a local grid edge that is not a bracket edge, or
+    when the local scan is degenerate.  A start that is not usable (a
+    non-finite value, scale <= 0, or a center outside the bracket) is
+    ignored, and the result is that of the call without it.
+    """
+    lo, hi = settings.bracket
+    local = None if start is None else _local_grid(start, lo, hi)
+    spent = 0
+    if local is not None:
+        result, inner_edge = _scan_and_refine(cost, local, settings)
+        if not (result.degenerate or inner_edge):
+            return result
+        spent = result.iterations
+    result, _ = _scan_and_refine(cost, np.linspace(lo, hi, settings.grid_points), settings)
+    return replace(result, iterations=spent + result.iterations, fallback=local is not None)
 
 
 def least_squares(regressors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

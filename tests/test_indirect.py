@@ -364,11 +364,40 @@ class TestFirstOrder:
         amap = AnalyticMap(SU2, SV2, dist.kurtosis)
         est = estimate_weighting(data, fit_bla(data, (0, 1)))
         for report, W in ((unw, np.eye(2)), (wgt, est.W)):
-            direct = step2(est.beta_hat, W, amap, n_obs=data.n_obs)
+            direct = step2(est.beta_hat, W, amap, n_obs=data.n_obs, beta_cov=est.cov_beta)
             assert report.theta_hat[0] == direct.theta_hat[0]
             assert report.predicted_std == direct.predicted_std
             assert abs(report.theta_hat[0] - 0.5) < 0.25
             assert report.predicted_std**2 > 0
+
+    @pytest.mark.parametrize("dist_maker", [gaussian_white, uniform_white])
+    def test_weighted_sandwich_reduces_to_inverse_curvature(self, dist_maker):
+        # W = (N cov_beta)^-1, so the sandwich is (G'WG)^-1 / N up to rounding
+        dist = dist_maker(SU2)
+        spec, data = make_data(dist, 2000, 87)
+        est = estimate_weighting(data, fit_bla(data, (0, 1)))
+        amap = AnalyticMap(SU2, SV2, dist.kurtosis)
+        sandwich = step2(est.beta_hat, est.W, amap, n_obs=data.n_obs, beta_cov=est.cov_beta)
+        default = step2(est.beta_hat, est.W, amap, n_obs=data.n_obs)
+        assert sandwich.predicted_std == pytest.approx(default.predicted_std, rel=1e-12)
+
+
+class TestUnweightedPredictedStd:
+    """II1_UNW's predicted std, a sandwich around the identity metric,
+    against the spread of its estimates over the 1000-realization tables.
+    The tolerance, 10%, was fixed before measuring: about twice the Monte
+    Carlo SE of a std over 1000 realizations (2.2%) plus a margin for the
+    asymptotic approximation."""
+
+    @pytest.mark.parametrize("table", ["gaussian_experiment", "uniform_experiment"])
+    def test_mean_prediction_matches_empirical_std(self, request, table):
+        result = request.getfixturevalue(table)
+        predicted = result.predicted_stds["II1_UNW"]
+        predicted = float(np.mean(predicted[np.isfinite(predicted)]))
+        empirical = result.summary("II1_UNW").std
+        assert predicted == pytest.approx(empirical, rel=0.10), (
+            f"mean predicted std {predicted:.4f} vs empirical {empirical:.4f}"
+        )
 
 
 INFLATION_N = 500

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from wienerid.bench import DESK_ML_QUAD_ORDER, ExperimentConfig, make_record, run_method
+from wienerid.indirect import first_order_estimate
 from wienerid.ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likelihood
 from wienerid.numerics import OptimizerSettings
-from wienerid.signals import gaussian_white, gen_white
+from wienerid.signals import DistributionKind, gaussian_white, gen_white
 from wienerid.system import DataRecord, SystemSpec, cubic, identity, paper_fir, polynomial, simulate
 
 
@@ -197,6 +199,16 @@ class TestNegLogLikelihood:
         assert 8 in excinfo.value.time_indices  # t is 1-based
         assert excinfo.value.theta == 0.5
 
+    def test_overflowing_residual_is_named_in_the_message(self):
+        # at y = 1e200 the squared residual overflows rather than underflows
+        spec, data = make_data(0.2, 0.1, 50, 26)
+        data.y[7] = 1e200
+        message = r"not finite \(underflow or overflow\)"
+        with pytest.raises(QuadratureUnderflowError, match=message) as excinfo:
+            neg_log_likelihood(0.5, data, spec, MlSettings(quad_order=100))
+        assert excinfo.value.time_indices == [8]
+        assert "t = [8]" in str(excinfo.value)
+
     def test_measurement_noise_required(self):
         spec, data = make_data(0.2, 0.0, 50, 28)
         with pytest.raises(ValueError):
@@ -233,3 +245,41 @@ class TestMlEstimate:
         spec, data = make_data(0.2, 0.1, 1000, 31)
         report = ml_estimate(data, spec, MlSettings(quad_order=200))
         assert abs(report.theta_hat[0] - 0.5) < 0.2
+
+
+class TestSeededSearch:
+    """run_method("ML") starts the likelihood search at II1_W's estimate."""
+
+    @staticmethod
+    def config(theta_o=0.5, realizations=10):
+        return ExperimentConfig(
+            theta_o=theta_o, sigma_v2=0.2, sigma_e2=0.1, sigma_u2=1 / 3,
+            input_kind=DistributionKind.GAUSSIAN_WHITE, n_obs=1000,
+            realizations=realizations, methods=("ML",), master_seed=20260809,
+            desk_scale=True,
+        )
+
+    def test_matches_the_full_scan_at_desk_scale(self):
+        config = self.config()
+        settings = MlSettings(quad_order=DESK_ML_QUAD_ORDER)
+        tol = 2 * settings.optimizer.abs_tol
+        for r in range(config.realizations):
+            record = make_record(config, r)
+            seeded = run_method(config, "ML", record, r)
+            full = ml_estimate(record, config.template(), settings)
+            assert not seeded.diagnostics.fallback
+            assert abs(seeded.theta_hat[0] - full.theta_hat[0]) <= tol
+            assert seeded.diagnostics.iterations < full.diagnostics.iterations
+
+    def test_start_at_bracket_edge_runs_the_full_scan(self):
+        # theta0 = 4 lies outside [-3, 3]: II1_W stops at the edge with an
+        # infinite predicted std, so ML keeps the unseeded search
+        config = self.config(theta_o=4.0, realizations=1)
+        record = make_record(config, 0)
+        start = first_order_estimate(record, config.template(), config.input_kind)
+        assert start.diagnostics.at_bracket_edge and start.predicted_std == np.inf
+        seeded = run_method(config, "ML", record, 0)
+        full = ml_estimate(record, config.template(), MlSettings(quad_order=DESK_ML_QUAD_ORDER))
+        assert seeded.theta_hat[0] == full.theta_hat[0]
+        assert seeded.diagnostics == full.diagnostics
+        assert not seeded.diagnostics.fallback

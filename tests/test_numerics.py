@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wienerid import numerics
 from wienerid.numerics import (
     CostEvaluationError,
     OptimizerSettings,
@@ -196,6 +197,75 @@ class TestMinimizeScalar:
             OptimizerSettings(bracket=(1.0, -1.0))
         with pytest.raises(ValueError):
             OptimizerSettings(abs_tol=0.0)
+
+
+class TestSeededMinimizeScalar:
+    settings = OptimizerSettings(bracket=(-3.0, 3.0), abs_tol=1e-8)
+
+    @staticmethod
+    def well(x):
+        return (x - 0.3) ** 2 + 0.1 * (x - 0.3) ** 4
+
+    def test_near_start_matches_full_scan_on_a_local_grid(self):
+        full = minimize_scalar(self.well, self.settings)
+        calls = []
+
+        def cost(x):
+            calls.append(x)
+            return self.well(x)
+
+        res = minimize_scalar(cost, self.settings, start=(0.32, 0.05))
+        assert not res.fallback and not res.at_bracket_edge
+        assert abs(res.argmin - full.argmin) <= 2 * self.settings.abs_tol
+        assert len(calls[0]) == numerics.LOCAL_GRID_POINTS
+        np.testing.assert_allclose(calls[0], np.linspace(0.02, 0.62, 9), atol=1e-15)
+        assert all(np.ndim(x) == 0 for x in calls[1:])
+        assert res.iterations == numerics.LOCAL_GRID_POINTS + len(calls) - 1
+        assert res.iterations < full.iterations
+
+    def test_far_start_falls_back_to_the_full_scan(self):
+        full = minimize_scalar(self.well, self.settings)
+        points = []
+
+        def cost(x):
+            points.extend(np.atleast_1d(x).tolist())
+            return self.well(x)
+
+        # the local grid [1.7, 2.3] has its minimum on its edge inside the bracket
+        res = minimize_scalar(cost, self.settings, start=(2.0, 0.05))
+        assert res.fallback
+        assert res.argmin == full.argmin and res.min_value == full.min_value
+        assert res.iterations == len(points) > full.iterations
+
+    def test_degenerate_local_scan_falls_back(self):
+        def cost(x):
+            return np.maximum(np.abs(x - 1.5) - 1.0, 0.0) + 0.0 * x
+
+        res = minimize_scalar(cost, self.settings, start=(1.5, 0.05))
+        full = minimize_scalar(cost, self.settings)
+        assert res.fallback and not full.fallback
+        assert res.argmin == full.argmin
+
+    @pytest.mark.parametrize("start", [
+        (math.nan, 0.1), (0.3, math.nan), (math.inf, 0.1), (0.3, math.inf),
+        (0.3, 0.0), (0.3, -0.1), (3.5, 0.1), (-3.01, 0.1),
+    ])
+    def test_unusable_start_is_ignored(self, start):
+        full = minimize_scalar(self.well, self.settings)
+        res = minimize_scalar(self.well, self.settings, start=start)
+        assert res == full and not res.fallback
+
+    def test_window_clipped_at_the_bracket(self):
+        settings = OptimizerSettings(bracket=(-1.0, 1.0))
+        # minimum at the bracket's ends, each inside a clipped window
+        low = minimize_scalar(lambda x: x, settings, start=(-0.9, 0.1))
+        high = minimize_scalar(lambda x: -x, settings, start=(0.9, 0.1))
+        assert low.at_bracket_edge and not low.fallback and low.argmin == pytest.approx(-1.0)
+        assert high.at_bracket_edge and not high.fallback and high.argmin == 1.0
+        # an interior minimum in a clipped window is not at the edge
+        res = minimize_scalar(lambda x: (x - 0.9) ** 2, settings, start=(0.95, 0.05))
+        assert not res.at_bracket_edge and not res.fallback
+        assert res.argmin == pytest.approx(0.9, abs=1e-6)
 
 
 class TestLeastSquares:
