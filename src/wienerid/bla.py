@@ -9,6 +9,7 @@ eps(t) = y(t) - sum_k beta_k u(t - lag_k).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -54,6 +55,14 @@ def fit_bla(data: DataRecord, lags) -> BlaEstimate:
     return BlaEstimate(beta_hat=beta, lags=lags, residuals=resid, n_obs=data.n_obs)
 
 
+def _condition(sym: np.ndarray) -> float:
+    """Condition number of a symmetric positive semi-definite matrix: the
+    ratio of its extreme eigenvalues, infinite when the smallest is not
+    positive (one eigvalsh instead of cond's SVD)."""
+    eig = np.linalg.eigvalsh(sym)
+    return float(eig[-1] / eig[0]) if eig[0] > 0 else math.inf
+
+
 def estimate_weighting(data: DataRecord, est: BlaEstimate) -> BlaEstimate:
     """Fill the sandwich matrices of a fitted estimate.
 
@@ -69,12 +78,12 @@ def estimate_weighting(data: DataRecord, est: BlaEstimate) -> BlaEstimate:
     I_hat = 0.5 * (I_hat + I_hat.T)
     J_hat = 0.5 * (J_hat + J_hat.T)
 
-    j_cond = np.linalg.cond(J_hat)
-    if not np.isfinite(j_cond) or j_cond > 1e14:
+    j_cond = _condition(J_hat)
+    if j_cond > 1e14:
         raise np.linalg.LinAlgError(f"J_hat is numerically singular (cond {j_cond:.3e})")
 
     ridge_applied = False
-    if np.linalg.cond(I_hat) > RIDGE_CONDITION_LIMIT:
+    if _condition(I_hat) > RIDGE_CONDITION_LIMIT:
         I_hat = I_hat + (1e-10 * np.trace(I_hat) / m) * np.eye(m)
         ridge_applied = True
         warnings.warn("I_hat ill-conditioned; ridge added before inversion", stacklevel=2)

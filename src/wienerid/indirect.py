@@ -13,7 +13,15 @@ pseudo-inverse once; each evaluation then averages the S replicate outputs
 and projects the mean, for a whole grid of theta at a time.  Step 2 reports
 the predicted standard deviation of the matched estimate, the square root of
 the asymptotic sandwich variance inflation * H^-1 G' W Sigma W G H^-1 with
-H = G' W G and Sigma the covariance of the auxiliary fit.
+H = G' W G and Sigma the covariance of the auxiliary fit.  Its search can
+start at a consistent first estimate (`bench.run_method` passes II0's): 9
+points on theta_II0 +- 6 predicted stds, then Brent in the grid cell, about
+18 evaluations against 70 for the 61-point scan of the whole bracket (see
+`numerics.minimize_scalar` for the fallback).
+
+The order-zero method needs no search: it inverts the first component of
+the closed-form map at the slope of y on u(t), and predicts its std by the
+delta method through that inverse.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .numerics import (
     jacobian_fd,
     least_squares,
     minimize_scalar,
+    search_start,
 )
 from .signals import (
     Distribution, DistributionKind, Seed, StreamRole, gaussian_white, gen_white, uniform_white,
@@ -178,6 +187,7 @@ def step2(
     *,
     n_obs: int,
     beta_cov: np.ndarray | None = None,
+    start: Estimate | None = None,
 ) -> Estimate:
     """Match the binding function to the auxiliary fit in the W metric.
 
@@ -190,7 +200,9 @@ def step2(
     where beta_cov is the covariance of beta_hat; it defaults to
     (n_obs W)^-1, for which the sandwich reduces to inflation * H^-1 / n_obs.
     It is infinite when the criterion is flat or the search stops at a
-    bracket edge.
+    bracket edge.  start, a consistent first estimate with a finite
+    predicted std (II0's), seeds the search with a small scan around its
+    theta_hat; without one the whole bracket is scanned.
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -220,7 +232,7 @@ def step2(
         r = mapped - beta_hat
         return np.vecdot(r @ W, r)
 
-    result = minimize_scalar(cost, settings)
+    result = minimize_scalar(cost, settings, start=search_start(start))
     theta_hat = result.argmin
 
     if hasattr(beta_map, "derivative"):
@@ -297,10 +309,20 @@ def zero_order_estimate(
 ) -> Estimate:
     """Order-zero indirect inference: regress y on u(t) alone and invert the
     first binding-function component (strictly increasing, so no weighting is
-    needed and the inversion is unique)."""
-    beta1, _ = least_squares(data.lagged(0)[:, None], data.y)
+    needed and the inversion is unique).
+
+    The predicted std is the delta method through that inverse: the
+    heteroskedasticity-robust std of the slope, sqrt(sum u^2 eps^2) / sum u^2
+    with eps the regression residual, over the slope 3 c3 theta^2 + c1 of
+    the component at the estimate.
+    """
+    u0 = data.lagged(0)
+    beta1, resid = least_squares(u0[:, None], data.y)
     c3, c1 = _analytic_binding(spec_template, input_kind).beta1_coeffs()
-    return Estimate(np.array([solve_increasing_cubic(c3, c1, float(beta1[0]))]))
+    theta_hat = solve_increasing_cubic(c3, c1, float(beta1[0]))
+    u2 = u0 * u0
+    slope_std = math.sqrt(float(np.sum(u2 * resid * resid))) / float(np.sum(u2))
+    return Estimate(np.array([theta_hat]), slope_std / (3.0 * c3 * theta_hat**2 + c1))
 
 
 def first_order_estimate(
@@ -310,6 +332,7 @@ def first_order_estimate(
     weighted: bool = True,
     settings: OptimizerSettings = OptimizerSettings(),
     beta_map=None,
+    start: Estimate | None = None,
 ) -> Estimate:
     """Order-one indirect inference: fit the lag-(0, 1) BLA and match
     beta_map to it in step2.
@@ -318,10 +341,12 @@ def first_order_estimate(
     input (of input_kind when given); a SimulatedMap gives the simulated
     variant.  Unweighted uses the identity metric; weighted uses the inverse
     sandwich covariance of the auxiliary fit.  Both predict their std from
-    that covariance.
+    that covariance.  start seeds the Step 2 search (see step2).
     """
     if beta_map is None:
         beta_map = _analytic_binding(spec_template, input_kind)
     est = bla_mod.estimate_weighting(data, bla_mod.fit_bla(data, lags=(0, 1)))
     W = est.W if weighted else np.eye(2)
-    return step2(est.beta_hat, W, beta_map, settings, n_obs=data.n_obs, beta_cov=est.cov_beta)
+    return step2(
+        est.beta_hat, W, beta_map, settings, n_obs=data.n_obs, beta_cov=est.cov_beta, start=start
+    )

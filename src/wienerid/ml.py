@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Estimate, OptimizerSettings, gauss_legendre, minimize_scalar
+from .numerics import Estimate, OptimizerSettings, gauss_legendre, minimize_scalar, search_start
 from .system import DataRecord, NonlinearityKind, SystemSpec, linear_output
 
 DEFAULT_QUAD_ORDER = 1000
@@ -248,8 +248,5 @@ def ml_estimate(
             return np.array([cost(t) for t in theta])
         return neg_log_likelihood(theta, data, spec_template, settings)
 
-    search_start = None
-    if start is not None and start.predicted_std is not None:
-        search_start = (float(start.theta_hat[0]), start.predicted_std)
-    result = minimize_scalar(cost, settings.optimizer, start=search_start)
+    result = minimize_scalar(cost, settings.optimizer, start=search_start(start))
     return Estimate(np.array([result.argmin]), diagnostics=result)

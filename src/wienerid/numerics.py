@@ -199,6 +199,15 @@ class Estimate:
     diagnostics: ScalarMinResult | None = None
 
 
+def search_start(start: Estimate | None):
+    """minimize_scalar's start = (theta_hat, predicted_std) from a consistent
+    first estimate, None without one; minimize_scalar ignores a start whose
+    std is not finite, so the search then scans the whole bracket."""
+    if start is None or start.predicted_std is None:
+        return None
+    return float(start.theta_hat[0]), float(start.predicted_std)
+
+
 def _scan_and_refine(cost, xs: np.ndarray, settings: OptimizerSettings):
     """Scan the grid xs in one call of the cost, then refine in the cell
     around the grid minimum with bounded Brent.

@@ -4,13 +4,22 @@ For the cubic nonlinearity both predictor moments have closed forms; other
 polynomial nonlinearities fall back to Gauss-Hermite integration over the
 process noise.  The weighted variant freezes its per-sample weights at a
 consistent unweighted initial estimate.
+
+Both searches can start at a consistent first estimate (`bench.run_method`
+passes II0's, which is closed form): the unweighted one scans 9 points on
+theta_II0 +- 6 predicted stds, the weighted one 9 points around the
+unweighted estimate at the same scale, and each refines in its grid's cell.
+That is about 35 cost evaluations per PEM_W fit against 140 for two 61-point
+scans of the whole bracket.  Without a start, or when the local minimum
+lands on an inner edge of the small grid, the full scan runs (see
+`numerics.minimize_scalar`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Estimate, OptimizerSettings, gauss_hermite, minimize_scalar
+from .numerics import Estimate, OptimizerSettings, gauss_hermite, minimize_scalar, search_start
 from .system import DataRecord, Nonlinearity, NonlinearityKind, SystemSpec, cubic, linear_output
 
 FALLBACK_QUAD_ORDER = 50
@@ -72,12 +81,20 @@ def pem_estimate(
     spec_template: SystemSpec,
     weighted: bool = True,
     settings: OptimizerSettings = OptimizerSettings(),
+    start: Estimate | None = None,
 ) -> Estimate:
     """Minimize the (optionally variance-weighted) mean-square prediction error.
 
     The weighted search divides each squared prediction error by the
     prediction-error variance evaluated at the unweighted initial estimate;
     the weights stay frozen during the second search.
+
+    start, a consistent first estimate with a finite predicted std (II0's),
+    seeds the unweighted search with a small scan around its theta_hat, and
+    the weighted search with one around the unweighted estimate at the same
+    scale; the weighted search scans the whole bracket when the unweighted
+    one stopped at a bracket edge.  Without a start both scan the whole
+    bracket.
     """
     if spec_template.fir.n_free != 1:
         raise ValueError("scalar search supports exactly one free coefficient")
@@ -96,7 +113,8 @@ def pem_estimate(
     def unweighted_cost(theta):
         return np.mean(pred_errors(theta) ** 2, axis=-1)
 
-    initial = minimize_scalar(unweighted_cost, settings)
+    seed = search_start(start)
+    initial = minimize_scalar(unweighted_cost, settings, start=seed)
     if not weighted:
         return Estimate(np.array([initial.argmin]), diagnostics=initial)
 
@@ -112,5 +130,8 @@ def pem_estimate(
     def weighted_cost(theta):
         return np.mean(pred_errors(theta) ** 2 / weights, axis=-1)
 
-    final = minimize_scalar(weighted_cost, settings)
+    if seed is not None:
+        # at a bracket edge the unweighted minimum may lie outside the bracket
+        seed = None if initial.at_bracket_edge else (initial.argmin, seed[1])
+    final = minimize_scalar(weighted_cost, settings, start=seed)
     return Estimate(np.array([final.argmin]), diagnostics=final)

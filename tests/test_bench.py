@@ -6,6 +6,7 @@ import pytest
 import wienerid.bench as bench
 from wienerid.bench import (
     METHOD_ORDER,
+    PREDICTS_STD,
     ExperimentConfig,
     emit_report,
     linear_baseline_std,
@@ -191,7 +192,7 @@ class TestRunMethod:
         assert isinstance(est, Estimate)
         assert est.theta_hat.shape == (1,)
         assert est.theta_hat[0] == experiment.estimates[method][0]
-        if method.startswith("II1"):
+        if method in PREDICTS_STD:
             assert est.predicted_std == experiment.predicted_stds[method][0]
         else:
             assert est.predicted_std is None

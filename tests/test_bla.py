@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wienerid.bla import BlaEstimate, estimate_weighting, fit_bla
+from wienerid.bla import BlaEstimate, _condition, estimate_weighting, fit_bla
 from wienerid.numerics import RankDeficiencyError
 from wienerid.signals import gaussian_white, gen_white, uniform_white
 from wienerid.system import DataRecord, SystemSpec, cubic, identity, paper_fir, simulate
@@ -131,6 +131,35 @@ class TestWeighting:
             out = estimate_weighting(data, crafted)
         assert out.ridge_applied
         assert np.all(np.linalg.eigvalsh(out.W) > 0)
+
+    def test_constant_input_has_singular_curvature(self):
+        # both regressor columns equal: J_hat is singular
+        data = DataRecord(u=np.ones(101), y=np.linspace(0.0, 1.0, 100))
+        est = BlaEstimate(
+            beta_hat=np.array([0.5, 0.5]), lags=(0, 1), residuals=np.ones(100), n_obs=100
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+            estimate_weighting(data, est)
+
+    @given(
+        log_cond=st.floats(0.0, 12.0), angle=st.floats(0.0, np.pi),
+        scale=st.floats(1e-6, 1e6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_condition_matches_svd_condition(self, log_cond, angle, scale):
+        # the eigenvalue ratio against numpy's SVD condition number on
+        # symmetric positive definite 2 x 2 matrices up to the ridge limit;
+        # the rounded entries leave both uncertain by about cond * eps
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        sym = scale * rot @ np.diag([1.0, 10.0**-log_cond]) @ rot.T
+        sym = 0.5 * (sym + sym.T)
+        reference = np.linalg.cond(sym)
+        tol = 16.0 * np.finfo(float).eps * reference + 1e-12
+        assert _condition(sym) == pytest.approx(reference, rel=tol)
+
+    def test_condition_of_an_indefinite_matrix_is_infinite(self):
+        assert _condition(np.array([[1.0, 0.0], [0.0, -1e-20]])) == np.inf
+        assert _condition(np.zeros((2, 2))) == np.inf
 
 
 class TestBussgang:

@@ -43,6 +43,17 @@ def test_estimate_prints_theta(config_file, tmp_path, capsys):
     assert "method=II1_W" in out and "theta_hat=" in out and "predicted_std=" in out
 
 
+def test_estimate_prints_the_zero_order_predicted_std(config_file, tmp_path, capsys):
+    main(["simulate", "--config", str(config_file), "--out", str(tmp_path)])
+    code = main([
+        "estimate", "--config", str(config_file),
+        "--data", str(tmp_path / "data.csv"), "--method", "II0",
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "method=II0" in out and "predicted_std=" in out
+
+
 def test_bench_writes_reports(config_file, tmp_path, capsys):
     out_dir = tmp_path / "results"
     code = main([

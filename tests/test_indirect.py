@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wienerid.indirect as indirect_mod
+from wienerid.bench import ExperimentConfig, make_record, run_method
 from wienerid.bla import estimate_weighting, fit_bla
 from wienerid.indirect import (
     AnalyticMap,
@@ -18,12 +19,12 @@ from wienerid.indirect import (
 )
 from wienerid.numerics import OptimizerSettings, RankDeficiencyError, jacobian_fd, least_squares
 from wienerid.pem import conditional_mean, pem_estimate
-from wienerid.signals import StreamRole, gaussian_white, gen_white, uniform_white
+from wienerid.signals import DistributionKind, StreamRole, gaussian_white, gen_white, uniform_white
 from wienerid.system import (
     DataRecord, SystemSpec, cubic, lagged_matrix, paper_fir, polynomial, simulate,
 )
 
-from cost_checks import assert_grid_batch_is_pointwise, capture_costs
+from cost_checks import assert_grid_batch_is_pointwise, capture_costs, capture_searches
 
 SU2, SV2, SE2 = 1.0 / 3.0, 0.2, 0.1
 
@@ -398,6 +399,73 @@ class TestUnweightedPredictedStd:
         assert predicted == pytest.approx(empirical, rel=0.10), (
             f"mean predicted std {predicted:.4f} vs empirical {empirical:.4f}"
         )
+
+
+class TestZeroOrderPredictedStd:
+    """II0's predicted std, the delta method through the inverse cubic,
+    against the spread of its estimates over the 1000-realization tables.
+    The tolerance, 10%, was fixed before measuring: the Monte Carlo SE of a
+    std over 1000 realizations (about 2.2%) plus a margin for the asymptotic
+    approximation."""
+
+    @pytest.mark.parametrize("table", ["gaussian_experiment", "uniform_experiment"])
+    def test_mean_prediction_matches_empirical_std(self, request, table):
+        result = request.getfixturevalue(table)
+        predicted = result.predicted_stds["II0"]
+        assert np.all(np.isfinite(predicted))
+        predicted = float(np.mean(predicted))
+        empirical = result.summary("II0").std
+        assert predicted == pytest.approx(empirical, rel=0.10), (
+            f"mean predicted std {predicted:.4f} vs empirical {empirical:.4f}"
+        )
+
+
+class TestSeededStep2:
+    """run_method("II1_UNW") and run_method("II1_W") start Step 2 at II0's
+    estimate."""
+
+    @staticmethod
+    def config(theta_o=0.5, realizations=10):
+        return ExperimentConfig(
+            theta_o=theta_o, sigma_v2=SV2, sigma_e2=SE2, sigma_u2=SU2,
+            input_kind=DistributionKind.GAUSSIAN_WHITE, n_obs=1000,
+            realizations=realizations, methods=("II1_UNW", "II1_W"), master_seed=20260809,
+        )
+
+    @pytest.mark.parametrize("method", ["II1_UNW", "II1_W"])
+    def test_matches_the_full_scan(self, monkeypatch, method):
+        config = self.config()
+        tol = 2 * OptimizerSettings().abs_tol
+        searches = capture_searches(monkeypatch, indirect_mod)
+        for r in range(config.realizations):
+            record = make_record(config, r)
+            seeded = run_method(config, method, record, r)
+            full = first_order_estimate(
+                record, config.template(), config.input_kind, weighted=method == "II1_W"
+            )
+            seeded_search, full_search = searches
+            del searches[:]
+            assert seeded_search == seeded.diagnostics and full_search == full.diagnostics
+            assert not seeded_search.fallback
+            assert abs(seeded.theta_hat[0] - full.theta_hat[0]) <= tol
+            assert seeded_search.iterations < full_search.iterations
+
+    @pytest.mark.parametrize("method", ["II1_UNW", "II1_W"])
+    def test_start_outside_the_bracket_runs_the_full_scan(self, method):
+        # theta0 = 4 lies outside [-3, 3] and so does II0's estimate: Step 2
+        # keeps the unseeded full scan, its edge flag and infinite std
+        config = self.config(theta_o=4.0, realizations=1)
+        record = make_record(config, 0)
+        start = zero_order_estimate(record, config.template(), config.input_kind)
+        assert start.theta_hat[0] > OptimizerSettings().bracket[1]
+        seeded = run_method(config, method, record, 0)
+        full = first_order_estimate(
+            record, config.template(), config.input_kind, weighted=method == "II1_W"
+        )
+        assert seeded.theta_hat[0] == full.theta_hat[0]
+        assert seeded.diagnostics == full.diagnostics
+        assert seeded.diagnostics.at_bracket_edge and not seeded.diagnostics.fallback
+        assert seeded.predicted_std == full.predicted_std == np.inf
 
 
 INFLATION_N = 500

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wienerid.pem as pem_mod
+from wienerid.bench import ExperimentConfig, make_record, run_method
+from wienerid.indirect import zero_order_estimate
 from wienerid.numerics import OptimizerSettings
 from wienerid.pem import (
     conditional_mean,
@@ -12,10 +14,10 @@ from wienerid.pem import (
     predict,
     prediction_variance,
 )
-from wienerid.signals import gaussian_white, gen_white
+from wienerid.signals import DistributionKind, gaussian_white, gen_white
 from wienerid.system import DataRecord, SystemSpec, cubic, paper_fir, polynomial, simulate
 
-from cost_checks import assert_grid_batch_is_pointwise, capture_costs
+from cost_checks import assert_grid_batch_is_pointwise, capture_costs, capture_searches
 
 
 def paper_spec(sigma_v2=0.2, sigma_e2=0.1):
@@ -149,3 +151,46 @@ class TestPemEstimate:
         assert len(costs) == 2  # unweighted search, then the weighted one
         for cost, settings in costs:
             assert_grid_batch_is_pointwise(cost, settings)
+
+
+class TestSeededSearch:
+    """run_method("PEM_W") starts the unweighted search at II0's estimate and
+    the weighted one at the unweighted estimate, both at II0's scale."""
+
+    @staticmethod
+    def config(theta_o=0.5, realizations=10):
+        return ExperimentConfig(
+            theta_o=theta_o, sigma_v2=0.2, sigma_e2=0.1, sigma_u2=1 / 3,
+            input_kind=DistributionKind.GAUSSIAN_WHITE, n_obs=1000,
+            realizations=realizations, methods=("PEM_W",), master_seed=20260809,
+        )
+
+    def test_matches_the_full_scan(self, monkeypatch):
+        config = self.config()
+        tol = 2 * OptimizerSettings().abs_tol
+        searches = capture_searches(monkeypatch, pem_mod)
+        for r in range(config.realizations):
+            record = make_record(config, r)
+            seeded = run_method(config, "PEM_W", record, r)
+            full = pem_estimate(record, config.template(), weighted=True)
+            # the unweighted and the weighted search of each call
+            seeded_searches, full_searches = searches[:2], searches[2:]
+            del searches[:]
+            assert len(full_searches) == 2
+            assert not any(s.fallback for s in seeded_searches)
+            assert abs(seeded.theta_hat[0] - full.theta_hat[0]) <= tol
+            seeded_evals = sum(s.iterations for s in seeded_searches)
+            assert seeded_evals < sum(s.iterations for s in full_searches)
+
+    def test_start_outside_the_bracket_runs_the_full_scan(self):
+        # theta0 = 4 lies outside [-3, 3] and so does II0's estimate: both
+        # searches keep the unseeded full scan
+        config = self.config(theta_o=4.0, realizations=1)
+        record = make_record(config, 0)
+        start = zero_order_estimate(record, config.template(), config.input_kind)
+        assert start.theta_hat[0] > OptimizerSettings().bracket[1]
+        seeded = run_method(config, "PEM_W", record, 0)
+        full = pem_estimate(record, config.template(), weighted=True)
+        assert seeded.theta_hat[0] == full.theta_hat[0]
+        assert seeded.diagnostics == full.diagnostics
+        assert seeded.diagnostics.at_bracket_edge and not seeded.diagnostics.fallback
