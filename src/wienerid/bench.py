@@ -55,8 +55,14 @@ class ExperimentConfig:
             raise ValueError("realizations must be >= 1")
         if self.n_obs < 2:
             raise ValueError("n_obs must be >= 2")
+        if not np.isfinite([self.theta_o, self.sigma_v2, self.sigma_e2, self.sigma_u2]).all():
+            raise ValueError("theta_o and the variances must be finite")
         if min(self.sigma_v2, self.sigma_e2, self.sigma_u2) < 0:
             raise ValueError("variances must be >= 0")
+        if self.ml_quad_order < 1:
+            raise ValueError("ml_quad_order must be >= 1")
+        if self.s_count is not None and self.s_count < 1:
+            raise ValueError("s_count must be none or >= 1")
         bad = [m for m in self.methods if m not in METHOD_ORDER]
         if bad:
             raise ValueError(f"unknown methods {bad}; choose from {METHOD_ORDER}")
@@ -146,29 +152,32 @@ def _simulation_seed(config: ExperimentConfig, realization: int) -> int:
 
 
 def run_method(
-    config: ExperimentConfig, method: str, record: DataRecord, realization: int = 0
+    config: ExperimentConfig, method: str, record: DataRecord, realization: int = 0,
+    ii0: Estimate | None = None,
 ) -> Estimate:
     """One estimator on one record.
 
-    II0 is closed form (about 0.2 ms) and consistent, so every scalar search
-    starts at its estimate: PEM_W, Step 2 of II1_UNW and II1_W, and the
-    II1_W fit whose estimate in turn seeds ML.  Where II0 fails, the
-    searches scan the whole bracket.
+    II0 is closed form (about 0.1 ms) and consistent, so every scalar search
+    starts at its estimate: PEM_W, and Step 2 of II1_UNW and II1_W.  ML
+    starts at this function's II1_W on the same record.  `ii0` is II0's
+    Estimate on this record when the caller already made it (`run_experiment`
+    fits II0 once per record); without it, II0 is fitted here.  Where II0
+    fails, the searches scan the whole bracket; where II1_W fails, so does ML.
     """
     if method not in METHOD_ORDER:
         raise ValueError(f"unknown method {method!r}")
     template = config.template()
     if method == "II0":
         return zero_order_estimate(record, template, config.input_kind)
-    try:
-        ii0 = zero_order_estimate(record, template, config.input_kind)
-    except (NumericsError, ValueError):
-        ii0 = None
+    if ii0 is None:
+        try:
+            ii0 = zero_order_estimate(record, template, config.input_kind)
+        except (NumericsError, ValueError):
+            pass
     if method == "ML":
         order = DESK_ML_QUAD_ORDER if config.desk_scale else config.ml_quad_order
-        # II1_W (about 0.3 ms) seeds the likelihood search near its minimum
         try:
-            start = first_order_estimate(record, template, config.input_kind, start=ii0)
+            start = run_method(config, "II1_W", record, realization, ii0)
         except (NumericsError, ValueError):
             start = None
         return ml_estimate(record, template, MlSettings(quad_order=order), start=start)
@@ -201,15 +210,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     wall = {m: 0.0 for m in methods}
     failures: list[FailureRecord] = []
 
+    # II0 runs first: its estimate seeds every other method on the record
+    order = sorted(methods, key=lambda m: m != "II0")
     for r in range(config.realizations):
-        active = [m for m in methods if r < runs[m]]
+        active = [m for m in order if r < runs[m]]
         if not active:
             break
         record = make_record(config, r)
+        ii0 = None
         for m in active:
             t0 = time.perf_counter()
             try:
-                est = run_method(config, m, record, realization=r)
+                est = run_method(config, m, record, realization=r, ii0=ii0)
+                if m == "II0":
+                    ii0 = est
                 estimates[m][r] = est.theta_hat[0]
                 if m in predicted and est.predicted_std is not None:
                     predicted[m][r] = est.predicted_std
@@ -277,9 +291,7 @@ def _parse_value(name: str, raw: str):
     raw = raw.strip()
     if name in ("theta_o", "sigma_v2", "sigma_e2", "sigma_u2"):
         return float(raw)
-    if name in ("n_obs", "realizations", "ml_quad_order"):
-        return int(raw)
-    if name == "master_seed":
+    if name in ("n_obs", "realizations", "ml_quad_order", "master_seed"):
         return int(raw)
     if name == "s_count":
         return None if raw.lower() in ("", "none") else int(raw)

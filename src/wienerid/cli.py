@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -26,11 +27,7 @@ def _load(args) -> bench.ExperimentConfig:
         overrides["master_seed"] = args.seed
     if getattr(args, "desk_scale", False):
         overrides["desk_scale"] = True
-    if overrides:
-        import dataclasses
-
-        config = dataclasses.replace(config, **overrides)
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def cmd_simulate(args) -> int:
@@ -55,15 +52,26 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def print_summaries(name: str, result: bench.ExperimentResult) -> None:
+    """The per-method table of one experiment run from the config `name`, as
+    `bench` and scripts/run_paper_tables.py print it."""
+    c = result.config
+    desk = ", desk scale" if c.desk_scale else ""
+    print(f"\n=== {name}: {c.input_kind.value} input, N={c.n_obs}, "
+          f"{c.realizations} realizations{desk} ===")
+    print(f"{'method':10s} {'mean':>8s} {'std':>8s} {'failures':>9s} {'runs':>6s} {'time':>8s}")
+    for s in result.summaries():
+        print(
+            f"{s.method:10s} {s.mean:8.4f} {s.std:8.4f} "
+            f"{s.failures:9d} {s.n_runs:6d} {s.wall_time:7.1f}s"
+        )
+
+
 def cmd_bench(args) -> int:
     config = _load(args)
     result = bench.run_experiment(config)
     paths = bench.emit_report(result, fmt=args.format, out_dir=args.out)
-    for s in result.summaries():
-        print(
-            f"{s.method:8s} mean {s.mean:.4f}  std {s.std:.4f}  "
-            f"failures {s.failures}  runs {s.n_runs}  ({s.wall_time:.1f}s)"
-        )
+    print_summaries(args.config, result)
     print(f"wrote {paths['summary']}, {paths['raw']}, {paths['ledger']}")
     return 0
 

@@ -18,7 +18,8 @@ cannot underflow a whole term.  Additive constants of the likelihood that do
 not depend on theta are dropped.
 
 The search over theta can start at a consistent first estimate
-(`bench.run_method` passes II1_W's): it then scans 9 points on
+(`bench.run_method` passes its own II1_W on the same record, seeded in turn
+by II0, so ML starts from the II1_W of the table): it then scans 9 points on
 theta_start +- 6 predicted stds and refines in that grid's cell, about 17
 likelihood evaluations against 69 for the 61-point scan of the whole
 bracket.  When the local minimum lands on an edge of that small grid inside

@@ -18,6 +18,7 @@ from wienerid.bench import (
     run_experiment,
     run_method,
 )
+from wienerid.cli import main as cli_main
 from wienerid.numerics import Estimate
 from wienerid.signals import DistributionKind
 
@@ -91,6 +92,28 @@ class TestConfigParsing:
         config = parse_config(CONFIG_TEXT + "s_count = none\n")
         assert config.s_count is None
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("s_count", "0", "s_count must be none or >= 1"),
+        ("ml_quad_order", "0", "ml_quad_order must be >= 1"),
+        ("theta_o", "nan", "theta_o and the variances must be finite"),
+        ("sigma_e2", "inf", "theta_o and the variances must be finite"),
+    ])
+    def test_out_of_range_values_rejected(self, key, value, message, tmp_path, capsys):
+        lines = [line for line in CONFIG_TEXT.splitlines() if not line.startswith(key)]
+        text = "\n".join(lines + [f"{key} = {value}"]) + "\n"
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+        config = bench.config_to_dict(small_config())
+        config[key] = float(value) if key in ("theta_o", "sigma_e2") else int(value)
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(json.dumps({"format": bench.LEDGER_FORMAT, "config": config}))
+        with pytest.raises(ValueError, match=message):
+            load_ledger(ledger)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli_main(["baseline", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestLinearBaseline:
     def test_paper_values(self):
@@ -141,10 +164,10 @@ class TestRunExperiment:
         config = small_config()
         real_run = bench.run_method
 
-        def flaky(cfg, method, record, realization=0):
+        def flaky(cfg, method, record, realization=0, **kwargs):
             if method == "II0" and realization == 1:
                 raise RuntimeError("synthetic failure")
-            return real_run(cfg, method, record, realization)
+            return real_run(cfg, method, record, realization, **kwargs)
 
         monkeypatch.setattr(bench, "run_method", flaky)
         result = run_experiment(config)
@@ -176,6 +199,39 @@ class TestRunExperiment:
         assert all(f.message.startswith("RankDeficiencyError") for f in result.failures)
         assert np.all(np.isnan(result.estimates["II1_UNW"]))
         assert np.all(np.isnan(result.estimates["II1_W"]))
+
+
+class TestStartChain:
+    """run_experiment fits II0 once per record and seeds the other methods
+    with it; ML starts from run_method's own II1_W."""
+
+    def test_zero_order_fitted_once_per_realization(self, monkeypatch):
+        calls = []
+        real = bench.zero_order_estimate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "zero_order_estimate", counted)
+        run_experiment(small_config(methods=("PEM_W", "II0", "II1_UNW", "II1_W")))
+        assert len(calls) == 3
+
+    def test_ml_starts_from_the_experiment_ii1_w(self, monkeypatch):
+        config = small_config(methods=("ML", "II1_W"), realizations=2, desk_scale=True)
+        starts = []
+        real = bench.ml_estimate
+
+        def recorded(record, template, settings, start=None):
+            starts.append(start)
+            return real(record, template, settings, start=start)
+
+        monkeypatch.setattr(bench, "ml_estimate", recorded)
+        result = run_experiment(config)
+        assert len(starts) == 2
+        for r, start in enumerate(starts):
+            assert start.theta_hat[0] == result.estimates["II1_W"][r]
+            assert start.predicted_std == result.predicted_stds["II1_W"][r]
 
 
 class TestRunMethod:
