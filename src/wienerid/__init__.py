@@ -38,9 +38,9 @@ from .numerics import (
     RankDeficiencyError,
     ScalarMinResult,
     gauss_hermite,
-    jacobian_fd,
     least_squares,
     minimize_scalar,
+    poly_argmin,
 )
 from .bla import BlaEstimate, estimate_weighting, fit_bla
 from .pem import (

@@ -152,45 +152,36 @@ def _simulation_seed(config: ExperimentConfig, realization: int) -> int:
 
 
 def run_method(
-    config: ExperimentConfig, method: str, record: DataRecord, realization: int = 0,
-    ii0: Estimate | None = None,
+    config: ExperimentConfig, method: str, record: DataRecord, realization: int = 0
 ) -> Estimate:
     """One estimator on one record.
 
-    II0 is closed form (about 0.1 ms) and consistent, so every scalar search
-    starts at its estimate: PEM_W, and Step 2 of II1_UNW and II1_W.  ML
-    starts at this function's II1_W on the same record.  `ii0` is II0's
-    Estimate on this record when the caller already made it (`run_experiment`
-    fits II0 once per record); without it, II0 is fitted here.  Where II0
-    fails, the searches scan the whole bracket; where II1_W fails, so does ML.
+    ML starts its likelihood search at this function's II1_W on the same
+    record, and scans the whole bracket where II1_W fails.  PEM_W and Step 2
+    need no start: their criteria are polynomials in theta, minimized
+    exactly.
     """
     if method not in METHOD_ORDER:
         raise ValueError(f"unknown method {method!r}")
     template = config.template()
     if method == "II0":
         return zero_order_estimate(record, template, config.input_kind)
-    if ii0 is None:
-        try:
-            ii0 = zero_order_estimate(record, template, config.input_kind)
-        except (NumericsError, ValueError):
-            pass
     if method == "ML":
         order = DESK_ML_QUAD_ORDER if config.desk_scale else config.ml_quad_order
         try:
-            start = run_method(config, "II1_W", record, realization, ii0)
+            start = run_method(config, "II1_W", record, realization)
         except (NumericsError, ValueError):
             start = None
         return ml_estimate(record, template, MlSettings(quad_order=order), start=start)
     if method == "PEM_W":
-        return pem_estimate(record, template, weighted=True, start=ii0)
+        return pem_estimate(record, template, weighted=True)
     sim_map = None
     if config.s_count is not None:
         sim_map = SimulatedMap(
             record.u, template, config.s_count, _simulation_seed(config, realization)
         )
     return first_order_estimate(
-        record, template, config.input_kind, weighted=method == "II1_W", beta_map=sim_map,
-        start=ii0,
+        record, template, config.input_kind, weighted=method == "II1_W", beta_map=sim_map
     )
 
 
@@ -210,20 +201,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     wall = {m: 0.0 for m in methods}
     failures: list[FailureRecord] = []
 
-    # II0 runs first: its estimate seeds every other method on the record
-    order = sorted(methods, key=lambda m: m != "II0")
     for r in range(config.realizations):
-        active = [m for m in order if r < runs[m]]
+        active = [m for m in methods if r < runs[m]]
         if not active:
             break
         record = make_record(config, r)
-        ii0 = None
         for m in active:
             t0 = time.perf_counter()
             try:
-                est = run_method(config, m, record, realization=r, ii0=ii0)
-                if m == "II0":
-                    ii0 = est
+                est = run_method(config, m, record, realization=r)
                 estimates[m][r] = est.theta_hat[0]
                 if m in predicted and est.predicted_std is not None:
                     predicted[m][r] = est.predicted_std
@@ -400,19 +386,21 @@ def emit_report(result: ExperimentResult, fmt: str = "csv", out_dir=".") -> dict
 
 
 def load_raw(path) -> list[tuple[int, str, float]]:
-    """Read a raw estimates file written by emit_report (csv or json)."""
+    """Read a raw estimates file written by emit_report (csv or json); a file
+    that is not one (empty, a bad header or row) raises ValueError naming it."""
     path = Path(path)
-    if path.suffix == ".json":
-        rows = json.loads(path.read_text())
-        return [(int(r["realization"]), r["method"], float(r["theta_hat"])) for r in rows]
-    lines = path.read_text().strip().splitlines()
-    if lines[0] != "realization,method,theta_hat":
-        raise ValueError(f"{path}: unexpected header {lines[0]!r}")
-    out = []
-    for line in lines[1:]:
-        r, m, v = line.split(",")
-        out.append((int(r), m, float(v)))
-    return out
+    text = path.read_text()
+    try:
+        if path.suffix == ".json":
+            rows = [(r["realization"], r["method"], r["theta_hat"]) for r in json.loads(text)]
+        else:
+            header, *lines = text.strip().splitlines() or [""]
+            if header != "realization,method,theta_hat":
+                raise ValueError(f"unexpected header {header!r}")
+            rows = [line.split(",") for line in lines]
+        return [(int(r), m, float(v)) for r, m, v in rows]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a raw estimates file ({type(exc).__name__}: {exc})") from exc
 
 
 def load_ledger(path) -> ExperimentConfig:

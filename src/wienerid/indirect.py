@@ -13,11 +13,10 @@ pseudo-inverse once; each evaluation then averages the S replicate outputs
 and projects the mean, for a whole grid of theta at a time.  Step 2 reports
 the predicted standard deviation of the matched estimate, the square root of
 the asymptotic sandwich variance inflation * H^-1 G' W Sigma W G H^-1 with
-H = G' W G and Sigma the covariance of the auxiliary fit.  Its search can
-start at a consistent first estimate (`bench.run_method` passes II0's): 9
-points on theta_II0 +- 6 predicted stds, then Brent in the grid cell, about
-18 evaluations against 70 for the 61-point scan of the whole bracket (see
-`numerics.minimize_scalar` for the fallback).
+H = G' W G and Sigma the covariance of the auxiliary fit.  Both maps are
+polynomials in theta (of `degree` 3 and deg f), so Step 2 calls the map once,
+at degree + 1 Chebyshev points of the bracket, minimizes the criterion of
+its interpolant exactly (`numerics.poly_argmin`) and differentiates it for G.
 
 The order-zero method needs no search: it inverts the first component of
 the closed-form map at the slope of y on u(t), and predicts its std by the
@@ -33,34 +32,28 @@ import numpy as np
 
 from . import bla as bla_mod
 from .numerics import (
-    Estimate,
-    OptimizerSettings,
-    RankDeficiencyError,
-    jacobian_fd,
-    least_squares,
-    minimize_scalar,
-    search_start,
+    Estimate, OptimizerSettings, RankDeficiencyError, chebyshev_points, chebyshev_value,
+    least_squares, poly_argmin,
 )
 from .signals import (
     Distribution, DistributionKind, Seed, StreamRole, gaussian_white, gen_white, uniform_white,
 )
 from .system import DataRecord, SystemSpec, lagged_matrix, linear_output
 
-JACOBIAN_STEP = 1e-5
-
 
 class BindingMapError(ValueError):
-    """A binding function broke step2's broadcast contract: a float must give
-    a vector like beta_hat and a (G,) array of theta a (G, len(beta_hat))
-    array."""
+    """A binding function broke step2's contract: it must declare a non-negative
+    int `degree` (theta_shape is None when it does not) and give a
+    (G, len(beta_hat)) array for a (G,) array of theta."""
 
     def __init__(self, theta_shape, width, detail):
         self.theta_shape = theta_shape
-        super().__init__(
-            f"binding function {detail} for theta of shape {theta_shape}; step2 "
-            f"needs shape {theta_shape + (width,)}: the map must broadcast over "
-            f"theta (a float gives shape ({width},), a (G,) array gives (G, {width}))"
+        need = "a non-negative int degree" if theta_shape is None else (
+            f"shape {theta_shape + (width,)} for theta of shape {theta_shape}: the map must"
+            f" broadcast over theta (a float gives shape ({width},), a (G,) array gives"
+            f" (G, {width}))"
         )
+        super().__init__(f"binding function {detail}; step2 needs {need}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +72,7 @@ class AnalyticMap:
     sigma_v2: float
     kappa: float
     inflation = 1.0  # exact map: no simulation noise to inflate by
+    degree = 3
 
     def __post_init__(self):
         if self.sigma_u2 < 0 or self.sigma_v2 < 0:
@@ -93,13 +87,6 @@ class AnalyticMap:
 
     def __call__(self, theta) -> np.ndarray:
         return np.stack(self._components(theta), axis=-1)
-
-    def derivative(self, theta: float) -> np.ndarray:
-        su2, sv2 = self.sigma_u2, self.sigma_v2
-        return np.array([
-            [3.0 * self.kappa * su2 * theta**2 + 3.0 * (su2 + sv2)],
-            [6.0 * su2 * theta],
-        ])
 
     def beta1_coeffs(self) -> tuple[float, float]:
         """(cubic, linear) coefficients of the first component in theta."""
@@ -129,7 +116,8 @@ class SimulatedMap:
     The rank check of the stacked problem depends on phi alone and runs at
     construction: rank-deficient regressors raise RankDeficiencyError there.
     A (G,) array of theta gives a (G, len(lags)) array, row g bit for bit
-    equal to the call with theta[g].
+    equal to the call with theta[g].  The map is a polynomial in theta of the
+    nonlinearity's degree.
     """
 
     u: np.ndarray
@@ -167,6 +155,10 @@ class SimulatedMap:
     def inflation(self) -> float:
         return 1.0 + 1.0 / self.s_count
 
+    @property
+    def degree(self) -> int:
+        return self.spec_template.nonlinearity.degree
+
     def __call__(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         n = self._v_draws.shape[1]
@@ -187,58 +179,56 @@ def step2(
     *,
     n_obs: int,
     beta_cov: np.ndarray | None = None,
-    start: Estimate | None = None,
 ) -> Estimate:
     """Match the binding function to the auxiliary fit in the W metric.
 
-    beta_map broadcasts over theta: a float gives a vector like beta_hat and
-    a (G,) array gives a (G, len(beta_hat)) array, so the search scans its
-    grid in one call.  A map that does not (it fails on an array, or returns
-    any other shape) raises BindingMapError.  The argmin is invariant to
-    positive rescaling of W.  The reported predicted_std is the square root
-    of the sandwich inflation * H^-1 G' W beta_cov W G H^-1, H = G' W G,
-    where beta_cov is the covariance of beta_hat; it defaults to
+    beta_map is a polynomial in theta of degree beta_map.degree, an int >= 0,
+    and broadcasts over theta: a (G,) array gives a (G, len(beta_hat)) array.
+    It is called once, at degree + 1 Chebyshev points of the bracket; a map
+    breaking that contract raises BindingMapError.  Its interpolant gives the
+    criterion, minimized exactly (degree 2 * degree), and G at the estimate.
+    The criterion weighs residuals by W / trace(W) rounded to 40 binary
+    places, so the argmin is invariant to positive rescaling of W (unless an
+    entry lies within a few ulps of a rounding boundary).  predicted_std is
+    the square root of the sandwich inflation * H^-1 G' W beta_cov W G H^-1,
+    H = G' W G, where beta_cov is the covariance of beta_hat; it defaults to
     (n_obs W)^-1, for which the sandwich reduces to inflation * H^-1 / n_obs.
-    It is infinite when the criterion is flat or the search stops at a
-    bracket edge.  start, a consistent first estimate with a finite
-    predicted std (II0's), seeds the search with a small scan around its
-    theta_hat; without one the whole bracket is scanned.
+    It is infinite when the criterion is flat or its minimum is a bracket end.
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
     W = np.asarray(W, dtype=float)
-    if W.shape != (len(beta_hat), len(beta_hat)):
-        raise ValueError(f"W shape {W.shape} does not match beta of length {len(beta_hat)}")
+    width = len(beta_hat)
+    if W.shape != (width, width):
+        raise ValueError(f"W shape {W.shape} does not match beta of length {width}")
     if not np.allclose(W, W.T, rtol=1e-10, atol=1e-12):
         raise ValueError("W must be symmetric")
     eigvals = np.linalg.eigvalsh(W)
     if eigvals[0] <= 1e-12 * max(eigvals[-1], 0.0):
         raise ValueError(f"W must be positive definite (eigenvalues {eigvals})")
 
+    degree = getattr(beta_map, "degree", None)
+    if not (isinstance(degree, (int, np.integer)) and degree >= 0):
+        raise BindingMapError(None, width, f"declares degree {degree!r}")
+    lo, hi = settings.bracket
+    nodes, to_coeffs, to_slopes = chebyshev_points(degree, lo, hi)
+    try:
+        mapped = beta_map(nodes)
+    except (TypeError, ValueError) as exc:
+        raise BindingMapError(nodes.shape, width, f"raised {exc!r}") from exc
+    if np.shape(mapped) != nodes.shape + (width,):
+        raise BindingMapError(nodes.shape, width, f"returned shape {np.shape(mapped)}")
+    coeffs, slopes = to_coeffs @ mapped, to_slopes @ mapped
+    metric = np.round(W / np.trace(W) * 2.0**40) / 2.0**40
+
     def cost(theta):
-        # theta is a float or a (G,) array.  vecdot takes each row through
-        # the same dot kernel as r @ W @ r on one row, so grid and Brent
-        # values agree bit for bit; an elementwise product and sum rounds
-        # differently.
-        try:
-            mapped = beta_map(theta)
-        except (TypeError, ValueError) as exc:
-            if np.ndim(theta) == 0:
-                raise
-            raise BindingMapError(np.shape(theta), len(beta_hat), f"raised {exc!r}") from exc
-        if np.shape(mapped) != np.shape(theta) + (len(beta_hat),):
-            raise BindingMapError(
-                np.shape(theta), len(beta_hat), f"returned shape {np.shape(mapped)}"
-            )
-        r = mapped - beta_hat
-        return np.vecdot(r @ W, r)
+        # theta is a float or a (G,) array; vecdot takes each row through the
+        # dot kernel of r @ metric @ r, so batch and pointwise values agree bit for bit
+        r = chebyshev_value(coeffs, theta, lo, hi) - beta_hat
+        return np.vecdot(r @ metric, r)
 
-    result = minimize_scalar(cost, settings, start=search_start(start))
+    result = poly_argmin(cost, 2 * degree, settings)
     theta_hat = result.argmin
-
-    if hasattr(beta_map, "derivative"):
-        G = np.asarray(beta_map.derivative(theta_hat), dtype=float).reshape(len(beta_hat), 1)
-    else:
-        G = jacobian_fd(lambda t: beta_map(float(t[0])), [theta_hat], JACOBIAN_STEP)
+    G = chebyshev_value(slopes, theta_hat, lo, hi)[:, None]
 
     if beta_cov is None:
         beta_cov = np.linalg.inv(n_obs * W)
@@ -247,7 +237,7 @@ def step2(
     # a flat criterion has no curvature, and at a bracket edge the minimum
     # may lie outside the bracket: neither gives a finite prediction
     cov = np.full((1, 1), np.inf)
-    if not result.at_bracket_edge:
+    if not (result.at_bracket_edge or result.degenerate):
         try:
             h_inv = np.linalg.inv(G.T @ wg)
             cov = inflation * h_inv @ (wg.T @ beta_cov @ wg) @ h_inv
@@ -332,7 +322,6 @@ def first_order_estimate(
     weighted: bool = True,
     settings: OptimizerSettings = OptimizerSettings(),
     beta_map=None,
-    start: Estimate | None = None,
 ) -> Estimate:
     """Order-one indirect inference: fit the lag-(0, 1) BLA and match
     beta_map to it in step2.
@@ -341,12 +330,10 @@ def first_order_estimate(
     input (of input_kind when given); a SimulatedMap gives the simulated
     variant.  Unweighted uses the identity metric; weighted uses the inverse
     sandwich covariance of the auxiliary fit.  Both predict their std from
-    that covariance.  start seeds the Step 2 search (see step2).
+    that covariance.
     """
     if beta_map is None:
         beta_map = _analytic_binding(spec_template, input_kind)
     est = bla_mod.estimate_weighting(data, bla_mod.fit_bla(data, lags=(0, 1)))
     W = est.W if weighted else np.eye(2)
-    return step2(
-        est.beta_hat, W, beta_map, settings, n_obs=data.n_obs, beta_cov=est.cov_beta, start=start
-    )
+    return step2(est.beta_hat, W, beta_map, settings, n_obs=data.n_obs, beta_cov=est.cov_beta)

@@ -17,14 +17,14 @@ row is shifted by its peak exponent, so the fast decay of the integrand
 cannot underflow a whole term.  Additive constants of the likelihood that do
 not depend on theta are dropped.
 
-The search over theta can start at a consistent first estimate
-(`bench.run_method` passes its own II1_W on the same record, seeded in turn
-by II0, so ML starts from the II1_W of the table): it then scans 9 points on
+The likelihood is not a polynomial in theta, so its search is the only one
+that scans and refines (`numerics.minimize_scalar`).  It can start at a
+consistent first estimate (`bench.run_method` passes its own II1_W on the
+same record, the II1_W of the table): it then scans 9 points on
 theta_start +- 6 predicted stds and refines in that grid's cell, about 17
 likelihood evaluations against 69 for the 61-point scan of the whole
 bracket.  When the local minimum lands on an edge of that small grid inside
-the bracket, or the start has no finite std, the full scan runs (see
-`numerics.minimize_scalar`).
+the bracket, or the start has no finite std, the full scan runs.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Estimate, OptimizerSettings, gauss_legendre, minimize_scalar, search_start
+from .numerics import Estimate, OptimizerSettings, gauss_legendre, minimize_scalar
 from .system import DataRecord, NonlinearityKind, SystemSpec, linear_output
 
 DEFAULT_QUAD_ORDER = 1000
@@ -249,5 +249,7 @@ def ml_estimate(
             return np.array([cost(t) for t in theta])
         return neg_log_likelihood(theta, data, spec_template, settings)
 
-    result = minimize_scalar(cost, settings.optimizer, start=search_start(start))
+    usable = start is not None and start.predicted_std is not None
+    seed = (start.theta_hat[0], start.predicted_std) if usable else None
+    result = minimize_scalar(cost, settings.optimizer, start=seed)
     return Estimate(np.array([result.argmin]), diagnostics=result)

@@ -1,6 +1,7 @@
 """Shared numeric kernels: Gauss-Hermite and Gauss-Legendre quadrature, scalar
-minimization, linear least squares, finite-difference Jacobians, and the
-Estimate record every estimator returns."""
+minimization (exact for a polynomial cost in `poly_argmin`, a seeded grid scan
+and Brent in `minimize_scalar`), linear least squares, and the Estimate record
+every estimator returns."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar as _brent_bounded
 
@@ -149,7 +151,8 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Bracketed scalar search: coarse grid scan, then bounded refinement."""
+    """Bracketed scalar search: poly_argmin reads the bracket alone, and
+    minimize_scalar also its grid scan and Brent refinement settings."""
 
     bracket: tuple[float, float] = (-3.0, 3.0)
     abs_tol: float = 1e-6
@@ -170,10 +173,12 @@ class OptimizerSettings:
 class ScalarMinResult:
     """Outcome of one bracketed search.
 
-    iterations counts every cost evaluation, grid points included;
-    at_bracket_edge is true when the grid minimum is an end of the bracket,
-    so the true minimum may lie outside it; fallback is true when a seeded
-    search fell back to the full bracket scan (see minimize_scalar).
+    iterations counts every point the cost was evaluated at; at_bracket_edge
+    is true when the minimum found is an end of the bracket (for
+    minimize_scalar: the grid minimum), so the true minimum may lie outside
+    it; degenerate is true when the cost took one value (to rounding, for
+    poly_argmin) at every point of the first scan; fallback is true when a
+    seeded minimize_scalar search fell back to the full bracket scan.
     """
 
     argmin: float
@@ -199,13 +204,61 @@ class Estimate:
     diagnostics: ScalarMinResult | None = None
 
 
-def search_start(start: Estimate | None):
-    """minimize_scalar's start = (theta_hat, predicted_std) from a consistent
-    first estimate, None without one; minimize_scalar ignores a start whose
-    std is not finite, so the search then scans the whole bracket."""
-    if start is None or start.predicted_std is None:
-        return None
-    return float(start.theta_hat[0]), float(start.predicted_std)
+def _checked_values(cost, xs: np.ndarray) -> np.ndarray:
+    """cost(xs) as a float array shaped like xs; the first non-finite value
+    in the order of xs raises CostEvaluationError with its point."""
+    vals = np.broadcast_to(np.asarray(cost(xs), dtype=float), xs.shape)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise CostEvaluationError(float(xs[bad[0]]), float(vals[bad[0]]))
+    return vals
+
+
+@functools.lru_cache(maxsize=16)
+def chebyshev_points(degree: int, lo: float, hi: float):
+    """The degree + 1 Chebyshev points of [lo, hi], increasing, and the matrices
+    taking values there to the Chebyshev coefficients of the interpolant and
+    of its derivative in theta, for chebyshev_value."""
+    t = -np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
+    to_coeffs = np.linalg.inv(cheb.chebvander(t, degree))
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+    return _read_only(nodes, to_coeffs, cheb.chebder(to_coeffs, scl=2.0 / (hi - lo)))
+
+
+def chebyshev_value(coeffs: np.ndarray, theta, lo: float, hi: float):
+    """At theta, the series of coefficients made by chebyshev_points' matrices;
+    (n, m) coeffs and a float or a (G,) theta give (m,) or (G, m)."""
+    return cheb.chebval((2.0 * theta - lo - hi) / (hi - lo), coeffs).T
+
+
+def poly_argmin(
+    cost, degree: int, settings: OptimizerSettings = OptimizerSettings()
+) -> ScalarMinResult:
+    """Minimize on settings.bracket a cost that is a polynomial of at most
+    `degree` in theta and broadcasts over theta as for minimize_scalar.
+
+    One call at the degree + 1 Chebyshev points of the bracket gives its
+    interpolant; a second evaluates the cost at the bracket ends and at the
+    real parts of its critical points inside, and the smallest value wins
+    (exact ties: the smallest magnitude).  A cost equal at every node to 16
+    ulps is degenerate, its argmin the bracket point nearest 0.  Non-finite
+    values raise CostEvaluationError with the offending point."""
+    lo, hi = settings.bracket
+    nodes, _, to_slopes = chebyshev_points(degree, lo, hi)
+    vals = _checked_values(cost, nodes)
+    if np.ptp(vals) <= 16 * np.finfo(float).eps * np.abs(vals).max():
+        x = min(max(0.0, lo), hi)
+        return ScalarMinResult(
+            x, float(vals[0]), degree + 1, degenerate=True, at_bracket_edge=x in (lo, hi)
+        )
+    s = cheb.chebroots(to_slopes @ vals).real
+    inner = np.clip(0.5 * (lo + hi) + 0.5 * (hi - lo) * s[abs(s) < 1.0], lo, hi)
+    xs = np.concatenate([[lo, hi], inner])
+    cand = _checked_values(cost, xs)
+    i = min(range(len(xs)), key=lambda k: (cand[k], abs(xs[k])))
+    return ScalarMinResult(
+        float(xs[i]), float(cand[i]), degree + 1 + len(xs), at_bracket_edge=xs[i] in (lo, hi)
+    )
 
 
 def _scan_and_refine(cost, xs: np.ndarray, settings: OptimizerSettings):
@@ -223,10 +276,7 @@ def _scan_and_refine(cost, xs: np.ndarray, settings: OptimizerSettings):
             raise CostEvaluationError(x, val)
         return val
 
-    vals = np.broadcast_to(np.asarray(cost(xs), dtype=float), xs.shape)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise CostEvaluationError(float(xs[bad[0]]), float(vals[bad[0]]))
+    vals = _checked_values(cost, xs)
     vmin = vals.min()
     if vals.max() == vmin:
         mid = xs[int(np.argmin(np.abs(xs)))]
@@ -320,20 +370,3 @@ def least_squares(regressors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     if rank < m or sing[-1] <= cutoff:
         raise RankDeficiencyError(float(sing[-1]))
     return coef, y - X @ coef
-
-
-def jacobian_fd(func, point, step: float) -> np.ndarray:
-    """Central-difference Jacobian of an R^n -> R^m map; error O(step^2)."""
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    if step <= 0:
-        raise ValueError("step must be positive")
-    cols = []
-    for j in range(point.size):
-        shift = np.zeros_like(point)
-        shift[j] = step
-        f_plus = np.atleast_1d(np.asarray(func(point + shift), dtype=float))
-        f_minus = np.atleast_1d(np.asarray(func(point - shift), dtype=float))
-        if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
-            raise CostEvaluationError(point + shift, "non-finite map value")
-        cols.append((f_plus - f_minus) / (2.0 * step))
-    return np.column_stack(cols)

@@ -1,28 +1,38 @@
 """Prediction-error minimization with the conditional-mean predictor.
 
-For the cubic nonlinearity both predictor moments have closed forms; other
-polynomial nonlinearities fall back to Gauss-Hermite integration over the
-process noise.  The weighted variant freezes its per-sample weights at a
-consistent unweighted initial estimate.
+Both predictor moments are exact: closed forms for the cubic and the
+identity, and for any other polynomial nonlinearity the gaussian moments of
+the process noise, E{(a + v)^k} = sum_j C(k, j) a^(k-j) E{v^j}.  The
+weighted variant freezes its per-sample weights at the unweighted estimate.
 
-Both searches can start at a consistent first estimate (`bench.run_method`
-passes II0's, which is closed form): the unweighted one scans 9 points on
-theta_II0 +- 6 predicted stds, the weighted one 9 points around the
-unweighted estimate at the same scale, and each refines in its grid's cell.
-That is about 35 cost evaluations per PEM_W fit against 140 for two 61-point
-scans of the whole bracket.  Without a start, or when the local minimum
-lands on an inner edge of the small grid, the full scan runs (see
-`numerics.minimize_scalar`).
+The predictor is a polynomial of degree deg f in theta, so either cost is a
+polynomial of degree 2 deg f and each search is exact (`numerics.poly_argmin`):
+2 deg f + 1 cost evaluations to interpolate it, then one call on its
+critical points and the bracket ends: 14 evaluations per search for the cubic.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .numerics import Estimate, OptimizerSettings, gauss_hermite, minimize_scalar, search_start
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+
+from .numerics import Estimate, OptimizerSettings, poly_argmin
 from .system import DataRecord, Nonlinearity, NonlinearityKind, SystemSpec, cubic, linear_output
 
-FALLBACK_QUAD_ORDER = 50
+
+def _smoothed(coeffs, sigma_v2: float) -> np.ndarray:
+    """Ascending coefficients in a of E{p(a + v)}, v ~ N(0, sigma_v2), for p of
+    ascending coefficients `coeffs`; E{v^2i} = (2i - 1)!! sigma_v2^i, odd ones 0."""
+    moments = np.ones(len(coeffs))  # read at even j only
+    for j in range(2, len(coeffs), 2):
+        moments[j] = moments[j - 2] * (j - 1) * sigma_v2
+    out = np.zeros(len(coeffs))
+    for k, c_k in enumerate(coeffs):
+        for j in range(0, k + 1, 2):
+            out[k - j] += c_k * math.comb(k, j) * moments[j]
+    return out
 
 
 def conditional_mean(nl: Nonlinearity, a, sigma_v2: float):
@@ -33,7 +43,7 @@ def conditional_mean(nl: Nonlinearity, a, sigma_v2: float):
         return a * a * a + 3.0 * a * sigma_v2
     if nl.kind is NonlinearityKind.IDENTITY:
         return a + 0.0
-    return _quad_moments(nl, a, sigma_v2)[0]
+    return npoly.polyval(a, _smoothed(nl.coeffs, sigma_v2))
 
 
 def conditional_variance(nl: Nonlinearity, a, sigma_v2: float, sigma_e2: float):
@@ -45,25 +55,9 @@ def conditional_variance(nl: Nonlinearity, a, sigma_v2: float, sigma_e2: float):
         return 9.0 * sv2 * a2 * a2 + 36.0 * sv2**2 * a2 + 15.0 * sv2**3 + sigma_e2
     if nl.kind is NonlinearityKind.IDENTITY:
         return np.full_like(a, sigma_v2 + sigma_e2)
-    mean, second = _quad_moments(nl, a, sigma_v2)
+    second = npoly.polyval(a, _smoothed(npoly.polymul(nl.coeffs, nl.coeffs), sigma_v2))
+    mean = conditional_mean(nl, a, sigma_v2)
     return np.maximum(second - mean**2, 0.0) + sigma_e2
-
-
-def _quad_moments(nl: Nonlinearity, a: np.ndarray, sigma_v2: float):
-    """First and second moments of f(a + v) by Gauss-Hermite over v.
-
-    Accumulated node by node, so the work arrays stay the shape of a (a
-    (G, N) batch of PEM predictions needs no (G, N, nodes) array).
-    """
-    rule = gauss_hermite(FALLBACK_QUAD_ORDER)
-    v = np.sqrt(2.0 * sigma_v2) * rule.nodes
-    norm = rule.weights / np.sqrt(np.pi)
-    mean, second = np.zeros_like(a), np.zeros_like(a)
-    for v_k, w_k in zip(v, norm):
-        fv = nl.value(a + v_k)
-        mean += w_k * fv
-        second += w_k * (fv * fv)
-    return mean, second
 
 
 def predict(theta: float, u_t, u_tm1, sigma_v2: float):
@@ -81,20 +75,12 @@ def pem_estimate(
     spec_template: SystemSpec,
     weighted: bool = True,
     settings: OptimizerSettings = OptimizerSettings(),
-    start: Estimate | None = None,
 ) -> Estimate:
     """Minimize the (optionally variance-weighted) mean-square prediction error.
 
     The weighted search divides each squared prediction error by the
-    prediction-error variance evaluated at the unweighted initial estimate;
-    the weights stay frozen during the second search.
-
-    start, a consistent first estimate with a finite predicted std (II0's),
-    seeds the unweighted search with a small scan around its theta_hat, and
-    the weighted search with one around the unweighted estimate at the same
-    scale; the weighted search scans the whole bracket when the unweighted
-    one stopped at a bracket edge.  Without a start both scan the whole
-    bracket.
+    prediction-error variance evaluated at the unweighted estimate; the
+    weights stay frozen during the second search.
     """
     if spec_template.fir.n_free != 1:
         raise ValueError("scalar search supports exactly one free coefficient")
@@ -103,6 +89,7 @@ def pem_estimate(
     y = data.y
     u = data.u
     fir = spec_template.fir
+    degree = 2 * nl.degree
 
     def pred_errors(theta):
         # a float theta gives (N,) errors, a (G,) array gives (G, N); the
@@ -113,8 +100,7 @@ def pem_estimate(
     def unweighted_cost(theta):
         return np.mean(pred_errors(theta) ** 2, axis=-1)
 
-    seed = search_start(start)
-    initial = minimize_scalar(unweighted_cost, settings, start=seed)
+    initial = poly_argmin(unweighted_cost, degree, settings)
     if not weighted:
         return Estimate(np.array([initial.argmin]), diagnostics=initial)
 
@@ -130,8 +116,5 @@ def pem_estimate(
     def weighted_cost(theta):
         return np.mean(pred_errors(theta) ** 2 / weights, axis=-1)
 
-    if seed is not None:
-        # at a bracket edge the unweighted minimum may lie outside the bracket
-        seed = None if initial.at_bracket_edge else (initial.argmin, seed[1])
-    final = minimize_scalar(weighted_cost, settings, start=seed)
+    final = poly_argmin(weighted_cost, degree, settings)
     return Estimate(np.array([final.argmin]), diagnostics=final)

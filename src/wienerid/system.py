@@ -28,8 +28,8 @@ class Nonlinearity:
     """Known static nonlinearity y = f(z).
 
     Polynomial coefficients are in ascending powers; the cubic and identity
-    kinds are special-cased so their conditional moments stay in closed form
-    downstream.
+    kinds are special-cased so their conditional moments keep their short
+    closed forms downstream.
     """
 
     kind: NonlinearityKind
@@ -40,6 +40,12 @@ class Nonlinearity:
             raise ValueError("polynomial nonlinearity needs at least one coefficient")
         if self.kind is not NonlinearityKind.POLYNOMIAL and self.coeffs:
             raise ValueError(f"{self.kind.value} nonlinearity takes no coefficients")
+
+    @property
+    def degree(self) -> int:
+        """Degree of f: 3 cubic, 1 identity, len(coeffs) - 1 polynomial."""
+        closed = {NonlinearityKind.CUBIC: 3, NonlinearityKind.IDENTITY: 1}
+        return closed.get(self.kind, len(self.coeffs) - 1)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

@@ -1,4 +1,4 @@
-"""Checks on the costs the estimators hand to minimize_scalar."""
+"""Checks on the costs the estimators hand to their scalar searches."""
 
 import numpy as np
 
@@ -7,20 +7,20 @@ from wienerid.numerics import OptimizerSettings
 
 def _intercept(monkeypatch, module, record) -> None:
     """Call record(cost, settings, result) on every search `module` runs
-    through minimize_scalar; the search itself, start included, still runs."""
-    search = module.minimize_scalar
+    through poly_argmin; the search itself still runs."""
+    search = module.poly_argmin
 
-    def recording(cost, settings=OptimizerSettings(), start=None):
-        result = search(cost, settings, start=start)
+    def recording(cost, degree, settings=OptimizerSettings()):
+        result = search(cost, degree, settings)
         record(cost, settings, result)
         return result
 
-    monkeypatch.setattr(module, "minimize_scalar", recording)
+    monkeypatch.setattr(module, "poly_argmin", recording)
 
 
 def capture_costs(monkeypatch, module) -> list:
     """Record every (cost, settings) pair that `module` passes to
-    minimize_scalar, while the search itself still runs."""
+    poly_argmin, while the search itself still runs."""
     captured = []
     _intercept(monkeypatch, module, lambda cost, settings, _: captured.append((cost, settings)))
     return captured

@@ -202,8 +202,8 @@ class TestRunExperiment:
 
 
 class TestStartChain:
-    """run_experiment fits II0 once per record and seeds the other methods
-    with it; ML starts from run_method's own II1_W."""
+    """II0 is fitted only where it is asked for: PEM_W and Step 2 take no
+    start.  ML starts from run_method's own II1_W."""
 
     def test_zero_order_fitted_once_per_realization(self, monkeypatch):
         calls = []
@@ -216,6 +216,10 @@ class TestStartChain:
         monkeypatch.setattr(bench, "zero_order_estimate", counted)
         run_experiment(small_config(methods=("PEM_W", "II0", "II1_UNW", "II1_W")))
         assert len(calls) == 3
+        # the simulated Step 2 without II0 as a method fits no II0
+        del calls[:]
+        run_experiment(small_config(methods=("II1_UNW", "II1_W"), s_count=3, n_obs=200))
+        assert len(calls) == 0
 
     def test_ml_starts_from_the_experiment_ii1_w(self, monkeypatch):
         config = small_config(methods=("ML", "II1_W"), realizations=2, desk_scale=True)
@@ -309,6 +313,20 @@ class TestEmitReport:
         result = run_experiment(small_config(realizations=1))
         with pytest.raises(ValueError, match="format"):
             emit_report(result, fmt="xml", out_dir=tmp_path)
+
+    @pytest.mark.parametrize("name, text", [
+        ("raw.csv", ""),
+        ("raw.csv", "realization,method,theta_hat\n0,II0\n"),
+        ("raw.json", ""),
+        ("raw.json", '[{"realization": 0, "theta_hat": 0.5}]'),
+        ("raw.json", '{"realization": 0}'),
+    ], ids=["empty-csv", "short-csv-row", "empty-json", "json-row-without-method", "json-object"])
+    def test_malformed_raw_file_rejected(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a raw estimates file") as excinfo:
+            load_raw(path)
+        assert str(path) in str(excinfo.value)
 
 
 class TestBenchmarkSetupInvariants:

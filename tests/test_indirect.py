@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wienerid.bench as bench_mod
 import wienerid.indirect as indirect_mod
 from wienerid.bench import ExperimentConfig, make_record, run_method
 from wienerid.bla import estimate_weighting, fit_bla
@@ -17,14 +18,14 @@ from wienerid.indirect import (
     step2,
     zero_order_estimate,
 )
-from wienerid.numerics import OptimizerSettings, RankDeficiencyError, jacobian_fd, least_squares
+from wienerid.numerics import OptimizerSettings, RankDeficiencyError, least_squares, minimize_scalar
 from wienerid.pem import conditional_mean, pem_estimate
 from wienerid.signals import DistributionKind, StreamRole, gaussian_white, gen_white, uniform_white
 from wienerid.system import (
     DataRecord, SystemSpec, cubic, lagged_matrix, paper_fir, polynomial, simulate,
 )
 
-from cost_checks import assert_grid_batch_is_pointwise, capture_costs, capture_searches
+from cost_checks import assert_grid_batch_is_pointwise, capture_costs
 
 SU2, SV2, SE2 = 1.0 / 3.0, 0.2, 0.1
 
@@ -35,6 +36,12 @@ def paper_spec(input_dist=None):
         sigma_v2=SV2, sigma_e2=SE2,
         input_dist=input_dist if input_dist is not None else gaussian_white(SU2),
     )
+
+
+def analytic_jacobian(amap, theta):
+    """d beta / d theta of the closed-form map as a (2, 1) column."""
+    su2, sv2 = amap.sigma_u2, amap.sigma_v2
+    return np.array([[3.0 * amap.kappa * su2 * theta**2 + 3.0 * (su2 + sv2)], [6.0 * su2 * theta]])
 
 
 def make_data(input_dist, n, seed, theta=0.5):
@@ -95,14 +102,6 @@ class TestAnalyticMaps:
             beta_map_uniform(0.5, 0.3, -0.1)
         with pytest.raises(ValueError, match="variances"):
             AnalyticMap(-1.0, 0.2, 3.0)
-
-    def test_derivatives_match_finite_differences(self):
-        h = 1e-6
-        for kappa in (3.0, 9 / 5, 1.0):
-            amap = AnalyticMap(SU2, SV2, kappa)
-            for theta in (-1.0, 0.0, 0.5, 2.0):
-                fd = (amap(theta + h) - amap(theta - h)) / (2 * h)
-                np.testing.assert_allclose(amap.derivative(theta)[:, 0], fd, rtol=1e-7, atol=1e-7)
 
 
 class TestSimulatedMap:
@@ -182,7 +181,7 @@ class TestStep2:
         report = step2(amap(0.5), np.eye(2), amap, n_obs=1000)
         assert report.theta_hat[0] == pytest.approx(0.5, abs=1e-6)
         # the exact map carries no inflation
-        G = amap.derivative(report.theta_hat[0])
+        G = analytic_jacobian(amap, report.theta_hat[0])
         assert report.predicted_std**2 == pytest.approx(1.0 / float(G[:, 0] @ G[:, 0]) / 1000, rel=1e-9)
 
     def test_weighting_scale_invariance(self):
@@ -192,6 +191,17 @@ class TestStep2:
         a = step2(beta_hat, W, amap, n_obs=500)
         b = step2(beta_hat, 7.0 * W, amap, n_obs=500)
         assert a.theta_hat[0] == b.theta_hat[0]
+
+    def test_weighting_scale_invariance_on_random_metrics(self):
+        amap = AnalyticMap(SU2, SV2, 3.0)
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            A = rng.normal(size=(2, 2))
+            W = A @ A.T + 0.1 * np.eye(2)
+            beta_hat = amap(rng.uniform(-2.0, 2.0)) + rng.normal(scale=0.05, size=2)
+            a = step2(beta_hat, W, amap, n_obs=500)
+            b = step2(beta_hat, np.exp(rng.uniform(-10.0, 10.0)) * W, amap, n_obs=500)
+            assert a.theta_hat[0] == b.theta_hat[0]
 
     def test_identifiability_across_grid(self):
         amap = AnalyticMap(SU2, SV2, 3.0)
@@ -210,12 +220,10 @@ class TestStep2:
     def test_flat_criterion_flagged(self):
         class FlatMap:
             inflation = 1.0
+            degree = 3
 
             def __call__(self, theta):
                 return np.broadcast_to([1.0, 2.0], np.shape(theta) + (2,))
-
-            def derivative(self, theta):
-                return np.array([[0.0], [0.0]])
 
         report = step2(np.array([0.0, 0.0]), np.eye(2), FlatMap(), n_obs=100)
         assert report.diagnostics.degenerate
@@ -225,25 +233,40 @@ class TestStep2:
         amap = AnalyticMap(SU2, SV2, 3.0)
         W = np.diag([2.0, 3.0])
         report = step2(amap(0.5), W, amap, n_obs=250)
-        G = amap.derivative(report.theta_hat[0])
+        G = analytic_jacobian(amap, report.theta_hat[0])
         expected = 1.0 / float(G[:, 0] @ W @ G[:, 0]) / 250
         assert report.predicted_std**2 == pytest.approx(expected, rel=1e-9)
 
-    def test_jacobian_fallback_for_simulated_map(self):
+    def test_simulated_map_predicted_std(self):
         spec = paper_spec()
         spec.sigma_v2 = 0.0
         u = gen_white(gaussian_white(SU2), 2001, 82, path=(0,))
         smap = SimulatedMap(u, spec, s_count=1, seed=3)
         report = step2(smap(0.5), np.eye(2), smap, n_obs=2000)
-        assert abs(report.theta_hat[0] - 0.5) < 1e-5
-        # the map has no derivative: a central-difference Jacobian, inflated by 1 + 1/S
-        G = jacobian_fd(lambda t: smap(float(t[0])), report.theta_hat, indirect_mod.JACOBIAN_STEP)
-        assert report.predicted_std**2 == pytest.approx(2.0 / float(G[:, 0] @ G[:, 0]) / 2000, rel=1e-9)
+        assert abs(report.theta_hat[0] - 0.5) < 1e-10
+        # G against a central difference of the map (error about 1e-10),
+        # the variance inflated by 1 + 1/S
+        h = 1e-5
+        G = (smap(report.theta_hat[0] + h) - smap(report.theta_hat[0] - h)) / (2 * h)
+        assert report.predicted_std**2 == pytest.approx(2.0 / float(G @ G) / 2000, rel=1e-8)
+
+
+class CubicMap:
+    """A function of theta declared as a binding function of degree 3."""
+
+    degree = 3
+
+    def __init__(self, func):
+        self.func = func
+
+    def __call__(self, theta):
+        return self.func(theta)
 
 
 class TestBindingMapContract:
-    # step2 scans its grid with one (61,) array of theta, so a map must
-    # broadcast; one that does not gets a typed error naming the contract
+    # step2 calls a cubic map once, on a (4,) array of interpolation nodes,
+    # so a map must broadcast; one that does not gets a typed error naming
+    # the contract
     samples = gen_white(gaussian_white(SU2), 500, 5, path=(0,))
 
     @pytest.mark.parametrize("float_only", [
@@ -253,16 +276,29 @@ class TestBindingMapContract:
     def test_float_only_map_rejected(self, float_only):
         beta_hat = AnalyticMap(SU2, SV2, 3.0)(0.7)
         with pytest.raises(BindingMapError, match="broadcast over theta") as excinfo:
-            step2(beta_hat, np.eye(2), float_only, n_obs=500)
-        assert excinfo.value.theta_shape == (61,)
+            step2(beta_hat, np.eye(2), CubicMap(float_only), n_obs=500)
+        assert excinfo.value.theta_shape == (4,)
         assert isinstance(excinfo.value.__cause__, (TypeError, ValueError))
 
+    @pytest.mark.parametrize("degree", [None, -1, 3.0, "3"])
+    def test_map_without_an_integer_degree_rejected(self, degree):
+        amap = AnalyticMap(SU2, SV2, 3.0)
+        if degree is None:
+            beta_map = lambda theta: amap(theta)  # a bare callable declares no degree
+        else:
+            beta_map = CubicMap(amap)
+            beta_map.degree = degree
+        with pytest.raises(BindingMapError, match="non-negative int degree") as excinfo:
+            step2(amap(0.7), np.eye(2), beta_map, n_obs=500)
+        assert excinfo.value.theta_shape is None
+
     def test_map_reducing_over_theta_rejected(self):
-        # the grid call would see one vector for all 61 points: a flat,
-        # degenerate scan and theta_hat = 0.0 although the truth is 0.7
+        # the node call would see one vector for all 4 nodes: a constant
+        # interpolant, a degenerate criterion and theta_hat = 0.0 although
+        # the truth is 0.7
         amap = AnalyticMap(SU2, SV2, 3.0)
         with pytest.raises(BindingMapError, match=r"returned shape \(2,\)"):
-            step2(amap(0.7), np.eye(2), lambda theta: amap(np.mean(theta)), n_obs=500)
+            step2(amap(0.7), np.eye(2), CubicMap(lambda theta: amap(np.mean(theta))), n_obs=500)
 
 
 class TestBatchedStep2Cost:
@@ -420,52 +456,60 @@ class TestZeroOrderPredictedStd:
         )
 
 
-class TestSeededStep2:
-    """run_method("II1_UNW") and run_method("II1_W") start Step 2 at II0's
-    estimate."""
+class TestExactStep2:
+    """run_method("II1_UNW") and run_method("II1_W") minimize the Step 2
+    criterion exactly, from one call of the binding function."""
 
     @staticmethod
-    def config(theta_o=0.5, realizations=10):
+    def config(theta_o=0.5, realizations=10, s_count=None):
         return ExperimentConfig(
             theta_o=theta_o, sigma_v2=SV2, sigma_e2=SE2, sigma_u2=SU2,
             input_kind=DistributionKind.GAUSSIAN_WHITE, n_obs=1000,
             realizations=realizations, methods=("II1_UNW", "II1_W"), master_seed=20260809,
+            s_count=s_count,
         )
 
     @pytest.mark.parametrize("method", ["II1_UNW", "II1_W"])
-    def test_matches_the_full_scan(self, monkeypatch, method):
-        config = self.config()
+    def test_matches_a_dense_scan(self, method):
+        # against the 61-point scan and Brent on the criterion of the map
+        # itself, for the analytic map and the simulated one (S = 10)
         tol = 2 * OptimizerSettings().abs_tol
-        searches = capture_searches(monkeypatch, indirect_mod)
-        for r in range(config.realizations):
-            record = make_record(config, r)
-            seeded = run_method(config, method, record, r)
-            full = first_order_estimate(
-                record, config.template(), config.input_kind, weighted=method == "II1_W"
-            )
-            seeded_search, full_search = searches
-            del searches[:]
-            assert seeded_search == seeded.diagnostics and full_search == full.diagnostics
-            assert not seeded_search.fallback
-            assert abs(seeded.theta_hat[0] - full.theta_hat[0]) <= tol
-            assert seeded_search.iterations < full_search.iterations
+        for config in (self.config(), self.config(realizations=3, s_count=10)):
+            for r in range(config.realizations):
+                record = make_record(config, r)
+                exact = run_method(config, method, record, r)
+                est = estimate_weighting(record, fit_bla(record, (0, 1)))
+                W = est.W if method == "II1_W" else np.eye(2)
+                if config.s_count is None:
+                    beta_map = AnalyticMap(SU2, SV2, 3.0)
+                else:
+                    beta_map = SimulatedMap(
+                        record.u, config.template(), config.s_count,
+                        bench_mod._simulation_seed(config, r),
+                    )
+
+                def cost(theta):
+                    resid = beta_map(theta) - est.beta_hat
+                    return np.vecdot(resid @ W, resid)
+
+                scanned = minimize_scalar(cost, OptimizerSettings())
+                assert abs(exact.theta_hat[0] - scanned.argmin) <= tol
+                assert exact.diagnostics.iterations < scanned.iterations
+                if config.s_count is None:
+                    # the sandwich with the exact Jacobian at the estimate
+                    G = analytic_jacobian(beta_map, exact.theta_hat[0])[:, 0]
+                    wg = W @ G
+                    var = float(wg @ est.cov_beta @ wg) / float(G @ wg) ** 2
+                    assert exact.predicted_std == pytest.approx(np.sqrt(var), rel=1e-9)
 
     @pytest.mark.parametrize("method", ["II1_UNW", "II1_W"])
-    def test_start_outside_the_bracket_runs_the_full_scan(self, method):
-        # theta0 = 4 lies outside [-3, 3] and so does II0's estimate: Step 2
-        # keeps the unseeded full scan, its edge flag and infinite std
+    def test_true_theta_outside_the_bracket_stops_at_the_edge(self, method):
+        # theta0 = 4 lies outside [-3, 3]: Step 2 stops at the edge, flags it
+        # and predicts an infinite std
         config = self.config(theta_o=4.0, realizations=1)
-        record = make_record(config, 0)
-        start = zero_order_estimate(record, config.template(), config.input_kind)
-        assert start.theta_hat[0] > OptimizerSettings().bracket[1]
-        seeded = run_method(config, method, record, 0)
-        full = first_order_estimate(
-            record, config.template(), config.input_kind, weighted=method == "II1_W"
-        )
-        assert seeded.theta_hat[0] == full.theta_hat[0]
-        assert seeded.diagnostics == full.diagnostics
-        assert seeded.diagnostics.at_bracket_edge and not seeded.diagnostics.fallback
-        assert seeded.predicted_std == full.predicted_std == np.inf
+        est = run_method(config, method, make_record(config, 0), 0)
+        assert est.theta_hat[0] == OptimizerSettings().bracket[1]
+        assert est.diagnostics.at_bracket_edge and est.predicted_std == np.inf
 
 
 INFLATION_N = 500
@@ -493,6 +537,7 @@ def inflation_runs():
             """Exact large-S limit of the simulated map on this input."""
 
             inflation = 1.0
+            degree = 3
 
             def __call__(self, theta, _data=data, _phi=phi, _gram=gram, _spec=spec):
                 # a float gives (2,), a (G,) array of theta gives (G, 2)

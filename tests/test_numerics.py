@@ -12,9 +12,9 @@ from wienerid.numerics import (
     RankDeficiencyError,
     gauss_hermite,
     gauss_legendre,
-    jacobian_fd,
     least_squares,
     minimize_scalar,
+    poly_argmin,
 )
 
 
@@ -312,33 +312,71 @@ class TestLeastSquares:
             least_squares(np.ones((2, 3)), np.ones(2))
 
 
-class TestJacobianFd:
-    def test_linear_map_is_exact(self):
-        A = np.array([[1.0, 2.0], [-0.5, 3.0], [0.0, 1.0]])
-        J = jacobian_fd(lambda x: A @ x, [0.3, -0.7], step=1e-4)
-        np.testing.assert_allclose(J, A, atol=1e-9)
+class TestPolyArgmin:
+    @given(
+        coeffs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
+        lo=st.floats(-5.0, 5.0),
+        width=st.floats(0.1, 10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_worse_than_a_dense_grid(self, coeffs, lo, width):
+        # the minimum is exact up to rounding: at most 1e-9 of the cost's
+        # largest magnitude on the bracket above the minimum of a 2001-point grid
+        cost = np.polynomial.Polynomial(coeffs)
+        bracket = (lo, lo + width)
+        res = poly_argmin(cost, len(coeffs) - 1, OptimizerSettings(bracket=bracket))
+        grid = cost(np.linspace(*bracket, 2001))
+        assert bracket[0] <= res.argmin <= bracket[1]
+        assert res.min_value == cost(res.argmin) or res.degenerate
+        assert res.min_value <= grid.min() + 1e-9 * (1.0 + np.abs(grid).max())
+        assert res.at_bracket_edge == (res.argmin in bracket)
 
-    def test_gaussian_beta_map_derivative(self):
-        # d/dtheta of the gaussian binding function at theta = 0.5,
-        # sigma_u2 = 1/3, sigma_v2 = 0.2: (9 su2 th^2 + 3 (su2+sv2), 6 su2 th)
-        from wienerid.indirect import beta_map_gaussian
+    def test_interior_and_edge_minima(self):
+        settings = OptimizerSettings(bracket=(-1.0, 1.0))
+        res = poly_argmin(lambda x: (x - 0.3) ** 2 * (x + 2.0), 3, settings)
+        assert res.argmin == pytest.approx(0.3, abs=1e-12) and not res.at_bracket_edge
+        res = poly_argmin(lambda x: (x - 1.5) ** 2, 2, settings)
+        assert res.argmin == 1.0 and res.at_bracket_edge
 
-        su2, sv2 = 1.0 / 3.0, 0.2
-        J = jacobian_fd(
-            lambda t: np.array(beta_map_gaussian(float(t[0]), su2, sv2)), [0.5], step=1e-4
-        )
-        np.testing.assert_allclose(J[:, 0], [2.35, 1.0], atol=1e-6)
+    def test_flat_minimum_of_a_quartic(self):
+        # the derivative's triple root may come out as a complex cluster;
+        # its real parts are still candidates
+        res = poly_argmin(lambda x: (x - 0.3) ** 4, 4, OptimizerSettings(bracket=(-1.0, 1.0)))
+        assert abs(res.argmin - 0.3) < 1e-4
+        assert res.min_value < 1e-15
 
-    def test_quadratic_error_decay_on_cubic_map(self):
-        # central differences of x^3 have error exactly step^2
-        point = np.array([1.0])
-        errors = []
-        for step in (1e-2, 1e-3, 1e-4):
-            J = jacobian_fd(lambda x: np.array([x[0] ** 3]), point, step)
-            errors.append(abs(J[0, 0] - 3.0))
-        assert errors[0] / errors[1] == pytest.approx(100.0, rel=0.05)
-        assert errors[1] / errors[2] == pytest.approx(100.0, rel=0.3)
+    def test_two_calls_counted(self):
+        calls = []
 
-    def test_non_finite_map_reported(self):
-        with pytest.raises(CostEvaluationError):
-            jacobian_fd(lambda x: np.array([math.inf]), [0.0], step=1e-5)
+        def cost(x):
+            calls.append(np.array(x))
+            return (x - 0.3) ** 2
+
+        res = poly_argmin(cost, 2, OptimizerSettings(bracket=(-1.0, 1.0)))
+        assert len(calls) == 2 and calls[0].shape == (3,)
+        assert np.all((-1.0 < calls[0]) & (calls[0] < 1.0))
+        assert {-1.0, 1.0} <= set(calls[1].tolist())
+        assert res.iterations == 3 + calls[1].size
+
+    def test_constant_cost_flagged_degenerate(self):
+        res = poly_argmin(lambda x: 3.0, 4, OptimizerSettings(bracket=(-1.0, 5.0)))
+        assert res.degenerate and not res.at_bracket_edge
+        assert res.argmin == 0.0 and res.min_value == 3.0
+        res = poly_argmin(lambda x: 0.0 * x, 2, OptimizerSettings(bracket=(1.0, 5.0)))
+        assert res.degenerate and res.argmin == 1.0 and res.at_bracket_edge
+
+    def test_symmetric_tie_prefers_smaller_magnitude(self):
+        res = poly_argmin(lambda x: x * x, 2, OptimizerSettings(bracket=(-1.0, 1.0)))
+        assert res.argmin == pytest.approx(0.0, abs=1e-15)
+        res = poly_argmin(lambda x: -x * x, 2, OptimizerSettings(bracket=(-1.0, 1.0)))
+        assert res.argmin == -1.0 and res.at_bracket_edge
+
+    def test_non_finite_cost_reports_point(self):
+        settings = OptimizerSettings(bracket=(-2.0, 2.0))
+        with pytest.raises(CostEvaluationError) as excinfo:
+            poly_argmin(lambda x: np.where(x > 1.0, np.nan, x**2), 4, settings)
+        assert excinfo.value.point > 1.0 and np.isnan(excinfo.value.value)
+        # finite at the interpolation nodes, infinite at a bracket end
+        with pytest.raises(CostEvaluationError) as excinfo:
+            poly_argmin(lambda x: np.where(x == 2.0, np.inf, x**2), 2, settings)
+        assert excinfo.value.point == 2.0 and excinfo.value.value == np.inf

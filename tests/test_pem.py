@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 import wienerid.pem as pem_mod
 from wienerid.bench import ExperimentConfig, make_record, run_method
-from wienerid.indirect import zero_order_estimate
-from wienerid.numerics import OptimizerSettings
+from wienerid.numerics import OptimizerSettings, gauss_hermite, minimize_scalar
 from wienerid.pem import (
     conditional_mean,
     conditional_variance,
@@ -44,7 +43,7 @@ class TestPredict:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_quadrature_fallback(self, theta, u_t, u_tm1, sv2):
-        # same moments through the generic polynomial route
+        # same moments through the exact route of a general polynomial
         poly_cubic = polynomial([0.0, 0.0, 0.0, 1.0])
         a = np.array([theta * u_t + u_tm1])
         closed = predict(theta, u_t, u_tm1, sv2)
@@ -144,7 +143,7 @@ class TestPemEstimate:
     def test_grid_batch_matches_pointwise_costs(self, monkeypatch, lead_pad, quadrature):
         spec, data = self.make_data(0.2, 0.1, 300, 15)
         data = DataRecord(u=np.concatenate([np.full(lead_pad, 0.33), data.u]), y=data.y)
-        if quadrature:  # the cubic as a plain polynomial takes the fallback moments
+        if quadrature:  # the cubic as a plain polynomial takes the general moments
             spec.nonlinearity = polynomial([0.0, 0.0, 0.0, 1.0])
         costs = capture_costs(monkeypatch, pem_mod)
         pem_estimate(data, spec, weighted=True)
@@ -153,9 +152,24 @@ class TestPemEstimate:
             assert_grid_batch_is_pointwise(cost, settings)
 
 
-class TestSeededSearch:
-    """run_method("PEM_W") starts the unweighted search at II0's estimate and
-    the weighted one at the unweighted estimate, both at II0's scale."""
+class TestExactMoments:
+    def test_degree_60_against_gauss_hermite_120(self):
+        # the 120-node rule is exact to degree 239, so it integrates both
+        # moments of z^60; a 50-node rule misses the variance by 7.4e-7
+        nl = polynomial([0.0] * 60 + [1.0])
+        rule = gauss_hermite(120)
+        for sv2 in (0.2, 1.0):
+            sv = np.sqrt(sv2)
+            for a in (-1.3, -0.4, 0.0, 0.5, 1.1, 3.0):
+                mean = rule.normal_expectation(lambda x: (a + sv * x) ** 60)
+                second = rule.normal_expectation(lambda x: (a + sv * x) ** 120)
+                assert conditional_mean(nl, a, sv2) == pytest.approx(mean, rel=1e-12)
+                got = conditional_variance(nl, a, sv2, 0.1)
+                assert got == pytest.approx(second - mean**2 + 0.1, rel=1e-12)
+
+
+class TestExactSearch:
+    """run_method("PEM_W") minimizes both costs exactly as polynomials."""
 
     @staticmethod
     def config(theta_o=0.5, realizations=10):
@@ -165,32 +179,24 @@ class TestSeededSearch:
             realizations=realizations, methods=("PEM_W",), master_seed=20260809,
         )
 
-    def test_matches_the_full_scan(self, monkeypatch):
+    def test_matches_a_dense_scan(self, monkeypatch):
+        # each search against the 61-point scan and Brent on the same cost
         config = self.config()
         tol = 2 * OptimizerSettings().abs_tol
+        costs = capture_costs(monkeypatch, pem_mod)
         searches = capture_searches(monkeypatch, pem_mod)
         for r in range(config.realizations):
-            record = make_record(config, r)
-            seeded = run_method(config, "PEM_W", record, r)
-            full = pem_estimate(record, config.template(), weighted=True)
-            # the unweighted and the weighted search of each call
-            seeded_searches, full_searches = searches[:2], searches[2:]
-            del searches[:]
-            assert len(full_searches) == 2
-            assert not any(s.fallback for s in seeded_searches)
-            assert abs(seeded.theta_hat[0] - full.theta_hat[0]) <= tol
-            seeded_evals = sum(s.iterations for s in seeded_searches)
-            assert seeded_evals < sum(s.iterations for s in full_searches)
+            run_method(config, "PEM_W", make_record(config, r), r)
+        assert len(costs) == len(searches) == 2 * config.realizations
+        for (cost, settings), exact in zip(costs, searches):
+            scanned = minimize_scalar(cost, settings)
+            assert abs(exact.argmin - scanned.argmin) <= tol
+            assert exact.min_value <= scanned.min_value * (1 + 1e-12)
+            assert exact.iterations < scanned.iterations
 
-    def test_start_outside_the_bracket_runs_the_full_scan(self):
-        # theta0 = 4 lies outside [-3, 3] and so does II0's estimate: both
-        # searches keep the unseeded full scan
+    def test_true_theta_outside_the_bracket_stops_at_the_edge(self):
+        # theta0 = 4 lies outside [-3, 3]: both costs decrease up to the edge
         config = self.config(theta_o=4.0, realizations=1)
-        record = make_record(config, 0)
-        start = zero_order_estimate(record, config.template(), config.input_kind)
-        assert start.theta_hat[0] > OptimizerSettings().bracket[1]
-        seeded = run_method(config, "PEM_W", record, 0)
-        full = pem_estimate(record, config.template(), weighted=True)
-        assert seeded.theta_hat[0] == full.theta_hat[0]
-        assert seeded.diagnostics == full.diagnostics
-        assert seeded.diagnostics.at_bracket_edge and not seeded.diagnostics.fallback
+        est = run_method(config, "PEM_W", make_record(config, 0), 0)
+        assert est.theta_hat[0] == OptimizerSettings().bracket[1]
+        assert est.diagnostics.at_bracket_edge and not est.diagnostics.degenerate
