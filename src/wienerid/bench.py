@@ -18,7 +18,7 @@ import numpy as np
 
 from .indirect import SimulatedMap, first_order_estimate, zero_order_estimate
 from .ml import MlSettings, ml_estimate
-from .numerics import Estimate, NumericsError
+from .numerics import Estimate, NumericsError, check_quad_order
 from .pem import pem_estimate
 from .signals import Distribution, DistributionKind, Seed, StreamRole, gen_white
 from .system import DataRecord, SystemSpec, cubic, paper_fir, simulate
@@ -59,8 +59,7 @@ class ExperimentConfig:
             raise ValueError("theta_o and the variances must be finite")
         if min(self.sigma_v2, self.sigma_e2, self.sigma_u2) < 0:
             raise ValueError("variances must be >= 0")
-        if self.ml_quad_order < 1:
-            raise ValueError("ml_quad_order must be >= 1")
+        check_quad_order(self.ml_quad_order, "ml_quad_order")
         if self.s_count is not None and self.s_count < 1:
             raise ValueError("s_count must be none or >= 1")
         bad = [m for m in self.methods if m not in METHOD_ORDER]

@@ -34,7 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Estimate, OptimizerSettings, gauss_legendre, minimize_scalar
+from .numerics import (
+    Estimate,
+    OptimizerSettings,
+    check_quad_order,
+    gauss_legendre,
+    minimize_scalar,
+)
 from .system import DataRecord, NonlinearityKind, SystemSpec, linear_output
 
 DEFAULT_QUAD_ORDER = 1000
@@ -75,8 +81,7 @@ class MlSettings:
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
 
     def __post_init__(self):
-        if self.quad_order < 1:
-            raise ValueError("quad_order must be >= 1")
+        check_quad_order(self.quad_order, "quad_order")
 
 
 def _level_set_hull(coeffs, low, high):

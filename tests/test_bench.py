@@ -115,6 +115,22 @@ class TestConfigParsing:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("order", [2001, 50000])
+    def test_quad_order_above_the_bound_rejected_before_a_run(self, order, tmp_path, capsys):
+        message = f"ml_quad_order must be <= 2000, got {order}"
+        text = CONFIG_TEXT.replace("ml_quad_order = 1000", f"ml_quad_order = {order}")
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+        with pytest.raises(ValueError, match=message):
+            small_config(ml_quad_order=order)
+        path = tmp_path / "big.cfg"
+        path.write_text(text)
+        assert cli_main(["baseline", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        largest = CONFIG_TEXT.replace("ml_quad_order = 1000", "ml_quad_order = 2000")
+        assert parse_config(largest).ml_quad_order == 2000
+
+
 class TestLinearBaseline:
     def test_paper_values(self):
         config = small_config(n_obs=1000)

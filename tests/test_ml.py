@@ -234,6 +234,16 @@ class TestNegLogLikelihood:
         assert worst < 1e-6, f"order-500 vs order-1000 relative gap {worst:.3e}"
 
 
+class TestMlSettings:
+    @pytest.mark.parametrize("order", [2001, 50000])
+    def test_quad_order_above_the_bound_rejected_when_built(self, order):
+        with pytest.raises(ValueError, match=f"quad_order must be <= 2000, got {order}"):
+            MlSettings(quad_order=order)
+
+    def test_largest_quad_order_accepted(self):
+        assert MlSettings(quad_order=2000).quad_order == 2000
+
+
 class TestMlEstimate:
     def test_near_noise_free_recovery(self):
         spec, data = make_data(1e-12, 1e-6, 500, 30)

@@ -1,9 +1,14 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
 from wienerid import numerics
 from wienerid.numerics import (
@@ -119,6 +124,43 @@ class TestGaussLegendre:
         np.testing.assert_array_equal(log_weights, log_weights[::-1])
         assert abs(np.exp(log_weights).sum() - 2.0) < 1e-13
 
+    def test_order_out_of_range(self):
+        # past MAX_QUAD_ORDER the dense Jacobi matrix alone would be order^2 doubles
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            gauss_legendre(0)
+        for order in (numerics.MAX_QUAD_ORDER + 1, 50000):
+            with pytest.raises(ValueError, match=f"order must be <= 2000, got {order}"):
+                gauss_legendre(order)
+
+
+class TestDenseEigensolverOracle:
+    """The rules against the tridiagonal construction they replaced: scipy's
+    eigh_tridiagonal for the eigenvalues, then the same Newton step."""
+
+    @staticmethod
+    def tridiagonal_rule(monkeypatch, build, order):
+        def eigvalsh(jacobi, UPLO):
+            assert UPLO == "L" and not np.triu(jacobi).any()
+            return eigh_tridiagonal(np.diag(jacobi), np.diag(jacobi, -1), eigvals_only=True)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", eigvalsh)
+            return build.__wrapped__(order)  # past the lru_cache
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 40, 200, 1000])
+    def test_gauss_hermite(self, monkeypatch, order):
+        old = self.tridiagonal_rule(monkeypatch, gauss_hermite, order)
+        new = gauss_hermite(order)
+        np.testing.assert_allclose(new.nodes, old.nodes, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(new.log_weights, old.log_weights, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 40, 200, 1000])
+    def test_gauss_legendre(self, monkeypatch, order):
+        old_nodes, old_log_weights = self.tridiagonal_rule(monkeypatch, gauss_legendre, order)
+        nodes, log_weights = gauss_legendre(order)
+        np.testing.assert_allclose(nodes, old_nodes, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(log_weights, old_log_weights, rtol=1e-14, atol=1e-14)
+
 
 class TestMinimizeScalar:
     def test_quadratic_bowl(self):
@@ -197,6 +239,57 @@ class TestMinimizeScalar:
             OptimizerSettings(bracket=(1.0, -1.0))
         with pytest.raises(ValueError):
             OptimizerSettings(abs_tol=0.0)
+
+
+class TestBrent:
+    """numerics._brent against scipy's bounded minimize_scalar, bit for bit."""
+
+    @staticmethod
+    def scipy_brent(func, lo, hi, xatol, maxiter):
+        res = scipy_minimize_scalar(
+            func, bounds=(lo, hi), method="bounded",
+            options={"xatol": xatol, "maxiter": maxiter},
+        )
+        return float(res.x), float(res.fun), int(res.nfev)
+
+    @given(
+        coeffs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
+        amplitude=st.floats(-5.0, 5.0),
+        frequency=st.floats(0.1, 20.0),
+        lo=st.floats(-5.0, 5.0),
+        width=st.floats(1e-6, 10.0),
+        log_tol=st.floats(-12.0, -1.0),
+        maxiter=st.integers(1, 300),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_bounded(self, coeffs, amplitude, frequency, lo, width, log_tol, maxiter):
+        def cost(x):
+            return float(np.polyval(coeffs, x) + amplitude * math.sin(frequency * x))
+
+        args = (cost, lo, lo + width, 10.0**log_tol, maxiter)
+        assert numerics._brent(*args) == self.scipy_brent(*args)
+
+    def test_cut_short_by_maxiter(self):
+        # a wiggly cost and a tight tolerance need far more than 5 evaluations
+        def cost(x):
+            return x * x + math.sin(12.0 * x)
+
+        args = (cost, -2.0, 2.0, 1e-12, 5)
+        got = numerics._brent(*args)
+        assert got[2] == 5
+        assert got == self.scipy_brent(*args)
+        assert numerics._brent(cost, -2.0, 2.0, 1e-12, 500)[2] > 5
+
+
+class TestNumpyOnlyRuntime:
+    def test_import_loads_no_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import wienerid; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestSeededMinimizeScalar:
