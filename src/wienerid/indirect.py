@@ -15,8 +15,9 @@ the predicted standard deviation of the matched estimate, the square root of
 the asymptotic sandwich variance inflation * H^-1 G' W Sigma W G H^-1 with
 H = G' W G and Sigma the covariance of the auxiliary fit.  Both maps are
 polynomials in theta (of `degree` 3 and deg f), so Step 2 calls the map once,
-at degree + 1 Chebyshev points of the bracket, minimizes the criterion of
-its interpolant exactly (`numerics.poly_argmin`) and differentiates it for G.
+at degree + 1 Chebyshev points of the bracket and one check point off them,
+minimizes the criterion of its interpolant exactly (`numerics.poly_argmin`)
+and differentiates it for G.
 
 The order-zero method needs no search: it inverts the first component of
 the closed-form map at the slope of y on u(t), and predicts its std by the
@@ -41,18 +42,30 @@ from .signals import (
 from .system import DataRecord, SystemSpec, lagged_matrix, linear_output
 
 
+# the map check's point in the bracket, at 3/5 of its half-width right of the
+# center: arccos(3/5) is no rational multiple of pi, so the point is no
+# Chebyshev node of any degree and no Chebyshev polynomial vanishes there
+MAP_CHECK_AT = 0.6
+# largest interpolation error at that point, relative to a component's
+# largest magnitude, that still counts as a polynomial of the declared degree
+MAP_CHECK_RTOL = 1e-8
+
+
 class BindingMapError(ValueError):
-    """A binding function broke step2's contract: it must declare a non-negative
-    int `degree` (theta_shape is None when it does not) and give a
-    (G, len(beta_hat)) array for a (G,) array of theta."""
+    """A binding function broke step2's contract: it must be a polynomial in
+    theta of its declared non-negative int `degree` (theta_shape is None when
+    it breaks that) and give a (G, len(beta_hat)) array for a (G,) array of
+    theta."""
 
     def __init__(self, theta_shape, width, detail):
         self.theta_shape = theta_shape
-        need = "a non-negative int degree" if theta_shape is None else (
-            f"shape {theta_shape + (width,)} for theta of shape {theta_shape}: the map must"
-            f" broadcast over theta (a float gives shape ({width},), a (G,) array gives"
-            f" (G, {width}))"
-        )
+        need = "a polynomial in theta of a declared non-negative int degree"
+        if theta_shape is not None:
+            need = (
+                f"shape {theta_shape + (width,)} for theta of shape {theta_shape}: the map"
+                f" must broadcast over theta (a float gives shape ({width},), a (G,) array"
+                f" gives (G, {width}))"
+            )
         super().__init__(f"binding function {detail}; step2 needs {need}")
 
 
@@ -184,9 +197,11 @@ def step2(
 
     beta_map is a polynomial in theta of degree beta_map.degree, an int >= 0,
     and broadcasts over theta: a (G,) array gives a (G, len(beta_hat)) array.
-    It is called once, at degree + 1 Chebyshev points of the bracket; a map
-    breaking that contract raises BindingMapError.  Its interpolant gives the
-    criterion, minimized exactly (degree 2 * degree), and G at the estimate.
+    It is called once, at degree + 1 Chebyshev points of the bracket and at
+    one more point (MAP_CHECK_AT) where its interpolant must match it to
+    MAP_CHECK_RTOL; a map breaking that contract raises BindingMapError.  The
+    interpolant on the nodes alone gives the criterion, minimized exactly
+    (degree 2 * degree), and G at the estimate.
     The criterion weighs residuals by W / trace(W) rounded to 40 binary
     places, so the argmin is invariant to positive rescaling of W (unless an
     entry lies within a few ulps of a rounding boundary).  predicted_std is
@@ -211,13 +226,23 @@ def step2(
         raise BindingMapError(None, width, f"declares degree {degree!r}")
     lo, hi = settings.bracket
     nodes, to_coeffs, to_slopes = chebyshev_points(degree, lo, hi)
+    check = 0.5 * (lo + hi) + 0.5 * (hi - lo) * MAP_CHECK_AT
+    thetas = np.append(nodes, check)
     try:
-        mapped = beta_map(nodes)
+        mapped = beta_map(thetas)
     except (TypeError, ValueError) as exc:
-        raise BindingMapError(nodes.shape, width, f"raised {exc!r}") from exc
-    if np.shape(mapped) != nodes.shape + (width,):
-        raise BindingMapError(nodes.shape, width, f"returned shape {np.shape(mapped)}")
+        raise BindingMapError(thetas.shape, width, f"raised {exc!r}") from exc
+    if np.shape(mapped) != thetas.shape + (width,):
+        raise BindingMapError(thetas.shape, width, f"returned shape {np.shape(mapped)}")
+    mapped, checked = mapped[:-1], mapped[-1]
     coeffs, slopes = to_coeffs @ mapped, to_slopes @ mapped
+    miss = np.abs(chebyshev_value(coeffs, check, lo, hi) - checked)
+    # a non-finite value fails the search below, with its point
+    if np.any(miss > MAP_CHECK_RTOL * np.maximum(np.abs(mapped).max(axis=0), np.abs(checked))):
+        raise BindingMapError(
+            None, width, f"differs from its degree-{degree} interpolant by {miss.max():.3g}"
+            f" at theta = {check:.6g}"
+        )
     metric = np.round(W / np.trace(W) * 2.0**40) / 2.0**40
 
     def cost(theta):

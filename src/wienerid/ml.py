@@ -17,14 +17,15 @@ row is shifted by its peak exponent, so the fast decay of the integrand
 cannot underflow a whole term.  Additive constants of the likelihood that do
 not depend on theta are dropped.
 
-The likelihood is not a polynomial in theta, so its search is the only one
-that scans and refines (`numerics.minimize_scalar`).  It can start at a
+The likelihood is not a polynomial in theta but it is analytic, so its
+search (`numerics.minimize_scalar`) minimizes a degree-10 Chebyshev
+interpolant of it, as the other criteria are minimized.  It can start at a
 consistent first estimate (`bench.run_method` passes its own II1_W on the
-same record, the II1_W of the table): it then scans 9 points on
-theta_start +- 6 predicted stds and refines in that grid's cell, about 17
-likelihood evaluations against 69 for the 61-point scan of the whole
-bracket.  When the local minimum lands on an edge of that small grid inside
-the bracket, or the start has no finite std, the full scan runs.
+same record, the II1_W of the table): the interpolant then covers
+theta_start +- 6 predicted stds, 11 likelihood evaluations in all.  When
+its minimum lands on an edge of that window inside the bracket, or the start
+has no finite std, a 61-point scan of the whole bracket runs and the
+interpolant covers the cell around the scan's minimum, 72 evaluations.
 """
 
 from __future__ import annotations
@@ -241,14 +242,14 @@ def ml_estimate(
     """Minimize the negative log-likelihood over the optimizer bracket.
 
     start, a consistent first estimate with its predicted std (II1_W's),
-    seeds the search with a small scan around its theta_hat; without a
-    finite predicted std it is ignored and the whole bracket is scanned.
+    seeds the search with a window around its theta_hat; without a finite
+    predicted std it is ignored and the whole bracket is scanned.
     """
     if spec_template.fir.n_free != 1:
         raise ValueError("scalar search supports exactly one free coefficient")
 
     def cost(theta):
-        # one likelihood per grid point: a (G, N, nodes) batch would only
+        # one likelihood per point: a (G, N, nodes) batch would only
         # multiply the memory, the work per point is the same
         if np.ndim(theta):
             return np.array([cost(t) for t in theta])

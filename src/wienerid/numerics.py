@@ -1,11 +1,13 @@
 """Shared numeric kernels: Gauss-Hermite and Gauss-Legendre quadrature, scalar
-minimization (exact for a polynomial cost in `poly_argmin`, a seeded grid scan
-and bounded Brent in `minimize_scalar`), linear least squares, and the
-Estimate record every estimator returns.
+minimization, linear least squares, and the Estimate record every estimator
+returns.
 
-The module needs numpy alone: the quadrature nodes are the eigenvalues of a
-dense symmetric Jacobi matrix (computed once per order, the rules are
-cached), and bounded Brent is an in-house transcription (`_brent`)."""
+Every scalar search is one Chebyshev interpolant of the cost, minimized
+exactly (`poly_argmin`): for a polynomial cost on the whole bracket, for a
+smooth one (`minimize_scalar`) on a window around a start or on the cell of
+a coarse grid scan.  The module needs numpy alone: the quadrature nodes are
+the eigenvalues of a dense symmetric Jacobi matrix (computed once per order,
+the rules are cached)."""
 
 from __future__ import annotations
 
@@ -20,9 +22,11 @@ SQRT_PI = math.sqrt(math.pi)
 
 MAX_QUAD_ORDER = 2000
 
-# a seeded search scans this many points on start +- LOCAL_HALF_WIDTH scales
-LOCAL_GRID_POINTS = 9
+# minimize_scalar interpolates a smooth cost at this degree, on
+# start +- LOCAL_HALF_WIDTH scales or on the cell of its fallback grid
+SEARCH_DEGREE = 10
 LOCAL_HALF_WIDTH = 6.0
+FALLBACK_GRID_POINTS = 61
 
 # running sums of squared orthonormal polynomials are rescaled past this
 _RESCALE_AT = 1e200
@@ -165,34 +169,27 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Bracketed scalar search: poly_argmin reads the bracket alone, and
-    minimize_scalar also its grid scan and Brent refinement settings."""
+    """The bracket of a scalar search."""
 
     bracket: tuple[float, float] = (-3.0, 3.0)
-    abs_tol: float = 1e-6
-    max_iter: int = 200
-    grid_points: int = 61
 
     def __post_init__(self):
         lo, hi = self.bracket
         if not lo < hi:
             raise ValueError(f"bracket must satisfy lo < hi, got {self.bracket}")
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be >= 3")
 
 
 @dataclass(frozen=True)
 class ScalarMinResult:
     """Outcome of one bracketed search.
 
-    iterations counts every point the cost was evaluated at; at_bracket_edge
-    is true when the minimum found is an end of the bracket (for
-    minimize_scalar: the grid minimum), so the true minimum may lie outside
-    it; degenerate is true when the cost took one value (to rounding, for
-    poly_argmin) at every point of the first scan; fallback is true when a
-    seeded minimize_scalar search fell back to the full bracket scan.
+    iterations counts every point the cost was evaluated at; min_value is
+    the interpolant's value at argmin (a cost value when degenerate);
+    at_bracket_edge is true when the minimum found is an end of the bracket,
+    so the true minimum may lie outside it; degenerate is true when the cost
+    took one value (to rounding, for poly_argmin) at every point of the
+    first scan; fallback is true when a seeded minimize_scalar search fell
+    back to the full bracket scan.
     """
 
     argmin: float
@@ -249,16 +246,19 @@ def poly_argmin(
     cost, degree: int, settings: OptimizerSettings = OptimizerSettings()
 ) -> ScalarMinResult:
     """Minimize on settings.bracket a cost that is a polynomial of at most
-    `degree` in theta and broadcasts over theta as for minimize_scalar.
+    `degree` in theta and broadcasts over theta: a float gives a float and a
+    1-D array an array of its shape (a cost that ignores theta may return a
+    scalar).
 
-    One call at the degree + 1 Chebyshev points of the bracket gives its
-    interpolant; a second evaluates the cost at the bracket ends and at the
-    real parts of its critical points inside, and the smallest value wins
-    (exact ties: the smallest magnitude).  A cost equal at every node to 16
-    ulps is degenerate, its argmin the bracket point nearest 0.  Non-finite
-    values raise CostEvaluationError with the offending point."""
+    The cost is called once, at the degree + 1 Chebyshev points of the
+    bracket, which gives its interpolant; of the bracket ends and the real
+    parts of the interpolant's critical points inside, the one where the
+    interpolant is smallest wins (exact ties: the smallest magnitude).  A
+    cost equal at every node to 16 ulps is degenerate, its argmin the bracket
+    point nearest 0.  Non-finite values raise CostEvaluationError with the
+    offending point."""
     lo, hi = settings.bracket
-    nodes, _, to_slopes = chebyshev_points(degree, lo, hi)
+    nodes, to_coeffs, to_slopes = chebyshev_points(degree, lo, hi)
     vals = _checked_values(cost, nodes)
     if np.ptp(vals) <= 16 * np.finfo(float).eps * np.abs(vals).max():
         x = min(max(0.0, lo), hi)
@@ -268,168 +268,80 @@ def poly_argmin(
     s = cheb.chebroots(to_slopes @ vals).real
     inner = np.clip(0.5 * (lo + hi) + 0.5 * (hi - lo) * s[abs(s) < 1.0], lo, hi)
     xs = np.concatenate([[lo, hi], inner])
-    cand = _checked_values(cost, xs)
+    cand = chebyshev_value(to_coeffs @ vals, xs, lo, hi)
     i = min(range(len(xs)), key=lambda k: (cand[k], abs(xs[k])))
     return ScalarMinResult(
-        float(xs[i]), float(cand[i]), degree + 1 + len(xs), at_bracket_edge=xs[i] in (lo, hi)
+        float(xs[i]), float(cand[i]), degree + 1, at_bracket_edge=xs[i] in (lo, hi)
     )
 
 
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-
-
-def _brent(func, lo: float, hi: float, xatol: float, maxiter: int):
-    """Minimize func on [lo, hi] by golden-section search with parabolic
-    steps; returns the best point, its value and the evaluation count, which
-    maxiter caps.
-
-    A step-for-step transcription of `_minimize_scalar_bounded` (fminbound)
-    in scipy.optimize, which is BSD-3-Clause licensed (Copyright (c)
-    2001-2002 Enthought, Inc. and 2003- SciPy Developers), without its
-    message printing and result object.  On finite values it returns what
-    `scipy.optimize.minimize_scalar(method="bounded")` returns, bit for bit.
-    """
-    a, b = lo, hi
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            break
-    return xf, fx, num
-
-
-def _scan_and_refine(cost, xs: np.ndarray, settings: OptimizerSettings):
-    """Scan the grid xs in one call of the cost, then refine in the cell
-    around the grid minimum with bounded Brent.
-
-    Returns the search result and whether the grid minimum is the first or
-    last grid point without being a bracket end (only a grid narrower than
-    the bracket has such an edge); a degenerate scan skips Brent.
-    """
-
-    def checked(x: float) -> float:
-        val = float(cost(x))
-        if not math.isfinite(val):
-            raise CostEvaluationError(x, val)
-        return val
-
-    vals = _checked_values(cost, xs)
-    vmin = vals.min()
-    if vals.max() == vmin:
-        mid = xs[int(np.argmin(np.abs(xs)))]
-        return ScalarMinResult(float(mid), float(vmin), len(xs), degenerate=True), False
-    ties = np.flatnonzero(vals == vmin)
-    i = int(ties[np.argmin(np.abs(xs[ties]))])
-    sub_lo = float(xs[max(i - 1, 0)])
-    sub_hi = float(xs[min(i + 1, len(xs) - 1)])
-    x_best, v_best, nfev = _brent(checked, sub_lo, sub_hi, settings.abs_tol, settings.max_iter)
-    if vmin < v_best:
-        x_best, v_best = float(xs[i]), float(vmin)
-    on_edge = i in (0, len(xs) - 1)
-    at_bracket_edge = on_edge and float(xs[i]) in settings.bracket
-    result = ScalarMinResult(
-        x_best, v_best, len(xs) + nfev, at_bracket_edge=at_bracket_edge
-    )
-    return result, on_edge and not at_bracket_edge
-
-
-def _local_grid(start, lo: float, hi: float) -> np.ndarray | None:
-    """The seeded scan's grid on center +- LOCAL_HALF_WIDTH * scale, clipped
-    to [lo, hi]; None when the start is not usable."""
+def _window(start, lo: float, hi: float) -> OptimizerSettings | None:
+    """The seeded search's bracket center +- LOCAL_HALF_WIDTH * scale, clipped
+    to [lo, hi]; None when the start is not usable or the window is empty."""
     center, scale = (float(v) for v in start)
     if not (math.isfinite(center) and math.isfinite(scale)) or scale <= 0:
         return None
     if not lo <= center <= hi:
         return None
     reach = LOCAL_HALF_WIDTH * scale
-    return np.linspace(max(lo, center - reach), min(hi, center + reach), LOCAL_GRID_POINTS)
+    w_lo, w_hi = max(lo, center - reach), min(hi, center + reach)
+    return OptimizerSettings((w_lo, w_hi)) if w_lo < w_hi else None
 
 
 def minimize_scalar(
     cost, settings: OptimizerSettings = OptimizerSettings(), start=None
 ) -> ScalarMinResult:
-    """Minimize a scalar cost on a bracket.
+    """Minimize a smooth scalar cost on a bracket by poly_argmin at
+    SEARCH_DEGREE on a subinterval: the cost is taken to be analytic in
+    theta, so its Chebyshev interpolant there converges geometrically.
 
-    The cost broadcasts over theta: a float gives a float and a 1-D array
-    gives an array of the same shape (a cost that ignores theta may return a
-    scalar).  One call on the whole grid of settings.grid_points locates the
-    coarse minimum (exact ties preferring the point of smallest magnitude,
-    for determinism on symmetric costs), then golden-section/parabolic
-    refinement runs on the neighboring grid cell, calling the cost with one
-    float at a time.  Non-finite cost values raise CostEvaluationError with
-    the offending point, the first one in bracket order on the grid.
+    The cost broadcasts over theta as for poly_argmin.  start = (center,
+    scale), a consistent first estimate and its standard deviation, makes
+    the subinterval center +- LOCAL_HALF_WIDTH * scale, clipped to the
+    bracket: SEARCH_DEGREE + 1 evaluations in one call.  The fallback runs
+    after it (fallback=True, iterations counting both) when that minimum lies
+    on a window edge that is not a bracket end, or when the cost is flat on
+    the window.  A start that is not usable (a non-finite value, scale <= 0,
+    a center outside the bracket, or an empty window) is ignored, and the
+    result is that of the call without it.
 
-    start = (center, scale) seeds the search from a consistent first
-    estimate and its standard deviation: the grid is then LOCAL_GRID_POINTS
-    points on center +- LOCAL_HALF_WIDTH * scale, clipped to the bracket,
-    and the refinement runs in its cell as above.  The full bracket scan
-    runs after it (fallback=True, iterations counting both scans) when the
-    local minimum sits on a local grid edge that is not a bracket edge, or
-    when the local scan is degenerate.  A start that is not usable (a
-    non-finite value, scale <= 0, or a center outside the bracket) is
-    ignored, and the result is that of the call without it.
+    The fallback scans FALLBACK_GRID_POINTS points of the bracket in one
+    call; a cost equal at all of them is degenerate, its argmin the grid
+    point nearest 0.  Otherwise poly_argmin runs on the grid cell around the
+    grid minimum (exact ties preferring the point of smallest magnitude).
+    Non-finite cost values raise CostEvaluationError with the offending
+    point, the first one in bracket order on the grid.  at_bracket_edge is
+    true when the minimum found is an end of settings.bracket.
     """
     lo, hi = settings.bracket
-    local = None if start is None else _local_grid(start, lo, hi)
+    window = None if start is None else _window(start, lo, hi)
     spent = 0
-    if local is not None:
-        result, inner_edge = _scan_and_refine(cost, local, settings)
+    if window is not None:
+        result = poly_argmin(cost, SEARCH_DEGREE, window)
+        inner_edge = result.argmin in window.bracket and result.argmin not in settings.bracket
         if not (result.degenerate or inner_edge):
-            return result
+            return replace(result, at_bracket_edge=result.argmin in settings.bracket)
         spent = result.iterations
-    result, _ = _scan_and_refine(cost, np.linspace(lo, hi, settings.grid_points), settings)
-    return replace(result, iterations=spent + result.iterations, fallback=local is not None)
+    fallback = window is not None
+    xs = np.linspace(lo, hi, FALLBACK_GRID_POINTS)
+    vals = _checked_values(cost, xs)
+    vmin = vals.min()
+    if vals.max() == vmin:
+        mid = xs[int(np.argmin(np.abs(xs)))]
+        return ScalarMinResult(
+            float(mid), float(vmin), spent + len(xs), degenerate=True, fallback=fallback
+        )
+    ties = np.flatnonzero(vals == vmin)
+    i = int(ties[np.argmin(np.abs(xs[ties]))])
+    cell = OptimizerSettings((float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])))
+    result = poly_argmin(cost, SEARCH_DEGREE, cell)
+    return replace(
+        result,
+        iterations=spent + len(xs) + result.iterations,
+        degenerate=False,
+        at_bracket_edge=result.argmin in settings.bracket,
+        fallback=fallback,
+    )
 
 
 def least_squares(regressors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,8 +7,7 @@ weighted variant freezes its per-sample weights at the unweighted estimate.
 
 The predictor is a polynomial of degree deg f in theta, so either cost is a
 polynomial of degree 2 deg f and each search is exact (`numerics.poly_argmin`):
-2 deg f + 1 cost evaluations to interpolate it, then one call on its
-critical points and the bracket ends: 14 evaluations per search for the cubic.
+2 deg f + 1 cost evaluations, in one call, interpolate it, 7 for the cubic.
 """
 
 from __future__ import annotations

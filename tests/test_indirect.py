@@ -18,14 +18,14 @@ from wienerid.indirect import (
     step2,
     zero_order_estimate,
 )
-from wienerid.numerics import OptimizerSettings, RankDeficiencyError, least_squares, minimize_scalar
+from wienerid.numerics import OptimizerSettings, RankDeficiencyError, least_squares
 from wienerid.pem import conditional_mean, pem_estimate
 from wienerid.signals import DistributionKind, StreamRole, gaussian_white, gen_white, uniform_white
 from wienerid.system import (
     DataRecord, SystemSpec, cubic, lagged_matrix, paper_fir, polynomial, simulate,
 )
 
-from cost_checks import assert_grid_batch_is_pointwise, capture_costs
+from cost_checks import assert_grid_batch_is_pointwise, capture_costs, reference_argmin
 
 SU2, SV2, SE2 = 1.0 / 3.0, 0.2, 0.1
 
@@ -205,9 +205,8 @@ class TestStep2:
 
     def test_identifiability_across_grid(self):
         amap = AnalyticMap(SU2, SV2, 3.0)
-        settings = OptimizerSettings(abs_tol=1e-9)
         for theta in np.linspace(-2.9, 2.9, 50):
-            report = step2(amap(theta), np.eye(2), amap, settings, n_obs=100)
+            report = step2(amap(theta), np.eye(2), amap, n_obs=100)
             assert abs(report.theta_hat[0] - theta) < 1e-6
 
     def test_non_positive_definite_weighting_rejected(self):
@@ -264,9 +263,9 @@ class CubicMap:
 
 
 class TestBindingMapContract:
-    # step2 calls a cubic map once, on a (4,) array of interpolation nodes,
-    # so a map must broadcast; one that does not gets a typed error naming
-    # the contract
+    # step2 calls a cubic map once, on a (5,) array of the 4 interpolation
+    # nodes and the check point, so a map must broadcast; one that does not
+    # gets a typed error naming the contract
     samples = gen_white(gaussian_white(SU2), 500, 5, path=(0,))
 
     @pytest.mark.parametrize("float_only", [
@@ -277,7 +276,7 @@ class TestBindingMapContract:
         beta_hat = AnalyticMap(SU2, SV2, 3.0)(0.7)
         with pytest.raises(BindingMapError, match="broadcast over theta") as excinfo:
             step2(beta_hat, np.eye(2), CubicMap(float_only), n_obs=500)
-        assert excinfo.value.theta_shape == (4,)
+        assert excinfo.value.theta_shape == (5,)
         assert isinstance(excinfo.value.__cause__, (TypeError, ValueError))
 
     @pytest.mark.parametrize("degree", [None, -1, 3.0, "3"])
@@ -292,8 +291,27 @@ class TestBindingMapContract:
             step2(amap(0.7), np.eye(2), beta_map, n_obs=500)
         assert excinfo.value.theta_shape is None
 
+    def test_map_above_its_declared_degree_rejected(self):
+        # the cubic declared as a quadratic: the interpolant on 3 nodes alone
+        # would match beta(0.5) at theta_hat = 0.1115 with a finite std; the
+        # check point off the nodes shows that it misses the map
+        amap = AnalyticMap(SU2, SV2, 3.0)
+        beta_map = CubicMap(amap)
+        beta_map.degree = 2
+        with pytest.raises(BindingMapError, match="differs from its degree-2 interpolant"
+                           " by 6.32 at theta = 1.8") as excinfo:
+            step2(amap(0.5), np.eye(2), beta_map, n_obs=500)
+        assert excinfo.value.theta_shape is None
+
+    def test_map_below_its_declared_degree_accepted(self):
+        amap = AnalyticMap(SU2, SV2, 3.0)
+        beta_map = CubicMap(amap)
+        beta_map.degree = 5
+        report = step2(amap(0.5), np.eye(2), beta_map, n_obs=500)
+        assert report.theta_hat[0] == pytest.approx(0.5, abs=1e-9)
+
     def test_map_reducing_over_theta_rejected(self):
-        # the node call would see one vector for all 4 nodes: a constant
+        # the node call would see one vector for all 5 points: a constant
         # interpolant, a degenerate criterion and theta_hat = 0.0 although
         # the truth is 0.7
         amap = AnalyticMap(SU2, SV2, 3.0)
@@ -471,9 +489,8 @@ class TestExactStep2:
 
     @pytest.mark.parametrize("method", ["II1_UNW", "II1_W"])
     def test_matches_a_dense_scan(self, method):
-        # against the 61-point scan and Brent on the criterion of the map
-        # itself, for the analytic map and the simulated one (S = 10)
-        tol = 2 * OptimizerSettings().abs_tol
+        # against a 2001-point scan and scipy's Brent on the criterion of the
+        # map itself, for the analytic map and the simulated one (S = 10)
         for config in (self.config(), self.config(realizations=3, s_count=10)):
             for r in range(config.realizations):
                 record = make_record(config, r)
@@ -492,9 +509,9 @@ class TestExactStep2:
                     resid = beta_map(theta) - est.beta_hat
                     return np.vecdot(resid @ W, resid)
 
-                scanned = minimize_scalar(cost, OptimizerSettings())
-                assert abs(exact.theta_hat[0] - scanned.argmin) <= tol
-                assert exact.diagnostics.iterations < scanned.iterations
+                reference = reference_argmin(cost, OptimizerSettings().bracket)
+                assert abs(exact.theta_hat[0] - reference) <= 2e-6
+                assert exact.diagnostics.iterations == 7
                 if config.s_count is None:
                     # the sandwich with the exact Jacobian at the estimate
                     G = analytic_jacobian(beta_map, exact.theta_hat[0])[:, 0]

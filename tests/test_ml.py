@@ -7,9 +7,10 @@ from scipy.integrate import quad
 from wienerid.bench import DESK_ML_QUAD_ORDER, ExperimentConfig, make_record, run_method
 from wienerid.indirect import first_order_estimate
 from wienerid.ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likelihood
-from wienerid.numerics import OptimizerSettings
 from wienerid.signals import DistributionKind, gaussian_white, gen_white
 from wienerid.system import DataRecord, SystemSpec, cubic, identity, paper_fir, polynomial, simulate
+
+from cost_checks import reference_argmin
 
 
 def paper_spec(sigma_v2=0.2, sigma_e2=0.1, nl=None):
@@ -247,8 +248,7 @@ class TestMlSettings:
 class TestMlEstimate:
     def test_near_noise_free_recovery(self):
         spec, data = make_data(1e-12, 1e-6, 500, 30)
-        settings = MlSettings(quad_order=100, optimizer=OptimizerSettings(abs_tol=1e-8))
-        report = ml_estimate(data, spec, settings)
+        report = ml_estimate(data, spec, MlSettings(quad_order=100))
         assert report.theta_hat[0] == pytest.approx(0.5, abs=1e-3)
 
     def test_paper_scale_single_run(self):
@@ -261,25 +261,41 @@ class TestSeededSearch:
     """run_method("ML") starts the likelihood search at II1_W's estimate."""
 
     @staticmethod
-    def config(theta_o=0.5, realizations=10):
+    def config(theta_o=0.5, realizations=10, master_seed=20260809):
         return ExperimentConfig(
             theta_o=theta_o, sigma_v2=0.2, sigma_e2=0.1, sigma_u2=1 / 3,
             input_kind=DistributionKind.GAUSSIAN_WHITE, n_obs=1000,
-            realizations=realizations, methods=("ML",), master_seed=20260809,
+            realizations=realizations, methods=("ML",), master_seed=master_seed,
             desk_scale=True,
         )
 
     def test_matches_the_full_scan_at_desk_scale(self):
         config = self.config()
         settings = MlSettings(quad_order=DESK_ML_QUAD_ORDER)
-        tol = 2 * settings.optimizer.abs_tol
         for r in range(config.realizations):
             record = make_record(config, r)
             seeded = run_method(config, "ML", record, r)
             full = ml_estimate(record, config.template(), settings)
-            assert not seeded.diagnostics.fallback
-            assert abs(seeded.theta_hat[0] - full.theta_hat[0]) <= tol
-            assert seeded.diagnostics.iterations < full.diagnostics.iterations
+            assert not seeded.diagnostics.fallback and not full.diagnostics.fallback
+            assert abs(seeded.theta_hat[0] - full.theta_hat[0]) <= 2e-6
+            assert seeded.diagnostics.iterations == 11
+            assert full.diagnostics.iterations == 72
+
+    @pytest.mark.parametrize("master_seed", [20260809, 20261017])
+    def test_matches_a_dense_scan(self, master_seed):
+        # against a 31-point scan of the bracket and scipy's Brent in its
+        # cell, on the desk-scale likelihood of 20 realizations
+        config = self.config(realizations=20, master_seed=master_seed)
+        settings = MlSettings(quad_order=DESK_ML_QUAD_ORDER)
+        for r in range(config.realizations):
+            record = make_record(config, r)
+            seeded = run_method(config, "ML", record, r)
+
+            def cost(theta):
+                return neg_log_likelihood(theta, record, config.template(), settings)
+
+            reference = reference_argmin(cost, settings.optimizer.bracket, points=31)
+            assert abs(seeded.theta_hat[0] - reference) <= 2e-6
 
     def test_start_at_bracket_edge_runs_the_full_scan(self):
         # theta0 = 4 lies outside [-3, 3]: II1_W stops at the edge with an

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+from scipy.optimize import brentq
 
 from wienerid import numerics
 from wienerid.numerics import (
     CostEvaluationError,
     OptimizerSettings,
     RankDeficiencyError,
+    chebyshev_points,
     gauss_hermite,
     gauss_legendre,
     least_squares,
@@ -164,14 +165,12 @@ class TestDenseEigensolverOracle:
 
 class TestMinimizeScalar:
     def test_quadratic_bowl(self):
-        settings = OptimizerSettings(bracket=(-2.0, 2.0), abs_tol=1e-8)
-        res = minimize_scalar(lambda x: (x - 0.5) ** 2, settings)
+        res = minimize_scalar(lambda x: (x - 0.5) ** 2, OptimizerSettings(bracket=(-2.0, 2.0)))
         assert abs(res.argmin - 0.5) < 1e-7
         assert not res.degenerate
 
     def test_quartic_well(self):
-        settings = OptimizerSettings(bracket=(0.0, 2.0), abs_tol=1e-9)
-        res = minimize_scalar(lambda x: x**4 - x**2, settings)
+        res = minimize_scalar(lambda x: x**4 - x**2, OptimizerSettings(bracket=(0.0, 2.0)))
         assert abs(res.argmin - 1.0 / math.sqrt(2.0)) < 1e-8
 
     def test_constant_cost_flagged_degenerate(self):
@@ -179,6 +178,7 @@ class TestMinimizeScalar:
         assert res.degenerate
         assert -1.0 <= res.argmin <= 5.0
         assert res.min_value == 3.0
+        assert res.iterations == numerics.FALLBACK_GRID_POINTS
 
     def test_non_finite_cost_reports_point(self):
         def cost(x):
@@ -193,26 +193,31 @@ class TestMinimizeScalar:
             return np.where(x < -1.5, np.inf, np.where(x > 1.0, np.nan, x**2))
 
         with pytest.raises(CostEvaluationError) as excinfo:
-            minimize_scalar(cost, OptimizerSettings(bracket=(-2.0, 2.0), grid_points=41))
+            minimize_scalar(cost, OptimizerSettings(bracket=(-2.0, 2.0)))
         assert excinfo.value.point == -2.0
         assert excinfo.value.value == np.inf
 
-    def test_cost_called_once_on_the_grid_then_with_floats(self):
+    def test_cost_called_on_the_grid_then_on_one_cell(self):
         calls = []
 
         def cost(x):
             calls.append(x)
             return (x - 0.3) ** 2
 
-        res = minimize_scalar(cost, OptimizerSettings(bracket=(-1.0, 1.0), grid_points=21))
-        np.testing.assert_array_equal(calls[0], np.linspace(-1.0, 1.0, 21))
-        assert all(np.ndim(x) == 0 for x in calls[1:])
-        assert res.iterations == 21 + len(calls) - 1
+        res = minimize_scalar(cost, OptimizerSettings(bracket=(-1.0, 1.0)))
+        grid = np.linspace(-1.0, 1.0, numerics.FALLBACK_GRID_POINTS)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0], grid)
+        # the cell around the grid minimum, 0.3 up to rounding
+        i = int(np.argmin(np.abs(grid - 0.3)))
+        cell = chebyshev_points(numerics.SEARCH_DEGREE, grid[i - 1], grid[i + 1])[0]
+        np.testing.assert_array_equal(calls[1], cell)
+        assert res.iterations == numerics.FALLBACK_GRID_POINTS + numerics.SEARCH_DEGREE + 1
+        assert res.iterations == 72
 
     def test_boundary_minimum(self):
-        res = minimize_scalar(lambda x: x, OptimizerSettings(bracket=(-1.0, 1.0), abs_tol=1e-8))
-        assert abs(res.argmin - (-1.0)) < 1e-6
-        assert res.at_bracket_edge
+        res = minimize_scalar(lambda x: x, OptimizerSettings(bracket=(-1.0, 1.0)))
+        assert res.argmin == -1.0 and res.at_bracket_edge
         res = minimize_scalar(lambda x: -x, OptimizerSettings(bracket=(-1.0, 1.0)))
         assert res.argmin == 1.0 and res.at_bracket_edge
 
@@ -229,8 +234,7 @@ class TestMinimizeScalar:
     @settings(max_examples=30, deadline=None)
     def test_recovers_quadratic_minimum(self, target, scale):
         res = minimize_scalar(
-            lambda x: scale * (x - target) ** 2,
-            OptimizerSettings(bracket=(-2.0, 2.0), abs_tol=1e-9),
+            lambda x: scale * (x - target) ** 2, OptimizerSettings(bracket=(-2.0, 2.0))
         )
         assert abs(res.argmin - target) < 1e-6
 
@@ -238,47 +242,7 @@ class TestMinimizeScalar:
         with pytest.raises(ValueError):
             OptimizerSettings(bracket=(1.0, -1.0))
         with pytest.raises(ValueError):
-            OptimizerSettings(abs_tol=0.0)
-
-
-class TestBrent:
-    """numerics._brent against scipy's bounded minimize_scalar, bit for bit."""
-
-    @staticmethod
-    def scipy_brent(func, lo, hi, xatol, maxiter):
-        res = scipy_minimize_scalar(
-            func, bounds=(lo, hi), method="bounded",
-            options={"xatol": xatol, "maxiter": maxiter},
-        )
-        return float(res.x), float(res.fun), int(res.nfev)
-
-    @given(
-        coeffs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
-        amplitude=st.floats(-5.0, 5.0),
-        frequency=st.floats(0.1, 20.0),
-        lo=st.floats(-5.0, 5.0),
-        width=st.floats(1e-6, 10.0),
-        log_tol=st.floats(-12.0, -1.0),
-        maxiter=st.integers(1, 300),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_scipy_bounded(self, coeffs, amplitude, frequency, lo, width, log_tol, maxiter):
-        def cost(x):
-            return float(np.polyval(coeffs, x) + amplitude * math.sin(frequency * x))
-
-        args = (cost, lo, lo + width, 10.0**log_tol, maxiter)
-        assert numerics._brent(*args) == self.scipy_brent(*args)
-
-    def test_cut_short_by_maxiter(self):
-        # a wiggly cost and a tight tolerance need far more than 5 evaluations
-        def cost(x):
-            return x * x + math.sin(12.0 * x)
-
-        args = (cost, -2.0, 2.0, 1e-12, 5)
-        got = numerics._brent(*args)
-        assert got[2] == 5
-        assert got == self.scipy_brent(*args)
-        assert numerics._brent(cost, -2.0, 2.0, 1e-12, 500)[2] > 5
+            OptimizerSettings(bracket=(1.0, 1.0))
 
 
 class TestNumpyOnlyRuntime:
@@ -293,7 +257,7 @@ class TestNumpyOnlyRuntime:
 
 
 class TestSeededMinimizeScalar:
-    settings = OptimizerSettings(bracket=(-3.0, 3.0), abs_tol=1e-8)
+    settings = OptimizerSettings(bracket=(-3.0, 3.0))
 
     @staticmethod
     def well(x):
@@ -309,12 +273,13 @@ class TestSeededMinimizeScalar:
 
         res = minimize_scalar(cost, self.settings, start=(0.32, 0.05))
         assert not res.fallback and not res.at_bracket_edge
-        assert abs(res.argmin - full.argmin) <= 2 * self.settings.abs_tol
-        assert len(calls[0]) == numerics.LOCAL_GRID_POINTS
-        np.testing.assert_allclose(calls[0], np.linspace(0.02, 0.62, 9), atol=1e-15)
-        assert all(np.ndim(x) == 0 for x in calls[1:])
-        assert res.iterations == numerics.LOCAL_GRID_POINTS + len(calls) - 1
-        assert res.iterations < full.iterations
+        assert abs(res.argmin - full.argmin) <= 2e-6
+        # the window 0.32 +- 6 * 0.05
+        assert len(calls) == 1
+        window = chebyshev_points(numerics.SEARCH_DEGREE, 0.32 - 6.0 * 0.05, 0.32 + 6.0 * 0.05)[0]
+        np.testing.assert_array_equal(calls[0], window)
+        assert res.iterations == numerics.SEARCH_DEGREE + 1 == 11
+        assert full.iterations == 72
 
     def test_far_start_falls_back_to_the_full_scan(self):
         full = minimize_scalar(self.well, self.settings)
@@ -324,11 +289,11 @@ class TestSeededMinimizeScalar:
             points.extend(np.atleast_1d(x).tolist())
             return self.well(x)
 
-        # the local grid [1.7, 2.3] has its minimum on its edge inside the bracket
+        # the window [1.7, 2.3] has its minimum on its edge inside the bracket
         res = minimize_scalar(cost, self.settings, start=(2.0, 0.05))
         assert res.fallback
         assert res.argmin == full.argmin and res.min_value == full.min_value
-        assert res.iterations == len(points) > full.iterations
+        assert res.iterations == len(points) == 11 + full.iterations
 
     def test_degenerate_local_scan_falls_back(self):
         def cost(x):
@@ -338,10 +303,11 @@ class TestSeededMinimizeScalar:
         full = minimize_scalar(cost, self.settings)
         assert res.fallback and not full.fallback
         assert res.argmin == full.argmin
+        assert res.iterations == 11 + full.iterations
 
     @pytest.mark.parametrize("start", [
         (math.nan, 0.1), (0.3, math.nan), (math.inf, 0.1), (0.3, math.inf),
-        (0.3, 0.0), (0.3, -0.1), (3.5, 0.1), (-3.01, 0.1),
+        (0.3, 0.0), (0.3, -0.1), (3.5, 0.1), (-3.01, 0.1), (0.3, 1e-300),
     ])
     def test_unusable_start_is_ignored(self, start):
         full = minimize_scalar(self.well, self.settings)
@@ -353,12 +319,26 @@ class TestSeededMinimizeScalar:
         # minimum at the bracket's ends, each inside a clipped window
         low = minimize_scalar(lambda x: x, settings, start=(-0.9, 0.1))
         high = minimize_scalar(lambda x: -x, settings, start=(0.9, 0.1))
-        assert low.at_bracket_edge and not low.fallback and low.argmin == pytest.approx(-1.0)
+        assert low.at_bracket_edge and not low.fallback and low.argmin == -1.0
         assert high.at_bracket_edge and not high.fallback and high.argmin == 1.0
+        assert low.iterations == high.iterations == 11
         # an interior minimum in a clipped window is not at the edge
         res = minimize_scalar(lambda x: (x - 0.9) ** 2, settings, start=(0.95, 0.05))
         assert not res.at_bracket_edge and not res.fallback
         assert res.argmin == pytest.approx(0.9, abs=1e-6)
+
+    def test_smooth_non_polynomial_cost_against_its_stationary_point(self):
+        # an analytic cost that no polynomial matches: the window's
+        # interpolant and the fallback's cell both find the root of its
+        # derivative, found here by Brent's root finder
+        def cost(x):
+            return np.cosh(x - 0.4) + 0.3 * np.sin(2.0 * x)
+
+        ref = brentq(lambda x: np.sinh(x - 0.4) + 0.6 * np.cos(2.0 * x), -1.0, 0.3, xtol=1e-15)
+        for start in (None, (-0.1, 0.05), (2.0, 0.05)):
+            res = minimize_scalar(cost, self.settings, start=start)
+            assert res.fallback == (start == (2.0, 0.05))
+            assert abs(res.argmin - ref) <= 1e-10
 
 
 class TestLeastSquares:
@@ -420,7 +400,7 @@ class TestPolyArgmin:
         res = poly_argmin(cost, len(coeffs) - 1, OptimizerSettings(bracket=bracket))
         grid = cost(np.linspace(*bracket, 2001))
         assert bracket[0] <= res.argmin <= bracket[1]
-        assert res.min_value == cost(res.argmin) or res.degenerate
+        assert res.min_value == pytest.approx(cost(res.argmin), abs=1e-9 * (1.0 + np.abs(grid).max()))
         assert res.min_value <= grid.min() + 1e-9 * (1.0 + np.abs(grid).max())
         assert res.at_bracket_edge == (res.argmin in bracket)
 
@@ -438,18 +418,19 @@ class TestPolyArgmin:
         assert abs(res.argmin - 0.3) < 1e-4
         assert res.min_value < 1e-15
 
-    def test_two_calls_counted(self):
-        calls = []
+    def test_cost_called_once_at_the_nodes(self):
+        for degree in (0, 2, 6):
+            calls = []
 
-        def cost(x):
-            calls.append(np.array(x))
-            return (x - 0.3) ** 2
+            def cost(x):
+                calls.append(np.array(x))
+                return (x - 0.3) ** 2
 
-        res = poly_argmin(cost, 2, OptimizerSettings(bracket=(-1.0, 1.0)))
-        assert len(calls) == 2 and calls[0].shape == (3,)
-        assert np.all((-1.0 < calls[0]) & (calls[0] < 1.0))
-        assert {-1.0, 1.0} <= set(calls[1].tolist())
-        assert res.iterations == 3 + calls[1].size
+            res = poly_argmin(cost, degree, OptimizerSettings(bracket=(-1.0, 1.0)))
+            assert len(calls) == 1 and calls[0].shape == (degree + 1,)
+            np.testing.assert_array_equal(calls[0], chebyshev_points(degree, -1.0, 1.0)[0])
+            assert np.all((-1.0 < calls[0]) & (calls[0] < 1.0))
+            assert res.iterations == degree + 1
 
     def test_constant_cost_flagged_degenerate(self):
         res = poly_argmin(lambda x: 3.0, 4, OptimizerSettings(bracket=(-1.0, 5.0)))
@@ -469,7 +450,7 @@ class TestPolyArgmin:
         with pytest.raises(CostEvaluationError) as excinfo:
             poly_argmin(lambda x: np.where(x > 1.0, np.nan, x**2), 4, settings)
         assert excinfo.value.point > 1.0 and np.isnan(excinfo.value.value)
-        # finite at the interpolation nodes, infinite at a bracket end
-        with pytest.raises(CostEvaluationError) as excinfo:
-            poly_argmin(lambda x: np.where(x == 2.0, np.inf, x**2), 2, settings)
-        assert excinfo.value.point == 2.0 and excinfo.value.value == np.inf
+        # finite at the interpolation nodes, infinite at a bracket end: the
+        # cost is called at the nodes alone, so that value is never seen
+        res = poly_argmin(lambda x: np.where(x == 2.0, np.inf, x**2), 2, settings)
+        assert res.argmin == pytest.approx(0.0, abs=1e-15)

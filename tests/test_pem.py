@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import wienerid.pem as pem_mod
 from wienerid.bench import ExperimentConfig, make_record, run_method
-from wienerid.numerics import OptimizerSettings, gauss_hermite, minimize_scalar
+from wienerid.numerics import OptimizerSettings, gauss_hermite
 from wienerid.pem import (
     conditional_mean,
     conditional_variance,
@@ -16,7 +16,9 @@ from wienerid.pem import (
 from wienerid.signals import DistributionKind, gaussian_white, gen_white
 from wienerid.system import DataRecord, SystemSpec, cubic, paper_fir, polynomial, simulate
 
-from cost_checks import assert_grid_batch_is_pointwise, capture_costs, capture_searches
+from cost_checks import (
+    assert_grid_batch_is_pointwise, capture_costs, capture_searches, reference_argmin,
+)
 
 
 def paper_spec(sigma_v2=0.2, sigma_e2=0.1):
@@ -114,9 +116,8 @@ class TestPemEstimate:
 
     def test_noise_free_data_recovers_theta_exactly(self):
         spec, data = self.make_data(0.0, 0.0, 400, 11)
-        settings = OptimizerSettings(abs_tol=1e-9)
         for weighted in (False, True):
-            report = pem_estimate(data, spec, weighted=weighted, settings=settings)
+            report = pem_estimate(data, spec, weighted=weighted)
             assert report.theta_hat[0] == pytest.approx(0.5, abs=1e-7)
 
     def test_weighted_equals_unweighted_without_process_noise(self):
@@ -180,19 +181,19 @@ class TestExactSearch:
         )
 
     def test_matches_a_dense_scan(self, monkeypatch):
-        # each search against the 61-point scan and Brent on the same cost
+        # each search against a 2001-point scan and scipy's Brent on the
+        # same cost, from 7 cost evaluations
         config = self.config()
-        tol = 2 * OptimizerSettings().abs_tol
         costs = capture_costs(monkeypatch, pem_mod)
         searches = capture_searches(monkeypatch, pem_mod)
         for r in range(config.realizations):
             run_method(config, "PEM_W", make_record(config, r), r)
         assert len(costs) == len(searches) == 2 * config.realizations
         for (cost, settings), exact in zip(costs, searches):
-            scanned = minimize_scalar(cost, settings)
-            assert abs(exact.argmin - scanned.argmin) <= tol
-            assert exact.min_value <= scanned.min_value * (1 + 1e-12)
-            assert exact.iterations < scanned.iterations
+            reference = reference_argmin(cost, settings.bracket)
+            assert abs(exact.argmin - reference) <= 2e-6
+            assert cost(exact.argmin) <= cost(reference) * (1 + 1e-12)
+            assert exact.iterations == 7
 
     def test_true_theta_outside_the_bracket_stops_at_the_edge(self):
         # theta0 = 4 lies outside [-3, 3]: both costs decrease up to the edge
