@@ -1,8 +1,10 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from scipy.optimize import brentq
 from wienerid import numerics
 from wienerid.numerics import (
     CostEvaluationError,
+    NumericsError,
     OptimizerSettings,
     RankDeficiencyError,
     chebyshev_points,
@@ -125,8 +128,33 @@ class TestGaussLegendre:
         np.testing.assert_array_equal(log_weights, log_weights[::-1])
         assert abs(np.exp(log_weights).sum() - 2.0) < 1e-13
 
+    def test_every_order_converges(self):
+        for order in [*range(1, 401), 500, 1000, 1500, 2000]:
+            nodes, log_weights = gauss_legendre.__wrapped__(order)  # past the lru_cache
+            assert np.all(np.diff(nodes) > 0), order
+            np.testing.assert_array_equal(nodes, -nodes[::-1])
+            np.testing.assert_array_equal(log_weights, log_weights[::-1])
+            assert abs(np.exp(log_weights).sum() - 2.0) <= 1e-14, order
+
+    def test_nan_start_raises_after_the_pass_cap(self):
+        k = np.arange(1, 40, dtype=float)
+        off_diag = k / np.sqrt(4.0 * k * k - 1.0)
+        with pytest.raises(NumericsError, match="order 40"):
+            numerics._golub_welsch(off_diag, math.log(2.0), np.full(40, np.nan))
+
+    def test_cold_rule_memory_is_linear_in_order(self):
+        # a dense 2000 x 2000 Jacobi matrix alone would be 32 MB
+        tracemalloc.start()
+        try:
+            gauss_legendre.__wrapped__(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
     def test_order_out_of_range(self):
-        # past MAX_QUAD_ORDER the dense Jacobi matrix alone would be order^2 doubles
+        # past MAX_QUAD_ORDER the rules are not checked, and gauss_hermite's
+        # dense Jacobi matrix alone would be order^2 doubles
         with pytest.raises(ValueError, match="order must be >= 1"):
             gauss_legendre(0)
         for order in (numerics.MAX_QUAD_ORDER + 1, 50000):
@@ -134,9 +162,31 @@ class TestGaussLegendre:
                 gauss_legendre(order)
 
 
+def legendre_oracle(order: int, guess: float):
+    """The Legendre node nearest guess and its log weight, to 40 digits:
+    Newton on P_n from the three-term recurrence, w = 2 / ((1 - x^2) P_n'(x)^2)."""
+
+    def p_and_slope(x):
+        p_prev, p = mpmath.mpf(1), x
+        for k in range(1, order):
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        return p, order * (x * p - p_prev) / (x * x - 1)
+
+    with mpmath.workdps(40):
+        x = mpmath.mpf(guess)
+        for _ in range(50):
+            p, dp = p_and_slope(x)
+            step = p / dp
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** -36:
+                break
+        _, dp = p_and_slope(x)
+        return x, mpmath.log(2 / ((1 - x * x) * dp * dp))
+
+
 class TestDenseEigensolverOracle:
-    """The rules against the tridiagonal construction they replaced: scipy's
-    eigh_tridiagonal for the eigenvalues, then the same Newton step."""
+    """gauss_hermite against the tridiagonal construction it replaced:
+    scipy's eigh_tridiagonal for the eigenvalues, then the same Newton step."""
 
     @staticmethod
     def tridiagonal_rule(monkeypatch, build, order):
@@ -155,12 +205,17 @@ class TestDenseEigensolverOracle:
         np.testing.assert_allclose(new.nodes, old.nodes, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(new.log_weights, old.log_weights, rtol=1e-14, atol=1e-14)
 
-    @pytest.mark.parametrize("order", [1, 2, 5, 40, 200, 1000])
-    def test_gauss_legendre(self, monkeypatch, order):
-        old_nodes, old_log_weights = self.tridiagonal_rule(monkeypatch, gauss_legendre, order)
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("order", [1, 2, 5, 40, 200, 1000, 2000])
+    def test_gauss_legendre(self, order):
+        # the eigensolver rule's errors were 5.5e-17 in the nodes and 1.3e-13,
+        # 4.4e-13 and 2.6e-12 in the edge log weights at orders 200, 1000, 2000
         nodes, log_weights = gauss_legendre(order)
-        np.testing.assert_allclose(nodes, old_nodes, rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(log_weights, old_log_weights, rtol=1e-14, atol=1e-14)
+        for i in sorted({0, 1 % order, order // 2}):  # edge, near edge, centre
+            x, log_w = legendre_oracle(order, float(nodes[i]))
+            assert abs(float(nodes[i]) - x) <= 1.2e-16, (order, i)
+            assert abs(float(log_weights[i]) - log_w) <= 3e-15 * order + 1e-14, (order, i)
 
 
 class TestMinimizeScalar:
