@@ -53,7 +53,6 @@ from .pem import (
 from .ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likelihood
 from .indirect import (
     AnalyticMap,
-    BindingMapError,
     SimulatedMap,
     beta_map_gaussian,
     beta_map_uniform,

@@ -68,6 +68,8 @@ def estimate_weighting(data: DataRecord, est: BlaEstimate) -> BlaEstimate:
 
     The middle term I_hat may be ridge-regularized when its condition number
     exceeds RIDGE_CONDITION_LIMIT; the event is recorded on the estimate.
+    Residuals whose squares overflow leave I_hat non-finite, and raise
+    LinAlgError (a ValueError).
     """
     phi = data.regressors(est.lags)
     n = est.n_obs
@@ -77,6 +79,8 @@ def estimate_weighting(data: DataRecord, est: BlaEstimate) -> BlaEstimate:
     J_hat = 2.0 * (phi.T @ phi) / n
     I_hat = 0.5 * (I_hat + I_hat.T)
     J_hat = 0.5 * (J_hat + J_hat.T)
+    if not np.all(np.isfinite(I_hat)):
+        raise np.linalg.LinAlgError(f"I_hat is not finite (squared residuals overflow): {I_hat}")
 
     j_cond = _condition(J_hat)
     if j_cond > 1e14:

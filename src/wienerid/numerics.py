@@ -44,7 +44,7 @@ class NumericsError(Exception):
 
 
 class CostEvaluationError(NumericsError):
-    """A cost or map returned a non-finite value."""
+    """A cost returned a non-finite value."""
 
     def __init__(self, point, value):
         self.point = point
@@ -266,18 +266,12 @@ def _checked_values(cost, xs: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def chebyshev_points(degree: int, lo: float, hi: float):
     """The degree + 1 Chebyshev points of [lo, hi], increasing, and the matrices
-    taking values there to the Chebyshev coefficients of the interpolant and
-    of its derivative in theta, for chebyshev_value."""
+    taking values there to the Chebyshev coefficients, in (2 theta - lo - hi)
+    / (hi - lo), of the interpolant and of its derivative in theta."""
     t = -np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
     to_coeffs = np.linalg.inv(cheb.chebvander(t, degree))
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
     return _read_only(nodes, to_coeffs, cheb.chebder(to_coeffs, scl=2.0 / (hi - lo)))
-
-
-def chebyshev_value(coeffs: np.ndarray, theta, lo: float, hi: float):
-    """At theta, the series of coefficients made by chebyshev_points' matrices;
-    (n, m) coeffs and a float or a (G,) theta give (m,) or (G, m)."""
-    return cheb.chebval((2.0 * theta - lo - hi) / (hi - lo), coeffs).T
 
 
 def poly_argmin(
@@ -306,7 +300,7 @@ def poly_argmin(
     s = cheb.chebroots(to_slopes @ vals).real
     inner = np.clip(0.5 * (lo + hi) + 0.5 * (hi - lo) * s[abs(s) < 1.0], lo, hi)
     xs = np.concatenate([[lo, hi], inner])
-    cand = chebyshev_value(to_coeffs @ vals, xs, lo, hi)
+    cand = cheb.chebval((2.0 * xs - lo - hi) / (hi - lo), to_coeffs @ vals)
     i = min(range(len(xs)), key=lambda k: (cand[k], abs(xs[k])))
     return ScalarMinResult(
         float(xs[i]), float(cand[i]), degree + 1, at_bracket_edge=xs[i] in (lo, hi)

@@ -21,17 +21,26 @@ from .numerics import Estimate, OptimizerSettings, poly_argmin
 from .system import DataRecord, Nonlinearity, NonlinearityKind, SystemSpec, cubic, linear_output
 
 
-def _smoothed(coeffs, sigma_v2: float) -> np.ndarray:
-    """Ascending coefficients in a of E{p(a + v)}, v ~ N(0, sigma_v2), for p of
-    ascending coefficients `coeffs`; E{v^2i} = (2i - 1)!! sigma_v2^i, odd ones 0."""
-    moments = np.ones(len(coeffs))  # read at even j only
-    for j in range(2, len(coeffs), 2):
-        moments[j] = moments[j - 2] * (j - 1) * sigma_v2
-    out = np.zeros(len(coeffs))
+def smoothed_coeffs(coeffs, moments) -> np.ndarray:
+    """Ascending coefficients in a of E{p(a + w)} for p of ascending coefficients
+    `coeffs`, from the moments E{w^j}, j = 0..deg p, on the first axis of
+    `moments`: sum_j C(k, j) a^(k-j) E{w^j} for each power k.  Trailing axes
+    of `moments` (one set per sample) carry over to the result."""
+    out = np.zeros(np.shape(moments))
     for k, c_k in enumerate(coeffs):
-        for j in range(0, k + 1, 2):
+        for j in range(k + 1):
             out[k - j] += c_k * math.comb(k, j) * moments[j]
     return out
+
+
+def _gaussian_moments(count: int, sigma_v2: float) -> np.ndarray:
+    """E{v^j}, j < count, for v ~ N(0, sigma_v2): (j - 1)!! sigma_v2^(j/2) at
+    even j, 0 at odd j."""
+    moments = np.zeros(count)
+    moments[0] = 1.0
+    for j in range(2, count, 2):
+        moments[j] = moments[j - 2] * (j - 1) * sigma_v2
+    return moments
 
 
 def conditional_mean(nl: Nonlinearity, a, sigma_v2: float):
@@ -42,7 +51,8 @@ def conditional_mean(nl: Nonlinearity, a, sigma_v2: float):
         return a * a * a + 3.0 * a * sigma_v2
     if nl.kind is NonlinearityKind.IDENTITY:
         return a + 0.0
-    return npoly.polyval(a, _smoothed(nl.coeffs, sigma_v2))
+    moments = _gaussian_moments(len(nl.coeffs), sigma_v2)
+    return npoly.polyval(a, smoothed_coeffs(nl.coeffs, moments))
 
 
 def conditional_variance(nl: Nonlinearity, a, sigma_v2: float, sigma_e2: float):
@@ -54,7 +64,8 @@ def conditional_variance(nl: Nonlinearity, a, sigma_v2: float, sigma_e2: float):
         return 9.0 * sv2 * a2 * a2 + 36.0 * sv2**2 * a2 + 15.0 * sv2**3 + sigma_e2
     if nl.kind is NonlinearityKind.IDENTITY:
         return np.full_like(a, sigma_v2 + sigma_e2)
-    second = npoly.polyval(a, _smoothed(npoly.polymul(nl.coeffs, nl.coeffs), sigma_v2))
+    square = npoly.polymul(nl.coeffs, nl.coeffs)
+    second = npoly.polyval(a, smoothed_coeffs(square, _gaussian_moments(len(square), sigma_v2)))
     mean = conditional_mean(nl, a, sigma_v2)
     return np.maximum(second - mean**2, 0.0) + sigma_e2
 

@@ -141,6 +141,14 @@ class TestWeighting:
         with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
             estimate_weighting(data, est)
 
+    def test_overflowing_residuals_raise_naming_i_hat(self):
+        # residuals near 1e160 have squares past the largest double
+        u = gen_white(gaussian_white(1 / 3), 201, 3, path=(0,))
+        data = DataRecord(u=u, y=np.where(np.arange(200) % 2, 1e160, -1e160))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(np.linalg.LinAlgError, match="I_hat is not finite"):
+            estimate_weighting(data, fit_bla(data, lags=(0, 1)))
+
     @given(
         log_cond=st.floats(0.0, 12.0), angle=st.floats(0.0, np.pi),
         scale=st.floats(1e-6, 1e6),

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +12,6 @@ from wienerid.bench import ExperimentConfig, make_record, run_method
 from wienerid.bla import estimate_weighting, fit_bla
 from wienerid.indirect import (
     AnalyticMap,
-    BindingMapError,
     SimulatedMap,
     beta_map_gaussian,
     beta_map_uniform,
@@ -22,7 +24,7 @@ from wienerid.numerics import OptimizerSettings, RankDeficiencyError, least_squa
 from wienerid.pem import conditional_mean, pem_estimate
 from wienerid.signals import DistributionKind, StreamRole, gaussian_white, gen_white, uniform_white
 from wienerid.system import (
-    DataRecord, SystemSpec, cubic, lagged_matrix, paper_fir, polynomial, simulate,
+    DataRecord, SystemSpec, cubic, identity, lagged_matrix, paper_fir, polynomial, simulate,
 )
 
 from cost_checks import assert_grid_batch_is_pointwise, capture_costs, reference_argmin
@@ -148,8 +150,8 @@ class TestSimulatedMap:
         assert smap.inflation == pytest.approx(1 + 1 / 3)
 
     @pytest.mark.parametrize("lags", [(0, 1), (0, 1, 2)])
-    @pytest.mark.parametrize("nl", [cubic(), polynomial((0.1, 1.0, -0.3, 0.5))],
-                             ids=["cubic", "polynomial"])
+    @pytest.mark.parametrize("nl", [cubic(), polynomial((0.1, 1.0, -0.3, 0.5)), identity()],
+                             ids=["cubic", "polynomial", "identity"])
     @pytest.mark.parametrize("s_count", [1, 3, 10])
     def test_matches_stacked_least_squares(self, s_count, nl, lags):
         # the map's definition: one least-squares fit of all S replicate
@@ -218,11 +220,9 @@ class TestStep2:
 
     def test_flat_criterion_flagged(self):
         class FlatMap:
+            # a constant cubic; no __call__, so step2 reads the matrix alone
             inflation = 1.0
-            degree = 3
-
-            def __call__(self, theta):
-                return np.broadcast_to([1.0, 2.0], np.shape(theta) + (2,))
+            coeffs = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
 
         report = step2(np.array([0.0, 0.0]), np.eye(2), FlatMap(), n_obs=100)
         assert report.diagnostics.degenerate
@@ -250,73 +250,15 @@ class TestStep2:
         assert report.predicted_std**2 == pytest.approx(2.0 / float(G @ G) / 2000, rel=1e-8)
 
 
-class CubicMap:
-    """A function of theta declared as a binding function of degree 3."""
-
-    degree = 3
-
-    def __init__(self, func):
-        self.func = func
-
-    def __call__(self, theta):
-        return self.func(theta)
-
-
 class TestBindingMapContract:
-    # step2 calls a cubic map once, on a (5,) array of the 4 interpolation
-    # nodes and the check point, so a map must broadcast; one that does not
-    # gets a typed error naming the contract
-    samples = gen_white(gaussian_white(SU2), 500, 5, path=(0,))
-
-    @pytest.mark.parametrize("float_only", [
-        lambda theta: AnalyticMap(SU2, SV2, 3.0)(float(theta)),
-        lambda theta: np.array([np.mean(theta * TestBindingMapContract.samples**4), 1.0]),
-    ], ids=["scalar-conversion", "sample-broadcast"])
-    def test_float_only_map_rejected(self, float_only):
-        beta_hat = AnalyticMap(SU2, SV2, 3.0)(0.7)
-        with pytest.raises(BindingMapError, match="broadcast over theta") as excinfo:
-            step2(beta_hat, np.eye(2), CubicMap(float_only), n_obs=500)
-        assert excinfo.value.theta_shape == (5,)
-        assert isinstance(excinfo.value.__cause__, (TypeError, ValueError))
-
-    @pytest.mark.parametrize("degree", [None, -1, 3.0, "3"])
-    def test_map_without_an_integer_degree_rejected(self, degree):
-        amap = AnalyticMap(SU2, SV2, 3.0)
-        if degree is None:
-            beta_map = lambda theta: amap(theta)  # a bare callable declares no degree
-        else:
-            beta_map = CubicMap(amap)
-            beta_map.degree = degree
-        with pytest.raises(BindingMapError, match="non-negative int degree") as excinfo:
-            step2(amap(0.7), np.eye(2), beta_map, n_obs=500)
-        assert excinfo.value.theta_shape is None
-
-    def test_map_above_its_declared_degree_rejected(self):
-        # the cubic declared as a quadratic: the interpolant on 3 nodes alone
-        # would match beta(0.5) at theta_hat = 0.1115 with a finite std; the
-        # check point off the nodes shows that it misses the map
-        amap = AnalyticMap(SU2, SV2, 3.0)
-        beta_map = CubicMap(amap)
-        beta_map.degree = 2
-        with pytest.raises(BindingMapError, match="differs from its degree-2 interpolant"
-                           " by 6.32 at theta = 1.8") as excinfo:
-            step2(amap(0.5), np.eye(2), beta_map, n_obs=500)
-        assert excinfo.value.theta_shape is None
-
-    def test_map_below_its_declared_degree_accepted(self):
-        amap = AnalyticMap(SU2, SV2, 3.0)
-        beta_map = CubicMap(amap)
-        beta_map.degree = 5
-        report = step2(amap(0.5), np.eye(2), beta_map, n_obs=500)
-        assert report.theta_hat[0] == pytest.approx(0.5, abs=1e-9)
-
-    def test_map_reducing_over_theta_rejected(self):
-        # the node call would see one vector for all 5 points: a constant
-        # interpolant, a degenerate criterion and theta_hat = 0.0 although
-        # the truth is 0.7
-        amap = AnalyticMap(SU2, SV2, 3.0)
-        with pytest.raises(BindingMapError, match=r"returned shape \(2,\)"):
-            step2(amap(0.7), np.eye(2), CubicMap(lambda theta: amap(np.mean(theta))), n_obs=500)
+    # step2 reads a map's coeffs alone: one row per power of theta, one
+    # column per auxiliary coefficient
+    @pytest.mark.parametrize("coeffs", [
+        np.zeros(4), np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((4, 2, 1)), np.zeros((0, 2)),
+    ], ids=["1-D", "too-wide", "too-narrow", "3-D", "no-rows"])
+    def test_coeffs_of_the_wrong_shape_rejected(self, coeffs):
+        with pytest.raises(ValueError, match=r"step2 needs \(degree \+ 1, 2\)"):
+            step2(np.array([0.9, 1.8]), np.eye(2), SimpleNamespace(coeffs=coeffs), n_obs=500)
 
 
 class TestBatchedStep2Cost:
@@ -392,6 +334,18 @@ class TestMonotoneCubic:
         with pytest.raises(ValueError):
             solve_increasing_cubic(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("target", [1e120, -1e120, 1e300, -1e300])
+    def test_huge_targets(self, target):
+        # the cube of the target itself would overflow
+        c3, c1 = 3 * SU2, 3 * (SU2 + SV2)
+        x = solve_increasing_cubic(c3, c1, target)
+        assert abs((c3 * x * x + c1) * x - target) <= 1e-12 * abs(target)
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(ValueError, match="target must be finite"):
+            solve_increasing_cubic(3 * SU2, 3 * (SU2 + SV2), target)
+
 
 class TestZeroOrder:
     def test_recovers_on_noise_free_gaussian_data(self):
@@ -406,6 +360,14 @@ class TestZeroOrder:
         data = DataRecord(u=gen_white(dist, 101, 85, path=(0,)), y=np.zeros(100))
         report = zero_order_estimate(data, spec)
         assert report.theta_hat[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_huge_outputs_give_a_finite_estimate(self):
+        dist = gaussian_white(SU2)
+        spec, _ = make_data(dist, 100, 84)
+        y = np.where(np.arange(100) % 2, 1e120, -1e120)
+        data = DataRecord(u=gen_white(dist, 101, 85, path=(0,)), y=y)
+        report = zero_order_estimate(data, spec)
+        assert np.isfinite(report.theta_hat[0]) and np.isfinite(report.predicted_std)
 
 
 class TestFirstOrder:
@@ -550,17 +512,15 @@ def inflation_runs():
         phi = data.regressors((0, 1))
         gram = phi.T @ phi
 
+        # exact large-S limit of the simulated map on this input, a cubic in
+        # theta: the coefficients interpolating its values at 4 points
+        thetas = np.array([-3.0, -1.0, 1.0, 3.0])
+        a = thetas[:, None] * data.lagged(0) + data.lagged(1)
+        target = conditional_mean(spec.nonlinearity, a, spec.sigma_v2)
+
         class CondMap:
-            """Exact large-S limit of the simulated map on this input."""
-
             inflation = 1.0
-            degree = 3
-
-            def __call__(self, theta, _data=data, _phi=phi, _gram=gram, _spec=spec):
-                # a float gives (2,), a (G,) array of theta gives (G, 2)
-                a = np.asarray(theta)[..., None] * _data.lagged(0) + _data.lagged(1)
-                target = conditional_mean(_spec.nonlinearity, a, _spec.sigma_v2)
-                return np.linalg.solve(_gram, (target @ _phi).T).T
+            coeffs = npoly.polyfit(thetas, np.linalg.solve(gram, (target @ phi).T).T, 3)
 
         conditional[r] = step2(est.beta_hat, est.W, CondMap(), n_obs=INFLATION_N).theta_hat[0]
         for s in INFLATION_S:
