@@ -21,7 +21,6 @@ from .system import (
     FirStructure,
     Nonlinearity,
     NonFiniteDataError,
-    NonlinearityKind,
     SystemSpec,
     cubic,
     identity,

@@ -11,13 +11,15 @@ its power sigma_u2 and its fourth-moment ratio kappa = E{u^4} / sigma_u2^2
 Both maps are polynomials in theta, and each is its matrix `coeffs` of
 ascending power coefficients, one row per power and one column per
 auxiliary coefficient.  The simulated map builds that matrix once, from the
-replicate moments of the noise and the pseudo-inverse of the lagged
-regressors.  Step 2 reads the matrix alone: it minimizes the W-metric
-criterion, a polynomial of twice the map's degree, exactly
-(`numerics.poly_argmin`), and differentiates the matrix for G.  It reports
-the predicted standard deviation of the matched estimate, the square root of
-the asymptotic sandwich variance inflation * H^-1 G' W Sigma W G H^-1 with
-H = G' W G and Sigma the covariance of the auxiliary fit.
+replicate moments of the noise (`pem.theta_coeffs`, PEM's expansion) and
+the pseudo-inverse of the lagged regressors.  Step 2 reads the matrix
+alone: with R the matrix less beta_hat in its constant row, it minimizes
+the W-metric criterion p' R M R' p, p = (1, theta, ...), a polynomial of
+twice the map's degree, exactly (`numerics.gram_cost`, `poly_argmin`), and
+differentiates the matrix for G.  It reports the predicted standard
+deviation of the matched estimate, the square root of the asymptotic
+sandwich variance inflation * H^-1 G' W Sigma W G H^-1 with H = G' W G and
+Sigma the covariance of the auxiliary fit.
 
 The order-zero method needs no search: it inverts the first component of
 the closed-form map at the slope of y on u(t), and predicts its std by the
@@ -33,8 +35,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import bla as bla_mod
-from .numerics import Estimate, OptimizerSettings, RankDeficiencyError, least_squares, poly_argmin
-from .pem import smoothed_coeffs
+from .numerics import (
+    Estimate, OptimizerSettings, RankDeficiencyError, gram_cost, least_squares, poly_argmin,
+)
+from .pem import theta_coeffs
 from .signals import (
     Distribution, DistributionKind, Seed, StreamRole, gaussian_white, gen_white, uniform_white,
 )
@@ -95,12 +99,13 @@ class SimulatedMap:
     N x len(lags) lagged regressors.  That fit equals pinv(phi) applied to
     the replicate mean of the outputs, a polynomial in theta of the
     nonlinearity's degree: for f(z) = sum_j c_j z^j its coefficient at
-    theta^k is, per sample, x^k sum_j c_j C(j, k) mean_s(w_s^(j-k)).
-    Construction draws the replicates, checks the rank of phi (rank-deficient
-    regressors raise RankDeficiencyError) and projects those per-sample rows
-    once, into `coeffs`, a (degree + 1, len(lags)) matrix; the noise draws
-    are not kept.  A (G,) array of theta gives a (G, len(lags)) array, row g
-    bit for bit equal to the call with theta[g].
+    theta^k is, per sample, x^k sum_j c_j C(j, k) mean_s(w_s^(j-k))
+    (`pem.theta_coeffs` of the replicate means).  Construction draws the
+    replicates, checks the rank of phi (rank-deficient regressors raise
+    RankDeficiencyError) and projects those per-sample rows once, into
+    `coeffs`, a (degree + 1, len(lags)) matrix; the noise draws are not
+    kept.  A (G,) array of theta gives a (G, len(lags)) array, row g bit for
+    bit equal to the call with theta[g].
     """
 
     u: np.ndarray
@@ -132,15 +137,13 @@ class SimulatedMap:
             gen_white(v_dist, n_max, self.seed, path=(int(StreamRole.SIMULATION), s))[-n:]
             for s in range(self.s_count)
         ])
+        x = lagged_matrix(self.u, n, fir.free_lags)[:, 0]
+        # one (S, N) power at a time: a (degree + 1, S, N) stack is slower
         power, moments = np.ones_like(w), [np.ones(n)]
         for _ in range(nl.degree):
             power = power * w
             moments.append(power.mean(axis=0))
-        # ascending power coefficients of f (the cubic and the identity carry none)
-        f_coeffs = nl.coeffs or (0.0,) * nl.degree + (1.0,)
-        x = lagged_matrix(self.u, n, fir.free_lags)[:, 0]
-        rows = smoothed_coeffs(f_coeffs, np.array(moments))
-        rows[1:] *= np.cumprod(np.broadcast_to(x, (nl.degree, n)), axis=0)
+        rows = theta_coeffs(nl.coeffs, x, np.array(moments))
         self.coeffs = (rows @ left / sing) @ right_t
 
     @property
@@ -165,8 +168,9 @@ def step2(
     beta_map gives `coeffs`, the (degree + 1, len(beta_hat)) ascending power
     coefficients of the binding function in theta (any other shape raises
     ValueError), and may give `inflation` (default 1); it is not called.
-    The criterion, a polynomial of degree 2 * degree, is minimized exactly,
-    and G is the derivative of the coefficients at the estimate.
+    The criterion, the Gram form of R M R' (R the coeffs less beta_hat in the
+    constant row, M the metric) of degree 2 * degree in theta, is minimized
+    exactly, and G is the derivative of the coefficients at the estimate.
     The criterion weighs residuals by W / trace(W) rounded to 40 binary
     places, so the argmin is invariant to positive rescaling of W (unless an
     entry lies within a few ulps of a rounding boundary).  predicted_std is
@@ -192,14 +196,9 @@ def step2(
     if eigvals[0] <= 1e-12 * max(eigvals[-1], 0.0):
         raise ValueError(f"W must be positive definite (eigenvalues {eigvals})")
     metric = np.round(W / np.trace(W) * 2.0**40) / 2.0**40
-
-    def cost(theta):
-        # theta is a float or a (G,) array; vecdot takes each row through the
-        # dot kernel of r @ metric @ r, so batch and pointwise values agree bit for bit
-        r = npoly.polyval(theta, coeffs).T - beta_hat
-        return np.vecdot(r @ metric, r)
-
-    result = poly_argmin(cost, 2 * (len(coeffs) - 1), settings)
+    # the residual beta(theta) - beta_hat is R' p(theta), p = (1, theta, ...)
+    R = np.vstack([coeffs[0] - beta_hat, coeffs[1:]])
+    result = poly_argmin(gram_cost(R @ metric @ R.T), 2 * (len(coeffs) - 1), settings)
     theta_hat = result.argmin
     G = npoly.polyval(theta_hat, npoly.polyder(coeffs))[:, None]
 

@@ -9,7 +9,9 @@ resolve, so every term gets its own integration window: the interval of s
 outside which the integrand is below exp(-k^2 / 2) times its peak, found from
 the standardized distances of the measurement-noise factor and of the
 process-noise factor (see `_windows`).  A Gauss-Legendre rule with
-`MlSettings.quad_order` nodes covers that window.
+`MlSettings.quad_order` nodes covers that window.  This is the one module
+that tells one f from another, by coefficients: the cube and the identity
+bound the window by their inverses, and the cube has its own kernel.
 
 The terms are integrated in blocks of ROW_BLOCK rows with two reused work
 arrays, in about eleven array passes per block (see `_log_terms`), and every
@@ -42,7 +44,7 @@ from .numerics import (
     gauss_legendre,
     minimize_scalar,
 )
-from .system import DataRecord, NonlinearityKind, SystemSpec, linear_output
+from .system import DataRecord, SystemSpec, cubic, identity, linear_output
 
 DEFAULT_QUAD_ORDER = 1000
 
@@ -55,8 +57,10 @@ ROW_BLOCK = 16
 # the most negative double: the shift of a row whose terms are all -inf
 _LOWEST = np.finfo(float).min
 
-# increasing nonlinearities whose inverse bounds the measurement-noise window
-_INVERSES = {NonlinearityKind.CUBIC: np.cbrt, NonlinearityKind.IDENTITY: np.positive}
+# the cube has a kernel of its own; it and the identity, increasing, bound
+# the measurement-noise window by their inverses
+_CUBE = cubic().coeffs
+_INVERSES = {_CUBE: np.cbrt, identity().coeffs: np.positive}
 
 
 class QuadratureUnderflowError(Exception):
@@ -130,7 +134,7 @@ def _windows(y, a, nonlinearity, sigma_v: float, sigma_e: float):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gap = np.abs(y - nonlinearity.value(a)) / sigma_e
-    inverse = _INVERSES.get(nonlinearity.kind)
+    inverse = _INVERSES.get(nonlinearity.coeffs)
     if inverse is None:
         reach = np.hypot(WINDOW_K, gap)
         z_lo, z_hi = _level_set_hull(
@@ -168,7 +172,7 @@ def _log_terms(y, a, spec: SystemSpec, settings: MlSettings) -> np.ndarray:
     # (y - f(z))^2 / (2 sigma_e^2) = (y / m - f(z) / m)^2, and for the cubic
     # f(z) / m = (z m^(-1/3))^3
     m = math.sqrt(2.0 * spec.sigma_e2)
-    cube = nl.kind is NonlinearityKind.CUBIC
+    cube = nl.coeffs == _CUBE
     z_scale = m ** (-1.0 / 3.0) if cube else 1.0
     y_m = y / m
     # z against [1; x], and -(c + h x)^2 / 2 + c^2 / 2 against [x; x^2]

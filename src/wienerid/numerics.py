@@ -307,6 +307,28 @@ def poly_argmin(
     )
 
 
+def horner(coeffs, x) -> np.ndarray:
+    """sum_k coeffs[k] x^k, elementwise in x, by Horner's rule; a zero
+    coefficient costs no addition, so x^3 is exactly x * x * x."""
+    out = np.full_like(x, coeffs[-1], dtype=float)
+    for c in coeffs[-2::-1]:
+        out *= x
+        if c:
+            out += c
+    return out
+
+
+def gram_cost(Q):
+    """The cost p(theta)' Q p(theta), p = (1, theta, ..., theta^d), of a
+    (d + 1, d + 1) matrix Q, for poly_argmin at degree 2d: the polynomial
+    whose theta^k coefficient is the sum of Q's k-th anti-diagonal.  It is
+    evaluated elementwise, so a batch of theta gives bit for bit the values
+    of its points."""
+    k = np.arange(len(Q))
+    coeffs = np.bincount((k[:, None] + k).ravel(), weights=np.ravel(Q))
+    return lambda theta: horner(coeffs, theta)
+
+
 def _window(start, lo: float, hi: float) -> OptimizerSettings | None:
     """The seeded search's bracket center +- LOCAL_HALF_WIDTH * scale, clipped
     to [lo, hi]; None when the start is not usable or the window is empty."""

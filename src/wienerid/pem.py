@@ -1,13 +1,15 @@
 """Prediction-error minimization with the conditional-mean predictor.
 
-Both predictor moments are exact: closed forms for the cubic and the
-identity, and for any other polynomial nonlinearity the gaussian moments of
-the process noise, E{(a + v)^k} = sum_j C(k, j) a^(k-j) E{v^j}.  The
-weighted variant freezes its per-sample weights at the unweighted estimate.
-
-The predictor is a polynomial of degree deg f in theta, so either cost is a
-polynomial of degree 2 deg f and each search is exact (`numerics.poly_argmin`):
-2 deg f + 1 cost evaluations, in one call, interpolate it, 7 for the cubic.
+Both predictor moments are exact for every polynomial f: the mean is
+h(a) = E{f(a + v)}, h = `gaussian_smoothed(f)`, and the variance is
+sigma_e2 + sum_n sigma_v2^n h^(n)(a)^2 / n!, the Hermite expansion in v,
+which cancels no second moment against a squared mean.  The predictor
+h(theta x + w), x the free tap's input and w the fixed taps' output, has
+per-sample coefficients in theta from `theta_coeffs`, as the simulated
+binding function has.  With E those of the prediction errors, either cost
+is the Gram form p' (E diag(1/lambda) E' / N) p, p = (1, theta, ...), with
+weights lambda = 1, or frozen at the unweighted estimate, and
+`numerics.poly_argmin` minimizes it exactly from 2 deg f + 1 evaluations.
 """
 
 from __future__ import annotations
@@ -15,59 +17,52 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .numerics import Estimate, OptimizerSettings, poly_argmin
-from .system import DataRecord, Nonlinearity, NonlinearityKind, SystemSpec, cubic, linear_output
-
-
-def smoothed_coeffs(coeffs, moments) -> np.ndarray:
-    """Ascending coefficients in a of E{p(a + w)} for p of ascending coefficients
-    `coeffs`, from the moments E{w^j}, j = 0..deg p, on the first axis of
-    `moments`: sum_j C(k, j) a^(k-j) E{w^j} for each power k.  Trailing axes
-    of `moments` (one set per sample) carry over to the result."""
-    out = np.zeros(np.shape(moments))
-    for k, c_k in enumerate(coeffs):
-        for j in range(k + 1):
-            out[k - j] += c_k * math.comb(k, j) * moments[j]
-    return out
+from .numerics import Estimate, OptimizerSettings, gram_cost, horner, poly_argmin
+from .system import DataRecord, Nonlinearity, SystemSpec, cubic, linear_output
 
 
-def _gaussian_moments(count: int, sigma_v2: float) -> np.ndarray:
-    """E{v^j}, j < count, for v ~ N(0, sigma_v2): (j - 1)!! sigma_v2^(j/2) at
-    even j, 0 at odd j."""
-    moments = np.zeros(count)
+def gaussian_smoothed(coeffs, sigma_v2: float) -> np.ndarray:
+    """Ascending coefficients of h(a) = E{p(a + v)}, v ~ N(0, sigma_v2), for p
+    of ascending coefficients `coeffs`; E{v^j} is (j - 1)!! sigma_v2^(j/2) at
+    even j and 0 at odd j."""
+    moments = np.zeros(len(coeffs))
     moments[0] = 1.0
-    for j in range(2, count, 2):
+    for j in range(2, len(coeffs), 2):
         moments[j] = moments[j - 2] * (j - 1) * sigma_v2
-    return moments
+    return theta_coeffs(coeffs, 1.0, moments)
+
+
+def theta_coeffs(f_coeffs, x, moments) -> np.ndarray:
+    """Ascending coefficients in theta of E{p(theta x + w)} for p of ascending
+    coefficients `f_coeffs`, from the moments E{w^j}, j = 0..deg p, on the
+    first axis of `moments`: x^k sum_j c_j C(j, k) E{w^(j-k)} at theta^k.
+    Trailing axes of `moments` (one set per sample, a (deg p + 1, N) array
+    with x of shape (N,)) carry over to the result."""
+    out = np.zeros(np.shape(moments))
+    for j, c_j in enumerate(f_coeffs):
+        for k in range(j + 1 if c_j else 0):  # a zero c_j adds nothing
+            out[k] += c_j * math.comb(j, k) * moments[j - k]
+    for k in range(1, len(out)):
+        out[k:] *= x
+    return out
 
 
 def conditional_mean(nl: Nonlinearity, a, sigma_v2: float):
     """E{f(a + v)} for v ~ N(0, sigma_v2), elementwise in a."""
-    a = np.asarray(a, dtype=float)
-    if nl.kind is NonlinearityKind.CUBIC:
-        # E{(a+v)^3} = a^3 + 3 a sigma_v2 (odd gaussian moments vanish)
-        return a * a * a + 3.0 * a * sigma_v2
-    if nl.kind is NonlinearityKind.IDENTITY:
-        return a + 0.0
-    moments = _gaussian_moments(len(nl.coeffs), sigma_v2)
-    return npoly.polyval(a, smoothed_coeffs(nl.coeffs, moments))
+    return horner(gaussian_smoothed(nl.coeffs, sigma_v2), a)
 
 
 def conditional_variance(nl: Nonlinearity, a, sigma_v2: float, sigma_e2: float):
-    """E{(y - E{y})^2} given the input history; always >= sigma_e2."""
-    a = np.asarray(a, dtype=float)
-    if nl.kind is NonlinearityKind.CUBIC:
-        sv2 = sigma_v2
-        a2 = a * a
-        return 9.0 * sv2 * a2 * a2 + 36.0 * sv2**2 * a2 + 15.0 * sv2**3 + sigma_e2
-    if nl.kind is NonlinearityKind.IDENTITY:
-        return np.full_like(a, sigma_v2 + sigma_e2)
-    square = npoly.polymul(nl.coeffs, nl.coeffs)
-    second = npoly.polyval(a, smoothed_coeffs(square, _gaussian_moments(len(square), sigma_v2)))
-    mean = conditional_mean(nl, a, sigma_v2)
-    return np.maximum(second - mean**2, 0.0) + sigma_e2
+    """E{(y - E{y})^2} given the input history, always >= sigma_e2: sigma_e2
+    plus the polynomial sum_n sigma_v2^n h^(n)(a)^2 / n! over n = 1..deg f,
+    h(a) = E{f(a + v)}, the Hermite expansion of Var{f(a + v)}."""
+    h = gaussian_smoothed(nl.coeffs, sigma_v2)
+    var = np.zeros(max(2 * len(h) - 3, 1))
+    for n in range(1, len(h)):
+        h = h[1:] * np.arange(1, len(h))  # the n-th derivative
+        var[: 2 * len(h) - 1] += sigma_v2**n / math.factorial(n) * np.convolve(h, h)
+    return np.maximum(horner(var, a), 0.0) + sigma_e2
 
 
 def predict(theta: float, u_t, u_tm1, sigma_v2: float):
@@ -92,30 +87,28 @@ def pem_estimate(
     prediction-error variance evaluated at the unweighted estimate; the
     weights stay frozen during the second search.
     """
-    if spec_template.fir.n_free != 1:
-        raise ValueError("scalar search supports exactly one free coefficient")
-    nl = spec_template.nonlinearity
-    sv2, se2 = spec_template.sigma_v2, spec_template.sigma_e2
-    y = data.y
-    u = data.u
     fir = spec_template.fir
+    if fir.n_free != 1:
+        raise ValueError("scalar search supports exactly one free coefficient")
+    nl, sv2 = spec_template.nonlinearity, spec_template.sigma_v2
+    n = data.n_obs
+    # the trailing slice aligns records whose lead exceeds the FIR depth
+    w = linear_output(fir, 0.0, data.u)[-n:]
+    powers = [np.ones(n)]
+    for _ in range(nl.degree):
+        powers.append(powers[-1] * w)
+    # per-sample coefficients in theta of the prediction error y - h(theta x + w)
+    h = gaussian_smoothed(nl.coeffs, sv2)
+    errors = -theta_coeffs(h, data.lagged(fir.free_lags[0]), np.array(powers))
+    errors[0] += data.y
     degree = 2 * nl.degree
 
-    def pred_errors(theta):
-        # a float theta gives (N,) errors, a (G,) array gives (G, N); the
-        # trailing slice aligns records whose lead exceeds the FIR depth
-        a = linear_output(fir, np.asarray(theta)[..., None], u)[..., -len(y):]
-        return y - conditional_mean(nl, a, sv2)
-
-    def unweighted_cost(theta):
-        return np.mean(pred_errors(theta) ** 2, axis=-1)
-
-    initial = poly_argmin(unweighted_cost, degree, settings)
+    initial = poly_argmin(gram_cost(errors @ errors.T / n), degree, settings)
     if not weighted:
         return Estimate(np.array([initial.argmin]), diagnostics=initial)
 
-    a = linear_output(fir, [initial.argmin], u)[-len(y):]
-    weights = conditional_variance(nl, a, sv2, se2)
+    a = linear_output(fir, [initial.argmin], data.u)[-n:]
+    weights = conditional_variance(nl, a, sv2, spec_template.sigma_e2)
     w_max = float(np.max(weights))
     if w_max <= 0.0:
         # noise-free data: constant (zero) weights reduce to the unweighted cost
@@ -123,8 +116,5 @@ def pem_estimate(
     else:
         weights = np.maximum(weights, 1e-12 * w_max)
 
-    def weighted_cost(theta):
-        return np.mean(pred_errors(theta) ** 2 / weights, axis=-1)
-
-    final = poly_argmin(weighted_cost, degree, settings)
+    final = poly_argmin(gram_cost(errors / weights @ errors.T / n), degree, settings)
     return Estimate(np.array([final.argmin]), diagnostics=final)

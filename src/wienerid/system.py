@@ -1,6 +1,7 @@
 """Simulation of the stochastic Wiener system y(t) = f(G(q) u(t) + v(t)) + e(t).
 
-The linear block is FIR with a mix of free (estimated) and fixed coefficients.
+The linear block is FIR with a mix of free (estimated) and fixed coefficients;
+the static nonlinearity is a polynomial, nothing but its coefficients.
 A data record carries the input back to u(1 - L) for maximum lag L, so the
 output sequence y(1..N) never needs zero-padding or start-up trimming.
 """
@@ -8,64 +9,47 @@ output sequence y(1..N) never needs zero-padding or start-up trimming.
 from __future__ import annotations
 
 import csv
-import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
+from .numerics import horner
 from .signals import Distribution
-
-
-class NonlinearityKind(enum.Enum):
-    CUBIC = "cubic"
-    IDENTITY = "identity"
-    POLYNOMIAL = "polynomial"
 
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Known static nonlinearity y = f(z).
+    """Known static nonlinearity y = f(z) = sum_k coeffs[k] z^k, described by
+    its ascending coefficients alone: at least one, all finite (else
+    ValueError), stored as floats."""
 
-    Polynomial coefficients are in ascending powers; the cubic and identity
-    kinds are special-cased so their conditional moments keep their short
-    closed forms downstream.
-    """
-
-    kind: NonlinearityKind
-    coeffs: tuple[float, ...] = ()
+    coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind is NonlinearityKind.POLYNOMIAL and len(self.coeffs) == 0:
-            raise ValueError("polynomial nonlinearity needs at least one coefficient")
-        if self.kind is not NonlinearityKind.POLYNOMIAL and self.coeffs:
-            raise ValueError(f"{self.kind.value} nonlinearity takes no coefficients")
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not coeffs or not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"nonlinearity needs finite coefficients, got {coeffs}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
-        """Degree of f: 3 cubic, 1 identity, len(coeffs) - 1 polynomial."""
-        closed = {NonlinearityKind.CUBIC: 3, NonlinearityKind.IDENTITY: 1}
-        return closed.get(self.kind, len(self.coeffs) - 1)
+        return len(self.coeffs) - 1
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind is NonlinearityKind.CUBIC:
-            return x * x * x
-        if self.kind is NonlinearityKind.IDENTITY:
-            return x + 0.0
-        return npoly.polyval(x, self.coeffs)
+        return horner(self.coeffs, x)
 
 
 def cubic() -> Nonlinearity:
-    return Nonlinearity(NonlinearityKind.CUBIC)
+    return Nonlinearity((0.0, 0.0, 0.0, 1.0))
 
 
 def identity() -> Nonlinearity:
-    return Nonlinearity(NonlinearityKind.IDENTITY)
+    return Nonlinearity((0.0, 1.0))
 
 
 def polynomial(coeffs) -> Nonlinearity:
-    return Nonlinearity(NonlinearityKind.POLYNOMIAL, tuple(float(c) for c in coeffs))
+    return Nonlinearity(coeffs)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import wienerid.pem as pem_mod
 from wienerid.bench import ExperimentConfig, make_record, run_method
-from wienerid.numerics import OptimizerSettings, gauss_hermite
+from wienerid.numerics import CostEvaluationError, OptimizerSettings, gauss_hermite
 from wienerid.pem import (
     conditional_mean,
     conditional_variance,
@@ -19,6 +19,10 @@ from wienerid.system import DataRecord, SystemSpec, cubic, paper_fir, polynomial
 from cost_checks import (
     assert_grid_batch_is_pointwise, capture_costs, capture_searches, reference_argmin,
 )
+
+
+# process-noise variances of the closed-form checks, the paper's 0.2 among them
+SIGMA_V2S = [0.0, 1e-6, 0.2, 2.0]
 
 
 def paper_spec(sigma_v2=0.2, sigma_e2=0.1):
@@ -39,18 +43,12 @@ class TestPredict:
     def test_odd_moments_vanish_at_zero(self):
         assert predict(0.5, 0.0, 0.0, 0.7) == 0.0
 
-    @given(
-        theta=st.floats(-2, 2), u_t=st.floats(-3, 3), u_tm1=st.floats(-3, 3),
-        sv2=st.floats(0, 2),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_quadrature_fallback(self, theta, u_t, u_tm1, sv2):
-        # same moments through the exact route of a general polynomial
-        poly_cubic = polynomial([0.0, 0.0, 0.0, 1.0])
-        a = np.array([theta * u_t + u_tm1])
-        closed = predict(theta, u_t, u_tm1, sv2)
-        quad = conditional_mean(poly_cubic, a, sv2)[0]
-        assert closed == pytest.approx(quad, rel=1e-9, abs=1e-9)
+    @pytest.mark.parametrize("sv2", SIGMA_V2S)
+    def test_cubic_matches_closed_form(self, sv2):
+        # the general moments of the cubic against E{(a+v)^3} = a^3 + 3 sigma_v2 a
+        a = np.linspace(-10.0, 10.0, 2001)
+        closed = a**3 + 3.0 * sv2 * a
+        np.testing.assert_allclose(conditional_mean(cubic(), a, sv2), closed, rtol=1e-12, atol=0.0)
 
 
 class TestPredictionVariance:
@@ -73,17 +71,17 @@ class TestPredictionVariance:
     def test_exceeds_measurement_noise(self, theta, u_t, u_tm1, sv2, se2):
         assert prediction_variance(theta, u_t, u_tm1, sv2, se2) > se2
 
-    @given(
-        theta=st.floats(-2, 2), u_t=st.floats(-3, 3), u_tm1=st.floats(-3, 3),
-        sv2=st.floats(0, 2), se2=st.floats(0, 1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_quadrature_fallback(self, theta, u_t, u_tm1, sv2, se2):
-        poly_cubic = polynomial([0.0, 0.0, 0.0, 1.0])
-        a = np.array([theta * u_t + u_tm1])
-        closed = prediction_variance(theta, u_t, u_tm1, sv2, se2)
-        quad = conditional_variance(poly_cubic, a, sv2, se2)[0]
-        assert closed == pytest.approx(quad, rel=1e-8, abs=1e-8)
+    @pytest.mark.parametrize("se2", [0.0, 0.1])
+    @pytest.mark.parametrize("sv2", SIGMA_V2S)
+    def test_cubic_matches_closed_form(self, sv2, se2):
+        # the Hermite sum against Var{(a+v)^3} + sigma_e2
+        # = 9 sigma_v2 a^4 + 36 sigma_v2^2 a^2 + 15 sigma_v2^3 + sigma_e2;
+        # at sigma_v2 = 1e-6 a second moment less the squared mean would
+        # cancel about 7 digits at |a| = 10
+        a = np.linspace(-10.0, 10.0, 2001)
+        closed = 9.0 * sv2 * a**4 + 36.0 * sv2**2 * a**2 + 15.0 * sv2**3 + se2
+        got = conditional_variance(cubic(), a, sv2, se2)
+        np.testing.assert_allclose(got, closed, rtol=1e-12, atol=0.0)
 
 
 class TestMonteCarloOracle:
@@ -140,17 +138,26 @@ class TestPemEstimate:
         assert shifted.theta_hat[0] == base.theta_hat[0]
 
     @pytest.mark.parametrize("lead_pad", [0, 2])
-    @pytest.mark.parametrize("quadrature", [False, True])
-    def test_grid_batch_matches_pointwise_costs(self, monkeypatch, lead_pad, quadrature):
+    @pytest.mark.parametrize("linear_term", [False, True])
+    def test_grid_batch_matches_pointwise_costs(self, monkeypatch, lead_pad, linear_term):
         spec, data = self.make_data(0.2, 0.1, 300, 15)
         data = DataRecord(u=np.concatenate([np.full(lead_pad, 0.33), data.u]), y=data.y)
-        if quadrature:  # the cubic as a plain polynomial takes the general moments
-            spec.nonlinearity = polynomial([0.0, 0.0, 0.0, 1.0])
+        if linear_term:  # f(z) = z + z^3 / 2 in place of the cube
+            spec.nonlinearity = polynomial([0.0, 1.0, 0.0, 0.5])
         costs = capture_costs(monkeypatch, pem_mod)
         pem_estimate(data, spec, weighted=True)
         assert len(costs) == 2  # unweighted search, then the weighted one
         for cost, settings in costs:
             assert_grid_batch_is_pointwise(cost, settings)
+
+    def test_overflowing_output_raises_cost_evaluation_error(self):
+        # one y = 1e200 overflows the squared error: a typed error, not a
+        # silent non-finite estimate
+        spec, data = self.make_data(0.2, 0.1, 300, 16)
+        y = data.y.copy()
+        y[100] = 1e200
+        with pytest.raises(CostEvaluationError):
+            pem_estimate(DataRecord(u=data.u, y=y), spec, weighted=True)
 
 
 class TestExactMoments:

@@ -139,6 +139,16 @@ class TestNonlinearity:
         with pytest.raises(ValueError):
             polynomial([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # rejected at construction, not later as a non-finite cost
+        with pytest.raises(ValueError, match="finite"):
+            polynomial([0.0, bad])
+
+    def test_named_nonlinearities_are_their_coefficients(self):
+        assert cubic() == polynomial([0, 0, 0, 1]) and cubic().degree == 3
+        assert identity() == polynomial([0, 1]) and identity().degree == 1
+
 
 class TestDataRecordCsv:
     def test_round_trip_small(self, tmp_path):
