@@ -13,13 +13,12 @@ ascending power coefficients, one row per power and one column per
 auxiliary coefficient.  The simulated map builds that matrix once, from the
 replicate moments of the noise (`pem.theta_coeffs`, PEM's expansion) and
 the pseudo-inverse of the lagged regressors.  Step 2 reads the matrix
-alone: with R the matrix less beta_hat in its constant row, it minimizes
-the W-metric criterion p' R M R' p, p = (1, theta, ...), a polynomial of
-twice the map's degree, exactly (`numerics.gram_cost`, `poly_argmin`), and
-differentiates the matrix for G.  It reports the predicted standard
-deviation of the matched estimate, the square root of the asymptotic
-sandwich variance inflation * H^-1 G' W Sigma W G H^-1 with H = G' W G and
-Sigma the covariance of the auxiliary fit.
+alone: with R the matrix less beta_hat in its constant row, the W-metric
+criterion p' R M R' p, p = (1, theta, ...), is a polynomial of twice the
+map's degree, minimized exactly from its coefficients (`gram_coeffs`,
+`poly_argmin`); G comes from the matrix's derivative.  The predicted std
+is the square root of the asymptotic sandwich variance inflation * H^-1 G'
+W Sigma W G H^-1, H = G' W G, Sigma the covariance of the auxiliary fit.
 
 The order-zero method needs no search: it inverts the first component of
 the closed-form map at the slope of y on u(t), and predicts its std by the
@@ -36,7 +35,7 @@ from numpy.polynomial import polynomial as npoly
 
 from . import bla as bla_mod
 from .numerics import (
-    Estimate, OptimizerSettings, RankDeficiencyError, gram_cost, least_squares, poly_argmin,
+    Estimate, OptimizerSettings, RankDeficiencyError, gram_coeffs, least_squares, poly_argmin,
 )
 from .pem import theta_coeffs
 from .signals import (
@@ -168,6 +167,7 @@ def step2(
     beta_map gives `coeffs`, the (degree + 1, len(beta_hat)) ascending power
     coefficients of the binding function in theta (any other shape raises
     ValueError), and may give `inflation` (default 1); it is not called.
+    A non-finite beta_hat, W, coeffs or beta_cov raises ValueError naming it.
     The criterion, the Gram form of R M R' (R the coeffs less beta_hat in the
     constant row, M the metric) of degree 2 * degree in theta, is minimized
     exactly, and G is the derivative of the coefficients at the estimate.
@@ -183,6 +183,10 @@ def step2(
     W = np.asarray(W, dtype=float)
     width = len(beta_hat)
     coeffs = np.asarray(beta_map.coeffs, dtype=float)
+    named = {"beta_hat": beta_hat, "W": W, "beta_map.coeffs": coeffs, "beta_cov": beta_cov}
+    for name, value in named.items():
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
     if coeffs.shape[1:] != (width,) or len(coeffs) == 0:
         raise ValueError(
             f"binding function coeffs of shape {coeffs.shape}; step2 needs"
@@ -198,7 +202,7 @@ def step2(
     metric = np.round(W / np.trace(W) * 2.0**40) / 2.0**40
     # the residual beta(theta) - beta_hat is R' p(theta), p = (1, theta, ...)
     R = np.vstack([coeffs[0] - beta_hat, coeffs[1:]])
-    result = poly_argmin(gram_cost(R @ metric @ R.T), 2 * (len(coeffs) - 1), settings)
+    result = poly_argmin(gram_coeffs(R @ metric @ R.T), settings)
     theta_hat = result.argmin
     G = npoly.polyval(theta_hat, npoly.polyder(coeffs))[:, None]
 

@@ -20,8 +20,8 @@ cannot underflow a whole term.  Additive constants of the likelihood that do
 not depend on theta are dropped.
 
 The likelihood is not a polynomial in theta but it is analytic, so its
-search (`numerics.minimize_scalar`) minimizes a degree-10 Chebyshev
-interpolant of it, as the other criteria are minimized.  It can start at a
+search (`numerics.minimize_scalar`) minimizes its degree-10 interpolant at
+Chebyshev points, by `poly_argmin` as the other criteria.  It can start at a
 consistent first estimate (`bench.run_method` passes its own II1_W on the
 same record, the II1_W of the table): the interpolant then covers
 theta_start +- 6 predicted stds, 11 likelihood evaluations in all.  When
@@ -252,12 +252,10 @@ def ml_estimate(
     if spec_template.fir.n_free != 1:
         raise ValueError("scalar search supports exactly one free coefficient")
 
-    def cost(theta):
+    def cost(thetas):
         # one likelihood per point: a (G, N, nodes) batch would only
         # multiply the memory, the work per point is the same
-        if np.ndim(theta):
-            return np.array([cost(t) for t in theta])
-        return neg_log_likelihood(theta, data, spec_template, settings)
+        return [neg_log_likelihood(t, data, spec_template, settings) for t in thetas]
 
     usable = start is not None and start.predicted_std is not None
     seed = (start.theta_hat[0], start.predicted_std) if usable else None

@@ -2,13 +2,13 @@
 minimization, linear least squares, and the Estimate record every estimator
 returns.
 
-Every scalar search is one Chebyshev interpolant of the cost, minimized
-exactly (`poly_argmin`): for a polynomial cost on the whole bracket, for a
-smooth one (`minimize_scalar`) on a window around a start or on the cell of
-a coarse grid scan.  The module needs numpy alone: the quadrature nodes come
-from Newton passes on the orthonormal recurrence, started from asymptotic
-nodes for Legendre (O(n^2) time, O(n) memory) and from the eigenvalues of a
-dense Jacobi matrix for Hermite; the rules are cached per order."""
+A polynomial criterion is its power coefficients in theta, minimized exactly
+at the bracket ends and the roots of its derivative (`poly_argmin`); a smooth
+one (`minimize_scalar`) goes there as its interpolant on a window around a
+start or on the cell of a grid scan.  The module needs numpy alone: the
+quadrature nodes come from Newton passes on the orthonormal recurrence, from
+asymptotic nodes for Legendre (O(n^2) time, O(n) memory) and the eigenvalues
+of a dense Jacobi matrix for Hermite; the rules are cached per order."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -28,6 +27,13 @@ MAX_QUAD_ORDER = 2000
 SEARCH_DEGREE = 10
 LOCAL_HALF_WIDTH = 6.0
 FALLBACK_GRID_POINTS = 61
+
+# the SEARCH_DEGREE + 1 Chebyshev points of [-1, 1], increasing, and the inverse
+# of their power Vandermonde matrix (condition 3.6e3): values to coefficients
+_CHEB_T = -np.cos(np.pi * (np.arange(SEARCH_DEGREE + 1) + 0.5) / (SEARCH_DEGREE + 1))
+_TO_POWERS = np.linalg.inv(np.vander(_CHEB_T, increasing=True))
+
+_EPS = np.finfo(float).eps
 
 # running sums of squared orthonormal polynomials are rescaled past this
 _RESCALE_AT = 1e200
@@ -207,27 +213,27 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """The bracket of a scalar search."""
+    """The bracket of a scalar search: finite ends, lo < hi."""
 
     bracket: tuple[float, float] = (-3.0, 3.0)
 
     def __post_init__(self):
         lo, hi = self.bracket
-        if not lo < hi:
-            raise ValueError(f"bracket must satisfy lo < hi, got {self.bracket}")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"bracket must be finite with lo < hi, got {self.bracket}")
 
 
 @dataclass(frozen=True)
 class ScalarMinResult:
     """Outcome of one bracketed search.
 
-    iterations counts every point the cost was evaluated at; min_value is
-    the interpolant's value at argmin (a cost value when degenerate);
-    at_bracket_edge is true when the minimum found is an end of the bracket,
-    so the true minimum may lie outside it; degenerate is true when the cost
-    took one value (to rounding, for poly_argmin) at every point of the
-    first scan; fallback is true when a seeded minimize_scalar search fell
-    back to the full bracket scan.
+    iterations counts the points where a polynomial was valued (poly_argmin)
+    or the cost called (minimize_scalar); min_value is the polynomial's or
+    interpolant's value at argmin; at_bracket_edge is true when argmin is an
+    end of the bracket, so the true minimum may lie outside it; degenerate
+    is true when the criterion took one value at every point of the first
+    scan; fallback is true when a seeded minimize_scalar search fell back to
+    the full bracket scan.
     """
 
     argmin: float
@@ -253,58 +259,52 @@ class Estimate:
     diagnostics: ScalarMinResult | None = None
 
 
-def _checked_values(cost, xs: np.ndarray) -> np.ndarray:
-    """cost(xs) as a float array shaped like xs; the first non-finite value
-    in the order of xs raises CostEvaluationError with its point."""
-    vals = np.broadcast_to(np.asarray(cost(xs), dtype=float), xs.shape)
+def _checked_values(xs: np.ndarray, vals) -> np.ndarray:
+    """vals, a criterion's values at xs, as a float array shaped like xs; the
+    first non-finite one in the order of xs raises CostEvaluationError with
+    its point."""
+    vals = np.broadcast_to(np.asarray(vals, dtype=float), xs.shape)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise CostEvaluationError(float(xs[bad[0]]), float(vals[bad[0]]))
     return vals
 
 
-@functools.lru_cache(maxsize=16)
-def chebyshev_points(degree: int, lo: float, hi: float):
-    """The degree + 1 Chebyshev points of [lo, hi], increasing, and the matrices
-    taking values there to the Chebyshev coefficients, in (2 theta - lo - hi)
-    / (hi - lo), of the interpolant and of its derivative in theta."""
-    t = -np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
-    to_coeffs = np.linalg.inv(cheb.chebvander(t, degree))
-    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
-    return _read_only(nodes, to_coeffs, cheb.chebder(to_coeffs, scl=2.0 / (hi - lo)))
+def _flat(vals: np.ndarray, bracket, n: int) -> ScalarMinResult | None:
+    """The degenerate result of n values that agree to 16 ulps, else None."""
+    if vals.max() - vals.min() > 16 * _EPS * np.abs(vals).max():
+        return None
+    x = min(max(0.0, bracket[0]), bracket[1])  # the bracket point nearest 0
+    return ScalarMinResult(x, float(vals.min()), n, degenerate=True, at_bracket_edge=x in bracket)
 
 
-def poly_argmin(
-    cost, degree: int, settings: OptimizerSettings = OptimizerSettings()
-) -> ScalarMinResult:
-    """Minimize on settings.bracket a cost that is a polynomial of at most
-    `degree` in theta and broadcasts over theta: a float gives a float and a
-    1-D array an array of its shape (a cost that ignores theta may return a
-    scalar).
-
-    The cost is called once, at the degree + 1 Chebyshev points of the
-    bracket, which gives its interpolant; of the bracket ends and the real
-    parts of the interpolant's critical points inside, the one where the
-    interpolant is smallest wins (exact ties: the smallest magnitude).  A
-    cost equal at every node to 16 ulps is degenerate, its argmin the bracket
-    point nearest 0.  Non-finite values raise CostEvaluationError with the
-    offending point."""
+def poly_argmin(coeffs, settings: OptimizerSettings = OptimizerSettings()) -> ScalarMinResult:
+    """Minimize on settings.bracket the polynomial of ascending power
+    coefficients `coeffs` in theta.  Its candidates are the bracket ends and
+    the real parts of its derivative's roots inside (a multiple root may come
+    out as a complex cluster); the smallest value wins (exact ties: the
+    smallest magnitude), and iterations counts the candidates.  The extremes
+    on the bracket lie among them, so values that agree to 16 ulps make it
+    degenerate.  A non-finite value raises CostEvaluationError with its
+    point: a non-finite coefficient gives one at every theta, so at lo."""
     lo, hi = settings.bracket
-    nodes, to_coeffs, to_slopes = chebyshev_points(degree, lo, hi)
-    vals = _checked_values(cost, nodes)
-    if np.ptp(vals) <= 16 * np.finfo(float).eps * np.abs(vals).max():
-        x = min(max(0.0, lo), hi)
-        return ScalarMinResult(
-            x, float(vals[0]), degree + 1, degenerate=True, at_bracket_edge=x in (lo, hi)
-        )
-    s = cheb.chebroots(to_slopes @ vals).real
-    inner = np.clip(0.5 * (lo + hi) + 0.5 * (hi - lo) * s[abs(s) < 1.0], lo, hi)
-    xs = np.concatenate([[lo, hi], inner])
-    cand = cheb.chebval((2.0 * xs - lo - hi) / (hi - lo), to_coeffs @ vals)
-    i = min(range(len(xs)), key=lambda k: (cand[k], abs(xs[k])))
-    return ScalarMinResult(
-        float(xs[i]), float(cand[i]), degree + 1, at_bracket_edge=xs[i] in (lo, hi)
-    )
+    c, xs = np.asarray(coeffs, dtype=float), np.array([lo, hi])
+    d = c[1:] * np.arange(1, len(c))
+    # derivative terms below eps of the largest on the bracket move no root
+    # there but would swamp the companion matrix (a non-finite one keeps no
+    # root); rotated as in chebroots, it finds small roots beside large ones
+    size = np.abs(d) * max(-lo, hi) ** np.arange(len(d))
+    m = max(np.flatnonzero(size > _EPS * size.max(initial=0.0)), default=0)  # kept degree
+    if m > 0:
+        companion = np.eye(m, k=1)
+        companion[:, 0] -= d[m - 1 :: -1] / d[m]
+        roots = np.linalg.eigvals(companion).real
+        xs = np.concatenate([xs, roots[(lo < roots) & (roots < hi)]])
+    vals = _checked_values(xs, horner(c, xs))
+    if (flat := _flat(vals, settings.bracket, len(xs))) is not None:
+        return flat
+    i = np.lexsort((np.abs(xs), vals))[0]
+    return ScalarMinResult(float(xs[i]), float(vals[i]), len(xs), at_bracket_edge=xs[i] in (lo, hi))
 
 
 def horner(coeffs, x) -> np.ndarray:
@@ -318,84 +318,82 @@ def horner(coeffs, x) -> np.ndarray:
     return out
 
 
-def gram_cost(Q):
-    """The cost p(theta)' Q p(theta), p = (1, theta, ..., theta^d), of a
-    (d + 1, d + 1) matrix Q, for poly_argmin at degree 2d: the polynomial
-    whose theta^k coefficient is the sum of Q's k-th anti-diagonal.  It is
-    evaluated elementwise, so a batch of theta gives bit for bit the values
-    of its points."""
+def gram_coeffs(Q) -> np.ndarray:
+    """Ascending coefficients of p' Q p in theta, p = (1, theta, ..., theta^d),
+    for a (d + 1, d + 1) Q: at theta^k, the sum of Q's k-th anti-diagonal."""
     k = np.arange(len(Q))
-    coeffs = np.bincount((k[:, None] + k).ravel(), weights=np.ravel(Q))
-    return lambda theta: horner(coeffs, theta)
+    return np.bincount((k[:, None] + k).ravel(), weights=np.ravel(Q))
 
 
 def _window(start, lo: float, hi: float) -> OptimizerSettings | None:
     """The seeded search's bracket center +- LOCAL_HALF_WIDTH * scale, clipped
     to [lo, hi]; None when the start is not usable or the window is empty."""
     center, scale = (float(v) for v in start)
-    if not (math.isfinite(center) and math.isfinite(scale)) or scale <= 0:
-        return None
-    if not lo <= center <= hi:
+    if not (0.0 < scale < math.inf and lo <= center <= hi):  # the bracket is finite
         return None
     reach = LOCAL_HALF_WIDTH * scale
     w_lo, w_hi = max(lo, center - reach), min(hi, center + reach)
     return OptimizerSettings((w_lo, w_hi)) if w_lo < w_hi else None
 
 
+def _interpolant_argmin(cost, window: OptimizerSettings, bracket) -> ScalarMinResult:
+    """Minimize a smooth cost on the window by one cost call at its
+    SEARCH_DEGREE + 1 Chebyshev points: values that agree to 16 ulps are
+    degenerate; otherwise poly_argmin takes the interpolant in t = (2 theta
+    - lo - hi) / (hi - lo) on [-1, 1], t = -1, 1 mapping exactly to the
+    window's ends.  at_bracket_edge refers to `bracket`."""
+    lo, hi = window.bracket
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_T
+    vals = _checked_values(nodes, cost(nodes))
+    if (flat := _flat(vals, window.bracket, len(nodes))) is not None:
+        return replace(flat, at_bracket_edge=flat.argmin in bracket)
+    res = poly_argmin(_TO_POWERS @ vals, OptimizerSettings((-1.0, 1.0)))
+    x = float(np.interp(res.argmin, (-1.0, 1.0), (lo, hi)))
+    return ScalarMinResult(x, res.min_value, len(nodes), at_bracket_edge=x in bracket)
+
+
 def minimize_scalar(
     cost, settings: OptimizerSettings = OptimizerSettings(), start=None
 ) -> ScalarMinResult:
-    """Minimize a smooth scalar cost on a bracket by poly_argmin at
-    SEARCH_DEGREE on a subinterval: the cost is taken to be analytic in
-    theta, so its Chebyshev interpolant there converges geometrically.
+    """Minimize a smooth scalar cost on a bracket through its interpolant at
+    SEARCH_DEGREE on a subinterval (`_interpolant_argmin`): the cost is taken
+    to be analytic in theta, so that interpolant converges geometrically.
+    The cost broadcasts over theta (a 1-D array gives an array of its shape).
 
-    The cost broadcasts over theta as for poly_argmin.  start = (center,
-    scale), a consistent first estimate and its standard deviation, makes
-    the subinterval center +- LOCAL_HALF_WIDTH * scale, clipped to the
-    bracket: SEARCH_DEGREE + 1 evaluations in one call.  The fallback runs
-    after it (fallback=True, iterations counting both) when that minimum lies
-    on a window edge that is not a bracket end, or when the cost is flat on
-    the window.  A start that is not usable (a non-finite value, scale <= 0,
-    a center outside the bracket, or an empty window) is ignored, and the
-    result is that of the call without it.
-
+    start = (center, scale), a consistent first estimate and its standard
+    deviation, makes the subinterval center +- LOCAL_HALF_WIDTH * scale,
+    clipped to the bracket: SEARCH_DEGREE + 1 evaluations in one call.  The
+    fallback runs after it (fallback=True, iterations counting both) when
+    that minimum lies on a window edge that is not a bracket end, or when the
+    cost is flat on the window; an unusable start (a non-finite value,
+    scale <= 0, a center outside the bracket, or an empty window) is ignored.
     The fallback scans FALLBACK_GRID_POINTS points of the bracket in one
-    call; a cost equal at all of them is degenerate, its argmin the grid
-    point nearest 0.  Otherwise poly_argmin runs on the grid cell around the
-    grid minimum (exact ties preferring the point of smallest magnitude).
-    Non-finite cost values raise CostEvaluationError with the offending
-    point, the first one in bracket order on the grid.  at_bracket_edge is
-    true when the minimum found is an end of settings.bracket.
+    call: a cost equal at all of them is degenerate, its argmin the grid
+    point nearest 0; otherwise the interpolant covers the grid cell around
+    the grid minimum (exact ties: the smallest magnitude).  Non-finite cost
+    values raise CostEvaluationError with the offending point, the first one
+    in bracket order on the grid.  at_bracket_edge: an end of the bracket.
     """
     lo, hi = settings.bracket
     window = None if start is None else _window(start, lo, hi)
-    spent = 0
+    spent = 0  # the window's evaluations: > 0 when the fallback follows one
     if window is not None:
-        result = poly_argmin(cost, SEARCH_DEGREE, window)
-        inner_edge = result.argmin in window.bracket and result.argmin not in settings.bracket
+        result = _interpolant_argmin(cost, window, settings.bracket)
+        inner_edge = result.argmin in window.bracket and not result.at_bracket_edge
         if not (result.degenerate or inner_edge):
-            return replace(result, at_bracket_edge=result.argmin in settings.bracket)
+            return result
         spent = result.iterations
-    fallback = window is not None
     xs = np.linspace(lo, hi, FALLBACK_GRID_POINTS)
-    vals = _checked_values(cost, xs)
-    vmin = vals.min()
-    if vals.max() == vmin:
-        mid = xs[int(np.argmin(np.abs(xs)))]
+    vals = _checked_values(xs, cost(xs))
+    i = int(np.lexsort((np.abs(xs), vals))[0])
+    if vals.max() == vals[i]:
         return ScalarMinResult(
-            float(mid), float(vmin), spent + len(xs), degenerate=True, fallback=fallback
+            float(xs[i]), float(vals[i]), spent + len(xs), degenerate=True, fallback=bool(spent)
         )
-    ties = np.flatnonzero(vals == vmin)
-    i = int(ties[np.argmin(np.abs(xs[ties]))])
     cell = OptimizerSettings((float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])))
-    result = poly_argmin(cost, SEARCH_DEGREE, cell)
-    return replace(
-        result,
-        iterations=spent + len(xs) + result.iterations,
-        degenerate=False,
-        at_bracket_edge=result.argmin in settings.bracket,
-        fallback=fallback,
-    )
+    result = _interpolant_argmin(cost, cell, settings.bracket)
+    iterations = spent + len(xs) + result.iterations
+    return replace(result, iterations=iterations, degenerate=False, fallback=bool(spent))
 
 
 def least_squares(regressors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,7 +412,7 @@ def least_squares(regressors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     if len(y) != n:
         raise ValueError(f"targets length {len(y)} does not match {n} rows")
     coef, _, rank, sing = np.linalg.lstsq(X, y, rcond=None)
-    cutoff = np.finfo(float).eps * max(n, m) * sing[0]
+    cutoff = _EPS * max(n, m) * sing[0]
     if rank < m or sing[-1] <= cutoff:
         raise RankDeficiencyError(float(sing[-1]))
     return coef, y - X @ coef

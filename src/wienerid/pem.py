@@ -9,7 +9,7 @@ per-sample coefficients in theta from `theta_coeffs`, as the simulated
 binding function has.  With E those of the prediction errors, either cost
 is the Gram form p' (E diag(1/lambda) E' / N) p, p = (1, theta, ...), with
 weights lambda = 1, or frozen at the unweighted estimate, and
-`numerics.poly_argmin` minimizes it exactly from 2 deg f + 1 evaluations.
+`numerics.poly_argmin` minimizes it exactly from its coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .numerics import Estimate, OptimizerSettings, gram_cost, horner, poly_argmin
+from .numerics import Estimate, OptimizerSettings, gram_coeffs, horner, poly_argmin
 from .system import DataRecord, Nonlinearity, SystemSpec, cubic, linear_output
 
 
@@ -101,9 +101,8 @@ def pem_estimate(
     h = gaussian_smoothed(nl.coeffs, sv2)
     errors = -theta_coeffs(h, data.lagged(fir.free_lags[0]), np.array(powers))
     errors[0] += data.y
-    degree = 2 * nl.degree
 
-    initial = poly_argmin(gram_cost(errors @ errors.T / n), degree, settings)
+    initial = poly_argmin(gram_coeffs(errors @ errors.T / n), settings)
     if not weighted:
         return Estimate(np.array([initial.argmin]), diagnostics=initial)
 
@@ -116,5 +115,5 @@ def pem_estimate(
     else:
         weights = np.maximum(weights, 1e-12 * w_max)
 
-    final = poly_argmin(gram_cost(errors / weights @ errors.T / n), degree, settings)
+    final = poly_argmin(gram_coeffs(errors / weights @ errors.T / n), settings)
     return Estimate(np.array([final.argmin]), diagnostics=final)

@@ -1,32 +1,30 @@
-"""Checks on the costs the estimators hand to their scalar searches."""
+"""Checks on the criteria the estimators hand to their exact searches."""
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from wienerid.numerics import OptimizerSettings
 
-# points of the grid on which a batched cost is compared with its pointwise calls
-GRID_POINTS = 61
-
 
 def _intercept(monkeypatch, module, record) -> None:
-    """Call record(cost, settings, result) on every search `module` runs
+    """Call record(coeffs, settings, result) on every search `module` runs
     through poly_argmin; the search itself still runs."""
     search = module.poly_argmin
 
-    def recording(cost, degree, settings=OptimizerSettings()):
-        result = search(cost, degree, settings)
-        record(cost, settings, result)
+    def recording(coeffs, settings=OptimizerSettings()):
+        result = search(coeffs, settings)
+        record(np.array(coeffs), settings, result)
         return result
 
     monkeypatch.setattr(module, "poly_argmin", recording)
 
 
 def capture_costs(monkeypatch, module) -> list:
-    """Record every (cost, settings) pair that `module` passes to
-    poly_argmin, while the search itself still runs."""
+    """Record every (coeffs, settings) pair that `module` passes to
+    poly_argmin, coeffs the criterion's ascending power coefficients in
+    theta, while the search itself still runs."""
     captured = []
-    _intercept(monkeypatch, module, lambda cost, settings, _: captured.append((cost, settings)))
+    _intercept(monkeypatch, module, lambda coeffs, settings, _: captured.append((coeffs, settings)))
     return captured
 
 
@@ -35,17 +33,6 @@ def capture_searches(monkeypatch, module) -> list:
     results = []
     _intercept(monkeypatch, module, lambda _, __, result: results.append(result))
     return results
-
-
-def assert_grid_batch_is_pointwise(cost, settings: OptimizerSettings) -> None:
-    """cost(xs)[i] equals cost(float(xs[i])) bit for bit on a grid of the
-    bracket, and a float argument gives a scalar."""
-    xs = np.linspace(*settings.bracket, GRID_POINTS)
-    batch = cost(xs)
-    assert np.shape(batch) == xs.shape
-    points = [cost(float(x)) for x in xs]
-    assert all(np.ndim(p) == 0 for p in points)
-    np.testing.assert_array_equal(batch, points)
 
 
 def reference_argmin(cost, bracket, points: int = 2001) -> float:

@@ -7,6 +7,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
@@ -18,13 +19,19 @@ from wienerid.numerics import (
     NumericsError,
     OptimizerSettings,
     RankDeficiencyError,
-    chebyshev_points,
     gauss_hermite,
     gauss_legendre,
     least_squares,
     minimize_scalar,
     poly_argmin,
 )
+
+
+def search_nodes(lo: float, hi: float) -> np.ndarray:
+    """The 11 points at which minimize_scalar calls its cost on [lo, hi]:
+    the Chebyshev points of degree 10, increasing."""
+    t = -np.cos(np.pi * (np.arange(11) + 0.5) / 11)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
 
 
 def double_factorial(k: int) -> float:
@@ -265,7 +272,7 @@ class TestMinimizeScalar:
         np.testing.assert_array_equal(calls[0], grid)
         # the cell around the grid minimum, 0.3 up to rounding
         i = int(np.argmin(np.abs(grid - 0.3)))
-        cell = chebyshev_points(numerics.SEARCH_DEGREE, grid[i - 1], grid[i + 1])[0]
+        cell = search_nodes(grid[i - 1], grid[i + 1])
         np.testing.assert_array_equal(calls[1], cell)
         assert res.iterations == numerics.FALLBACK_GRID_POINTS + numerics.SEARCH_DEGREE + 1
         assert res.iterations == 72
@@ -299,6 +306,14 @@ class TestMinimizeScalar:
         with pytest.raises(ValueError):
             OptimizerSettings(bracket=(1.0, 1.0))
 
+    @pytest.mark.parametrize("bracket", [
+        (-math.inf, 3.0), (-3.0, math.inf), (-math.inf, math.inf),
+        (math.nan, 3.0), (-3.0, math.nan),
+    ])
+    def test_non_finite_bracket_ends_rejected(self, bracket):
+        with pytest.raises(ValueError, match="bracket must be finite"):
+            OptimizerSettings(bracket=bracket)
+
 
 class TestNumpyOnlyRuntime:
     def test_import_loads_no_scipy(self):
@@ -331,7 +346,7 @@ class TestSeededMinimizeScalar:
         assert abs(res.argmin - full.argmin) <= 2e-6
         # the window 0.32 +- 6 * 0.05
         assert len(calls) == 1
-        window = chebyshev_points(numerics.SEARCH_DEGREE, 0.32 - 6.0 * 0.05, 0.32 + 6.0 * 0.05)[0]
+        window = search_nodes(0.32 - 6.0 * 0.05, 0.32 + 6.0 * 0.05)
         np.testing.assert_array_equal(calls[0], window)
         assert res.iterations == numerics.SEARCH_DEGREE + 1 == 11
         assert full.iterations == 72
@@ -452,7 +467,7 @@ class TestPolyArgmin:
         # largest magnitude on the bracket above the minimum of a 2001-point grid
         cost = np.polynomial.Polynomial(coeffs)
         bracket = (lo, lo + width)
-        res = poly_argmin(cost, len(coeffs) - 1, OptimizerSettings(bracket=bracket))
+        res = poly_argmin(coeffs, OptimizerSettings(bracket=bracket))
         grid = cost(np.linspace(*bracket, 2001))
         assert bracket[0] <= res.argmin <= bracket[1]
         assert res.min_value == pytest.approx(cost(res.argmin), abs=1e-9 * (1.0 + np.abs(grid).max()))
@@ -461,51 +476,73 @@ class TestPolyArgmin:
 
     def test_interior_and_edge_minima(self):
         settings = OptimizerSettings(bracket=(-1.0, 1.0))
-        res = poly_argmin(lambda x: (x - 0.3) ** 2 * (x + 2.0), 3, settings)
+        res = poly_argmin(npoly.polyfromroots([0.3, 0.3, -2.0]), settings)
         assert res.argmin == pytest.approx(0.3, abs=1e-12) and not res.at_bracket_edge
-        res = poly_argmin(lambda x: (x - 1.5) ** 2, 2, settings)
+        res = poly_argmin(npoly.polyfromroots([1.5, 1.5]), settings)
         assert res.argmin == 1.0 and res.at_bracket_edge
 
     def test_flat_minimum_of_a_quartic(self):
         # the derivative's triple root may come out as a complex cluster;
         # its real parts are still candidates
-        res = poly_argmin(lambda x: (x - 0.3) ** 4, 4, OptimizerSettings(bracket=(-1.0, 1.0)))
+        res = poly_argmin(npoly.polyfromroots([0.3] * 4), OptimizerSettings(bracket=(-1.0, 1.0)))
         assert abs(res.argmin - 0.3) < 1e-4
         assert res.min_value < 1e-15
 
-    def test_cost_called_once_at_the_nodes(self):
-        for degree in (0, 2, 6):
-            calls = []
-
-            def cost(x):
-                calls.append(np.array(x))
-                return (x - 0.3) ** 2
-
-            res = poly_argmin(cost, degree, OptimizerSettings(bracket=(-1.0, 1.0)))
-            assert len(calls) == 1 and calls[0].shape == (degree + 1,)
-            np.testing.assert_array_equal(calls[0], chebyshev_points(degree, -1.0, 1.0)[0])
-            assert np.all((-1.0 < calls[0]) & (calls[0] < 1.0))
-            assert res.iterations == degree + 1
+    def test_iterations_count_the_candidates(self):
+        for coeffs, bracket, candidates in [
+            ([0.0, 0.0, 1.0], (-1.0, 1.0), 3),  # x^2: the ends and 0
+            ([0.0, -1.0, 0.0, 1.0], (-2.0, 2.0), 4),  # x^3 - x: the ends and +-1/sqrt(3)
+            ([0.0, -1.0, 0.0, 1.0], (0.0, 2.0), 3),  # one critical point outside
+            ([2.25, -3.0, 1.0], (-1.0, 1.0), 2),  # (x - 1.5)^2: none inside
+        ]:
+            res = poly_argmin(coeffs, OptimizerSettings(bracket=bracket))
+            assert res.iterations == candidates, coeffs
 
     def test_constant_cost_flagged_degenerate(self):
-        res = poly_argmin(lambda x: 3.0, 4, OptimizerSettings(bracket=(-1.0, 5.0)))
-        assert res.degenerate and not res.at_bracket_edge
-        assert res.argmin == 0.0 and res.min_value == 3.0
-        res = poly_argmin(lambda x: 0.0 * x, 2, OptimizerSettings(bracket=(1.0, 5.0)))
-        assert res.degenerate and res.argmin == 1.0 and res.at_bracket_edge
+        # zero non-constant coefficients, trailing zeros and all zeros
+        for coeffs in ([3.0], [3.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0, 0.0], [0.0], [0.0, 0.0, 0.0]):
+            res = poly_argmin(coeffs, OptimizerSettings(bracket=(-1.0, 5.0)))
+            assert res.degenerate and not res.at_bracket_edge
+            assert res.argmin == 0.0 and res.min_value == coeffs[0] and res.iterations == 2
+            res = poly_argmin(coeffs, OptimizerSettings(bracket=(1.0, 5.0)))
+            assert res.degenerate and res.argmin == 1.0 and res.at_bracket_edge
+
+    def test_tiny_leading_coefficient(self):
+        # a leading coefficient far below the others puts a huge root beside
+        # the small one; numpy's polyroots then misplaces it by 2e-3 at 1e-13,
+        # loses it at 1e-40 and raises LinAlgError at 5e-324
+        settings = OptimizerSettings(bracket=(-1.0, 0.0))
+        for tiny in (1e-13, 1e-40, 5e-324):
+            res = poly_argmin([0.0, 0.7890625, 2.0, tiny], settings)
+            assert res.argmin == pytest.approx(-0.7890625 / 4.0, abs=1e-10), tiny
+            assert not res.degenerate
+
+    def test_degree_one_and_trailing_zeros(self):
+        settings = OptimizerSettings(bracket=(-1.0, 1.0))
+        res = poly_argmin([1.0, 2.0], settings)
+        assert res.argmin == -1.0 and res.min_value == -1.0
+        assert res.at_bracket_edge and not res.degenerate and res.iterations == 2
+        res = poly_argmin([1.0, -2.0, 0.0, 0.0], settings)
+        assert res.argmin == 1.0 and res.min_value == -1.0 and res.iterations == 2
+        cubic = list(npoly.polyfromroots([0.3, 0.3, -2.0]))
+        assert poly_argmin(cubic + [0.0, 0.0], settings) == poly_argmin(cubic, settings)
 
     def test_symmetric_tie_prefers_smaller_magnitude(self):
-        res = poly_argmin(lambda x: x * x, 2, OptimizerSettings(bracket=(-1.0, 1.0)))
+        res = poly_argmin([0.0, 0.0, 1.0], OptimizerSettings(bracket=(-1.0, 1.0)))
         assert res.argmin == pytest.approx(0.0, abs=1e-15)
-        res = poly_argmin(lambda x: -x * x, 2, OptimizerSettings(bracket=(-1.0, 1.0)))
+        res = poly_argmin([0.0, 0.0, -1.0], OptimizerSettings(bracket=(-1.0, 1.0)))
         assert res.argmin == -1.0 and res.at_bracket_edge
 
     def test_non_finite_cost_reports_point(self):
-        settings = OptimizerSettings(bracket=(-2.0, 2.0))
+        # a NaN or an inf coefficient gives a non-finite value at lo
+        for bad in (math.nan, math.inf, -math.inf):
+            for position in range(3):
+                coeffs = [1.0, 0.5, 1.0]
+                coeffs[position] = bad
+                with pytest.raises(CostEvaluationError) as excinfo:
+                    poly_argmin(coeffs, OptimizerSettings(bracket=(-2.0, 2.0)))
+                assert excinfo.value.point == -2.0 and not math.isfinite(excinfo.value.value)
+        # finite coefficients, but 1e300 x^2 overflows at the upper end
         with pytest.raises(CostEvaluationError) as excinfo:
-            poly_argmin(lambda x: np.where(x > 1.0, np.nan, x**2), 4, settings)
-        assert excinfo.value.point > 1.0 and np.isnan(excinfo.value.value)
-        # finite at the interpolation nodes, infinite at a bracket end: the
-        # cost is called at the nodes alone, so that value is never seen
-        res = poly_argmin(lambda x: np.where(x == 2.0, np.inf, x**2), 2, settings)
-        assert res.argmin == pytest.approx(0.0, abs=1e-15)
+            poly_argmin([0.0, 0.0, 1e300], OptimizerSettings(bracket=(0.5, 1e5)))
+        assert excinfo.value.point == 1e5 and excinfo.value.value == math.inf

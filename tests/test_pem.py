@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import wienerid.pem as pem_mod
 from wienerid.bench import ExperimentConfig, make_record, run_method
-from wienerid.numerics import CostEvaluationError, OptimizerSettings, gauss_hermite
+from wienerid.numerics import CostEvaluationError, OptimizerSettings, gauss_hermite, horner
 from wienerid.pem import (
     conditional_mean,
     conditional_variance,
@@ -16,9 +16,7 @@ from wienerid.pem import (
 from wienerid.signals import DistributionKind, gaussian_white, gen_white
 from wienerid.system import DataRecord, SystemSpec, cubic, paper_fir, polynomial, simulate
 
-from cost_checks import (
-    assert_grid_batch_is_pointwise, capture_costs, capture_searches, reference_argmin,
-)
+from cost_checks import capture_costs, capture_searches, reference_argmin
 
 
 # process-noise variances of the closed-form checks, the paper's 0.2 among them
@@ -139,16 +137,24 @@ class TestPemEstimate:
 
     @pytest.mark.parametrize("lead_pad", [0, 2])
     @pytest.mark.parametrize("linear_term", [False, True])
-    def test_grid_batch_matches_pointwise_costs(self, monkeypatch, lead_pad, linear_term):
+    def test_criterion_coefficients_match_its_definition(self, monkeypatch, lead_pad, linear_term):
+        # the polynomial each search minimizes against the mean of
+        # (y - h(theta u_t + u_tm1))^2 / lambda on a grid, lambda = 1 and
+        # then the prediction-error variance at the unweighted estimate
         spec, data = self.make_data(0.2, 0.1, 300, 15)
         data = DataRecord(u=np.concatenate([np.full(lead_pad, 0.33), data.u]), y=data.y)
         if linear_term:  # f(z) = z + z^3 / 2 in place of the cube
             spec.nonlinearity = polynomial([0.0, 1.0, 0.0, 0.5])
         costs = capture_costs(monkeypatch, pem_mod)
+        searches = capture_searches(monkeypatch, pem_mod)
         pem_estimate(data, spec, weighted=True)
         assert len(costs) == 2  # unweighted search, then the weighted one
-        for cost, settings in costs:
-            assert_grid_batch_is_pointwise(cost, settings)
+        u_t, u_tm1, nl = data.lagged(0), data.lagged(1), spec.nonlinearity
+        frozen = conditional_variance(nl, searches[0].argmin * u_t + u_tm1, 0.2, 0.1)
+        for (coeffs, settings), weights in zip(costs, (1.0, frozen)):
+            for theta in np.linspace(*settings.bracket, 13):
+                resid = data.y - conditional_mean(nl, theta * u_t + u_tm1, 0.2)
+                assert horner(coeffs, theta) == pytest.approx(np.mean(resid**2 / weights), rel=1e-9)
 
     def test_overflowing_output_raises_cost_evaluation_error(self):
         # one y = 1e200 overflows the squared error: a typed error, not a
@@ -189,18 +195,29 @@ class TestExactSearch:
 
     def test_matches_a_dense_scan(self, monkeypatch):
         # each search against a 2001-point scan and scipy's Brent on the
-        # same cost, from 7 cost evaluations
+        # criterion as defined, one theta at a time: the mean of
+        # (y - predict(theta))^2 / lambda, with lambda = 1 and then
+        # prediction_variance frozen at the unweighted estimate
         config = self.config()
-        costs = capture_costs(monkeypatch, pem_mod)
         searches = capture_searches(monkeypatch, pem_mod)
+        bracket = OptimizerSettings().bracket
         for r in range(config.realizations):
-            run_method(config, "PEM_W", make_record(config, r), r)
-        assert len(costs) == len(searches) == 2 * config.realizations
-        for (cost, settings), exact in zip(costs, searches):
-            reference = reference_argmin(cost, settings.bracket)
-            assert abs(exact.argmin - reference) <= 2e-6
-            assert cost(exact.argmin) <= cost(reference) * (1 + 1e-12)
-            assert exact.iterations == 7
+            record = make_record(config, r)
+            run_method(config, "PEM_W", record, r)
+            unweighted, weighted = searches[-2:]
+            u_t, u_tm1, sv2 = record.lagged(0), record.lagged(1), config.sigma_v2
+            frozen = prediction_variance(unweighted.argmin, u_t, u_tm1, sv2, config.sigma_e2)
+            for exact, weights in ((unweighted, 1.0), (weighted, frozen)):
+
+                def cost(theta):
+                    resid = record.y - predict(theta, u_t, u_tm1, sv2)
+                    return float(np.mean(resid**2 / weights))
+
+                reference = reference_argmin(cost, bracket)
+                assert abs(exact.argmin - reference) <= 2e-6
+                assert cost(exact.argmin) <= cost(reference) * (1 + 1e-12)
+                assert exact.iterations >= 2  # the bracket ends and the critical points
+        assert len(searches) == 2 * config.realizations
 
     def test_true_theta_outside_the_bracket_stops_at_the_edge(self):
         # theta0 = 4 lies outside [-3, 3]: both costs decrease up to the edge

@@ -2,8 +2,10 @@
 II1_W on the first realizations of both 1000-realization tables (master seed
 20260809), and of II1_UNW and II1_W with an S = 10 simulated binding
 function, recorded to 17 digits before the Gram-matrix criteria replaced the
-pointwise costs.  A rewrite that keeps the estimators keeps these to 1e-10,
-so this is the equivalence gate of every such rewrite."""
+pointwise costs; and ML's theta_hat on the first desk-scale realizations
+(quadrature order 200, seeded at II1_W), recorded before the searches took
+polynomial coefficients.  A rewrite that keeps the estimators keeps these to
+1e-10, so this is the equivalence gate of every such rewrite."""
 
 import dataclasses
 
@@ -61,17 +63,23 @@ PINNED = [
     ("simulated", 0, "II1_W", 0.4864435586059514, 0.042767539881110192),
     ("simulated", 1, "II1_UNW", 0.47777116860582214, 0.051683898244678408),
     ("simulated", 1, "II1_W", 0.49671837747062408, 0.041724208172780046),
+    ("ml_desk", 0, "ML", 0.48326896009333281, None),
+    ("ml_desk", 1, "ML", 0.50044093781753984, None),
 ]
 
 
 def _config(table: str) -> w.ExperimentConfig:
     if table == "simulated":
         return dataclasses.replace(table_config(w.DistributionKind.GAUSSIAN_WHITE), s_count=10)
+    if table == "ml_desk":
+        return dataclasses.replace(
+            table_config(w.DistributionKind.GAUSSIAN_WHITE), methods=("ML",), desk_scale=True
+        )
     kind = {"gaussian": w.DistributionKind.GAUSSIAN_WHITE, "uniform": w.DistributionKind.UNIFORM_WHITE}
     return table_config(kind[table])
 
 
-@pytest.mark.parametrize("table", ["gaussian", "uniform", "simulated"])
+@pytest.mark.parametrize("table", ["gaussian", "uniform", "simulated", "ml_desk"])
 def test_estimates_match_pinned_values(table):
     config = _config(table)
     rows = [row for row in PINNED if row[0] == table]
