@@ -12,10 +12,12 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from . import bla
 from .indirect import SimulatedMap, first_order_estimate, zero_order_estimate
 from .ml import MlSettings, ml_estimate
 from .numerics import Estimate, NumericsError, check_quad_order
@@ -150,37 +152,67 @@ def _simulation_seed(config: ExperimentConfig, realization: int) -> int:
     return int(state[0]) | (int(state[1]) << 32)
 
 
+class _RecordContext:
+    """The work every method of one record shares, each piece built on first
+    use and kept: the weighted lag-(0, 1) BLA fit and, with s_count set, the
+    simulated binding function.  A build that raises keeps nothing, so every
+    method that needs the piece builds it again and records the same error."""
+
+    def __init__(self, config: ExperimentConfig, record: DataRecord, realization: int):
+        self.config, self.record, self.realization = config, record, realization
+
+    @cached_property
+    def fit(self) -> bla.BlaEstimate:
+        return bla.estimate_weighting(self.record, bla.fit_bla(self.record, (0, 1)))
+
+    @cached_property
+    def beta_map(self) -> SimulatedMap | None:
+        config = self.config
+        if config.s_count is None:
+            return None
+        return SimulatedMap(
+            self.record.u, config.template(), config.s_count,
+            _simulation_seed(config, self.realization),
+        )
+
+
 def run_method(
-    config: ExperimentConfig, method: str, record: DataRecord, realization: int = 0
+    config: ExperimentConfig,
+    method: str,
+    record: DataRecord,
+    realization: int = 0,
+    *,
+    context: _RecordContext | None = None,
 ) -> Estimate:
     """One estimator on one record.
 
-    ML starts its likelihood search at this function's II1_W on the same
-    record, and scans the whole bracket where II1_W fails.  PEM_W and Step 2
-    need no start: their criteria are polynomials in theta, minimized
-    exactly.
+    II1_UNW and II1_W take the BLA fit and, with s_count set, the simulated
+    binding function from `context`, the record's shared work, which
+    run_experiment and replay_realization build once per record; without
+    one, run_method builds its own.  ML starts its likelihood search at this
+    function's II1_W on the same record and context, and scans the whole
+    bracket where II1_W fails.  PEM_W and Step 2 need no start: their
+    criteria are polynomials in theta, minimized exactly.
     """
     if method not in METHOD_ORDER:
         raise ValueError(f"unknown method {method!r}")
     template = config.template()
     if method == "II0":
         return zero_order_estimate(record, template, config.input_kind)
+    if method == "PEM_W":
+        return pem_estimate(record, template, weighted=True)
+    if context is None:
+        context = _RecordContext(config, record, realization)
     if method == "ML":
         order = DESK_ML_QUAD_ORDER if config.desk_scale else config.ml_quad_order
         try:
-            start = run_method(config, "II1_W", record, realization)
+            start = run_method(config, "II1_W", record, realization, context=context)
         except (NumericsError, ValueError):
             start = None
         return ml_estimate(record, template, MlSettings(quad_order=order), start=start)
-    if method == "PEM_W":
-        return pem_estimate(record, template, weighted=True)
-    sim_map = None
-    if config.s_count is not None:
-        sim_map = SimulatedMap(
-            record.u, template, config.s_count, _simulation_seed(config, realization)
-        )
     return first_order_estimate(
-        record, template, config.input_kind, weighted=method == "II1_W", beta_map=sim_map
+        record, template, config.input_kind, weighted=method == "II1_W",
+        beta_map=context.beta_map, fit=context.fit,
     )
 
 
@@ -205,10 +237,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if not active:
             break
         record = make_record(config, r)
+        context = _RecordContext(config, record, r)
         for m in active:
             t0 = time.perf_counter()
             try:
-                est = run_method(config, m, record, realization=r)
+                est = run_method(config, m, record, realization=r, context=context)
                 estimates[m][r] = est.theta_hat[0]
                 if m in predicted and est.predicted_std is not None:
                     predicted[m][r] = est.predicted_std
@@ -239,11 +272,13 @@ def replay_realization(config: ExperimentConfig, realization: int) -> dict[str, 
     if not 0 <= realization < config.realizations:
         raise ValueError(f"realization {realization} outside 0..{config.realizations - 1}")
     record = make_record(config, realization)
+    context = _RecordContext(config, record, realization)
     out = {}
     for m in [m for m in METHOD_ORDER if m in config.methods]:
         if m == "ML" and realization >= _ml_runs(config):
             continue
-        out[m] = float(run_method(config, m, record, realization=realization).theta_hat[0])
+        est = run_method(config, m, record, realization=realization, context=context)
+        out[m] = float(est.theta_hat[0])
     return out
 
 

@@ -300,18 +300,22 @@ def first_order_estimate(
     weighted: bool = True,
     settings: OptimizerSettings = OptimizerSettings(),
     beta_map=None,
+    fit: bla_mod.BlaEstimate | None = None,
 ) -> Estimate:
     """Order-one indirect inference: fit the lag-(0, 1) BLA and match
     beta_map to it in step2.
 
     beta_map defaults to the analytic binding function of the template's
     input (of input_kind when given); a SimulatedMap gives the simulated
-    variant.  Unweighted uses the identity metric; weighted uses the inverse
-    sandwich covariance of the auxiliary fit.  Both predict their std from
-    that covariance.
+    variant.  fit, when given, is that BLA fit with its sandwich weighting
+    (`estimate_weighting`) already made on `data`, shared by both variants
+    of one record; otherwise it is made here.  Unweighted uses the identity
+    metric; weighted uses the inverse sandwich covariance of the auxiliary
+    fit.  Both predict their std from that covariance.
     """
     if beta_map is None:
         beta_map = _analytic_binding(spec_template, input_kind)
-    est = bla_mod.estimate_weighting(data, bla_mod.fit_bla(data, lags=(0, 1)))
-    W = est.W if weighted else np.eye(2)
-    return step2(est.beta_hat, W, beta_map, settings, n_obs=data.n_obs, beta_cov=est.cov_beta)
+    if fit is None:
+        fit = bla_mod.estimate_weighting(data, bla_mod.fit_bla(data, lags=(0, 1)))
+    W = fit.W if weighted else np.eye(2)
+    return step2(fit.beta_hat, W, beta_map, settings, n_obs=data.n_obs, beta_cov=fit.cov_beta)

@@ -23,7 +23,8 @@ The likelihood is not a polynomial in theta but it is analytic, so its
 search (`numerics.minimize_scalar`) minimizes its degree-10 interpolant at
 Chebyshev points, by `poly_argmin` as the other criteria.  It can start at a
 consistent first estimate (`bench.run_method` passes its own II1_W on the
-same record, the II1_W of the table): the interpolant then covers
+same record, the II1_W of the table, from the BLA fit and binding function
+that every method of the record shares): the interpolant then covers
 theta_start +- 6 predicted stds, 11 likelihood evaluations in all.  When
 its minimum lands on an edge of that window inside the bracket, or the start
 has no finite std, a 61-point scan of the whole bracket runs and the

@@ -102,7 +102,11 @@ def pem_estimate(
     errors = -theta_coeffs(h, data.lagged(fir.free_lags[0]), np.array(powers))
     errors[0] += data.y
 
-    initial = poly_argmin(gram_coeffs(errors @ errors.T / n), settings)
+    # an overflowing Gram entry raises CostEvaluationError in poly_argmin,
+    # so numpy's overflow warning would only repeat it
+    with np.errstate(over="ignore"):
+        gram = errors @ errors.T / n
+    initial = poly_argmin(gram_coeffs(gram), settings)
     if not weighted:
         return Estimate(np.array([initial.argmin]), diagnostics=initial)
 
@@ -115,5 +119,7 @@ def pem_estimate(
     else:
         weights = np.maximum(weights, 1e-12 * w_max)
 
-    final = poly_argmin(gram_coeffs(errors / weights @ errors.T / n), settings)
+    with np.errstate(over="ignore"):
+        gram = errors / weights @ errors.T / n
+    final = poly_argmin(gram_coeffs(gram), settings)
     return Estimate(np.array([final.argmin]), diagnostics=final)

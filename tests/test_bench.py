@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wienerid.bench as bench
+from wienerid import bla
 from wienerid.bench import (
     METHOD_ORDER,
     PREDICTS_STD,
@@ -19,6 +20,7 @@ from wienerid.bench import (
     run_method,
 )
 from wienerid.cli import main as cli_main
+from wienerid.indirect import SimulatedMap
 from wienerid.numerics import Estimate
 from wienerid.signals import DistributionKind
 
@@ -272,6 +274,90 @@ class TestRunMethod:
             assert est.predicted_std == experiment.predicted_stds[method][0]
         else:
             assert est.predicted_std is None
+
+
+class TestRecordContext:
+    """run_experiment fits the BLA and builds the simulated map once per
+    record for every method that needs them, with the estimates, stds and
+    failure messages of per-method calls that share nothing."""
+
+    methods = ("ML", "II1_UNW", "II1_W")
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"fit_bla": 0, "SimulatedMap": 0}
+        real_fit, real_build = bla.fit_bla, SimulatedMap.__post_init__
+
+        def counted_fit(*args, **kwargs):
+            counts["fit_bla"] += 1
+            return real_fit(*args, **kwargs)
+
+        def counted_build(self):
+            counts["SimulatedMap"] += 1
+            real_build(self)
+
+        monkeypatch.setattr(bla, "fit_bla", counted_fit)
+        monkeypatch.setattr(SimulatedMap, "__post_init__", counted_build)
+        return counts
+
+    def test_one_fit_and_one_map_per_realization(self, counts):
+        config = small_config(methods=self.methods, s_count=3, desk_scale=True)
+        result = run_experiment(config)
+        assert not result.failures
+        assert counts == {"fit_bla": 3, "SimulatedMap": 3}
+        # a lone call builds its own
+        run_method(config, "ML", make_record(config, 0), realization=0)
+        assert counts == {"fit_bla": 4, "SimulatedMap": 4}
+
+    @pytest.mark.parametrize("s_count", [None, 3])
+    def test_estimates_equal_unshared_calls(self, s_count):
+        config = small_config(methods=self.methods, s_count=s_count, desk_scale=True)
+        result = run_experiment(config)
+        for r in range(config.realizations):
+            record = make_record(config, r)
+            for m in self.methods:
+                est = run_method(config, m, record, realization=r)
+                assert est.theta_hat[0] == result.estimates[m][r], (r, m)
+                if m in PREDICTS_STD:
+                    assert est.predicted_std == result.predicted_stds[m][r], (r, m)
+
+    def test_rank_deficient_regressors_fail_each_method(self):
+        # sigma_u2 = 0 gives u = 0: the lag-(0, 1) fit refuses its regressors
+        config = small_config(methods=self.methods, sigma_u2=0.0, desk_scale=True)
+        record = make_record(config, 0)
+        messages = {}
+        for m in ("II1_UNW", "II1_W"):
+            with pytest.raises(Exception) as info:
+                run_method(config, m, record, realization=0)
+            messages[m] = f"{type(info.value).__name__}: {info.value}"
+        assert messages["II1_UNW"].startswith("RankDeficiencyError")
+        result = run_experiment(config)
+        assert sorted((f.realization, f.method, f.message) for f in result.failures) == sorted(
+            (r, m, messages[m]) for r in range(config.realizations) for m in messages
+        )
+        # ML falls back to its unseeded search
+        assert np.isfinite(result.estimates["ML"]).all()
+
+    def test_failed_fit_keeps_nothing(self, monkeypatch):
+        config = small_config(methods=self.methods, s_count=3, desk_scale=True)
+        clean = run_experiment(config)
+        bad_y = make_record(config, 1).y
+        real_fit = bla.fit_bla
+
+        def failing_on_record_1(data, lags):
+            if np.array_equal(data.y, bad_y):
+                raise np.linalg.LinAlgError("synthetic fit failure")
+            return real_fit(data, lags)
+
+        monkeypatch.setattr(bla, "fit_bla", failing_on_record_1)
+        result = run_experiment(config)
+        assert [(f.realization, f.method, f.message) for f in result.failures] == [
+            (1, m, "LinAlgError: synthetic fit failure") for m in ("II1_UNW", "II1_W")
+        ]
+        for m in self.methods:
+            for r in (0, 2):
+                assert result.estimates[m][r] == clean.estimates[m][r], (r, m)
+        assert np.isfinite(result.estimates["ML"][1])
 
 
 class TestEmitReport:

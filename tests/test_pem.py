@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,8 +164,11 @@ class TestPemEstimate:
         spec, data = self.make_data(0.2, 0.1, 300, 16)
         y = data.y.copy()
         y[100] = 1e200
-        with pytest.raises(CostEvaluationError):
-            pem_estimate(DataRecord(u=data.u, y=y), spec, weighted=True)
+        with warnings.catch_warnings():
+            # the typed error is the whole report: no RuntimeWarning before it
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CostEvaluationError):
+                pem_estimate(DataRecord(u=data.u, y=y), spec, weighted=True)
 
 
 class TestExactMoments:

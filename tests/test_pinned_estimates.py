@@ -5,7 +5,10 @@ function, recorded to 17 digits before the Gram-matrix criteria replaced the
 pointwise costs; and ML's theta_hat on the first desk-scale realizations
 (quadrature order 200, seeded at II1_W), recorded before the searches took
 polynomial coefficients.  A rewrite that keeps the estimators keeps these to
-1e-10, so this is the equivalence gate of every such rewrite."""
+1e-10, so this is the equivalence gate of every such rewrite.  The shared
+rows run ML (desk scale), II1_UNW and II1_W together through
+run_experiment on one S = 10 record, so the BLA fit and the simulated map
+they share are pinned too; they were recorded before those were shared."""
 
 import dataclasses
 
@@ -65,6 +68,9 @@ PINNED = [
     ("simulated", 1, "II1_W", 0.49671837747062408, 0.041724208172780046),
     ("ml_desk", 0, "ML", 0.48326896009333281, None),
     ("ml_desk", 1, "ML", 0.50044093781753984, None),
+    ("shared", 0, "ML", 0.4832689601155516, None),
+    ("shared", 0, "II1_UNW", 0.5055581326833998, 0.05427684633374861),
+    ("shared", 0, "II1_W", 0.4864435586060056, 0.04276753988110751),
 ]
 
 
@@ -74,6 +80,11 @@ def _config(table: str) -> w.ExperimentConfig:
     if table == "ml_desk":
         return dataclasses.replace(
             table_config(w.DistributionKind.GAUSSIAN_WHITE), methods=("ML",), desk_scale=True
+        )
+    if table == "shared":
+        return dataclasses.replace(
+            table_config(w.DistributionKind.GAUSSIAN_WHITE), s_count=10, realizations=1,
+            methods=("ML", "II1_UNW", "II1_W"), desk_scale=True,
         )
     kind = {"gaussian": w.DistributionKind.GAUSSIAN_WHITE, "uniform": w.DistributionKind.UNIFORM_WHITE}
     return table_config(kind[table])
@@ -92,3 +103,12 @@ def test_estimates_match_pinned_values(table):
             assert est.predicted_std is None, (r, method)
         else:
             assert est.predicted_std == pytest.approx(std, rel=TOL, abs=0.0), (r, method)
+
+
+def test_shared_record_matches_pinned_values():
+    result = w.run_experiment(_config("shared"))
+    assert not result.failures
+    for _, r, method, theta, std in [row for row in PINNED if row[0] == "shared"]:
+        assert result.estimates[method][r] == pytest.approx(theta, rel=0.0, abs=TOL), method
+        if std is not None:
+            assert result.predicted_stds[method][r] == pytest.approx(std, rel=TOL, abs=0.0), method
