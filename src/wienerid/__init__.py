@@ -36,6 +36,7 @@ from .numerics import (
     QuadratureRule,
     RankDeficiencyError,
     ScalarMinResult,
+    StackMinResult,
     gauss_hermite,
     least_squares,
     minimize_scalar,
@@ -53,6 +54,7 @@ from .ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likel
 from .indirect import (
     AnalyticMap,
     SimulatedMap,
+    StackEstimate,
     beta_map_gaussian,
     beta_map_uniform,
     first_order_estimate,

@@ -14,11 +14,14 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import bla
-from .indirect import SimulatedMap, first_order_estimate, zero_order_estimate
+from .indirect import (
+    SimulatedMap, analytic_binding, first_order_estimate, step2, zero_order_estimate,
+)
 from .ml import MlSettings, ml_estimate
 from .numerics import Estimate, NumericsError, check_quad_order
 from .pem import pem_estimate
@@ -28,6 +31,8 @@ from .system import DataRecord, SystemSpec, cubic, paper_fir, simulate
 METHOD_ORDER = ("ML", "PEM_W", "II0", "II1_UNW", "II1_W")
 # the methods whose Estimate carries a predicted std
 PREDICTS_STD = ("II0", "II1_UNW", "II1_W")
+# the methods whose Step 2 run_experiment runs over every realization at once
+STACKED_STEP2 = ("II1_UNW", "II1_W")
 
 # the windowed likelihood rule is already converged at this order; desk
 # scale mainly caps the number of ML realizations
@@ -189,10 +194,12 @@ def run_method(
     II1_UNW and II1_W take the BLA fit and, with s_count set, the simulated
     binding function from `context`, the record's shared work, which
     run_experiment and replay_realization build once per record; without
-    one, run_method builds its own.  ML starts its likelihood search at this
-    function's II1_W on the same record and context, and scans the whole
-    bracket where II1_W fails.  PEM_W and Step 2 need no start: their
-    criteria are polynomials in theta, minimized exactly.
+    one, run_method builds its own.  Their Step 2 here is step2's stack of
+    one, bit for bit a row of run_experiment's stacked Step 2.  ML starts
+    its likelihood search at this function's II1_W on the same record and
+    context, and scans the whole bracket where II1_W fails.  PEM_W and
+    Step 2 need no start: their criteria are polynomials in theta,
+    minimized exactly.
     """
     if method not in METHOD_ORDER:
         raise ValueError(f"unknown method {method!r}")
@@ -222,15 +229,32 @@ def _ml_runs(config: ExperimentConfig) -> int:
     return config.realizations
 
 
+def _failure(realization: int, method: str, exc: Exception) -> FailureRecord:
+    return FailureRecord(realization, method, f"{type(exc).__name__}: {exc}")
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Draw fresh input and noises per realization, run every requested method
-    on the same record, and aggregate."""
+    on the same record, and aggregate.
+
+    ML, PEM_W and II0 run record by record through run_method.  For II1_UNW
+    and II1_W the loop keeps only each record's auxiliary fit (beta_hat, W
+    and its covariance) and binding-function coefficients, about 20 floats;
+    after it, one stacked step2 per method covers every realization, each
+    row bit for bit run_method's estimate, and a row that fails records the
+    error its own call raises.  Failures are listed by realization, then in
+    METHOD_ORDER.  A method's wall time is its share of the loop plus its
+    stacked Step 2; the record's shared fit and map go to the first method
+    that needs them.
+    """
     methods = [m for m in METHOD_ORDER if m in config.methods]
     runs = {m: (_ml_runs(config) if m == "ML" else config.realizations) for m in methods}
     estimates = {m: np.full(runs[m], np.nan) for m in methods}
     predicted = {m: np.full(runs[m], np.nan) for m in methods if m in PREDICTS_STD}
     wall = {m: 0.0 for m in methods}
     failures: list[FailureRecord] = []
+    stacked = [m for m in methods if m in STACKED_STEP2]
+    fits = []  # (realization, beta_hat, W, cov_beta, map coeffs, inflation) per record
 
     for r in range(config.realizations):
         active = [m for m in methods if r < runs[m]]
@@ -240,14 +264,44 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         context = _RecordContext(config, record, r)
         for m in active:
             t0 = time.perf_counter()
-            try:
-                est = run_method(config, m, record, realization=r, context=context)
-                estimates[m][r] = est.theta_hat[0]
-                if m in predicted and est.predicted_std is not None:
-                    predicted[m][r] = est.predicted_std
-            except Exception as exc:  # noqa: BLE001 - per-realization isolation
-                failures.append(FailureRecord(r, m, f"{type(exc).__name__}: {exc}"))
+            if m not in STACKED_STEP2:
+                try:
+                    est = run_method(config, m, record, realization=r, context=context)
+                    estimates[m][r] = est.theta_hat[0]
+                    if m in predicted and est.predicted_std is not None:
+                        predicted[m][r] = est.predicted_std
+                except Exception as exc:  # noqa: BLE001 - per-realization isolation
+                    failures.append(_failure(r, m, exc))
+            elif m == stacked[0]:
+                try:
+                    # run_method's order: the map, then the fit
+                    beta_map, fit = context.beta_map, context.fit
+                    coeffs = None if beta_map is None else beta_map.coeffs
+                    inflation = 1.0 if beta_map is None else beta_map.inflation
+                    fits.append((r, fit.beta_hat, fit.W, fit.cov_beta, coeffs, inflation))
+                except Exception as exc:  # noqa: BLE001 - per-realization isolation
+                    failures.extend(_failure(r, method, exc) for method in stacked)
             wall[m] += time.perf_counter() - t0
+
+    if fits:
+        done, beta_hat, W, cov_beta, coeffs, inflation = zip(*fits)
+        done = list(done)
+        beta_hat, W, cov_beta = np.array(beta_hat), np.array(W), np.array(cov_beta)
+        if config.s_count is None:
+            beta_map = analytic_binding(config.template(), config.input_kind)
+        else:
+            beta_map = SimpleNamespace(coeffs=np.array(coeffs), inflation=np.array(inflation))
+        for m in stacked:
+            t0 = time.perf_counter()
+            metric = W if m == "II1_W" else np.eye(beta_hat.shape[1])
+            result = step2(beta_hat, metric, beta_map, n_obs=config.n_obs, beta_cov=cov_beta)
+            estimates[m][done] = result.theta_hat
+            predicted[m][done] = result.predicted_std
+            failures.extend(
+                _failure(r, m, e) for r, e in zip(done, result.errors) if e is not None
+            )
+            wall[m] += time.perf_counter() - t0
+    failures.sort(key=lambda f: (f.realization, METHOD_ORDER.index(f.method)))
 
     ledger = {
         "format": LEDGER_FORMAT,

@@ -74,10 +74,13 @@ def estimate_weighting(data: DataRecord, est: BlaEstimate) -> BlaEstimate:
     phi = data.regressors(est.lags)
     n = est.n_obs
     m = est.order
-    eps2 = est.residuals**2
-    I_hat = (phi * eps2[:, None]).T @ phi / n
+    # an overflowing square raises LinAlgError below, so numpy's warning
+    # would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps2 = est.residuals**2
+        I_hat = (phi * eps2[:, None]).T @ phi / n
+        I_hat = 0.5 * (I_hat + I_hat.T)
     J_hat = 2.0 * (phi.T @ phi) / n
-    I_hat = 0.5 * (I_hat + I_hat.T)
     J_hat = 0.5 * (J_hat + J_hat.T)
     if not np.all(np.isfinite(I_hat)):
         raise np.linalg.LinAlgError(f"I_hat is not finite (squared residuals overflow): {I_hat}")

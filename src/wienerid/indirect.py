@@ -19,6 +19,8 @@ map's degree, minimized exactly from its coefficients (`gram_coeffs`,
 `poly_argmin`); G comes from the matrix's derivative.  The predicted std
 is the square root of the asymptotic sandwich variance inflation * H^-1 G'
 W Sigma W G H^-1, H = G' W G, Sigma the covariance of the auxiliary fit.
+Step 2 takes one fit or a stack of them, each row bit for bit its own call,
+so an experiment matches all its records in one call per method.
 
 The order-zero method needs no search: it inverts the first component of
 the closed-form map at the slope of y on u(t), and predicts its std by the
@@ -29,13 +31,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import bla as bla_mod
 from .numerics import (
-    Estimate, OptimizerSettings, RankDeficiencyError, gram_coeffs, least_squares, poly_argmin,
+    Estimate, OptimizerSettings, RankDeficiencyError, StackMinResult, gram_coeffs, least_squares,
+    poly_argmin,
 )
 from .pem import theta_coeffs
 from .signals import (
@@ -153,6 +157,26 @@ class SimulatedMap:
         return npoly.polyval(theta, self.coeffs).T
 
 
+class StackEstimate(NamedTuple):
+    """step2 on each row of a stack, one entry per row: theta_hat and
+    predicted_std, the searches behind them (a StackMinResult), and
+    `errors`, the exception the row raises alone or None; a row with an
+    error has NaN estimates.  `row(i)` is row i's Estimate, or raises its
+    error."""
+
+    theta_hat: np.ndarray
+    predicted_std: np.ndarray
+    diagnostics: StackMinResult
+    errors: list[Exception | None]
+
+    def row(self, i: int) -> Estimate:
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return Estimate(
+            self.theta_hat[i : i + 1].copy(), self.predicted_std.item(i), self.diagnostics.row(i)
+        )
+
+
 def step2(
     beta_hat: np.ndarray,
     W: np.ndarray,
@@ -161,7 +185,7 @@ def step2(
     *,
     n_obs: int,
     beta_cov: np.ndarray | None = None,
-) -> Estimate:
+):
     """Match the binding function to the auxiliary fit in the W metric.
 
     beta_map gives `coeffs`, the (degree + 1, len(beta_hat)) ascending power
@@ -178,48 +202,109 @@ def step2(
     H = G' W G, where beta_cov is the covariance of beta_hat; it defaults to
     (n_obs W)^-1, for which the sandwich reduces to inflation * H^-1 / n_obs.
     It is infinite when the criterion is flat or its minimum is a bracket end.
+
+    A stack of R fits, beta_hat (R, m), gives a StackEstimate.  W and
+    beta_cov are then (R, m, m), coeffs (R, degree + 1, m) and inflation
+    (R,), or any of them one value shared by every row.  Every check runs
+    per row: a row that fails one gets the exception its own call raises,
+    and the other rows go on.  The rows share one matmul, inverse and
+    search per step, each slice computed as its own call computes it, so a
+    row's estimate is bit for bit that of its own call.  A 1-D beta_hat is
+    the stack of one: it gives its Estimate, or raises its error.
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
-    W = np.asarray(W, dtype=float)
-    width = len(beta_hat)
+    fits = beta_hat.reshape(-1, beta_hat.shape[-1])
+    rows, width = fits.shape
+    stacked = beta_hat.ndim == 2
+    square = (rows, width, width)
     coeffs = np.asarray(beta_map.coeffs, dtype=float)
-    named = {"beta_hat": beta_hat, "W": W, "beta_map.coeffs": coeffs, "beta_cov": beta_cov}
-    for name, value in named.items():
-        if value is not None and not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite")
-    if coeffs.shape[1:] != (width,) or len(coeffs) == 0:
+    shared = coeffs.ndim == 2  # one map for every row
+    if coeffs.shape[-1:] != (width,) or coeffs.shape[-2:-1] == (0,) or not (
+        shared or stacked and coeffs.ndim == 3 and len(coeffs) == rows
+    ):
         raise ValueError(
             f"binding function coeffs of shape {coeffs.shape}; step2 needs"
             f" (degree + 1, {width}) for beta of length {width}"
+            + (f", or ({rows}, degree + 1, {width}) for {rows} of them" if stacked else "")
         )
-    if W.shape != (width, width):
+    W = np.asarray(W, dtype=float)
+    if W.shape != (width, width) and not (stacked and W.shape == square):
         raise ValueError(f"W shape {W.shape} does not match beta of length {width}")
-    if not np.allclose(W, W.T, rtol=1e-10, atol=1e-12):
-        raise ValueError("W must be symmetric")
-    eigvals = np.linalg.eigvalsh(W)
-    if eigvals[0] <= 1e-12 * max(eigvals[-1], 0.0):
-        raise ValueError(f"W must be positive definite (eigenvalues {eigvals})")
-    metric = np.round(W / np.trace(W) * 2.0**40) / 2.0**40
-    # the residual beta(theta) - beta_hat is R' p(theta), p = (1, theta, ...)
-    R = np.vstack([coeffs[0] - beta_hat, coeffs[1:]])
-    result = poly_argmin(gram_coeffs(R @ metric @ R.T), settings)
-    theta_hat = result.argmin
-    G = npoly.polyval(theta_hat, npoly.polyder(coeffs))[:, None]
 
-    if beta_cov is None:
-        beta_cov = np.linalg.inv(n_obs * W)
-    inflation = float(getattr(beta_map, "inflation", 1.0))
-    wg = W @ G
-    # a flat criterion has no curvature, and at a bracket edge the minimum
-    # may lie outside the bracket: neither gives a finite prediction
-    cov = np.full((1, 1), np.inf)
-    if not (result.at_bracket_edge or result.degenerate):
-        try:
-            h_inv = np.linalg.inv(G.T @ wg)
-            cov = inflation * h_inv @ (wg.T @ beta_cov @ wg) @ h_inv
-        except np.linalg.LinAlgError:
-            pass
-    return Estimate(np.array([theta_hat]), float(np.sqrt(cov[0, 0])), result)
+    def per_row(value, shape) -> np.ndarray:
+        out = np.empty(shape)
+        out[...] = value  # a shared value goes to every row
+        return out
+
+    W = per_row(W, square)
+    if beta_cov is not None:
+        beta_cov = per_row(beta_cov, square)
+    inflation = per_row(getattr(beta_map, "inflation", 1.0), (rows,))
+
+    # each row's first failure, in the order of the checks of a call of its own
+    errors: list[Exception | None] = [None] * rows
+
+    def fail(bad: np.ndarray, error) -> None:
+        if np.logical_or.reduce(bad, axis=None):
+            for i in np.flatnonzero(np.broadcast_to(bad, (rows,))):
+                if errors[i] is None:
+                    errors[i] = error(i)
+
+    named = [("beta_hat", fits), ("W", W), ("beta_map.coeffs", coeffs), ("beta_cov", beta_cov)]
+    for name, value in named:
+        if value is not None and not (finite := np.isfinite(value)).all():
+            finite = finite.reshape(1 if value is coeffs and shared else rows, -1)
+            fail(~finite.all(axis=1), lambda i, n=name: ValueError(f"{n} must be finite"))
+    finite_rows = np.array([e is None for e in errors])
+    # a failed row's numbers are dropped, so its warnings would say nothing
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # np.isclose(W, W') at rtol 1e-10 and atol 1e-12, on finite rows
+        transposed = W.swapaxes(1, 2)
+        fail(~(np.abs(W - transposed) <= 1e-12 + 1e-10 * np.abs(transposed)).all(axis=(1, 2)),
+             lambda i: ValueError("W must be symmetric"))
+        # only the finite metrics: LAPACK refuses a non-finite one
+        eigvals = np.ones((rows, width))
+        eigvals[finite_rows] = np.linalg.eigvalsh(W[finite_rows])
+        fail(eigvals[:, 0] <= 1e-12 * np.maximum(eigvals[:, -1], 0.0),
+             lambda i: ValueError(f"W must be positive definite (eigenvalues {eigvals[i]})"))
+
+        metric = np.round(W / np.trace(W, axis1=1, axis2=2)[:, None, None] * 2.0**40) / 2.0**40
+        # the residual beta(theta) - beta_hat is R' p(theta), p = (1, theta, ...)
+        R = np.empty((rows,) + coeffs.shape[-2:])
+        R[:, 0] = coeffs[..., 0, :] - fits
+        R[:, 1:] = coeffs[..., 1:, :]
+        search = poly_argmin(gram_coeffs(R @ metric @ R.swapaxes(1, 2)), settings)
+        for i, error in enumerate(search.errors):
+            if errors[i] is None:
+                errors[i] = error
+        ok = np.array([e is None for e in errors])
+        # G, the coefficients' derivative at the estimate, as npoly.polyder
+        # and npoly.polyval form it for one row
+        n = coeffs.shape[-2]
+        slope = coeffs[..., 1:, :] * np.arange(1, n)[:, None] if n > 1 else coeffs * 0.0
+        t = search.argmin[:, None]
+        g = slope[..., -1, :] + t * 0
+        for i in range(2, slope.shape[-2] + 1):
+            g = slope[..., -i, :] + g * t
+        G = g[:, :, None]
+
+        if beta_cov is None:
+            beta_cov = np.zeros(square)
+            beta_cov[ok] = np.linalg.inv(n_obs * W[ok])
+        wg = W @ G
+        h = G.swapaxes(1, 2) @ wg
+        # a flat criterion has no curvature, and at a bracket edge the minimum
+        # may lie outside the bracket: neither gives a finite prediction, nor
+        # does a singular H
+        curved = ok & ~(search.at_bracket_edge | search.degenerate) & (h[:, 0, 0] != 0.0)
+        cov = np.full((rows, 1, 1), np.inf)
+        h_inv, wg = np.linalg.inv(h[curved]), wg[curved]
+        sandwich = wg.swapaxes(1, 2) @ beta_cov[curved] @ wg
+        cov[curved] = inflation[curved, None, None] * h_inv @ sandwich @ h_inv
+        theta_hat = np.where(ok, search.argmin, np.nan)
+        std = np.where(ok, np.sqrt(cov[:, 0, 0]), np.nan)
+    result = StackEstimate(theta_hat, std, search, errors)
+    return result if stacked else result.row(0)
 
 
 def solve_increasing_cubic(c3: float, c1: float, target: float, tol: float = 1e-13) -> float:
@@ -261,7 +346,9 @@ def solve_increasing_cubic(c3: float, c1: float, target: float, tol: float = 1e-
     return x
 
 
-def _analytic_binding(spec_template: SystemSpec, input_kind: DistributionKind | None) -> AnalyticMap:
+def analytic_binding(
+    spec_template: SystemSpec, input_kind: DistributionKind | None
+) -> AnalyticMap:
     """The closed-form map of the template's input, or of input_kind when given."""
     dist = spec_template.input_dist
     if input_kind is not None:
@@ -285,7 +372,7 @@ def zero_order_estimate(
     """
     u0 = data.lagged(0)
     beta1, resid = least_squares(u0[:, None], data.y)
-    coeffs = _analytic_binding(spec_template, input_kind).coeffs
+    coeffs = analytic_binding(spec_template, input_kind).coeffs
     c3, c1 = float(coeffs[3, 0]), float(coeffs[1, 0])
     theta_hat = solve_increasing_cubic(c3, c1, float(beta1[0]))
     u2 = u0 * u0
@@ -311,10 +398,12 @@ def first_order_estimate(
     (`estimate_weighting`) already made on `data`, shared by both variants
     of one record; otherwise it is made here.  Unweighted uses the identity
     metric; weighted uses the inverse sandwich covariance of the auxiliary
-    fit.  Both predict their std from that covariance.
+    fit.  Both predict their std from that covariance.  The match is
+    step2's stack of one, so it is bit for bit the row of this record in
+    run_experiment's stacked Step 2.
     """
     if beta_map is None:
-        beta_map = _analytic_binding(spec_template, input_kind)
+        beta_map = analytic_binding(spec_template, input_kind)
     if fit is None:
         fit = bla_mod.estimate_weighting(data, bla_mod.fit_bla(data, lags=(0, 1)))
     W = fit.W if weighted else np.eye(2)

@@ -3,7 +3,8 @@ minimization, linear least squares, and the Estimate record every estimator
 returns.
 
 A polynomial criterion is its power coefficients in theta, minimized exactly
-at the bracket ends and the roots of its derivative (`poly_argmin`); a smooth
+at the bracket ends and the roots of its derivative (`poly_argmin`, for one
+criterion or each row of a stack of them in one call); a smooth
 one (`minimize_scalar`) goes there as its interpolant on a window around a
 start or on the cell of a grid scan.  The module needs numpy alone: the
 quadrature nodes come from Newton passes on the orthonormal recurrence, from
@@ -15,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +36,8 @@ _CHEB_T = -np.cos(np.pi * (np.arange(SEARCH_DEGREE + 1) + 0.5) / (SEARCH_DEGREE 
 _TO_POWERS = np.linalg.inv(np.vander(_CHEB_T, increasing=True))
 
 _EPS = np.finfo(float).eps
+# values that agree to this many eps of their largest magnitude are flat
+_FLAT = 16 * _EPS
 
 # running sums of squared orthonormal polynomials are rescaled past this
 _RESCALE_AT = 1e200
@@ -272,39 +276,130 @@ def _checked_values(xs: np.ndarray, vals) -> np.ndarray:
 
 def _flat(vals: np.ndarray, bracket, n: int) -> ScalarMinResult | None:
     """The degenerate result of n values that agree to 16 ulps, else None."""
-    if vals.max() - vals.min() > 16 * _EPS * np.abs(vals).max():
+    if vals.max() - vals.min() > _FLAT * np.abs(vals).max():
         return None
     x = min(max(0.0, bracket[0]), bracket[1])  # the bracket point nearest 0
     return ScalarMinResult(x, float(vals.min()), n, degenerate=True, at_bracket_edge=x in bracket)
 
 
-def poly_argmin(coeffs, settings: OptimizerSettings = OptimizerSettings()) -> ScalarMinResult:
+class StackMinResult(NamedTuple):
+    """Outcome of poly_argmin on each row of an (R, K) coefficient stack, one
+    entry per row: the fields of ScalarMinResult as arrays, and `errors`,
+    the CostEvaluationError the row raises alone (its first non-finite
+    value, with the point) or None; a row with an error has no other
+    meaningful field.  `row(i)` is row i's ScalarMinResult, or raises its
+    error."""
+
+    argmin: np.ndarray
+    min_value: np.ndarray
+    iterations: np.ndarray
+    degenerate: np.ndarray
+    at_bracket_edge: np.ndarray
+    errors: list[CostEvaluationError | None]
+
+    def row(self, i: int) -> ScalarMinResult:
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return ScalarMinResult(
+            self.argmin.item(i), self.min_value.item(i), self.iterations.item(i),
+            degenerate=self.degenerate.item(i), at_bracket_edge=self.at_bracket_edge.item(i),
+        )
+
+
+@functools.lru_cache(maxsize=32)
+def _shift(m: int) -> np.ndarray:
+    """The m x m matrix of ones on the superdiagonal: a companion matrix
+    less its first column."""
+    (shift,) = _read_only(np.eye(m, k=1))
+    return shift
+
+
+@functools.lru_cache(maxsize=64)
+def _derivative_scales(k: int, reach: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For K = k coefficients: the factors 1..k-1 of the derivative, its
+    powers 0..k-2, and reach to those powers."""
+    powers = np.arange(k - 1)
+    return _read_only(powers + 1.0, powers, reach ** powers)
+
+
+def poly_argmin(coeffs, settings: OptimizerSettings = OptimizerSettings()):
     """Minimize on settings.bracket the polynomial of ascending power
-    coefficients `coeffs` in theta.  Its candidates are the bracket ends and
-    the real parts of its derivative's roots inside (a multiple root may come
-    out as a complex cluster); the smallest value wins (exact ties: the
-    smallest magnitude), and iterations counts the candidates.  The extremes
-    on the bracket lie among them, so values that agree to 16 ulps make it
-    degenerate.  A non-finite value raises CostEvaluationError with its
-    point: a non-finite coefficient gives one at every theta, so at lo."""
+    coefficients `coeffs` in theta, or each row of an (R, K) stack of them.
+    Its candidates are the bracket ends and the real parts of its
+    derivative's roots inside (a multiple root may come out as a complex
+    cluster); the smallest value wins (exact ties: the smallest magnitude,
+    then the first of lo, hi and the roots), and iterations counts the
+    candidates.  The extremes on the bracket lie among them, so values that
+    agree to 16 ulps make it degenerate.  A non-finite value is an error
+    with its point: a non-finite coefficient gives one at every theta, so
+    at lo.
+
+    A stack gives a StackMinResult; its rows share one companion
+    eigensolve per kept degree, and each row's result is bit for bit that
+    of its own call.  1-D coeffs are the stack of one: they give its
+    ScalarMinResult, or raise its CostEvaluationError."""
     lo, hi = settings.bracket
-    c, xs = np.asarray(coeffs, dtype=float), np.array([lo, hi])
-    d = c[1:] * np.arange(1, len(c))
-    # derivative terms below eps of the largest on the bracket move no root
-    # there but would swamp the companion matrix (a non-finite one keeps no
-    # root); rotated as in chebroots, it finds small roots beside large ones
-    size = np.abs(d) * max(-lo, hi) ** np.arange(len(d))
-    m = max(np.flatnonzero(size > _EPS * size.max(initial=0.0)), default=0)  # kept degree
-    if m > 0:
-        companion = np.eye(m, k=1)
-        companion[:, 0] -= d[m - 1 :: -1] / d[m]
-        roots = np.linalg.eigvals(companion).real
-        xs = np.concatenate([xs, roots[(lo < roots) & (roots < hi)]])
-    vals = _checked_values(xs, horner(c, xs))
-    if (flat := _flat(vals, settings.bracket, len(xs))) is not None:
-        return flat
-    i = np.lexsort((np.abs(xs), vals))[0]
-    return ScalarMinResult(float(xs[i]), float(vals[i]), len(xs), at_bracket_edge=xs[i] in (lo, hi))
+    c = np.asarray(coeffs, dtype=float)
+    stack = c[None] if c.ndim == 1 else c
+    rows, k = stack.shape
+    # a non-finite value is its row's error, so numpy's warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors, powers, scales = _derivative_scales(k, max(-lo, hi))
+        d = stack[:, 1:] * factors
+        # derivative terms below eps of the largest on the bracket move no
+        # root there but would swamp the companion matrix (a non-finite one
+        # keeps no root); rotated as in chebroots, it finds small roots
+        # beside large ones
+        size = np.abs(d) * scales
+        kept = size > _EPS * np.maximum.reduce(size, axis=1, initial=0.0, keepdims=True)
+        degree = np.maximum.reduce(kept * powers, axis=1, initial=0)  # each row's kept degree
+        degrees = set(degree.tolist())
+        # the candidates of each row: lo, hi, then the roots in the
+        # eigensolver's order, clipped to the bracket.  A root outside copies
+        # an end that comes before it, which changes no value, no tie-break
+        # and no first non-finite point
+        xs = np.empty((rows, 2 + max(degrees, default=0)))
+        xs[:] = lo
+        xs[:, 1] = hi
+        for m in degrees - {0}:
+            idx = slice(None) if len(degrees) == 1 else np.flatnonzero(degree == m)
+            dm = d[idx]
+            companion = np.empty((len(dm), m, m))
+            companion[:] = _shift(m)
+            companion[:, :, 0] -= dm[:, m - 1 :: -1] / dm[:, m : m + 1]
+            xs[idx, 2 : 2 + m] = np.linalg.eigvals(companion).real
+        roots = xs[:, 2:]
+        np.minimum(np.maximum(roots, lo, out=roots), hi, out=roots)
+        # Horner's rule, each coefficient spread over its row's candidates
+        terms = stack.T[:, :, None].repeat(xs.shape[1], axis=2)
+        vals = terms[-1]
+        for term in terms[-2::-1]:
+            vals *= xs
+            vals += term
+        best = np.lexsort((np.abs(xs), vals))[:, 0]
+        r = np.arange(rows)
+        argmin, min_value, high = xs[r, best], vals[r, best], np.maximum.reduce(vals, axis=1)
+        # the largest magnitude among the values is that of min_value or high
+        degenerate = high - min_value <= _FLAT * np.maximum(-min_value, high)
+        # every value is finite where their sum is; an overflowing sum only
+        # makes the rows be checked one by one
+        all_finite = math.isfinite(np.add.reduce(vals, axis=None))
+    # a filled slot never wins over lo, and a root inside is no bracket end
+    edge = best < 2
+    if np.logical_or.reduce(degenerate):
+        x = min(max(0.0, lo), hi)  # the bracket point nearest 0
+        argmin = np.where(degenerate, x, argmin)
+        edge = np.where(degenerate, x in (lo, hi), edge)
+    errors = [None] * rows
+    if not all_finite:
+        finite = np.isfinite(vals)
+        for i in np.flatnonzero(~finite.all(axis=1)):
+            j = np.argmin(finite[i])
+            errors[i] = CostEvaluationError(float(xs[i, j]), float(vals[i, j]))
+    # the candidates: the bracket ends and the roots strictly inside
+    iterations = np.add.reduce((lo < roots) & (roots < hi), axis=1, initial=2)
+    result = StackMinResult(argmin, min_value, iterations, degenerate, edge, errors)
+    return result.row(0) if c.ndim == 1 else result
 
 
 def horner(coeffs, x) -> np.ndarray:
@@ -320,9 +415,14 @@ def horner(coeffs, x) -> np.ndarray:
 
 def gram_coeffs(Q) -> np.ndarray:
     """Ascending coefficients of p' Q p in theta, p = (1, theta, ..., theta^d),
-    for a (d + 1, d + 1) Q: at theta^k, the sum of Q's k-th anti-diagonal."""
-    k = np.arange(len(Q))
-    return np.bincount((k[:, None] + k).ravel(), weights=np.ravel(Q))
+    for a (d + 1, d + 1) Q or a stack of them: at theta^k, the sum of Q's
+    k-th anti-diagonal, added from its first row down."""
+    Q = np.asarray(Q, dtype=float)
+    n = Q.shape[-1]
+    out = np.zeros(Q.shape[:-2] + (2 * n - 1,))
+    for i in range(n):
+        out[..., i : i + n] += Q[..., i, :]
+    return out
 
 
 def _window(start, lo: float, hi: float) -> OptimizerSettings | None:

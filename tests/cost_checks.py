@@ -8,12 +8,18 @@ from wienerid.numerics import OptimizerSettings
 
 def _intercept(monkeypatch, module, record) -> None:
     """Call record(coeffs, settings, result) on every search `module` runs
-    through poly_argmin; the search itself still runs."""
+    through poly_argmin, once per row of a stack (result None for a row
+    that fails); the search itself still runs."""
     search = module.poly_argmin
 
     def recording(coeffs, settings=OptimizerSettings()):
         result = search(coeffs, settings)
-        record(np.array(coeffs), settings, result)
+        coeffs = np.array(coeffs)
+        if coeffs.ndim == 1:
+            record(coeffs, settings, result)
+        else:
+            for i, row in enumerate(coeffs):
+                record(row, settings, None if result.errors[i] else result.row(i))
         return result
 
     monkeypatch.setattr(module, "poly_argmin", recording)

@@ -360,6 +360,130 @@ class TestRecordContext:
         assert np.isfinite(result.estimates["ML"][1])
 
 
+class TestStackedStep2:
+    """run_experiment runs II1_UNW's and II1_W's Step 2 over every
+    realization at once: a record that fails gives, in order, the failures
+    of per-method run_method calls on the same records, and the other rows
+    keep the estimates of a clean run."""
+
+    methods = ("PEM_W", "II0", "II1_UNW", "II1_W")
+    BAD = 1  # the realization made to fail
+
+    def expected_failures(self, config):
+        out = []
+        for r in range(config.realizations):
+            record = bench.make_record(config, r)
+            for m in [m for m in METHOD_ORDER if m in config.methods]:
+                try:
+                    run_method(config, m, record, realization=r)
+                except Exception as exc:  # noqa: BLE001 - compared by message
+                    out.append((r, m, f"{type(exc).__name__}: {exc}"))
+        return out
+
+    def assert_parity(self, config, clean, failing):
+        """The failures of the bad record are `failing`, (method, error
+        type) pairs; the other records keep the clean run's estimates."""
+        result = run_experiment(config)
+        failures = [(f.realization, f.method, f.message) for f in result.failures]
+        assert failures == self.expected_failures(config)
+        assert [(r, m, msg.split(":")[0]) for r, m, msg in failures] == [
+            (self.BAD, m, kind) for m, kind in failing]
+        for m in config.methods:
+            for r in range(config.realizations):
+                if r != self.BAD:
+                    assert result.estimates[m][r] == clean.estimates[m][r], (r, m)
+                    if m in PREDICTS_STD:
+                        assert result.predicted_stds[m][r] == clean.predicted_stds[m][r], (r, m)
+        return result
+
+    def test_rank_deficient_simulated_map(self):
+        # sigma_u2 = 0 gives u = 0: every record's simulated map refuses it
+        config = small_config(methods=self.methods, s_count=3, sigma_u2=0.0)
+        result = run_experiment(config)
+        failures = [(f.realization, f.method, f.message) for f in result.failures]
+        assert failures == self.expected_failures(config)
+        assert {(r, m) for r, m, _ in failures} >= {
+            (r, m) for r in range(3) for m in ("II1_UNW", "II1_W")}
+        assert all(msg.startswith("RankDeficiencyError") for r, m, msg in failures if m != "II0")
+
+    def test_overflowing_output(self, monkeypatch):
+        config = small_config(methods=self.methods)
+        clean = run_experiment(config)
+        real = bench.make_record
+
+        def huge_sample(cfg, realization):
+            record = real(cfg, realization)
+            if realization == self.BAD:
+                record.y[5] = 1e200  # I_hat overflows
+            return record
+
+        monkeypatch.setattr(bench, "make_record", huge_sample)
+        self.assert_parity(config, clean, [
+            ("PEM_W", "CostEvaluationError"), ("II1_UNW", "LinAlgError"), ("II1_W", "LinAlgError")])
+
+    def test_weighting_not_positive_definite(self, monkeypatch):
+        config = small_config(methods=self.methods, s_count=3)
+        clean = run_experiment(config)
+        bad_y = make_record(config, self.BAD).y
+        real = bla.estimate_weighting
+
+        def indefinite_on_bad(data, fit):
+            est = real(data, fit)
+            if np.array_equal(data.y, bad_y):
+                est.W = np.array([[1.0, 0.0], [0.0, -1.0]])
+            return est
+
+        monkeypatch.setattr(bla, "estimate_weighting", indefinite_on_bad)
+        result = self.assert_parity(config, clean, [("II1_W", "ValueError")])
+        assert result.failures[0].message.startswith("ValueError: W must be positive definite")
+        assert np.isfinite(result.estimates["II1_UNW"]).all()
+
+    def test_non_finite_map_coefficient(self, monkeypatch):
+        config = small_config(methods=self.methods, s_count=3)
+        clean = run_experiment(config)
+        bad_seed = bench._simulation_seed(config, self.BAD)
+        real = SimulatedMap.__post_init__
+
+        def nan_on_bad(self_map):
+            real(self_map)
+            if self_map.seed == bad_seed:
+                self_map.coeffs[2, 1] = np.nan
+
+        monkeypatch.setattr(SimulatedMap, "__post_init__", nan_on_bad)
+        result = self.assert_parity(config, clean, [("II1_UNW", "ValueError"), ("II1_W", "ValueError")])
+        assert result.failures[0].message == "ValueError: beta_map.coeffs must be finite"
+
+    def test_tracer_sees_every_record_and_the_per_record_methods(self, monkeypatch):
+        # perfbench's tracer wraps the module-global make_record and
+        # run_method; its make_record metric needs one span per realization
+        calls = []
+        real_make, real_run = bench.make_record, bench.run_method
+
+        def traced_make(config, realization):
+            calls.append(("make_record", realization))
+            return real_make(config, realization)
+
+        def traced_run(config, method, record, realization=0, **kwargs):
+            calls.append((method, realization))
+            return real_run(config, method, record, realization, **kwargs)
+
+        monkeypatch.setattr(bench, "make_record", traced_make)
+        monkeypatch.setattr(bench, "run_method", traced_run)
+        config = small_config(methods=METHOD_ORDER, desk_scale=True)
+        run_experiment(config)
+        for name in ("make_record", "ML", "PEM_W", "II0"):
+            assert [r for n, r in calls if n == name] == list(range(config.realizations)), name
+        # ML's start is run_method's II1_W; the tables' II1 rows are stacked
+        assert [r for n, r in calls if n == "II1_W"] == list(range(config.realizations))
+        assert not [r for n, r in calls if n == "II1_UNW"]
+
+    def test_replay_of_a_large_table(self, gaussian_experiment):
+        config = gaussian_experiment.config
+        for r in (0, 1, 499, 998, 999):
+            replayed = replay_realization(config, r)
+            assert replayed == {m: gaussian_experiment.estimates[m][r] for m in config.methods}, r
+
+
 class TestEmitReport:
     def test_csv_layout_and_round_trip(self, tmp_path):
         config = small_config()

@@ -250,6 +250,73 @@ class TestStep2:
         assert report.predicted_std**2 == pytest.approx(2.0 / float(G @ G) / 2000, rel=1e-8)
 
 
+class TestStep2Stack:
+    """step2 on R rows gives each row, bit for bit, its own call's estimate,
+    and each failing row its own call's error."""
+
+    R = 8
+
+    def fits(self):
+        out = []
+        for r in range(self.R):
+            spec, data = make_data(gaussian_white(SU2), 400, 60 + r)
+            out.append((data, estimate_weighting(data, fit_bla(data, (0, 1)))))
+        return out
+
+    @staticmethod
+    def outcome(call):
+        try:
+            est = call()
+        except Exception as exc:  # noqa: BLE001 - compared by type and message
+            return (type(exc), str(exc))
+        d = est.diagnostics
+        return (est.theta_hat.tolist(), est.predicted_std, d.iterations, d.degenerate, d.at_bracket_edge)
+
+    def assert_rows_are_their_own_calls(self, beta_hat, W, maps, beta_cov):
+        coeffs = np.array([m.coeffs for m in maps])
+        stacked_map = SimpleNamespace(coeffs=coeffs, inflation=np.array([m.inflation for m in maps]))
+        result = step2(beta_hat, W, stacked_map, n_obs=400, beta_cov=beta_cov)
+        for i in range(self.R):
+            own = self.outcome(lambda: step2(beta_hat[i], W[i], maps[i], n_obs=400, beta_cov=beta_cov[i]))
+            assert self.outcome(lambda: result.row(i)) == own, i
+            if result.errors[i] is None:
+                assert result.theta_hat[i] == own[0][0] and result.predicted_std[i] == own[1]
+            else:
+                assert np.isnan(result.theta_hat[i]) and np.isnan(result.predicted_std[i])
+        return result
+
+    def test_analytic_map(self):
+        fits = self.fits()
+        amap = AnalyticMap(SU2, SV2, 3.0)
+        beta_hat = np.array([f.beta_hat for _, f in fits])
+        W = np.array([f.W for _, f in fits])
+        beta_cov = np.array([f.cov_beta for _, f in fits])
+        self.assert_rows_are_their_own_calls(beta_hat, W, [amap] * self.R, beta_cov)
+        # one shared map and one shared metric are the same rows
+        shared = step2(beta_hat, np.eye(2), amap, n_obs=400, beta_cov=beta_cov)
+        for i in range(self.R):
+            own = step2(beta_hat[i], np.eye(2), amap, n_obs=400, beta_cov=beta_cov[i])
+            assert (shared.theta_hat[i], shared.predicted_std[i]) == (own.theta_hat[0], own.predicted_std)
+
+    def test_simulated_maps_with_failing_rows(self):
+        fits = self.fits()
+        maps = [SimulatedMap(data.u, paper_spec(), s_count=3, seed=r) for r, (data, _) in enumerate(fits)]
+        beta_hat = np.array([f.beta_hat for _, f in fits])
+        W = np.array([f.W for _, f in fits])
+        beta_cov = np.array([f.cov_beta for _, f in fits])
+        beta_hat[1, 0] = np.nan
+        W[3] = [[1.0, 0.0], [0.0, -1.0]]
+        W[4, 0, 1] += 0.5
+        maps[5].coeffs = maps[5].coeffs.copy()
+        maps[5].coeffs[2, 1] = np.inf
+        beta_cov[6, 1, 1] = np.nan
+        result = self.assert_rows_are_their_own_calls(beta_hat, W, maps, beta_cov)
+        assert [type(e).__name__ if e else None for e in result.errors] == [
+            None, "ValueError", None, "ValueError", "ValueError", "ValueError", "ValueError", None]
+        assert str(result.errors[3]).startswith("W must be positive definite")
+        assert str(result.errors[5]) == "beta_map.coeffs must be finite"
+
+
 class TestBindingMapContract:
     # step2 reads a map's coeffs alone: one row per power of theta, one
     # column per auxiliary coefficient

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -534,15 +535,79 @@ class TestPolyArgmin:
         assert res.argmin == -1.0 and res.at_bracket_edge
 
     def test_non_finite_cost_reports_point(self):
-        # a NaN or an inf coefficient gives a non-finite value at lo
-        for bad in (math.nan, math.inf, -math.inf):
-            for position in range(3):
-                coeffs = [1.0, 0.5, 1.0]
-                coeffs[position] = bad
-                with pytest.raises(CostEvaluationError) as excinfo:
-                    poly_argmin(coeffs, OptimizerSettings(bracket=(-2.0, 2.0)))
-                assert excinfo.value.point == -2.0 and not math.isfinite(excinfo.value.value)
-        # finite coefficients, but 1e300 x^2 overflows at the upper end
-        with pytest.raises(CostEvaluationError) as excinfo:
-            poly_argmin([0.0, 0.0, 1e300], OptimizerSettings(bracket=(0.5, 1e5)))
-        assert excinfo.value.point == 1e5 and excinfo.value.value == math.inf
+        # the typed error alone reports the value: numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # a NaN or an inf coefficient gives a non-finite value at lo
+            for bad in (math.nan, math.inf, -math.inf):
+                for position in range(3):
+                    coeffs = [1.0, 0.5, 1.0]
+                    coeffs[position] = bad
+                    with pytest.raises(CostEvaluationError) as excinfo:
+                        poly_argmin(coeffs, OptimizerSettings(bracket=(-2.0, 2.0)))
+                    assert excinfo.value.point == -2.0 and not math.isfinite(excinfo.value.value)
+            # finite coefficients, but 1e300 x^2 overflows at the upper end
+            with pytest.raises(CostEvaluationError) as excinfo:
+                poly_argmin([0.0, 0.0, 1e300], OptimizerSettings(bracket=(0.5, 1e5)))
+            assert excinfo.value.point == 1e5 and excinfo.value.value == math.inf
+
+
+class TestPolyArgminStack:
+    """An (R, K) stack gives each row the result of its own 1-D call."""
+
+    settings = OptimizerSettings(bracket=(-1.0, 2.0))
+    ROWS = {
+        "interior": npoly.polyfromroots([0.3, 0.3, -2.0, 1.7, 5.0, -4.0]),
+        "lower degree": np.r_[npoly.polyfromroots([0.3, 0.3, -2.0]), 0.0, 0.0, 0.0],
+        "tiny leading": [0.0, 0.7890625, 2.0, 1e-40, 0.0, 0.0, 0.0],
+        "quadratic": [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+        "flat": [3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        "zero": np.zeros(7),
+        "lower edge": [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        "upper edge": [0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        # -(theta - 0.5)^2 takes one value at both ends: the smaller |theta| wins
+        "tie": [-0.25, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+        "nan": [1.0, 0.5, math.nan, 0.0, 0.0, 0.0, 1.0],
+        "inf": [1.0, 0.5, 1.0, 0.0, 0.0, -math.inf, 1.0],
+        "overflow": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e307],
+    }
+
+    @staticmethod
+    def outcome(call):
+        try:
+            res = call()
+        except CostEvaluationError as exc:
+            return ("error", exc.point, str(exc))
+        return (res.argmin, res.min_value, res.iterations, res.degenerate, res.at_bracket_edge)
+
+    def test_rows_equal_their_own_calls(self):
+        stack = np.array(list(self.ROWS.values()), dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = poly_argmin(stack, self.settings)
+            singles = [self.outcome(lambda: poly_argmin(row, self.settings)) for row in stack]
+        assert result.argmin.shape == (len(stack),)
+        for i, name in enumerate(self.ROWS):
+            assert self.outcome(lambda: result.row(i)) == singles[i], name
+        # the cases the stack mixes are all there
+        kinds = dict(zip(self.ROWS, singles))
+        assert kinds["flat"][3] and kinds["zero"][3] and kinds["lower edge"][4]
+        assert kinds["upper edge"][:1] == (2.0,) and kinds["tie"][:1] == (-1.0,)
+        assert kinds["lower degree"][2] == 3 and kinds["interior"][2] > 3
+        assert [name for name, row in kinds.items() if row[0] == "error"] == ["nan", "inf", "overflow"]
+
+    def test_non_finite_row_is_flagged_not_raised(self):
+        stack = np.array([self.ROWS["interior"], self.ROWS["overflow"], self.ROWS["nan"]])
+        result = poly_argmin(stack, self.settings)
+        assert result.errors[0] is None
+        for i, point in ((1, 2.0), (2, -1.0)):
+            error = result.errors[i]
+            assert isinstance(error, CostEvaluationError) and error.point == point
+            with pytest.raises(CostEvaluationError) as excinfo:
+                poly_argmin(stack[i], self.settings)
+            assert (excinfo.value.point, str(excinfo.value)) == (error.point, str(error))
+        assert result.row(0) == poly_argmin(stack[0], self.settings)
+
+    def test_empty_stack(self):
+        result = poly_argmin(np.zeros((0, 7)), self.settings)
+        assert result.argmin.shape == (0,) and result.errors == []

@@ -8,7 +8,10 @@ polynomial coefficients.  A rewrite that keeps the estimators keeps these to
 1e-10, so this is the equivalence gate of every such rewrite.  The shared
 rows run ML (desk scale), II1_UNW and II1_W together through
 run_experiment on one S = 10 record, so the BLA fit and the simulated map
-they share are pinned too; they were recorded before those were shared."""
+they share are pinned too; they were recorded before those were shared.
+The stacked rows run II1_UNW and II1_W on realizations 0-4 of
+the gaussian table through run_experiment, which stacks their Step 2 over
+the realizations; they were recorded before Step 2 was stacked."""
 
 import dataclasses
 
@@ -71,6 +74,16 @@ PINNED = [
     ("shared", 0, "ML", 0.4832689601155516, None),
     ("shared", 0, "II1_UNW", 0.5055581326833998, 0.05427684633374861),
     ("shared", 0, "II1_W", 0.4864435586060056, 0.04276753988110751),
+    ("stacked", 0, "II1_UNW", 0.4971569380739823, 0.05293536870424505),
+    ("stacked", 1, "II1_UNW", 0.42251173526655456, 0.04509285916416258),
+    ("stacked", 2, "II1_UNW", 0.4821431087896831, 0.05347404738421865),
+    ("stacked", 3, "II1_UNW", 0.5993905265247839, 0.05737586741652172),
+    ("stacked", 4, "II1_UNW", 0.5429639099392568, 0.05178431186753695),
+    ("stacked", 0, "II1_W", 0.47967039540946665, 0.04164935262858371),
+    ("stacked", 1, "II1_W", 0.4540886406233265, 0.03591830031369224),
+    ("stacked", 2, "II1_W", 0.47650422826481137, 0.04274304830600097),
+    ("stacked", 3, "II1_W", 0.5319704785019976, 0.049192269387447696),
+    ("stacked", 4, "II1_W", 0.5138622143122878, 0.042804281556477114),
 ]
 
 
@@ -86,6 +99,8 @@ def _config(table: str) -> w.ExperimentConfig:
             table_config(w.DistributionKind.GAUSSIAN_WHITE), s_count=10, realizations=1,
             methods=("ML", "II1_UNW", "II1_W"), desk_scale=True,
         )
+    if table == "stacked":
+        return dataclasses.replace(table_config(w.DistributionKind.GAUSSIAN_WHITE), realizations=5)
     kind = {"gaussian": w.DistributionKind.GAUSSIAN_WHITE, "uniform": w.DistributionKind.UNIFORM_WHITE}
     return table_config(kind[table])
 
@@ -105,10 +120,19 @@ def test_estimates_match_pinned_values(table):
             assert est.predicted_std == pytest.approx(std, rel=TOL, abs=0.0), (r, method)
 
 
-def test_shared_record_matches_pinned_values():
-    result = w.run_experiment(_config("shared"))
+def assert_experiment_matches_pinned_values(table):
+    result = w.run_experiment(_config(table))
     assert not result.failures
-    for _, r, method, theta, std in [row for row in PINNED if row[0] == "shared"]:
-        assert result.estimates[method][r] == pytest.approx(theta, rel=0.0, abs=TOL), method
+    for _, r, method, theta, std in [row for row in PINNED if row[0] == table]:
+        assert result.estimates[method][r] == pytest.approx(theta, rel=0.0, abs=TOL), (r, method)
         if std is not None:
-            assert result.predicted_stds[method][r] == pytest.approx(std, rel=TOL, abs=0.0), method
+            predicted = result.predicted_stds[method][r]
+            assert predicted == pytest.approx(std, rel=TOL, abs=0.0), (r, method)
+
+
+def test_shared_record_matches_pinned_values():
+    assert_experiment_matches_pinned_values("shared")
+
+
+def test_stacked_step2_matches_pinned_values():
+    assert_experiment_matches_pinned_values("stacked")
