@@ -36,6 +36,7 @@ from .numerics import (
     QuadratureRule,
     RankDeficiencyError,
     ScalarMinResult,
+    StackEstimate,
     StackMinResult,
     gauss_hermite,
     least_squares,
@@ -54,7 +55,6 @@ from .ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likel
 from .indirect import (
     AnalyticMap,
     SimulatedMap,
-    StackEstimate,
     beta_map_gaussian,
     beta_map_uniform,
     first_order_estimate,

@@ -33,6 +33,11 @@ METHOD_ORDER = ("ML", "PEM_W", "II0", "II1_UNW", "II1_W")
 PREDICTS_STD = ("II0", "II1_UNW", "II1_W")
 # the methods whose Step 2 run_experiment runs over every realization at once
 STACKED_STEP2 = ("II1_UNW", "II1_W")
+# run_experiment runs PEM_W on chunks of this many records.  A chunk's
+# error coefficients take 8 (deg f + 1) N bytes per record of N samples,
+# and its peak memory is a few times that; chunks of 6 run the paper
+# tables as fast as chunks of 8, with less of it
+PEM_CHUNK = 6
 
 # the windowed likelihood rule is already converged at this order; desk
 # scale mainly caps the number of ML realizations
@@ -195,11 +200,12 @@ def run_method(
     binding function from `context`, the record's shared work, which
     run_experiment and replay_realization build once per record; without
     one, run_method builds its own.  Their Step 2 here is step2's stack of
-    one, bit for bit a row of run_experiment's stacked Step 2.  ML starts
-    its likelihood search at this function's II1_W on the same record and
-    context, and scans the whole bracket where II1_W fails.  PEM_W and
-    Step 2 need no start: their criteria are polynomials in theta,
-    minimized exactly.
+    one, bit for bit a row of run_experiment's stacked Step 2, and PEM_W
+    here is pem_estimate's stack of one, bit for bit a row of its chunks.
+    ML starts its likelihood search at this function's II1_W on the same
+    record and context, and scans the whole bracket where II1_W fails.
+    PEM_W and Step 2 need no start: their criteria are polynomials in
+    theta, minimized exactly.
     """
     if method not in METHOD_ORDER:
         raise ValueError(f"unknown method {method!r}")
@@ -237,15 +243,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Draw fresh input and noises per realization, run every requested method
     on the same record, and aggregate.
 
-    ML, PEM_W and II0 run record by record through run_method.  For II1_UNW
-    and II1_W the loop keeps only each record's auxiliary fit (beta_hat, W
-    and its covariance) and binding-function coefficients, about 20 floats;
-    after it, one stacked step2 per method covers every realization, each
-    row bit for bit run_method's estimate, and a row that fails records the
-    error its own call raises.  Failures are listed by realization, then in
-    METHOD_ORDER.  A method's wall time is its share of the loop plus its
-    stacked Step 2; the record's shared fit and map go to the first method
-    that needs them.
+    ML and II0 run record by record through run_method.  PEM_W runs once
+    per chunk of PEM_CHUNK consecutive records, and once on the last
+    partial chunk, as one stacked pem_estimate.  For II1_UNW and II1_W the
+    loop keeps only each record's auxiliary fit (beta_hat, W and its
+    covariance) and binding-function coefficients, about 20 floats; after
+    it, one stacked step2 per method covers every realization.  Each
+    stacked row is bit for bit run_method's estimate, and a row that fails
+    records the error its own call raises.  Failures are listed by
+    realization, then in METHOD_ORDER.  A method's wall time is its share
+    of the loop plus its stacked calls; the record's shared fit and map go
+    to the first method that needs them.
     """
     methods = [m for m in METHOD_ORDER if m in config.methods]
     runs = {m: (_ml_runs(config) if m == "ML" else config.realizations) for m in methods}
@@ -255,6 +263,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     failures: list[FailureRecord] = []
     stacked = [m for m in methods if m in STACKED_STEP2]
     fits = []  # (realization, beta_hat, W, cov_beta, map coeffs, inflation) per record
+    chunk: list[tuple[int, DataRecord]] = []  # the records PEM_W has yet to run on
+
+    def run_pem_chunk():
+        t0 = time.perf_counter()
+        done = [r for r, _ in chunk]
+        try:
+            result = pem_estimate([record for _, record in chunk], config.template())
+            estimates["PEM_W"][done] = result.theta_hat
+            errors = result.errors
+        except Exception as exc:  # noqa: BLE001 - a stack-wide error is every row's
+            errors = [exc] * len(done)
+        failures.extend(_failure(r, "PEM_W", e) for r, e in zip(done, errors) if e is not None)
+        chunk.clear()
+        wall["PEM_W"] += time.perf_counter() - t0
 
     for r in range(config.realizations):
         active = [m for m in methods if r < runs[m]]
@@ -264,7 +286,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         context = _RecordContext(config, record, r)
         for m in active:
             t0 = time.perf_counter()
-            if m not in STACKED_STEP2:
+            if m == "PEM_W":
+                chunk.append((r, record))
+            elif m not in STACKED_STEP2:
                 try:
                     est = run_method(config, m, record, realization=r, context=context)
                     estimates[m][r] = est.theta_hat[0]
@@ -282,6 +306,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 except Exception as exc:  # noqa: BLE001 - per-realization isolation
                     failures.extend(_failure(r, method, exc) for method in stacked)
             wall[m] += time.perf_counter() - t0
+        if len(chunk) == PEM_CHUNK:
+            run_pem_chunk()
+    if chunk:
+        run_pem_chunk()
 
     if fits:
         done, beta_hat, W, cov_beta, coeffs, inflation = zip(*fits)

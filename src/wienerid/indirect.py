@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import bla as bla_mod
 from .numerics import (
-    Estimate, OptimizerSettings, RankDeficiencyError, StackMinResult, gram_coeffs, least_squares,
+    Estimate, OptimizerSettings, RankDeficiencyError, StackEstimate, gram_coeffs, least_squares,
     poly_argmin,
 )
 from .pem import theta_coeffs
@@ -155,26 +154,6 @@ class SimulatedMap:
 
     def __call__(self, theta) -> np.ndarray:
         return npoly.polyval(theta, self.coeffs).T
-
-
-class StackEstimate(NamedTuple):
-    """step2 on each row of a stack, one entry per row: theta_hat and
-    predicted_std, the searches behind them (a StackMinResult), and
-    `errors`, the exception the row raises alone or None; a row with an
-    error has NaN estimates.  `row(i)` is row i's Estimate, or raises its
-    error."""
-
-    theta_hat: np.ndarray
-    predicted_std: np.ndarray
-    diagnostics: StackMinResult
-    errors: list[Exception | None]
-
-    def row(self, i: int) -> Estimate:
-        if self.errors[i] is not None:
-            raise self.errors[i]
-        return Estimate(
-            self.theta_hat[i : i + 1].copy(), self.predicted_std.item(i), self.diagnostics.row(i)
-        )
 
 
 def step2(
@@ -368,7 +347,9 @@ def zero_order_estimate(
     The predicted std is the delta method through that inverse: the
     heteroskedasticity-robust std of the slope, sqrt(sum u^2 eps^2) / sum u^2
     with eps the regression residual, over the slope 3 c3 theta^2 + c1 of
-    the component at the estimate.
+    the component at the estimate.  Residuals whose squares overflow leave
+    that std non-finite, and raise LinAlgError (a ValueError), as in
+    bla.estimate_weighting.
     """
     u0 = data.lagged(0)
     beta1, resid = least_squares(u0[:, None], data.y)
@@ -376,7 +357,15 @@ def zero_order_estimate(
     c3, c1 = float(coeffs[3, 0]), float(coeffs[1, 0])
     theta_hat = solve_increasing_cubic(c3, c1, float(beta1[0]))
     u2 = u0 * u0
-    slope_std = math.sqrt(float(np.sum(u2 * resid * resid))) / float(np.sum(u2))
+    # an overflowing square raises LinAlgError below, so numpy's warning
+    # would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope_var = float(np.sum(u2 * resid * resid))
+    if not math.isfinite(slope_var):
+        raise np.linalg.LinAlgError(
+            f"robust slope variance is not finite (squared residuals overflow): {slope_var}"
+        )
+    slope_std = math.sqrt(slope_var) / float(np.sum(u2))
     return Estimate(np.array([theta_hat]), slope_std / (3.0 * c3 * theta_hat**2 + c1))
 
 

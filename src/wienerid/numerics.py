@@ -306,6 +306,25 @@ class StackMinResult(NamedTuple):
         )
 
 
+class StackEstimate(NamedTuple):
+    """An estimator on each row of a stack, one entry per row: theta_hat and
+    predicted_std (None for a method that predicts none), the searches
+    behind them (a StackMinResult), and `errors`, the exception the row
+    raises alone or None; a row with an error has NaN estimates.  `row(i)`
+    is row i's Estimate, or raises its error."""
+
+    theta_hat: np.ndarray
+    predicted_std: np.ndarray | None
+    diagnostics: StackMinResult
+    errors: list[Exception | None]
+
+    def row(self, i: int) -> Estimate:
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        std = None if self.predicted_std is None else self.predicted_std.item(i)
+        return Estimate(self.theta_hat[i : i + 1].copy(), std, self.diagnostics.row(i))
+
+
 @functools.lru_cache(maxsize=32)
 def _shift(m: int) -> np.ndarray:
     """The m x m matrix of ones on the superdiagonal: a companion matrix

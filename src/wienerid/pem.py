@@ -10,15 +10,20 @@ binding function has.  With E those of the prediction errors, either cost
 is the Gram form p' (E diag(1/lambda) E' / N) p, p = (1, theta, ...), with
 weights lambda = 1, or frozen at the unweighted estimate, and
 `numerics.poly_argmin` minimizes it exactly from its coefficients.
+`pem_estimate` takes one record or a stack of records of one length: a
+stack forms its Grams with one stacked matmul and minimizes them with one
+stacked search per pass, each row bit for bit its own call, so an
+experiment runs PEM on chunks of records.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
-from .numerics import Estimate, OptimizerSettings, gram_coeffs, horner, poly_argmin
+from .numerics import OptimizerSettings, StackEstimate, gram_coeffs, horner, poly_argmin
 from .system import DataRecord, Nonlinearity, SystemSpec, cubic, linear_output
 
 
@@ -38,8 +43,9 @@ def theta_coeffs(f_coeffs, x, moments) -> np.ndarray:
     coefficients `f_coeffs`, from the moments E{w^j}, j = 0..deg p, on the
     first axis of `moments`: x^k sum_j c_j C(j, k) E{w^(j-k)} at theta^k.
     Trailing axes of `moments` (one set per sample, a (deg p + 1, N) array
-    with x of shape (N,)) carry over to the result."""
-    out = np.zeros(np.shape(moments))
+    with x of shape (N,)) carry over to the result, and so does the memory
+    layout of an array `moments`."""
+    out = np.zeros_like(moments, dtype=float)
     for j, c_j in enumerate(f_coeffs):
         for k in range(j + 1 if c_j else 0):  # a zero c_j adds nothing
             out[k] += c_j * math.comb(j, k) * moments[j - k]
@@ -76,50 +82,75 @@ def prediction_variance(theta: float, u_t, u_tm1, sigma_v2: float, sigma_e2: flo
 
 
 def pem_estimate(
-    data: DataRecord,
+    data: DataRecord | Sequence[DataRecord],
     spec_template: SystemSpec,
     weighted: bool = True,
     settings: OptimizerSettings = OptimizerSettings(),
-) -> Estimate:
+):
     """Minimize the (optionally variance-weighted) mean-square prediction error.
 
     The weighted search divides each squared prediction error by the
     prediction-error variance evaluated at the unweighted estimate; the
     weights stay frozen during the second search.
+
+    A sequence of K records, all of one n_obs and one len(u) (else
+    ValueError), gives a StackEstimate: the records share one (K, d + 1, N)
+    array of error coefficients, one stacked Gram and one stacked
+    poly_argmin per pass, each row computed as its own call computes it, so
+    a row's estimate is bit for bit that of its own call, and a row that
+    fails carries the CostEvaluationError its own call raises.  One
+    DataRecord is the stack of one: it gives its Estimate, or raises.
     """
     fir = spec_template.fir
     if fir.n_free != 1:
         raise ValueError("scalar search supports exactly one free coefficient")
+    records = [data] if isinstance(data, DataRecord) else list(data)
+    shapes = {(len(d.u), d.n_obs) for d in records}
+    if len(shapes) != 1:
+        raise ValueError(f"a stack needs records of one len(u) and one n_obs, got {sorted(shapes)}")
     nl, sv2 = spec_template.nonlinearity, spec_template.sigma_v2
-    n = data.n_obs
-    # the trailing slice aligns records whose lead exceeds the FIR depth
-    w = linear_output(fir, 0.0, data.u)[-n:]
-    powers = [np.ones(n)]
-    for _ in range(nl.degree):
-        powers.append(powers[-1] * w)
+    u = np.array([d.u for d in records])
+    rows, n = len(records), records[0].n_obs
+    lead, lag = u.shape[1] - n, fir.free_lags[0]
+    if fir.max_lag > lead:
+        raise ValueError(f"lag {fir.max_lag} exceeds the {lead} leading input samples available")
+    # each temporary below is K N or (d + 1) K N floats, dropped once used,
+    # so that a chunk's peak memory stays a few times its error coefficients.
+    # The trailing slice aligns records whose lead exceeds the FIR depth
+    w = linear_output(fir, np.zeros((rows, 1)), u)[:, -n:]
+    # powers of w laid out (K, d + 1, N), so that theta_coeffs' result, read
+    # (K, d + 1, N), gives each record a contiguous block as its own call does
+    powers = np.empty((rows, nl.degree + 1, n))
+    powers[:, 0] = 1.0
+    for j in range(1, nl.degree + 1):
+        np.multiply(powers[:, j - 1], w, out=powers[:, j])
+    del w
     # per-sample coefficients in theta of the prediction error y - h(theta x + w)
     h = gaussian_smoothed(nl.coeffs, sv2)
-    errors = -theta_coeffs(h, data.lagged(fir.free_lags[0]), np.array(powers))
-    errors[0] += data.y
+    errors = theta_coeffs(h, u[:, lead - lag : lead - lag + n], powers.transpose(1, 0, 2))
+    del powers
+    np.negative(errors, out=errors)
+    errors[0] += np.array([d.y for d in records])
+    errors = errors.transpose(1, 0, 2)
 
-    # an overflowing Gram entry raises CostEvaluationError in poly_argmin,
-    # so numpy's overflow warning would only repeat it
+    # an overflowing Gram entry is its row's CostEvaluationError in
+    # poly_argmin, so numpy's overflow warning would only repeat it
     with np.errstate(over="ignore"):
-        gram = errors @ errors.T / n
-    initial = poly_argmin(gram_coeffs(gram), settings)
-    if not weighted:
-        return Estimate(np.array([initial.argmin]), diagnostics=initial)
-
-    a = linear_output(fir, [initial.argmin], data.u)[-n:]
-    weights = conditional_variance(nl, a, sv2, spec_template.sigma_e2)
-    w_max = float(np.max(weights))
-    if w_max <= 0.0:
-        # noise-free data: constant (zero) weights reduce to the unweighted cost
-        weights = np.ones_like(weights)
-    else:
-        weights = np.maximum(weights, 1e-12 * w_max)
-
-    with np.errstate(over="ignore"):
-        gram = errors / weights @ errors.T / n
-    final = poly_argmin(gram_coeffs(gram), settings)
-    return Estimate(np.array([final.argmin]), diagnostics=final)
+        gram = errors @ errors.swapaxes(1, 2) / n
+    search = poly_argmin(gram_coeffs(gram), settings)
+    failures = search.errors
+    if weighted:
+        # a failed row's numbers are dropped, so its warnings would say nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = linear_output(fir, search.argmin[:, None], u)[:, -n:]
+            weights = conditional_variance(nl, a, sv2, spec_template.sigma_e2)
+            del u, a
+            w_max = np.max(weights, axis=1, keepdims=True)
+            # noise-free data: constant (zero) weights reduce to the unweighted cost
+            weights = np.where(w_max <= 0.0, 1.0, np.maximum(weights, 1e-12 * w_max))
+            gram = errors / weights[:, None] @ errors.swapaxes(1, 2) / n
+        search = poly_argmin(gram_coeffs(gram), settings)
+        failures = [e if e is not None else f for e, f in zip(failures, search.errors)]
+    ok = np.array([e is None for e in failures])
+    result = StackEstimate(np.where(ok, search.argmin, np.nan), None, search, failures)
+    return result.row(0) if isinstance(data, DataRecord) else result

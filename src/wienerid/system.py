@@ -121,26 +121,27 @@ def lagged_matrix(u: np.ndarray, n_obs: int, lags) -> np.ndarray:
 
 
 def linear_output(fir: FirStructure, theta, u) -> np.ndarray:
-    """Noise-free FIR output for t = 1..N with N = len(u) - max_lag.
+    """Noise-free FIR output for t = 1..N with N = u.shape[-1] - max_lag.
 
     theta has shape (..., n_free); leading axes broadcast, so a (G, n_free)
     stack of parameter vectors gives a (G, N) output, row g computed with
-    the same arithmetic as theta[g] alone.
+    the same arithmetic as theta[g] alone.  A (G, L) stack of inputs takes a
+    (G, n_free) theta, row g of the output being that of theta[g] on u[g].
     """
     u = np.asarray(u, dtype=float)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape[-1] != fir.n_free:
         raise ValueError(f"expected {fir.n_free} free coefficients, got {theta.shape[-1]}")
-    n = len(u) - fir.max_lag
+    n = u.shape[-1] - fir.max_lag
     if n < 1:
         raise ValueError(
-            f"input of length {len(u)} cannot cover maximum lag {fir.max_lag}"
+            f"input of length {u.shape[-1]} cannot cover maximum lag {fir.max_lag}"
         )
     out = np.zeros(theta.shape[:-1] + (n,))
     for j, lag in enumerate(fir.free_lags):
-        out += theta[..., j, None] * u[fir.max_lag - lag : fir.max_lag - lag + n]
+        out += theta[..., j, None] * u[..., fir.max_lag - lag : fir.max_lag - lag + n]
     for lag, value in fir.fixed:
-        out += value * u[fir.max_lag - lag : fir.max_lag - lag + n]
+        out += value * u[..., fir.max_lag - lag : fir.max_lag - lag + n]
     return out
 
 

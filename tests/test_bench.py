@@ -360,9 +360,8 @@ class TestRecordContext:
         assert np.isfinite(result.estimates["ML"][1])
 
 
-class TestStackedStep2:
-    """run_experiment runs II1_UNW's and II1_W's Step 2 over every
-    realization at once: a record that fails gives, in order, the failures
+class FailureParity:
+    """A record that fails in run_experiment gives, in order, the failures
     of per-method run_method calls on the same records, and the other rows
     keep the estimates of a clean run."""
 
@@ -380,21 +379,43 @@ class TestStackedStep2:
                     out.append((r, m, f"{type(exc).__name__}: {exc}"))
         return out
 
-    def assert_parity(self, config, clean, failing):
+    def assert_parity(self, config, clean, failing, bad=BAD):
         """The failures of the bad record are `failing`, (method, error
         type) pairs; the other records keep the clean run's estimates."""
         result = run_experiment(config)
         failures = [(f.realization, f.method, f.message) for f in result.failures]
         assert failures == self.expected_failures(config)
         assert [(r, m, msg.split(":")[0]) for r, m, msg in failures] == [
-            (self.BAD, m, kind) for m, kind in failing]
+            (bad, m, kind) for m, kind in failing]
         for m in config.methods:
             for r in range(config.realizations):
-                if r != self.BAD:
+                if r != bad:
                     assert result.estimates[m][r] == clean.estimates[m][r], (r, m)
                     if m in PREDICTS_STD:
                         assert result.predicted_stds[m][r] == clean.predicted_stds[m][r], (r, m)
         return result
+
+    def assert_overflow_parity(self, monkeypatch, config, bad):
+        """One y = 1e200 on record `bad` overflows PEM's Gram, II0's slope
+        variance and I_hat: four typed errors, in METHOD_ORDER."""
+        clean = run_experiment(config)
+        real = bench.make_record
+
+        def huge_sample(cfg, realization):
+            record = real(cfg, realization)
+            if realization == bad:
+                record.y[5] = 1e200
+            return record
+
+        monkeypatch.setattr(bench, "make_record", huge_sample)
+        self.assert_parity(config, clean, [
+            ("PEM_W", "CostEvaluationError"), ("II0", "LinAlgError"),
+            ("II1_UNW", "LinAlgError"), ("II1_W", "LinAlgError")], bad)
+
+
+class TestStackedStep2(FailureParity):
+    """run_experiment runs II1_UNW's and II1_W's Step 2 over every
+    realization at once, with the failure parity of FailureParity."""
 
     def test_rank_deficient_simulated_map(self):
         # sigma_u2 = 0 gives u = 0: every record's simulated map refuses it
@@ -407,19 +428,7 @@ class TestStackedStep2:
         assert all(msg.startswith("RankDeficiencyError") for r, m, msg in failures if m != "II0")
 
     def test_overflowing_output(self, monkeypatch):
-        config = small_config(methods=self.methods)
-        clean = run_experiment(config)
-        real = bench.make_record
-
-        def huge_sample(cfg, realization):
-            record = real(cfg, realization)
-            if realization == self.BAD:
-                record.y[5] = 1e200  # I_hat overflows
-            return record
-
-        monkeypatch.setattr(bench, "make_record", huge_sample)
-        self.assert_parity(config, clean, [
-            ("PEM_W", "CostEvaluationError"), ("II1_UNW", "LinAlgError"), ("II1_W", "LinAlgError")])
+        self.assert_overflow_parity(monkeypatch, small_config(methods=self.methods), self.BAD)
 
     def test_weighting_not_positive_definite(self, monkeypatch):
         config = small_config(methods=self.methods, s_count=3)
@@ -471,17 +480,61 @@ class TestStackedStep2:
         monkeypatch.setattr(bench, "run_method", traced_run)
         config = small_config(methods=METHOD_ORDER, desk_scale=True)
         run_experiment(config)
-        for name in ("make_record", "ML", "PEM_W", "II0"):
+        for name in ("make_record", "ML", "II0"):
             assert [r for n, r in calls if n == name] == list(range(config.realizations)), name
-        # ML's start is run_method's II1_W; the tables' II1 rows are stacked
+        # ML's start is run_method's II1_W; the tables' II1 rows are stacked,
+        # and PEM_W runs on chunks of records
         assert [r for n, r in calls if n == "II1_W"] == list(range(config.realizations))
-        assert not [r for n, r in calls if n == "II1_UNW"]
+        assert not [r for n, r in calls if n in ("II1_UNW", "PEM_W")]
 
     def test_replay_of_a_large_table(self, gaussian_experiment):
         config = gaussian_experiment.config
         for r in (0, 1, 499, 998, 999):
             replayed = replay_realization(config, r)
             assert replayed == {m: gaussian_experiment.estimates[m][r] for m in config.methods}, r
+
+
+class TestChunkedPem(FailureParity):
+    """run_experiment runs PEM_W on chunks of PEM_CHUNK records: a full
+    chunk and the last partial one give run_method's estimate on each
+    record, and a row that fails anywhere in its chunk gives the failures
+    of per-method run_method calls."""
+
+    @pytest.mark.parametrize("realizations", [1, bench.PEM_CHUNK + 1])
+    def test_rows_match_run_method(self, realizations):
+        config = small_config(methods=self.methods, realizations=realizations)
+        result = run_experiment(config)
+        assert not result.failures
+        for r in range(realizations):
+            est = run_method(config, "PEM_W", make_record(config, r), r)
+            assert result.estimates["PEM_W"][r] == est.theta_hat[0], r
+
+    @pytest.mark.parametrize("bad", [0, bench.PEM_CHUNK // 2, bench.PEM_CHUNK - 1, bench.PEM_CHUNK])
+    def test_overflowing_row_anywhere_in_its_chunk(self, monkeypatch, bad):
+        # first, middle and last of the full chunk, and the partial chunk's one row
+        config = small_config(methods=self.methods, realizations=bench.PEM_CHUNK + 1)
+        self.assert_overflow_parity(monkeypatch, config, bad)
+
+    def test_stack_wide_error_fails_every_row_of_its_chunk(self, monkeypatch):
+        config = small_config(methods=("PEM_W", "II0"), realizations=bench.PEM_CHUNK + 1)
+        clean = run_experiment(config)
+
+        def refusing(records, template):
+            raise RuntimeError("synthetic stack failure")
+
+        monkeypatch.setattr(bench, "pem_estimate", refusing)
+        result = run_experiment(config)
+        assert [(f.realization, f.method, f.message) for f in result.failures] == [
+            (r, "PEM_W", "RuntimeError: synthetic stack failure") for r in range(config.realizations)]
+        assert np.isnan(result.estimates["PEM_W"]).all()
+        np.testing.assert_array_equal(result.estimates["II0"], clean.estimates["II0"])
+
+    def test_replay_on_both_sides_of_a_chunk_boundary(self):
+        config = small_config(methods=self.methods, realizations=bench.PEM_CHUNK + 1)
+        result = run_experiment(config)
+        for r in (bench.PEM_CHUNK - 1, bench.PEM_CHUNK):
+            assert replay_realization(config, r) == {
+                m: result.estimates[m][r] for m in config.methods}, r
 
 
 class TestEmitReport:

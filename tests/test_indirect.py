@@ -461,6 +461,16 @@ class TestZeroOrder:
         report = zero_order_estimate(data, spec)
         assert np.isfinite(report.theta_hat[0]) and np.isfinite(report.predicted_std)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_slope_variance_raises_lin_alg_error(self):
+        # one y = 1e200 overflows the squared residual: a typed error, not
+        # theta_hat = -8.4e65 with an infinite std, and no warning before it
+        spec, data = make_data(gaussian_white(SU2), 120, 88)
+        y = data.y.copy()
+        y[5] = 1e200
+        with pytest.raises(np.linalg.LinAlgError, match="slope variance is not finite"):
+            zero_order_estimate(DataRecord(u=data.u, y=y), spec)
+
 
 class TestFirstOrder:
     @pytest.mark.parametrize("dist_maker", [gaussian_white, uniform_white])

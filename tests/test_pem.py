@@ -171,6 +171,59 @@ class TestPemEstimate:
                 pem_estimate(DataRecord(u=data.u, y=y), spec, weighted=True)
 
 
+class TestPemStack:
+    """pem_estimate on a stack of records: each row bit for bit its own call."""
+
+    R = 5
+
+    def records(self, lead_pad=0):
+        out = []
+        for seed in range(20, 20 + self.R):
+            spec, data = TestPemEstimate().make_data(0.2, 0.1, 300, seed)
+            out.append(DataRecord(u=np.concatenate([np.full(lead_pad, 0.33), data.u]), y=data.y))
+        return spec, out
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("lead_pad", [0, 2])
+    @pytest.mark.parametrize("linear_term", [False, True])
+    def test_rows_match_scalar_calls(self, weighted, lead_pad, linear_term):
+        spec, records = self.records(lead_pad)
+        if linear_term:  # f(z) = z + z^3 / 2 in place of the cube
+            spec.nonlinearity = polynomial([0.0, 1.0, 0.0, 0.5])
+        stack = pem_estimate(records, spec, weighted=weighted)
+        assert stack.predicted_std is None and stack.errors == [None] * self.R
+        for i, record in enumerate(records):
+            row, alone = stack.row(i), pem_estimate(record, spec, weighted=weighted)
+            assert row.theta_hat.tobytes() == alone.theta_hat.tobytes()
+            assert row.predicted_std is None and row.diagnostics == alone.diagnostics
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_failing_row_carries_its_own_error(self, bad):
+        spec, records = self.records()
+        y = records[bad].y.copy()
+        y[100] = 1e200  # overflows the squared error
+        records[bad] = DataRecord(u=records[bad].u, y=y)
+        stack = pem_estimate(records, spec)
+        with pytest.raises(CostEvaluationError) as alone:
+            pem_estimate(records[bad], spec)
+        assert str(stack.errors[bad]) == str(alone.value)
+        assert np.isnan(stack.theta_hat[bad])
+        for i, record in enumerate(records):
+            if i != bad:
+                assert stack.errors[i] is None
+                assert stack.theta_hat[i] == pem_estimate(record, spec).theta_hat[0]
+
+    def test_mixed_lengths_raise_value_error(self):
+        spec, records = self.records()
+        padded = DataRecord(u=np.concatenate([[0.33], records[1].u]), y=records[1].y)
+        with pytest.raises(ValueError, match="one len\\(u\\) and one n_obs"):
+            pem_estimate([records[0], padded], spec)
+        short = DataRecord(u=records[1].u[:-1], y=records[1].y[:-1])
+        with pytest.raises(ValueError, match="one len\\(u\\) and one n_obs"):
+            pem_estimate([records[0], short], spec)
+
+
 class TestExactMoments:
     def test_degree_60_against_gauss_hermite_120(self):
         # the 120-node rule is exact to degree 239, so it integrates both

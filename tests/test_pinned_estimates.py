@@ -11,7 +11,10 @@ run_experiment on one S = 10 record, so the BLA fit and the simulated map
 they share are pinned too; they were recorded before those were shared.
 The stacked rows run II1_UNW and II1_W on realizations 0-4 of
 the gaussian table through run_experiment, which stacks their Step 2 over
-the realizations; they were recorded before Step 2 was stacked."""
+the realizations; they were recorded before Step 2 was stacked.  Their
+PEM_W rows, and those of the uniform table, run PEM_W on a chunk of
+records; they were recorded, to 17 digits of the Gram-matrix criterion,
+before PEM_W ran on chunks."""
 
 import dataclasses
 
@@ -84,6 +87,16 @@ PINNED = [
     ("stacked", 2, "II1_W", 0.47650422826481137, 0.04274304830600097),
     ("stacked", 3, "II1_W", 0.5319704785019976, 0.049192269387447696),
     ("stacked", 4, "II1_W", 0.5138622143122878, 0.042804281556477114),
+    ("stacked", 0, "PEM_W", 0.47972725147794393, None),
+    ("stacked", 1, "PEM_W", 0.48747853612664016, None),
+    ("stacked", 2, "PEM_W", 0.47321188106800327, None),
+    ("stacked", 3, "PEM_W", 0.5065204163524142, None),
+    ("stacked", 4, "PEM_W", 0.5566992101847946, None),
+    ("stacked_uniform", 0, "PEM_W", 0.4918617441896073, None),
+    ("stacked_uniform", 1, "PEM_W", 0.5488751044527127, None),
+    ("stacked_uniform", 2, "PEM_W", 0.523494576046165, None),
+    ("stacked_uniform", 3, "PEM_W", 0.5112935089622954, None),
+    ("stacked_uniform", 4, "PEM_W", 0.5049701869524983, None),
 ]
 
 
@@ -101,6 +114,8 @@ def _config(table: str) -> w.ExperimentConfig:
         )
     if table == "stacked":
         return dataclasses.replace(table_config(w.DistributionKind.GAUSSIAN_WHITE), realizations=5)
+    if table == "stacked_uniform":
+        return dataclasses.replace(table_config(w.DistributionKind.UNIFORM_WHITE), realizations=5)
     kind = {"gaussian": w.DistributionKind.GAUSSIAN_WHITE, "uniform": w.DistributionKind.UNIFORM_WHITE}
     return table_config(kind[table])
 
@@ -136,3 +151,7 @@ def test_shared_record_matches_pinned_values():
 
 def test_stacked_step2_matches_pinned_values():
     assert_experiment_matches_pinned_values("stacked")
+
+
+def test_stacked_uniform_matches_pinned_values():
+    assert_experiment_matches_pinned_values("stacked_uniform")
