@@ -58,7 +58,6 @@ from .indirect import (
     beta_map_gaussian,
     beta_map_uniform,
     first_order_estimate,
-    solve_increasing_cubic,
     step2,
     zero_order_estimate,
 )

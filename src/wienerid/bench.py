@@ -21,6 +21,7 @@ import numpy as np
 from . import bla
 from .indirect import (
     SimulatedMap, analytic_binding, first_order_estimate, step2, zero_order_estimate,
+    zero_order_fit,
 )
 from .ml import MlSettings, ml_estimate
 from .numerics import Estimate, NumericsError, check_quad_order
@@ -29,10 +30,9 @@ from .signals import Distribution, DistributionKind, Seed, StreamRole, gen_white
 from .system import DataRecord, SystemSpec, cubic, paper_fir, simulate
 
 METHOD_ORDER = ("ML", "PEM_W", "II0", "II1_UNW", "II1_W")
-# the methods whose Estimate carries a predicted std
+# the methods whose Estimate carries a predicted std: the indirect ones,
+# whose Step 2 run_experiment runs over every realization at once
 PREDICTS_STD = ("II0", "II1_UNW", "II1_W")
-# the methods whose Step 2 run_experiment runs over every realization at once
-STACKED_STEP2 = ("II1_UNW", "II1_W")
 # run_experiment runs PEM_W on chunks of this many records.  A chunk's
 # error coefficients take 8 (deg f + 1) N bytes per record of N samples,
 # and its peak memory is a few times that; chunks of 6 run the paper
@@ -199,9 +199,11 @@ def run_method(
     II1_UNW and II1_W take the BLA fit and, with s_count set, the simulated
     binding function from `context`, the record's shared work, which
     run_experiment and replay_realization build once per record; without
-    one, run_method builds its own.  Their Step 2 here is step2's stack of
-    one, bit for bit a row of run_experiment's stacked Step 2, and PEM_W
-    here is pem_estimate's stack of one, bit for bit a row of its chunks.
+    one, run_method builds its own.  II0 matches its order-zero fit to the
+    closed-form map.  The Step 2 of II0, II1_UNW and II1_W here is step2's
+    stack of one, bit for bit a row of run_experiment's stacked Step 2, and
+    PEM_W here is pem_estimate's stack of one, bit for bit a row of its
+    chunks.
     ML starts its likelihood search at this function's II1_W on the same
     record and context, and scans the whole bracket where II1_W fails.
     PEM_W and Step 2 need no start: their criteria are polynomials in
@@ -243,17 +245,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Draw fresh input and noises per realization, run every requested method
     on the same record, and aggregate.
 
-    ML and II0 run record by record through run_method.  PEM_W runs once
-    per chunk of PEM_CHUNK consecutive records, and once on the last
-    partial chunk, as one stacked pem_estimate.  For II1_UNW and II1_W the
-    loop keeps only each record's auxiliary fit (beta_hat, W and its
-    covariance) and binding-function coefficients, about 20 floats; after
-    it, one stacked step2 per method covers every realization.  Each
-    stacked row is bit for bit run_method's estimate, and a row that fails
-    records the error its own call raises.  Failures are listed by
-    realization, then in METHOD_ORDER.  A method's wall time is its share
-    of the loop plus its stacked calls; the record's shared fit and map go
-    to the first method that needs them.
+    ML runs record by record through run_method.  PEM_W runs once per
+    chunk of PEM_CHUNK consecutive records, and once on the last partial
+    chunk, as one stacked pem_estimate.  For the indirect methods the loop
+    keeps only each record's auxiliary fits: II0's slope and its variance,
+    and for II1_UNW and II1_W beta_hat, W, its covariance and the
+    binding-function coefficients, about 20 floats; after it, one stacked
+    step2 per method covers every realization.  Each stacked row is bit for
+    bit run_method's estimate, and a row that fails records the error its
+    own call raises.  Failures are listed by realization, then in
+    METHOD_ORDER.  A method's wall time is its share of the loop plus its
+    stacked calls; the record's shared fit and map go to the first method
+    that needs them.
     """
     methods = [m for m in METHOD_ORDER if m in config.methods]
     runs = {m: (_ml_runs(config) if m == "ML" else config.realizations) for m in methods}
@@ -261,8 +264,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     predicted = {m: np.full(runs[m], np.nan) for m in methods if m in PREDICTS_STD}
     wall = {m: 0.0 for m in methods}
     failures: list[FailureRecord] = []
-    stacked = [m for m in methods if m in STACKED_STEP2]
-    fits = []  # (realization, beta_hat, W, cov_beta, map coeffs, inflation) per record
+    first_order = [m for m in methods if m in ("II1_UNW", "II1_W")]
+    analytic = analytic_binding(config.template(), config.input_kind).coeffs
+    beta1 = analytic[:, :1]  # II0's binding function
+    # per Step 2 method: (realization, beta_hat, W, beta_cov, map coeffs, inflation) per record
+    fits = {m: [] for m in methods if m in PREDICTS_STD}
     chunk: list[tuple[int, DataRecord]] = []  # the records PEM_W has yet to run on
 
     def run_pem_chunk():
@@ -288,47 +294,49 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             t0 = time.perf_counter()
             if m == "PEM_W":
                 chunk.append((r, record))
-            elif m not in STACKED_STEP2:
+            elif m == "ML":
                 try:
                     est = run_method(config, m, record, realization=r, context=context)
                     estimates[m][r] = est.theta_hat[0]
-                    if m in predicted and est.predicted_std is not None:
-                        predicted[m][r] = est.predicted_std
                 except Exception as exc:  # noqa: BLE001 - per-realization isolation
                     failures.append(_failure(r, m, exc))
-            elif m == stacked[0]:
+            elif m == "II0":
+                try:
+                    slope, variance = zero_order_fit(record)
+                    fits[m].append((r, [slope], [[1.0]], [[variance]], beta1, 1.0))
+                except Exception as exc:  # noqa: BLE001 - per-realization isolation
+                    failures.append(_failure(r, m, exc))
+            elif m == first_order[0]:
                 try:
                     # run_method's order: the map, then the fit
                     beta_map, fit = context.beta_map, context.fit
-                    coeffs = None if beta_map is None else beta_map.coeffs
+                    coeffs = analytic if beta_map is None else beta_map.coeffs
                     inflation = 1.0 if beta_map is None else beta_map.inflation
-                    fits.append((r, fit.beta_hat, fit.W, fit.cov_beta, coeffs, inflation))
+                    for method in first_order:
+                        W = fit.W if method == "II1_W" else np.eye(2)
+                        fits[method].append((r, fit.beta_hat, W, fit.cov_beta, coeffs, inflation))
                 except Exception as exc:  # noqa: BLE001 - per-realization isolation
-                    failures.extend(_failure(r, method, exc) for method in stacked)
+                    failures.extend(_failure(r, method, exc) for method in first_order)
             wall[m] += time.perf_counter() - t0
         if len(chunk) == PEM_CHUNK:
             run_pem_chunk()
     if chunk:
         run_pem_chunk()
 
-    if fits:
-        done, beta_hat, W, cov_beta, coeffs, inflation = zip(*fits)
-        done = list(done)
-        beta_hat, W, cov_beta = np.array(beta_hat), np.array(W), np.array(cov_beta)
-        if config.s_count is None:
-            beta_map = analytic_binding(config.template(), config.input_kind)
-        else:
-            beta_map = SimpleNamespace(coeffs=np.array(coeffs), inflation=np.array(inflation))
-        for m in stacked:
-            t0 = time.perf_counter()
-            metric = W if m == "II1_W" else np.eye(beta_hat.shape[1])
-            result = step2(beta_hat, metric, beta_map, n_obs=config.n_obs, beta_cov=cov_beta)
-            estimates[m][done] = result.theta_hat
-            predicted[m][done] = result.predicted_std
-            failures.extend(
-                _failure(r, m, e) for r, e in zip(done, result.errors) if e is not None
-            )
-            wall[m] += time.perf_counter() - t0
+    for m, rows in fits.items():
+        if not rows:
+            continue
+        t0 = time.perf_counter()
+        done, beta_hat, W, beta_cov, coeffs, inflation = (list(c) for c in zip(*rows))
+        beta_map = SimpleNamespace(coeffs=np.array(coeffs), inflation=np.array(inflation))
+        result = step2(
+            np.array(beta_hat), np.array(W), beta_map, n_obs=config.n_obs,
+            beta_cov=np.array(beta_cov),
+        )
+        estimates[m][done] = result.theta_hat
+        predicted[m][done] = result.predicted_std
+        failures.extend(_failure(r, m, e) for r, e in zip(done, result.errors) if e is not None)
+        wall[m] += time.perf_counter() - t0
     failures.sort(key=lambda f: (f.realization, METHOD_ORDER.index(f.method)))
 
     ledger = {

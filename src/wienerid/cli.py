@@ -48,6 +48,9 @@ def cmd_estimate(args) -> int:
     line = f"method={args.method} theta_hat={est.theta_hat[0]:.17g}"
     if est.predicted_std is not None:
         line += f" predicted_std={est.predicted_std:.17g}"
+    for flag in ("at_bracket_edge", "degenerate"):
+        if getattr(est.diagnostics, flag):
+            line += f" {flag}=True"
     print(line)
     return 0
 

@@ -22,15 +22,17 @@ W Sigma W G H^-1, H = G' W G, Sigma the covariance of the auxiliary fit.
 Step 2 takes one fit or a stack of them, each row bit for bit its own call,
 so an experiment matches all its records in one call per method.
 
-The order-zero method needs no search: it inverts the first component of
-the closed-form map at the slope of y on u(t), and predicts its std by the
-delta method through that inverse.
+The order-zero method is Step 2 on the slope of y on u(t) against the
+closed-form map's first component: with as many auxiliary coefficients as
+theta the match solves beta1(theta) = slope on the bracket, the weighting
+drops out and the sandwich is the delta method through that inverse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -286,45 +288,6 @@ def step2(
     return result if stacked else result.row(0)
 
 
-def solve_increasing_cubic(c3: float, c1: float, target: float, tol: float = 1e-13) -> float:
-    """Unique real root of c3 x^3 + c1 x = target for c3 >= 0, c1 >= 0 and a
-    finite target.
-
-    Safeguarded Newton: iterates stay inside a sign-change bracket, falling
-    back to bisection whenever a Newton step leaves it.  The bracket starts
-    at +- min(|target| / c1, cbrt(|target| / c3)), which bounds the root as
-    each term has the sign of x.
-    """
-    if c3 < 0 or c1 < 0 or (c3 == 0 and c1 == 0):
-        raise ValueError("need c3 >= 0, c1 >= 0 and not both zero")
-    if not math.isfinite(target):
-        raise ValueError(f"target must be finite, got {target}")
-
-    def g(x: float) -> float:
-        # products, not powers: an overflow gives inf instead of raising
-        return (c3 * x * x + c1) * x - target
-
-    cube_root = (abs(target) / c3) ** (1.0 / 3.0) if c3 > 0 else math.inf
-    hi = min(abs(target) / c1, cube_root) if c1 > 0 else cube_root
-    lo = -hi
-    x = target / c1 if c1 > 0 else math.copysign(cube_root, target)
-    x = min(max(x, lo), hi)
-    for _ in range(200):
-        gx = g(x)
-        if gx > 0:
-            hi = x
-        else:
-            lo = x
-        slope = 3.0 * c3 * x * x + c1
-        x_new = x - gx / slope if slope > 0 else 0.5 * (lo + hi)
-        if not lo <= x_new <= hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= tol * max(1.0, abs(x_new)):
-            return x_new
-        x = x_new
-    return x
-
-
 def analytic_binding(
     spec_template: SystemSpec, input_kind: DistributionKind | None
 ) -> AnalyticMap:
@@ -335,38 +298,45 @@ def analytic_binding(
     return AnalyticMap(dist.variance, spec_template.sigma_v2, dist.kurtosis)
 
 
+def zero_order_fit(data: DataRecord) -> tuple[float, float]:
+    """The order-zero auxiliary fit: the slope of y on u(t) alone, and its
+    heteroskedasticity-robust variance sum u^2 eps^2 / (sum u^2)^2 with eps
+    the regression residual.  Squares that overflow, or an input whose
+    squares underflow to zero, leave that variance non-finite, and raise
+    LinAlgError (a ValueError), as in bla.estimate_weighting."""
+    u0 = data.lagged(0)
+    beta1, resid = least_squares(u0[:, None], data.y)
+    # a square that overflows, or a sum of squares of u that underflows to
+    # zero, raises LinAlgError below, so numpy's warning would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u2 = u0 * u0
+        variance = float(np.sum(u2 * resid * resid) / np.sum(u2) ** 2)
+    if not math.isfinite(variance):
+        raise np.linalg.LinAlgError(
+            f"robust slope variance is not finite (squares overflow or underflow): {variance}"
+        )
+    return float(beta1[0]), variance
+
+
 def zero_order_estimate(
     data: DataRecord,
     spec_template: SystemSpec,
     input_kind: DistributionKind | None = None,
 ) -> Estimate:
-    """Order-zero indirect inference: regress y on u(t) alone and invert the
-    first binding-function component (strictly increasing, so no weighting is
-    needed and the inversion is unique).
+    """Order-zero indirect inference: match the first component of the
+    closed-form map to the slope of y on u(t) (`zero_order_fit`) in step2.
 
-    The predicted std is the delta method through that inverse: the
-    heteroskedasticity-robust std of the slope, sqrt(sum u^2 eps^2) / sum u^2
-    with eps the regression residual, over the slope 3 c3 theta^2 + c1 of
-    the component at the estimate.  Residuals whose squares overflow leave
-    that std non-finite, and raise LinAlgError (a ValueError), as in
-    bla.estimate_weighting.
+    The fit has as many coefficients as theta, so the match solves
+    beta1(theta) = slope on the bracket and the metric drops out (W = 1);
+    the sandwich of step2 is then the delta method through that inverse.
+    The match is step2's stack of one, so it is bit for bit the row of this
+    record in run_experiment's stacked Step 2.
     """
-    u0 = data.lagged(0)
-    beta1, resid = least_squares(u0[:, None], data.y)
-    coeffs = analytic_binding(spec_template, input_kind).coeffs
-    c3, c1 = float(coeffs[3, 0]), float(coeffs[1, 0])
-    theta_hat = solve_increasing_cubic(c3, c1, float(beta1[0]))
-    u2 = u0 * u0
-    # an overflowing square raises LinAlgError below, so numpy's warning
-    # would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope_var = float(np.sum(u2 * resid * resid))
-    if not math.isfinite(slope_var):
-        raise np.linalg.LinAlgError(
-            f"robust slope variance is not finite (squared residuals overflow): {slope_var}"
-        )
-    slope_std = math.sqrt(slope_var) / float(np.sum(u2))
-    return Estimate(np.array([theta_hat]), slope_std / (3.0 * c3 * theta_hat**2 + c1))
+    slope, variance = zero_order_fit(data)
+    beta_map = SimpleNamespace(coeffs=analytic_binding(spec_template, input_kind).coeffs[:, :1])
+    return step2(
+        np.array([slope]), np.eye(1), beta_map, n_obs=data.n_obs, beta_cov=np.array([[variance]])
+    )
 
 
 def first_order_estimate(

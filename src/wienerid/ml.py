@@ -44,6 +44,7 @@ from .numerics import (
     check_quad_order,
     gauss_legendre,
     minimize_scalar,
+    _roots,
 )
 from .system import DataRecord, SystemSpec, cubic, identity, linear_output
 
@@ -95,22 +96,19 @@ def _level_set_hull(coeffs, low, high):
     polynomial f with ascending coefficients `coeffs`.
 
     The ends of that set are real roots of f(z) = low or f(z) = high, taken
-    here from the eigenvalues of their companion matrices.  Roots whose
-    imaginary part is within rounding of zero count as real, which can only
-    widen the hull.  A non-finite level gives NaN ends.
+    here from one stacked companion eigensolve (`numerics._roots`).  Roots
+    whose imaginary part is within rounding of zero count as real, which can
+    only widen the hull.  A non-finite level gives NaN ends.
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    degree = len(c) - 1
-    if degree < 1:
+    if len(c) < 2:
         return np.full(len(low), -np.inf), np.full(len(low), np.inf)
     levels = np.concatenate([low, high])
-    companion = np.zeros((len(levels), degree, degree))
-    companion[:, 1:, :-1] = np.eye(degree - 1)
-    companion[:, :, -1] = -c[:-1] / c[-1]
-    companion[:, 0, -1] += levels / c[-1]
     finite = np.isfinite(levels)
-    roots = np.full((len(levels), degree), np.nan, dtype=complex)
-    roots[finite] = np.linalg.eigvals(companion[finite])
+    shifted = np.tile(c, (np.count_nonzero(finite), 1))
+    shifted[:, 0] -= levels[finite]
+    roots = np.full((len(levels), len(c) - 1), np.nan, dtype=complex)
+    roots[finite] = _roots(shifted)
     real = np.where(np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots)), roots.real, np.nan)
     first, last = np.fmin.reduce(real, axis=1), np.fmax.reduce(real, axis=1)
     n = len(low)

@@ -255,7 +255,7 @@ class Estimate:
     theta_hat is shaped like SystemSpec.theta; predicted_std is the
     asymptotic standard deviation where the method predicts one (None
     otherwise, inf when the prediction is undefined); diagnostics is the
-    scalar search behind the estimate, None for a closed form.
+    scalar search behind the estimate, which every estimator makes.
     """
 
     theta_hat: np.ndarray
@@ -333,6 +333,18 @@ def _shift(m: int) -> np.ndarray:
     return shift
 
 
+def _roots(c: np.ndarray) -> np.ndarray:
+    """The complex roots of each row of an (R, m + 1) stack of ascending
+    coefficients, each with a nonzero c[:, m], from one stacked eigensolve
+    of their companion matrices, rotated as in chebroots so that small
+    roots are found beside large ones."""
+    m = c.shape[1] - 1
+    companion = np.empty((len(c), m, m))
+    companion[:] = _shift(m)
+    companion[:, :, 0] -= c[:, m - 1 :: -1] / c[:, m : m + 1]
+    return np.linalg.eigvals(companion)
+
+
 @functools.lru_cache(maxsize=64)
 def _derivative_scales(k: int, reach: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For K = k coefficients: the factors 1..k-1 of the derivative, its
@@ -382,11 +394,7 @@ def poly_argmin(coeffs, settings: OptimizerSettings = OptimizerSettings()):
         xs[:, 1] = hi
         for m in degrees - {0}:
             idx = slice(None) if len(degrees) == 1 else np.flatnonzero(degree == m)
-            dm = d[idx]
-            companion = np.empty((len(dm), m, m))
-            companion[:] = _shift(m)
-            companion[:, :, 0] -= dm[:, m - 1 :: -1] / dm[:, m : m + 1]
-            xs[idx, 2 : 2 + m] = np.linalg.eigvals(companion).real
+            xs[idx, 2 : 2 + m] = _roots(d[idx, : m + 1]).real
         roots = xs[:, 2:]
         np.minimum(np.maximum(roots, lo, out=roots), hi, out=roots)
         # Horner's rule, each coefficient spread over its row's candidates

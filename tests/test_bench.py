@@ -180,14 +180,15 @@ class TestRunExperiment:
 
     def test_failures_recorded_not_dropped(self, monkeypatch):
         config = small_config()
-        real_run = bench.run_method
+        bad_y = make_record(config, 1).y
+        real_fit = bench.zero_order_fit
 
-        def flaky(cfg, method, record, realization=0, **kwargs):
-            if method == "II0" and realization == 1:
+        def flaky(record):
+            if np.array_equal(record.y, bad_y):
                 raise RuntimeError("synthetic failure")
-            return real_run(cfg, method, record, realization, **kwargs)
+            return real_fit(record)
 
-        monkeypatch.setattr(bench, "run_method", flaky)
+        monkeypatch.setattr(bench, "zero_order_fit", flaky)
         result = run_experiment(config)
         assert len(result.failures) == 1
         assert result.failures[0].method == "II0"
@@ -220,18 +221,18 @@ class TestRunExperiment:
 
 
 class TestStartChain:
-    """II0 is fitted only where it is asked for: PEM_W and Step 2 take no
-    start.  ML starts from run_method's own II1_W."""
+    """II0's order-zero fit is made only where II0 is asked for: PEM_W and
+    Step 2 take no start.  ML starts from run_method's own II1_W."""
 
     def test_zero_order_fitted_once_per_realization(self, monkeypatch):
         calls = []
-        real = bench.zero_order_estimate
+        real = bench.zero_order_fit
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(bench, "zero_order_estimate", counted)
+        monkeypatch.setattr(bench, "zero_order_fit", counted)
         run_experiment(small_config(methods=("PEM_W", "II0", "II1_UNW", "II1_W")))
         assert len(calls) == 3
         # the simulated Step 2 without II0 as a method fits no II0
@@ -414,8 +415,40 @@ class FailureParity:
 
 
 class TestStackedStep2(FailureParity):
-    """run_experiment runs II1_UNW's and II1_W's Step 2 over every
+    """run_experiment runs the Step 2 of II0, II1_UNW and II1_W over every
     realization at once, with the failure parity of FailureParity."""
+
+    @pytest.mark.parametrize("theta_o", [0.5, 4.0])
+    def test_ii0_rows_are_run_method(self, monkeypatch, theta_o):
+        # every row, the failing one too, is run_method's II0 bit for bit;
+        # at theta_o = 4, outside the bracket, each row is its flagged edge
+        config = small_config(theta_o=theta_o, methods=("II0",), realizations=4)
+        real = bench.make_record
+
+        def huge_sample(cfg, realization):
+            record = real(cfg, realization)
+            if realization == self.BAD:
+                record.y[5] = 1e200
+            return record
+
+        monkeypatch.setattr(bench, "make_record", huge_sample)
+        result = run_experiment(config)
+        assert [(f.realization, f.message.split(":")[0]) for f in result.failures] == [
+            (self.BAD, "LinAlgError")]
+        for r in range(config.realizations):
+            record = bench.make_record(config, r)
+            if r == self.BAD:
+                with pytest.raises(np.linalg.LinAlgError) as info:
+                    run_method(config, "II0", record, r)
+                assert result.failures[0].message == f"LinAlgError: {info.value}"
+                assert np.isnan(result.estimates["II0"][r])
+                continue
+            est = run_method(config, "II0", record, r)
+            assert est.theta_hat[0] == result.estimates["II0"][r], r
+            assert est.predicted_std == result.predicted_stds["II0"][r], r
+            assert est.diagnostics.at_bracket_edge == (theta_o == 4.0), r
+            if theta_o == 4.0:
+                assert est.theta_hat[0] == 3.0 and est.predicted_std == np.inf
 
     def test_rank_deficient_simulated_map(self):
         # sigma_u2 = 0 gives u = 0: every record's simulated map refuses it
@@ -480,12 +513,12 @@ class TestStackedStep2(FailureParity):
         monkeypatch.setattr(bench, "run_method", traced_run)
         config = small_config(methods=METHOD_ORDER, desk_scale=True)
         run_experiment(config)
-        for name in ("make_record", "ML", "II0"):
+        for name in ("make_record", "ML"):
             assert [r for n, r in calls if n == name] == list(range(config.realizations)), name
-        # ML's start is run_method's II1_W; the tables' II1 rows are stacked,
-        # and PEM_W runs on chunks of records
+        # ML's start is run_method's II1_W; the tables' II0 and II1 rows are
+        # stacked, and PEM_W runs on chunks of records
         assert [r for n, r in calls if n == "II1_W"] == list(range(config.realizations))
-        assert not [r for n, r in calls if n in ("II1_UNW", "PEM_W")]
+        assert not [r for n, r in calls if n in ("II0", "II1_UNW", "PEM_W")]
 
     def test_replay_of_a_large_table(self, gaussian_experiment):
         config = gaussian_experiment.config

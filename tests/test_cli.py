@@ -54,6 +54,26 @@ def test_estimate_prints_the_zero_order_predicted_std(config_file, tmp_path, cap
     assert "method=II0" in out and "predicted_std=" in out
 
 
+def test_estimate_prints_the_search_flags_only_when_set(config_file, tmp_path, capsys):
+    # on a theta_o = 4 record, outside the bracket (-3, 3), II0 stops at its
+    # edge; on the paper's record the line has no flag
+    edge_config = tmp_path / "edge.cfg"
+    edge_config.write_text(CONFIG.replace("theta_o = 0.5", "theta_o = 4.0"))
+    lines = {}
+    for name, path in (("edge", edge_config), ("paper", config_file)):
+        main(["simulate", "--config", str(path), "--out", str(tmp_path / name)])
+        capsys.readouterr()
+        code = main([
+            "estimate", "--config", str(path),
+            "--data", str(tmp_path / name / "data.csv"), "--method", "II0",
+        ])
+        assert code == 0
+        lines[name] = capsys.readouterr().out
+    assert lines["edge"] == "method=II0 theta_hat=3 predicted_std=inf at_bracket_edge=True\n"
+    fields = lines["paper"].split()
+    assert [f.split("=")[0] for f in fields] == ["method", "theta_hat", "predicted_std"]
+
+
 def test_bench_writes_reports(config_file, tmp_path, capsys):
     out_dir = tmp_path / "results"
     code = main([

@@ -16,11 +16,12 @@ from wienerid.indirect import (
     beta_map_gaussian,
     beta_map_uniform,
     first_order_estimate,
-    solve_increasing_cubic,
     step2,
     zero_order_estimate,
 )
-from wienerid.numerics import OptimizerSettings, RankDeficiencyError, horner, least_squares
+from wienerid.numerics import (
+    CostEvaluationError, OptimizerSettings, RankDeficiencyError, horner, least_squares,
+)
 from wienerid.pem import conditional_mean, pem_estimate
 from wienerid.signals import DistributionKind, StreamRole, gaussian_white, gen_white, uniform_white
 from wienerid.system import (
@@ -378,12 +379,13 @@ class TestBracketEdge:
         spec, data = make_data(gaussian_white(SU2), 1000, 33, theta=theta)
         return [
             pem_estimate(data, spec, weighted=True),
+            zero_order_estimate(data, spec),
             first_order_estimate(data, spec, weighted=False),
             first_order_estimate(data, spec, weighted=True),
         ]
 
     def test_true_theta_outside_bracket_is_flagged(self):
-        # PEM_W, II1_UNW and II1_W in turn; the bracket is [-3, 3]
+        # PEM_W, II0, II1_UNW and II1_W in turn; the bracket is [-3, 3]
         reports = self.estimates(4.0)
         for report in reports:
             assert report.diagnostics.at_bracket_edge
@@ -400,43 +402,59 @@ class TestBracketEdge:
             assert np.isfinite(report.predicted_std)
 
 
+def invert_cubic(c3, c1, target):
+    """II0's match of beta1(theta) = c3 theta^3 + c1 theta to a slope."""
+    beta_map = SimpleNamespace(coeffs=np.array([[0.0], [c1], [0.0], [c3]]))
+    return step2(np.array([target]), np.eye(1), beta_map, n_obs=1000)
+
+
 class TestMonotoneCubic:
+    """II0 inverts the increasing cubic beta1(theta), the first component
+    of the closed-form map, by Step 2 on the order-zero fit: the match of
+    one coefficient to one parameter, on the bracket."""
+
     def test_paper_inversion_point(self):
-        theta = solve_increasing_cubic(3 * SU2, 3 * (SU2 + SV2), 0.925)
+        theta = invert_cubic(3 * SU2, 3 * (SU2 + SV2), 0.925).theta_hat[0]
         assert theta == pytest.approx(0.5, abs=1e-8)
         assert 3 * SU2 * theta**3 + 3 * (SU2 + SV2) * theta == pytest.approx(0.925, abs=1e-12)
 
     def test_zero_maps_to_zero(self):
-        assert solve_increasing_cubic(1.0, 1.6, 0.0) == 0.0
+        got = invert_cubic(3 * SU2, 3 * (SU2 + SV2), 0.0)
+        assert got.theta_hat[0] == 0.0 and not got.diagnostics.at_bracket_edge
 
-    @given(
-        c3=st.floats(0.0, 5.0), c1=st.floats(0.01, 5.0),
-        x=st.floats(-20.0, 20.0),
-    )
+    @given(kappa=st.sampled_from([3.0, 9.0 / 5.0]), theta=st.floats(-3.0, 3.0))
     @settings(max_examples=60, deadline=None)
-    def test_round_trip(self, c3, c1, x):
-        target = c3 * x**3 + c1 * x
-        got = solve_increasing_cubic(c3, c1, target)
-        assert got == pytest.approx(x, abs=1e-8, rel=1e-8)
+    def test_round_trip(self, kappa, theta):
+        # beta1 of the gaussian and the uniform map, at every theta of the bracket
+        beta_map = AnalyticMap(SU2, SV2, kappa)
+        (_, c1, _, c3) = beta_map.coeffs[:, 0]
+        got = invert_cubic(c3, c1, beta_map(theta)[0])
+        assert abs(got.theta_hat[0] - theta) <= 1e-12
 
     def test_pure_cubic_branch(self):
-        assert solve_increasing_cubic(2.0, 0.0, 16.0) == pytest.approx(2.0, rel=1e-10)
+        assert invert_cubic(2.0, 0.0, 16.0).theta_hat[0] == pytest.approx(2.0, rel=1e-10)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            solve_increasing_cubic(0.0, 0.0, 1.0)
+        # a map with no slope matches nothing: flagged, with no finite std
+        got = invert_cubic(0.0, 0.0, 1.0)
+        assert got.diagnostics.degenerate and got.predicted_std == np.inf
 
     @pytest.mark.parametrize("target", [1e120, -1e120, 1e300, -1e300])
     def test_huge_targets(self, target):
-        # the cube of the target itself would overflow
+        # beyond the bracket's reach: a flagged estimate with no finite std,
+        # or, where the criterion (about target^2) overflows, a typed error
         c3, c1 = 3 * SU2, 3 * (SU2 + SV2)
-        x = solve_increasing_cubic(c3, c1, target)
-        assert abs((c3 * x * x + c1) * x - target) <= 1e-12 * abs(target)
+        if abs(target) > 1e154:
+            with pytest.raises(CostEvaluationError):
+                invert_cubic(c3, c1, target)
+        else:
+            got = invert_cubic(c3, c1, target)
+            assert got.diagnostics.degenerate and got.predicted_std == np.inf
 
     @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
     def test_non_finite_target_rejected(self, target):
-        with pytest.raises(ValueError, match="target must be finite"):
-            solve_increasing_cubic(3 * SU2, 3 * (SU2 + SV2), target)
+        with pytest.raises(ValueError, match="beta_hat must be finite"):
+            invert_cubic(3 * SU2, 3 * (SU2 + SV2), target)
 
 
 class TestZeroOrder:
@@ -454,12 +472,15 @@ class TestZeroOrder:
         assert report.theta_hat[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_huge_outputs_give_a_finite_estimate(self):
+        # a slope near 1e119 makes beta1(theta) - slope one value to 16 ulps
+        # on the whole bracket: a degenerate criterion, with no finite std
         dist = gaussian_white(SU2)
         spec, _ = make_data(dist, 100, 84)
         y = np.where(np.arange(100) % 2, 1e120, -1e120)
         data = DataRecord(u=gen_white(dist, 101, 85, path=(0,)), y=y)
         report = zero_order_estimate(data, spec)
-        assert np.isfinite(report.theta_hat[0]) and np.isfinite(report.predicted_std)
+        assert np.isfinite(report.theta_hat[0]) and report.diagnostics.degenerate
+        assert report.predicted_std == np.inf
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_slope_variance_raises_lin_alg_error(self):
@@ -470,6 +491,15 @@ class TestZeroOrder:
         y[5] = 1e200
         with pytest.raises(np.linalg.LinAlgError, match="slope variance is not finite"):
             zero_order_estimate(DataRecord(u=data.u, y=y), spec)
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_input_raises_lin_alg_error(self):
+        # u of 1e-160 passes the relative rank check, but sum u^2 underflows
+        # to zero: a typed error, not a ZeroDivisionError or a warning
+        spec, data = make_data(gaussian_white(SU2), 120, 88)
+        with pytest.raises(np.linalg.LinAlgError, match="slope variance is not finite"):
+            zero_order_estimate(DataRecord(u=data.u * 1e-160, y=data.y), spec)
 
 
 class TestFirstOrder:
@@ -520,8 +550,8 @@ class TestUnweightedPredictedStd:
 
 
 class TestZeroOrderPredictedStd:
-    """II0's predicted std, the delta method through the inverse cubic,
-    against the spread of its estimates over the 1000-realization tables.
+    """II0's predicted std, Step 2's sandwich of the order-zero fit (the
+    delta method through the inverse of beta1), against the spread of its estimates over the 1000-realization tables.
     The tolerance, 10%, was fixed before measuring: the Monte Carlo SE of a
     std over 1000 realizations (about 2.2%) plus a margin for the asymptotic
     approximation."""
