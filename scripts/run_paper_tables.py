@@ -31,7 +31,15 @@ def main(argv=None):
     parser.add_argument("--full-ml", action="store_true",
                         help="order-1000 quadrature over all realizations (about 70 s)")
     args = parser.parse_args(argv)
+    try:
+        run_tables(args)
+    except Exception as exc:  # noqa: BLE001 - single diagnostic line, nonzero exit
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
+
+def run_tables(args) -> None:
     experiments = [("gaussian", "gaussian", {}), ("uniform", "uniform", {})]
     if not args.skip_ml:
         experiments.append(("ml_desk", "ml", {"desk_scale": not args.full_ml}))
@@ -48,8 +56,6 @@ def main(argv=None):
                   f"{np.sqrt((config.sigma_v2 + config.sigma_e2) / config.n_obs):.4f})")
         if args.out:
             w.emit_report(result, fmt="csv", out_dir=args.out / report_dir)
-    return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

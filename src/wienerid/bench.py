@@ -12,21 +12,17 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import bla
-from .indirect import (
-    SimulatedMap, analytic_binding, first_order_estimate, step2, zero_order_estimate,
-    zero_order_fit,
-)
+from .indirect import SimulatedMap, analytic_binding, step2, zero_order_fit
 from .ml import MlSettings, ml_estimate
-from .numerics import Estimate, NumericsError, check_quad_order
+from .numerics import Estimate, NumericsError, StackEstimate, check_quad_order
 from .pem import pem_estimate
-from .signals import Distribution, DistributionKind, Seed, StreamRole, gen_white
+from .signals import Distribution, DistributionKind, Seed, StreamRole, check_seed, gen_white
 from .system import DataRecord, SystemSpec, cubic, paper_fir, simulate
 
 METHOD_ORDER = ("ML", "PEM_W", "II0", "II1_UNW", "II1_W")
@@ -74,9 +70,12 @@ class ExperimentConfig:
         check_quad_order(self.ml_quad_order, "ml_quad_order")
         if self.s_count is not None and self.s_count < 1:
             raise ValueError("s_count must be none or >= 1")
+        if not self.methods:
+            raise ValueError(f"methods must name at least one of {METHOD_ORDER}")
         bad = [m for m in self.methods if m not in METHOD_ORDER]
         if bad:
             raise ValueError(f"unknown methods {bad}; choose from {METHOD_ORDER}")
+        check_seed(self.master_seed, "master_seed")
 
     def template(self) -> SystemSpec:
         """True-system description at theta_o."""
@@ -119,12 +118,11 @@ class ExperimentResult:
     def summary(self, method: str) -> MethodSummary:
         values = self.estimates[method]
         good = values[np.isfinite(values)]
-        n_fail = int(len(values) - len(good))
         return MethodSummary(
             method=method,
             mean=float(np.mean(good)) if len(good) else float("nan"),
             std=float(np.std(good, ddof=1)) if len(good) > 1 else float("nan"),
-            failures=n_fail,
+            failures=len(values) - len(good),
             wall_time=self.wall_times[method],
             n_runs=len(values),
         )
@@ -162,161 +160,101 @@ def _simulation_seed(config: ExperimentConfig, realization: int) -> int:
     return int(state[0]) | (int(state[1]) << 32)
 
 
-class _RecordContext:
-    """The work every method of one record shares, each piece built on first
-    use and kept: the weighted lag-(0, 1) BLA fit and, with s_count set, the
-    simulated binding function.  A build that raises keeps nothing, so every
-    method that needs the piece builds it again and records the same error."""
-
-    def __init__(self, config: ExperimentConfig, record: DataRecord, realization: int):
-        self.config, self.record, self.realization = config, record, realization
-
-    @cached_property
-    def fit(self) -> bla.BlaEstimate:
-        return bla.estimate_weighting(self.record, bla.fit_bla(self.record, (0, 1)))
-
-    @cached_property
-    def beta_map(self) -> SimulatedMap | None:
-        config = self.config
-        if config.s_count is None:
-            return None
-        return SimulatedMap(
-            self.record.u, config.template(), config.s_count,
-            _simulation_seed(config, self.realization),
-        )
-
-
-def run_method(
-    config: ExperimentConfig,
-    method: str,
-    record: DataRecord,
-    realization: int = 0,
-    *,
-    context: _RecordContext | None = None,
-) -> Estimate:
-    """One estimator on one record.
-
-    II1_UNW and II1_W take the BLA fit and, with s_count set, the simulated
-    binding function from `context`, the record's shared work, which
-    run_experiment and replay_realization build once per record; without
-    one, run_method builds its own.  II0 matches its order-zero fit to the
-    closed-form map.  The Step 2 of II0, II1_UNW and II1_W here is step2's
-    stack of one, bit for bit a row of run_experiment's stacked Step 2, and
-    PEM_W here is pem_estimate's stack of one, bit for bit a row of its
-    chunks.
-    ML starts its likelihood search at this function's II1_W on the same
-    record and context, and scans the whole bracket where II1_W fails.
-    PEM_W and Step 2 need no start: their criteria are polynomials in
-    theta, minimized exactly.
-    """
-    if method not in METHOD_ORDER:
-        raise ValueError(f"unknown method {method!r}")
-    template = config.template()
-    if method == "II0":
-        return zero_order_estimate(record, template, config.input_kind)
-    if method == "PEM_W":
-        return pem_estimate(record, template, weighted=True)
-    if context is None:
-        context = _RecordContext(config, record, realization)
-    if method == "ML":
-        order = DESK_ML_QUAD_ORDER if config.desk_scale else config.ml_quad_order
-        try:
-            start = run_method(config, "II1_W", record, realization, context=context)
-        except (NumericsError, ValueError):
-            start = None
-        return ml_estimate(record, template, MlSettings(quad_order=order), start=start)
-    return first_order_estimate(
-        record, template, config.input_kind, weighted=method == "II1_W",
-        beta_map=context.beta_map, fit=context.fit,
-    )
-
-
 def _ml_runs(config: ExperimentConfig) -> int:
     if config.desk_scale:
         return min(config.realizations, DESK_ML_REALIZATIONS)
     return config.realizations
 
 
-def _failure(realization: int, method: str, exc: Exception) -> FailureRecord:
-    return FailureRecord(realization, method, f"{type(exc).__name__}: {exc}")
+def _runs(config: ExperimentConfig) -> dict[str, int]:
+    """The number of realizations each requested method runs on, in METHOD_ORDER."""
+    return {
+        m: _ml_runs(config) if m == "ML" else config.realizations
+        for m in METHOD_ORDER if m in config.methods
+    }
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Draw fresh input and noises per realization, run every requested method
-    on the same record, and aggregate.
+def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict, dict]:
+    """Run each method m of `runs` on the (realization, record) pairs of
+    `records` with realization < runs[m]: the record loop behind
+    run_experiment, run_method and replay_realization.
 
-    ML runs record by record through run_method.  PEM_W runs once per
-    chunk of PEM_CHUNK consecutive records, and once on the last partial
-    chunk, as one stacked pem_estimate.  For the indirect methods the loop
-    keeps only each record's auxiliary fits: II0's slope and its variance,
-    and for II1_UNW and II1_W beta_hat, W, its covariance and the
-    binding-function coefficients, about 20 floats; after it, one stacked
-    step2 per method covers every realization.  Each stacked row is bit for
-    bit run_method's estimate, and a row that fails records the error its
-    own call raises.  Failures are listed by realization, then in
-    METHOD_ORDER.  A method's wall time is its share of the loop plus its
-    stacked calls; the record's shared fit and map go to the first method
-    that needs them.
+    Per record, II1_UNW, II1_W and ML share one lag-(0, 1) BLA fit with its
+    weighting and, with s_count set, one simulated map, built map first.
+    PEM_W runs once per chunk of up to PEM_CHUNK records.  The indirect
+    methods keep each record's auxiliary fit (about 20 floats) and run one
+    stacked step2 each after the loop, with n_obs from the records.  ML
+    starts its search at the stack of one step2 of its record's II1_W row,
+    or scans the whole bracket where that raises NumericsError or ValueError.
+
+    Returns per method its (realizations, outcome) pairs, an outcome being a
+    StackEstimate, ML's Estimate or the exception raised, and per method its
+    wall time: its share of the loop plus its stacked call, the record's
+    shared fit and map going to the first method that needs them.
     """
-    methods = [m for m in METHOD_ORDER if m in config.methods]
-    runs = {m: (_ml_runs(config) if m == "ML" else config.realizations) for m in methods}
-    estimates = {m: np.full(runs[m], np.nan) for m in methods}
-    predicted = {m: np.full(runs[m], np.nan) for m in methods if m in PREDICTS_STD}
-    wall = {m: 0.0 for m in methods}
-    failures: list[FailureRecord] = []
-    first_order = [m for m in methods if m in ("II1_UNW", "II1_W")]
-    analytic = analytic_binding(config.template(), config.input_kind).coeffs
-    beta1 = analytic[:, :1]  # II0's binding function
+    template = config.template()
+    analytic = analytic_binding(template, config.input_kind)
+    order = DESK_ML_QUAD_ORDER if config.desk_scale else config.ml_quad_order
+    settings = MlSettings(quad_order=order)
+    outcomes = {m: [] for m in runs}
+    wall = dict.fromkeys(runs, 0.0)
     # per Step 2 method: (realization, beta_hat, W, beta_cov, map coeffs, inflation) per record
-    fits = {m: [] for m in methods if m in PREDICTS_STD}
+    fits = {m: [] for m in runs if m in PREDICTS_STD}
     chunk: list[tuple[int, DataRecord]] = []  # the records PEM_W has yet to run on
 
     def run_pem_chunk():
         t0 = time.perf_counter()
-        done = [r for r, _ in chunk]
         try:
-            result = pem_estimate([record for _, record in chunk], config.template())
-            estimates["PEM_W"][done] = result.theta_hat
-            errors = result.errors
+            outcome = pem_estimate([record for _, record in chunk], template)
         except Exception as exc:  # noqa: BLE001 - a stack-wide error is every row's
-            errors = [exc] * len(done)
-        failures.extend(_failure(r, "PEM_W", e) for r, e in zip(done, errors) if e is not None)
+            outcome = exc
+        outcomes["PEM_W"].append(([r for r, _ in chunk], outcome))
         chunk.clear()
         wall["PEM_W"] += time.perf_counter() - t0
 
-    for r in range(config.realizations):
-        active = [m for m in methods if r < runs[m]]
-        if not active:
-            break
-        record = make_record(config, r)
-        context = _RecordContext(config, record, r)
-        for m in active:
+    for r, record in records:
+        n_obs = record.n_obs
+        shared = None  # the record's (BLA fit, map), or the error building them raised
+        for m in [m for m in runs if r < runs[m]]:
             t0 = time.perf_counter()
             if m == "PEM_W":
                 chunk.append((r, record))
-            elif m == "ML":
-                try:
-                    est = run_method(config, m, record, realization=r, context=context)
-                    estimates[m][r] = est.theta_hat[0]
-                except Exception as exc:  # noqa: BLE001 - per-realization isolation
-                    failures.append(_failure(r, m, exc))
             elif m == "II0":
                 try:
                     slope, variance = zero_order_fit(record)
-                    fits[m].append((r, [slope], [[1.0]], [[variance]], beta1, 1.0))
+                    fits[m].append((r, [slope], [[1.0]], [[variance]], analytic.coeffs[:, :1], 1.0))
                 except Exception as exc:  # noqa: BLE001 - per-realization isolation
-                    failures.append(_failure(r, m, exc))
-            elif m == first_order[0]:
-                try:
-                    # run_method's order: the map, then the fit
-                    beta_map, fit = context.beta_map, context.fit
-                    coeffs = analytic if beta_map is None else beta_map.coeffs
-                    inflation = 1.0 if beta_map is None else beta_map.inflation
-                    for method in first_order:
-                        W = fit.W if method == "II1_W" else np.eye(2)
-                        fits[method].append((r, fit.beta_hat, W, fit.cov_beta, coeffs, inflation))
-                except Exception as exc:  # noqa: BLE001 - per-realization isolation
-                    failures.extend(_failure(r, method, exc) for method in first_order)
+                    outcomes[m].append(([r], exc))
+            else:
+                if shared is None:
+                    try:
+                        beta_map = analytic if config.s_count is None else SimulatedMap(
+                            record.u, template, config.s_count, _simulation_seed(config, r))
+                        fit = bla.estimate_weighting(record, bla.fit_bla(record, (0, 1)))
+                        shared = fit, beta_map
+                    except Exception as exc:  # noqa: BLE001 - per-realization isolation
+                        shared = exc
+                if m == "ML":
+                    try:
+                        try:  # the start: the stack of one step2 of II1_W
+                            if isinstance(shared, Exception):
+                                raise shared
+                            fit, beta_map = shared
+                            start = step2(
+                                fit.beta_hat, fit.W, beta_map, n_obs=n_obs, beta_cov=fit.cov_beta)
+                        except (NumericsError, ValueError):
+                            start = None  # scan the whole bracket
+                        outcome = ml_estimate(record, template, settings, start=start)
+                    except Exception as exc:  # noqa: BLE001 - per-realization isolation
+                        outcome = exc
+                    outcomes[m].append(([r], outcome))
+                elif isinstance(shared, Exception):
+                    outcomes[m].append(([r], shared))
+                else:
+                    fit, beta_map = shared
+                    W = fit.W if m == "II1_W" else np.eye(2)
+                    coeffs, inflation = beta_map.coeffs, beta_map.inflation
+                    fits[m].append((r, fit.beta_hat, W, fit.cov_beta, coeffs, inflation))
             wall[m] += time.perf_counter() - t0
         if len(chunk) == PEM_CHUNK:
             run_pem_chunk()
@@ -324,19 +262,64 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         run_pem_chunk()
 
     for m, rows in fits.items():
-        if not rows:
-            continue
-        t0 = time.perf_counter()
-        done, beta_hat, W, beta_cov, coeffs, inflation = (list(c) for c in zip(*rows))
-        beta_map = SimpleNamespace(coeffs=np.array(coeffs), inflation=np.array(inflation))
-        result = step2(
-            np.array(beta_hat), np.array(W), beta_map, n_obs=config.n_obs,
-            beta_cov=np.array(beta_cov),
-        )
-        estimates[m][done] = result.theta_hat
-        predicted[m][done] = result.predicted_std
-        failures.extend(_failure(r, m, e) for r, e in zip(done, result.errors) if e is not None)
-        wall[m] += time.perf_counter() - t0
+        if rows:
+            t0 = time.perf_counter()
+            done, *stacks = zip(*rows)
+            beta_hat, W, beta_cov, coeffs, inflation = map(np.array, stacks)
+            beta_map = SimpleNamespace(coeffs=coeffs, inflation=inflation)
+            outcome = step2(beta_hat, W, beta_map, n_obs=n_obs, beta_cov=beta_cov)
+            outcomes[m].append((list(done), outcome))
+            wall[m] += time.perf_counter() - t0
+    return outcomes, wall
+
+
+def _estimate(outcome) -> Estimate:
+    """The Estimate of a one-record outcome of _run, or its error raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome.row(0) if isinstance(outcome, StackEstimate) else outcome
+
+
+def run_method(
+    config: ExperimentConfig, method: str, record: DataRecord, realization: int = 0
+) -> Estimate:
+    """One estimator on one record of any length: run_experiment's record
+    loop on this record alone, so the estimate is bit for bit that
+    realization's cell of the experiment, and a failure raises the error the
+    experiment records.  realization (>= 0) seeds the simulated map."""
+    if method not in METHOD_ORDER:
+        raise ValueError(f"unknown method {method!r}")
+    outcomes, _ = _run(config, {method: realization + 1}, [(realization, record)])
+    ((_, outcome),) = outcomes[method]
+    return _estimate(outcome)
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Draw fresh input and noises per realization, run every requested method
+    on the same record (`_run`), and aggregate.
+
+    make_record is called once per realization, in order.  ML runs on the
+    first _ml_runs(config) realizations.  Failures are listed by
+    realization, then in METHOD_ORDER.
+    """
+    runs = _runs(config)
+    records = ((r, make_record(config, r)) for r in range(max(runs.values())))
+    outcomes, wall = _run(config, runs, records)
+    estimates = {m: np.full(n, np.nan) for m, n in runs.items()}
+    predicted = {m: np.full(n, np.nan) for m, n in runs.items() if m in PREDICTS_STD}
+    failures: list[FailureRecord] = []
+    for m, pairs in outcomes.items():
+        for done, outcome in pairs:
+            if isinstance(outcome, Exception):
+                errors = [outcome] * len(done)
+            else:
+                estimates[m][done] = outcome.theta_hat
+                if m in predicted:
+                    predicted[m][done] = outcome.predicted_std
+                errors = outcome.errors if isinstance(outcome, StackEstimate) else ()
+            failures.extend(
+                FailureRecord(r, m, f"{type(e).__name__}: {e}") for r, e in zip(done, errors) if e
+            )
     failures.sort(key=lambda f: (f.realization, METHOD_ORDER.index(f.method)))
 
     ledger = {
@@ -358,18 +341,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def replay_realization(config: ExperimentConfig, realization: int) -> dict[str, float]:
-    """Re-run every method of one realization from its derived substreams."""
+    """Re-run every method of one realization from its derived substreams;
+    a method that failed there raises its error."""
     if not 0 <= realization < config.realizations:
         raise ValueError(f"realization {realization} outside 0..{config.realizations - 1}")
-    record = make_record(config, realization)
-    context = _RecordContext(config, record, realization)
-    out = {}
-    for m in [m for m in METHOD_ORDER if m in config.methods]:
-        if m == "ML" and realization >= _ml_runs(config):
-            continue
-        est = run_method(config, m, record, realization=realization, context=context)
-        out[m] = float(est.theta_hat[0])
-    return out
+    outcomes, _ = _run(config, _runs(config), [(realization, make_record(config, realization))])
+    return {m: float(_estimate(o).theta_hat[0]) for m, pairs in outcomes.items() for _, o in pairs}
 
 
 def linear_baseline_std(config: ExperimentConfig) -> float:
@@ -471,7 +448,6 @@ def emit_report(result: ExperimentResult, fmt: str = "csv", out_dir=".") -> dict
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
 
     summaries = result.summaries()
     raw_rows = []
@@ -505,8 +481,7 @@ def emit_report(result: ExperimentResult, fmt: str = "csv", out_dir=".") -> dict
 
     ledger_path = out / "ledger.json"
     ledger_path.write_text(json.dumps(result.seed_ledger, indent=2))
-    paths.update(summary=summary_path, raw=raw_path, ledger=ledger_path)
-    return paths
+    return {"summary": summary_path, "raw": raw_path, "ledger": ledger_path}
 
 
 def load_raw(path) -> list[tuple[int, str, float]]:
@@ -528,8 +503,14 @@ def load_raw(path) -> list[tuple[int, str, float]]:
 
 
 def load_ledger(path) -> ExperimentConfig:
-    """Recover the experiment configuration from an emitted ledger."""
-    data = json.loads(Path(path).read_text())
-    if data.get("format") != LEDGER_FORMAT:
-        raise ValueError(f"{path}: not a {LEDGER_FORMAT} ledger")
-    return config_from_dict(data["config"])
+    """Recover the experiment configuration from an emitted ledger; a file
+    that is not one (not JSON, another format, a bad config) raises
+    ValueError naming it."""
+    try:
+        data = json.loads(Path(path).read_text())
+        if data.get("format") != LEDGER_FORMAT:
+            raise ValueError(f"format {data.get('format')!r}")
+        return config_from_dict(data["config"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        message = f"{path}: not a {LEDGER_FORMAT} ledger ({type(exc).__name__}: {exc})"
+        raise ValueError(message) from exc

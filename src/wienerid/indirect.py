@@ -329,8 +329,8 @@ def zero_order_estimate(
     The fit has as many coefficients as theta, so the match solves
     beta1(theta) = slope on the bracket and the metric drops out (W = 1);
     the sandwich of step2 is then the delta method through that inverse.
-    The match is step2's stack of one, so it is bit for bit the row of this
-    record in run_experiment's stacked Step 2.
+    The match is step2's stack of one, so it is bit for bit bench's II0 on
+    the same record, whose Step 2 stacks the slopes of all its records.
     """
     slope, variance = zero_order_fit(data)
     beta_map = SimpleNamespace(coeffs=analytic_binding(spec_template, input_kind).coeffs[:, :1])
@@ -346,24 +346,21 @@ def first_order_estimate(
     weighted: bool = True,
     settings: OptimizerSettings = OptimizerSettings(),
     beta_map=None,
-    fit: bla_mod.BlaEstimate | None = None,
 ) -> Estimate:
-    """Order-one indirect inference: fit the lag-(0, 1) BLA and match
-    beta_map to it in step2.
+    """Order-one indirect inference: fit the lag-(0, 1) BLA with its
+    sandwich weighting (`estimate_weighting`) and match beta_map to it in
+    step2.
 
     beta_map defaults to the analytic binding function of the template's
     input (of input_kind when given); a SimulatedMap gives the simulated
-    variant.  fit, when given, is that BLA fit with its sandwich weighting
-    (`estimate_weighting`) already made on `data`, shared by both variants
-    of one record; otherwise it is made here.  Unweighted uses the identity
-    metric; weighted uses the inverse sandwich covariance of the auxiliary
-    fit.  Both predict their std from that covariance.  The match is
-    step2's stack of one, so it is bit for bit the row of this record in
-    run_experiment's stacked Step 2.
+    variant.  Unweighted uses the identity metric; weighted uses the
+    inverse sandwich covariance of the auxiliary fit.  Both predict their
+    std from that covariance.  The match is step2's stack of one, so with
+    the default settings it is bit for bit bench's II1_UNW or II1_W on the
+    same record and map, whose Step 2 stacks the fits of all its records.
     """
     if beta_map is None:
         beta_map = analytic_binding(spec_template, input_kind)
-    if fit is None:
-        fit = bla_mod.estimate_weighting(data, bla_mod.fit_bla(data, lags=(0, 1)))
+    fit = bla_mod.estimate_weighting(data, bla_mod.fit_bla(data, lags=(0, 1)))
     W = fit.W if weighted else np.eye(2)
     return step2(fit.beta_hat, W, beta_map, settings, n_obs=data.n_obs, beta_cov=fit.cov_beta)

@@ -76,16 +76,22 @@ def uniform_white(variance: float) -> Distribution:
     return Distribution(DistributionKind.UNIFORM_WHITE, variance)
 
 
+def check_seed(seed: Seed, name: str = "seed") -> None:
+    """TypeError unless seed is an integer, ValueError unless it fits in an
+    unsigned 64-bit integer."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(seed).__name__}")
+    if not 0 <= int(seed) < _SEED_MAX:
+        raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {seed}")
+
+
 def substream(seed: Seed, *path: int) -> np.random.Generator:
     """Counter-based generator for the substream identified by (seed, path).
 
     Distinct paths yield statistically independent streams; equal (seed, path)
     yield bit-identical streams.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    if not 0 <= int(seed) < _SEED_MAX:
-        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    check_seed(seed)
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 

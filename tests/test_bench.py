@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,13 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def ledger_text(drop=None, **changes) -> str:
+    """The ledger of small_config() less the config key `drop`, with `changes`."""
+    config = bench.config_to_dict(small_config())
+    config.pop(drop, None)
+    return json.dumps({"format": bench.LEDGER_FORMAT, "config": {**config, **changes}})
 
 
 CONFIG_TEXT = """\
@@ -116,6 +124,26 @@ class TestConfigParsing:
         assert cli_main(["baseline", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("key, value", [
+        ("methods", ""), ("master_seed", "-1"), ("master_seed", str(2**64)),
+    ])
+    def test_empty_methods_and_out_of_range_seed_rejected(self, key, value, tmp_path):
+        # rejected when the config is built, before any record is drawn
+        message = f"master_seed must fit in an unsigned 64-bit integer, got {value}"
+        if key == "methods":
+            message = "methods must name at least one of"
+        text = "".join(
+            line + "\n" for line in CONFIG_TEXT.splitlines() if not line.startswith(key)
+        ) + f"{key} = {value}\n"
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+        with pytest.raises(ValueError, match=message):
+            small_config(**{key: () if key == "methods" else int(value)})
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(ledger_text(**{key: [] if key == "methods" else int(value)}))
+        with pytest.raises(ValueError, match=message):
+            load_ledger(ledger)
+        assert small_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
     @pytest.mark.parametrize("order", [2001, 50000])
     def test_quad_order_above_the_bound_rejected_before_a_run(self, order, tmp_path, capsys):
@@ -203,6 +231,16 @@ class TestRunExperiment:
         assert bench._ml_runs(small_config(realizations=500)) == 500
         assert bench._ml_runs(small_config(realizations=50, desk_scale=True)) == 50
 
+    def test_ml_runs_only_on_its_capped_realizations(self, monkeypatch):
+        monkeypatch.setattr(bench, "DESK_ML_REALIZATIONS", 2)
+        config = small_config(methods=("ML", "II0"), desk_scale=True)
+        result = run_experiment(config)
+        assert result.seed_ledger["runs"] == {"ML": 2, "II0": 3}
+        assert [len(result.estimates[m]) for m in ("ML", "II0")] == [2, 3]
+        assert np.isfinite(result.estimates["ML"]).all()
+        assert replay_realization(config, 1).keys() == {"ML", "II0"}
+        assert replay_realization(config, 2).keys() == {"II0"}
+
     def test_simulated_step2_path(self):
         config = small_config(methods=("II1_W",), s_count=3, realizations=2, n_obs=200)
         result = run_experiment(config)
@@ -222,7 +260,7 @@ class TestRunExperiment:
 
 class TestStartChain:
     """II0's order-zero fit is made only where II0 is asked for: PEM_W and
-    Step 2 take no start.  ML starts from run_method's own II1_W."""
+    Step 2 take no start.  ML starts from the II1_W of its record."""
 
     def test_zero_order_fitted_once_per_realization(self, monkeypatch):
         calls = []
@@ -360,6 +398,46 @@ class TestRecordContext:
                 assert result.estimates[m][r] == clean.estimates[m][r], (r, m)
         assert np.isfinite(result.estimates["ML"][1])
 
+    def test_map_error_comes_before_fit_error(self, monkeypatch):
+        # a record on which both the simulated map and the BLA fit fail
+        # records the map's error
+        config = small_config(methods=self.methods, s_count=3, desk_scale=True)
+
+        def failing_map(self_map):
+            raise np.linalg.LinAlgError("synthetic map failure")
+
+        def failing_fit(data, lags):
+            raise np.linalg.LinAlgError("synthetic fit failure")
+
+        monkeypatch.setattr(SimulatedMap, "__post_init__", failing_map)
+        monkeypatch.setattr(bla, "fit_bla", failing_fit)
+        result = run_experiment(config)
+        assert [(f.realization, f.method, f.message) for f in result.failures] == [
+            (r, m, "LinAlgError: synthetic map failure")
+            for r in range(config.realizations) for m in ("II1_UNW", "II1_W")
+        ]
+        assert np.isfinite(result.estimates["ML"]).all()
+
+    def test_fit_error_of_another_type_fails_ml_too(self, monkeypatch):
+        # only a NumericsError or ValueError from ML's II1_W start leaves ML
+        # to its unseeded scan; any other error is ML's own failure
+        config = small_config(methods=self.methods, desk_scale=True)
+        bad_y = make_record(config, 1).y
+        real_fit = bla.fit_bla
+
+        def failing_on_record_1(data, lags):
+            if np.array_equal(data.y, bad_y):
+                raise RuntimeError("synthetic fit failure")
+            return real_fit(data, lags)
+
+        monkeypatch.setattr(bla, "fit_bla", failing_on_record_1)
+        result = run_experiment(config)
+        assert [(f.realization, f.method, f.message) for f in result.failures] == [
+            (1, m, "RuntimeError: synthetic fit failure") for m in self.methods
+        ]
+        with pytest.raises(RuntimeError, match="synthetic fit failure"):
+            run_method(config, "ML", make_record(config, 1), 1)
+
 
 class FailureParity:
     """A record that fails in run_experiment gives, in order, the failures
@@ -495,30 +573,25 @@ class TestStackedStep2(FailureParity):
         result = self.assert_parity(config, clean, [("II1_UNW", "ValueError"), ("II1_W", "ValueError")])
         assert result.failures[0].message == "ValueError: beta_map.coeffs must be finite"
 
-    def test_tracer_sees_every_record_and_the_per_record_methods(self, monkeypatch):
+    def test_tracer_sees_every_record_and_no_run_method(self, monkeypatch):
         # perfbench's tracer wraps the module-global make_record and
-        # run_method; its make_record metric needs one span per realization
-        calls = []
-        real_make, real_run = bench.make_record, bench.run_method
+        # run_method; its make_record metric needs one span per realization.
+        # run_experiment runs every method in its own record loop, so the
+        # run_method spans stay empty
+        records, runs = [], []
+        real_make = bench.make_record
 
         def traced_make(config, realization):
-            calls.append(("make_record", realization))
+            records.append(realization)
             return real_make(config, realization)
 
-        def traced_run(config, method, record, realization=0, **kwargs):
-            calls.append((method, realization))
-            return real_run(config, method, record, realization, **kwargs)
-
         monkeypatch.setattr(bench, "make_record", traced_make)
-        monkeypatch.setattr(bench, "run_method", traced_run)
+        monkeypatch.setattr(bench, "run_method", lambda *args, **kwargs: runs.append(args))
         config = small_config(methods=METHOD_ORDER, desk_scale=True)
-        run_experiment(config)
-        for name in ("make_record", "ML"):
-            assert [r for n, r in calls if n == name] == list(range(config.realizations)), name
-        # ML's start is run_method's II1_W; the tables' II0 and II1 rows are
-        # stacked, and PEM_W runs on chunks of records
-        assert [r for n, r in calls if n == "II1_W"] == list(range(config.realizations))
-        assert not [r for n, r in calls if n in ("II0", "II1_UNW", "PEM_W")]
+        result = run_experiment(config)
+        assert records == list(range(config.realizations))
+        assert runs == []
+        assert not result.failures
 
     def test_replay_of_a_large_table(self, gaussian_experiment):
         config = gaussian_experiment.config
@@ -620,6 +693,20 @@ class TestEmitReport:
         paths["ledger"].write_text(json.dumps(ledger))
         with pytest.raises(ValueError, match=r"input_kind must be one of \['gaussian', 'uniform'\]"):
             load_ledger(paths["ledger"])
+
+    @pytest.mark.parametrize("text, error", [
+        (ledger_text(drop="input_kind"), "KeyError"),
+        (ledger_text(bogus=1), "TypeError"),
+        (ledger_text(theta_o="half"), "TypeError"),
+        (f"[{ledger_text()}]", "AttributeError"),
+        ("realization,method,theta_hat\n", "JSONDecodeError"),
+    ], ids=["no_input_kind", "unknown_key", "non_numeric_theta_o", "json_list", "not_json"])
+    def test_malformed_ledger_rejected(self, tmp_path, text, error):
+        path = tmp_path / "ledger.json"
+        path.write_text(text)
+        prefix = rf"^{re.escape(str(path))}: not a wienerid-ledger-v1 ledger \({error}: "
+        with pytest.raises(ValueError, match=prefix):
+            load_ledger(path)
 
     def test_unknown_format_rejected(self, tmp_path):
         result = run_experiment(small_config(realizations=1))

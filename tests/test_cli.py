@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from wienerid import bench
 from wienerid.cli import main
+from wienerid.indirect import first_order_estimate, zero_order_estimate
+from wienerid.pem import pem_estimate
 from wienerid.system import DataRecord
 
 CONFIG = """\
@@ -72,6 +77,36 @@ def test_estimate_prints_the_search_flags_only_when_set(config_file, tmp_path, c
     assert lines["edge"] == "method=II0 theta_hat=3 predicted_std=inf at_bracket_edge=True\n"
     fields = lines["paper"].split()
     assert [f.split("=")[0] for f in fields] == ["method", "theta_hat", "predicted_std"]
+
+
+@pytest.mark.parametrize("method", ["PEM_W", "II0", "II1_UNW", "II1_W"])
+def test_estimate_on_a_record_of_another_length(config_file, tmp_path, capsys, method):
+    # a CSV of 203 observations estimated with the n_obs = 80 config: the
+    # estimate is the library call's on that record, bit for bit, so
+    # nothing of it comes from config.n_obs
+    config = bench.load_config(config_file)
+    path = tmp_path / "data.csv"
+    bench.make_record(dataclasses.replace(config, n_obs=203), 0).to_csv(path)
+    record = DataRecord.from_csv(path)
+    assert record.n_obs == 203
+    template, kind = config.template(), config.input_kind
+    expected = {
+        "PEM_W": lambda: pem_estimate(record, template),
+        "II0": lambda: zero_order_estimate(record, template, kind),
+        "II1_UNW": lambda: first_order_estimate(record, template, kind, weighted=False),
+        "II1_W": lambda: first_order_estimate(record, template, kind, weighted=True),
+    }[method]()
+    est = bench.run_method(config, method, record)
+    assert est.theta_hat[0] == expected.theta_hat[0]
+    assert est.predicted_std == expected.predicted_std
+    code = main([
+        "estimate", "--config", str(config_file), "--data", str(path), "--method", method,
+    ])
+    assert code == 0
+    line = f"method={method} theta_hat={expected.theta_hat[0]:.17g}"
+    if expected.predicted_std is not None:
+        line += f" predicted_std={expected.predicted_std:.17g}"
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_bench_writes_reports(config_file, tmp_path, capsys):

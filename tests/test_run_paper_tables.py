@@ -33,6 +33,17 @@ def test_prints_both_tables_and_emits_reports(script, tmp_path, capsys):
     assert (tmp_path / "uniform" / "raw.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--realizations", "0"], "error: realizations must be >= 1\n"),
+    (["--seed", "-1"], "error: master_seed must fit in an unsigned 64-bit integer, got -1\n"),
+])
+def test_bad_argument_prints_one_error_line(script, argv, message, capsys):
+    assert script.main(argv + ["--skip-ml"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "kind", [w.DistributionKind.GAUSSIAN_WHITE, w.DistributionKind.UNIFORM_WHITE]
 )
