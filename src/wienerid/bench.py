@@ -9,6 +9,7 @@ be replayed bit-exactly from the emitted ledger.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -29,11 +30,14 @@ METHOD_ORDER = ("ML", "PEM_W", "II0", "II1_UNW", "II1_W")
 # the methods whose Estimate carries a predicted std: the indirect ones,
 # whose Step 2 run_experiment runs over every realization at once
 PREDICTS_STD = ("II0", "II1_UNW", "II1_W")
-# run_experiment runs PEM_W on chunks of this many records.  A chunk's
-# error coefficients take 8 (deg f + 1) N bytes per record of N samples,
-# and its peak memory is a few times that; chunks of 6 run the paper
-# tables as fast as chunks of 8, with less of it
-PEM_CHUNK = 6
+# _run runs PEM_W, the order-zero fit and the lag-(0, 1) BLA fit once per
+# chunk of this many records.  PEM_W's error coefficients take
+# 8 (deg f + 1) N bytes per record of N samples, and a chunk's peak memory
+# is a few times that.  Chunks of 8 ran both 100-realization tables about
+# 15% faster than chunks of 6 in one process, but raised the benchmark's
+# peak RSS by more than 1 MB over single-record Step 1 fits, and chunks of 6
+# by 0.4 MB (README)
+CHUNK = 6
 
 # the windowed likelihood rule is already converged at this order; desk
 # scale mainly caps the number of ML realizations
@@ -179,18 +183,22 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
     `records` with realization < runs[m]: the record loop behind
     run_experiment, run_method and replay_realization.
 
-    Per record, II1_UNW, II1_W and ML share one lag-(0, 1) BLA fit with its
-    weighting and, with s_count set, one simulated map, built map first.
-    PEM_W runs once per chunk of up to PEM_CHUNK records.  The indirect
-    methods keep each record's auxiliary fit (about 20 floats) and run one
-    stacked step2 each after the loop, with n_obs from the records.  ML
-    starts its search at the stack of one step2 of its record's II1_W row,
-    or scans the whole bracket where that raises NumericsError or ValueError.
+    The loop gathers chunks of up to CHUNK records.  Per chunk, PEM_W, the
+    order-zero fit of II0 and the lag-(0, 1) BLA fit with its weighting,
+    shared by II1_UNW, II1_W and ML, each run once on the chunk's records;
+    with s_count set, each record's simulated map is built first, and a
+    record whose map fails gets that error rather than its fit's.  Every
+    stacked call follows one rule: a row's own error fails that row, and an
+    exception the call raises as a whole fails every row of its chunk.  The
+    indirect methods keep each record's auxiliary fit (about 20 floats) and
+    run one stacked step2 each after the loop.  ML runs per record, started
+    at the stack of one step2 of its record's II1_W row, or scanning the
+    whole bracket where that raises NumericsError or ValueError.
 
     Returns per method its (realizations, outcome) pairs, an outcome being a
     StackEstimate, ML's Estimate or the exception raised, and per method its
-    wall time: its share of the loop plus its stacked call, the record's
-    shared fit and map going to the first method that needs them.
+    wall time: its share of each chunk plus its stacked call, the chunk's
+    shared fit and maps going to the first method that needs them.
     """
     template = config.template()
     analytic = analytic_binding(template, config.input_kind)
@@ -200,66 +208,86 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
     wall = dict.fromkeys(runs, 0.0)
     # per Step 2 method: (realization, beta_hat, W, beta_cov, map coeffs, inflation) per record
     fits = {m: [] for m in runs if m in PREDICTS_STD}
-    chunk: list[tuple[int, DataRecord]] = []  # the records PEM_W has yet to run on
+    lag_one = [m for m in ("ML", "II1_UNW", "II1_W") if m in runs]
 
-    def run_pem_chunk():
-        t0 = time.perf_counter()
+    def lag_one_fits(chunk) -> dict:
+        """Per realization of the chunk that ML, II1_UNW or II1_W run on: its
+        (beta_hat, W, beta_cov, map), or the error its map or fit raised."""
+        chunk = [(r, record) for r, record in chunk if any(r < runs[m] for m in lag_one)]
+        records = [record for _, record in chunk]
+        maps = []
+        for r, record in chunk:
+            try:
+                maps.append(analytic if config.s_count is None else SimulatedMap(
+                    record.u, template, config.s_count, _simulation_seed(config, r)))
+            except Exception as exc:  # noqa: BLE001 - per-realization isolation
+                maps.append(exc)
         try:
-            outcome = pem_estimate([record for _, record in chunk], template)
+            fit = bla.estimate_weighting(records, bla.fit_bla(records, (0, 1)))
+            errors = fit.errors
         except Exception as exc:  # noqa: BLE001 - a stack-wide error is every row's
-            outcome = exc
-        outcomes["PEM_W"].append(([r for r, _ in chunk], outcome))
-        chunk.clear()
-        wall["PEM_W"] += time.perf_counter() - t0
+            errors = [exc] * len(chunk)
+        return {
+            r: beta_map if isinstance(beta_map, Exception)
+            else error or (fit.beta_hat[j], fit.W[j], fit.cov_beta[j], beta_map)
+            for j, ((r, _), beta_map, error) in enumerate(zip(chunk, maps, errors))
+        }
 
-    for r, record in records:
-        n_obs = record.n_obs
-        shared = None  # the record's (BLA fit, map), or the error building them raised
-        for m in [m for m in runs if r < runs[m]]:
+    def run_chunk(chunk) -> None:
+        shared = None  # lag_one_fits of the chunk, once a method needs them
+        for m in runs:
+            mine = [(r, record) for r, record in chunk if r < runs[m]]
+            if not mine:
+                continue
+            done = [r for r, _ in mine]
             t0 = time.perf_counter()
-            if m == "PEM_W":
-                chunk.append((r, record))
-            elif m == "II0":
-                try:
-                    slope, variance = zero_order_fit(record)
-                    fits[m].append((r, [slope], [[1.0]], [[variance]], analytic.coeffs[:, :1], 1.0))
-                except Exception as exc:  # noqa: BLE001 - per-realization isolation
-                    outcomes[m].append(([r], exc))
-            else:
-                if shared is None:
-                    try:
-                        beta_map = analytic if config.s_count is None else SimulatedMap(
-                            record.u, template, config.s_count, _simulation_seed(config, r))
-                        fit = bla.estimate_weighting(record, bla.fit_bla(record, (0, 1)))
-                        shared = fit, beta_map
-                    except Exception as exc:  # noqa: BLE001 - per-realization isolation
-                        shared = exc
-                if m == "ML":
-                    try:
-                        try:  # the start: the stack of one step2 of II1_W
-                            if isinstance(shared, Exception):
-                                raise shared
-                            fit, beta_map = shared
-                            start = step2(
-                                fit.beta_hat, fit.W, beta_map, n_obs=n_obs, beta_cov=fit.cov_beta)
-                        except (NumericsError, ValueError):
-                            start = None  # scan the whole bracket
-                        outcome = ml_estimate(record, template, settings, start=start)
-                    except Exception as exc:  # noqa: BLE001 - per-realization isolation
-                        outcome = exc
-                    outcomes[m].append(([r], outcome))
-                elif isinstance(shared, Exception):
-                    outcomes[m].append(([r], shared))
+            if m in lag_one and shared is None:
+                shared = lag_one_fits(chunk)
+            try:
+                if m == "PEM_W":
+                    outcomes[m].append((done, pem_estimate([d for _, d in mine], template)))
+                elif m == "II0":
+                    slope, variance, errors = zero_order_fit([d for _, d in mine])
+                    for r, b, v, error in zip(done, slope, variance, errors):
+                        keep(m, r, error or ([b], [[1.0]], [[v]], analytic.coeffs[:, :1], 1.0))
+                elif m == "ML":
+                    for r, record in mine:
+                        outcomes[m].append(([r], run_ml(record, shared[r])))
                 else:
-                    fit, beta_map = shared
-                    W = fit.W if m == "II1_W" else np.eye(2)
-                    coeffs, inflation = beta_map.coeffs, beta_map.inflation
-                    fits[m].append((r, fit.beta_hat, W, fit.cov_beta, coeffs, inflation))
+                    for r in done:
+                        row = shared[r]
+                        if not isinstance(row, Exception):
+                            beta_hat, W, beta_cov, beta_map = row
+                            W = W if m == "II1_W" else np.eye(2)
+                            row = beta_hat, W, beta_cov, beta_map.coeffs, beta_map.inflation
+                        keep(m, r, row)
+            except Exception as exc:  # noqa: BLE001 - a stack-wide error is every row's
+                outcomes[m].append((done, exc))
             wall[m] += time.perf_counter() - t0
-        if len(chunk) == PEM_CHUNK:
-            run_pem_chunk()
-    if chunk:
-        run_pem_chunk()
+
+    def keep(m: str, r: int, row) -> None:
+        """A Step 2 method's auxiliary fit of realization r, or its error."""
+        if isinstance(row, Exception):
+            outcomes[m].append(([r], row))
+        else:
+            fits[m].append((r, *row))
+
+    def run_ml(record: DataRecord, row):
+        try:
+            try:  # the start: the stack of one step2 of II1_W
+                if isinstance(row, Exception):
+                    raise row
+                beta_hat, W, beta_cov, beta_map = row
+                start = step2(beta_hat, W, beta_map, beta_cov=beta_cov)
+            except (NumericsError, ValueError):
+                start = None  # scan the whole bracket
+            return ml_estimate(record, template, settings, start=start)
+        except Exception as exc:  # noqa: BLE001 - per-realization isolation
+            return exc
+
+    records = iter(records)
+    while chunk := list(itertools.islice(records, CHUNK)):
+        run_chunk(chunk)
 
     for m, rows in fits.items():
         if rows:
@@ -267,8 +295,7 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
             done, *stacks = zip(*rows)
             beta_hat, W, beta_cov, coeffs, inflation = map(np.array, stacks)
             beta_map = SimpleNamespace(coeffs=coeffs, inflation=inflation)
-            outcome = step2(beta_hat, W, beta_map, n_obs=n_obs, beta_cov=beta_cov)
-            outcomes[m].append((list(done), outcome))
+            outcomes[m].append((list(done), step2(beta_hat, W, beta_map, beta_cov=beta_cov)))
             wall[m] += time.perf_counter() - t0
     return outcomes, wall
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .numerics import least_squares
-from .system import DataRecord
+from .system import DataRecord, lagged_matrix, stack_records
 
 RIDGE_CONDITION_LIMIT = 1e12
 
@@ -45,62 +46,154 @@ class BlaEstimate:
         return len(self.beta_hat)
 
 
-def fit_bla(data: DataRecord, lags) -> BlaEstimate:
-    """Minimize the mean-square linear prediction error over the given lags."""
+_ARRAYS = ("beta_hat", "residuals", "I_hat", "J_hat", "W", "cov_beta")
+
+
+@dataclass
+class BlaStack:
+    """The fit of a stack of K records: the arrays of BlaEstimate on a
+    leading axis of K rows, ridge_applied a (K,) bool array, and in `errors`
+    the exception each row raises alone, or None; a failed row's numbers
+    are NaN.  `row(i)` is row i's BlaEstimate, or raises its error."""
+
+    beta_hat: np.ndarray
+    lags: tuple[int, ...]
+    residuals: np.ndarray
+    n_obs: int
+    ridge_applied: np.ndarray
+    errors: list[Exception | None]
+    I_hat: np.ndarray | None = None
+    J_hat: np.ndarray | None = None
+    W: np.ndarray | None = None
+    cov_beta: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, est: BlaEstimate) -> BlaStack:
+        """The stack of one of a single fit."""
+        rows = {a: getattr(est, a)[None] for a in _ARRAYS if getattr(est, a) is not None}
+        return cls(lags=est.lags, n_obs=est.n_obs, ridge_applied=np.array([est.ridge_applied]),
+                   errors=[None], **rows)
+
+    @property
+    def order(self) -> int:
+        return self.beta_hat.shape[1]
+
+    def row(self, i: int) -> BlaEstimate:
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        rows = {a: getattr(self, a)[i] for a in _ARRAYS if getattr(self, a) is not None}
+        return BlaEstimate(lags=self.lags, n_obs=self.n_obs,
+                           ridge_applied=bool(self.ridge_applied[i]), **rows)
+
+
+def fit_bla(data: DataRecord | Sequence[DataRecord], lags) -> BlaEstimate | BlaStack:
+    """Minimize the mean-square linear prediction error over the given lags.
+
+    A sequence of records of one len(u) and one n_obs gives their BlaStack
+    from one stacked least_squares, each row bit for bit its own call; one
+    DataRecord is the stack of one: it gives its BlaEstimate, or raises.
+    """
     lags = tuple(int(l) for l in lags)
-    if data.n_obs <= len(lags):
-        raise ValueError(f"need more than {len(lags)} observations, got {data.n_obs}")
-    phi = data.regressors(lags)
-    beta, resid = least_squares(phi, data.y)
-    return BlaEstimate(beta_hat=beta, lags=lags, residuals=resid, n_obs=data.n_obs)
+    u, y = stack_records(data)
+    rows, n = y.shape
+    if n <= len(lags):
+        raise ValueError(f"need more than {len(lags)} observations, got {n}")
+    beta, resid, errors = least_squares(lagged_matrix(u, n, lags), y)
+    fit = BlaStack(beta_hat=beta, lags=lags, residuals=resid, n_obs=n,
+                   ridge_applied=np.zeros(rows, dtype=bool), errors=errors)
+    return fit.row(0) if isinstance(data, DataRecord) else fit
 
 
-def _condition(sym: np.ndarray) -> float:
-    """Condition number of a symmetric positive semi-definite matrix: the
-    ratio of its extreme eigenvalues, infinite when the smallest is not
-    positive (one eigvalsh instead of cond's SVD)."""
+def _condition(sym: np.ndarray) -> np.ndarray:
+    """Condition number of a symmetric positive semi-definite matrix, or of
+    each of a stack of them: the ratio of its extreme eigenvalues, infinite
+    when the smallest is not positive (one eigvalsh instead of cond's SVD)."""
     eig = np.linalg.eigvalsh(sym)
-    return float(eig[-1] / eig[0]) if eig[0] > 0 else math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(eig[..., 0] > 0, eig[..., -1] / eig[..., 0], math.inf)
 
 
-def estimate_weighting(data: DataRecord, est: BlaEstimate) -> BlaEstimate:
+def _inv(stack: np.ndarray, errors: list) -> np.ndarray:
+    """The inverse of each matrix of a stack from one stacked inv; a singular
+    one (a zero I_hat, from residuals that are all zero) makes its row's
+    error the LinAlgError its own inv raises."""
+    try:
+        return np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        out = np.full_like(stack, np.nan)
+        for i, matrix in enumerate(stack):
+            try:
+                out[i] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError as exc:
+                errors[i] = errors[i] or exc
+        return out
+
+
+def estimate_weighting(
+    data: DataRecord | Sequence[DataRecord], est: BlaEstimate | BlaStack
+) -> BlaEstimate | BlaStack:
     """Fill the sandwich matrices of a fitted estimate.
 
     The middle term I_hat may be ridge-regularized when its condition number
     exceeds RIDGE_CONDITION_LIMIT; the event is recorded on the estimate.
     Residuals whose squares overflow leave I_hat non-finite, and raise
     LinAlgError (a ValueError).
+
+    The BlaStack of a sequence of records gives their weighted BlaStack:
+    every check runs per row, a row that fails one gets the exception its
+    own call raises, a failed row of the fit keeps its error, and one
+    UserWarning covers every ridged row.  The rows share one matmul,
+    eigvalsh and inv per step, each slice computed as its own call computes
+    it, so a row is bit for bit its own call.  One DataRecord and its fit
+    are the stack of one: they give the weighted fit, or raise.
     """
-    phi = data.regressors(est.lags)
-    n = est.n_obs
-    m = est.order
+    one = isinstance(data, DataRecord)
+    if one:
+        est = BlaStack.of(est)
+    u, _ = stack_records(data)
+    n, m = est.n_obs, est.order
+    phi = lagged_matrix(u, n, est.lags)
+    errors = list(est.errors)
+
+    def fail(bad: np.ndarray, error) -> None:
+        for i in np.flatnonzero(bad):
+            errors[i] = errors[i] or error(i)
+
     # an overflowing square raises LinAlgError below, so numpy's warning
     # would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         eps2 = est.residuals**2
-        I_hat = (phi * eps2[:, None]).T @ phi / n
-        I_hat = 0.5 * (I_hat + I_hat.T)
-    J_hat = 2.0 * (phi.T @ phi) / n
-    J_hat = 0.5 * (J_hat + J_hat.T)
-    if not np.all(np.isfinite(I_hat)):
-        raise np.linalg.LinAlgError(f"I_hat is not finite (squared residuals overflow): {I_hat}")
+        I_hat = (phi * eps2[..., None]).swapaxes(1, 2) @ phi / n
+        I_hat = 0.5 * (I_hat + I_hat.swapaxes(1, 2))
+    J_hat = 2.0 * (phi.swapaxes(1, 2) @ phi) / n
+    J_hat = 0.5 * (J_hat + J_hat.swapaxes(1, 2))
+    fail(~np.isfinite(I_hat).all(axis=(1, 2)), lambda i: np.linalg.LinAlgError(
+        f"I_hat is not finite (squared residuals overflow): {I_hat[i]}"))
 
-    j_cond = _condition(J_hat)
-    if j_cond > 1e14:
-        raise np.linalg.LinAlgError(f"J_hat is numerically singular (cond {j_cond:.3e})")
+    # a failed row goes on with the identity, and its numbers are dropped
+    def live(a: np.ndarray) -> np.ndarray:
+        return np.where(np.array([e is None for e in errors])[:, None, None], a, np.eye(m))
 
-    ridge_applied = False
-    if _condition(I_hat) > RIDGE_CONDITION_LIMIT:
-        I_hat = I_hat + (1e-10 * np.trace(I_hat) / m) * np.eye(m)
-        ridge_applied = True
+    j_cond = _condition(live(J_hat))
+    fail(j_cond > 1e14, lambda i: np.linalg.LinAlgError(
+        f"J_hat is numerically singular (cond {j_cond[i]:.3e})"))
+
+    I_hat = live(I_hat)
+    ridge = _condition(I_hat) > RIDGE_CONDITION_LIMIT
+    if ridge.any():
+        shift = 1e-10 * np.trace(I_hat[ridge], axis1=1, axis2=2) / m
+        I_hat[ridge] += shift[:, None, None] * np.eye(m)
         warnings.warn("I_hat ill-conditioned; ridge added before inversion", stacklevel=2)
 
-    J_inv = np.linalg.inv(J_hat)
+    J_inv = np.linalg.inv(live(J_hat))
     cov_beta = J_inv @ (4.0 * I_hat) @ J_inv / n
-    cov_beta = 0.5 * (cov_beta + cov_beta.T)
-    W = np.linalg.inv(n * cov_beta)
-    W = 0.5 * (W + W.T)
-    return replace(
-        est, I_hat=I_hat, J_hat=J_hat, W=W, cov_beta=cov_beta, ridge_applied=ridge_applied
+    cov_beta = 0.5 * (cov_beta + cov_beta.swapaxes(1, 2))
+    W = _inv(n * live(cov_beta), errors)
+    W = 0.5 * (W + W.swapaxes(1, 2))
+    failed = np.array([e is not None for e in errors])
+    for a in (I_hat, J_hat, W, cov_beta):
+        a[failed] = np.nan
+    out = replace(
+        est, I_hat=I_hat, J_hat=J_hat, W=W, cov_beta=cov_beta, ridge_applied=ridge, errors=errors
     )
-
+    return out.row(0) if one else out

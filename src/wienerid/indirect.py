@@ -31,6 +31,7 @@ drops out and the sandwich is the delta method through that inverse.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -46,7 +47,7 @@ from .pem import theta_coeffs
 from .signals import (
     Distribution, DistributionKind, Seed, StreamRole, gaussian_white, gen_white, uniform_white,
 )
-from .system import DataRecord, SystemSpec, lagged_matrix, linear_output
+from .system import DataRecord, SystemSpec, lagged_matrix, linear_output, stack_records
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def step2(
     beta_map,
     settings: OptimizerSettings = OptimizerSettings(),
     *,
-    n_obs: int,
+    n_obs: int | None = None,
     beta_cov: np.ndarray | None = None,
 ):
     """Match the binding function to the auxiliary fit in the W metric.
@@ -181,8 +182,9 @@ def step2(
     entry lies within a few ulps of a rounding boundary).  predicted_std is
     the square root of the sandwich inflation * H^-1 G' W beta_cov W G H^-1,
     H = G' W G, where beta_cov is the covariance of beta_hat; it defaults to
-    (n_obs W)^-1, for which the sandwich reduces to inflation * H^-1 / n_obs.
-    It is infinite when the criterion is flat or its minimum is a bracket end.
+    (n_obs W)^-1, for which the sandwich reduces to inflation * H^-1 / n_obs,
+    and without either of them step2 raises ValueError.  It is infinite
+    when the criterion is flat or its minimum is a bracket end.
 
     A stack of R fits, beta_hat (R, m), gives a StackEstimate.  W and
     beta_cov are then (R, m, m), coeffs (R, degree + 1, m) and inflation
@@ -193,6 +195,8 @@ def step2(
     row's estimate is bit for bit that of its own call.  A 1-D beta_hat is
     the stack of one: it gives its Estimate, or raises its error.
     """
+    if n_obs is None and beta_cov is None:
+        raise ValueError("step2 needs n_obs or beta_cov for the predicted std")
     beta_hat = np.asarray(beta_hat, dtype=float)
     fits = beta_hat.reshape(-1, beta_hat.shape[-1])
     rows, width = fits.shape
@@ -298,24 +302,32 @@ def analytic_binding(
     return AnalyticMap(dist.variance, spec_template.sigma_v2, dist.kurtosis)
 
 
-def zero_order_fit(data: DataRecord) -> tuple[float, float]:
-    """The order-zero auxiliary fit: the slope of y on u(t) alone, and its
+def zero_order_fit(data: DataRecord | Sequence[DataRecord]):
+    """The order-zero auxiliary fit of a stack of K records of one len(u)
+    and one n_obs: per record the slope of y on u(t) alone, and its
     heteroskedasticity-robust variance sum u^2 eps^2 / (sum u^2)^2 with eps
-    the regression residual.  Squares that overflow, or an input whose
-    squares underflow to zero, leave that variance non-finite, and raise
-    LinAlgError (a ValueError), as in bla.estimate_weighting."""
-    u0 = data.lagged(0)
-    beta1, resid = least_squares(u0[:, None], data.y)
+    the regression residual, from one stacked least_squares.
+
+    Returns the (K,) slopes and variances and per row the exception it
+    raises alone, or None; a failed row's numbers are NaN.  Squares that
+    overflow, or an input whose squares underflow to zero, leave that
+    variance non-finite, a LinAlgError (a ValueError), as in
+    bla.estimate_weighting.  One DataRecord is the stack of one.
+    """
+    u, y = stack_records(data)
+    u0 = lagged_matrix(u, y.shape[1], (0,))
+    beta1, resid, errors = least_squares(u0, y)
     # a square that overflows, or a sum of squares of u that underflows to
     # zero, raises LinAlgError below, so numpy's warning would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u2 = u0 * u0
-        variance = float(np.sum(u2 * resid * resid) / np.sum(u2) ** 2)
-    if not math.isfinite(variance):
-        raise np.linalg.LinAlgError(
-            f"robust slope variance is not finite (squares overflow or underflow): {variance}"
+        u2 = u0[..., 0] ** 2
+        variance = np.sum(u2 * resid * resid, axis=1) / np.sum(u2, axis=1) ** 2
+    for i in np.flatnonzero(~np.isfinite(variance)):
+        errors[i] = errors[i] or np.linalg.LinAlgError(
+            f"robust slope variance is not finite (squares overflow or underflow): {variance[i]}"
         )
-    return float(beta1[0]), variance
+    ok = [e is None for e in errors]
+    return np.where(ok, beta1[:, 0], np.nan), np.where(ok, variance, np.nan), errors
 
 
 def zero_order_estimate(
@@ -332,11 +344,11 @@ def zero_order_estimate(
     The match is step2's stack of one, so it is bit for bit bench's II0 on
     the same record, whose Step 2 stacks the slopes of all its records.
     """
-    slope, variance = zero_order_fit(data)
+    slope, variance, (error,) = zero_order_fit(data)
+    if error is not None:
+        raise error
     beta_map = SimpleNamespace(coeffs=analytic_binding(spec_template, input_kind).coeffs[:, :1])
-    return step2(
-        np.array([slope]), np.eye(1), beta_map, n_obs=data.n_obs, beta_cov=np.array([[variance]])
-    )
+    return step2(slope, np.eye(1), beta_map, beta_cov=variance[:, None])
 
 
 def first_order_estimate(
@@ -363,4 +375,4 @@ def first_order_estimate(
         beta_map = analytic_binding(spec_template, input_kind)
     fit = bla_mod.estimate_weighting(data, bla_mod.fit_bla(data, lags=(0, 1)))
     W = fit.W if weighted else np.eye(2)
-    return step2(fit.beta_hat, W, beta_map, settings, n_obs=data.n_obs, beta_cov=fit.cov_beta)
+    return step2(fit.beta_hat, W, beta_map, settings, beta_cov=fit.cov_beta)

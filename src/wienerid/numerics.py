@@ -523,23 +523,36 @@ def minimize_scalar(
     return replace(result, iterations=iterations, degenerate=False, fallback=bool(spent))
 
 
-def least_squares(regressors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares coefficients and residuals (targets - fit).
+def least_squares(regressors: np.ndarray, targets: np.ndarray):
+    """Least-squares coefficients and residuals (targets - fit) of a stack
+    of K problems, regressors (K, N, m) and targets (K, N), from the R
+    factor of one QR factorization of each [regressors | targets].
 
-    Raises RankDeficiencyError when the smallest singular value falls below
-    the usual eps * max(N, m) * s_max threshold.
+    Returns (K, m) coefficients, (K, N) residuals and per row the
+    RankDeficiencyError of a problem whose smallest singular value falls
+    below the usual eps * max(N, m) * s_max threshold, taken on the
+    singular values of R (those of the regressors), or None; a failed row's
+    numbers are NaN.  The rows share one QR, SVD and solve, each slice
+    computed as it is alone, so a row is bit for bit its stack of one.
+    (N, m) regressors and (N,) targets are the stack of one.
     """
     X = np.asarray(regressors, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     y = np.asarray(targets, dtype=float)
-    n, m = X.shape
+    *_, n, m = X.shape
     if n < m:
         raise ValueError(f"need at least as many rows as columns, got {n} x {m}")
-    if len(y) != n:
-        raise ValueError(f"targets length {len(y)} does not match {n} rows")
-    coef, _, rank, sing = np.linalg.lstsq(X, y, rcond=None)
-    cutoff = _EPS * max(n, m) * sing[0]
-    if rank < m or sing[-1] <= cutoff:
-        raise RankDeficiencyError(float(sing[-1]))
-    return coef, y - X @ coef
+    if y.shape != X.shape[:-1]:
+        raise ValueError(f"targets of shape {y.shape} do not match regressors of shape {X.shape}")
+    X, y = X.reshape(-1, n, m), y.reshape(-1, n)
+    # [regressors | targets] column by column, the layout LAPACK reads,
+    # which spares the QR a strided copy
+    augmented = np.empty((len(X), m + 1, n))
+    augmented[:, :m] = X.swapaxes(1, 2)
+    augmented[:, m] = y
+    r = np.linalg.qr(augmented.swapaxes(1, 2), mode="r")
+    sing = np.linalg.svd(r[:, :m, :m], compute_uv=False)
+    ok = sing[:, -1] > _EPS * max(n, m) * sing[:, 0]
+    errors = [None if good else RankDeficiencyError(float(s)) for good, s in zip(ok, sing[:, -1])]
+    coef = np.full((len(X), m), np.nan)
+    coef[ok] = np.linalg.solve(r[ok, :m, :m], r[ok, :m, m:])[..., 0]
+    return coef, y - (X @ coef[..., None])[..., 0], errors

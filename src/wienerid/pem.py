@@ -24,7 +24,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .numerics import OptimizerSettings, StackEstimate, gram_coeffs, horner, poly_argmin
-from .system import DataRecord, Nonlinearity, SystemSpec, cubic, linear_output
+from .system import DataRecord, Nonlinearity, SystemSpec, cubic, linear_output, stack_records
 
 
 def gaussian_smoothed(coeffs, sigma_v2: float) -> np.ndarray:
@@ -104,13 +104,9 @@ def pem_estimate(
     fir = spec_template.fir
     if fir.n_free != 1:
         raise ValueError("scalar search supports exactly one free coefficient")
-    records = [data] if isinstance(data, DataRecord) else list(data)
-    shapes = {(len(d.u), d.n_obs) for d in records}
-    if len(shapes) != 1:
-        raise ValueError(f"a stack needs records of one len(u) and one n_obs, got {sorted(shapes)}")
+    u, y = stack_records(data)
     nl, sv2 = spec_template.nonlinearity, spec_template.sigma_v2
-    u = np.array([d.u for d in records])
-    rows, n = len(records), records[0].n_obs
+    rows, n = y.shape
     lead, lag = u.shape[1] - n, fir.free_lags[0]
     if fir.max_lag > lead:
         raise ValueError(f"lag {fir.max_lag} exceeds the {lead} leading input samples available")
@@ -130,7 +126,8 @@ def pem_estimate(
     errors = theta_coeffs(h, u[:, lead - lag : lead - lag + n], powers.transpose(1, 0, 2))
     del powers
     np.negative(errors, out=errors)
-    errors[0] += np.array([d.y for d in records])
+    errors[0] += y
+    del y
     errors = errors.transpose(1, 0, 2)
 
     # an overflowing Gram entry is its row's CostEvaluationError in

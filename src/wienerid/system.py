@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,16 +109,17 @@ def lagged_matrix(u: np.ndarray, n_obs: int, lags) -> np.ndarray:
     """Columns u(t - lag) for t = 1..n_obs, one per requested lag.
 
     The input array covers u(1 - lead .. n_obs) with lead = len(u) - n_obs;
-    every requested lag must not exceed the lead.
+    every requested lag must not exceed the lead.  A (K, len(u)) stack of
+    inputs gives the (K, n_obs, len(lags)) stack of their matrices.
     """
     u = np.asarray(u, dtype=float)
-    lead = len(u) - n_obs
+    lead = u.shape[-1] - n_obs
     lags = [int(lag) for lag in lags]
     if any(lag > lead for lag in lags):
         raise ValueError(
             f"lag {max(lags)} exceeds the {lead} leading input samples available"
         )
-    return np.column_stack([u[lead - lag : lead - lag + n_obs] for lag in lags])
+    return np.stack([u[..., lead - lag : lead - lag + n_obs] for lag in lags], axis=-1)
 
 
 def linear_output(fir: FirStructure, theta, u) -> np.ndarray:
@@ -255,3 +257,13 @@ class DataRecord:
             raise ValueError(f"{path}: outputs must run from t = 1 to the last row")
         return cls(u=np.array(us), y=np.array(ys))
 
+
+def stack_records(data: DataRecord | Sequence[DataRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, len(u)) inputs and (K, n_obs) outputs of a stack of K records,
+    all of one len(u) and one n_obs (else ValueError); one DataRecord is the
+    stack of one."""
+    records = [data] if isinstance(data, DataRecord) else list(data)
+    shapes = {(len(d.u), d.n_obs) for d in records}
+    if len(shapes) != 1:
+        raise ValueError(f"a stack needs records of one len(u) and one n_obs, got {sorted(shapes)}")
+    return np.array([d.u for d in records]), np.array([d.y for d in records])

@@ -36,6 +36,35 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def zero_input_on(bad):
+    """make_record with u = 0 on realization `bad`: the order-zero and
+    lag-(0, 1) fits refuse that record's regressors."""
+    real = bench.make_record
+
+    def make(config, realization):
+        record = real(config, realization)
+        if realization == bad:
+            record.u[:] = 0.0
+        return record
+
+    return make
+
+
+def huge_output_on(bad):
+    """make_record with one y = 1e200 on realization `bad`: its squares
+    overflow PEM's Gram, II0's slope variance and I_hat, while u, all that
+    the simulated map reads, is untouched."""
+    real = bench.make_record
+
+    def make(config, realization):
+        record = real(config, realization)
+        if realization == bad:
+            record.y[5] = 1e200
+        return record
+
+    return make
+
+
 def ledger_text(drop=None, **changes) -> str:
     """The ledger of small_config() less the config key `drop`, with `changes`."""
     config = bench.config_to_dict(small_config())
@@ -207,20 +236,15 @@ class TestRunExperiment:
         assert abs(result.summary("II1_W").mean - 0.5) < 0.1
 
     def test_failures_recorded_not_dropped(self, monkeypatch):
+        # u = 0 on record 1: the order-zero fit's row refuses its regressor,
+        # and PEM_W flags a flat criterion but fails nothing
         config = small_config()
-        bad_y = make_record(config, 1).y
-        real_fit = bench.zero_order_fit
-
-        def flaky(record):
-            if np.array_equal(record.y, bad_y):
-                raise RuntimeError("synthetic failure")
-            return real_fit(record)
-
-        monkeypatch.setattr(bench, "zero_order_fit", flaky)
+        monkeypatch.setattr(bench, "make_record", zero_input_on(1))
         result = run_experiment(config)
         assert len(result.failures) == 1
         assert result.failures[0].method == "II0"
         assert result.failures[0].realization == 1
+        assert result.failures[0].message.startswith("RankDeficiencyError")
         summary = result.summary("II0")
         assert summary.failures == 1
         good = result.estimates["II0"][np.isfinite(result.estimates["II0"])]
@@ -263,16 +287,20 @@ class TestStartChain:
     Step 2 take no start.  ML starts from the II1_W of its record."""
 
     def test_zero_order_fitted_once_per_realization(self, monkeypatch):
+        # one stacked call per chunk, each realization in one of them
         calls = []
         real = bench.zero_order_fit
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(records):
+            calls.append(len(records))
+            return real(records)
 
         monkeypatch.setattr(bench, "zero_order_fit", counted)
         run_experiment(small_config(methods=("PEM_W", "II0", "II1_UNW", "II1_W")))
-        assert len(calls) == 3
+        assert calls == [3]
+        del calls[:]
+        run_experiment(small_config(methods=("II0",), realizations=bench.CHUNK + 1))
+        assert calls == [bench.CHUNK, 1]
         # the simulated Step 2 without II0 as a method fits no II0
         del calls[:]
         run_experiment(small_config(methods=("II1_UNW", "II1_W"), s_count=3, n_obs=200))
@@ -316,20 +344,22 @@ class TestRunMethod:
 
 
 class TestRecordContext:
-    """run_experiment fits the BLA and builds the simulated map once per
-    record for every method that needs them, with the estimates, stds and
-    failure messages of per-method calls that share nothing."""
+    """run_experiment fits the BLA once per chunk and builds the simulated
+    map once per record, for every method that needs them, with the
+    estimates, stds and failure messages of per-method calls that share
+    nothing."""
 
     methods = ("ML", "II1_UNW", "II1_W")
 
     @pytest.fixture
     def counts(self, monkeypatch):
+        # fit_bla counts the records it fits, over all its stacked calls
         counts = {"fit_bla": 0, "SimulatedMap": 0}
         real_fit, real_build = bla.fit_bla, SimulatedMap.__post_init__
 
-        def counted_fit(*args, **kwargs):
-            counts["fit_bla"] += 1
-            return real_fit(*args, **kwargs)
+        def counted_fit(records, lags):
+            counts["fit_bla"] += len(records)
+            return real_fit(records, lags)
 
         def counted_build(self):
             counts["SimulatedMap"] += 1
@@ -378,25 +408,27 @@ class TestRecordContext:
         assert np.isfinite(result.estimates["ML"]).all()
 
     def test_failed_fit_keeps_nothing(self, monkeypatch):
+        # one y = 1e200 on record 1: its simulated map reads only u and
+        # builds, its row of the stacked fit overflows I_hat, that error
+        # fails II1_UNW and II1_W there, ML fails on its own likelihood as
+        # its run_method does, and the other rows keep their estimates
         config = small_config(methods=self.methods, s_count=3, desk_scale=True)
         clean = run_experiment(config)
-        bad_y = make_record(config, 1).y
-        real_fit = bla.fit_bla
-
-        def failing_on_record_1(data, lags):
-            if np.array_equal(data.y, bad_y):
-                raise np.linalg.LinAlgError("synthetic fit failure")
-            return real_fit(data, lags)
-
-        monkeypatch.setattr(bla, "fit_bla", failing_on_record_1)
+        monkeypatch.setattr(bench, "make_record", huge_output_on(1))
         result = run_experiment(config)
+        record = bench.make_record(config, 1)
+        messages = {}
+        for m in self.methods:
+            with pytest.raises(Exception) as info:
+                run_method(config, m, record, realization=1)
+            messages[m] = f"{type(info.value).__name__}: {info.value}"
+        assert messages["II1_UNW"].startswith("LinAlgError: I_hat is not finite")
+        assert messages["ML"].startswith("QuadratureUnderflowError")
         assert [(f.realization, f.method, f.message) for f in result.failures] == [
-            (1, m, "LinAlgError: synthetic fit failure") for m in ("II1_UNW", "II1_W")
-        ]
+            (1, m, messages[m]) for m in self.methods]
         for m in self.methods:
             for r in (0, 2):
                 assert result.estimates[m][r] == clean.estimates[m][r], (r, m)
-        assert np.isfinite(result.estimates["ML"][1])
 
     def test_map_error_comes_before_fit_error(self, monkeypatch):
         # a record on which both the simulated map and the BLA fit fail
@@ -420,23 +452,28 @@ class TestRecordContext:
 
     def test_fit_error_of_another_type_fails_ml_too(self, monkeypatch):
         # only a NumericsError or ValueError from ML's II1_W start leaves ML
-        # to its unseeded scan; any other error is ML's own failure
+        # to its unseeded scan; any other error is ML's own failure.  The
+        # stacked fit raises it as a whole on any stack holding record 1, so
+        # it fails every row of that chunk
         config = small_config(methods=self.methods, desk_scale=True)
         bad_y = make_record(config, 1).y
         real_fit = bla.fit_bla
 
-        def failing_on_record_1(data, lags):
-            if np.array_equal(data.y, bad_y):
+        def failing_with_record_1(records, lags):
+            if any(np.array_equal(d.y, bad_y) for d in records):
                 raise RuntimeError("synthetic fit failure")
-            return real_fit(data, lags)
+            return real_fit(records, lags)
 
-        monkeypatch.setattr(bla, "fit_bla", failing_on_record_1)
+        monkeypatch.setattr(bla, "fit_bla", failing_with_record_1)
         result = run_experiment(config)
         assert [(f.realization, f.method, f.message) for f in result.failures] == [
-            (1, m, "RuntimeError: synthetic fit failure") for m in self.methods
+            (r, m, "RuntimeError: synthetic fit failure")
+            for r in range(config.realizations) for m in self.methods
         ]
         with pytest.raises(RuntimeError, match="synthetic fit failure"):
             run_method(config, "ML", make_record(config, 1), 1)
+        # alone, record 0 is a stack without record 1
+        assert np.isfinite(run_method(config, "ML", make_record(config, 0), 0).theta_hat).all()
 
 
 class FailureParity:
@@ -478,15 +515,7 @@ class FailureParity:
         """One y = 1e200 on record `bad` overflows PEM's Gram, II0's slope
         variance and I_hat: four typed errors, in METHOD_ORDER."""
         clean = run_experiment(config)
-        real = bench.make_record
-
-        def huge_sample(cfg, realization):
-            record = real(cfg, realization)
-            if realization == bad:
-                record.y[5] = 1e200
-            return record
-
-        monkeypatch.setattr(bench, "make_record", huge_sample)
+        monkeypatch.setattr(bench, "make_record", huge_output_on(bad))
         self.assert_parity(config, clean, [
             ("PEM_W", "CostEvaluationError"), ("II0", "LinAlgError"),
             ("II1_UNW", "LinAlgError"), ("II1_W", "LinAlgError")], bad)
@@ -501,15 +530,7 @@ class TestStackedStep2(FailureParity):
         # every row, the failing one too, is run_method's II0 bit for bit;
         # at theta_o = 4, outside the bracket, each row is its flagged edge
         config = small_config(theta_o=theta_o, methods=("II0",), realizations=4)
-        real = bench.make_record
-
-        def huge_sample(cfg, realization):
-            record = real(cfg, realization)
-            if realization == self.BAD:
-                record.y[5] = 1e200
-            return record
-
-        monkeypatch.setattr(bench, "make_record", huge_sample)
+        monkeypatch.setattr(bench, "make_record", huge_output_on(self.BAD))
         result = run_experiment(config)
         assert [(f.realization, f.message.split(":")[0]) for f in result.failures] == [
             (self.BAD, "LinAlgError")]
@@ -547,10 +568,11 @@ class TestStackedStep2(FailureParity):
         bad_y = make_record(config, self.BAD).y
         real = bla.estimate_weighting
 
-        def indefinite_on_bad(data, fit):
-            est = real(data, fit)
-            if np.array_equal(data.y, bad_y):
-                est.W = np.array([[1.0, 0.0], [0.0, -1.0]])
+        def indefinite_on_bad(records, fit):
+            est = real(records, fit)
+            for i, record in enumerate(records):
+                if np.array_equal(record.y, bad_y):
+                    est.W[i] = [[1.0, 0.0], [0.0, -1.0]]
             return est
 
         monkeypatch.setattr(bla, "estimate_weighting", indefinite_on_bad)
@@ -601,28 +623,73 @@ class TestStackedStep2(FailureParity):
 
 
 class TestChunkedPem(FailureParity):
-    """run_experiment runs PEM_W on chunks of PEM_CHUNK records: a full
-    chunk and the last partial one give run_method's estimate on each
-    record, and a row that fails anywhere in its chunk gives the failures
-    of per-method run_method calls."""
+    """run_experiment runs PEM_W, the order-zero fit and the lag-(0, 1) BLA
+    fit on chunks of CHUNK records: a full chunk and the last partial one
+    give run_method's estimate on each record, and a row that fails
+    anywhere in its chunk gives the failures of per-method run_method
+    calls.  An exception that a stacked call raises as a whole fails every
+    row of its chunk."""
 
-    @pytest.mark.parametrize("realizations", [1, bench.PEM_CHUNK + 1])
+    @pytest.mark.parametrize("realizations", [1, bench.CHUNK + 1])
     def test_rows_match_run_method(self, realizations):
         config = small_config(methods=self.methods, realizations=realizations)
         result = run_experiment(config)
         assert not result.failures
         for r in range(realizations):
-            est = run_method(config, "PEM_W", make_record(config, r), r)
-            assert result.estimates["PEM_W"][r] == est.theta_hat[0], r
+            record = make_record(config, r)
+            for m in self.methods:
+                est = run_method(config, m, record, r)
+                assert result.estimates[m][r] == est.theta_hat[0], (r, m)
+                if m in PREDICTS_STD:
+                    assert result.predicted_stds[m][r] == est.predicted_std, (r, m)
 
-    @pytest.mark.parametrize("bad", [0, bench.PEM_CHUNK // 2, bench.PEM_CHUNK - 1, bench.PEM_CHUNK])
+    @pytest.mark.parametrize("bad", [0, bench.CHUNK // 2, bench.CHUNK - 1, bench.CHUNK])
     def test_overflowing_row_anywhere_in_its_chunk(self, monkeypatch, bad):
         # first, middle and last of the full chunk, and the partial chunk's one row
-        config = small_config(methods=self.methods, realizations=bench.PEM_CHUNK + 1)
+        config = small_config(methods=self.methods, realizations=bench.CHUNK + 1)
         self.assert_overflow_parity(monkeypatch, config, bad)
 
+    @pytest.mark.parametrize("bad", [0, bench.CHUNK // 2, bench.CHUNK - 1, bench.CHUNK])
+    def test_zero_input_row_anywhere_in_its_chunk(self, monkeypatch, bad):
+        # u = 0: the order-zero and lag-(0, 1) fits refuse that row's
+        # regressors, and ML, started nowhere, flags its flat likelihood
+        config = small_config(methods=("ML",) + self.methods, realizations=bench.CHUNK + 1,
+                              n_obs=60, desk_scale=True)
+        clean = run_experiment(config)
+        monkeypatch.setattr(bench, "make_record", zero_input_on(bad))
+        result = self.assert_parity(config, clean, [
+            (m, "RankDeficiencyError") for m in ("II0", "II1_UNW", "II1_W")], bad)
+        assert result.estimates["ML"][bad] == result.estimates["PEM_W"][bad] == 0.0
+
+    @pytest.mark.parametrize("target", ["zero_order_fit", "fit_bla", "estimate_weighting"])
+    @pytest.mark.parametrize("bad", [0, bench.CHUNK])
+    def test_stack_wide_fit_error_fails_every_row_of_its_chunk(self, monkeypatch, target, bad):
+        # the fit raises as a whole on the chunk holding record `bad`: the
+        # full chunk at 0, the partial one at CHUNK
+        config = small_config(methods=self.methods, realizations=bench.CHUNK + 1)
+        clean = run_experiment(config)
+        bad_y = make_record(config, bad).y
+        module = bench if target == "zero_order_fit" else bla
+        real = getattr(module, target)
+
+        def refusing(records, *args):
+            if any(np.array_equal(d.y, bad_y) for d in records):
+                raise RuntimeError("synthetic stack failure")
+            return real(records, *args)
+
+        monkeypatch.setattr(module, target, refusing)
+        result = run_experiment(config)
+        chunk = range(bench.CHUNK) if bad == 0 else [bench.CHUNK]
+        failing = ["II0"] if target == "zero_order_fit" else ["II1_UNW", "II1_W"]
+        assert [(f.realization, f.method, f.message) for f in result.failures] == [
+            (r, m, "RuntimeError: synthetic stack failure") for r in chunk for m in failing]
+        for m in config.methods:
+            for r in range(config.realizations):
+                if not (r in chunk and m in failing):
+                    assert result.estimates[m][r] == clean.estimates[m][r], (r, m)
+
     def test_stack_wide_error_fails_every_row_of_its_chunk(self, monkeypatch):
-        config = small_config(methods=("PEM_W", "II0"), realizations=bench.PEM_CHUNK + 1)
+        config = small_config(methods=("PEM_W", "II0"), realizations=bench.CHUNK + 1)
         clean = run_experiment(config)
 
         def refusing(records, template):
@@ -636,9 +703,9 @@ class TestChunkedPem(FailureParity):
         np.testing.assert_array_equal(result.estimates["II0"], clean.estimates["II0"])
 
     def test_replay_on_both_sides_of_a_chunk_boundary(self):
-        config = small_config(methods=self.methods, realizations=bench.PEM_CHUNK + 1)
+        config = small_config(methods=self.methods, realizations=bench.CHUNK + 1)
         result = run_experiment(config)
-        for r in (bench.PEM_CHUNK - 1, bench.PEM_CHUNK):
+        for r in (bench.CHUNK - 1, bench.CHUNK):
             assert replay_realization(config, r) == {
                 m: result.estimates[m][r] for m in config.methods}, r
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wienerid import bench
 from wienerid.bla import BlaEstimate, _condition, estimate_weighting, fit_bla
+from wienerid.indirect import zero_order_fit
 from wienerid.numerics import RankDeficiencyError
-from wienerid.signals import gaussian_white, gen_white, uniform_white
+from wienerid.signals import DistributionKind, gaussian_white, gen_white, uniform_white
 from wienerid.system import DataRecord, SystemSpec, cubic, identity, paper_fir, simulate
 
 
@@ -172,6 +174,108 @@ class TestWeighting:
     def test_condition_of_an_indefinite_matrix_is_infinite(self):
         assert _condition(np.array([[1.0, 0.0], [0.0, -1e-20]])) == np.inf
         assert _condition(np.zeros((2, 2))) == np.inf
+
+
+class TestStack:
+    """fit_bla, estimate_weighting and zero_order_fit on a stack of records:
+    each row bit for bit the stack of one of its record."""
+
+    @staticmethod
+    def records(kind, count):
+        config = bench.ExperimentConfig(
+            theta_o=0.5, sigma_v2=0.2, sigma_e2=0.1, sigma_u2=1 / 3, input_kind=kind,
+            n_obs=300, realizations=count, master_seed=20260809,
+        )
+        return [bench.make_record(config, r) for r in range(count)]
+
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    @pytest.mark.parametrize("count", [1, 2, bench.CHUNK, bench.CHUNK + 1])
+    def test_rows_are_their_stack_of_one(self, kind, count):
+        records = self.records(kind, count)
+        stack = estimate_weighting(records, fit_bla(records, (0, 1)))
+        slope, variance, errors = zero_order_fit(records)
+        assert stack.errors == errors == [None] * count
+        for i, record in enumerate(records):
+            one = estimate_weighting(record, fit_bla(record, (0, 1)))
+            for name in ("beta_hat", "residuals", "I_hat", "J_hat", "W", "cov_beta"):
+                np.testing.assert_array_equal(getattr(stack, name)[i], getattr(one, name), name)
+                np.testing.assert_array_equal(getattr(stack.row(i), name), getattr(one, name), name)
+            assert (slope[i], variance[i], None) == tuple(v[0] for v in zero_order_fit(record))
+
+    def test_failing_rows_carry_their_own_errors(self):
+        # u = 0 on row 1, one y = 1e200 on row 3 and y = 0 on row 4 (zero
+        # residuals: a zero I_hat, ridged, then singular): each row gets the
+        # error its own call raises, and the other rows are their stack of one
+        records = self.records(DistributionKind.GAUSSIAN_WHITE, 6)
+        records[1] = DataRecord(u=np.zeros_like(records[1].u), y=records[1].y)
+        y = records[3].y.copy()
+        y[5] = 1e200
+        records[3] = DataRecord(u=records[3].u, y=y)
+        records[4] = DataRecord(u=records[4].u, y=np.zeros_like(y))
+
+        def outcome(call):
+            try:
+                return call()
+            except Exception as exc:  # noqa: BLE001 - compared by type and message
+                return f"{type(exc).__name__}: {exc}"
+
+        def weighted(data):
+            return estimate_weighting(data, fit_bla(data, (0, 1)))
+
+        with pytest.warns(UserWarning, match="ridge"):
+            stack = weighted(records)
+        slope, _, zero_errors = zero_order_fit(records)
+        for i, record in enumerate(records):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                own = outcome(lambda: weighted(record))
+            if isinstance(own, str):
+                assert f"{type(stack.errors[i]).__name__}: {stack.errors[i]}" == own
+                assert np.isnan(stack.W[i]).all() and np.isnan(stack.cov_beta[i]).all()
+                with pytest.raises(type(stack.errors[i])):
+                    stack.row(i)
+            else:
+                assert stack.errors[i] is None
+                np.testing.assert_array_equal(stack.W[i], own.W)
+            own_slope, _, (own,) = zero_order_fit(record)
+            if own is not None:
+                assert type(zero_errors[i]) is type(own) and str(zero_errors[i]) == str(own)
+                assert np.isnan(slope[i]) and np.isnan(own_slope[0])
+            else:
+                assert zero_errors[i] is None and slope[i] == own_slope[0]
+        expected = [None, "RankDeficiencyError: rank-deficient", None,
+                    "LinAlgError: I_hat is not finite", "LinAlgError: Singular matrix", None]
+        for error, want in zip(stack.errors, expected, strict=True):
+            message = f"{type(error).__name__}: {error}"
+            assert error is None if want is None else message.startswith(want)
+
+    def test_ridge_on_one_row_only(self):
+        # row 1's residuals sit on one sample: one warning for the stack,
+        # and only row 1 ridged, as its stack of one is
+        rng = np.random.default_rng(8)
+        records = [DataRecord(u=rng.standard_normal(101), y=rng.standard_normal(100))
+                   for _ in range(3)]
+        fit = fit_bla(records, (0, 1))
+        fit.residuals[1] = 0.0
+        fit.residuals[1, 17] = 5.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = estimate_weighting(records, fit)
+        assert [str(w.message) for w in caught] == [
+            "I_hat ill-conditioned; ridge added before inversion"]
+        assert out.ridge_applied.tolist() == [False, True, False]
+        with pytest.warns(UserWarning, match="ridge"):
+            one = estimate_weighting(records[1], fit.row(1))
+        assert one.ridge_applied
+        np.testing.assert_array_equal(out.W[1], one.W)
+
+    def test_mixed_lengths_rejected(self):
+        records = self.records(DistributionKind.GAUSSIAN_WHITE, 2)
+        short = DataRecord(u=records[1].u[:-1], y=records[1].y[:-1])
+        for call in (lambda: fit_bla([records[0], short], (0, 1)),
+                     lambda: zero_order_fit([records[0], short])):
+            with pytest.raises(ValueError, match="one len"):
+                call()
 
 
 class TestBussgang:

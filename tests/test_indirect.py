@@ -19,9 +19,7 @@ from wienerid.indirect import (
     step2,
     zero_order_estimate,
 )
-from wienerid.numerics import (
-    CostEvaluationError, OptimizerSettings, RankDeficiencyError, horner, least_squares,
-)
+from wienerid.numerics import CostEvaluationError, OptimizerSettings, RankDeficiencyError, horner
 from wienerid.pem import conditional_mean, pem_estimate
 from wienerid.signals import DistributionKind, StreamRole, gaussian_white, gen_white, uniform_white
 from wienerid.system import (
@@ -116,7 +114,7 @@ class TestSimulatedMap:
         b = SimulatedMap(u, spec, s_count=5, seed=999, lags=(0, 1))(0.5)
         np.testing.assert_allclose(a, b, rtol=1e-12)
         lin = spec.nonlinearity.value(0.5 * u[1:] + u[:-1])
-        direct, _ = least_squares(np.column_stack([u[1:], u[:-1]]), lin)
+        direct = np.linalg.lstsq(np.column_stack([u[1:], u[:-1]]), lin, rcond=None)[0]
         np.testing.assert_allclose(a, direct, rtol=1e-12)
 
     def test_same_seed_bitwise_identical(self):
@@ -169,7 +167,7 @@ class TestSimulatedMap:
         stacked = np.tile(lagged_matrix(u, n, lags), (s_count, 1))
         for theta in (-3.0, -1.0, 0.0, 0.5, 1.0, 3.0):
             lin = (theta * u[1:] + u[:-1])[-n:]
-            want, _ = least_squares(stacked, nl.value(lin + v).ravel())
+            want = np.linalg.lstsq(stacked, nl.value(lin + v).ravel(), rcond=None)[0]
             np.testing.assert_allclose(smap(theta), want, rtol=1e-12)
 
     def test_rank_deficient_regressors_rejected_at_construction(self):
@@ -218,6 +216,13 @@ class TestStep2:
             step2(amap(0.5), np.array([[1.0, 0.0], [0.0, -1.0]]), amap, n_obs=100)
         with pytest.raises(ValueError, match="symmetric"):
             step2(amap(0.5), np.array([[1.0, 0.5], [0.0, 1.0]]), amap, n_obs=100)
+
+    def test_needs_n_obs_or_beta_cov(self):
+        amap = AnalyticMap(SU2, SV2, 3.0)
+        with pytest.raises(ValueError, match="n_obs or beta_cov"):
+            step2(amap(0.5), np.eye(2), amap)
+        with_cov = step2(amap(0.5), np.eye(2), amap, beta_cov=np.eye(2) / 100)
+        assert with_cov.theta_hat[0] == step2(amap(0.5), np.eye(2), amap, n_obs=100).theta_hat[0]
 
     def test_flat_criterion_flagged(self):
         class FlatMap:

@@ -413,27 +413,30 @@ class TestSeededMinimizeScalar:
 
 
 class TestLeastSquares:
+    """least_squares on stacks of problems; a 2-D problem is the stack of one."""
+
     def test_consistent_system_zero_residuals(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((30, 3))
         coef_true = np.array([1.0, -2.0, 0.5])
-        coef, resid = least_squares(X, X @ coef_true)
-        np.testing.assert_allclose(coef, coef_true, rtol=1e-12)
-        np.testing.assert_allclose(resid, np.zeros(30), atol=1e-12)
+        coef, resid, errors = least_squares(X[None], (X @ coef_true)[None])
+        assert errors == [None]
+        np.testing.assert_allclose(coef[0], coef_true, rtol=1e-12)
+        np.testing.assert_allclose(resid[0], np.zeros(30), atol=1e-12)
 
     def test_single_regressor(self):
         u = np.array([1.0, 2.0, -3.0, 0.5])
-        coef, _ = least_squares(u[:, None], 2.0 * u)
-        np.testing.assert_allclose(coef, [2.0], rtol=1e-14)
+        coef, _, _ = least_squares(u[None, :, None], 2.0 * u[None])
+        np.testing.assert_allclose(coef, [[2.0]], rtol=1e-14)
 
     def test_against_normal_equations_oracle(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((200, 4))
         y = rng.standard_normal(200)
-        coef, resid = least_squares(X, y)
+        coef, resid, _ = least_squares(X[None], y[None])
         oracle = np.linalg.solve(X.T @ X, X.T @ y)
-        np.testing.assert_allclose(coef, oracle, atol=1e-8)
-        np.testing.assert_allclose(resid, y - X @ coef, atol=1e-12)
+        np.testing.assert_allclose(coef[0], oracle, atol=1e-8)
+        np.testing.assert_allclose(resid[0], y - X @ coef[0], atol=1e-12)
 
     @given(seed=st.integers(0, 2**32), m=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
@@ -441,19 +444,50 @@ class TestLeastSquares:
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((50, m))
         y = rng.standard_normal(50)
-        _, resid = least_squares(X, y)
-        assert np.all(np.abs(X.T @ resid) < 1e-8 * np.linalg.norm(y))
+        _, resid, _ = least_squares(X[None], y[None])
+        assert np.all(np.abs(X.T @ resid[0]) < 1e-8 * np.linalg.norm(y))
 
     def test_rank_deficiency_reported(self):
         u = np.linspace(0, 1, 20)
         X = np.column_stack([u, 2.0 * u])
-        with pytest.raises(RankDeficiencyError) as excinfo:
-            least_squares(X, u)
-        assert excinfo.value.smallest_singular_value < 1e-10
+        coef, resid, (error,) = least_squares(X[None], u[None])
+        assert isinstance(error, RankDeficiencyError)
+        assert error.smallest_singular_value < 1e-10
+        assert np.isnan(coef).all() and np.isnan(resid).all()
 
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError):
-            least_squares(np.ones((2, 3)), np.ones(2))
+            least_squares(np.ones((1, 2, 3)), np.ones((1, 2)))
+
+    @given(seed=st.integers(0, 2**32), m=st.integers(1, 4), rows=st.integers(1, 9))
+    @settings(max_examples=30, deadline=None)
+    def test_stack_rows_are_their_own_calls(self, seed, m, rows):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((rows, 50, m))
+        y = rng.standard_normal((rows, 50))
+        coef, resid, errors = least_squares(X, y)
+        assert errors == [None] * rows
+        for i in range(rows):
+            own_coef, own_resid, _ = least_squares(X[i], y[i])
+            np.testing.assert_array_equal(coef[i], own_coef[0])
+            np.testing.assert_array_equal(resid[i], own_resid[0])
+            assert np.all(np.abs(X[i].T @ resid[i]) < 1e-8 * np.linalg.norm(y[i]))
+            np.testing.assert_allclose(coef[i], np.linalg.lstsq(X[i], y[i], rcond=None)[0],
+                                       rtol=1e-10, atol=1e-12)
+
+    def test_rank_deficient_row_fails_alone(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((3, 20, 2))
+        X[1, :, 1] = 2.0 * X[1, :, 0]
+        y = rng.standard_normal((3, 20))
+        coef, resid, errors = least_squares(X, y)
+        assert isinstance(errors[1], RankDeficiencyError)
+        assert errors[1].smallest_singular_value < 1e-10
+        assert np.isnan(coef[1]).all() and np.isnan(resid[1]).all()
+        assert str(least_squares(X[1], y[1])[2][0]) == str(errors[1])
+        for i in (0, 2):
+            assert errors[i] is None
+            np.testing.assert_array_equal(coef[i], least_squares(X[i], y[i])[0][0])
 
 
 class TestPolyArgmin:
