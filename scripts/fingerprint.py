@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Write a bit-exact fingerprint of every estimate on a fixed set of
+experiments, so that two source trees can be compared byte for byte.
+
+For each experiment the JSON file holds its config, every theta_hat and
+predicted std as float.hex (so NaN and -0.0 are told apart), and every
+failure record as (realization, method, "Type: message").  Equal files
+mean equal estimates, stds and failures to the last bit:
+
+    PYTHONPATH=/path/to/tree_a/src python scripts/fingerprint.py a.json
+    PYTHONPATH=/path/to/tree_b/src python scripts/fingerprint.py b.json
+    cmp a.json b.json
+
+The gate set, at master seeds 20260809 and 20261017 each:
+  table_gaussian, table_uniform  gaussian.cfg and uniform.cfg, 1000 realizations
+  simulated_map                  gaussian.cfg with s_count = 10, 30 realizations
+  ml_desk                        ml_desk.cfg, 20 realizations
+  no_input                       all five methods with sigma_u2 = 0, 10 realizations
+  theta_4                        all five methods at theta_o = 4, outside the
+                                 bracket, 10 realizations
+  crafted, crafted_s3            all five methods on 10 records, y = 1e200 at one
+                                 sample of records 3 and 8 and u = 0 on record 9,
+                                 without and with s_count = 3
+The ML experiments run at desk scale.  --small runs the first seed alone,
+each experiment on at most 8 realizations (crafted ones keep their 10):
+about 3 s on a 2-core x86-64 VM, against 9 s for the whole set.
+"""
+
+import argparse
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import wienerid as w
+from wienerid import bench
+
+CONFIGS = Path(__file__).resolve().parent / "configs"
+SEEDS = (20260809, 20261017)
+ALL_METHODS = ("ML", "PEM_W", "II0", "II1_UNW", "II1_W")
+# crafted records: one y = 1e200 overflows PEM's Gram, the slope variance
+# and I_hat; u = 0 makes every auxiliary fit rank deficient
+HUGE_OUTPUT = (3, 8)
+ZERO_INPUT = 9
+SMALL = 8
+
+
+def experiments(small: bool):
+    """(name, config, crafted) of the gate set."""
+    table = {kind: w.load_config(CONFIGS / f"{kind}.cfg") for kind in ("gaussian", "uniform")}
+    ml_desk = w.load_config(CONFIGS / "ml_desk.cfg")
+    every = dict(methods=ALL_METHODS, desk_scale=True)
+    for seed in SEEDS[:1] if small else SEEDS:
+        cases = [
+            ("table_gaussian", table["gaussian"], 1000, {}, False),
+            ("table_uniform", table["uniform"], 1000, {}, False),
+            ("simulated_map", table["gaussian"], 30, {"s_count": 10}, False),
+            ("ml_desk", ml_desk, 20, {}, False),
+            ("no_input", table["gaussian"], 10, {"sigma_u2": 0.0, **every}, False),
+            ("theta_4", table["gaussian"], 10, {"theta_o": 4.0, **every}, False),
+            ("crafted", table["gaussian"], 10, every, True),
+            ("crafted_s3", table["gaussian"], 10, {"s_count": 3, **every}, True),
+        ]
+        for name, base, count, changes, crafted in cases:
+            if small and not crafted:
+                count = min(count, SMALL)
+            config = dataclasses.replace(
+                base, master_seed=seed, realizations=count, **changes)
+            yield f"{name}@{seed}", config, crafted
+
+
+real_make_record = bench.make_record
+
+
+def crafted_record(config, realization):
+    """bench.make_record with the crafted faults of HUGE_OUTPUT and ZERO_INPUT."""
+    record = real_make_record(config, realization)
+    if realization in HUGE_OUTPUT:
+        record.y[5] = 1e200
+    if realization == ZERO_INPUT:
+        record = w.DataRecord(u=np.zeros_like(record.u), y=record.y)
+    return record
+
+
+def fingerprint(config, crafted: bool) -> dict:
+    bench.make_record = crafted_record if crafted else real_make_record
+    try:
+        result = w.run_experiment(config)
+    finally:
+        bench.make_record = real_make_record
+
+    def hexes(values):
+        return {m: [float(v).hex() for v in values[m]] for m in sorted(values)}
+
+    return {
+        "config": bench.config_to_dict(config),
+        "estimates": hexes(result.estimates),
+        "predicted_stds": hexes(result.predicted_stds),
+        "failures": [[f.realization, f.method, f.message] for f in result.failures],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("out", type=Path, help="JSON file to write")
+    parser.add_argument("--small", action="store_true",
+                        help=f"one seed, at most {SMALL} realizations per experiment")
+    args = parser.parse_args(argv)
+    prints = {name: fingerprint(config, crafted)
+              for name, config, crafted in experiments(args.small)}
+    args.out.write_text(json.dumps(prints, indent=1, sort_keys=True) + "\n")
+    failures = sum(len(p["failures"]) for p in prints.values())
+    print(f"{len(prints)} experiments, {failures} failure records -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

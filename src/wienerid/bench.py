@@ -21,7 +21,7 @@ import numpy as np
 from . import bla
 from .indirect import SimulatedMap, analytic_binding, step2, zero_order_fit
 from .ml import MlSettings, ml_estimate
-from .numerics import Estimate, NumericsError, StackEstimate, check_quad_order
+from .numerics import Estimate, NumericsError, RowErrors, StackEstimate, check_quad_order
 from .pem import pem_estimate
 from .signals import Distribution, DistributionKind, Seed, StreamRole, check_seed, gen_white
 from .system import DataRecord, SystemSpec, cubic, paper_fir, simulate
@@ -136,7 +136,9 @@ class ExperimentResult:
 
 
 def make_record(config: ExperimentConfig, realization: int) -> DataRecord:
-    """Simulate the true system for one realization's substreams."""
+    """Simulate the true system for the substreams of one realization, an
+    integer >= 0 (check_seed)."""
+    check_seed(realization, "realization")
     template = config.template()
     lead = template.fir.max_lag
     seed = config.master_seed
@@ -181,19 +183,21 @@ def _runs(config: ExperimentConfig) -> dict[str, int]:
 def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict, dict]:
     """Run each method m of `runs` on the (realization, record) pairs of
     `records` with realization < runs[m]: the record loop behind
-    run_experiment, run_method and replay_realization.
+    run_experiment, run_method and replay_realization.  The records come in
+    realization order, so row j of a chunk's fit is every method's j-th.
 
     The loop gathers chunks of up to CHUNK records.  Per chunk, PEM_W, the
     order-zero fit of II0 and the lag-(0, 1) BLA fit with its weighting,
     shared by II1_UNW, II1_W and ML, each run once on the chunk's records;
     with s_count set, each record's simulated map is built first, and a
     record whose map fails gets that error rather than its fit's.  Every
-    stacked call follows one rule: a row's own error fails that row, and an
-    exception the call raises as a whole fails every row of its chunk.  The
-    indirect methods keep each record's auxiliary fit (about 20 floats) and
-    run one stacked step2 each after the loop.  ML runs per record, started
-    at the stack of one step2 of its record's II1_W row, or scanning the
-    whole bracket where that raises NumericsError or ValueError.
+    stacked call follows one rule: a row fails with its numerics.RowErrors
+    entry, and an exception the call raises as a whole fails every row of
+    its chunk.  The indirect methods keep each record's auxiliary fit
+    (about 20 floats) and run one stacked step2 each after the loop.  ML
+    runs per record, started at the stack of one step2 of its record's
+    II1_W row, or scanning the whole bracket where that raises
+    NumericsError or ValueError.
 
     Returns per method its (realizations, outcome) pairs, an outcome being a
     StackEstimate, ML's Estimate or the exception raised, and per method its
@@ -210,28 +214,25 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
     fits = {m: [] for m in runs if m in PREDICTS_STD}
     lag_one = [m for m in ("ML", "II1_UNW", "II1_W") if m in runs]
 
-    def lag_one_fits(chunk) -> dict:
-        """Per realization of the chunk that ML, II1_UNW or II1_W run on: its
-        (beta_hat, W, beta_cov, map), or the error its map or fit raised."""
+    def lag_one_fits(chunk):
+        """The weighted fit (None if it raised), maps and RowErrors of the
+        chunk's records that ML, II1_UNW or II1_W run on, map errors first."""
         chunk = [(r, record) for r, record in chunk if any(r < runs[m] for m in lag_one)]
         records = [record for _, record in chunk]
-        maps = []
-        for r, record in chunk:
-            try:
-                maps.append(analytic if config.s_count is None else SimulatedMap(
-                    record.u, template, config.s_count, _simulation_seed(config, r)))
-            except Exception as exc:  # noqa: BLE001 - per-realization isolation
-                maps.append(exc)
+        errors, maps, fit = RowErrors([None] * len(chunk)), [analytic] * len(chunk), None
+        if config.s_count is not None:
+            for j, (r, record) in enumerate(chunk):
+                try:
+                    maps[j] = SimulatedMap(
+                        record.u, template, config.s_count, _simulation_seed(config, r))
+                except Exception as exc:  # noqa: BLE001 - per-realization isolation
+                    errors[j] = exc
         try:
             fit = bla.estimate_weighting(records, bla.fit_bla(records, (0, 1)))
-            errors = fit.errors
+            errors.merge(fit.errors)
         except Exception as exc:  # noqa: BLE001 - a stack-wide error is every row's
-            errors = [exc] * len(chunk)
-        return {
-            r: beta_map if isinstance(beta_map, Exception)
-            else error or (fit.beta_hat[j], fit.W[j], fit.cov_beta[j], beta_map)
-            for j, ((r, _), beta_map, error) in enumerate(zip(chunk, maps, errors))
-        }
+            errors.merge([exc] * len(chunk))
+        return fit, maps, errors
 
     def run_chunk(chunk) -> None:
         shared = None  # lag_one_fits of the chunk, once a method needs them
@@ -248,37 +249,34 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
                     outcomes[m].append((done, pem_estimate([d for _, d in mine], template)))
                 elif m == "II0":
                     slope, variance, errors = zero_order_fit([d for _, d in mine])
-                    for r, b, v, error in zip(done, slope, variance, errors):
-                        keep(m, r, error or ([b], [[1.0]], [[v]], analytic.coeffs[:, :1], 1.0))
+                    keep(m, done, errors, lambda j: (
+                        [slope[j]], [[1.0]], [[variance[j]]], analytic.coeffs[:, :1], 1.0))
                 elif m == "ML":
-                    for r, record in mine:
-                        outcomes[m].append(([r], run_ml(record, shared[r])))
+                    for j, (r, record) in enumerate(mine):
+                        outcomes[m].append(([r], run_ml(record, shared, j)))
                 else:
-                    for r in done:
-                        row = shared[r]
-                        if not isinstance(row, Exception):
-                            beta_hat, W, beta_cov, beta_map = row
-                            W = W if m == "II1_W" else np.eye(2)
-                            row = beta_hat, W, beta_cov, beta_map.coeffs, beta_map.inflation
-                        keep(m, r, row)
+                    fit, maps, errors = shared
+                    keep(m, done, errors, lambda j: (
+                        fit.beta_hat[j], fit.W[j] if m == "II1_W" else np.eye(2),
+                        fit.cov_beta[j], maps[j].coeffs, maps[j].inflation))
             except Exception as exc:  # noqa: BLE001 - a stack-wide error is every row's
                 outcomes[m].append((done, exc))
             wall[m] += time.perf_counter() - t0
 
-    def keep(m: str, r: int, row) -> None:
-        """A Step 2 method's auxiliary fit of realization r, or its error."""
-        if isinstance(row, Exception):
-            outcomes[m].append(([r], row))
-        else:
-            fits[m].append((r, *row))
+    def keep(m: str, done: list, errors: RowErrors, row) -> None:
+        """Step 2's input row(j) of each realization done[j], or its error."""
+        for j, (r, ok) in enumerate(zip(done, errors.ok)):
+            if ok:
+                fits[m].append((r, *row(j)))
+            else:
+                outcomes[m].append(([r], errors[j]))
 
-    def run_ml(record: DataRecord, row):
+    def run_ml(record: DataRecord, shared, j: int):
         try:
+            fit, maps, errors = shared
             try:  # the start: the stack of one step2 of II1_W
-                if isinstance(row, Exception):
-                    raise row
-                beta_hat, W, beta_cov, beta_map = row
-                start = step2(beta_hat, W, beta_map, beta_cov=beta_cov)
+                errors.check(j)
+                start = step2(fit.beta_hat[j], fit.W[j], maps[j], beta_cov=fit.cov_beta[j])
             except (NumericsError, ValueError):
                 start = None  # scan the whole bracket
             return ml_estimate(record, template, settings, start=start)
@@ -313,9 +311,11 @@ def run_method(
     """One estimator on one record of any length: run_experiment's record
     loop on this record alone, so the estimate is bit for bit that
     realization's cell of the experiment, and a failure raises the error the
-    experiment records.  realization (>= 0) seeds the simulated map."""
+    experiment records.  realization, an integer >= 0 (check_seed), seeds
+    the simulated map."""
     if method not in METHOD_ORDER:
         raise ValueError(f"unknown method {method!r}")
+    check_seed(realization, "realization")
     outcomes, _ = _run(config, {method: realization + 1}, [(realization, record)])
     ((_, outcome),) = outcomes[method]
     return _estimate(outcome)
@@ -368,8 +368,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def replay_realization(config: ExperimentConfig, realization: int) -> dict[str, float]:
-    """Re-run every method of one realization from its derived substreams;
-    a method that failed there raises its error."""
+    """Re-run every method of one realization, an integer in
+    0..realizations - 1, from its derived substreams; a method that failed
+    there raises its error."""
     if not 0 <= realization < config.realizations:
         raise ValueError(f"realization {realization} outside 0..{config.realizations - 1}")
     outcomes, _ = _run(config, _runs(config), [(realization, make_record(config, realization))])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import least_squares
+from .numerics import RowErrors, least_squares
 from .system import DataRecord, lagged_matrix, stack_records
 
 RIDGE_CONDITION_LIMIT = 1e12
@@ -52,16 +52,15 @@ _ARRAYS = ("beta_hat", "residuals", "I_hat", "J_hat", "W", "cov_beta")
 @dataclass
 class BlaStack:
     """The fit of a stack of K records: the arrays of BlaEstimate on a
-    leading axis of K rows, ridge_applied a (K,) bool array, and in `errors`
-    the exception each row raises alone, or None; a failed row's numbers
-    are NaN.  `row(i)` is row i's BlaEstimate, or raises its error."""
+    leading axis of K rows, ridge_applied a (K,) bool array, and the
+    RowErrors of the rows.  `row(i)` is row i's BlaEstimate."""
 
     beta_hat: np.ndarray
     lags: tuple[int, ...]
     residuals: np.ndarray
     n_obs: int
     ridge_applied: np.ndarray
-    errors: list[Exception | None]
+    errors: RowErrors
     I_hat: np.ndarray | None = None
     J_hat: np.ndarray | None = None
     W: np.ndarray | None = None
@@ -72,15 +71,14 @@ class BlaStack:
         """The stack of one of a single fit."""
         rows = {a: getattr(est, a)[None] for a in _ARRAYS if getattr(est, a) is not None}
         return cls(lags=est.lags, n_obs=est.n_obs, ridge_applied=np.array([est.ridge_applied]),
-                   errors=[None], **rows)
+                   errors=RowErrors([None]), **rows)
 
     @property
     def order(self) -> int:
         return self.beta_hat.shape[1]
 
     def row(self, i: int) -> BlaEstimate:
-        if self.errors[i] is not None:
-            raise self.errors[i]
+        self.errors.check(i)
         rows = {a: getattr(self, a)[i] for a in _ARRAYS if getattr(self, a) is not None}
         return BlaEstimate(lags=self.lags, n_obs=self.n_obs,
                            ridge_applied=bool(self.ridge_applied[i]), **rows)
@@ -113,19 +111,20 @@ def _condition(sym: np.ndarray) -> np.ndarray:
         return np.where(eig[..., 0] > 0, eig[..., -1] / eig[..., 0], math.inf)
 
 
-def _inv(stack: np.ndarray, errors: list) -> np.ndarray:
+def _inv(stack: np.ndarray, errors: RowErrors) -> np.ndarray:
     """The inverse of each matrix of a stack from one stacked inv; a singular
-    one (a zero I_hat, from residuals that are all zero) makes its row's
-    error the LinAlgError its own inv raises."""
+    one (a zero I_hat, from residuals that are all zero) fails its row with
+    the LinAlgError its own inv raises."""
     try:
         return np.linalg.inv(stack)
     except np.linalg.LinAlgError:
-        out = np.full_like(stack, np.nan)
+        out, own = np.full_like(stack, np.nan), [None] * len(stack)
         for i, matrix in enumerate(stack):
             try:
                 out[i] = np.linalg.inv(matrix)
             except np.linalg.LinAlgError as exc:
-                errors[i] = errors[i] or exc
+                own[i] = exc
+        errors.merge(own)
         return out
 
 
@@ -140,11 +139,11 @@ def estimate_weighting(
     LinAlgError (a ValueError).
 
     The BlaStack of a sequence of records gives their weighted BlaStack:
-    every check runs per row, a row that fails one gets the exception its
-    own call raises, a failed row of the fit keeps its error, and one
-    UserWarning covers every ridged row.  The rows share one matmul,
-    eigvalsh and inv per step, each slice computed as its own call computes
-    it, so a row is bit for bit its own call.  One DataRecord and its fit
+    every check runs per row under numerics.RowErrors, after the fit's own
+    errors, a failed row going on with the identity; one UserWarning covers
+    every ridged row.  The rows share one matmul, eigvalsh and inv per
+    step, each slice computed as its own call computes it, so a row is bit
+    for bit its own call.  One DataRecord and its fit
     are the stack of one: they give the weighted fit, or raise.
     """
     one = isinstance(data, DataRecord)
@@ -153,12 +152,7 @@ def estimate_weighting(
     u, _ = stack_records(data)
     n, m = est.n_obs, est.order
     phi = lagged_matrix(u, n, est.lags)
-    errors = list(est.errors)
-
-    def fail(bad: np.ndarray, error) -> None:
-        for i in np.flatnonzero(bad):
-            errors[i] = errors[i] or error(i)
-
+    errors = RowErrors(est.errors)
     # an overflowing square raises LinAlgError below, so numpy's warning
     # would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -167,15 +161,15 @@ def estimate_weighting(
         I_hat = 0.5 * (I_hat + I_hat.swapaxes(1, 2))
     J_hat = 2.0 * (phi.swapaxes(1, 2) @ phi) / n
     J_hat = 0.5 * (J_hat + J_hat.swapaxes(1, 2))
-    fail(~np.isfinite(I_hat).all(axis=(1, 2)), lambda i: np.linalg.LinAlgError(
+    errors.fail(~np.isfinite(I_hat).all(axis=(1, 2)), lambda i: np.linalg.LinAlgError(
         f"I_hat is not finite (squared residuals overflow): {I_hat[i]}"))
 
     # a failed row goes on with the identity, and its numbers are dropped
     def live(a: np.ndarray) -> np.ndarray:
-        return np.where(np.array([e is None for e in errors])[:, None, None], a, np.eye(m))
+        return np.where(errors.ok[:, None, None], a, np.eye(m))
 
     j_cond = _condition(live(J_hat))
-    fail(j_cond > 1e14, lambda i: np.linalg.LinAlgError(
+    errors.fail(j_cond > 1e14, lambda i: np.linalg.LinAlgError(
         f"J_hat is numerically singular (cond {j_cond[i]:.3e})"))
 
     I_hat = live(I_hat)
@@ -190,7 +184,7 @@ def estimate_weighting(
     cov_beta = 0.5 * (cov_beta + cov_beta.swapaxes(1, 2))
     W = _inv(n * live(cov_beta), errors)
     W = 0.5 * (W + W.swapaxes(1, 2))
-    failed = np.array([e is not None for e in errors])
+    failed = ~errors.ok
     for a in (I_hat, J_hat, W, cov_beta):
         a[failed] = np.nan
     out = replace(

@@ -40,8 +40,8 @@ from numpy.polynomial import polynomial as npoly
 
 from . import bla as bla_mod
 from .numerics import (
-    Estimate, OptimizerSettings, RankDeficiencyError, StackEstimate, gram_coeffs, least_squares,
-    poly_argmin,
+    Estimate, OptimizerSettings, RankDeficiencyError, RowErrors, StackEstimate, gram_coeffs,
+    least_squares, poly_argmin,
 )
 from .pem import theta_coeffs
 from .signals import (
@@ -189,11 +189,11 @@ def step2(
     A stack of R fits, beta_hat (R, m), gives a StackEstimate.  W and
     beta_cov are then (R, m, m), coeffs (R, degree + 1, m) and inflation
     (R,), or any of them one value shared by every row.  Every check runs
-    per row: a row that fails one gets the exception its own call raises,
-    and the other rows go on.  The rows share one matmul, inverse and
-    search per step, each slice computed as its own call computes it, so a
-    row's estimate is bit for bit that of its own call.  A 1-D beta_hat is
-    the stack of one: it gives its Estimate, or raises its error.
+    per row under numerics.RowErrors, so the other rows go on.  The rows
+    share one matmul, inverse and search per step, each slice computed as
+    its own call computes it, so a row's estimate is bit for bit that of
+    its own call.  A 1-D beta_hat is the stack of one: it gives its
+    Estimate, or raises its error.
     """
     if n_obs is None and beta_cov is None:
         raise ValueError("step2 needs n_obs or beta_cov for the predicted std")
@@ -215,43 +215,31 @@ def step2(
     W = np.asarray(W, dtype=float)
     if W.shape != (width, width) and not (stacked and W.shape == square):
         raise ValueError(f"W shape {W.shape} does not match beta of length {width}")
-
-    def per_row(value, shape) -> np.ndarray:
-        out = np.empty(shape)
-        out[...] = value  # a shared value goes to every row
-        return out
-
-    W = per_row(W, square)
+    # a shared value goes to every row
+    W = np.array(np.broadcast_to(W, square))
     if beta_cov is not None:
-        beta_cov = per_row(beta_cov, square)
-    inflation = per_row(getattr(beta_map, "inflation", 1.0), (rows,))
+        beta_cov = np.array(np.broadcast_to(beta_cov, square), dtype=float)
+    inflation = np.array(np.broadcast_to(getattr(beta_map, "inflation", 1.0), rows), dtype=float)
 
-    # each row's first failure, in the order of the checks of a call of its own
-    errors: list[Exception | None] = [None] * rows
-
-    def fail(bad: np.ndarray, error) -> None:
-        if np.logical_or.reduce(bad, axis=None):
-            for i in np.flatnonzero(np.broadcast_to(bad, (rows,))):
-                if errors[i] is None:
-                    errors[i] = error(i)
-
+    # the checks run in the order of a call of its own
+    errors = RowErrors([None] * rows)
     named = [("beta_hat", fits), ("W", W), ("beta_map.coeffs", coeffs), ("beta_cov", beta_cov)]
     for name, value in named:
         if value is not None and not (finite := np.isfinite(value)).all():
-            finite = finite.reshape(1 if value is coeffs and shared else rows, -1)
-            fail(~finite.all(axis=1), lambda i, n=name: ValueError(f"{n} must be finite"))
-    finite_rows = np.array([e is None for e in errors])
+            bad = ~finite.reshape(1 if value is coeffs and shared else rows, -1).all(axis=1)
+            errors.fail(np.broadcast_to(bad, rows), lambda i, n=name: ValueError(f"{n} must be finite"))
+    finite_rows = errors.ok
     # a failed row's numbers are dropped, so its warnings would say nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # np.isclose(W, W') at rtol 1e-10 and atol 1e-12, on finite rows
         transposed = W.swapaxes(1, 2)
-        fail(~(np.abs(W - transposed) <= 1e-12 + 1e-10 * np.abs(transposed)).all(axis=(1, 2)),
-             lambda i: ValueError("W must be symmetric"))
+        symmetric = (np.abs(W - transposed) <= 1e-12 + 1e-10 * np.abs(transposed)).all(axis=(1, 2))
+        errors.fail(~symmetric, lambda i: ValueError("W must be symmetric"))
         # only the finite metrics: LAPACK refuses a non-finite one
         eigvals = np.ones((rows, width))
         eigvals[finite_rows] = np.linalg.eigvalsh(W[finite_rows])
-        fail(eigvals[:, 0] <= 1e-12 * np.maximum(eigvals[:, -1], 0.0),
-             lambda i: ValueError(f"W must be positive definite (eigenvalues {eigvals[i]})"))
+        errors.fail(eigvals[:, 0] <= 1e-12 * np.maximum(eigvals[:, -1], 0.0),
+                    lambda i: ValueError(f"W must be positive definite (eigenvalues {eigvals[i]})"))
 
         metric = np.round(W / np.trace(W, axis1=1, axis2=2)[:, None, None] * 2.0**40) / 2.0**40
         # the residual beta(theta) - beta_hat is R' p(theta), p = (1, theta, ...)
@@ -259,18 +247,13 @@ def step2(
         R[:, 0] = coeffs[..., 0, :] - fits
         R[:, 1:] = coeffs[..., 1:, :]
         search = poly_argmin(gram_coeffs(R @ metric @ R.swapaxes(1, 2)), settings)
-        for i, error in enumerate(search.errors):
-            if errors[i] is None:
-                errors[i] = error
-        ok = np.array([e is None for e in errors])
+        errors.merge(search.errors)
+        ok = errors.ok
         # G, the coefficients' derivative at the estimate, as npoly.polyder
         # and npoly.polyval form it for one row
         n = coeffs.shape[-2]
         slope = coeffs[..., 1:, :] * np.arange(1, n)[:, None] if n > 1 else coeffs * 0.0
-        t = search.argmin[:, None]
-        g = slope[..., -1, :] + t * 0
-        for i in range(2, slope.shape[-2] + 1):
-            g = slope[..., -i, :] + g * t
+        g = npoly.polyval(search.argmin[:, None], np.moveaxis(slope, -2, 0), tensor=False)
         G = g[:, :, None]
 
         if beta_cov is None:
@@ -308,11 +291,11 @@ def zero_order_fit(data: DataRecord | Sequence[DataRecord]):
     heteroskedasticity-robust variance sum u^2 eps^2 / (sum u^2)^2 with eps
     the regression residual, from one stacked least_squares.
 
-    Returns the (K,) slopes and variances and per row the exception it
-    raises alone, or None; a failed row's numbers are NaN.  Squares that
-    overflow, or an input whose squares underflow to zero, leave that
-    variance non-finite, a LinAlgError (a ValueError), as in
-    bla.estimate_weighting.  One DataRecord is the stack of one.
+    Returns the (K,) slopes and variances and the RowErrors of the rows,
+    a failed row's numbers NaN.  Squares that overflow, or an input whose
+    squares underflow to zero, leave that variance non-finite, a
+    LinAlgError (a ValueError), as in bla.estimate_weighting.  One
+    DataRecord is the stack of one.
     """
     u, y = stack_records(data)
     u0 = lagged_matrix(u, y.shape[1], (0,))
@@ -322,11 +305,9 @@ def zero_order_fit(data: DataRecord | Sequence[DataRecord]):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u2 = u0[..., 0] ** 2
         variance = np.sum(u2 * resid * resid, axis=1) / np.sum(u2, axis=1) ** 2
-    for i in np.flatnonzero(~np.isfinite(variance)):
-        errors[i] = errors[i] or np.linalg.LinAlgError(
-            f"robust slope variance is not finite (squares overflow or underflow): {variance[i]}"
-        )
-    ok = [e is None for e in errors]
+    errors.fail(~np.isfinite(variance), lambda i: np.linalg.LinAlgError(
+        f"robust slope variance is not finite (squares overflow or underflow): {variance[i]}"))
+    ok = errors.ok
     return np.where(ok, beta1[:, 0], np.nan), np.where(ok, variance, np.nan), errors
 
 
@@ -344,9 +325,8 @@ def zero_order_estimate(
     The match is step2's stack of one, so it is bit for bit bench's II0 on
     the same record, whose Step 2 stacks the slopes of all its records.
     """
-    slope, variance, (error,) = zero_order_fit(data)
-    if error is not None:
-        raise error
+    slope, variance, errors = zero_order_fit(data)
+    errors.check(0)
     beta_map = SimpleNamespace(coeffs=analytic_binding(spec_template, input_kind).coeffs[:, :1])
     return step2(slope, np.eye(1), beta_map, beta_cov=variance[:, None])
 

@@ -1,6 +1,6 @@
 """Shared numeric kernels: Gauss-Hermite and Gauss-Legendre quadrature, scalar
-minimization, linear least squares, and the Estimate record every estimator
-returns.
+minimization, linear least squares, the Estimate record every estimator
+returns, and RowErrors, the one per-row failure rule of every stacked kernel.
 
 A polynomial criterion is its power coefficients in theta, minimized exactly
 at the bracket ends and the roots of its derivative (`poly_argmin`, for one
@@ -282,24 +282,48 @@ def _flat(vals: np.ndarray, bracket, n: int) -> ScalarMinResult | None:
     return ScalarMinResult(x, float(vals.min()), n, degenerate=True, at_bracket_edge=x in bracket)
 
 
+class RowErrors(list):
+    """The failure rule of every stacked kernel, one entry per row: the
+    exception the row's own call raises, or None.  A row keeps the first
+    error it gets, from `fail(bad, make_error)` (make_error(i) for each row
+    i of the mask `bad`) or `merge(errors)` (another kernel's errors), and
+    the later checks skip it.  A failed row's numbers are NaN; `ok` masks
+    the rows without an error, and `check(i)` raises row i's."""
+
+    def fail(self, bad, make_error) -> None:
+        for i in np.flatnonzero(bad):
+            if self[i] is None:
+                self[i] = make_error(i)
+
+    def merge(self, errors) -> None:
+        for i, error in enumerate(errors):
+            if self[i] is None:
+                self[i] = error
+
+    @property
+    def ok(self) -> np.ndarray:
+        return np.array([e is None for e in self], dtype=bool)
+
+    def check(self, i: int) -> None:
+        if self[i] is not None:
+            raise self[i]
+
+
 class StackMinResult(NamedTuple):
     """Outcome of poly_argmin on each row of an (R, K) coefficient stack, one
-    entry per row: the fields of ScalarMinResult as arrays, and `errors`,
-    the CostEvaluationError the row raises alone (its first non-finite
-    value, with the point) or None; a row with an error has no other
-    meaningful field.  `row(i)` is row i's ScalarMinResult, or raises its
-    error."""
+    entry per row: the fields of ScalarMinResult as arrays, and the
+    RowErrors of the rows, a CostEvaluationError at a row's first
+    non-finite value.  `row(i)` is row i's ScalarMinResult."""
 
     argmin: np.ndarray
     min_value: np.ndarray
     iterations: np.ndarray
     degenerate: np.ndarray
     at_bracket_edge: np.ndarray
-    errors: list[CostEvaluationError | None]
+    errors: RowErrors
 
     def row(self, i: int) -> ScalarMinResult:
-        if self.errors[i] is not None:
-            raise self.errors[i]
+        self.errors.check(i)
         return ScalarMinResult(
             self.argmin.item(i), self.min_value.item(i), self.iterations.item(i),
             degenerate=self.degenerate.item(i), at_bracket_edge=self.at_bracket_edge.item(i),
@@ -309,18 +333,16 @@ class StackMinResult(NamedTuple):
 class StackEstimate(NamedTuple):
     """An estimator on each row of a stack, one entry per row: theta_hat and
     predicted_std (None for a method that predicts none), the searches
-    behind them (a StackMinResult), and `errors`, the exception the row
-    raises alone or None; a row with an error has NaN estimates.  `row(i)`
-    is row i's Estimate, or raises its error."""
+    behind them (a StackMinResult), and the RowErrors of the rows.  `row(i)`
+    is row i's Estimate."""
 
     theta_hat: np.ndarray
     predicted_std: np.ndarray | None
     diagnostics: StackMinResult
-    errors: list[Exception | None]
+    errors: RowErrors
 
     def row(self, i: int) -> Estimate:
-        if self.errors[i] is not None:
-            raise self.errors[i]
+        self.errors.check(i)
         std = None if self.predicted_std is None else self.predicted_std.item(i)
         return Estimate(self.theta_hat[i : i + 1].copy(), std, self.diagnostics.row(i))
 
@@ -417,12 +439,12 @@ def poly_argmin(coeffs, settings: OptimizerSettings = OptimizerSettings()):
         x = min(max(0.0, lo), hi)  # the bracket point nearest 0
         argmin = np.where(degenerate, x, argmin)
         edge = np.where(degenerate, x in (lo, hi), edge)
-    errors = [None] * rows
+    errors = RowErrors([None] * rows)
     if not all_finite:
         finite = np.isfinite(vals)
-        for i in np.flatnonzero(~finite.all(axis=1)):
-            j = np.argmin(finite[i])
-            errors[i] = CostEvaluationError(float(xs[i, j]), float(vals[i, j]))
+        first = np.argmin(finite, axis=1)  # each row's first non-finite value
+        errors.fail(~finite.all(axis=1), lambda i: CostEvaluationError(
+            float(xs[i, first[i]]), float(vals[i, first[i]])))
     # the candidates: the bracket ends and the roots strictly inside
     iterations = np.add.reduce((lo < roots) & (roots < hi), axis=1, initial=2)
     result = StackMinResult(argmin, min_value, iterations, degenerate, edge, errors)
@@ -528,12 +550,12 @@ def least_squares(regressors: np.ndarray, targets: np.ndarray):
     of K problems, regressors (K, N, m) and targets (K, N), from the R
     factor of one QR factorization of each [regressors | targets].
 
-    Returns (K, m) coefficients, (K, N) residuals and per row the
-    RankDeficiencyError of a problem whose smallest singular value falls
+    Returns (K, m) coefficients, (K, N) residuals and the RowErrors of the
+    rows: a RankDeficiencyError where the smallest singular value falls
     below the usual eps * max(N, m) * s_max threshold, taken on the
-    singular values of R (those of the regressors), or None; a failed row's
-    numbers are NaN.  The rows share one QR, SVD and solve, each slice
-    computed as it is alone, so a row is bit for bit its stack of one.
+    singular values of R (those of the regressors).  The rows share one
+    QR, SVD and solve, each slice computed as it is alone, so a row is bit
+    for bit its stack of one.
     (N, m) regressors and (N,) targets are the stack of one.
     """
     X = np.asarray(regressors, dtype=float)
@@ -552,7 +574,8 @@ def least_squares(regressors: np.ndarray, targets: np.ndarray):
     r = np.linalg.qr(augmented.swapaxes(1, 2), mode="r")
     sing = np.linalg.svd(r[:, :m, :m], compute_uv=False)
     ok = sing[:, -1] > _EPS * max(n, m) * sing[:, 0]
-    errors = [None if good else RankDeficiencyError(float(s)) for good, s in zip(ok, sing[:, -1])]
+    errors = RowErrors([None] * len(X))
+    errors.fail(~ok, lambda i: RankDeficiencyError(float(sing[i, -1])))
     coef = np.full((len(X), m), np.nan)
     coef[ok] = np.linalg.solve(r[ok, :m, :m], r[ok, :m, m:])[..., 0]
     return coef, y - (X @ coef[..., None])[..., 0], errors

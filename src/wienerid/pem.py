@@ -97,9 +97,10 @@ def pem_estimate(
     ValueError), gives a StackEstimate: the records share one (K, d + 1, N)
     array of error coefficients, one stacked Gram and one stacked
     poly_argmin per pass, each row computed as its own call computes it, so
-    a row's estimate is bit for bit that of its own call, and a row that
-    fails carries the CostEvaluationError its own call raises.  One
-    DataRecord is the stack of one: it gives its Estimate, or raises.
+    a row's estimate is bit for bit that of its own call; a row's error
+    (numerics.RowErrors) is its first pass's CostEvaluationError, else its
+    second's.  One DataRecord is the stack of one: it gives its Estimate,
+    or raises.
     """
     fir = spec_template.fir
     if fir.n_free != 1:
@@ -147,7 +148,6 @@ def pem_estimate(
             weights = np.where(w_max <= 0.0, 1.0, np.maximum(weights, 1e-12 * w_max))
             gram = errors / weights[:, None] @ errors.swapaxes(1, 2) / n
         search = poly_argmin(gram_coeffs(gram), settings)
-        failures = [e if e is not None else f for e, f in zip(failures, search.errors)]
-    ok = np.array([e is None for e in failures])
-    result = StackEstimate(np.where(ok, search.argmin, np.nan), None, search, failures)
+        failures.merge(search.errors)
+    result = StackEstimate(np.where(failures.ok, search.argmin, np.nan), None, search, failures)
     return result.row(0) if isinstance(data, DataRecord) else result

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -89,10 +90,10 @@ def substream(seed: Seed, *path: int) -> np.random.Generator:
     """Counter-based generator for the substream identified by (seed, path).
 
     Distinct paths yield statistically independent streams; equal (seed, path)
-    yield bit-identical streams.
+    yield bit-identical streams.  Each path part is an integer >= 0.
     """
     check_seed(seed)
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
+    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(index(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 
 

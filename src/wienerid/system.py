@@ -261,9 +261,10 @@ class DataRecord:
 def stack_records(data: DataRecord | Sequence[DataRecord]) -> tuple[np.ndarray, np.ndarray]:
     """The (K, len(u)) inputs and (K, n_obs) outputs of a stack of K records,
     all of one len(u) and one n_obs (else ValueError); one DataRecord is the
-    stack of one."""
-    records = [data] if isinstance(data, DataRecord) else list(data)
-    shapes = {(len(d.u), d.n_obs) for d in records}
+    stack of one, a view of its arrays, which no caller writes into."""
+    if isinstance(data, DataRecord):
+        return data.u[None], data.y[None]
+    shapes = {(len(d.u), d.n_obs) for d in data}
     if len(shapes) != 1:
         raise ValueError(f"a stack needs records of one len(u) and one n_obs, got {sorted(shapes)}")
-    return np.array([d.u for d in records]), np.array([d.y for d in records])
+    return np.array([d.u for d in data]), np.array([d.y for d in data])

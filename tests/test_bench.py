@@ -25,6 +25,8 @@ from wienerid.indirect import SimulatedMap
 from wienerid.numerics import Estimate
 from wienerid.signals import DistributionKind
 
+from stack_checks import Raised, outcome
+
 
 def small_config(**overrides):
     base = dict(
@@ -63,6 +65,18 @@ def huge_output_on(bad):
         return record
 
     return make
+
+
+def assert_cells_are_run_method(config, result) -> None:
+    """Each cell of the experiment holds run_method's estimate and std on
+    its record."""
+    for r in range(config.realizations):
+        record = make_record(config, r)
+        for m in config.methods:
+            est = run_method(config, m, record, r)
+            assert est.theta_hat[0] == result.estimates[m][r], (r, m)
+            if m in PREDICTS_STD:
+                assert est.predicted_std == result.predicted_stds[m][r], (r, m)
 
 
 def ledger_text(drop=None, **changes) -> str:
@@ -381,24 +395,14 @@ class TestRecordContext:
     @pytest.mark.parametrize("s_count", [None, 3])
     def test_estimates_equal_unshared_calls(self, s_count):
         config = small_config(methods=self.methods, s_count=s_count, desk_scale=True)
-        result = run_experiment(config)
-        for r in range(config.realizations):
-            record = make_record(config, r)
-            for m in self.methods:
-                est = run_method(config, m, record, realization=r)
-                assert est.theta_hat[0] == result.estimates[m][r], (r, m)
-                if m in PREDICTS_STD:
-                    assert est.predicted_std == result.predicted_stds[m][r], (r, m)
+        assert_cells_are_run_method(config, run_experiment(config))
 
     def test_rank_deficient_regressors_fail_each_method(self):
         # sigma_u2 = 0 gives u = 0: the lag-(0, 1) fit refuses its regressors
         config = small_config(methods=self.methods, sigma_u2=0.0, desk_scale=True)
         record = make_record(config, 0)
-        messages = {}
-        for m in ("II1_UNW", "II1_W"):
-            with pytest.raises(Exception) as info:
-                run_method(config, m, record, realization=0)
-            messages[m] = f"{type(info.value).__name__}: {info.value}"
+        messages = {m: str(outcome(lambda m=m: run_method(config, m, record, realization=0)))
+                    for m in ("II1_UNW", "II1_W")}
         assert messages["II1_UNW"].startswith("RankDeficiencyError")
         result = run_experiment(config)
         assert sorted((f.realization, f.method, f.message) for f in result.failures) == sorted(
@@ -417,11 +421,8 @@ class TestRecordContext:
         monkeypatch.setattr(bench, "make_record", huge_output_on(1))
         result = run_experiment(config)
         record = bench.make_record(config, 1)
-        messages = {}
-        for m in self.methods:
-            with pytest.raises(Exception) as info:
-                run_method(config, m, record, realization=1)
-            messages[m] = f"{type(info.value).__name__}: {info.value}"
+        messages = {m: str(outcome(lambda m=m: run_method(config, m, record, realization=1)))
+                    for m in self.methods}
         assert messages["II1_UNW"].startswith("LinAlgError: I_hat is not finite")
         assert messages["ML"].startswith("QuadratureUnderflowError")
         assert [(f.realization, f.method, f.message) for f in result.failures] == [
@@ -489,10 +490,9 @@ class FailureParity:
         for r in range(config.realizations):
             record = bench.make_record(config, r)
             for m in [m for m in METHOD_ORDER if m in config.methods]:
-                try:
-                    run_method(config, m, record, realization=r)
-                except Exception as exc:  # noqa: BLE001 - compared by message
-                    out.append((r, m, f"{type(exc).__name__}: {exc}"))
+                own = outcome(lambda: run_method(config, m, record, realization=r))
+                if isinstance(own, Raised):
+                    out.append((r, m, str(own)))
         return out
 
     def assert_parity(self, config, clean, failing, bad=BAD):
@@ -537,9 +537,8 @@ class TestStackedStep2(FailureParity):
         for r in range(config.realizations):
             record = bench.make_record(config, r)
             if r == self.BAD:
-                with pytest.raises(np.linalg.LinAlgError) as info:
-                    run_method(config, "II0", record, r)
-                assert result.failures[0].message == f"LinAlgError: {info.value}"
+                own = outcome(lambda: run_method(config, "II0", record, r))
+                assert result.failures[0].message == str(own) and own.type is np.linalg.LinAlgError
                 assert np.isnan(result.estimates["II0"][r])
                 continue
             est = run_method(config, "II0", record, r)
@@ -635,13 +634,7 @@ class TestChunkedPem(FailureParity):
         config = small_config(methods=self.methods, realizations=realizations)
         result = run_experiment(config)
         assert not result.failures
-        for r in range(realizations):
-            record = make_record(config, r)
-            for m in self.methods:
-                est = run_method(config, m, record, r)
-                assert result.estimates[m][r] == est.theta_hat[0], (r, m)
-                if m in PREDICTS_STD:
-                    assert result.predicted_stds[m][r] == est.predicted_std, (r, m)
+        assert_cells_are_run_method(config, result)
 
     @pytest.mark.parametrize("bad", [0, bench.CHUNK // 2, bench.CHUNK - 1, bench.CHUNK])
     def test_overflowing_row_anywhere_in_its_chunk(self, monkeypatch, bad):
@@ -843,3 +836,38 @@ class TestMakeRecord:
             small_config(methods=("NOPE",))
         with pytest.raises(ValueError):
             small_config(n_obs=1)
+
+
+class TestRealizationIndex:
+    """A realization is an integer >= 0 at every entry point: int() would
+    truncate 1.9 to realization 1's streams, and a negative one is no
+    cell of any experiment."""
+
+    @pytest.fixture(params=[None, 3], ids=["analytic", "s_count=3"])
+    def config(self, request):
+        return small_config(methods=METHOD_ORDER, s_count=request.param, desk_scale=True)
+
+    @pytest.mark.parametrize("realization, error, message", [
+        (1.9, TypeError, "realization must be an integer, got float"),
+        (-1, ValueError, "realization must fit in an unsigned 64-bit integer, got -1"),
+    ], ids=["float", "negative"])
+    def test_make_record(self, config, realization, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            make_record(config, realization)
+        numpy_int, plain = make_record(config, np.int64(1)), make_record(config, 1)
+        assert numpy_int.y.tobytes() == plain.y.tobytes()
+
+    @pytest.mark.parametrize("method", METHOD_ORDER)
+    @pytest.mark.parametrize("realization, error", [
+        (-1, ValueError), (1.5, TypeError), (1.0, TypeError)], ids=["-1", "1.5", "1.0"])
+    def test_run_method(self, config, method, realization, error):
+        with pytest.raises(error, match="^realization must"):
+            run_method(config, method, make_record(config, 1), realization)
+
+    @pytest.mark.parametrize("realization, error, message", [
+        (1.5, TypeError, "realization must be an integer"),
+        (-1, ValueError, r"realization -1 outside 0\.\.2"),
+    ], ids=["float", "negative"])
+    def test_replay_realization(self, config, realization, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            replay_realization(config, realization)

@@ -12,6 +12,8 @@ from wienerid.numerics import RankDeficiencyError
 from wienerid.signals import DistributionKind, gaussian_white, gen_white, uniform_white
 from wienerid.system import DataRecord, SystemSpec, cubic, identity, paper_fir, simulate
 
+from stack_checks import Rows, assert_rows_are_their_own_calls
+
 
 def make_data(theta, sigma_v2, sigma_e2, input_dist, n, seed, nl=None):
     spec = SystemSpec(
@@ -188,19 +190,24 @@ class TestStack:
         )
         return [bench.make_record(config, r) for r in range(count)]
 
+    @staticmethod
+    def weighted(data):
+        return estimate_weighting(data, fit_bla(data, (0, 1)))
+
+    def assert_contract(self, records):
+        """The weighted fit and the order-zero fit of the stack, row by row
+        against their calls on each record alone."""
+        stack, zero = self.weighted(records), Rows(zero_order_fit(records))
+        assert_rows_are_their_own_calls(stack, [lambda r=r: self.weighted(r) for r in records])
+        assert_rows_are_their_own_calls(zero, [lambda r=r: Rows(zero_order_fit(r)).row(0)
+                                               for r in records])
+        return stack, zero
+
     @pytest.mark.parametrize("kind", list(DistributionKind))
     @pytest.mark.parametrize("count", [1, 2, bench.CHUNK, bench.CHUNK + 1])
     def test_rows_are_their_stack_of_one(self, kind, count):
-        records = self.records(kind, count)
-        stack = estimate_weighting(records, fit_bla(records, (0, 1)))
-        slope, variance, errors = zero_order_fit(records)
-        assert stack.errors == errors == [None] * count
-        for i, record in enumerate(records):
-            one = estimate_weighting(record, fit_bla(record, (0, 1)))
-            for name in ("beta_hat", "residuals", "I_hat", "J_hat", "W", "cov_beta"):
-                np.testing.assert_array_equal(getattr(stack, name)[i], getattr(one, name), name)
-                np.testing.assert_array_equal(getattr(stack.row(i), name), getattr(one, name), name)
-            assert (slope[i], variance[i], None) == tuple(v[0] for v in zero_order_fit(record))
+        stack, zero = self.assert_contract(self.records(kind, count))
+        assert stack.errors == zero.errors == [None] * count
 
     def test_failing_rows_carry_their_own_errors(self):
         # u = 0 on row 1, one y = 1e200 on row 3 and y = 0 on row 4 (zero
@@ -212,37 +219,15 @@ class TestStack:
         y[5] = 1e200
         records[3] = DataRecord(u=records[3].u, y=y)
         records[4] = DataRecord(u=records[4].u, y=np.zeros_like(y))
-
-        def outcome(call):
-            try:
-                return call()
-            except Exception as exc:  # noqa: BLE001 - compared by type and message
-                return f"{type(exc).__name__}: {exc}"
-
-        def weighted(data):
-            return estimate_weighting(data, fit_bla(data, (0, 1)))
-
         with pytest.warns(UserWarning, match="ridge"):
-            stack = weighted(records)
-        slope, _, zero_errors = zero_order_fit(records)
-        for i, record in enumerate(records):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                own = outcome(lambda: weighted(record))
-            if isinstance(own, str):
-                assert f"{type(stack.errors[i]).__name__}: {stack.errors[i]}" == own
-                assert np.isnan(stack.W[i]).all() and np.isnan(stack.cov_beta[i]).all()
-                with pytest.raises(type(stack.errors[i])):
-                    stack.row(i)
-            else:
-                assert stack.errors[i] is None
-                np.testing.assert_array_equal(stack.W[i], own.W)
-            own_slope, _, (own,) = zero_order_fit(record)
-            if own is not None:
-                assert type(zero_errors[i]) is type(own) and str(zero_errors[i]) == str(own)
-                assert np.isnan(slope[i]) and np.isnan(own_slope[0])
-            else:
-                assert zero_errors[i] is None and slope[i] == own_slope[0]
+            self.weighted(records)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            stack, zero = self.assert_contract(records)
+        failed, zero_failed = ~stack.errors.ok, ~zero.errors.ok
+        assert np.isnan(stack.W[failed]).all() and np.isnan(stack.cov_beta[failed]).all()
+        assert np.isnan(zero.arrays[0][zero_failed]).all()
+        assert all(np.isnan(zero_order_fit(records[i])[0][0]) for i in np.flatnonzero(zero_failed))
         expected = [None, "RankDeficiencyError: rank-deficient", None,
                     "LinAlgError: I_hat is not finite", "LinAlgError: Singular matrix", None]
         for error, want in zip(stack.errors, expected, strict=True):

@@ -27,6 +27,7 @@ from wienerid.system import (
 )
 
 from cost_checks import capture_costs, reference_argmin
+from stack_checks import assert_rows_are_their_own_calls
 
 SU2, SV2, SE2 = 1.0 / 3.0, 0.2, 0.1
 
@@ -269,26 +270,18 @@ class TestStep2Stack:
             out.append((data, estimate_weighting(data, fit_bla(data, (0, 1)))))
         return out
 
-    @staticmethod
-    def outcome(call):
-        try:
-            est = call()
-        except Exception as exc:  # noqa: BLE001 - compared by type and message
-            return (type(exc), str(exc))
-        d = est.diagnostics
-        return (est.theta_hat.tolist(), est.predicted_std, d.iterations, d.degenerate, d.at_bracket_edge)
-
-    def assert_rows_are_their_own_calls(self, beta_hat, W, maps, beta_cov):
+    def check_rows(self, beta_hat, W, maps, beta_cov):
         coeffs = np.array([m.coeffs for m in maps])
         stacked_map = SimpleNamespace(coeffs=coeffs, inflation=np.array([m.inflation for m in maps]))
         result = step2(beta_hat, W, stacked_map, n_obs=400, beta_cov=beta_cov)
-        for i in range(self.R):
-            own = self.outcome(lambda: step2(beta_hat[i], W[i], maps[i], n_obs=400, beta_cov=beta_cov[i]))
-            assert self.outcome(lambda: result.row(i)) == own, i
-            if result.errors[i] is None:
-                assert result.theta_hat[i] == own[0][0] and result.predicted_std[i] == own[1]
-            else:
-                assert np.isnan(result.theta_hat[i]) and np.isnan(result.predicted_std[i])
+        own = [lambda i=i: step2(beta_hat[i], W[i], maps[i], n_obs=400, beta_cov=beta_cov[i])
+               for i in range(self.R)]
+        assert_rows_are_their_own_calls(result, own)
+        ok = result.errors.ok
+        assert np.isnan(result.theta_hat[~ok]).all() and np.isnan(result.predicted_std[~ok]).all()
+        for i in np.flatnonzero(ok):
+            e = own[i]()
+            assert (result.theta_hat[i], result.predicted_std[i]) == (e.theta_hat[0], e.predicted_std)
         return result
 
     def test_analytic_map(self):
@@ -297,7 +290,7 @@ class TestStep2Stack:
         beta_hat = np.array([f.beta_hat for _, f in fits])
         W = np.array([f.W for _, f in fits])
         beta_cov = np.array([f.cov_beta for _, f in fits])
-        self.assert_rows_are_their_own_calls(beta_hat, W, [amap] * self.R, beta_cov)
+        self.check_rows(beta_hat, W, [amap] * self.R, beta_cov)
         # one shared map and one shared metric are the same rows
         shared = step2(beta_hat, np.eye(2), amap, n_obs=400, beta_cov=beta_cov)
         for i in range(self.R):
@@ -316,7 +309,7 @@ class TestStep2Stack:
         maps[5].coeffs = maps[5].coeffs.copy()
         maps[5].coeffs[2, 1] = np.inf
         beta_cov[6, 1, 1] = np.nan
-        result = self.assert_rows_are_their_own_calls(beta_hat, W, maps, beta_cov)
+        result = self.check_rows(beta_hat, W, maps, beta_cov)
         assert [type(e).__name__ if e else None for e in result.errors] == [
             None, "ValueError", None, "ValueError", "ValueError", "ValueError", "ValueError", None]
         assert str(result.errors[3]).startswith("W must be positive definite")

@@ -20,12 +20,15 @@ from wienerid.numerics import (
     NumericsError,
     OptimizerSettings,
     RankDeficiencyError,
+    RowErrors,
     gauss_hermite,
     gauss_legendre,
     least_squares,
     minimize_scalar,
     poly_argmin,
 )
+
+from stack_checks import Raised, Rows, assert_rows_are_their_own_calls, outcome
 
 
 def search_nodes(lo: float, hi: float) -> np.ndarray:
@@ -467,10 +470,10 @@ class TestLeastSquares:
         y = rng.standard_normal((rows, 50))
         coef, resid, errors = least_squares(X, y)
         assert errors == [None] * rows
+        assert_rows_are_their_own_calls(
+            Rows((coef, resid, errors)), [lambda i=i: Rows(least_squares(X[i], y[i])).row(0)
+                                          for i in range(rows)])
         for i in range(rows):
-            own_coef, own_resid, _ = least_squares(X[i], y[i])
-            np.testing.assert_array_equal(coef[i], own_coef[0])
-            np.testing.assert_array_equal(resid[i], own_resid[0])
             assert np.all(np.abs(X[i].T @ resid[i]) < 1e-8 * np.linalg.norm(y[i]))
             np.testing.assert_allclose(coef[i], np.linalg.lstsq(X[i], y[i], rcond=None)[0],
                                        rtol=1e-10, atol=1e-12)
@@ -484,10 +487,43 @@ class TestLeastSquares:
         assert isinstance(errors[1], RankDeficiencyError)
         assert errors[1].smallest_singular_value < 1e-10
         assert np.isnan(coef[1]).all() and np.isnan(resid[1]).all()
-        assert str(least_squares(X[1], y[1])[2][0]) == str(errors[1])
-        for i in (0, 2):
-            assert errors[i] is None
-            np.testing.assert_array_equal(coef[i], least_squares(X[i], y[i])[0][0])
+        assert_rows_are_their_own_calls(
+            Rows((coef, resid, errors)), [lambda i=i: Rows(least_squares(X[i], y[i])).row(0)
+                                          for i in range(3)])
+
+
+class TestRowErrors:
+    """The per-row failure rule of every stacked kernel."""
+
+    def test_first_error_wins(self):
+        first, second = ValueError("first"), ValueError("second")
+        errors = RowErrors([None] * 4)
+        errors.fail(np.array([False, True, True, False]), lambda i: first)
+        asked = []
+        errors.fail(np.array([True, True, False, False]), lambda i: asked.append(i) or second)
+        assert errors == [second, first, first, None] and asked == [0]
+        assert errors[1] is first
+
+    def test_merge_keeps_an_earlier_error(self):
+        mine, theirs = ValueError("mine"), CostEvaluationError(0.5, math.inf)
+        errors = RowErrors([mine, None, None])
+        errors.merge([theirs, theirs, None])
+        assert errors == [mine, theirs, None]
+        assert errors[0] is mine and errors[1] is theirs
+
+    def test_ok_masks_the_rows_without_an_error(self):
+        errors = RowErrors([None, ValueError("bad"), None])
+        assert errors.ok.dtype == bool and errors.ok.tolist() == [True, False, True]
+        assert RowErrors([]).ok.dtype == bool and RowErrors([]).ok.shape == (0,)
+        assert RowErrors([None] * 2) == [None] * 2
+
+    def test_check_raises_the_stored_exception_itself(self):
+        stored = RankDeficiencyError(1e-17)
+        errors = RowErrors([None, stored])
+        errors.check(0)
+        with pytest.raises(RankDeficiencyError) as excinfo:
+            errors.check(1)
+        assert excinfo.value is stored
 
 
 class TestPolyArgmin:
@@ -606,41 +642,31 @@ class TestPolyArgminStack:
         "overflow": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e307],
     }
 
-    @staticmethod
-    def outcome(call):
-        try:
-            res = call()
-        except CostEvaluationError as exc:
-            return ("error", exc.point, str(exc))
-        return (res.argmin, res.min_value, res.iterations, res.degenerate, res.at_bracket_edge)
-
     def test_rows_equal_their_own_calls(self):
         stack = np.array(list(self.ROWS.values()), dtype=float)
+        singles = [lambda row=row: poly_argmin(row, self.settings) for row in stack]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = poly_argmin(stack, self.settings)
-            singles = [self.outcome(lambda: poly_argmin(row, self.settings)) for row in stack]
+            assert_rows_are_their_own_calls(result, singles)
+            kinds = {name: outcome(single) for name, single in zip(self.ROWS, singles)}
         assert result.argmin.shape == (len(stack),)
-        for i, name in enumerate(self.ROWS):
-            assert self.outcome(lambda: result.row(i)) == singles[i], name
         # the cases the stack mixes are all there
-        kinds = dict(zip(self.ROWS, singles))
-        assert kinds["flat"][3] and kinds["zero"][3] and kinds["lower edge"][4]
-        assert kinds["upper edge"][:1] == (2.0,) and kinds["tie"][:1] == (-1.0,)
-        assert kinds["lower degree"][2] == 3 and kinds["interior"][2] > 3
-        assert [name for name, row in kinds.items() if row[0] == "error"] == ["nan", "inf", "overflow"]
+        assert kinds["flat"].degenerate and kinds["zero"].degenerate and kinds["lower edge"].at_bracket_edge
+        assert kinds["upper edge"].argmin == 2.0 and kinds["tie"].argmin == -1.0
+        assert kinds["lower degree"].iterations == 3 and kinds["interior"].iterations > 3
+        raised = [name for name, row in kinds.items() if isinstance(row, Raised)]
+        assert raised == ["nan", "inf", "overflow"]
 
     def test_non_finite_row_is_flagged_not_raised(self):
         stack = np.array([self.ROWS["interior"], self.ROWS["overflow"], self.ROWS["nan"]])
         result = poly_argmin(stack, self.settings)
+        assert_rows_are_their_own_calls(
+            result, [lambda row=row: poly_argmin(row, self.settings) for row in stack])
         assert result.errors[0] is None
         for i, point in ((1, 2.0), (2, -1.0)):
-            error = result.errors[i]
-            assert isinstance(error, CostEvaluationError) and error.point == point
-            with pytest.raises(CostEvaluationError) as excinfo:
-                poly_argmin(stack[i], self.settings)
-            assert (excinfo.value.point, str(excinfo.value)) == (error.point, str(error))
-        assert result.row(0) == poly_argmin(stack[0], self.settings)
+            assert isinstance(result.errors[i], CostEvaluationError)
+            assert result.errors[i].point == point
 
     def test_empty_stack(self):
         result = poly_argmin(np.zeros((0, 7)), self.settings)

@@ -19,6 +19,7 @@ from wienerid.signals import DistributionKind, gaussian_white, gen_white
 from wienerid.system import DataRecord, SystemSpec, cubic, paper_fir, polynomial, simulate
 
 from cost_checks import capture_costs, capture_searches, reference_argmin
+from stack_checks import assert_rows_are_their_own_calls
 
 
 # process-noise variances of the closed-form checks, the paper's 0.2 among them
@@ -192,10 +193,9 @@ class TestPemStack:
             spec.nonlinearity = polynomial([0.0, 1.0, 0.0, 0.5])
         stack = pem_estimate(records, spec, weighted=weighted)
         assert stack.predicted_std is None and stack.errors == [None] * self.R
-        for i, record in enumerate(records):
-            row, alone = stack.row(i), pem_estimate(record, spec, weighted=weighted)
-            assert row.theta_hat.tobytes() == alone.theta_hat.tobytes()
-            assert row.predicted_std is None and row.diagnostics == alone.diagnostics
+        assert_rows_are_their_own_calls(
+            stack, [lambda r=r: pem_estimate(r, spec, weighted=weighted) for r in records])
+        assert all(stack.row(i).predicted_std is None for i in range(self.R))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [0, 2, 4])
@@ -205,14 +205,9 @@ class TestPemStack:
         y[100] = 1e200  # overflows the squared error
         records[bad] = DataRecord(u=records[bad].u, y=y)
         stack = pem_estimate(records, spec)
-        with pytest.raises(CostEvaluationError) as alone:
-            pem_estimate(records[bad], spec)
-        assert str(stack.errors[bad]) == str(alone.value)
-        assert np.isnan(stack.theta_hat[bad])
-        for i, record in enumerate(records):
-            if i != bad:
-                assert stack.errors[i] is None
-                assert stack.theta_hat[i] == pem_estimate(record, spec).theta_hat[0]
+        assert_rows_are_their_own_calls(stack, [lambda r=r: pem_estimate(r, spec) for r in records])
+        assert isinstance(stack.errors[bad], CostEvaluationError)
+        assert np.isnan(stack.theta_hat).tolist() == [i == bad for i in range(self.R)]
 
     def test_mixed_lengths_raise_value_error(self):
         spec, records = self.records()

@@ -100,3 +100,12 @@ def test_seed_out_of_range_rejected():
         substream(2**64)
     with pytest.raises(ValueError):
         substream(-1)
+
+
+def test_path_parts_must_be_integers():
+    # int() would truncate 1.5 to the stream of path (1,)
+    for part in (1.5, 1.0, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            substream(7, part)
+    a, b = substream(7, np.int64(1)).random(3), substream(7, 1).random(3)
+    assert a.tobytes() == b.tobytes()

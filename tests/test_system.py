@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wienerid.signals import gaussian_white, gen_white
+from wienerid.bench import make_record
+from wienerid.bla import estimate_weighting, fit_bla
+from wienerid.indirect import zero_order_fit
+from wienerid.pem import pem_estimate
+from wienerid.signals import DistributionKind, gaussian_white, gen_white
 from wienerid.system import (
     DataRecord,
     FirStructure,
@@ -15,7 +19,10 @@ from wienerid.system import (
     paper_fir,
     polynomial,
     simulate,
+    stack_records,
 )
+
+from suite_config import table_config
 
 
 def paper_spec(theta=0.5, sigma_v2=0.2, sigma_e2=0.1, nl=None):
@@ -225,3 +232,27 @@ class TestDataRecordCsv:
         np.testing.assert_array_equal(rec.lagged(1), [1.0, 2.0])
         with pytest.raises(ValueError):
             rec.lagged(2)
+
+
+class TestStackRecords:
+    def test_one_record_is_a_view_of_its_arrays(self):
+        record = DataRecord(u=np.arange(5.0), y=np.arange(4.0))
+        u, y = stack_records(record)
+        assert u.shape == (1, 5) and y.shape == (1, 4)
+        assert np.shares_memory(u, record.u) and np.shares_memory(y, record.y)
+
+    def test_no_kernel_writes_into_its_records(self):
+        # read-only records: a kernel that wrote into a stacked view would raise
+        config = table_config(DistributionKind.GAUSSIAN_WHITE)
+        records = [make_record(config, r) for r in range(3)]
+        before = [(d.u.copy(), d.y.copy()) for d in records]
+        for d in records:
+            d.u.setflags(write=False)
+            d.y.setflags(write=False)
+        for data in (records[0], records):
+            estimate_weighting(data, fit_bla(data, (0, 1)))
+            zero_order_fit(data)
+            for weighted in (False, True):
+                pem_estimate(data, config.template(), weighted=weighted)
+        for d, (u, y) in zip(records, before):
+            assert d.u.tobytes() == u.tobytes() and d.y.tobytes() == y.tobytes()
