@@ -4,8 +4,12 @@ experiments, so that two source trees can be compared byte for byte.
 
 For each experiment the JSON file holds its config, every theta_hat and
 predicted std as float.hex (so NaN and -0.0 are told apart), and every
-failure record as (realization, method, "Type: message").  Equal files
-mean equal estimates, stds and failures to the last bit:
+failure record as (realization, method, "Type: message").  A crafted
+experiment also holds, per record, the single-record path: run_method's
+theta_hat, predicted std and every diagnostics field of each method, and
+the weighted lag-(0, 1) fit of the record alone, each value with its type
+(so a numpy scalar is told from a Python one), or the error raised.  Equal
+files mean equal estimates, stds and failures to the last bit:
 
     PYTHONPATH=/path/to/tree_a/src python scripts/fingerprint.py a.json
     PYTHONPATH=/path/to/tree_b/src python scripts/fingerprint.py b.json
@@ -23,13 +27,14 @@ The gate set, at master seeds 20260809 and 20261017 each:
                                  without and with s_count = 3
 The ML experiments run at desk scale.  --small runs the first seed alone,
 each experiment on at most 8 realizations (crafted ones keep their 10):
-about 3 s on a 2-core x86-64 VM, against 9 s for the whole set.
+about 3.5 s on a 2-core x86-64 VM, against 10 s for the whole set.
 """
 
 import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +89,50 @@ def crafted_record(config, realization):
     return record
 
 
+def encode(value):
+    """value as JSON with its type: an array as its shape and float.hex
+    entries, a float as float.hex."""
+    if isinstance(value, np.ndarray):
+        return {"shape": list(value.shape), "hex": [float(v).hex() for v in value.ravel()]}
+    text = value.hex() if isinstance(value, float) else repr(value)
+    return f"{type(value).__name__}:{text}"
+
+
+def outcome(call, encode_result) -> dict | str:
+    """encode_result of call()'s result, or the error it raises as "Type: message"."""
+    try:
+        result = call()
+    except Exception as exc:  # noqa: BLE001 - the error is the fingerprint
+        return f"{type(exc).__name__}: {exc}"
+    return encode_result(result)
+
+
+def encode_estimate(est) -> dict:
+    """theta_hat, predicted_std and every field of the search behind them;
+    the field `errors`, which one row leaves None, is not one of them."""
+    search = est.diagnostics
+    return {"theta_hat": encode(est.theta_hat), "predicted_std": encode(est.predicted_std),
+            "diagnostics": {f.name: encode(getattr(search, f.name))
+                            for f in dataclasses.fields(search) if f.name != "errors"}}
+
+
+def encode_fit(fit) -> dict:
+    names = ("beta_hat", "residuals", "I_hat", "J_hat", "W", "cov_beta", "ridge_applied")
+    return {name: encode(getattr(fit, name)) for name in names}
+
+
+def single_record(config, realization: int) -> dict:
+    """run_method of every method, and the weighted lag-(0, 1) fit, on the
+    crafted record alone."""
+    record = crafted_record(config, realization)
+    methods = {m: outcome(lambda m=m: w.run_method(config, m, record, realization), encode_estimate)
+               for m in ALL_METHODS}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the ridge flag is kept
+        fit = outcome(lambda: w.estimate_weighting(record, w.fit_bla(record, (0, 1))), encode_fit)
+    return {"run_method": methods, "estimate_weighting": fit}
+
+
 def fingerprint(config, crafted: bool) -> dict:
     bench.make_record = crafted_record if crafted else real_make_record
     try:
@@ -94,12 +143,15 @@ def fingerprint(config, crafted: bool) -> dict:
     def hexes(values):
         return {m: [float(v).hex() for v in values[m]] for m in sorted(values)}
 
-    return {
+    out = {
         "config": bench.config_to_dict(config),
         "estimates": hexes(result.estimates),
         "predicted_stds": hexes(result.predicted_stds),
         "failures": [[f.realization, f.method, f.message] for f in result.failures],
     }
+    if crafted:
+        out["single_record"] = [single_record(config, r) for r in range(config.realizations)]
+    return out
 
 
 def main(argv=None) -> int:

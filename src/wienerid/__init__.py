@@ -36,8 +36,6 @@ from .numerics import (
     QuadratureRule,
     RankDeficiencyError,
     ScalarMinResult,
-    StackEstimate,
-    StackMinResult,
     gauss_hermite,
     least_squares,
     minimize_scalar,

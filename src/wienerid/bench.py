@@ -21,7 +21,7 @@ import numpy as np
 from . import bla
 from .indirect import SimulatedMap, analytic_binding, step2, zero_order_fit
 from .ml import MlSettings, ml_estimate
-from .numerics import Estimate, NumericsError, RowErrors, StackEstimate, check_quad_order
+from .numerics import Estimate, NumericsError, RowErrors, check_quad_order
 from .pem import pem_estimate
 from .signals import Distribution, DistributionKind, Seed, StreamRole, check_seed, gen_white
 from .system import DataRecord, SystemSpec, cubic, paper_fir, simulate
@@ -200,9 +200,9 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
     NumericsError or ValueError.
 
     Returns per method its (realizations, outcome) pairs, an outcome being a
-    StackEstimate, ML's Estimate or the exception raised, and per method its
-    wall time: its share of each chunk plus its stacked call, the chunk's
-    shared fit and maps going to the first method that needs them.
+    stacked Estimate, ML's single one or the exception raised, and per
+    method its wall time: its share of each chunk plus its stacked call, the
+    chunk's shared fit and maps going to the first method that needs them.
     """
     template = config.template()
     analytic = analytic_binding(template, config.input_kind)
@@ -302,7 +302,7 @@ def _estimate(outcome) -> Estimate:
     """The Estimate of a one-record outcome of _run, or its error raised."""
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome.row(0) if isinstance(outcome, StackEstimate) else outcome
+    return outcome if outcome.errors is None else outcome.row(0)
 
 
 def run_method(
@@ -343,7 +343,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 estimates[m][done] = outcome.theta_hat
                 if m in predicted:
                     predicted[m][done] = outcome.predicted_std
-                errors = outcome.errors if isinstance(outcome, StackEstimate) else ()
+                errors = () if outcome.errors is None else outcome.errors
             failures.extend(
                 FailureRecord(r, m, f"{type(e).__name__}: {e}") for r, e in zip(done, errors) if e
             )

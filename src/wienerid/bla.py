@@ -16,15 +16,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import RowErrors, least_squares
+from .numerics import RowErrors, Stackable, least_squares
 from .system import DataRecord, lagged_matrix, stack_records
 
 RIDGE_CONDITION_LIMIT = 1e12
 
 
 @dataclass
-class BlaEstimate:
-    """Fitted linear coefficients with optional sandwich weighting.
+class BlaEstimate(Stackable):
+    """Fitted linear coefficients with optional sandwich weighting, of one
+    record or of a stack of records (numerics.Stackable).
 
     I_hat is the outer-product moment (1/N) sum eps^2 phi phi', J_hat the
     curvature (2/N) sum phi phi'; cov_beta = J^-1 (4 I) J^-1 / N and
@@ -40,56 +41,19 @@ class BlaEstimate:
     W: np.ndarray | None = None
     cov_beta: np.ndarray | None = None
     ridge_applied: bool = False
+    errors: RowErrors | None = None
 
     @property
     def order(self) -> int:
-        return len(self.beta_hat)
+        return self.beta_hat.shape[-1]
 
 
-_ARRAYS = ("beta_hat", "residuals", "I_hat", "J_hat", "W", "cov_beta")
-
-
-@dataclass
-class BlaStack:
-    """The fit of a stack of K records: the arrays of BlaEstimate on a
-    leading axis of K rows, ridge_applied a (K,) bool array, and the
-    RowErrors of the rows.  `row(i)` is row i's BlaEstimate."""
-
-    beta_hat: np.ndarray
-    lags: tuple[int, ...]
-    residuals: np.ndarray
-    n_obs: int
-    ridge_applied: np.ndarray
-    errors: RowErrors
-    I_hat: np.ndarray | None = None
-    J_hat: np.ndarray | None = None
-    W: np.ndarray | None = None
-    cov_beta: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, est: BlaEstimate) -> BlaStack:
-        """The stack of one of a single fit."""
-        rows = {a: getattr(est, a)[None] for a in _ARRAYS if getattr(est, a) is not None}
-        return cls(lags=est.lags, n_obs=est.n_obs, ridge_applied=np.array([est.ridge_applied]),
-                   errors=RowErrors([None]), **rows)
-
-    @property
-    def order(self) -> int:
-        return self.beta_hat.shape[1]
-
-    def row(self, i: int) -> BlaEstimate:
-        self.errors.check(i)
-        rows = {a: getattr(self, a)[i] for a in _ARRAYS if getattr(self, a) is not None}
-        return BlaEstimate(lags=self.lags, n_obs=self.n_obs,
-                           ridge_applied=bool(self.ridge_applied[i]), **rows)
-
-
-def fit_bla(data: DataRecord | Sequence[DataRecord], lags) -> BlaEstimate | BlaStack:
+def fit_bla(data: DataRecord | Sequence[DataRecord], lags) -> BlaEstimate:
     """Minimize the mean-square linear prediction error over the given lags.
 
-    A sequence of records of one len(u) and one n_obs gives their BlaStack
-    from one stacked least_squares, each row bit for bit its own call; one
-    DataRecord is the stack of one: it gives its BlaEstimate, or raises.
+    A sequence of records of one len(u) and one n_obs gives their stacked
+    fit from one stacked least_squares, each row bit for bit its own call;
+    one DataRecord is the stack of one: it gives its fit, or raises.
     """
     lags = tuple(int(l) for l in lags)
     u, y = stack_records(data)
@@ -97,8 +61,8 @@ def fit_bla(data: DataRecord | Sequence[DataRecord], lags) -> BlaEstimate | BlaS
     if n <= len(lags):
         raise ValueError(f"need more than {len(lags)} observations, got {n}")
     beta, resid, errors = least_squares(lagged_matrix(u, n, lags), y)
-    fit = BlaStack(beta_hat=beta, lags=lags, residuals=resid, n_obs=n,
-                   ridge_applied=np.zeros(rows, dtype=bool), errors=errors)
+    fit = BlaEstimate(beta_hat=beta, lags=lags, residuals=resid, n_obs=n,
+                      ridge_applied=np.zeros(rows, dtype=bool), errors=errors)
     return fit.row(0) if isinstance(data, DataRecord) else fit
 
 
@@ -128,9 +92,7 @@ def _inv(stack: np.ndarray, errors: RowErrors) -> np.ndarray:
         return out
 
 
-def estimate_weighting(
-    data: DataRecord | Sequence[DataRecord], est: BlaEstimate | BlaStack
-) -> BlaEstimate | BlaStack:
+def estimate_weighting(data: DataRecord | Sequence[DataRecord], est: BlaEstimate) -> BlaEstimate:
     """Fill the sandwich matrices of a fitted estimate.
 
     The middle term I_hat may be ridge-regularized when its condition number
@@ -138,25 +100,34 @@ def estimate_weighting(
     Residuals whose squares overflow leave I_hat non-finite, and raise
     LinAlgError (a ValueError).
 
-    The BlaStack of a sequence of records gives their weighted BlaStack:
+    The stacked fit of a sequence of records gives their weighted fit:
     every check runs per row under numerics.RowErrors, after the fit's own
     errors, a failed row going on with the identity; one UserWarning covers
     every ridged row.  The rows share one matmul, eigvalsh and inv per
     step, each slice computed as its own call computes it, so a row is bit
-    for bit its own call.  One DataRecord and its fit
-    are the stack of one: they give the weighted fit, or raise.
+    for bit its own call.  One DataRecord and its single fit are the stack
+    of one: they give the weighted fit, or raise.  A fit that is not the
+    records' (a single fit with a sequence, a stacked one with a
+    DataRecord, another number of rows or another n_obs) raises ValueError.
     """
     one = isinstance(data, DataRecord)
-    if one:
-        est = BlaStack.of(est)
-    u, _ = stack_records(data)
-    n, m = est.n_obs, est.order
+    u, y = stack_records(data)
+    rows, n = y.shape
+    fit_rows = 1 if est.errors is None else len(est.errors)
+    if (est.errors is None) != one or fit_rows != rows or est.n_obs != n:
+        raise ValueError(
+            f"{'a single' if est.errors is None else 'a stacked'} fit of {fit_rows} row(s) and"
+            f" n_obs {est.n_obs} is not the fit of {'one DataRecord' if one else 'a sequence'}"
+            f" of {rows} record(s) and n_obs {n}")
+    m = est.order
     phi = lagged_matrix(u, n, est.lags)
-    errors = RowErrors(est.errors)
+    errors = RowErrors([None] if one else est.errors)
+    # a single fit's arrays as its stack of one
+    beta_hat, residuals = est.beta_hat.reshape(rows, m), est.residuals.reshape(rows, n)
     # an overflowing square raises LinAlgError below, so numpy's warning
     # would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        eps2 = est.residuals**2
+        eps2 = residuals**2
         I_hat = (phi * eps2[..., None]).swapaxes(1, 2) @ phi / n
         I_hat = 0.5 * (I_hat + I_hat.swapaxes(1, 2))
     J_hat = 2.0 * (phi.swapaxes(1, 2) @ phi) / n
@@ -187,7 +158,6 @@ def estimate_weighting(
     failed = ~errors.ok
     for a in (I_hat, J_hat, W, cov_beta):
         a[failed] = np.nan
-    out = replace(
-        est, I_hat=I_hat, J_hat=J_hat, W=W, cov_beta=cov_beta, ridge_applied=ridge, errors=errors
-    )
+    out = replace(est, beta_hat=beta_hat, residuals=residuals, I_hat=I_hat, J_hat=J_hat, W=W,
+                  cov_beta=cov_beta, ridge_applied=ridge, errors=errors)
     return out.row(0) if one else out

@@ -40,8 +40,8 @@ from numpy.polynomial import polynomial as npoly
 
 from . import bla as bla_mod
 from .numerics import (
-    Estimate, OptimizerSettings, RankDeficiencyError, RowErrors, StackEstimate, gram_coeffs,
-    least_squares, poly_argmin,
+    Estimate, OptimizerSettings, RankDeficiencyError, RowErrors, gram_coeffs, least_squares,
+    poly_argmin,
 )
 from .pem import theta_coeffs
 from .signals import (
@@ -186,18 +186,21 @@ def step2(
     and without either of them step2 raises ValueError.  It is infinite
     when the criterion is flat or its minimum is a bracket end.
 
-    A stack of R fits, beta_hat (R, m), gives a StackEstimate.  W and
-    beta_cov are then (R, m, m), coeffs (R, degree + 1, m) and inflation
+    A stack of R fits, beta_hat (R, m), gives their stacked Estimate.  W
+    and beta_cov are then (R, m, m), coeffs (R, degree + 1, m) and inflation
     (R,), or any of them one value shared by every row.  Every check runs
     per row under numerics.RowErrors, so the other rows go on.  The rows
     share one matmul, inverse and search per step, each slice computed as
     its own call computes it, so a row's estimate is bit for bit that of
     its own call.  A 1-D beta_hat is the stack of one: it gives its
-    Estimate, or raises its error.
+    Estimate, or raises its error.  A beta_hat of another shape raises
+    ValueError.
     """
     if n_obs is None and beta_cov is None:
         raise ValueError("step2 needs n_obs or beta_cov for the predicted std")
     beta_hat = np.asarray(beta_hat, dtype=float)
+    if beta_hat.ndim not in (1, 2):
+        raise ValueError(f"beta_hat of shape {beta_hat.shape}; step2 needs (m,) or an (R, m) stack")
     fits = beta_hat.reshape(-1, beta_hat.shape[-1])
     rows, width = fits.shape
     stacked = beta_hat.ndim == 2
@@ -271,7 +274,7 @@ def step2(
         cov[curved] = inflation[curved, None, None] * h_inv @ sandwich @ h_inv
         theta_hat = np.where(ok, search.argmin, np.nan)
         std = np.where(ok, np.sqrt(cov[:, 0, 0]), np.nan)
-    result = StackEstimate(theta_hat, std, search, errors)
+    result = Estimate(theta_hat, std, search, errors)
     return result if stacked else result.row(0)
 
 

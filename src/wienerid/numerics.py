@@ -1,6 +1,7 @@
 """Shared numeric kernels: Gauss-Hermite and Gauss-Legendre quadrature, scalar
 minimization, linear least squares, the Estimate record every estimator
-returns, and RowErrors, the one per-row failure rule of every stacked kernel.
+returns, and RowErrors, the one per-row failure rule of every stacked kernel,
+with Stackable, the one row-or-stack form of every result.
 
 A polynomial criterion is its power coefficients in theta, minimized exactly
 at the bracket ends and the roots of its derivative (`poly_argmin`, for one
@@ -15,8 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -227,61 +227,6 @@ class OptimizerSettings:
             raise ValueError(f"bracket must be finite with lo < hi, got {self.bracket}")
 
 
-@dataclass(frozen=True)
-class ScalarMinResult:
-    """Outcome of one bracketed search.
-
-    iterations counts the points where a polynomial was valued (poly_argmin)
-    or the cost called (minimize_scalar); min_value is the polynomial's or
-    interpolant's value at argmin; at_bracket_edge is true when argmin is an
-    end of the bracket, so the true minimum may lie outside it; degenerate
-    is true when the criterion took one value at every point of the first
-    scan; fallback is true when a seeded minimize_scalar search fell back to
-    the full bracket scan.
-    """
-
-    argmin: float
-    min_value: float
-    iterations: int
-    degenerate: bool = False
-    at_bracket_edge: bool = False
-    fallback: bool = False
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """One estimator's output on one data record.
-
-    theta_hat is shaped like SystemSpec.theta; predicted_std is the
-    asymptotic standard deviation where the method predicts one (None
-    otherwise, inf when the prediction is undefined); diagnostics is the
-    scalar search behind the estimate, which every estimator makes.
-    """
-
-    theta_hat: np.ndarray
-    predicted_std: float | None = None
-    diagnostics: ScalarMinResult | None = None
-
-
-def _checked_values(xs: np.ndarray, vals) -> np.ndarray:
-    """vals, a criterion's values at xs, as a float array shaped like xs; the
-    first non-finite one in the order of xs raises CostEvaluationError with
-    its point."""
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), xs.shape)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise CostEvaluationError(float(xs[bad[0]]), float(vals[bad[0]]))
-    return vals
-
-
-def _flat(vals: np.ndarray, bracket, n: int) -> ScalarMinResult | None:
-    """The degenerate result of n values that agree to 16 ulps, else None."""
-    if vals.max() - vals.min() > _FLAT * np.abs(vals).max():
-        return None
-    x = min(max(0.0, bracket[0]), bracket[1])  # the bracket point nearest 0
-    return ScalarMinResult(x, float(vals.min()), n, degenerate=True, at_bracket_edge=x in bracket)
-
-
 class RowErrors(list):
     """The failure rule of every stacked kernel, one entry per row: the
     exception the row's own call raises, or None.  A row keeps the first
@@ -309,42 +254,89 @@ class RowErrors(list):
             raise self[i]
 
 
-class StackMinResult(NamedTuple):
-    """Outcome of poly_argmin on each row of an (R, K) coefficient stack, one
-    entry per row: the fields of ScalarMinResult as arrays, and the
-    RowErrors of the rows, a CostEvaluationError at a row's first
-    non-finite value.  `row(i)` is row i's ScalarMinResult."""
+class Stackable:
+    """A result that holds one row or a stack of K rows.  A stack carries
+    its rows on the leading axis of every array field and nested result,
+    and their RowErrors in `errors`, which is None for one row.  `row(i)`
+    is row i as one result, a 0-d entry a Python scalar, or raises row i's
+    error; the fields that are not arrays are every row's."""
 
-    argmin: np.ndarray
-    min_value: np.ndarray
-    iterations: np.ndarray
-    degenerate: np.ndarray
-    at_bracket_edge: np.ndarray
-    errors: RowErrors
-
-    def row(self, i: int) -> ScalarMinResult:
+    def row(self, i: int):
         self.errors.check(i)
-        return ScalarMinResult(
-            self.argmin.item(i), self.min_value.item(i), self.iterations.item(i),
-            degenerate=self.degenerate.item(i), at_bracket_edge=self.at_bracket_edge.item(i),
-        )
+        return type(self)(**{f.name: _row(getattr(self, f.name), i)
+                             for f in fields(self) if f.name != "errors"})
 
 
-class StackEstimate(NamedTuple):
-    """An estimator on each row of a stack, one entry per row: theta_hat and
-    predicted_std (None for a method that predicts none), the searches
-    behind them (a StackMinResult), and the RowErrors of the rows.  `row(i)`
-    is row i's Estimate."""
+def _row(value, i: int):
+    if isinstance(value, Stackable):
+        return value.row(i)
+    if not isinstance(value, np.ndarray):
+        return value
+    value = value[i]
+    return value.item() if np.ndim(value) == 0 else value
+
+
+@dataclass(frozen=True)
+class ScalarMinResult(Stackable):
+    """Outcome of one bracketed search, or of a stack of them (Stackable).
+
+    iterations counts the points where a polynomial was valued (poly_argmin)
+    or the cost called (minimize_scalar); min_value is the polynomial's or
+    interpolant's value at argmin; at_bracket_edge is true when argmin is an
+    end of the bracket, so the true minimum may lie outside it; degenerate
+    is true when the criterion took one value at every point of the first
+    scan; fallback is true when a seeded minimize_scalar search fell back to
+    the full bracket scan.
+    """
+
+    argmin: float
+    min_value: float
+    iterations: int
+    degenerate: bool = False
+    at_bracket_edge: bool = False
+    fallback: bool = False
+    errors: RowErrors | None = None
+
+
+@dataclass(frozen=True)
+class Estimate(Stackable):
+    """One estimator's output on one data record, or on each row of a stack
+    (Stackable).
+
+    theta_hat is shaped like SystemSpec.theta, (K,) in a stack of K;
+    predicted_std is the asymptotic standard deviation where the method
+    predicts one (None otherwise, inf when the prediction is undefined);
+    diagnostics is the scalar search behind the estimate, which every
+    estimator makes.
+    """
 
     theta_hat: np.ndarray
-    predicted_std: np.ndarray | None
-    diagnostics: StackMinResult
-    errors: RowErrors
+    predicted_std: float | None = None
+    diagnostics: ScalarMinResult | None = None
+    errors: RowErrors | None = None
 
-    def row(self, i: int) -> Estimate:
-        self.errors.check(i)
-        std = None if self.predicted_std is None else self.predicted_std.item(i)
-        return Estimate(self.theta_hat[i : i + 1].copy(), std, self.diagnostics.row(i))
+    def __post_init__(self):
+        # a row's theta_hat comes out of row() a Python float
+        object.__setattr__(self, "theta_hat", np.atleast_1d(self.theta_hat))
+
+
+def _checked_values(xs: np.ndarray, vals) -> np.ndarray:
+    """vals, a criterion's values at xs, as a float array shaped like xs; the
+    first non-finite one in the order of xs raises CostEvaluationError with
+    its point."""
+    vals = np.broadcast_to(np.asarray(vals, dtype=float), xs.shape)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise CostEvaluationError(float(xs[bad[0]]), float(vals[bad[0]]))
+    return vals
+
+
+def _flat(vals: np.ndarray, bracket, n: int) -> ScalarMinResult | None:
+    """The degenerate result of n values that agree to 16 ulps, else None."""
+    if vals.max() - vals.min() > _FLAT * np.abs(vals).max():
+        return None
+    x = min(max(0.0, bracket[0]), bracket[1])  # the bracket point nearest 0
+    return ScalarMinResult(x, float(vals.min()), n, degenerate=True, at_bracket_edge=x in bracket)
 
 
 @functools.lru_cache(maxsize=32)
@@ -387,12 +379,15 @@ def poly_argmin(coeffs, settings: OptimizerSettings = OptimizerSettings()):
     with its point: a non-finite coefficient gives one at every theta, so
     at lo.
 
-    A stack gives a StackMinResult; its rows share one companion
-    eigensolve per kept degree, and each row's result is bit for bit that
-    of its own call.  1-D coeffs are the stack of one: they give its
-    ScalarMinResult, or raise its CostEvaluationError."""
+    A stack gives the stacked ScalarMinResult; its rows share one
+    companion eigensolve per kept degree, and each row's result is bit for
+    bit that of its own call.  1-D coeffs are the stack of one: they give
+    its ScalarMinResult, or raise its CostEvaluationError.  Coefficients of
+    another shape, or none, raise ValueError."""
     lo, hi = settings.bracket
     c = np.asarray(coeffs, dtype=float)
+    if c.ndim not in (1, 2) or c.shape[-1] == 0:
+        raise ValueError(f"poly_argmin needs (K,) or (R, K) coefficients, K >= 1, got shape {c.shape}")
     stack = c[None] if c.ndim == 1 else c
     rows, k = stack.shape
     # a non-finite value is its row's error, so numpy's warnings would repeat it
@@ -447,7 +442,7 @@ def poly_argmin(coeffs, settings: OptimizerSettings = OptimizerSettings()):
             float(xs[i, first[i]]), float(vals[i, first[i]])))
     # the candidates: the bracket ends and the roots strictly inside
     iterations = np.add.reduce((lo < roots) & (roots < hi), axis=1, initial=2)
-    result = StackMinResult(argmin, min_value, iterations, degenerate, edge, errors)
+    result = ScalarMinResult(argmin, min_value, iterations, degenerate, edge, errors=errors)
     return result.row(0) if c.ndim == 1 else result
 
 

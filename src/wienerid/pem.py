@@ -23,7 +23,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .numerics import OptimizerSettings, StackEstimate, gram_coeffs, horner, poly_argmin
+from .numerics import Estimate, OptimizerSettings, gram_coeffs, horner, poly_argmin
 from .system import DataRecord, Nonlinearity, SystemSpec, cubic, linear_output, stack_records
 
 
@@ -94,13 +94,13 @@ def pem_estimate(
     weights stay frozen during the second search.
 
     A sequence of K records, all of one n_obs and one len(u) (else
-    ValueError), gives a StackEstimate: the records share one (K, d + 1, N)
-    array of error coefficients, one stacked Gram and one stacked
-    poly_argmin per pass, each row computed as its own call computes it, so
-    a row's estimate is bit for bit that of its own call; a row's error
-    (numerics.RowErrors) is its first pass's CostEvaluationError, else its
-    second's.  One DataRecord is the stack of one: it gives its Estimate,
-    or raises.
+    ValueError), gives their stacked Estimate: the records share one
+    (K, d + 1, N) array of error coefficients, one stacked Gram and one
+    stacked poly_argmin per pass, each row computed as its own call
+    computes it, so a row's estimate is bit for bit that of its own call;
+    a row's error (numerics.RowErrors) is its first pass's
+    CostEvaluationError, else its second's.  One DataRecord is the stack
+    of one: it gives its Estimate, or raises.
     """
     fir = spec_template.fir
     if fir.n_free != 1:
@@ -149,5 +149,5 @@ def pem_estimate(
             gram = errors / weights[:, None] @ errors.swapaxes(1, 2) / n
         search = poly_argmin(gram_coeffs(gram), settings)
         failures.merge(search.errors)
-    result = StackEstimate(np.where(failures.ok, search.argmin, np.nan), None, search, failures)
+    result = Estimate(np.where(failures.ok, search.argmin, np.nan), None, search, failures)
     return result.row(0) if isinstance(data, DataRecord) else result

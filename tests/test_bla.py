@@ -254,6 +254,24 @@ class TestStack:
         assert one.ridge_applied
         np.testing.assert_array_equal(out.W[1], one.W)
 
+    @pytest.mark.parametrize("case", ["single fit, sequence", "single fit, sequence of one",
+                                      "other row count", "stacked fit, one record", "other n_obs"])
+    def test_fit_of_other_records_rejected(self, case):
+        # the fit and the records, and the rows and n_obs the message names
+        records = self.records(DistributionKind.GAUSSIAN_WHITE, 3)
+        short = DataRecord(u=records[0].u[:-1], y=records[0].y[:-1])
+        single, stacked = fit_bla(records[0], (0, 1)), fit_bla(records, (0, 1))
+        fit, data, want = {
+            "single fit, sequence": (single, records[:2], (1, 300, 2, 300)),
+            "single fit, sequence of one": (single, records[:1], (1, 300, 1, 300)),
+            "other row count": (stacked, records[:2], (3, 300, 2, 300)),
+            "stacked fit, one record": (fit_bla(records[:1], (0, 1)), records[0], (1, 300, 1, 300)),
+            "other n_obs": (single, short, (1, 300, 1, 299)),
+        }[case]
+        match = r"fit of {} row\(s\) and n_obs {} is not the fit of .* {} record\(s\) and n_obs {}$"
+        with pytest.raises(ValueError, match=match.format(*want)):
+            estimate_weighting(data, fit)
+
     def test_mixed_lengths_rejected(self):
         records = self.records(DistributionKind.GAUSSIAN_WHITE, 2)
         short = DataRecord(u=records[1].u[:-1], y=records[1].y[:-1])

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -217,6 +218,12 @@ class TestStep2:
             step2(amap(0.5), np.array([[1.0, 0.0], [0.0, -1.0]]), amap, n_obs=100)
         with pytest.raises(ValueError, match="symmetric"):
             step2(amap(0.5), np.array([[1.0, 0.5], [0.0, 1.0]]), amap, n_obs=100)
+
+    @pytest.mark.parametrize("shape", [(), (1, 1, 2)], ids=["0-d", "3-D"])
+    def test_beta_hat_of_the_wrong_shape_rejected(self, shape):
+        amap = AnalyticMap(SU2, SV2, 3.0)
+        with pytest.raises(ValueError, match=rf"^beta_hat of shape {re.escape(str(shape))}; step2"):
+            step2(np.full(shape, 0.9), np.eye(2), amap, n_obs=100)
 
     def test_needs_n_obs_or_beta_cov(self):
         amap = AnalyticMap(SU2, SV2, 3.0)

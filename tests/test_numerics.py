@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -620,6 +621,12 @@ class TestPolyArgmin:
             with pytest.raises(CostEvaluationError) as excinfo:
                 poly_argmin([0.0, 0.0, 1e300], OptimizerSettings(bracket=(0.5, 1e5)))
             assert excinfo.value.point == 1e5 and excinfo.value.value == math.inf
+
+    @pytest.mark.parametrize("coeffs", [np.float64(1.0), np.zeros(0), np.zeros((1, 2, 3))],
+                             ids=["0-d", "empty", "3-D"])
+    def test_coefficients_of_the_wrong_shape_rejected(self, coeffs):
+        with pytest.raises(ValueError, match=rf"got shape {re.escape(str(np.shape(coeffs)))}$"):
+            poly_argmin(coeffs)
 
 
 class TestPolyArgminStack:
