@@ -48,7 +48,8 @@ def cmd_estimate(args) -> int:
     line = f"method={args.method} theta_hat={est.theta_hat[0]:.17g}"
     if est.predicted_std is not None:
         line += f" predicted_std={est.predicted_std:.17g}"
-    for flag in ("at_bracket_edge", "degenerate"):
+    line += f" iterations={est.diagnostics.iterations}"
+    for flag in ("at_bracket_edge", "degenerate", "fallback"):
         if getattr(est.diagnostics, flag):
             line += f" {flag}=True"
     print(line)

@@ -19,32 +19,38 @@ row is shifted by its peak exponent, so the fast decay of the integrand
 cannot underflow a whole term.  Additive constants of the likelihood that do
 not depend on theta are dropped.
 
-The likelihood is not a polynomial in theta but it is analytic, so its
-search (`numerics.minimize_scalar`) minimizes its degree-10 interpolant at
-Chebyshev points, by `poly_argmin` as the other criteria.  It can start at a
-consistent first estimate (bench passes the II1_W of the same record, the
-stack of one of the table's II1_W Step 2, from the BLA fit and binding
-function that the methods of the record share): the interpolant then covers
-theta_start +- 6 predicted stds, 11 likelihood evaluations in all.  When
-its minimum lands on an edge of that window inside the bracket, or the start
-has no finite std, a 61-point scan of the whole bracket runs and the
-interpolant covers the cell around the scan's minimum, 72 evaluations.
+The same nodes give each term's posterior mean and variance of s = v /
+sigma_v, two more columns of the weight product, and from them the exact
+score and observed information in theta (`_nll_derivatives`).  The search
+starts at a consistent first estimate (bench passes the II1_W of the same
+record, the stack of one of the table's II1_W Step 2, from the BLA fit and
+binding function that the methods of the record share) and runs
+safeguarded Newton inside theta_start +- 6 predicted stds (`_newton`):
+3 or 4 likelihood evaluations on the desk records, against the 11 of a
+degree-10 interpolant.  When a safeguard trips, or with sigma_v2 = 0, the
+interpolant search of `numerics.minimize_scalar` runs from the same start:
+11 evaluations, or 72 when its minimum lands on an edge of the window
+inside the bracket, or the start has no finite std (a 61-point scan of the
+whole bracket, then the interpolant on the cell around its minimum).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .numerics import (
     Estimate,
     OptimizerSettings,
+    ScalarMinResult,
     check_quad_order,
     gauss_legendre,
     minimize_scalar,
+    _FLAT,
     _roots,
+    _window,
 )
 from .system import DataRecord, SystemSpec, cubic, identity, linear_output
 
@@ -55,6 +61,13 @@ WINDOW_K = 9.0
 
 # likelihood terms integrated per array pass; keeps the work arrays in cache
 ROW_BLOCK = 16
+
+# Newton on the likelihood: it stops at a step within _STEP_TOL of
+# max(1, |theta|), and hands over to the seeded search after _NEWTON_EVALS
+# evaluations or _HALVINGS halvings of one step
+_STEP_TOL = 1e-12
+_NEWTON_EVALS = 8
+_HALVINGS = 3
 
 # the most negative double: the shift of a row whose terms are all -inf
 _LOWEST = np.finfo(float).min
@@ -148,7 +161,7 @@ def _windows(y, a, nonlinearity, sigma_v: float, sigma_e: float):
     return lo, hi
 
 
-def _log_terms(y, a, spec: SystemSpec, settings: MlSettings) -> np.ndarray:
+def _log_terms(y, a, spec: SystemSpec, settings: MlSettings, moments: bool = False):
     """Per-term log E{exp(-(y - f(a + v))^2 / (2 sigma_e^2))} over v.
 
     On the window s = c + h x, x in [-1, 1], the log-integrand is
@@ -157,6 +170,11 @@ def _log_terms(y, a, spec: SystemSpec, settings: MlSettings) -> np.ndarray:
     (rows, 2) @ (2, nodes) product; -c^2 / 2 is added back after the sum.
     The measurement scale is folded into y and, for the cubic, into z, and
     the weights are applied with one matrix-vector product.
+
+    With moments (sigma_v2 > 0) the weights are the (nodes, 3) matrix of w,
+    w x and w x^2 in that same product, and the call returns the terms with
+    the mean and variance of s under each term's posterior, the integrand
+    normalized on its window.
     """
     nl = spec.nonlinearity
     if spec.sigma_v2 == 0.0:
@@ -180,8 +198,10 @@ def _log_terms(y, a, spec: SystemSpec, settings: MlSettings) -> np.ndarray:
     one_x = np.stack([np.ones_like(nodes), nodes])
     x_x2 = np.stack([nodes, nodes * nodes])
     weights = np.exp(log_w)
+    if moments:
+        weights = np.stack([weights, weights * nodes, weights * nodes * nodes], axis=1)
     n = len(y)
-    shift, total = np.empty(n), np.empty(n)
+    shift, total = np.empty(n), np.empty((n, *weights.shape[1:]))
     # work arrays reused across row blocks: z and then log g, the residual
     z_buf, r_buf = np.empty((ROW_BLOCK, len(nodes))), np.empty((ROW_BLOCK, len(nodes)))
     # overflow of f(z) or resid^2 to inf is fine, that node just drops out
@@ -206,11 +226,34 @@ def _log_terms(y, a, spec: SystemSpec, settings: MlSettings) -> np.ndarray:
             g -= peak[:, None]
             np.exp(g, out=g)
             np.matmul(g, weights, out=total[start:stop])
-    with np.errstate(divide="ignore"):
-        return (
-            np.log(total) + shift - 0.5 * center * center + np.log(half)
+    # a term whose window or sum is not finite comes out non-finite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mass = total[:, 0] if moments else total
+        terms = (
+            np.log(mass) + shift - 0.5 * center * center + np.log(half)
             - 0.5 * math.log(2.0 * math.pi)
         )
+        if not moments:
+            return terms
+        mean_x, mean_x2 = total[:, 1] / mass, total[:, 2] / mass
+        return terms, center + half * mean_x, half * half * (mean_x2 - mean_x * mean_x)
+
+
+def _terms(theta, data: DataRecord, spec: SystemSpec, settings: MlSettings, moments=False):
+    """`_log_terms` of the record at theta; a term that is not finite raises
+    QuadratureUnderflowError with its 1-based time index."""
+    if spec.sigma_e2 <= 0:
+        raise ValueError("sigma_e2 must be positive for the likelihood")
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    a = linear_output(spec.fir, [theta], data.u)[-data.n_obs:]
+    out = _log_terms(data.y, a, spec, settings, moments)
+    per_term = out[0] if moments else out
+    if not np.all(np.isfinite(per_term)):
+        bad = np.flatnonzero(~np.isfinite(per_term)) + 1
+        raise QuadratureUnderflowError(theta, bad.tolist())
+    return out
 
 
 def neg_log_likelihood(
@@ -224,16 +267,59 @@ def neg_log_likelihood(
     With sigma_v2 = 0 each term is -(y - f(a))^2 / (2 sigma_e^2) exactly.
     A term that is not finite (every node underflowed, a squared residual
     overflowed, or non-finite data) raises QuadratureUnderflowError with its
-    1-based time index.
+    1-based time index; a theta that is not finite raises ValueError.
     """
-    if spec_template.sigma_e2 <= 0:
-        raise ValueError("sigma_e2 must be positive for the likelihood")
-    a = linear_output(spec_template.fir, [float(theta)], data.u)[-data.n_obs:]
-    per_term = _log_terms(data.y, a, spec_template, settings)
-    if not np.all(np.isfinite(per_term)):
-        bad = np.flatnonzero(~np.isfinite(per_term)) + 1
-        raise QuadratureUnderflowError(float(theta), bad.tolist())
-    return -float(np.sum(per_term))
+    return -float(np.sum(_terms(theta, data, spec_template, settings)))
+
+
+def _nll_derivatives(theta, data: DataRecord, spec: SystemSpec, settings: MlSettings):
+    """neg_log_likelihood at theta (sigma_v2 > 0) with its first and second
+    derivatives in theta, from the same quadrature nodes.  With
+    a(t) = theta x(t) + ..., x the input at the free lag, and s = v / sigma_v,
+    each term has dl_t/dtheta = x(t) E[s] / sigma_v and d^2 l_t/dtheta^2 =
+    x(t)^2 (Var[s] - 1) / sigma_v^2 under the term's posterior of s (the
+    missing-information identity, Louis 1982)."""
+    terms, mean_s, var_s = _terms(theta, data, spec, settings, moments=True)
+    x = data.regressors(spec.fir.free_lags)[:, 0]
+    score = -float(x @ mean_s) / math.sqrt(spec.sigma_v2)
+    information = float((x * x) @ (1.0 - var_s)) / spec.sigma_v2
+    return -float(np.sum(terms)), score, information
+
+
+def _newton(derivatives, theta: float, window: OptimizerSettings, bracket):
+    """Safeguarded Newton from theta on the window, derivatives(theta) giving
+    (cost, score, information).  It stops at the first point whose step is
+    within _STEP_TOL relative to max(1, |theta|) and returns that point.  A
+    step must have positive information and a finite score behind it and
+    land in the window; it is halved while the cost rises by more than 16
+    ulps, its rounding, at most _HALVINGS times.  Returns (result,
+    evaluations); result is None when a safeguard trips, after _NEWTON_EVALS
+    evaluations, or when an evaluation raises QuadratureUnderflowError.
+    at_bracket_edge refers to `bracket`."""
+    lo, hi = window.bracket
+    evals = 1
+    try:
+        cost, score, information = derivatives(theta)
+        while information > 0 and math.isfinite(score):
+            step = -score / information
+            if abs(step) <= _STEP_TOL * max(1.0, abs(theta)):
+                result = ScalarMinResult(theta, cost, evals, at_bracket_edge=theta in bracket)
+                return result, evals
+            for _ in range(_HALVINGS + 1):
+                if not lo <= theta + step <= hi or evals == _NEWTON_EVALS:
+                    return None, evals
+                evals += 1
+                trial = derivatives(theta + step)
+                if trial[0] <= cost + _FLAT * abs(cost):
+                    break
+                step *= 0.5
+            else:
+                return None, evals
+            theta += step
+            cost, score, information = trial
+    except QuadratureUnderflowError:
+        pass
+    return None, evals
 
 
 def ml_estimate(
@@ -245,8 +331,13 @@ def ml_estimate(
     """Minimize the negative log-likelihood over the optimizer bracket.
 
     start, a consistent first estimate with its predicted std (II1_W's),
-    seeds the search with a window around its theta_hat; without a finite
-    predicted std it is ignored and the whole bracket is scanned.
+    starts safeguarded Newton on the likelihood's exact score and
+    information inside the window theta_start +- 6 stds (`_newton`).  When
+    a safeguard trips, the seeded search of `numerics.minimize_scalar` runs
+    from the same start, with fallback set and iterations counting Newton's
+    evaluations too.  With sigma_v2 = 0, or a start without a finite
+    predicted std, minimize_scalar runs alone (the whole bracket is scanned
+    when the start is not usable).
     """
     if spec_template.fir.n_free != 1:
         raise ValueError("scalar search supports exactly one free coefficient")
@@ -258,5 +349,17 @@ def ml_estimate(
 
     usable = start is not None and start.predicted_std is not None
     seed = (start.theta_hat[0], start.predicted_std) if usable else None
+    bracket = settings.optimizer.bracket
+    spent = 0  # Newton's evaluations, > 0 when the seeded search follows them
+    window = _window(seed, *bracket) if usable and spec_template.sigma_v2 > 0 else None
+    if window is not None:
+        result, spent = _newton(
+            lambda t: _nll_derivatives(t, data, spec_template, settings),
+            float(seed[0]), window, bracket,
+        )
+        if result is not None:
+            return Estimate(np.array([result.argmin]), diagnostics=result)
     result = minimize_scalar(cost, settings.optimizer, start=seed)
+    if spent:
+        result = replace(result, iterations=spent + result.iterations, fallback=True)
     return Estimate(np.array([result.argmin]), diagnostics=result)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wienerid import bench
+from wienerid import bench, ml
 from wienerid.cli import main
 from wienerid.indirect import first_order_estimate, zero_order_estimate
 from wienerid.pem import pem_estimate
@@ -74,9 +74,42 @@ def test_estimate_prints_the_search_flags_only_when_set(config_file, tmp_path, c
         ])
         assert code == 0
         lines[name] = capsys.readouterr().out
-    assert lines["edge"] == "method=II0 theta_hat=3 predicted_std=inf at_bracket_edge=True\n"
+    assert lines["edge"] == (
+        "method=II0 theta_hat=3 predicted_std=inf iterations=6 at_bracket_edge=True\n"
+    )
     fields = lines["paper"].split()
-    assert [f.split("=")[0] for f in fields] == ["method", "theta_hat", "predicted_std"]
+    assert [f.split("=")[0] for f in fields] == [
+        "method", "theta_hat", "predicted_std", "iterations"
+    ]
+
+
+def test_estimate_prints_ml_evaluations_and_fallback(config_file, tmp_path, capsys, monkeypatch):
+    # ML's line tells Newton (3 to 8 evaluations, no flag) from the seeded
+    # search it hands over to (fallback=True, Newton's evaluations added)
+    main(["simulate", "--config", str(config_file), "--out", str(tmp_path)])
+    args = [
+        "estimate", "--config", str(config_file), "--data", str(tmp_path / "data.csv"),
+        "--method", "ML", "--desk-scale",
+    ]
+    capsys.readouterr()
+    config = dataclasses.replace(bench.load_config(config_file), desk_scale=True)
+    record = DataRecord.from_csv(tmp_path / "data.csv")
+    lines = {}
+    for case in ("newton", "fallback"):
+        if case == "fallback":  # an information that is never positive
+            exact = ml._nll_derivatives
+            monkeypatch.setattr(
+                ml, "_nll_derivatives", lambda *a: (*exact(*a)[:2], -1.0)
+            )
+        est = bench.run_method(config, "ML", record)
+        assert main(args) == 0
+        lines[case] = capsys.readouterr().out
+        assert lines[case] == (
+            f"method=ML theta_hat={est.theta_hat[0]:.17g} "
+            f"iterations={est.diagnostics.iterations}"
+            + (" fallback=True" if case == "fallback" else "") + "\n"
+        )
+    assert 3 <= int(lines["newton"].split("iterations=")[1]) <= ml._NEWTON_EVALS
 
 
 @pytest.mark.parametrize("method", ["PEM_W", "II0", "II1_UNW", "II1_W"])
@@ -106,6 +139,7 @@ def test_estimate_on_a_record_of_another_length(config_file, tmp_path, capsys, m
     line = f"method={method} theta_hat={expected.theta_hat[0]:.17g}"
     if expected.predicted_std is not None:
         line += f" predicted_std={expected.predicted_std:.17g}"
+    line += f" iterations={expected.diagnostics.iterations}"
     assert capsys.readouterr().out == line + "\n"
 
 
