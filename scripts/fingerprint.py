@@ -13,7 +13,11 @@ files mean equal estimates, stds and failures to the last bit:
 
     PYTHONPATH=/path/to/tree_a/src python scripts/fingerprint.py a.json
     PYTHONPATH=/path/to/tree_b/src python scripts/fingerprint.py b.json
-    cmp a.json b.json
+    PYTHONPATH=src python scripts/fingerprint.py --diff a.json b.json
+
+--diff lists every entry that differs, by its key path, with both values,
+and the largest |difference| over the float entries; it exits 0 only when
+the two files hold the same entries.
 
 The gate set, at master seeds 20260809 and 20261017 each:
   table_gaussian, table_uniform  gaussian.cfg and uniform.cfg, 1000 realizations
@@ -33,6 +37,8 @@ about 3.5 s on a 2-core x86-64 VM, against 10 s for the whole set.
 import argparse
 import dataclasses
 import json
+import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -154,13 +160,65 @@ def fingerprint(config, crafted: bool) -> dict:
     return out
 
 
+# a float entry: float.hex, alone or behind encode's "float:" or "float64:"
+FLOAT = re.compile(r"(?:float(?:64)?:)?(-?0x[0-9a-f.]+p[-+]\d+|-?inf|nan)")
+MISSING = "<missing>"
+
+
+def leaves(node, key=""):
+    """(key path, value) of every entry of a fingerprint, the path joined by
+    /; an empty list or object is an entry of its own."""
+    if not isinstance(node, (dict, list)) or not node:
+        yield key, node
+        return
+    for name, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from leaves(child, f"{key}/{name}" if key else str(name))
+
+
+def delta(a, b) -> float | None:
+    """|a - b| of two float entries (inf when one is NaN), else None."""
+    match_a, match_b = (FLOAT.fullmatch(v) if isinstance(v, str) else None for v in (a, b))
+    if match_a is None or match_b is None:
+        return None
+    x, y = float.fromhex(match_a[1]), float.fromhex(match_b[1])
+    return math.inf if math.isnan(x) or math.isnan(y) else abs(x - y)
+
+
+def diff(path_a: Path, path_b: Path) -> int:
+    """Print the entries in which two fingerprints differ; 0 when none does."""
+    a, b = (dict(leaves(json.loads(p.read_text()))) for p in (path_a, path_b))
+    differ, largest = 0, None
+    for key in sorted(a.keys() | b.keys()):
+        value_a, value_b = a.get(key, MISSING), b.get(key, MISSING)
+        if value_a == value_b:
+            continue
+        differ += 1
+        d = delta(value_a, value_b)
+        print(f"{key}: {value_a} -> {value_b}" + ("" if d is None else f"  |d| {d:.3g}"))
+        if d is not None and (largest is None or d > largest[0]):
+            largest = d, key
+    if not differ:
+        print(f"{path_a} and {path_b} are equal ({len(a)} entries)")
+        return 0
+    where = ": none differs" if largest is None else f" {largest[0]:.3g} at {largest[1]}"
+    print(f"{differ} of {len(a.keys() | b.keys())} entries differ; "
+          f"largest |d| over float entries{where}")
+    return 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("out", type=Path, help="JSON file to write")
+    parser.add_argument("out", type=Path, nargs="?", help="JSON file to write")
     parser.add_argument("--small", action="store_true",
                         help=f"one seed, at most {SMALL} realizations per experiment")
+    parser.add_argument("--diff", type=Path, nargs=2, metavar=("A", "B"),
+                        help="compare two fingerprint files instead of writing one")
     args = parser.parse_args(argv)
+    if (args.diff is None) == (args.out is None):
+        parser.error("give either an output file or --diff A B")
+    if args.diff is not None:
+        return diff(*args.diff)
     prints = {name: fingerprint(config, crafted)
               for name, config, crafted in experiments(args.small)}
     args.out.write_text(json.dumps(prints, indent=1, sort_keys=True) + "\n")

@@ -13,11 +13,11 @@ process-noise factor (see `_windows`).  A Gauss-Legendre rule with
 that tells one f from another, by coefficients: the cube and the identity
 bound the window by their inverses, and the cube has its own kernel.
 
-The terms are integrated in blocks of ROW_BLOCK rows with two reused work
-arrays, in about eleven array passes per block (see `_log_terms`), and every
-row is shifted by its peak exponent, so the fast decay of the integrand
-cannot underflow a whole term.  Additive constants of the likelihood that do
-not depend on theta are dropped.
+The terms are integrated in blocks of about ROW_ELEMENTS / quad_order rows
+with two reused work arrays, in about eleven array passes per block (see
+`_log_terms`), and every row is shifted by its peak exponent, so the fast
+decay of the integrand cannot underflow a whole term.  Additive constants
+of the likelihood that do not depend on theta are dropped.
 
 The same nodes give each term's posterior mean and variance of s = v /
 sigma_v, two more columns of the weight product, and from them the exact
@@ -25,13 +25,17 @@ score and observed information in theta (`_nll_derivatives`).  The search
 starts at a consistent first estimate (bench passes the II1_W of the same
 record, the stack of one of the table's II1_W Step 2, from the BLA fit and
 binding function that the methods of the record share) and runs
-safeguarded Newton inside theta_start +- 6 predicted stds (`_newton`):
-3 or 4 likelihood evaluations on the desk records, against the 11 of a
-degree-10 interpolant.  When a safeguard trips, or with sigma_v2 = 0, the
-interpolant search of `numerics.minimize_scalar` runs from the same start:
-11 evaluations, or 72 when its minimum lands on an edge of the window
-inside the bracket, or the start has no finite std (a 61-point scan of the
-whole bracket, then the interpolant on the cell around its minimum).
+safeguarded Newton inside theta_start +- 6 predicted stds (`_newton`).
+Above order COARSE_ORDER, Newton first converges on the order-COARSE_ORDER
+rule, which gives the same argmin to about 1e-14 on the paper's system,
+and then runs on the configured rule from there, where it stops after its
+first evaluation: on the paper's system, 3 or 4 coarse evaluations and 1
+at the configured order, against the 11 of a degree-10 interpolant.  When
+a safeguard trips, or with sigma_v2 = 0, the interpolant search of
+`numerics.minimize_scalar` runs from the same start: 11 evaluations, or 72
+when its minimum lands on an edge of the window inside the bracket, or the
+start has no finite std (a 61-point scan of the whole bracket, then the
+interpolant on the cell around its minimum).
 """
 
 from __future__ import annotations
@@ -59,8 +63,16 @@ DEFAULT_QUAD_ORDER = 1000
 # window edges sit WINDOW_K standard deviations beyond the integrand's peak
 WINDOW_K = 9.0
 
-# likelihood terms integrated per array pass; keeps the work arrays in cache
-ROW_BLOCK = 16
+# rows x nodes of one block of likelihood terms at most: 16 rows at order
+# 1000, so each of the two work arrays (128 KB) stays in cache and below
+# glibc's mmap threshold.  A block is a multiple of ROW_ALIGN rows: BLAS
+# kernels sum a row that falls in a group of rows differently from one in a
+# block's tail, so only aligned blocks give every term the same bits
+ROW_ELEMENTS = 16 * 1000
+ROW_ALIGN = 8
+
+# above this order, Newton first converges on this order's rule
+COARSE_ORDER = 100
 
 # Newton on the likelihood: it stops at a step within _STEP_TOL of
 # max(1, |theta|), and hands over to the seeded search after _NEWTON_EVALS
@@ -203,11 +215,12 @@ def _log_terms(y, a, spec: SystemSpec, settings: MlSettings, moments: bool = Fal
     n = len(y)
     shift, total = np.empty(n), np.empty((n, *weights.shape[1:]))
     # work arrays reused across row blocks: z and then log g, the residual
-    z_buf, r_buf = np.empty((ROW_BLOCK, len(nodes))), np.empty((ROW_BLOCK, len(nodes)))
+    block = max(ROW_ALIGN, ROW_ELEMENTS // len(nodes) // ROW_ALIGN * ROW_ALIGN)
+    z_buf, r_buf = np.empty((block, len(nodes))), np.empty((block, len(nodes)))
     # overflow of f(z) or resid^2 to inf is fine, that node just drops out
     with np.errstate(over="ignore"):
-        for start in range(0, n, ROW_BLOCK):
-            stop = min(start + ROW_BLOCK, n)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
             z, r = z_buf[: stop - start], r_buf[: stop - start]
             np.matmul(z_coef[start:stop], one_x, out=z)
             if cube:
@@ -332,12 +345,15 @@ def ml_estimate(
 
     start, a consistent first estimate with its predicted std (II1_W's),
     starts safeguarded Newton on the likelihood's exact score and
-    information inside the window theta_start +- 6 stds (`_newton`).  When
-    a safeguard trips, the seeded search of `numerics.minimize_scalar` runs
-    from the same start, with fallback set and iterations counting Newton's
-    evaluations too.  With sigma_v2 = 0, or a start without a finite
-    predicted std, minimize_scalar runs alone (the whole bracket is scanned
-    when the start is not usable).
+    information inside the window theta_start +- 6 stds (`_newton`).  Above
+    order COARSE_ORDER, Newton runs on that order's rule first, and then on
+    the configured rule from its argmin (from theta_start when the coarse
+    stage gives up), so the result is stationary at the configured order.
+    When a safeguard trips at the configured order, the seeded search of
+    `numerics.minimize_scalar` runs from the same start, with fallback set.
+    iterations counts the evaluations of every stage.  With sigma_v2 = 0,
+    or a start without a finite predicted std, minimize_scalar runs alone
+    (the whole bracket is scanned when the start is not usable).
     """
     if spec_template.fir.n_free != 1:
         raise ValueError("scalar search supports exactly one free coefficient")
@@ -353,11 +369,22 @@ def ml_estimate(
     spent = 0  # Newton's evaluations, > 0 when the seeded search follows them
     window = _window(seed, *bracket) if usable and spec_template.sigma_v2 > 0 else None
     if window is not None:
-        result, spent = _newton(
-            lambda t: _nll_derivatives(t, data, spec_template, settings),
-            float(seed[0]), window, bracket,
-        )
+
+        def newton(theta, order_settings):
+            return _newton(
+                lambda t: _nll_derivatives(t, data, spec_template, order_settings),
+                theta, window, bracket,
+            )
+
+        theta = float(seed[0])
+        if settings.quad_order > COARSE_ORDER:
+            coarse, spent = newton(theta, replace(settings, quad_order=COARSE_ORDER))
+            if coarse is not None:
+                theta = coarse.argmin
+        result, evals = newton(theta, settings)
+        spent += evals
         if result is not None:
+            result = replace(result, iterations=spent)
             return Estimate(np.array([result.argmin]), diagnostics=result)
     result = minimize_scalar(cost, settings.optimizer, start=seed)
     if spent:

@@ -281,14 +281,16 @@ class ScalarMinResult(Stackable):
     """Outcome of one bracketed search, or of a stack of them (Stackable).
 
     iterations counts the points where a polynomial was valued (poly_argmin)
-    or the cost called (minimize_scalar, and ML's Newton, `ml._newton`);
-    min_value is the polynomial's or interpolant's value at argmin, or for
-    Newton the likelihood's; at_bracket_edge is true when argmin is an end
-    of the bracket, so the true minimum may lie outside it; degenerate is
-    true when the criterion took one value at every point of the first
-    scan; fallback is true when a seeded search handed over: minimize_scalar
-    to its full bracket scan, or ML's Newton to the seeded minimize_scalar,
-    iterations then counting the evaluations of both.
+    or the cost called (minimize_scalar, and ML's Newton, `ml._newton`); for
+    ML it counts the likelihood evaluations of every stage, at the coarse
+    and at the configured quadrature order, and of the fallback; min_value
+    is the polynomial's or interpolant's value at argmin, or for Newton the
+    likelihood's at the configured order; at_bracket_edge is true when
+    argmin is an end of the bracket, so the true minimum may lie outside it;
+    degenerate is true when the criterion took one value at every point of
+    the first scan; fallback is true when a seeded search handed over:
+    minimize_scalar to its full bracket scan, or ML's Newton to the seeded
+    minimize_scalar, iterations then counting the evaluations of both.
     """
 
     argmin: float

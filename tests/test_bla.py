@@ -95,16 +95,19 @@ class TestWeighting:
 
     def test_cov_beta_tracks_monte_carlo_variance(self):
         # 500 repetitions at N = 1e5: the sandwich diagonal should sit within
-        # 15% of the observed variance of the fitted coefficients
-        reps = 500
+        # 15% of the observed variance of the fitted coefficients.  The records
+        # are fitted in stacks of `chunk`, each row bit for bit its record's
+        # own fit (TestStack)
+        reps, chunk = 500, 5
         n = 10**5
         betas = np.empty((reps, 2))
         cov_diags = np.empty((reps, 2))
-        for r in range(reps):
-            _, data = make_data(0.5, 0.2, 0.1, gaussian_white(1 / 3), n, seed=60000 + r)
-            est = estimate_weighting(data, fit_bla(data, lags=(0, 1)))
-            betas[r] = est.beta_hat
-            cov_diags[r] = np.diag(est.cov_beta)
+        for start in range(0, reps, chunk):
+            records = [make_data(0.5, 0.2, 0.1, gaussian_white(1 / 3), n, seed=60000 + r)[1]
+                       for r in range(start, start + chunk)]
+            est = estimate_weighting(records, fit_bla(records, lags=(0, 1)))
+            betas[start:start + chunk] = est.beta_hat
+            cov_diags[start:start + chunk] = np.diagonal(est.cov_beta, axis1=1, axis2=2)
         empirical = betas.var(axis=0, ddof=1)
         predicted = cov_diags.mean(axis=0)
         assert np.all(np.abs(predicted - empirical) <= 0.15 * empirical)

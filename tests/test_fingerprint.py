@@ -1,6 +1,6 @@
 """scripts/fingerprint.py writes every estimate, predicted std and failure of
 its gate set bit for bit, and on the crafted records the single-record path,
-so that two trees compare with cmp."""
+so that two trees compare entry by entry with --diff."""
 
 import importlib.util
 import json
@@ -75,3 +75,57 @@ def check_single_record(script, p) -> None:
             assert fit.startswith("RankDeficiencyError: rank-deficient")
         else:
             assert fit["ridge_applied"] == "bool:False" and fit["cov_beta"]["shape"] == [2, 2]
+
+
+def write(path, prints):
+    path.write_text(json.dumps(prints, indent=1, sort_keys=True) + "\n")
+    return str(path)
+
+
+def test_diff_lists_each_entry_that_differs(script, tmp_path, capsys):
+    cell = {"estimates": {"ML": ["0x1.0000000000000p-1", "nan"], "PEM_W": ["-0x0.0p+0"]},
+            "failures": [[1, "ML", "QuadratureUnderflowError: t = [3]"]],
+            "predicted_stds": {"II1_W": ["0x1.0p-5"]},
+            "single_record": [{"run_method": {"ML": {"diagnostics": {
+                "argmin": "float:0x1.0000000000000p-1", "iterations": "int:4"}}}}]}
+    a = write(tmp_path / "a.json", {"x@1": cell})
+    assert script.main(["--diff", a, a]) == 0
+    assert capsys.readouterr().out == f"{a} and {a} are equal (9 entries)\n"
+    changed = json.loads(json.dumps(cell))
+    changed["estimates"]["ML"] = ["0x1.0000000000001p-1", "0x1.0p+0"]
+    changed["estimates"]["PEM_W"] = ["0x0.0p+0"]
+    diagnostics = changed["single_record"][0]["run_method"]["ML"]["diagnostics"]
+    diagnostics.update(argmin="float:0x1.0000000000003p-1", iterations="int:5")
+    del changed["failures"]
+    b = write(tmp_path / "b.json", {"x@1": changed})
+    assert script.main(["--diff", a, b]) == 1
+    ml = "x@1/single_record/0/run_method/ML/diagnostics"
+    assert capsys.readouterr().out.splitlines() == [
+        "x@1/estimates/ML/0: 0x1.0000000000000p-1 -> 0x1.0000000000001p-1  |d| 1.11e-16",
+        "x@1/estimates/ML/1: nan -> 0x1.0p+0  |d| inf",
+        "x@1/estimates/PEM_W/0: -0x0.0p+0 -> 0x0.0p+0  |d| 0",
+        "x@1/failures/0/0: 1 -> <missing>",
+        "x@1/failures/0/1: ML -> <missing>",
+        "x@1/failures/0/2: QuadratureUnderflowError: t = [3] -> <missing>",
+        f"{ml}/argmin: float:0x1.0000000000000p-1 -> float:0x1.0000000000003p-1  |d| 3.33e-16",
+        f"{ml}/iterations: int:4 -> int:5",
+        "8 of 9 entries differ; largest |d| over float entries inf at x@1/estimates/ML/1",
+    ]
+
+
+def test_diff_without_float_differences(script, tmp_path, capsys):
+    a = write(tmp_path / "a.json", {"x@1": {"failures": [[0, "II0", "E: a"]], "estimates": {}}})
+    b = write(tmp_path / "b.json", {"x@1": {"failures": [[0, "II0", "E: b"]]}})
+    assert script.main(["--diff", a, b]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "x@1/estimates: {} -> <missing>",
+        "x@1/failures/0/2: E: a -> E: b",
+        "2 of 4 entries differ; largest |d| over float entries: none differs",
+    ]
+
+
+@pytest.mark.parametrize("argv", [[], ["out.json", "--diff", "a.json", "b.json"]])
+def test_output_file_or_diff(script, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        script.main(argv)
+    assert exit_info.value.code == 2

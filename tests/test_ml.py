@@ -8,11 +8,13 @@ from scipy.integrate import quad
 
 from wienerid.bench import DESK_ML_QUAD_ORDER, ExperimentConfig, make_record, run_method
 from wienerid.indirect import first_order_estimate
-from wienerid import ml
+from wienerid import ml, numerics
 from wienerid.ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likelihood
 from wienerid.numerics import Estimate, OptimizerSettings, minimize_scalar
 from wienerid.signals import DistributionKind, gaussian_white, gen_white
-from wienerid.system import DataRecord, SystemSpec, cubic, identity, paper_fir, polynomial, simulate
+from wienerid.system import (
+    DataRecord, SystemSpec, cubic, identity, linear_output, paper_fir, polynomial, simulate,
+)
 
 from cost_checks import reference_argmin
 
@@ -345,8 +347,9 @@ class TestNewtonSafeguards:
         est = ml_estimate(data, spec, settings, start=Estimate(np.array([seed[0]]), seed[1]))
         today = self.seeded_search(data, spec, settings, seed)
         assert est.theta_hat[0] == today.argmin
+        # one evaluation each for the coarse and the configured-order Newton
         assert est.diagnostics == dataclasses.replace(
-            today, iterations=today.iterations + 1, fallback=True
+            today, iterations=today.iterations + 2, fallback=True
         )
 
     def test_non_positive_information(self, monkeypatch):
@@ -363,8 +366,9 @@ class TestNewtonSafeguards:
         est = ml_estimate(data, spec, settings, start=Estimate(np.array([seed[0]]), seed[1]))
         today = self.seeded_search(data, spec, settings, seed)
         assert est.theta_hat[0] == today.argmin
+        # one evaluation each for the coarse and the configured-order Newton
         assert est.diagnostics == dataclasses.replace(
-            today, iterations=today.iterations + 1, fallback=True
+            today, iterations=today.iterations + 2, fallback=True
         )
 
     def test_zero_process_noise_keeps_the_seeded_search(self, monkeypatch):
@@ -405,6 +409,117 @@ class TestNewtonSafeguards:
     ], ids=["eval-cap", "halving-cap", "window", "score", "information"])
     def test_gives_up(self, cost, start, evals):
         assert ml._newton(cost, start, OptimizerSettings((-2.0, 2.0)), (-3.0, 3.0)) == (None, evals)
+
+
+def underflow(value):
+    raise QuadratureUnderflowError(0.0, [1])
+
+
+class TestCoarseStage:
+    """Above ml.COARSE_ORDER, ml_estimate runs Newton on the order-COARSE_ORDER
+    rule first and then on the configured rule from its argmin."""
+
+    SEED = (0.45, 0.05)
+
+    @staticmethod
+    def counting(monkeypatch, coarse=None):
+        """Patch ml._nll_derivatives to record each evaluation's order; an
+        order-COARSE_ORDER evaluation returns coarse(its exact value)."""
+        exact, orders = ml._nll_derivatives, []
+
+        def derivatives(theta, data, spec, settings):
+            orders.append(settings.quad_order)
+            if coarse is not None and settings.quad_order == ml.COARSE_ORDER:
+                return coarse(exact(theta, data, spec, settings))
+            return exact(theta, data, spec, settings)
+
+        monkeypatch.setattr(ml, "_nll_derivatives", derivatives)
+        return orders
+
+    def start(self):
+        return Estimate(np.array([self.SEED[0]]), self.SEED[1])
+
+    def configured_newton(self, data, spec, settings):
+        """_newton at the configured order alone, from SEED."""
+        bracket = settings.optimizer.bracket
+        return ml._newton(
+            lambda t: ml._nll_derivatives(t, data, spec, settings),
+            self.SEED[0], numerics._window(self.SEED, *bracket), bracket,
+        )
+
+    @pytest.mark.parametrize("order", [40, ml.COARSE_ORDER])
+    def test_single_stage_at_or_below_the_coarse_order(self, order, monkeypatch):
+        spec, data = make_data(0.2, 0.1, 300, 42)
+        settings = MlSettings(quad_order=order)
+        today, evals = self.configured_newton(data, spec, settings)
+        orders = self.counting(monkeypatch)
+        est = ml_estimate(data, spec, settings, start=self.start())
+        assert est.theta_hat[0] == today.argmin and est.diagnostics == today
+        assert orders == [order] * evals
+
+    @pytest.mark.parametrize("coarse", [
+        underflow,
+        lambda value: (value[0], value[1], -value[2]),
+    ], ids=["underflow", "information"])
+    def test_coarse_stage_that_gives_up(self, coarse, monkeypatch):
+        # the configured-order Newton then runs from the seed itself
+        spec, data = make_data(0.2, 0.1, 300, 42)
+        settings = MlSettings(quad_order=200)
+        today, evals = self.configured_newton(data, spec, settings)
+        orders = self.counting(monkeypatch, coarse=coarse)
+        est = ml_estimate(data, spec, settings, start=self.start())
+        assert today is not None and not est.diagnostics.fallback
+        assert est.theta_hat[0] == today.argmin
+        assert est.diagnostics == dataclasses.replace(today, iterations=evals + 1)
+        assert orders == [ml.COARSE_ORDER] + [200] * evals
+
+    @pytest.mark.parametrize("master_seed", [20260809, 20261017])
+    def test_order_1000_estimate_is_stationary(self, master_seed, monkeypatch):
+        # the Richardson test of test_newton_estimate_is_stationary at the
+        # configured order, which the coarse stage leaves one evaluation
+        config = dataclasses.replace(
+            TestSeededSearch.config(realizations=2, master_seed=master_seed), desk_scale=False)
+        settings = MlSettings(quad_order=config.ml_quad_order)
+        assert settings.quad_order == 1000
+        orders = self.counting(monkeypatch)
+        for r in range(config.realizations):
+            orders.clear()
+            record = make_record(config, r)
+            est = run_method(config, "ML", record, r)
+            assert not est.diagnostics.fallback
+            assert orders[-1] == 1000 and orders.count(1000) == 1
+            assert est.diagnostics.iterations == len(orders)
+
+            def cost(theta):
+                return neg_log_likelihood(theta, record, config.template(), settings)
+
+            first, second = richardson_derivatives(cost, est.theta_hat[0])
+            assert abs(first / second) <= 3e-12, f"realization {r}"
+
+
+class TestRowBlocks:
+    """The likelihood terms, and their posterior moments, do not depend on
+    how many rows ml._log_terms integrates per block."""
+
+    @pytest.mark.parametrize("order", [40, 100, 200, 1000])
+    @pytest.mark.parametrize("nl", [cubic(), identity(), polynomial([0.0, 1.0, 0.0, 0.5])],
+                             ids=["cube", "identity", "polynomial"])
+    def test_blocks_never_change_a_bit(self, nl, order, monkeypatch):
+        spec, data = make_data(0.2, 0.1, 300, 41, nl=nl)
+        a = linear_output(spec.fir, [0.5], data.u)[-data.n_obs:]
+        settings = MlSettings(quad_order=order)
+        default = (ml._log_terms(data.y, a, spec, settings),
+                   ml._log_terms(data.y, a, spec, settings, moments=True))
+        # blocks of 1 and 7 rows round up to ROW_ALIGN, and 304 rows take
+        # the whole record (N = 300) in one block
+        for rows in (1, 7, 16, 160, 304):
+            monkeypatch.setattr(ml, "ROW_ELEMENTS", rows * order)
+            plain = ml._log_terms(data.y, a, spec, settings)
+            moments = ml._log_terms(data.y, a, spec, settings, moments=True)
+            assert np.all(np.isfinite(plain))
+            assert np.array_equal(plain, default[0]), f"{rows} rows"
+            for got, want in zip(moments, default[1], strict=True):
+                assert np.array_equal(got, want), f"{rows} rows"
 
 
 class TestMlSettings:
