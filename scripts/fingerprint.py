@@ -26,6 +26,7 @@ The gate set, at master seeds 20260809 and 20261017 each:
   no_input                       all five methods with sigma_u2 = 0, 10 realizations
   theta_4                        all five methods at theta_o = 4, outside the
                                  bracket, 10 realizations
+  zero_process_noise             all five methods with sigma_v2 = 0, 10 realizations
   crafted, crafted_s3            all five methods on 10 records, y = 1e200 at one
                                  sample of records 3 and 8 and u = 0 on record 9,
                                  without and with s_count = 3
@@ -71,6 +72,7 @@ def experiments(small: bool):
             ("ml_desk", ml_desk, 20, {}, False),
             ("no_input", table["gaussian"], 10, {"sigma_u2": 0.0, **every}, False),
             ("theta_4", table["gaussian"], 10, {"theta_o": 4.0, **every}, False),
+            ("zero_process_noise", table["gaussian"], 10, {"sigma_v2": 0.0, **every}, False),
             ("crafted", table["gaussian"], 10, every, True),
             ("crafted_s3", table["gaussian"], 10, {"s_count": 3, **every}, True),
         ]

@@ -38,7 +38,6 @@ from .numerics import (
     ScalarMinResult,
     gauss_hermite,
     least_squares,
-    minimize_scalar,
     poly_argmin,
 )
 from .bla import BlaEstimate, estimate_weighting, fit_bla

@@ -21,21 +21,18 @@ of the likelihood that do not depend on theta are dropped.
 
 The same nodes give each term's posterior mean and variance of s = v /
 sigma_v, two more columns of the weight product, and from them the exact
-score and observed information in theta (`_nll_derivatives`).  The search
-starts at a consistent first estimate (bench passes the II1_W of the same
-record, the stack of one of the table's II1_W Step 2, from the BLA fit and
-binding function that the methods of the record share) and runs
-safeguarded Newton inside theta_start +- 6 predicted stds (`_newton`).
-Above order COARSE_ORDER, Newton first converges on the order-COARSE_ORDER
+score and observed information in theta (`_nll_derivatives`).  ML has one
+search, safeguarded Newton (`_newton`).  It starts at a consistent first
+estimate (bench passes the II1_W of the same record, from the BLA fit and
+binding function that the methods of the record share) in theta_start +- 6
+predicted stds or, without one or when Newton gives up there, at the
+smallest of 61 likelihood values on the bracket, in the grid cell around
+it.  Above order COARSE_ORDER, Newton first converges on that order's
 rule, which gives the same argmin to about 1e-14 on the paper's system,
-and then runs on the configured rule from there, where it stops after its
-first evaluation: on the paper's system, 3 or 4 coarse evaluations and 1
-at the configured order, against the 11 of a degree-10 interpolant.  When
-a safeguard trips, or with sigma_v2 = 0, the interpolant search of
-`numerics.minimize_scalar` runs from the same start: 11 evaluations, or 72
-when its minimum lands on an edge of the window inside the bracket, or the
-start has no finite std (a 61-point scan of the whole bracket, then the
-interpolant on the cell around its minimum).
+and then on the configured rule, where it stops at its first evaluation:
+on the paper's system, 3 or 4 coarse evaluations and 1 configured from the
+first start, 61 plus 4 or 5 from the second.  With sigma_v2 = 0, ML is the
+unweighted PEM.
 """
 
 from __future__ import annotations
@@ -47,15 +44,15 @@ import numpy as np
 
 from .numerics import (
     Estimate,
+    NumericsError,
     OptimizerSettings,
     ScalarMinResult,
     check_quad_order,
     gauss_legendre,
-    minimize_scalar,
     _FLAT,
     _roots,
-    _window,
 )
+from .pem import pem_estimate
 from .system import DataRecord, SystemSpec, cubic, identity, linear_output
 
 DEFAULT_QUAD_ORDER = 1000
@@ -74,9 +71,14 @@ ROW_ALIGN = 8
 # above this order, Newton first converges on this order's rule
 COARSE_ORDER = 100
 
+# Newton runs inside theta_start +- LOCAL_HALF_WIDTH predicted stds, or in
+# the cell around the smallest of GRID_POINTS likelihood values on the bracket
+LOCAL_HALF_WIDTH = 6.0
+GRID_POINTS = 61
+
 # Newton on the likelihood: it stops at a step within _STEP_TOL of
-# max(1, |theta|), and hands over to the seeded search after _NEWTON_EVALS
-# evaluations or _HALVINGS halvings of one step
+# max(1, |theta|), and gives up after _NEWTON_EVALS evaluations or
+# _HALVINGS halvings of one step
 _STEP_TOL = 1e-12
 _NEWTON_EVALS = 8
 _HALVINGS = 3
@@ -255,6 +257,7 @@ def _log_terms(y, a, spec: SystemSpec, settings: MlSettings, moments: bool = Fal
 def _terms(theta, data: DataRecord, spec: SystemSpec, settings: MlSettings, moments=False):
     """`_log_terms` of the record at theta; a term that is not finite raises
     QuadratureUnderflowError with its 1-based time index."""
+    # every term divides by sigma_e2, with sigma_v2 = 0 too
     if spec.sigma_e2 <= 0:
         raise ValueError("sigma_e2 must be positive for the likelihood")
     theta = float(theta)
@@ -280,7 +283,11 @@ def neg_log_likelihood(
     With sigma_v2 = 0 each term is -(y - f(a))^2 / (2 sigma_e^2) exactly.
     A term that is not finite (every node underflowed, a squared residual
     overflowed, or non-finite data) raises QuadratureUnderflowError with its
-    1-based time index; a theta that is not finite raises ValueError.
+    1-based time index; a theta that is not finite raises ValueError.  Its
+    terms are summed with the (nodes,) weight vector, while ml_estimate's
+    Newton sums them with the (nodes, 3) weight matrix, so a non-degenerate
+    ML min_value agrees with this value at argmin to rounding, not bit for
+    bit.
     """
     return -float(np.sum(_terms(theta, data, spec_template, settings)))
 
@@ -299,23 +306,25 @@ def _nll_derivatives(theta, data: DataRecord, spec: SystemSpec, settings: MlSett
     return -float(np.sum(terms)), score, information
 
 
-def _newton(derivatives, theta: float, window: OptimizerSettings, bracket):
-    """Safeguarded Newton from theta on the window, derivatives(theta) giving
-    (cost, score, information).  It stops at the first point whose step is
-    within _STEP_TOL relative to max(1, |theta|) and returns that point.  A
+def _newton(derivatives, theta: float, window, bracket):
+    """Safeguarded Newton from theta on the window (lo, hi), derivatives(theta)
+    giving (cost, score, information).  It stops at the first point whose step
+    is within _STEP_TOL relative to max(1, |theta|), or that is an end of
+    `bracket` with its step pointing out of it, and returns that point.  A
     step must have positive information and a finite score behind it and
     land in the window; it is halved while the cost rises by more than 16
     ulps, its rounding, at most _HALVINGS times.  Returns (result,
     evaluations); result is None when a safeguard trips, after _NEWTON_EVALS
     evaluations, or when an evaluation raises QuadratureUnderflowError.
     at_bracket_edge refers to `bracket`."""
-    lo, hi = window.bracket
+    lo, hi = window
     evals = 1
     try:
         cost, score, information = derivatives(theta)
         while information > 0 and math.isfinite(score):
             step = -score / information
-            if abs(step) <= _STEP_TOL * max(1.0, abs(theta)):
+            outward = (theta == bracket[0] and step < 0) or (theta == bracket[1] and step > 0)
+            if outward or abs(step) <= _STEP_TOL * max(1.0, abs(theta)):
                 result = ScalarMinResult(theta, cost, evals, at_bracket_edge=theta in bracket)
                 return result, evals
             for _ in range(_HALVINGS + 1):
@@ -335,58 +344,79 @@ def _newton(derivatives, theta: float, window: OptimizerSettings, bracket):
     return None, evals
 
 
+def _window(start: Estimate | None, lo: float, hi: float):
+    """(lo, hi) of theta_start +- LOCAL_HALF_WIDTH predicted stds, clipped to
+    the bracket; None when that is empty or the start is not usable."""
+    if start is None or start.predicted_std is None:
+        return None
+    center, scale = float(start.theta_hat[0]), float(start.predicted_std)
+    if not (0.0 < scale < math.inf and lo <= center <= hi):  # the bracket is finite
+        return None
+    reach = LOCAL_HALF_WIDTH * scale
+    w_lo, w_hi = max(lo, center - reach), min(hi, center + reach)
+    return (w_lo, w_hi) if w_lo < w_hi else None
+
+
 def ml_estimate(
     data: DataRecord,
     spec_template: SystemSpec,
     settings: MlSettings = MlSettings(),
     start: Estimate | None = None,
 ) -> Estimate:
-    """Minimize the negative log-likelihood over the optimizer bracket.
+    """Minimize the negative log-likelihood over the optimizer bracket by
+    safeguarded Newton on its exact score and information (`_newton`).
 
-    start, a consistent first estimate with its predicted std (II1_W's),
-    starts safeguarded Newton on the likelihood's exact score and
-    information inside the window theta_start +- 6 stds (`_newton`).  Above
-    order COARSE_ORDER, Newton runs on that order's rule first, and then on
-    the configured rule from its argmin (from theta_start when the coarse
-    stage gives up), so the result is stationary at the configured order.
-    When a safeguard trips at the configured order, the seeded search of
-    `numerics.minimize_scalar` runs from the same start, with fallback set.
-    iterations counts the evaluations of every stage.  With sigma_v2 = 0,
-    or a start without a finite predicted std, minimize_scalar runs alone
-    (the whole bracket is scanned when the start is not usable).
+    Newton starts at start, a consistent first estimate with its predicted
+    std (II1_W's), inside the window theta_start +- LOCAL_HALF_WIDTH stds.
+    Without a usable start (`_window`), or when Newton gives up there, it
+    starts at the smallest of GRID_POINTS likelihood values on the bracket
+    (exact ties: the smallest |theta|) inside the grid cell around it, with
+    fallback set when the seeded Newton came first; NumericsError names the
+    cell when Newton gives up in it.  Values equal at every grid point are
+    degenerate, argmin the grid point nearest 0.  Above order COARSE_ORDER
+    each Newton runs on that order's rule first, then on the configured
+    rule from its argmin (from its own start when the coarse stage gives
+    up).  iterations counts the evaluations of every stage.  With sigma_v2
+    = 0 the likelihood is sum (y - f(a))^2 / (2 sigma_e^2), and ML is the
+    unweighted PEM: one poly_argmin on its Gram polynomial.
     """
     if spec_template.fir.n_free != 1:
         raise ValueError("scalar search supports exactly one free coefficient")
-
-    def cost(thetas):
-        # one likelihood per point: a (G, N, nodes) batch would only
-        # multiply the memory, the work per point is the same
-        return [neg_log_likelihood(t, data, spec_template, settings) for t in thetas]
-
-    usable = start is not None and start.predicted_std is not None
-    seed = (start.theta_hat[0], start.predicted_std) if usable else None
+    if spec_template.sigma_v2 == 0.0:
+        if spec_template.sigma_e2 <= 0:
+            raise ValueError("sigma_e2 must be positive for the likelihood")
+        return pem_estimate(data, spec_template, weighted=False, settings=settings.optimizer)
     bracket = settings.optimizer.bracket
-    spent = 0  # Newton's evaluations, > 0 when the seeded search follows them
-    window = _window(seed, *bracket) if usable and spec_template.sigma_v2 > 0 else None
-    if window is not None:
 
-        def newton(theta, order_settings):
-            return _newton(
-                lambda t: _nll_derivatives(t, data, spec_template, order_settings),
-                theta, window, bracket,
-            )
+    def newton(theta, window, spent):
+        """Both Newton stages from theta on the window: (result or None,
+        spent plus their evaluations)."""
+        # the order-COARSE_ORDER stage first, when the configured order is above it
+        for order in sorted({min(COARSE_ORDER, settings.quad_order), settings.quad_order}):
+            stage = replace(settings, quad_order=order)
+            result, evals = _newton(lambda t: _nll_derivatives(t, data, spec_template, stage),
+                                    theta, window, bracket)
+            spent += evals
+            theta = theta if result is None else result.argmin
+        return None if result is None else replace(result, iterations=spent), spent
 
-        theta = float(seed[0])
-        if settings.quad_order > COARSE_ORDER:
-            coarse, spent = newton(theta, replace(settings, quad_order=COARSE_ORDER))
-            if coarse is not None:
-                theta = coarse.argmin
-        result, evals = newton(theta, settings)
-        spent += evals
+    spent = 0  # the seeded Newton's evaluations, > 0 when the scan follows them
+    if (window := _window(start, *bracket)) is not None:
+        result, spent = newton(float(start.theta_hat[0]), window, 0)
         if result is not None:
-            result = replace(result, iterations=spent)
             return Estimate(np.array([result.argmin]), diagnostics=result)
-    result = minimize_scalar(cost, settings.optimizer, start=seed)
-    if spent:
-        result = replace(result, iterations=spent + result.iterations, fallback=True)
-    return Estimate(np.array([result.argmin]), diagnostics=result)
+    xs = np.linspace(*bracket, GRID_POINTS)
+    # one likelihood per point: a (G, N, nodes) batch would only multiply
+    # the memory, the work per point is the same
+    vals = np.array([neg_log_likelihood(x, data, spec_template, settings) for x in xs])
+    i = int(np.lexsort((np.abs(xs), vals))[0])
+    x, fallback = float(xs[i]), spent > 0
+    if vals.max() == vals[i]:
+        result = ScalarMinResult(x, float(vals[i]), spent + len(xs), degenerate=True,
+                                 at_bracket_edge=x in bracket, fallback=fallback)
+        return Estimate(np.array([x]), diagnostics=result)
+    cell = (float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)]))
+    result, spent = newton(x, cell, spent + len(xs))
+    if result is None:
+        raise NumericsError(f"ML's Newton gave up in the scan cell [{cell[0]}, {cell[1]}]")
+    return Estimate(np.array([result.argmin]), diagnostics=replace(result, fallback=fallback))

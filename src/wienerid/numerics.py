@@ -1,39 +1,28 @@
-"""Shared numeric kernels: Gauss-Hermite and Gauss-Legendre quadrature, scalar
-minimization, linear least squares, the Estimate record every estimator
-returns, and RowErrors, the one per-row failure rule of every stacked kernel,
-with Stackable, the one row-or-stack form of every result.
+"""Shared numeric kernels: Gauss-Hermite and Gauss-Legendre quadrature, exact
+polynomial minimization, linear least squares, the Estimate record every
+estimator returns, and RowErrors, the one per-row failure rule of every
+stacked kernel, with Stackable, the one row-or-stack form of every result.
 
 A polynomial criterion is its power coefficients in theta, minimized exactly
 at the bracket ends and the roots of its derivative (`poly_argmin`, for one
-criterion or each row of a stack of them in one call); a smooth
-one (`minimize_scalar`) goes there as its interpolant on a window around a
-start or on the cell of a grid scan.  The module needs numpy alone: the
-quadrature nodes come from Newton passes on the orthonormal recurrence, from
-asymptotic nodes for Legendre (O(n^2) time, O(n) memory) and the eigenvalues
-of a dense Jacobi matrix for Hermite; the rules are cached per order."""
+criterion or each row of a stack of them in one call); the likelihood, the
+one criterion that is not a polynomial, has its own search in `ml`.  The
+module needs numpy alone: the quadrature nodes come from Newton passes on
+the orthonormal recurrence, from asymptotic nodes for Legendre (O(n^2) time,
+O(n) memory) and the eigenvalues of a dense Jacobi matrix for Hermite; the
+rules are cached per order."""
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 SQRT_PI = math.sqrt(math.pi)
 
 MAX_QUAD_ORDER = 2000
-
-# minimize_scalar interpolates a smooth cost at this degree, on
-# start +- LOCAL_HALF_WIDTH scales or on the cell of its fallback grid
-SEARCH_DEGREE = 10
-LOCAL_HALF_WIDTH = 6.0
-FALLBACK_GRID_POINTS = 61
-
-# the SEARCH_DEGREE + 1 Chebyshev points of [-1, 1], increasing, and the inverse
-# of their power Vandermonde matrix (condition 3.6e3): values to coefficients
-_CHEB_T = -np.cos(np.pi * (np.arange(SEARCH_DEGREE + 1) + 0.5) / (SEARCH_DEGREE + 1))
-_TO_POWERS = np.linalg.inv(np.vander(_CHEB_T, increasing=True))
 
 _EPS = np.finfo(float).eps
 # values that agree to this many eps of their largest magnitude are flat
@@ -281,16 +270,17 @@ class ScalarMinResult(Stackable):
     """Outcome of one bracketed search, or of a stack of them (Stackable).
 
     iterations counts the points where a polynomial was valued (poly_argmin)
-    or the cost called (minimize_scalar, and ML's Newton, `ml._newton`); for
-    ML it counts the likelihood evaluations of every stage, at the coarse
-    and at the configured quadrature order, and of the fallback; min_value
-    is the polynomial's or interpolant's value at argmin, or for Newton the
-    likelihood's at the configured order; at_bracket_edge is true when
+    or, for ML (`ml.ml_estimate`), the likelihood evaluations of every
+    stage: the bracket scan and Newton's at the coarse and the configured
+    quadrature order; min_value is the polynomial's value at argmin, or
+    for ML the likelihood's at the configured order from Newton's last
+    evaluation, with its (nodes, 3) weight product, on every path but a
+    degenerate scan's (the plain likelihood's value) and sigma_v2 = 0 (the
+    unweighted PEM's mean squared error); at_bracket_edge is true when
     argmin is an end of the bracket, so the true minimum may lie outside it;
-    degenerate is true when the criterion took one value at every point of
-    the first scan; fallback is true when a seeded search handed over:
-    minimize_scalar to its full bracket scan, or ML's Newton to the seeded
-    minimize_scalar, iterations then counting the evaluations of both.
+    degenerate is true when the criterion took one value at every point
+    valued; fallback is true when ML's seeded Newton gave up and the
+    bracket scan followed, iterations counting the evaluations of both.
     """
 
     argmin: float
@@ -322,25 +312,6 @@ class Estimate(Stackable):
     def __post_init__(self):
         # a row's theta_hat comes out of row() a Python float
         object.__setattr__(self, "theta_hat", np.atleast_1d(self.theta_hat))
-
-
-def _checked_values(xs: np.ndarray, vals) -> np.ndarray:
-    """vals, a criterion's values at xs, as a float array shaped like xs; the
-    first non-finite one in the order of xs raises CostEvaluationError with
-    its point."""
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), xs.shape)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise CostEvaluationError(float(xs[bad[0]]), float(vals[bad[0]]))
-    return vals
-
-
-def _flat(vals: np.ndarray, bracket, n: int) -> ScalarMinResult | None:
-    """The degenerate result of n values that agree to 16 ulps, else None."""
-    if vals.max() - vals.min() > _FLAT * np.abs(vals).max():
-        return None
-    x = min(max(0.0, bracket[0]), bracket[1])  # the bracket point nearest 0
-    return ScalarMinResult(x, float(vals.min()), n, degenerate=True, at_bracket_edge=x in bracket)
 
 
 @functools.lru_cache(maxsize=32)
@@ -471,77 +442,6 @@ def gram_coeffs(Q) -> np.ndarray:
     for i in range(n):
         out[..., i : i + n] += Q[..., i, :]
     return out
-
-
-def _window(start, lo: float, hi: float) -> OptimizerSettings | None:
-    """The seeded search's bracket center +- LOCAL_HALF_WIDTH * scale, clipped
-    to [lo, hi]; None when the start is not usable or the window is empty."""
-    center, scale = (float(v) for v in start)
-    if not (0.0 < scale < math.inf and lo <= center <= hi):  # the bracket is finite
-        return None
-    reach = LOCAL_HALF_WIDTH * scale
-    w_lo, w_hi = max(lo, center - reach), min(hi, center + reach)
-    return OptimizerSettings((w_lo, w_hi)) if w_lo < w_hi else None
-
-
-def _interpolant_argmin(cost, window: OptimizerSettings, bracket) -> ScalarMinResult:
-    """Minimize a smooth cost on the window by one cost call at its
-    SEARCH_DEGREE + 1 Chebyshev points: values that agree to 16 ulps are
-    degenerate; otherwise poly_argmin takes the interpolant in t = (2 theta
-    - lo - hi) / (hi - lo) on [-1, 1], t = -1, 1 mapping exactly to the
-    window's ends.  at_bracket_edge refers to `bracket`."""
-    lo, hi = window.bracket
-    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_T
-    vals = _checked_values(nodes, cost(nodes))
-    if (flat := _flat(vals, window.bracket, len(nodes))) is not None:
-        return replace(flat, at_bracket_edge=flat.argmin in bracket)
-    res = poly_argmin(_TO_POWERS @ vals, OptimizerSettings((-1.0, 1.0)))
-    x = float(np.interp(res.argmin, (-1.0, 1.0), (lo, hi)))
-    return ScalarMinResult(x, res.min_value, len(nodes), at_bracket_edge=x in bracket)
-
-
-def minimize_scalar(
-    cost, settings: OptimizerSettings = OptimizerSettings(), start=None
-) -> ScalarMinResult:
-    """Minimize a smooth scalar cost on a bracket through its interpolant at
-    SEARCH_DEGREE on a subinterval (`_interpolant_argmin`): the cost is taken
-    to be analytic in theta, so that interpolant converges geometrically.
-    The cost broadcasts over theta (a 1-D array gives an array of its shape).
-
-    start = (center, scale), a consistent first estimate and its standard
-    deviation, makes the subinterval center +- LOCAL_HALF_WIDTH * scale,
-    clipped to the bracket: SEARCH_DEGREE + 1 evaluations in one call.  The
-    fallback runs after it (fallback=True, iterations counting both) when
-    that minimum lies on a window edge that is not a bracket end, or when the
-    cost is flat on the window; an unusable start (a non-finite value,
-    scale <= 0, a center outside the bracket, or an empty window) is ignored.
-    The fallback scans FALLBACK_GRID_POINTS points of the bracket in one
-    call: a cost equal at all of them is degenerate, its argmin the grid
-    point nearest 0; otherwise the interpolant covers the grid cell around
-    the grid minimum (exact ties: the smallest magnitude).  Non-finite cost
-    values raise CostEvaluationError with the offending point, the first one
-    in bracket order on the grid.  at_bracket_edge: an end of the bracket.
-    """
-    lo, hi = settings.bracket
-    window = None if start is None else _window(start, lo, hi)
-    spent = 0  # the window's evaluations: > 0 when the fallback follows one
-    if window is not None:
-        result = _interpolant_argmin(cost, window, settings.bracket)
-        inner_edge = result.argmin in window.bracket and not result.at_bracket_edge
-        if not (result.degenerate or inner_edge):
-            return result
-        spent = result.iterations
-    xs = np.linspace(lo, hi, FALLBACK_GRID_POINTS)
-    vals = _checked_values(xs, cost(xs))
-    i = int(np.lexsort((np.abs(xs), vals))[0])
-    if vals.max() == vals[i]:
-        return ScalarMinResult(
-            float(xs[i]), float(vals[i]), spent + len(xs), degenerate=True, fallback=bool(spent)
-        )
-    cell = OptimizerSettings((float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])))
-    result = _interpolant_argmin(cost, cell, settings.bracket)
-    iterations = spent + len(xs) + result.iterations
-    return replace(result, iterations=iterations, degenerate=False, fallback=bool(spent))
 
 
 def least_squares(regressors: np.ndarray, targets: np.ndarray):

@@ -84,8 +84,8 @@ def test_estimate_prints_the_search_flags_only_when_set(config_file, tmp_path, c
 
 
 def test_estimate_prints_ml_evaluations_and_fallback(config_file, tmp_path, capsys, monkeypatch):
-    # ML's line tells Newton (3 to 8 evaluations, no flag) from the seeded
-    # search it hands over to (fallback=True, Newton's evaluations added)
+    # ML's line tells Newton (3 to 8 evaluations, no flag) from the bracket
+    # scan it hands over to (fallback=True, Newton's evaluations added)
     main(["simulate", "--config", str(config_file), "--out", str(tmp_path)])
     args = [
         "estimate", "--config", str(config_file), "--data", str(tmp_path / "data.csv"),
@@ -95,13 +95,20 @@ def test_estimate_prints_ml_evaluations_and_fallback(config_file, tmp_path, caps
     config = dataclasses.replace(bench.load_config(config_file), desk_scale=True)
     record = DataRecord.from_csv(tmp_path / "data.csv")
     lines = {}
+    exact, calls = ml._nll_derivatives, []
+
+    def seeded_newton_gives_up(*a):
+        # a negative information at the first call of each Newton stage, so
+        # the seeded Newton gives up and the scan's Newton recovers
+        calls.append(a)
+        value = exact(*a)
+        return (*value[:2], -1.0) if len(calls) <= 2 else value
+
     for case in ("newton", "fallback"):
-        if case == "fallback":  # an information that is never positive
-            exact = ml._nll_derivatives
-            monkeypatch.setattr(
-                ml, "_nll_derivatives", lambda *a: (*exact(*a)[:2], -1.0)
-            )
+        if case == "fallback":
+            monkeypatch.setattr(ml, "_nll_derivatives", seeded_newton_gives_up)
         est = bench.run_method(config, "ML", record)
+        calls.clear()
         assert main(args) == 0
         lines[case] = capsys.readouterr().out
         assert lines[case] == (

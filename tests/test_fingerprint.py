@@ -27,7 +27,7 @@ def test_small_gate_set(script, tmp_path, capsys):
     assert bench.make_record is script.real_make_record
     prints = json.loads(out.read_text())
     assert list(prints) == sorted(name for name, _, _ in script.experiments(small=True))
-    assert capsys.readouterr().out == f"8 experiments, 50 failure records -> {out}\n"
+    assert capsys.readouterr().out == f"9 experiments, 50 failure records -> {out}\n"
     # the huge outputs fail every method, and u = 0 the three indirect ones
     crafted = prints["crafted@20260809"]
     assert {(r, m) for r, m, _ in crafted["failures"]} == {

@@ -8,9 +8,10 @@ from scipy.integrate import quad
 
 from wienerid.bench import DESK_ML_QUAD_ORDER, ExperimentConfig, make_record, run_method
 from wienerid.indirect import first_order_estimate
-from wienerid import ml, numerics
+from wienerid import ml
 from wienerid.ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likelihood
-from wienerid.numerics import Estimate, OptimizerSettings, minimize_scalar
+from wienerid.numerics import Estimate, NumericsError
+from wienerid.pem import pem_estimate
 from wienerid.signals import DistributionKind, gaussian_white, gen_white
 from wienerid.system import (
     DataRecord, SystemSpec, cubic, identity, linear_output, paper_fir, polynomial, simulate,
@@ -325,16 +326,9 @@ class TestExactDerivatives:
 
 
 class TestNewtonSafeguards:
-    """ml_estimate hands over to today's seeded search when Newton cannot
-    go on: the result is minimize_scalar's from the same start, with
-    fallback set and Newton's evaluations added."""
-
-    @staticmethod
-    def seeded_search(data, spec, settings, seed):
-        def cost(thetas):
-            return [neg_log_likelihood(t, data, spec, settings) for t in thetas]
-
-        return minimize_scalar(cost, settings.optimizer, start=seed)
+    """ml_estimate hands over to the bracket scan when the seeded Newton
+    cannot go on: the result is the scan path's, with fallback set and the
+    seeded Newton's evaluations added."""
 
     def test_window_without_the_minimum(self):
         spec, data = make_data(0.2, 0.1, 300, 42)
@@ -343,18 +337,19 @@ class TestNewtonSafeguards:
         assert not newton.diagnostics.fallback
         # +- 6 stds of 0.01 around 1.5 excludes the minimum near 0.5: the
         # first Newton step leaves the window
-        seed = (newton.theta_hat[0] + 1.0, 0.01)
-        est = ml_estimate(data, spec, settings, start=Estimate(np.array([seed[0]]), seed[1]))
-        today = self.seeded_search(data, spec, settings, seed)
-        assert est.theta_hat[0] == today.argmin
+        seed = newton.theta_hat[0] + 1.0
+        est = ml_estimate(data, spec, settings, start=Estimate(np.array([seed]), 0.01))
+        scan = ml_estimate(data, spec, settings)
+        assert est.theta_hat[0] == scan.theta_hat[0]
+        assert abs(est.theta_hat[0] - newton.theta_hat[0]) <= 1e-11
         # one evaluation each for the coarse and the configured-order Newton
         assert est.diagnostics == dataclasses.replace(
-            today, iterations=today.iterations + 2, fallback=True
+            scan.diagnostics, iterations=scan.diagnostics.iterations + 2, fallback=True
         )
 
     def test_non_positive_information(self, monkeypatch):
+        # Newton gives up from the seed and again in the scan's cell
         spec, data = make_data(0.2, 0.1, 300, 42)
-        settings = MlSettings(quad_order=200)
         exact = ml._nll_derivatives
 
         def concave(theta, *args):
@@ -362,24 +357,23 @@ class TestNewtonSafeguards:
             return value, score, -information
 
         monkeypatch.setattr(ml, "_nll_derivatives", concave)
-        seed = (0.45, 0.05)
-        est = ml_estimate(data, spec, settings, start=Estimate(np.array([seed[0]]), seed[1]))
-        today = self.seeded_search(data, spec, settings, seed)
-        assert est.theta_hat[0] == today.argmin
-        # one evaluation each for the coarse and the configured-order Newton
-        assert est.diagnostics == dataclasses.replace(
-            today, iterations=today.iterations + 2, fallback=True
-        )
+        with pytest.raises(NumericsError, match="scan cell"):
+            ml_estimate(data, spec, MlSettings(quad_order=200), start=Estimate(np.array([0.45]), 0.05))
 
-    def test_zero_process_noise_keeps_the_seeded_search(self, monkeypatch):
-        spec, data = make_data(0.2, 0.1, 300, 21)
-        spec.sigma_v2 = 0.0
-        settings = MlSettings(quad_order=200)
-        monkeypatch.setattr(ml, "_nll_derivatives", None)  # never called
-        seed = (0.45, 0.05)
-        est = ml_estimate(data, spec, settings, start=Estimate(np.array([seed[0]]), seed[1]))
-        today = self.seeded_search(data, spec, settings, seed)
-        assert est.theta_hat[0] == today.argmin and est.diagnostics == today
+    def test_window_clipped_at_the_bracket(self):
+        start = Estimate(np.array([2.9]), 0.05)
+        assert ml._window(start, -3.0, 3.0) == pytest.approx((2.6, 3.0), abs=1e-15)
+        assert ml._window(start, -3.0, 3.0)[1] == 3.0
+        assert ml._window(Estimate(np.array([-2.9]), 0.05), -3.0, 3.0)[0] == -3.0
+
+    def test_stops_at_a_bracket_end_whose_step_points_out(self):
+        # (t - 5)^2 from t = 3 on the bracket [-3, 3]: the step +2 leaves it
+        result, evals = ml._newton(
+            lambda t: ((t - 5.0) ** 2, 2 * (t - 5.0), 2.0), 3.0, (2.0, 3.0), (-3.0, 3.0))
+        assert evals == 1 and result.argmin == 3.0 and result.at_bracket_edge
+        # the same point inside a wider bracket is only a window edge
+        assert ml._newton(
+            lambda t: ((t - 5.0) ** 2, 2 * (t - 5.0), 2.0), 3.0, (2.0, 3.0), (-4.0, 4.0)) == (None, 1)
 
     def test_halves_a_step_on_which_the_cost_rises(self):
         # sqrt(1 + t^2): the Newton step from t = 2 is -10, to a larger cost
@@ -391,7 +385,7 @@ class TestNewtonSafeguards:
             root = math.sqrt(1.0 + t * t)
             return root, t / root, root**-3
 
-        result, evals = ml._newton(pseudo_huber, 2.0, OptimizerSettings((-20.0, 20.0)), (-20, 20))
+        result, evals = ml._newton(pseudo_huber, 2.0, (-20.0, 20.0), (-20.0, 20.0))
         assert visited[:4] == pytest.approx([2.0, -8.0, -3.0, -0.5], abs=1e-12)
         assert evals == len(visited) <= ml._NEWTON_EVALS
         assert abs(result.argmin) <= 1e-12 and result.iterations == evals
@@ -408,7 +402,7 @@ class TestNewtonSafeguards:
         (lambda t: (0.0, 1.0, 0.0), 0.0, 1),
     ], ids=["eval-cap", "halving-cap", "window", "score", "information"])
     def test_gives_up(self, cost, start, evals):
-        assert ml._newton(cost, start, OptimizerSettings((-2.0, 2.0)), (-3.0, 3.0)) == (None, evals)
+        assert ml._newton(cost, start, (-2.0, 2.0), (-3.0, 3.0)) == (None, evals)
 
 
 def underflow(value):
@@ -444,7 +438,7 @@ class TestCoarseStage:
         bracket = settings.optimizer.bracket
         return ml._newton(
             lambda t: ml._nll_derivatives(t, data, spec, settings),
-            self.SEED[0], numerics._window(self.SEED, *bracket), bracket,
+            self.SEED[0], ml._window(self.start(), *bracket), bracket,
         )
 
     @pytest.mark.parametrize("order", [40, ml.COARSE_ORDER])
@@ -543,6 +537,121 @@ class TestMlEstimate:
         report = ml_estimate(data, spec, MlSettings(quad_order=200))
         assert abs(report.theta_hat[0] - 0.5) < 0.2
 
+    def test_zero_process_noise_is_unweighted_pem(self, monkeypatch):
+        # the likelihood is sum (y - f(a))^2 / (2 sigma_e^2): no integral,
+        # no likelihood evaluation, and the unweighted PEM's argmin
+        spec, data = make_data(0.2, 0.1, 300, 21)
+        spec.sigma_v2 = 0.0
+        settings = MlSettings(quad_order=200)
+        monkeypatch.setattr(ml, "_nll_derivatives", None)  # never called
+        monkeypatch.setattr(ml, "neg_log_likelihood", None)
+        for start in (None, Estimate(np.array([0.45]), 0.05)):
+            est = ml_estimate(data, spec, settings, start=start)
+            pem = pem_estimate(data, spec, weighted=False, settings=settings.optimizer)
+            assert est.theta_hat[0] == pem.theta_hat[0] and est.diagnostics == pem.diagnostics
+        spec.sigma_e2 = 0.0
+        with pytest.raises(ValueError, match="sigma_e2 must be positive"):
+            ml_estimate(data, spec, settings)
+
+    @pytest.mark.parametrize("path", ["seeded", "fallback", "scan"])
+    def test_min_value_is_the_likelihood_at_the_estimate(self, path):
+        # Newton's (nodes, 3) weight product against the plain likelihood's
+        # (nodes,) weight vector: the same value to rounding on every path
+        spec, data = make_data(0.2, 0.1, 300, 42)
+        settings = MlSettings(quad_order=200)
+        start = {"seeded": Estimate(np.array([0.45]), 0.05),
+                 "fallback": Estimate(np.array([1.45]), 0.01), "scan": None}[path]
+        est = ml_estimate(data, spec, settings, start=start)
+        assert est.diagnostics.fallback == (path == "fallback")
+        want = neg_log_likelihood(est.theta_hat[0], data, spec, settings)
+        assert est.diagnostics.min_value == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def symmetric_cost(theta):
+    """min((theta + 2)^2, (theta - 1)^2) with its score and information:
+    two minima of value 0, at grid points -2 and 1 of the 61-point scan."""
+    if theta < -0.5:
+        return (theta + 2.0) ** 2, 2.0 * (theta + 2.0), 2.0
+    return (theta - 1.0) ** 2, 2.0 * (theta - 1.0), 2.0
+
+
+class TestScanPath:
+    """Without a usable start, ml_estimate takes the likelihood at 61
+    points of the bracket and runs Newton from the smallest value inside
+    the grid cell around it."""
+
+    @pytest.mark.parametrize("start", [
+        (math.nan, 0.1), (0.3, math.nan), (math.inf, 0.1), (0.3, math.inf),
+        (0.3, 0.0), (0.3, -0.1), (3.5, 0.1), (-3.01, 0.1), (0.3, 1e-300),
+    ])
+    def test_unusable_start_is_ignored(self, start):
+        spec, data = make_data(0.2, 0.1, 300, 42)
+        settings = MlSettings(quad_order=40)
+        scan = ml_estimate(data, spec, settings)
+        assert ml._window(Estimate(np.array([start[0]]), start[1]), -3.0, 3.0) is None
+        est = ml_estimate(data, spec, settings, start=Estimate(np.array([start[0]]), start[1]))
+        assert est.theta_hat[0] == scan.theta_hat[0] and est.diagnostics == scan.diagnostics
+        assert not est.diagnostics.fallback
+
+    def test_likelihood_on_the_grid_then_newton_in_one_cell(self, monkeypatch):
+        spec, data = make_data(0.2, 0.1, 300, 42)
+        settings = MlSettings(quad_order=200)
+        values, newton = [], []
+        value, derivatives = ml.neg_log_likelihood, ml._nll_derivatives
+        monkeypatch.setattr(ml, "neg_log_likelihood", lambda t, *a: values.append(t) or value(t, *a))
+        monkeypatch.setattr(ml, "_nll_derivatives", lambda t, *a: newton.append(t) or derivatives(t, *a))
+        est = ml_estimate(data, spec, settings)
+        grid = np.linspace(-3.0, 3.0, ml.GRID_POINTS)
+        np.testing.assert_array_equal(values, grid)
+        # Newton starts at the grid minimum and stays in its cell
+        i = int(np.argmin([value(t, data, spec, settings) for t in grid]))
+        assert newton[0] == grid[i] and all(grid[i - 1] <= t <= grid[i + 1] for t in newton)
+        assert est.diagnostics.iterations == ml.GRID_POINTS + len(newton)
+        assert not est.diagnostics.at_bracket_edge and not est.diagnostics.degenerate
+
+    def test_constant_cost_flagged_degenerate(self):
+        # sigma_u2 = 0: u = 0 leaves theta out of the likelihood
+        config = dataclasses.replace(TestSeededSearch.config(realizations=1), sigma_u2=0.0)
+        record = make_record(config, 0)
+        est = ml_estimate(record, config.template(), MlSettings(quad_order=DESK_ML_QUAD_ORDER))
+        assert est.theta_hat[0] == 0.0
+        assert est.diagnostics.degenerate and est.diagnostics.iterations == ml.GRID_POINTS == 61
+        assert not est.diagnostics.at_bracket_edge and not est.diagnostics.fallback
+
+    def test_non_finite_cost_reports_first_grid_point_in_bracket_order(self):
+        spec, data = make_data(0.2, 0.1, 50, 26)
+        data.y[7] = 1e200
+        with pytest.raises(QuadratureUnderflowError) as excinfo:
+            ml_estimate(data, spec, MlSettings(quad_order=100))
+        assert excinfo.value.theta == -3.0 and excinfo.value.time_indices == [8]
+
+    def test_boundary_minimum(self):
+        # theta0 = 4 lies outside [-3, 3]: II1_W stops at the edge with an
+        # infinite predicted std, the scan's minimum is the end 3.0, and
+        # each Newton stage stops there at its first evaluation
+        config = TestSeededSearch.config(theta_o=4.0, realizations=1)
+        est = run_method(config, "ML", make_record(config, 0), 0)
+        assert est.theta_hat[0] == 3.0 and est.diagnostics.at_bracket_edge
+        assert not est.diagnostics.fallback and est.diagnostics.iterations == 63
+
+    def test_symmetric_tie_prefers_smaller_magnitude(self, monkeypatch):
+        spec, data = make_data(0.2, 0.1, 50, 26)
+        monkeypatch.setattr(ml, "neg_log_likelihood", lambda t, *a: symmetric_cost(t)[0])
+        monkeypatch.setattr(ml, "_nll_derivatives", lambda t, *a: symmetric_cost(t))
+        est = ml_estimate(data, spec, MlSettings(quad_order=200))
+        assert est.theta_hat[0] == 1.0 and est.diagnostics.min_value == 0.0
+
+    def test_newton_that_gives_up_in_the_cell_raises(self, monkeypatch):
+        spec, data = make_data(0.2, 0.1, 300, 42)
+        exact = ml._nll_derivatives
+        monkeypatch.setattr(ml, "_nll_derivatives", lambda *a: (*exact(*a)[:2], -1.0))
+        grid = np.linspace(-3.0, 3.0, ml.GRID_POINTS)
+        settings = MlSettings(quad_order=200)
+        i = int(np.argmin([neg_log_likelihood(t, data, spec, settings) for t in grid]))
+        cell = rf"\[{grid[i - 1]}, {grid[i + 1]}\]"
+        with pytest.raises(NumericsError, match=f"scan cell {cell}$"):
+            ml_estimate(data, spec, settings)
+
 
 class TestSeededSearch:
     """run_method("ML") starts the likelihood search at II1_W's estimate."""
@@ -556,17 +665,20 @@ class TestSeededSearch:
             desk_scale=True,
         )
 
-    def test_matches_the_full_scan_at_desk_scale(self):
+    def test_matches_the_full_scan_at_desk_scale(self, monkeypatch):
         config = self.config()
         settings = MlSettings(quad_order=DESK_ML_QUAD_ORDER)
+        exact, newton = ml._nll_derivatives, []
+        monkeypatch.setattr(ml, "_nll_derivatives", lambda *a: newton.append(1) or exact(*a))
         for r in range(config.realizations):
             record = make_record(config, r)
             seeded = run_method(config, "ML", record, r)
+            newton.clear()
             full = ml_estimate(record, config.template(), settings)
             assert not seeded.diagnostics.fallback and not full.diagnostics.fallback
-            assert abs(seeded.theta_hat[0] - full.theta_hat[0]) <= 2e-6
+            assert abs(seeded.theta_hat[0] - full.theta_hat[0]) <= 1e-11
             assert seeded.diagnostics.iterations <= ml._NEWTON_EVALS
-            assert full.diagnostics.iterations == 72
+            assert full.diagnostics.iterations == ml.GRID_POINTS + len(newton)
 
     @pytest.mark.parametrize("master_seed", [20260809, 20261017])
     def test_matches_a_dense_scan(self, master_seed):

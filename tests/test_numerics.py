@@ -13,7 +13,6 @@ from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from wienerid import numerics
 from wienerid.numerics import (
@@ -25,18 +24,10 @@ from wienerid.numerics import (
     gauss_hermite,
     gauss_legendre,
     least_squares,
-    minimize_scalar,
     poly_argmin,
 )
 
 from stack_checks import Raised, Rows, assert_rows_are_their_own_calls, outcome
-
-
-def search_nodes(lo: float, hi: float) -> np.ndarray:
-    """The 11 points at which minimize_scalar calls its cost on [lo, hi]:
-    the Chebyshev points of degree 10, increasing."""
-    t = -np.cos(np.pi * (np.arange(11) + 0.5) / 11)
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
 
 
 def double_factorial(k: int) -> float:
@@ -230,81 +221,7 @@ class TestMpmathOracle:
             assert abs(float(log_weights[i]) - log_w) <= 3e-15 * order + 1e-14, (order, i)
 
 
-class TestMinimizeScalar:
-    def test_quadratic_bowl(self):
-        res = minimize_scalar(lambda x: (x - 0.5) ** 2, OptimizerSettings(bracket=(-2.0, 2.0)))
-        assert abs(res.argmin - 0.5) < 1e-7
-        assert not res.degenerate
-
-    def test_quartic_well(self):
-        res = minimize_scalar(lambda x: x**4 - x**2, OptimizerSettings(bracket=(0.0, 2.0)))
-        assert abs(res.argmin - 1.0 / math.sqrt(2.0)) < 1e-8
-
-    def test_constant_cost_flagged_degenerate(self):
-        res = minimize_scalar(lambda x: 3.0, OptimizerSettings(bracket=(-1.0, 5.0)))
-        assert res.degenerate
-        assert -1.0 <= res.argmin <= 5.0
-        assert res.min_value == 3.0
-        assert res.iterations == numerics.FALLBACK_GRID_POINTS
-
-    def test_non_finite_cost_reports_point(self):
-        def cost(x):
-            return np.where(x > 1.0, np.nan, x**2)
-
-        with pytest.raises(CostEvaluationError) as excinfo:
-            minimize_scalar(cost, OptimizerSettings(bracket=(-2.0, 2.0)))
-        assert excinfo.value.point > 1.0
-
-    def test_non_finite_cost_reports_first_grid_point_in_bracket_order(self):
-        def cost(x):
-            return np.where(x < -1.5, np.inf, np.where(x > 1.0, np.nan, x**2))
-
-        with pytest.raises(CostEvaluationError) as excinfo:
-            minimize_scalar(cost, OptimizerSettings(bracket=(-2.0, 2.0)))
-        assert excinfo.value.point == -2.0
-        assert excinfo.value.value == np.inf
-
-    def test_cost_called_on_the_grid_then_on_one_cell(self):
-        calls = []
-
-        def cost(x):
-            calls.append(x)
-            return (x - 0.3) ** 2
-
-        res = minimize_scalar(cost, OptimizerSettings(bracket=(-1.0, 1.0)))
-        grid = np.linspace(-1.0, 1.0, numerics.FALLBACK_GRID_POINTS)
-        assert len(calls) == 2
-        np.testing.assert_array_equal(calls[0], grid)
-        # the cell around the grid minimum, 0.3 up to rounding
-        i = int(np.argmin(np.abs(grid - 0.3)))
-        cell = search_nodes(grid[i - 1], grid[i + 1])
-        np.testing.assert_array_equal(calls[1], cell)
-        assert res.iterations == numerics.FALLBACK_GRID_POINTS + numerics.SEARCH_DEGREE + 1
-        assert res.iterations == 72
-
-    def test_boundary_minimum(self):
-        res = minimize_scalar(lambda x: x, OptimizerSettings(bracket=(-1.0, 1.0)))
-        assert res.argmin == -1.0 and res.at_bracket_edge
-        res = minimize_scalar(lambda x: -x, OptimizerSettings(bracket=(-1.0, 1.0)))
-        assert res.argmin == 1.0 and res.at_bracket_edge
-
-    def test_interior_minimum_not_at_edge(self):
-        res = minimize_scalar(lambda x: (x - 0.98) ** 2, OptimizerSettings(bracket=(-1.0, 1.0)))
-        assert not res.at_bracket_edge
-
-    def test_symmetric_tie_prefers_smaller_magnitude(self):
-        # even cost on a symmetric bracket: deterministic pick near the smaller |x|
-        res = minimize_scalar(lambda x: (x**2 - 1.0) ** 2, OptimizerSettings(bracket=(-3.0, 3.0)))
-        assert abs(abs(res.argmin) - 1.0) < 1e-5
-
-    @given(target=st.floats(-1.8, 1.8), scale=st.floats(0.1, 50.0))
-    @settings(max_examples=30, deadline=None)
-    def test_recovers_quadratic_minimum(self, target, scale):
-        res = minimize_scalar(
-            lambda x: scale * (x - target) ** 2, OptimizerSettings(bracket=(-2.0, 2.0))
-        )
-        assert abs(res.argmin - target) < 1e-6
-
+class TestOptimizerSettings:
     def test_invalid_settings(self):
         with pytest.raises(ValueError):
             OptimizerSettings(bracket=(1.0, -1.0))
@@ -329,91 +246,6 @@ class TestNumpyOnlyRuntime:
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
-
-
-class TestSeededMinimizeScalar:
-    settings = OptimizerSettings(bracket=(-3.0, 3.0))
-
-    @staticmethod
-    def well(x):
-        return (x - 0.3) ** 2 + 0.1 * (x - 0.3) ** 4
-
-    def test_near_start_matches_full_scan_on_a_local_grid(self):
-        full = minimize_scalar(self.well, self.settings)
-        calls = []
-
-        def cost(x):
-            calls.append(x)
-            return self.well(x)
-
-        res = minimize_scalar(cost, self.settings, start=(0.32, 0.05))
-        assert not res.fallback and not res.at_bracket_edge
-        assert abs(res.argmin - full.argmin) <= 2e-6
-        # the window 0.32 +- 6 * 0.05
-        assert len(calls) == 1
-        window = search_nodes(0.32 - 6.0 * 0.05, 0.32 + 6.0 * 0.05)
-        np.testing.assert_array_equal(calls[0], window)
-        assert res.iterations == numerics.SEARCH_DEGREE + 1 == 11
-        assert full.iterations == 72
-
-    def test_far_start_falls_back_to_the_full_scan(self):
-        full = minimize_scalar(self.well, self.settings)
-        points = []
-
-        def cost(x):
-            points.extend(np.atleast_1d(x).tolist())
-            return self.well(x)
-
-        # the window [1.7, 2.3] has its minimum on its edge inside the bracket
-        res = minimize_scalar(cost, self.settings, start=(2.0, 0.05))
-        assert res.fallback
-        assert res.argmin == full.argmin and res.min_value == full.min_value
-        assert res.iterations == len(points) == 11 + full.iterations
-
-    def test_degenerate_local_scan_falls_back(self):
-        def cost(x):
-            return np.maximum(np.abs(x - 1.5) - 1.0, 0.0) + 0.0 * x
-
-        res = minimize_scalar(cost, self.settings, start=(1.5, 0.05))
-        full = minimize_scalar(cost, self.settings)
-        assert res.fallback and not full.fallback
-        assert res.argmin == full.argmin
-        assert res.iterations == 11 + full.iterations
-
-    @pytest.mark.parametrize("start", [
-        (math.nan, 0.1), (0.3, math.nan), (math.inf, 0.1), (0.3, math.inf),
-        (0.3, 0.0), (0.3, -0.1), (3.5, 0.1), (-3.01, 0.1), (0.3, 1e-300),
-    ])
-    def test_unusable_start_is_ignored(self, start):
-        full = minimize_scalar(self.well, self.settings)
-        res = minimize_scalar(self.well, self.settings, start=start)
-        assert res == full and not res.fallback
-
-    def test_window_clipped_at_the_bracket(self):
-        settings = OptimizerSettings(bracket=(-1.0, 1.0))
-        # minimum at the bracket's ends, each inside a clipped window
-        low = minimize_scalar(lambda x: x, settings, start=(-0.9, 0.1))
-        high = minimize_scalar(lambda x: -x, settings, start=(0.9, 0.1))
-        assert low.at_bracket_edge and not low.fallback and low.argmin == -1.0
-        assert high.at_bracket_edge and not high.fallback and high.argmin == 1.0
-        assert low.iterations == high.iterations == 11
-        # an interior minimum in a clipped window is not at the edge
-        res = minimize_scalar(lambda x: (x - 0.9) ** 2, settings, start=(0.95, 0.05))
-        assert not res.at_bracket_edge and not res.fallback
-        assert res.argmin == pytest.approx(0.9, abs=1e-6)
-
-    def test_smooth_non_polynomial_cost_against_its_stationary_point(self):
-        # an analytic cost that no polynomial matches: the window's
-        # interpolant and the fallback's cell both find the root of its
-        # derivative, found here by Brent's root finder
-        def cost(x):
-            return np.cosh(x - 0.4) + 0.3 * np.sin(2.0 * x)
-
-        ref = brentq(lambda x: np.sinh(x - 0.4) + 0.6 * np.cos(2.0 * x), -1.0, 0.3, xtol=1e-15)
-        for start in (None, (-0.1, 0.05), (2.0, 0.05)):
-            res = minimize_scalar(cost, self.settings, start=start)
-            assert res.fallback == (start == (2.0, 0.05))
-            assert abs(res.argmin - ref) <= 1e-10
 
 
 class TestLeastSquares:
