@@ -609,6 +609,36 @@ class TestScanPath:
         assert est.diagnostics.iterations == ml.GRID_POINTS + len(newton)
         assert not est.diagnostics.at_bracket_edge and not est.diagnostics.degenerate
 
+    def test_interior_minimum_not_at_edge(self, monkeypatch):
+        # a bowl at 2.94: the grid minimum 2.9 is next to the end 3.0, and
+        # Newton leaves it for the interior point
+        def bowl(theta, *args):
+            return (theta - 2.94) ** 2, 2.0 * (theta - 2.94), 2.0
+
+        spec, data = make_data(0.2, 0.1, 50, 26)
+        monkeypatch.setattr(ml, "neg_log_likelihood", lambda t, *a: bowl(t)[0])
+        monkeypatch.setattr(ml, "_nll_derivatives", bowl)
+        est = ml_estimate(data, spec, MlSettings(quad_order=200))
+        assert est.theta_hat[0] == pytest.approx(2.94, abs=1e-12)
+        assert not est.diagnostics.at_bracket_edge and not est.diagnostics.degenerate
+
+    def test_non_finite_cost_reports_point(self, monkeypatch):
+        # a likelihood that fails only above theta = 1 raises at the first
+        # grid point there, and the error names that point
+        spec, data = make_data(0.2, 0.1, 50, 26)
+        value = ml.neg_log_likelihood
+
+        def failing_above_one(theta, *args):
+            if theta > 1.0:
+                raise QuadratureUnderflowError(theta, [1])
+            return value(theta, *args)
+
+        monkeypatch.setattr(ml, "neg_log_likelihood", failing_above_one)
+        with pytest.raises(QuadratureUnderflowError) as excinfo:
+            ml_estimate(data, spec, MlSettings(quad_order=100))
+        grid = np.linspace(-3.0, 3.0, ml.GRID_POINTS)
+        assert excinfo.value.theta == grid[grid > 1.0][0] and excinfo.value.time_indices == [1]
+
     def test_constant_cost_flagged_degenerate(self):
         # sigma_u2 = 0: u = 0 leaves theta out of the likelihood
         config = dataclasses.replace(TestSeededSearch.config(realizations=1), sigma_u2=0.0)
