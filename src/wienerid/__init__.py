@@ -32,7 +32,6 @@ from .system import (
 from .numerics import (
     CostEvaluationError,
     Estimate,
-    OptimizerSettings,
     QuadratureRule,
     RankDeficiencyError,
     ScalarMinResult,
@@ -54,15 +53,14 @@ from .indirect import (
     SimulatedMap,
     beta_map_gaussian,
     beta_map_uniform,
-    first_order_estimate,
     step2,
-    zero_order_estimate,
 )
 from .bench import (
     ExperimentConfig,
     ExperimentResult,
     MethodSummary,
     emit_report,
+    first_order_estimate,
     linear_baseline_std,
     load_config,
     load_ledger,
@@ -72,6 +70,7 @@ from .bench import (
     replay_realization,
     run_experiment,
     run_method,
+    zero_order_estimate,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -205,7 +205,7 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
     chunk's shared fit and maps going to the first method that needs them.
     """
     template = config.template()
-    analytic = analytic_binding(template, config.input_kind)
+    analytic = analytic_binding(template)
     order = DESK_ML_QUAD_ORDER if config.desk_scale else config.ml_quad_order
     settings = MlSettings(quad_order=order)
     outcomes = {m: [] for m in runs}
@@ -319,6 +319,43 @@ def run_method(
     outcomes, _ = _run(config, {method: realization + 1}, [(realization, record)])
     ((_, outcome),) = outcomes[method]
     return _estimate(outcome)
+
+
+def _single_config(spec_template: SystemSpec, input_kind, data: DataRecord, method: str):
+    """The one-method config of the template's noise variances and input
+    distribution (of input_kind when given), for run_method on data.  A
+    template of another FIR or nonlinearity than the paper's, which the
+    closed-form map does not describe, raises ValueError."""
+    if spec_template.fir != paper_fir() or spec_template.nonlinearity != cubic():
+        raise ValueError("the closed-form map describes the paper's FIR and cubic alone, got "
+                         f"{spec_template.fir} and {spec_template.nonlinearity}")
+    dist = spec_template.input_dist
+    return ExperimentConfig(
+        theta_o=float(spec_template.theta[0]), sigma_v2=spec_template.sigma_v2,
+        sigma_e2=spec_template.sigma_e2, sigma_u2=dist.variance,
+        input_kind=dist.kind if input_kind is None else input_kind, n_obs=data.n_obs,
+        methods=(method,))
+
+
+def zero_order_estimate(
+    data: DataRecord, spec_template: SystemSpec, input_kind: DistributionKind | None = None
+) -> Estimate:
+    """II0 on one record: run_method on the template's config
+    (`_single_config`), so bit for bit that record's II0 cell."""
+    return run_method(_single_config(spec_template, input_kind, data, "II0"), "II0", data)
+
+
+def first_order_estimate(
+    data: DataRecord,
+    spec_template: SystemSpec,
+    input_kind: DistributionKind | None = None,
+    weighted: bool = True,
+) -> Estimate:
+    """II1_W, or II1_UNW when not weighted, on one record: run_method on
+    the template's config (`_single_config`), so bit for bit that record's
+    cell of the method."""
+    method = "II1_W" if weighted else "II1_UNW"
+    return run_method(_single_config(spec_template, input_kind, data, method), method, data)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -97,8 +97,9 @@ def estimate_weighting(data: DataRecord | Sequence[DataRecord], est: BlaEstimate
 
     The middle term I_hat may be ridge-regularized when its condition number
     exceeds RIDGE_CONDITION_LIMIT; the event is recorded on the estimate.
-    Residuals whose squares overflow leave I_hat non-finite, and raise
-    LinAlgError (a ValueError).
+    Residuals whose squares overflow leave I_hat non-finite, and an input
+    whose squares are subnormal leaves cov_beta non-finite (J_hat's inverse
+    overflows); either raises LinAlgError (a ValueError).
 
     The stacked fit of a sequence of records gives their weighted fit:
     every check runs per row under numerics.RowErrors, after the fit's own
@@ -151,8 +152,13 @@ def estimate_weighting(data: DataRecord | Sequence[DataRecord], est: BlaEstimate
         warnings.warn("I_hat ill-conditioned; ridge added before inversion", stacklevel=2)
 
     J_inv = np.linalg.inv(live(J_hat))
-    cov_beta = J_inv @ (4.0 * I_hat) @ J_inv / n
-    cov_beta = 0.5 * (cov_beta + cov_beta.swapaxes(1, 2))
+    # the inverse of a J_hat of subnormal entries overflows, which raises
+    # LinAlgError below, so numpy's warning would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov_beta = J_inv @ (4.0 * I_hat) @ J_inv / n
+        cov_beta = 0.5 * (cov_beta + cov_beta.swapaxes(1, 2))
+    errors.fail(~np.isfinite(cov_beta).all(axis=(1, 2)), lambda i: np.linalg.LinAlgError(
+        f"cov_beta is not finite (squares of the input underflow): {cov_beta[i]}"))
     W = _inv(n * live(cov_beta), errors)
     W = 0.5 * (W + W.swapaxes(1, 2))
     failed = ~errors.ok

@@ -33,15 +33,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import bla as bla_mod
 from .numerics import (
-    Estimate, OptimizerSettings, RankDeficiencyError, RowErrors, gram_coeffs, least_squares,
-    poly_argmin,
+    Estimate, RankDeficiencyError, RowErrors, gram_coeffs, least_squares, poly_argmin,
 )
 from .pem import theta_coeffs
 from .signals import (
@@ -159,15 +156,7 @@ class SimulatedMap:
         return npoly.polyval(theta, self.coeffs).T
 
 
-def step2(
-    beta_hat: np.ndarray,
-    W: np.ndarray,
-    beta_map,
-    settings: OptimizerSettings = OptimizerSettings(),
-    *,
-    n_obs: int | None = None,
-    beta_cov: np.ndarray | None = None,
-):
+def step2(beta_hat: np.ndarray, W: np.ndarray, beta_map, beta_cov: np.ndarray):
     """Match the binding function to the auxiliary fit in the W metric.
 
     beta_map gives `coeffs`, the (degree + 1, len(beta_hat)) ascending power
@@ -176,15 +165,13 @@ def step2(
     A non-finite beta_hat, W, coeffs or beta_cov raises ValueError naming it.
     The criterion, the Gram form of R M R' (R the coeffs less beta_hat in the
     constant row, M the metric) of degree 2 * degree in theta, is minimized
-    exactly, and G is the derivative of the coefficients at the estimate.
+    exactly on numerics.BRACKET, and G is the derivative of the coefficients at the estimate.
     The criterion weighs residuals by W / trace(W) rounded to 40 binary
     places, so the argmin is invariant to positive rescaling of W (unless an
     entry lies within a few ulps of a rounding boundary).  predicted_std is
     the square root of the sandwich inflation * H^-1 G' W beta_cov W G H^-1,
-    H = G' W G, where beta_cov is the covariance of beta_hat; it defaults to
-    (n_obs W)^-1, for which the sandwich reduces to inflation * H^-1 / n_obs,
-    and without either of them step2 raises ValueError.  It is infinite
-    when the criterion is flat or its minimum is a bracket end.
+    H = G' W G, where beta_cov is the covariance of beta_hat.  It is
+    infinite when the criterion is flat or its minimum is a bracket end.
 
     A stack of R fits, beta_hat (R, m), gives their stacked Estimate.  W
     and beta_cov are then (R, m, m), coeffs (R, degree + 1, m) and inflation
@@ -196,8 +183,6 @@ def step2(
     Estimate, or raises its error.  A beta_hat of another shape raises
     ValueError.
     """
-    if n_obs is None and beta_cov is None:
-        raise ValueError("step2 needs n_obs or beta_cov for the predicted std")
     beta_hat = np.asarray(beta_hat, dtype=float)
     if beta_hat.ndim not in (1, 2):
         raise ValueError(f"beta_hat of shape {beta_hat.shape}; step2 needs (m,) or an (R, m) stack")
@@ -220,15 +205,14 @@ def step2(
         raise ValueError(f"W shape {W.shape} does not match beta of length {width}")
     # a shared value goes to every row
     W = np.array(np.broadcast_to(W, square))
-    if beta_cov is not None:
-        beta_cov = np.array(np.broadcast_to(beta_cov, square), dtype=float)
+    beta_cov = np.array(np.broadcast_to(beta_cov, square), dtype=float)
     inflation = np.array(np.broadcast_to(getattr(beta_map, "inflation", 1.0), rows), dtype=float)
 
     # the checks run in the order of a call of its own
     errors = RowErrors([None] * rows)
     named = [("beta_hat", fits), ("W", W), ("beta_map.coeffs", coeffs), ("beta_cov", beta_cov)]
     for name, value in named:
-        if value is not None and not (finite := np.isfinite(value)).all():
+        if not (finite := np.isfinite(value)).all():
             bad = ~finite.reshape(1 if value is coeffs and shared else rows, -1).all(axis=1)
             errors.fail(np.broadcast_to(bad, rows), lambda i, n=name: ValueError(f"{n} must be finite"))
     finite_rows = errors.ok
@@ -249,7 +233,7 @@ def step2(
         R = np.empty((rows,) + coeffs.shape[-2:])
         R[:, 0] = coeffs[..., 0, :] - fits
         R[:, 1:] = coeffs[..., 1:, :]
-        search = poly_argmin(gram_coeffs(R @ metric @ R.swapaxes(1, 2)), settings)
+        search = poly_argmin(gram_coeffs(R @ metric @ R.swapaxes(1, 2)))
         errors.merge(search.errors)
         ok = errors.ok
         # G, the coefficients' derivative at the estimate, as npoly.polyder
@@ -259,9 +243,6 @@ def step2(
         g = npoly.polyval(search.argmin[:, None], np.moveaxis(slope, -2, 0), tensor=False)
         G = g[:, :, None]
 
-        if beta_cov is None:
-            beta_cov = np.zeros(square)
-            beta_cov[ok] = np.linalg.inv(n_obs * W[ok])
         wg = W @ G
         h = G.swapaxes(1, 2) @ wg
         # a flat criterion has no curvature, and at a bracket edge the minimum
@@ -278,13 +259,9 @@ def step2(
     return result if stacked else result.row(0)
 
 
-def analytic_binding(
-    spec_template: SystemSpec, input_kind: DistributionKind | None
-) -> AnalyticMap:
-    """The closed-form map of the template's input, or of input_kind when given."""
+def analytic_binding(spec_template: SystemSpec) -> AnalyticMap:
+    """The closed-form map of the template's input."""
     dist = spec_template.input_dist
-    if input_kind is not None:
-        dist = Distribution(input_kind, dist.variance)
     return AnalyticMap(dist.variance, spec_template.sigma_v2, dist.kurtosis)
 
 
@@ -312,50 +289,3 @@ def zero_order_fit(data: DataRecord | Sequence[DataRecord]):
         f"robust slope variance is not finite (squares overflow or underflow): {variance[i]}"))
     ok = errors.ok
     return np.where(ok, beta1[:, 0], np.nan), np.where(ok, variance, np.nan), errors
-
-
-def zero_order_estimate(
-    data: DataRecord,
-    spec_template: SystemSpec,
-    input_kind: DistributionKind | None = None,
-) -> Estimate:
-    """Order-zero indirect inference: match the first component of the
-    closed-form map to the slope of y on u(t) (`zero_order_fit`) in step2.
-
-    The fit has as many coefficients as theta, so the match solves
-    beta1(theta) = slope on the bracket and the metric drops out (W = 1);
-    the sandwich of step2 is then the delta method through that inverse.
-    The match is step2's stack of one, so it is bit for bit bench's II0 on
-    the same record, whose Step 2 stacks the slopes of all its records.
-    """
-    slope, variance, errors = zero_order_fit(data)
-    errors.check(0)
-    beta_map = SimpleNamespace(coeffs=analytic_binding(spec_template, input_kind).coeffs[:, :1])
-    return step2(slope, np.eye(1), beta_map, beta_cov=variance[:, None])
-
-
-def first_order_estimate(
-    data: DataRecord,
-    spec_template: SystemSpec,
-    input_kind: DistributionKind | None = None,
-    weighted: bool = True,
-    settings: OptimizerSettings = OptimizerSettings(),
-    beta_map=None,
-) -> Estimate:
-    """Order-one indirect inference: fit the lag-(0, 1) BLA with its
-    sandwich weighting (`estimate_weighting`) and match beta_map to it in
-    step2.
-
-    beta_map defaults to the analytic binding function of the template's
-    input (of input_kind when given); a SimulatedMap gives the simulated
-    variant.  Unweighted uses the identity metric; weighted uses the
-    inverse sandwich covariance of the auxiliary fit.  Both predict their
-    std from that covariance.  The match is step2's stack of one, so with
-    the default settings it is bit for bit bench's II1_UNW or II1_W on the
-    same record and map, whose Step 2 stacks the fits of all its records.
-    """
-    if beta_map is None:
-        beta_map = analytic_binding(spec_template, input_kind)
-    fit = bla_mod.estimate_weighting(data, bla_mod.fit_bla(data, lags=(0, 1)))
-    W = fit.W if weighted else np.eye(2)
-    return step2(fit.beta_hat, W, beta_map, settings, beta_cov=fit.cov_beta)

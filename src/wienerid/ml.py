@@ -38,14 +38,14 @@ unweighted PEM.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .numerics import (
+    BRACKET,
     Estimate,
     NumericsError,
-    OptimizerSettings,
     ScalarMinResult,
     check_quad_order,
     gauss_legendre,
@@ -104,6 +104,9 @@ class QuadratureUnderflowError(Exception):
             f"(underflow or overflow) at theta = {theta}"
         )
 
+    def __reduce__(self):  # pickled from its fields, as a process pool returns it
+        return type(self), (self.theta, self.time_indices)
+
 
 @dataclass(frozen=True)
 class MlSettings:
@@ -112,7 +115,6 @@ class MlSettings:
     about 1e-13 per term on the paper's system."""
 
     quad_order: int = DEFAULT_QUAD_ORDER
-    optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
 
     def __post_init__(self):
         check_quad_order(self.quad_order, "quad_order")
@@ -363,7 +365,7 @@ def ml_estimate(
     settings: MlSettings = MlSettings(),
     start: Estimate | None = None,
 ) -> Estimate:
-    """Minimize the negative log-likelihood over the optimizer bracket by
+    """Minimize the negative log-likelihood over numerics.BRACKET by
     safeguarded Newton on its exact score and information (`_newton`).
 
     Newton starts at start, a consistent first estimate with its predicted
@@ -385,8 +387,7 @@ def ml_estimate(
     if spec_template.sigma_v2 == 0.0:
         if spec_template.sigma_e2 <= 0:
             raise ValueError("sigma_e2 must be positive for the likelihood")
-        return pem_estimate(data, spec_template, weighted=False, settings=settings.optimizer)
-    bracket = settings.optimizer.bracket
+        return pem_estimate(data, spec_template, weighted=False)
 
     def newton(theta, window, spent):
         """Both Newton stages from theta on the window: (result or None,
@@ -395,17 +396,17 @@ def ml_estimate(
         for order in sorted({min(COARSE_ORDER, settings.quad_order), settings.quad_order}):
             stage = replace(settings, quad_order=order)
             result, evals = _newton(lambda t: _nll_derivatives(t, data, spec_template, stage),
-                                    theta, window, bracket)
+                                    theta, window, BRACKET)
             spent += evals
             theta = theta if result is None else result.argmin
         return None if result is None else replace(result, iterations=spent), spent
 
     spent = 0  # the seeded Newton's evaluations, > 0 when the scan follows them
-    if (window := _window(start, *bracket)) is not None:
+    if (window := _window(start, *BRACKET)) is not None:
         result, spent = newton(float(start.theta_hat[0]), window, 0)
         if result is not None:
             return Estimate(np.array([result.argmin]), diagnostics=result)
-    xs = np.linspace(*bracket, GRID_POINTS)
+    xs = np.linspace(*BRACKET, GRID_POINTS)
     # one likelihood per point: a (G, N, nodes) batch would only multiply
     # the memory, the work per point is the same
     vals = np.array([neg_log_likelihood(x, data, spec_template, settings) for x in xs])
@@ -413,7 +414,7 @@ def ml_estimate(
     x, fallback = float(xs[i]), spent > 0
     if vals.max() == vals[i]:
         result = ScalarMinResult(x, float(vals[i]), spent + len(xs), degenerate=True,
-                                 at_bracket_edge=x in bracket, fallback=fallback)
+                                 at_bracket_edge=x in BRACKET, fallback=fallback)
         return Estimate(np.array([x]), diagnostics=result)
     cell = (float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)]))
     result, spent = newton(x, cell, spent + len(xs))

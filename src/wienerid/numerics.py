@@ -24,6 +24,9 @@ SQRT_PI = math.sqrt(math.pi)
 
 MAX_QUAD_ORDER = 2000
 
+# the search interval of theta of every estimator
+BRACKET = (-3.0, 3.0)
+
 _EPS = np.finfo(float).eps
 # values that agree to this many eps of their largest magnitude are flat
 _FLAT = 16 * _EPS
@@ -50,6 +53,9 @@ class CostEvaluationError(NumericsError):
         self.value = value
         super().__init__(f"non-finite value {value} at {point}")
 
+    def __reduce__(self):  # pickled from its fields, as a process pool returns it
+        return type(self), (self.point, self.value)
+
 
 class RankDeficiencyError(NumericsError):
     """Regressor matrix numerically rank deficient."""
@@ -60,6 +66,9 @@ class RankDeficiencyError(NumericsError):
             f"rank-deficient regressors (smallest singular value "
             f"{smallest_singular_value:.3e})"
         )
+
+    def __reduce__(self):  # pickled from its fields, as a process pool returns it
+        return type(self), (self.smallest_singular_value,)
 
 
 @dataclass(frozen=True)
@@ -204,18 +213,6 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(nodes, log_weights)
 
 
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """The bracket of a scalar search: finite ends, lo < hi."""
-
-    bracket: tuple[float, float] = (-3.0, 3.0)
-
-    def __post_init__(self):
-        lo, hi = self.bracket
-        if not -math.inf < lo < hi < math.inf:
-            raise ValueError(f"bracket must be finite with lo < hi, got {self.bracket}")
-
-
 class RowErrors(list):
     """The failure rule of every stacked kernel, one entry per row: the
     exception the row's own call raises, or None.  A row keeps the first
@@ -342,14 +339,14 @@ def _derivative_scales(k: int, reach: float) -> tuple[np.ndarray, np.ndarray, np
     return _read_only(powers + 1.0, powers, reach ** powers)
 
 
-def poly_argmin(coeffs, settings: OptimizerSettings = OptimizerSettings()):
-    """Minimize on settings.bracket the polynomial of ascending power
-    coefficients `coeffs` in theta, or each row of an (R, K) stack of them.
-    Its candidates are the bracket ends and the real parts of its
-    derivative's roots inside (a multiple root may come out as a complex
-    cluster); the smallest value wins (exact ties: the smallest magnitude,
-    then the first of lo, hi and the roots), and iterations counts the
-    candidates.  The extremes on the bracket lie among them, so values that
+def poly_argmin(coeffs, bracket: tuple[float, float] = BRACKET):
+    """Minimize on bracket = (lo, hi), finite with lo < hi, the polynomial
+    of ascending power coefficients `coeffs` in theta, or each row of an
+    (R, K) stack of them.  Its candidates are the bracket ends and the real
+    parts of its derivative's roots inside (a multiple root may come out as
+    a complex cluster); the smallest value wins (exact ties: the smallest
+    magnitude, then the first of lo, hi and the roots), and iterations
+    counts the candidates.  The extremes on the bracket lie among them, so values that
     agree to 16 ulps make it degenerate.  A non-finite value is an error
     with its point: a non-finite coefficient gives one at every theta, so
     at lo.
@@ -359,7 +356,7 @@ def poly_argmin(coeffs, settings: OptimizerSettings = OptimizerSettings()):
     bit that of its own call.  1-D coeffs are the stack of one: they give
     its ScalarMinResult, or raise its CostEvaluationError.  Coefficients of
     another shape, or none, raise ValueError."""
-    lo, hi = settings.bracket
+    lo, hi = bracket
     c = np.asarray(coeffs, dtype=float)
     if c.ndim not in (1, 2) or c.shape[-1] == 0:
         raise ValueError(f"poly_argmin needs (K,) or (R, K) coefficients, K >= 1, got shape {c.shape}")

@@ -23,7 +23,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .numerics import Estimate, OptimizerSettings, gram_coeffs, horner, poly_argmin
+from .numerics import Estimate, gram_coeffs, horner, poly_argmin
 from .system import DataRecord, Nonlinearity, SystemSpec, cubic, linear_output, stack_records
 
 
@@ -85,7 +85,6 @@ def pem_estimate(
     data: DataRecord | Sequence[DataRecord],
     spec_template: SystemSpec,
     weighted: bool = True,
-    settings: OptimizerSettings = OptimizerSettings(),
 ):
     """Minimize the (optionally variance-weighted) mean-square prediction error.
 
@@ -135,7 +134,7 @@ def pem_estimate(
     # poly_argmin, so numpy's overflow warning would only repeat it
     with np.errstate(over="ignore"):
         gram = errors @ errors.swapaxes(1, 2) / n
-    search = poly_argmin(gram_coeffs(gram), settings)
+    search = poly_argmin(gram_coeffs(gram))
     failures = search.errors
     if weighted:
         # a failed row's numbers are dropped, so its warnings would say nothing
@@ -147,7 +146,7 @@ def pem_estimate(
             # noise-free data: constant (zero) weights reduce to the unweighted cost
             weights = np.where(w_max <= 0.0, 1.0, np.maximum(weights, 1e-12 * w_max))
             gram = errors / weights[:, None] @ errors.swapaxes(1, 2) / n
-        search = poly_argmin(gram_coeffs(gram), settings)
+        search = poly_argmin(gram_coeffs(gram))
         failures.merge(search.errors)
     result = Estimate(np.where(failures.ok, search.argmin, np.nan), None, search, failures)
     return result.row(0) if isinstance(data, DataRecord) else result

@@ -172,6 +172,9 @@ class NonFiniteDataError(ValueError):
         self.value = value
         super().__init__(f"non-finite sample {name}[{index}] = {value}")
 
+    def __reduce__(self):  # pickled from its fields, as a process pool returns it
+        return type(self), (self.name, self.index, self.value)
+
 
 @dataclass
 class DataRecord:

@@ -3,34 +3,34 @@
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from wienerid.numerics import OptimizerSettings
+from wienerid.numerics import BRACKET
 
 
 def _intercept(monkeypatch, module, record) -> None:
-    """Call record(coeffs, settings, result) on every search `module` runs
+    """Call record(coeffs, bracket, result) on every search `module` runs
     through poly_argmin, once per row of a stack (result None for a row
     that fails); the search itself still runs."""
     search = module.poly_argmin
 
-    def recording(coeffs, settings=OptimizerSettings()):
-        result = search(coeffs, settings)
+    def recording(coeffs, bracket=BRACKET):
+        result = search(coeffs, bracket)
         coeffs = np.array(coeffs)
         if coeffs.ndim == 1:
-            record(coeffs, settings, result)
+            record(coeffs, bracket, result)
         else:
             for i, row in enumerate(coeffs):
-                record(row, settings, None if result.errors[i] else result.row(i))
+                record(row, bracket, None if result.errors[i] else result.row(i))
         return result
 
     monkeypatch.setattr(module, "poly_argmin", recording)
 
 
 def capture_costs(monkeypatch, module) -> list:
-    """Record every (coeffs, settings) pair that `module` passes to
+    """Record every (coeffs, bracket) pair that `module` passes to
     poly_argmin, coeffs the criterion's ascending power coefficients in
     theta, while the search itself still runs."""
     captured = []
-    _intercept(monkeypatch, module, lambda coeffs, settings, _: captured.append((coeffs, settings)))
+    _intercept(monkeypatch, module, lambda coeffs, bracket, _: captured.append((coeffs, bracket)))
     return captured
 
 

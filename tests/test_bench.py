@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import wienerid.bench as bench
-from wienerid import bla
+from wienerid import bla, ml
 from wienerid.bench import (
     METHOD_ORDER,
     PREDICTS_STD,
@@ -24,6 +24,7 @@ from wienerid.cli import main as cli_main
 from wienerid.indirect import SimulatedMap
 from wienerid.numerics import Estimate
 from wienerid.signals import DistributionKind
+from wienerid.system import DataRecord
 
 from stack_checks import Raised, outcome
 
@@ -410,6 +411,20 @@ class TestRecordContext:
         )
         # ML falls back to its unseeded search
         assert np.isfinite(result.estimates["ML"]).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_input_squares_fail_the_fit(self):
+        # u of 1e-160 has subnormal squares, so J_hat's inverse overflows:
+        # II1_UNW and II1_W fail with the fit's LinAlgError, and ML, without
+        # its II1_W start, scans the whole bracket
+        config = small_config(methods=self.methods, desk_scale=True)
+        record = make_record(config, 0)
+        tiny = DataRecord(u=record.u * 1e-160, y=record.y)
+        for m in ("II1_UNW", "II1_W"):
+            with pytest.raises(np.linalg.LinAlgError, match="cov_beta is not finite"):
+                run_method(config, m, tiny)
+        est = run_method(config, "ML", tiny)
+        assert est.diagnostics.iterations >= ml.GRID_POINTS and not est.diagnostics.fallback
 
     def test_failed_fit_keeps_nothing(self, monkeypatch):
         # one y = 1e200 on record 1: its simulated map reads only u and

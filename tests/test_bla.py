@@ -160,6 +160,17 @@ class TestWeighting:
             warnings.simplefilter("error", RuntimeWarning)
             estimate_weighting(data, fit_bla(data, lags=(0, 1)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lags", [(0, 1), (0,)])
+    def test_subnormal_input_squares_raise_naming_cov_beta(self, lags):
+        # u of 1e-160 has squares below the smallest normal double, so
+        # J_hat's inverse overflows: a typed error, not a NaN W, or an
+        # infinite cov_beta beside a zero W
+        _, data = make_data(0.5, 0.2, 0.1, gaussian_white(1 / 3), 200, 4)
+        tiny = DataRecord(u=data.u * 1e-160, y=data.y)
+        with pytest.raises(np.linalg.LinAlgError, match="cov_beta is not finite"):
+            estimate_weighting(tiny, fit_bla(tiny, lags))
+
     @given(
         log_cond=st.floats(0.0, 12.0), angle=st.floats(0.0, np.pi),
         scale=st.floats(1e-6, 1e6),
@@ -236,6 +247,16 @@ class TestStack:
         for error, want in zip(stack.errors, expected, strict=True):
             message = f"{type(error).__name__}: {error}"
             assert error is None if want is None else message.startswith(want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_input_squares_fail_their_row_alone(self):
+        records = self.records(DistributionKind.GAUSSIAN_WHITE, bench.CHUNK)
+        records[2] = DataRecord(u=records[2].u * 1e-160, y=records[2].y)
+        stack, _ = self.assert_contract(records)
+        assert [type(e).__name__ if e else None for e in stack.errors] == [
+            None, None, "LinAlgError", None, None, None]
+        assert str(stack.errors[2]).startswith("cov_beta is not finite")
+        assert np.isnan(stack.W[2]).all() and np.isnan(stack.cov_beta[2]).all()
 
     def test_ridge_on_one_row_only(self):
         # row 1's residuals sit on one sample: one warning for the stack,

@@ -1,11 +1,13 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from wienerid import bench, ml
 from wienerid.cli import main
-from wienerid.indirect import first_order_estimate, zero_order_estimate
+from wienerid.bla import estimate_weighting, fit_bla
+from wienerid.indirect import AnalyticMap, step2, zero_order_fit
 from wienerid.pem import pem_estimate
 from wienerid.system import DataRecord
 
@@ -122,19 +124,30 @@ def test_estimate_prints_ml_evaluations_and_fallback(config_file, tmp_path, caps
 @pytest.mark.parametrize("method", ["PEM_W", "II0", "II1_UNW", "II1_W"])
 def test_estimate_on_a_record_of_another_length(config_file, tmp_path, capsys, method):
     # a CSV of 203 observations estimated with the n_obs = 80 config: the
-    # estimate is the library call's on that record, bit for bit, so
-    # nothing of it comes from config.n_obs
+    # estimate is that of the library calls of its two steps on that
+    # record, bit for bit, so nothing of it comes from config.n_obs
     config = bench.load_config(config_file)
     path = tmp_path / "data.csv"
     bench.make_record(dataclasses.replace(config, n_obs=203), 0).to_csv(path)
     record = DataRecord.from_csv(path)
     assert record.n_obs == 203
-    template, kind = config.template(), config.input_kind
+    template = config.template()
+    amap = AnalyticMap(config.sigma_u2, config.sigma_v2, template.input_dist.kurtosis)
+
+    def zero_order():
+        slope, variance, _ = zero_order_fit(record)
+        return step2(slope, np.eye(1), SimpleNamespace(coeffs=amap.coeffs[:, :1]),
+                     beta_cov=variance[:, None])
+
+    def first_order(weighted):
+        fit = estimate_weighting(record, fit_bla(record, (0, 1)))
+        return step2(fit.beta_hat, fit.W if weighted else np.eye(2), amap, beta_cov=fit.cov_beta)
+
     expected = {
         "PEM_W": lambda: pem_estimate(record, template),
-        "II0": lambda: zero_order_estimate(record, template, kind),
-        "II1_UNW": lambda: first_order_estimate(record, template, kind, weighted=False),
-        "II1_W": lambda: first_order_estimate(record, template, kind, weighted=True),
+        "II0": zero_order,
+        "II1_UNW": lambda: first_order(False),
+        "II1_W": lambda: first_order(True),
     }[method]()
     est = bench.run_method(config, method, record)
     assert est.theta_hat[0] == expected.theta_hat[0]

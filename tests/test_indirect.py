@@ -9,22 +9,23 @@ from hypothesis import strategies as st
 
 import wienerid.bench as bench_mod
 import wienerid.indirect as indirect_mod
-from wienerid.bench import ExperimentConfig, make_record, run_method
+from wienerid.bench import (
+    ExperimentConfig, first_order_estimate, make_record, run_method, zero_order_estimate,
+)
 from wienerid.bla import estimate_weighting, fit_bla
 from wienerid.indirect import (
     AnalyticMap,
     SimulatedMap,
     beta_map_gaussian,
     beta_map_uniform,
-    first_order_estimate,
     step2,
-    zero_order_estimate,
 )
-from wienerid.numerics import CostEvaluationError, OptimizerSettings, RankDeficiencyError, horner
+from wienerid.numerics import BRACKET, CostEvaluationError, RankDeficiencyError, horner
 from wienerid.pem import conditional_mean, pem_estimate
 from wienerid.signals import DistributionKind, StreamRole, gaussian_white, gen_white, uniform_white
 from wienerid.system import (
-    DataRecord, SystemSpec, cubic, identity, lagged_matrix, paper_fir, polynomial, simulate,
+    DataRecord, FirStructure, SystemSpec, cubic, identity, lagged_matrix, paper_fir, polynomial,
+    simulate,
 )
 
 from cost_checks import capture_costs, reference_argmin
@@ -181,7 +182,7 @@ class TestSimulatedMap:
 class TestStep2:
     def test_exact_fixed_point(self):
         amap = AnalyticMap(SU2, SV2, 3.0)
-        report = step2(amap(0.5), np.eye(2), amap, n_obs=1000)
+        report = step2(amap(0.5), np.eye(2), amap, beta_cov=np.eye(2) / 1000)
         assert report.theta_hat[0] == pytest.approx(0.5, abs=1e-6)
         # the exact map carries no inflation
         G = analytic_jacobian(amap, report.theta_hat[0])
@@ -191,8 +192,8 @@ class TestStep2:
         amap = AnalyticMap(SU2, SV2, 3.0)
         beta_hat = np.array([0.9, 1.8])
         W = np.array([[2.0, 0.3], [0.3, 1.0]])
-        a = step2(beta_hat, W, amap, n_obs=500)
-        b = step2(beta_hat, 7.0 * W, amap, n_obs=500)
+        a = step2(beta_hat, W, amap, beta_cov=np.eye(2) / 500)
+        b = step2(beta_hat, 7.0 * W, amap, beta_cov=np.eye(2) / 500)
         assert a.theta_hat[0] == b.theta_hat[0]
 
     def test_weighting_scale_invariance_on_random_metrics(self):
@@ -202,35 +203,39 @@ class TestStep2:
             A = rng.normal(size=(2, 2))
             W = A @ A.T + 0.1 * np.eye(2)
             beta_hat = amap(rng.uniform(-2.0, 2.0)) + rng.normal(scale=0.05, size=2)
-            a = step2(beta_hat, W, amap, n_obs=500)
-            b = step2(beta_hat, np.exp(rng.uniform(-10.0, 10.0)) * W, amap, n_obs=500)
+            a = step2(beta_hat, W, amap, beta_cov=np.eye(2) / 500)
+            scale = np.exp(rng.uniform(-10.0, 10.0))
+            b = step2(beta_hat, scale * W, amap, beta_cov=np.eye(2) / 500)
             assert a.theta_hat[0] == b.theta_hat[0]
 
     def test_identifiability_across_grid(self):
         amap = AnalyticMap(SU2, SV2, 3.0)
         for theta in np.linspace(-2.9, 2.9, 50):
-            report = step2(amap(theta), np.eye(2), amap, n_obs=100)
+            report = step2(amap(theta), np.eye(2), amap, beta_cov=np.eye(2) / 100)
             assert abs(report.theta_hat[0] - theta) < 1e-6
 
     def test_non_positive_definite_weighting_rejected(self):
         amap = AnalyticMap(SU2, SV2, 3.0)
         with pytest.raises(ValueError, match="positive definite"):
-            step2(amap(0.5), np.array([[1.0, 0.0], [0.0, -1.0]]), amap, n_obs=100)
+            step2(amap(0.5), np.array([[1.0, 0.0], [0.0, -1.0]]), amap, beta_cov=np.eye(2) / 100)
         with pytest.raises(ValueError, match="symmetric"):
-            step2(amap(0.5), np.array([[1.0, 0.5], [0.0, 1.0]]), amap, n_obs=100)
+            step2(amap(0.5), np.array([[1.0, 0.5], [0.0, 1.0]]), amap, beta_cov=np.eye(2) / 100)
 
     @pytest.mark.parametrize("shape", [(), (1, 1, 2)], ids=["0-d", "3-D"])
     def test_beta_hat_of_the_wrong_shape_rejected(self, shape):
         amap = AnalyticMap(SU2, SV2, 3.0)
         with pytest.raises(ValueError, match=rf"^beta_hat of shape {re.escape(str(shape))}; step2"):
-            step2(np.full(shape, 0.9), np.eye(2), amap, n_obs=100)
+            step2(np.full(shape, 0.9), np.eye(2), amap, beta_cov=np.eye(2) / 100)
 
-    def test_needs_n_obs_or_beta_cov(self):
+    def test_needs_beta_cov(self):
+        # beta_cov scales the predicted std alone
         amap = AnalyticMap(SU2, SV2, 3.0)
-        with pytest.raises(ValueError, match="n_obs or beta_cov"):
+        with pytest.raises(TypeError, match="beta_cov"):
             step2(amap(0.5), np.eye(2), amap)
-        with_cov = step2(amap(0.5), np.eye(2), amap, beta_cov=np.eye(2) / 100)
-        assert with_cov.theta_hat[0] == step2(amap(0.5), np.eye(2), amap, n_obs=100).theta_hat[0]
+        a = step2(amap(0.45), np.eye(2), amap, beta_cov=np.eye(2) / 100)
+        b = step2(amap(0.45), np.eye(2), amap, beta_cov=np.eye(2) / 400)
+        assert a.theta_hat[0] == b.theta_hat[0]
+        assert b.predicted_std == pytest.approx(a.predicted_std / 2.0, rel=1e-14)
 
     def test_flat_criterion_flagged(self):
         class FlatMap:
@@ -238,14 +243,14 @@ class TestStep2:
             inflation = 1.0
             coeffs = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
 
-        report = step2(np.array([0.0, 0.0]), np.eye(2), FlatMap(), n_obs=100)
+        report = step2(np.array([0.0, 0.0]), np.eye(2), FlatMap(), beta_cov=np.eye(2) / 100)
         assert report.diagnostics.degenerate
         assert report.predicted_std == np.inf
 
     def test_predicted_covariance_formula(self):
         amap = AnalyticMap(SU2, SV2, 3.0)
         W = np.diag([2.0, 3.0])
-        report = step2(amap(0.5), W, amap, n_obs=250)
+        report = step2(amap(0.5), W, amap, beta_cov=np.linalg.inv(250 * W))
         G = analytic_jacobian(amap, report.theta_hat[0])
         expected = 1.0 / float(G[:, 0] @ W @ G[:, 0]) / 250
         assert report.predicted_std**2 == pytest.approx(expected, rel=1e-9)
@@ -255,7 +260,7 @@ class TestStep2:
         spec.sigma_v2 = 0.0
         u = gen_white(gaussian_white(SU2), 2001, 82, path=(0,))
         smap = SimulatedMap(u, spec, s_count=1, seed=3)
-        report = step2(smap(0.5), np.eye(2), smap, n_obs=2000)
+        report = step2(smap(0.5), np.eye(2), smap, beta_cov=np.eye(2) / 2000)
         assert abs(report.theta_hat[0] - 0.5) < 1e-10
         # G against a central difference of the map (error about 1e-10),
         # the variance inflated by 1 + 1/S
@@ -280,8 +285,8 @@ class TestStep2Stack:
     def check_rows(self, beta_hat, W, maps, beta_cov):
         coeffs = np.array([m.coeffs for m in maps])
         stacked_map = SimpleNamespace(coeffs=coeffs, inflation=np.array([m.inflation for m in maps]))
-        result = step2(beta_hat, W, stacked_map, n_obs=400, beta_cov=beta_cov)
-        own = [lambda i=i: step2(beta_hat[i], W[i], maps[i], n_obs=400, beta_cov=beta_cov[i])
+        result = step2(beta_hat, W, stacked_map, beta_cov=beta_cov)
+        own = [lambda i=i: step2(beta_hat[i], W[i], maps[i], beta_cov=beta_cov[i])
                for i in range(self.R)]
         assert_rows_are_their_own_calls(result, own)
         ok = result.errors.ok
@@ -299,9 +304,9 @@ class TestStep2Stack:
         beta_cov = np.array([f.cov_beta for _, f in fits])
         self.check_rows(beta_hat, W, [amap] * self.R, beta_cov)
         # one shared map and one shared metric are the same rows
-        shared = step2(beta_hat, np.eye(2), amap, n_obs=400, beta_cov=beta_cov)
+        shared = step2(beta_hat, np.eye(2), amap, beta_cov=beta_cov)
         for i in range(self.R):
-            own = step2(beta_hat[i], np.eye(2), amap, n_obs=400, beta_cov=beta_cov[i])
+            own = step2(beta_hat[i], np.eye(2), amap, beta_cov=beta_cov[i])
             assert (shared.theta_hat[i], shared.predicted_std[i]) == (own.theta_hat[0], own.predicted_std)
 
     def test_simulated_maps_with_failing_rows(self):
@@ -331,7 +336,8 @@ class TestBindingMapContract:
     ], ids=["1-D", "too-wide", "too-narrow", "3-D", "no-rows"])
     def test_coeffs_of_the_wrong_shape_rejected(self, coeffs):
         with pytest.raises(ValueError, match=r"step2 needs \(degree \+ 1, 2\)"):
-            step2(np.array([0.9, 1.8]), np.eye(2), SimpleNamespace(coeffs=coeffs), n_obs=500)
+            step2(np.array([0.9, 1.8]), np.eye(2), SimpleNamespace(coeffs=coeffs),
+                  beta_cov=np.eye(2) / 500)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("argument", ["beta_hat", "W", "beta_map.coeffs", "beta_cov"])
@@ -346,7 +352,7 @@ class TestBindingMapContract:
         with pytest.raises(ValueError, match=f"^{argument} must be finite"):
             step2(
                 inputs["beta_hat"], inputs["W"], SimpleNamespace(coeffs=inputs["beta_map.coeffs"]),
-                n_obs=500, beta_cov=inputs["beta_cov"],
+                beta_cov=inputs["beta_cov"],
             )
 
 
@@ -354,11 +360,11 @@ class TestStep2Criterion:
     # the polynomial step2 minimizes against (beta(theta) - beta_hat)' W
     # (beta(theta) - beta_hat) / trace(W), its definition, on a grid
     @staticmethod
-    def assert_criterion_is_its_definition(monkeypatch, beta_map, est, W, n_obs):
+    def assert_criterion_is_its_definition(monkeypatch, beta_map, est, W):
         costs = capture_costs(monkeypatch, indirect_mod)
-        step2(est.beta_hat, W, beta_map, n_obs=n_obs)
-        (coeffs, settings), = costs
-        for theta in np.linspace(*settings.bracket, 13):
+        step2(est.beta_hat, W, beta_map, beta_cov=est.cov_beta)
+        (coeffs, bracket), = costs
+        for theta in np.linspace(*bracket, 13):
             resid = beta_map(theta) - est.beta_hat
             definition = float(resid @ W @ resid) / np.trace(W)
             assert horner(coeffs, theta) == pytest.approx(definition, rel=1e-9, abs=1e-12)
@@ -370,13 +376,13 @@ class TestStep2Criterion:
         est = estimate_weighting(data, fit_bla(data, (0, 1)))
         W = est.W if weighted else np.eye(2)
         amap = AnalyticMap(SU2, SV2, input_dist.kurtosis)
-        self.assert_criterion_is_its_definition(monkeypatch, amap, est, W, data.n_obs)
+        self.assert_criterion_is_its_definition(monkeypatch, amap, est, W)
 
     def test_simulated_map_criterion(self, monkeypatch):
         spec, data = make_data(gaussian_white(SU2), 300, 32)
         smap = SimulatedMap(data.u, spec, s_count=2, seed=7)
         est = estimate_weighting(data, fit_bla(data, (0, 1)))
-        self.assert_criterion_is_its_definition(monkeypatch, smap, est, est.W, data.n_obs)
+        self.assert_criterion_is_its_definition(monkeypatch, smap, est, est.W)
 
 
 class TestBracketEdge:
@@ -410,7 +416,7 @@ class TestBracketEdge:
 def invert_cubic(c3, c1, target):
     """II0's match of beta1(theta) = c3 theta^3 + c1 theta to a slope."""
     beta_map = SimpleNamespace(coeffs=np.array([[0.0], [c1], [0.0], [c3]]))
-    return step2(np.array([target]), np.eye(1), beta_map, n_obs=1000)
+    return step2(np.array([target]), np.eye(1), beta_map, beta_cov=np.eye(1) / 1000)
 
 
 class TestMonotoneCubic:
@@ -518,7 +524,7 @@ class TestFirstOrder:
         amap = AnalyticMap(SU2, SV2, dist.kurtosis)
         est = estimate_weighting(data, fit_bla(data, (0, 1)))
         for report, W in ((unw, np.eye(2)), (wgt, est.W)):
-            direct = step2(est.beta_hat, W, amap, n_obs=data.n_obs, beta_cov=est.cov_beta)
+            direct = step2(est.beta_hat, W, amap, beta_cov=est.cov_beta)
             assert report.theta_hat[0] == direct.theta_hat[0]
             assert report.predicted_std == direct.predicted_std
             assert abs(report.theta_hat[0] - 0.5) < 0.25
@@ -531,9 +537,29 @@ class TestFirstOrder:
         spec, data = make_data(dist, 2000, 87)
         est = estimate_weighting(data, fit_bla(data, (0, 1)))
         amap = AnalyticMap(SU2, SV2, dist.kurtosis)
-        sandwich = step2(est.beta_hat, est.W, amap, n_obs=data.n_obs, beta_cov=est.cov_beta)
-        default = step2(est.beta_hat, est.W, amap, n_obs=data.n_obs)
-        assert sandwich.predicted_std == pytest.approx(default.predicted_std, rel=1e-12)
+        sandwich = step2(est.beta_hat, est.W, amap, beta_cov=est.cov_beta)
+        G = analytic_jacobian(amap, sandwich.theta_hat[0])[:, 0]
+        inverse_curvature = 1.0 / float(G @ est.W @ G) / data.n_obs
+        assert sandwich.predicted_std**2 == pytest.approx(inverse_curvature, rel=1e-12)
+
+
+class TestOtherSystemsRejected:
+    """The single-record helpers match the closed-form map of the paper's
+    FIR and cubic, so the template of another system is an error, not that
+    system's data matched against the paper's map."""
+
+    @pytest.mark.parametrize("change", ["identity", "free lag 1"])
+    def test_other_template_rejected(self, change):
+        spec, data = make_data(gaussian_white(SU2), 300, 89)
+        if change == "identity":
+            spec.nonlinearity = identity()
+        else:
+            spec.fir = FirStructure(free_lags=(1,))
+        for call in (lambda: zero_order_estimate(data, spec),
+                     lambda: first_order_estimate(data, spec, weighted=False),
+                     lambda: first_order_estimate(data, spec, weighted=True)):
+            with pytest.raises(ValueError, match="the paper's FIR and cubic alone"):
+                call()
 
 
 class TestUnweightedPredictedStd:
@@ -608,7 +634,7 @@ class TestExactStep2:
                     resid = beta_map(theta) - est.beta_hat
                     return np.vecdot(resid @ W, resid)
 
-                reference = reference_argmin(cost, OptimizerSettings().bracket)
+                reference = reference_argmin(cost, BRACKET)
                 assert abs(exact.theta_hat[0] - reference) <= 2e-6
                 assert exact.diagnostics.iterations >= 2  # the bracket ends and the critical points
                 if config.s_count is None:
@@ -624,7 +650,7 @@ class TestExactStep2:
         # and predicts an infinite std
         config = self.config(theta_o=4.0, realizations=1)
         est = run_method(config, method, make_record(config, 0), 0)
-        assert est.theta_hat[0] == OptimizerSettings().bracket[1]
+        assert est.theta_hat[0] == BRACKET[1]
         assert est.diagnostics.at_bracket_edge and est.predicted_std == np.inf
 
 
@@ -644,7 +670,7 @@ def inflation_runs():
     for r in range(INFLATION_R):
         spec, data = make_data(dist, INFLATION_N, 90000 + r)
         est = estimate_weighting(data, fit_bla(data, (0, 1)))
-        analytic[r] = step2(est.beta_hat, est.W, amap, n_obs=INFLATION_N).theta_hat[0]
+        analytic[r] = step2(est.beta_hat, est.W, amap, beta_cov=est.cov_beta).theta_hat[0]
 
         phi = data.regressors((0, 1))
         gram = phi.T @ phi
@@ -659,10 +685,10 @@ def inflation_runs():
             inflation = 1.0
             coeffs = npoly.polyfit(thetas, np.linalg.solve(gram, (target @ phi).T).T, 3)
 
-        conditional[r] = step2(est.beta_hat, est.W, CondMap(), n_obs=INFLATION_N).theta_hat[0]
+        conditional[r] = step2(est.beta_hat, est.W, CondMap(), beta_cov=est.cov_beta).theta_hat[0]
         for s in INFLATION_S:
             smap = SimulatedMap(data.u, spec, s_count=s, seed=50000 + r)
-            simulated[s][r] = step2(est.beta_hat, est.W, smap, n_obs=INFLATION_N).theta_hat[0]
+            simulated[s][r] = step2(est.beta_hat, est.W, smap, beta_cov=est.cov_beta).theta_hat[0]
     return analytic, conditional, simulated
 
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wienerid.bench import DESK_ML_QUAD_ORDER, ExperimentConfig, make_record, run_method
-from wienerid.indirect import first_order_estimate
+from wienerid.bench import (
+    DESK_ML_QUAD_ORDER, ExperimentConfig, first_order_estimate, make_record, run_method,
+)
 from wienerid import ml
 from wienerid.ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likelihood
-from wienerid.numerics import Estimate, NumericsError
+from wienerid.numerics import BRACKET, Estimate, NumericsError
 from wienerid.pem import pem_estimate
 from wienerid.signals import DistributionKind, gaussian_white, gen_white
 from wienerid.system import (
@@ -435,10 +436,9 @@ class TestCoarseStage:
 
     def configured_newton(self, data, spec, settings):
         """_newton at the configured order alone, from SEED."""
-        bracket = settings.optimizer.bracket
         return ml._newton(
             lambda t: ml._nll_derivatives(t, data, spec, settings),
-            self.SEED[0], ml._window(self.start(), *bracket), bracket,
+            self.SEED[0], ml._window(self.start(), *BRACKET), BRACKET,
         )
 
     @pytest.mark.parametrize("order", [40, ml.COARSE_ORDER])
@@ -547,7 +547,7 @@ class TestMlEstimate:
         monkeypatch.setattr(ml, "neg_log_likelihood", None)
         for start in (None, Estimate(np.array([0.45]), 0.05)):
             est = ml_estimate(data, spec, settings, start=start)
-            pem = pem_estimate(data, spec, weighted=False, settings=settings.optimizer)
+            pem = pem_estimate(data, spec, weighted=False)
             assert est.theta_hat[0] == pem.theta_hat[0] and est.diagnostics == pem.diagnostics
         spec.sigma_e2 = 0.0
         with pytest.raises(ValueError, match="sigma_e2 must be positive"):
@@ -723,7 +723,7 @@ class TestSeededSearch:
             def cost(theta):
                 return neg_log_likelihood(theta, record, config.template(), settings)
 
-            reference = reference_argmin(cost, settings.optimizer.bracket, points=31)
+            reference = reference_argmin(cost, BRACKET, points=31)
             assert abs(seeded.theta_hat[0] - reference) <= 2e-6
 
     def test_start_at_bracket_edge_runs_the_full_scan(self):

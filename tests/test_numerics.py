@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import subprocess
 import sys
@@ -15,10 +16,10 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from wienerid import numerics
+from wienerid.ml import QuadratureUnderflowError
 from wienerid.numerics import (
     CostEvaluationError,
     NumericsError,
-    OptimizerSettings,
     RankDeficiencyError,
     RowErrors,
     gauss_hermite,
@@ -26,6 +27,7 @@ from wienerid.numerics import (
     least_squares,
     poly_argmin,
 )
+from wienerid.system import NonFiniteDataError
 
 from stack_checks import Raised, Rows, assert_rows_are_their_own_calls, outcome
 
@@ -221,22 +223,6 @@ class TestMpmathOracle:
             assert abs(float(log_weights[i]) - log_w) <= 3e-15 * order + 1e-14, (order, i)
 
 
-class TestOptimizerSettings:
-    def test_invalid_settings(self):
-        with pytest.raises(ValueError):
-            OptimizerSettings(bracket=(1.0, -1.0))
-        with pytest.raises(ValueError):
-            OptimizerSettings(bracket=(1.0, 1.0))
-
-    @pytest.mark.parametrize("bracket", [
-        (-math.inf, 3.0), (-3.0, math.inf), (-math.inf, math.inf),
-        (math.nan, 3.0), (-3.0, math.nan),
-    ])
-    def test_non_finite_bracket_ends_rejected(self, bracket):
-        with pytest.raises(ValueError, match="bracket must be finite"):
-            OptimizerSettings(bracket=bracket)
-
-
 class TestNumpyOnlyRuntime:
     def test_import_loads_no_scipy(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -359,6 +345,20 @@ class TestRowErrors:
         assert excinfo.value is stored
 
 
+@pytest.mark.parametrize("error, fields", [
+    (CostEvaluationError(-3.0, math.inf), {"point": -3.0, "value": math.inf}),
+    (RankDeficiencyError(1.5e-17), {"smallest_singular_value": 1.5e-17}),
+    (QuadratureUnderflowError(0.5, [3, 7]), {"theta": 0.5, "time_indices": [3, 7]}),
+    (NonFiniteDataError("y", 4, -math.inf), {"name": "y", "index": 4, "value": -math.inf}),
+], ids=["CostEvaluationError", "RankDeficiencyError", "QuadratureUnderflowError",
+        "NonFiniteDataError"])
+def test_typed_error_survives_pickling(error, fields):
+    # a row's error crosses a process boundary as it is
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error) and str(copy) == str(error)
+    assert {name: getattr(copy, name) for name in fields} == fields
+
+
 class TestPolyArgmin:
     @given(
         coeffs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
@@ -371,7 +371,7 @@ class TestPolyArgmin:
         # largest magnitude on the bracket above the minimum of a 2001-point grid
         cost = np.polynomial.Polynomial(coeffs)
         bracket = (lo, lo + width)
-        res = poly_argmin(coeffs, OptimizerSettings(bracket=bracket))
+        res = poly_argmin(coeffs, bracket)
         grid = cost(np.linspace(*bracket, 2001))
         assert bracket[0] <= res.argmin <= bracket[1]
         assert res.min_value == pytest.approx(cost(res.argmin), abs=1e-9 * (1.0 + np.abs(grid).max()))
@@ -379,16 +379,16 @@ class TestPolyArgmin:
         assert res.at_bracket_edge == (res.argmin in bracket)
 
     def test_interior_and_edge_minima(self):
-        settings = OptimizerSettings(bracket=(-1.0, 1.0))
-        res = poly_argmin(npoly.polyfromroots([0.3, 0.3, -2.0]), settings)
+        bracket = (-1.0, 1.0)
+        res = poly_argmin(npoly.polyfromroots([0.3, 0.3, -2.0]), bracket)
         assert res.argmin == pytest.approx(0.3, abs=1e-12) and not res.at_bracket_edge
-        res = poly_argmin(npoly.polyfromroots([1.5, 1.5]), settings)
+        res = poly_argmin(npoly.polyfromroots([1.5, 1.5]), bracket)
         assert res.argmin == 1.0 and res.at_bracket_edge
 
     def test_flat_minimum_of_a_quartic(self):
         # the derivative's triple root may come out as a complex cluster;
         # its real parts are still candidates
-        res = poly_argmin(npoly.polyfromroots([0.3] * 4), OptimizerSettings(bracket=(-1.0, 1.0)))
+        res = poly_argmin(npoly.polyfromroots([0.3] * 4), (-1.0, 1.0))
         assert abs(res.argmin - 0.3) < 1e-4
         assert res.min_value < 1e-15
 
@@ -399,42 +399,42 @@ class TestPolyArgmin:
             ([0.0, -1.0, 0.0, 1.0], (0.0, 2.0), 3),  # one critical point outside
             ([2.25, -3.0, 1.0], (-1.0, 1.0), 2),  # (x - 1.5)^2: none inside
         ]:
-            res = poly_argmin(coeffs, OptimizerSettings(bracket=bracket))
+            res = poly_argmin(coeffs, bracket)
             assert res.iterations == candidates, coeffs
 
     def test_constant_cost_flagged_degenerate(self):
         # zero non-constant coefficients, trailing zeros and all zeros
         for coeffs in ([3.0], [3.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0, 0.0], [0.0], [0.0, 0.0, 0.0]):
-            res = poly_argmin(coeffs, OptimizerSettings(bracket=(-1.0, 5.0)))
+            res = poly_argmin(coeffs, (-1.0, 5.0))
             assert res.degenerate and not res.at_bracket_edge
             assert res.argmin == 0.0 and res.min_value == coeffs[0] and res.iterations == 2
-            res = poly_argmin(coeffs, OptimizerSettings(bracket=(1.0, 5.0)))
+            res = poly_argmin(coeffs, (1.0, 5.0))
             assert res.degenerate and res.argmin == 1.0 and res.at_bracket_edge
 
     def test_tiny_leading_coefficient(self):
         # a leading coefficient far below the others puts a huge root beside
         # the small one; numpy's polyroots then misplaces it by 2e-3 at 1e-13,
         # loses it at 1e-40 and raises LinAlgError at 5e-324
-        settings = OptimizerSettings(bracket=(-1.0, 0.0))
+        bracket = (-1.0, 0.0)
         for tiny in (1e-13, 1e-40, 5e-324):
-            res = poly_argmin([0.0, 0.7890625, 2.0, tiny], settings)
+            res = poly_argmin([0.0, 0.7890625, 2.0, tiny], bracket)
             assert res.argmin == pytest.approx(-0.7890625 / 4.0, abs=1e-10), tiny
             assert not res.degenerate
 
     def test_degree_one_and_trailing_zeros(self):
-        settings = OptimizerSettings(bracket=(-1.0, 1.0))
-        res = poly_argmin([1.0, 2.0], settings)
+        bracket = (-1.0, 1.0)
+        res = poly_argmin([1.0, 2.0], bracket)
         assert res.argmin == -1.0 and res.min_value == -1.0
         assert res.at_bracket_edge and not res.degenerate and res.iterations == 2
-        res = poly_argmin([1.0, -2.0, 0.0, 0.0], settings)
+        res = poly_argmin([1.0, -2.0, 0.0, 0.0], bracket)
         assert res.argmin == 1.0 and res.min_value == -1.0 and res.iterations == 2
         cubic = list(npoly.polyfromroots([0.3, 0.3, -2.0]))
-        assert poly_argmin(cubic + [0.0, 0.0], settings) == poly_argmin(cubic, settings)
+        assert poly_argmin(cubic + [0.0, 0.0], bracket) == poly_argmin(cubic, bracket)
 
     def test_symmetric_tie_prefers_smaller_magnitude(self):
-        res = poly_argmin([0.0, 0.0, 1.0], OptimizerSettings(bracket=(-1.0, 1.0)))
+        res = poly_argmin([0.0, 0.0, 1.0], (-1.0, 1.0))
         assert res.argmin == pytest.approx(0.0, abs=1e-15)
-        res = poly_argmin([0.0, 0.0, -1.0], OptimizerSettings(bracket=(-1.0, 1.0)))
+        res = poly_argmin([0.0, 0.0, -1.0], (-1.0, 1.0))
         assert res.argmin == -1.0 and res.at_bracket_edge
 
     def test_non_finite_cost_reports_point(self):
@@ -447,11 +447,11 @@ class TestPolyArgmin:
                     coeffs = [1.0, 0.5, 1.0]
                     coeffs[position] = bad
                     with pytest.raises(CostEvaluationError) as excinfo:
-                        poly_argmin(coeffs, OptimizerSettings(bracket=(-2.0, 2.0)))
+                        poly_argmin(coeffs, (-2.0, 2.0))
                     assert excinfo.value.point == -2.0 and not math.isfinite(excinfo.value.value)
             # finite coefficients, but 1e300 x^2 overflows at the upper end
             with pytest.raises(CostEvaluationError) as excinfo:
-                poly_argmin([0.0, 0.0, 1e300], OptimizerSettings(bracket=(0.5, 1e5)))
+                poly_argmin([0.0, 0.0, 1e300], (0.5, 1e5))
             assert excinfo.value.point == 1e5 and excinfo.value.value == math.inf
 
     @pytest.mark.parametrize("coeffs", [np.float64(1.0), np.zeros(0), np.zeros((1, 2, 3))],
@@ -464,7 +464,7 @@ class TestPolyArgmin:
 class TestPolyArgminStack:
     """An (R, K) stack gives each row the result of its own 1-D call."""
 
-    settings = OptimizerSettings(bracket=(-1.0, 2.0))
+    bracket = (-1.0, 2.0)
     ROWS = {
         "interior": npoly.polyfromroots([0.3, 0.3, -2.0, 1.7, 5.0, -4.0]),
         "lower degree": np.r_[npoly.polyfromroots([0.3, 0.3, -2.0]), 0.0, 0.0, 0.0],
@@ -483,10 +483,10 @@ class TestPolyArgminStack:
 
     def test_rows_equal_their_own_calls(self):
         stack = np.array(list(self.ROWS.values()), dtype=float)
-        singles = [lambda row=row: poly_argmin(row, self.settings) for row in stack]
+        singles = [lambda row=row: poly_argmin(row, self.bracket) for row in stack]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result = poly_argmin(stack, self.settings)
+            result = poly_argmin(stack, self.bracket)
             assert_rows_are_their_own_calls(result, singles)
             kinds = {name: outcome(single) for name, single in zip(self.ROWS, singles)}
         assert result.argmin.shape == (len(stack),)
@@ -499,14 +499,14 @@ class TestPolyArgminStack:
 
     def test_non_finite_row_is_flagged_not_raised(self):
         stack = np.array([self.ROWS["interior"], self.ROWS["overflow"], self.ROWS["nan"]])
-        result = poly_argmin(stack, self.settings)
+        result = poly_argmin(stack, self.bracket)
         assert_rows_are_their_own_calls(
-            result, [lambda row=row: poly_argmin(row, self.settings) for row in stack])
+            result, [lambda row=row: poly_argmin(row, self.bracket) for row in stack])
         assert result.errors[0] is None
         for i, point in ((1, 2.0), (2, -1.0)):
             assert isinstance(result.errors[i], CostEvaluationError)
             assert result.errors[i].point == point
 
     def test_empty_stack(self):
-        result = poly_argmin(np.zeros((0, 7)), self.settings)
+        result = poly_argmin(np.zeros((0, 7)), self.bracket)
         assert result.argmin.shape == (0,) and result.errors == []

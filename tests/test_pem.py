@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import wienerid.pem as pem_mod
 from wienerid.bench import ExperimentConfig, make_record, run_method
-from wienerid.numerics import CostEvaluationError, OptimizerSettings, gauss_hermite, horner
+from wienerid.numerics import BRACKET, CostEvaluationError, gauss_hermite, horner
 from wienerid.pem import (
     conditional_mean,
     conditional_variance,
@@ -154,8 +154,8 @@ class TestPemEstimate:
         assert len(costs) == 2  # unweighted search, then the weighted one
         u_t, u_tm1, nl = data.lagged(0), data.lagged(1), spec.nonlinearity
         frozen = conditional_variance(nl, searches[0].argmin * u_t + u_tm1, 0.2, 0.1)
-        for (coeffs, settings), weights in zip(costs, (1.0, frozen)):
-            for theta in np.linspace(*settings.bracket, 13):
+        for (coeffs, bracket), weights in zip(costs, (1.0, frozen)):
+            for theta in np.linspace(*bracket, 13):
                 resid = data.y - conditional_mean(nl, theta * u_t + u_tm1, 0.2)
                 assert horner(coeffs, theta) == pytest.approx(np.mean(resid**2 / weights), rel=1e-9)
 
@@ -253,7 +253,6 @@ class TestExactSearch:
         # prediction_variance frozen at the unweighted estimate
         config = self.config()
         searches = capture_searches(monkeypatch, pem_mod)
-        bracket = OptimizerSettings().bracket
         for r in range(config.realizations):
             record = make_record(config, r)
             run_method(config, "PEM_W", record, r)
@@ -266,7 +265,7 @@ class TestExactSearch:
                     resid = record.y - predict(theta, u_t, u_tm1, sv2)
                     return float(np.mean(resid**2 / weights))
 
-                reference = reference_argmin(cost, bracket)
+                reference = reference_argmin(cost, BRACKET)
                 assert abs(exact.argmin - reference) <= 2e-6
                 assert cost(exact.argmin) <= cost(reference) * (1 + 1e-12)
                 assert exact.iterations >= 2  # the bracket ends and the critical points
@@ -276,5 +275,5 @@ class TestExactSearch:
         # theta0 = 4 lies outside [-3, 3]: both costs decrease up to the edge
         config = self.config(theta_o=4.0, realizations=1)
         est = run_method(config, "PEM_W", make_record(config, 0), 0)
-        assert est.theta_hat[0] == OptimizerSettings().bracket[1]
+        assert est.theta_hat[0] == BRACKET[1]
         assert est.diagnostics.at_bracket_edge and not est.diagnostics.degenerate

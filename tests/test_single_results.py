@@ -10,7 +10,7 @@ import pytest
 
 from wienerid import bench
 from wienerid.bla import estimate_weighting, fit_bla
-from wienerid.indirect import AnalyticMap, first_order_estimate, step2, zero_order_estimate
+from wienerid.indirect import AnalyticMap, step2
 from wienerid.numerics import Estimate, ScalarMinResult, poly_argmin
 from wienerid.pem import pem_estimate
 from wienerid.signals import DistributionKind
@@ -27,10 +27,10 @@ AMAP = AnalyticMap(1 / 3, 0.2, 3.0)
 CASES = {
     "weighted fit": lambda: estimate_weighting(RECORD, fit_bla(RECORD, (0, 1))),
     "pem_estimate": lambda: pem_estimate(RECORD, TEMPLATE),
-    "step2": lambda: step2(AMAP(0.5) + 0.01, np.eye(2), AMAP, n_obs=300),
+    "step2": lambda: step2(AMAP(0.5) + 0.01, np.eye(2), AMAP, beta_cov=np.eye(2) / 300),
     "poly_argmin": lambda: poly_argmin([1.0, -0.5, 0.0, 1.0]),
-    "zero_order_estimate": lambda: zero_order_estimate(RECORD, TEMPLATE),
-    "first_order_estimate": lambda: first_order_estimate(RECORD, TEMPLATE),
+    "zero_order_estimate": lambda: bench.zero_order_estimate(RECORD, TEMPLATE),
+    "first_order_estimate": lambda: bench.first_order_estimate(RECORD, TEMPLATE),
     **{f"run_method {m}": lambda m=m: bench.run_method(CONFIG, m, RECORD)
        for m in bench.METHOD_ORDER},
 }
