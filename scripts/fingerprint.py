@@ -33,7 +33,8 @@ The gate set, at master seeds 20260809 and 20261017 each:
                                  with s_count = 3
 The ML experiments run at desk scale.  --small runs the first seed alone,
 each experiment on at most 8 realizations (crafted ones keep their 10):
-about 3.5 s on a 2-core x86-64 VM, against 10 s for the whole set.
+2.2-2.3 s on a 2-core x86-64 VM, against 7.1-7.6 s for the whole set
+(whole process, 3 runs each).
 """
 
 import argparse

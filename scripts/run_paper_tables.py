@@ -5,8 +5,8 @@ Runs the experiments of scripts/configs at the given seed and realization
 count: the four fast estimators over 1000 seeded realizations per table
 (gaussian.cfg, uniform.cfg), plus the reduced-order ML column (ml_desk.cfg:
 at most 200 realizations at quadrature order 200) unless --full-ml runs
-ml_desk.cfg without desk scale, order 1000 over all realizations (about
-10 s on a 2-core x86-64 VM, 8.5 s of it the ML column).
+ml_desk.cfg without desk scale, order 1000 over all realizations (10-12 s
+on a 2-core x86-64 VM over 9 runs, 8.3-10.2 s of it the ML column).
 """
 
 import argparse
@@ -29,7 +29,7 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, default=None, help="emit CSV reports here")
     parser.add_argument("--skip-ml", action="store_true")
     parser.add_argument("--full-ml", action="store_true",
-                        help="order-1000 quadrature over all realizations (about 10 s)")
+                        help="order-1000 quadrature over all realizations (about 11 s)")
     args = parser.parse_args(argv)
     try:
         run_tables(args)

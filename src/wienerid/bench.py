@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import bla
-from .indirect import SimulatedMap, analytic_binding, step2, zero_order_fit
+from .indirect import FIRST_ORDER_LAGS, SimulatedMap, analytic_binding, step2, zero_order_fit
 from .ml import MlSettings, ml_estimate
 from .numerics import Estimate, NumericsError, RowErrors, check_quad_order
 from .pem import pem_estimate
@@ -228,7 +228,7 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
                 except Exception as exc:  # noqa: BLE001 - per-realization isolation
                     errors[j] = exc
         try:
-            fit = bla.estimate_weighting(records, bla.fit_bla(records, (0, 1)))
+            fit = bla.estimate_weighting(records, bla.fit_bla(records, FIRST_ORDER_LAGS))
             errors.merge(fit.errors)
         except Exception as exc:  # noqa: BLE001 - a stack-wide error is every row's
             errors.merge([exc] * len(chunk))

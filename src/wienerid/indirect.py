@@ -46,6 +46,9 @@ from .signals import (
 )
 from .system import DataRecord, SystemSpec, lagged_matrix, linear_output, stack_records
 
+# the lags of the first-order auxiliary fit, u(t) and u(t - 1), and of the simulated map
+FIRST_ORDER_LAGS = (0, 1)
+
 
 @dataclass(frozen=True)
 class AnalyticMap:
@@ -98,23 +101,22 @@ class SimulatedMap:
     The map is the fit of the S stacked replicate outputs
     f(theta x + w_s) on tile(phi, S), with x the free tap's input, w_s the
     fixed taps' output plus the process-noise replicate v_s, and phi the
-    N x len(lags) lagged regressors.  That fit equals pinv(phi) applied to
-    the replicate mean of the outputs, a polynomial in theta of the
-    nonlinearity's degree: for f(z) = sum_j c_j z^j its coefficient at
+    N x 2 regressors at FIRST_ORDER_LAGS.  That fit equals pinv(phi)
+    applied to the replicate mean of the outputs, a polynomial in theta of
+    the nonlinearity's degree: for f(z) = sum_j c_j z^j its coefficient at
     theta^k is, per sample, x^k sum_j c_j C(j, k) mean_s(w_s^(j-k))
     (`pem.theta_coeffs` of the replicate means).  Construction draws the
     replicates, checks the rank of phi (rank-deficient regressors raise
     RankDeficiencyError) and projects those per-sample rows once, into
-    `coeffs`, a (degree + 1, len(lags)) matrix; the noise draws are not
-    kept.  A (G,) array of theta gives a (G, len(lags)) array, row g bit for
-    bit equal to the call with theta[g].
+    `coeffs`, a (degree + 1, 2) matrix; the noise draws are not kept.  A
+    (G,) array of theta gives a (G, 2) array, row g bit for bit equal to the
+    call with theta[g].
     """
 
     u: np.ndarray
     spec_template: SystemSpec
     s_count: int
     seed: Seed
-    lags: tuple[int, ...] = (0, 1)
     coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -122,10 +124,10 @@ class SimulatedMap:
             raise ValueError("s_count must be >= 1")
         fir, nl = self.spec_template.fir, self.spec_template.nonlinearity
         self.u = np.asarray(self.u, dtype=float)
-        self.lags = tuple(int(l) for l in self.lags)
-        n = len(self.u) - max(fir.max_lag, *self.lags)
-        m = len(self.lags)
-        left, sing, right_t = np.linalg.svd(lagged_matrix(self.u, n, self.lags), full_matrices=False)
+        n = len(self.u) - max(fir.max_lag, *FIRST_ORDER_LAGS)
+        m = len(FIRST_ORDER_LAGS)
+        phi = lagged_matrix(self.u, n, FIRST_ORDER_LAGS)
+        left, sing, right_t = np.linalg.svd(phi, full_matrices=False)
         # tile(phi, S) has the singular values sqrt(S) * sing, so this is
         # least_squares' eps * max(rows, m) * s_max threshold on the stacked
         # problem; fewer rows than lags leave a zero singular value
@@ -160,9 +162,9 @@ def step2(beta_hat: np.ndarray, W: np.ndarray, beta_map, beta_cov: np.ndarray):
     """Match the binding function to the auxiliary fit in the W metric.
 
     beta_map gives `coeffs`, the (degree + 1, len(beta_hat)) ascending power
-    coefficients of the binding function in theta (any other shape raises
-    ValueError), and may give `inflation` (default 1); it is not called.
-    A non-finite beta_hat, W, coeffs or beta_cov raises ValueError naming it.
+    coefficients of the binding function in theta, and may give `inflation`
+    (default 1); it is not called.  A non-finite beta_hat, W, coeffs or
+    beta_cov raises ValueError naming it.
     The criterion, the Gram form of R M R' (R the coeffs less beta_hat in the
     constant row, M the metric) of degree 2 * degree in theta, is minimized
     exactly on numerics.BRACKET, and G is the derivative of the coefficients at the estimate.
@@ -173,48 +175,45 @@ def step2(beta_hat: np.ndarray, W: np.ndarray, beta_map, beta_cov: np.ndarray):
     H = G' W G, where beta_cov is the covariance of beta_hat.  It is
     infinite when the criterion is flat or its minimum is a bracket end.
 
-    A stack of R fits, beta_hat (R, m), gives their stacked Estimate.  W
-    and beta_cov are then (R, m, m), coeffs (R, degree + 1, m) and inflation
-    (R,), or any of them one value shared by every row.  Every check runs
-    per row under numerics.RowErrors, so the other rows go on.  The rows
-    share one matmul, inverse and search per step, each slice computed as
-    its own call computes it, so a row's estimate is bit for bit that of
-    its own call.  A 1-D beta_hat is the stack of one: it gives its
-    Estimate, or raises its error.  A beta_hat of another shape raises
-    ValueError.
+    A stack of R fits, beta_hat (R, m), gives their stacked Estimate, and
+    every other input is stacked with it: W and beta_cov (R, m, m), coeffs
+    (R, degree + 1, m) and inflation (R,).  Every check runs per row under
+    numerics.RowErrors, so the other rows go on.  The rows share one
+    matmul, inverse and search per step, each slice computed as its own
+    call computes it, so a row's estimate is bit for bit that of its own
+    call.  A 1-D beta_hat is the stack of one, with every input unstacked:
+    it gives its Estimate, or raises its error.  An input of any other
+    shape raises ValueError naming it.
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
     if beta_hat.ndim not in (1, 2):
         raise ValueError(f"beta_hat of shape {beta_hat.shape}; step2 needs (m,) or an (R, m) stack")
-    fits = beta_hat.reshape(-1, beta_hat.shape[-1])
-    rows, width = fits.shape
-    stacked = beta_hat.ndim == 2
-    square = (rows, width, width)
-    coeffs = np.asarray(beta_map.coeffs, dtype=float)
-    shared = coeffs.ndim == 2  # one map for every row
-    if coeffs.shape[-1:] != (width,) or coeffs.shape[-2:-1] == (0,) or not (
-        shared or stacked and coeffs.ndim == 3 and len(coeffs) == rows
-    ):
-        raise ValueError(
-            f"binding function coeffs of shape {coeffs.shape}; step2 needs"
-            f" (degree + 1, {width}) for beta of length {width}"
-            + (f", or ({rows}, degree + 1, {width}) for {rows} of them" if stacked else "")
-        )
-    W = np.asarray(W, dtype=float)
-    if W.shape != (width, width) and not (stacked and W.shape == square):
-        raise ValueError(f"W shape {W.shape} does not match beta of length {width}")
-    # a shared value goes to every row
-    W = np.array(np.broadcast_to(W, square))
-    beta_cov = np.array(np.broadcast_to(beta_cov, square), dtype=float)
-    inflation = np.array(np.broadcast_to(getattr(beta_map, "inflation", 1.0), rows), dtype=float)
+    lead, width = beta_hat.shape[:-1], beta_hat.shape[-1]  # lead (R,) for a stack, () for one fit
+    fits = beta_hat.reshape(-1, width)
+    rows = len(fits)
+
+    def row_stack(name, value, shape, needs=None):
+        """value as (rows, *shape); ValueError naming it unless its shape is lead + shape."""
+        value = np.asarray(value, dtype=float)
+        if value.shape != lead + shape:
+            needs = str(lead + (needs or shape)).replace("'", "")
+            raise ValueError(f"{name} of shape {value.shape}; step2 needs {needs}")
+        return value.reshape(rows, *shape)
+
+    # coeffs has its own number of powers, and no powers is a wrong shape
+    powers = max((1, *np.shape(beta_map.coeffs)[-2:-1]))
+    coeffs = row_stack("beta_map.coeffs", beta_map.coeffs, (powers, width), ("degree + 1", width))
+    W = row_stack("W", W, (width, width))
+    beta_cov = row_stack("beta_cov", beta_cov, (width, width))
+    inflation = row_stack("beta_map.inflation", getattr(beta_map, "inflation", np.ones(lead)), ())
 
     # the checks run in the order of a call of its own
     errors = RowErrors([None] * rows)
     named = [("beta_hat", fits), ("W", W), ("beta_map.coeffs", coeffs), ("beta_cov", beta_cov)]
     for name, value in named:
         if not (finite := np.isfinite(value)).all():
-            bad = ~finite.reshape(1 if value is coeffs and shared else rows, -1).all(axis=1)
-            errors.fail(np.broadcast_to(bad, rows), lambda i, n=name: ValueError(f"{n} must be finite"))
+            bad = ~finite.reshape(rows, -1).all(axis=1)
+            errors.fail(bad, lambda i, n=name: ValueError(f"{n} must be finite"))
     finite_rows = errors.ok
     # a failed row's numbers are dropped, so its warnings would say nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -230,17 +229,15 @@ def step2(beta_hat: np.ndarray, W: np.ndarray, beta_map, beta_cov: np.ndarray):
 
         metric = np.round(W / np.trace(W, axis1=1, axis2=2)[:, None, None] * 2.0**40) / 2.0**40
         # the residual beta(theta) - beta_hat is R' p(theta), p = (1, theta, ...)
-        R = np.empty((rows,) + coeffs.shape[-2:])
-        R[:, 0] = coeffs[..., 0, :] - fits
-        R[:, 1:] = coeffs[..., 1:, :]
+        R = coeffs.copy()
+        R[:, 0] -= fits
         search = poly_argmin(gram_coeffs(R @ metric @ R.swapaxes(1, 2)))
         errors.merge(search.errors)
         ok = errors.ok
         # G, the coefficients' derivative at the estimate, as npoly.polyder
         # and npoly.polyval form it for one row
-        n = coeffs.shape[-2]
-        slope = coeffs[..., 1:, :] * np.arange(1, n)[:, None] if n > 1 else coeffs * 0.0
-        g = npoly.polyval(search.argmin[:, None], np.moveaxis(slope, -2, 0), tensor=False)
+        slope = coeffs[:, 1:] * np.arange(1, powers)[:, None] if powers > 1 else coeffs * 0.0
+        g = npoly.polyval(search.argmin[:, None], np.moveaxis(slope, 1, 0), tensor=False)
         G = g[:, :, None]
 
         wg = W @ G
@@ -256,7 +253,7 @@ def step2(beta_hat: np.ndarray, W: np.ndarray, beta_map, beta_cov: np.ndarray):
         theta_hat = np.where(ok, search.argmin, np.nan)
         std = np.where(ok, np.sqrt(cov[:, 0, 0]), np.nan)
     result = Estimate(theta_hat, std, search, errors)
-    return result if stacked else result.row(0)
+    return result if lead else result.row(0)
 
 
 def analytic_binding(spec_template: SystemSpec) -> AnalyticMap:

@@ -19,9 +19,11 @@ with two reused work arrays, in about eleven array passes per block (see
 decay of the integrand cannot underflow a whole term.  Additive constants
 of the likelihood that do not depend on theta are dropped.
 
-The same nodes give each term's posterior mean and variance of s = v /
-sigma_v, two more columns of the weight product, and from them the exact
-score and observed information in theta (`_nll_derivatives`).  ML has one
+Every evaluation weighs the nodes with one (nodes, 3) matrix, so the same
+product gives each term, its posterior mean and variance of s = v /
+sigma_v, and from them the exact score and observed information in theta
+(`_nll_derivatives`); a likelihood value is the same bits whichever of
+neg_log_likelihood, the scan or Newton asks for it.  ML has one
 search, safeguarded Newton (`_newton`).  It starts at a consistent first
 estimate (bench passes the II1_W of the same record, from the BLA fit and
 binding function that the methods of the record share) in theta_start +- 6
@@ -177,26 +179,26 @@ def _windows(y, a, nonlinearity, sigma_v: float, sigma_e: float):
     return lo, hi
 
 
-def _log_terms(y, a, spec: SystemSpec, settings: MlSettings, moments: bool = False):
-    """Per-term log E{exp(-(y - f(a + v))^2 / (2 sigma_e^2))} over v.
+def _log_terms(y, a, spec: SystemSpec, settings: MlSettings):
+    """Per-term log E{exp(-(y - f(a + v))^2 / (2 sigma_e^2))} over v, with
+    the mean and variance of s = v / sigma_v under each term's posterior,
+    the integrand normalized on its window.
 
     On the window s = c + h x, x in [-1, 1], the log-integrand is
     -(y - f(z))^2 / (2 sigma_e^2) - s^2 / 2 with z = a + sigma_v s.  z and
     -s^2 / 2 + c^2 / 2 are linear in [1, x, x^2], so each comes from one
     (rows, 2) @ (2, nodes) product; -c^2 / 2 is added back after the sum.
     The measurement scale is folded into y and, for the cubic, into z, and
-    the weights are applied with one matrix-vector product.
-
-    With moments (sigma_v2 > 0) the weights are the (nodes, 3) matrix of w,
-    w x and w x^2 in that same product, and the call returns the terms with
-    the mean and variance of s under each term's posterior, the integrand
-    normalized on its window.
+    the weights are the (nodes, 3) matrix of w, w x and w x^2, applied in
+    one product.  With sigma_v2 = 0 each term is -(y - f(a))^2 / (2
+    sigma_e^2) and does not depend on s, whose posterior is its prior: mean
+    0, variance 1.
     """
     nl = spec.nonlinearity
     if spec.sigma_v2 == 0.0:
         resid = y - nl.value(a)
         with np.errstate(over="ignore"):
-            return resid * resid * (-0.5 / spec.sigma_e2)
+            return resid * resid * (-0.5 / spec.sigma_e2), np.zeros(len(y)), np.ones(len(y))
     sigma_v = math.sqrt(spec.sigma_v2)
     lo, hi = _windows(y, a, nl, sigma_v, math.sqrt(spec.sigma_e2))
     center = 0.5 * (lo + hi)
@@ -214,10 +216,9 @@ def _log_terms(y, a, spec: SystemSpec, settings: MlSettings, moments: bool = Fal
     one_x = np.stack([np.ones_like(nodes), nodes])
     x_x2 = np.stack([nodes, nodes * nodes])
     weights = np.exp(log_w)
-    if moments:
-        weights = np.stack([weights, weights * nodes, weights * nodes * nodes], axis=1)
+    weights = np.stack([weights, weights * nodes, weights * nodes * nodes], axis=1)
     n = len(y)
-    shift, total = np.empty(n), np.empty((n, *weights.shape[1:]))
+    shift, total = np.empty(n), np.empty((n, 3))
     # work arrays reused across row blocks: z and then log g, the residual
     block = max(ROW_ALIGN, ROW_ELEMENTS // len(nodes) // ROW_ALIGN * ROW_ALIGN)
     z_buf, r_buf = np.empty((block, len(nodes))), np.empty((block, len(nodes)))
@@ -245,18 +246,16 @@ def _log_terms(y, a, spec: SystemSpec, settings: MlSettings, moments: bool = Fal
             np.matmul(g, weights, out=total[start:stop])
     # a term whose window or sum is not finite comes out non-finite
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        mass = total[:, 0] if moments else total
+        mass = total[:, 0]
         terms = (
             np.log(mass) + shift - 0.5 * center * center + np.log(half)
             - 0.5 * math.log(2.0 * math.pi)
         )
-        if not moments:
-            return terms
         mean_x, mean_x2 = total[:, 1] / mass, total[:, 2] / mass
         return terms, center + half * mean_x, half * half * (mean_x2 - mean_x * mean_x)
 
 
-def _terms(theta, data: DataRecord, spec: SystemSpec, settings: MlSettings, moments=False):
+def _terms(theta, data: DataRecord, spec: SystemSpec, settings: MlSettings):
     """`_log_terms` of the record at theta; a term that is not finite raises
     QuadratureUnderflowError with its 1-based time index."""
     # every term divides by sigma_e2, with sigma_v2 = 0 too
@@ -266,12 +265,11 @@ def _terms(theta, data: DataRecord, spec: SystemSpec, settings: MlSettings, mome
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     a = linear_output(spec.fir, [theta], data.u)[-data.n_obs:]
-    out = _log_terms(data.y, a, spec, settings, moments)
-    per_term = out[0] if moments else out
-    if not np.all(np.isfinite(per_term)):
-        bad = np.flatnonzero(~np.isfinite(per_term)) + 1
+    terms, mean_s, var_s = _log_terms(data.y, a, spec, settings)
+    if not np.all(np.isfinite(terms)):
+        bad = np.flatnonzero(~np.isfinite(terms)) + 1
         raise QuadratureUnderflowError(theta, bad.tolist())
-    return out
+    return terms, mean_s, var_s
 
 
 def neg_log_likelihood(
@@ -286,12 +284,11 @@ def neg_log_likelihood(
     A term that is not finite (every node underflowed, a squared residual
     overflowed, or non-finite data) raises QuadratureUnderflowError with its
     1-based time index; a theta that is not finite raises ValueError.  Its
-    terms are summed with the (nodes,) weight vector, while ml_estimate's
-    Newton sums them with the (nodes, 3) weight matrix, so a non-degenerate
-    ML min_value agrees with this value at argmin to rounding, not bit for
+    terms are those of ml_estimate's scan and Newton, from the same (nodes,
+    3) weight product, so an ML min_value is this value at argmin, bit for
     bit.
     """
-    return -float(np.sum(_terms(theta, data, spec_template, settings)))
+    return -float(np.sum(_terms(theta, data, spec_template, settings)[0]))
 
 
 def _nll_derivatives(theta, data: DataRecord, spec: SystemSpec, settings: MlSettings):
@@ -301,7 +298,7 @@ def _nll_derivatives(theta, data: DataRecord, spec: SystemSpec, settings: MlSett
     each term has dl_t/dtheta = x(t) E[s] / sigma_v and d^2 l_t/dtheta^2 =
     x(t)^2 (Var[s] - 1) / sigma_v^2 under the term's posterior of s (the
     missing-information identity, Louis 1982)."""
-    terms, mean_s, var_s = _terms(theta, data, spec, settings, moments=True)
+    terms, mean_s, var_s = _terms(theta, data, spec, settings)
     x = data.regressors(spec.fir.free_lags)[:, 0]
     score = -float(x @ mean_s) / math.sqrt(spec.sigma_v2)
     information = float((x * x) @ (1.0 - var_s)) / spec.sigma_v2

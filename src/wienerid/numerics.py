@@ -270,14 +270,13 @@ class ScalarMinResult(Stackable):
     or, for ML (`ml.ml_estimate`), the likelihood evaluations of every
     stage: the bracket scan and Newton's at the coarse and the configured
     quadrature order; min_value is the polynomial's value at argmin, or
-    for ML the likelihood's at the configured order from Newton's last
-    evaluation, with its (nodes, 3) weight product, on every path but a
-    degenerate scan's (the plain likelihood's value) and sigma_v2 = 0 (the
-    unweighted PEM's mean squared error); at_bracket_edge is true when
-    argmin is an end of the bracket, so the true minimum may lie outside it;
-    degenerate is true when the criterion took one value at every point
-    valued; fallback is true when ML's seeded Newton gave up and the
-    bracket scan followed, iterations counting the evaluations of both.
+    for ML ml.neg_log_likelihood at argmin, bit for bit, at the configured
+    order (the unweighted PEM's mean squared error with sigma_v2 = 0);
+    at_bracket_edge is true when argmin is an end of the bracket, so the
+    true minimum may lie outside it; degenerate is true when the criterion
+    took one value at every point valued; fallback is true when ML's seeded
+    Newton gave up and the bracket scan followed, iterations counting the
+    evaluations of both.
     """
 
     argmin: float

@@ -14,6 +14,7 @@ from wienerid.bench import (
 )
 from wienerid.bla import estimate_weighting, fit_bla
 from wienerid.indirect import (
+    FIRST_ORDER_LAGS,
     AnalyticMap,
     SimulatedMap,
     beta_map_gaussian,
@@ -113,8 +114,8 @@ class TestSimulatedMap:
         spec = paper_spec()
         spec.sigma_v2 = 0.0
         u = gen_white(gaussian_white(SU2), 501, 77, path=(0,))
-        a = SimulatedMap(u, spec, s_count=3, seed=1, lags=(0, 1))(0.5)
-        b = SimulatedMap(u, spec, s_count=5, seed=999, lags=(0, 1))(0.5)
+        a = SimulatedMap(u, spec, s_count=3, seed=1)(0.5)
+        b = SimulatedMap(u, spec, s_count=5, seed=999)(0.5)
         np.testing.assert_allclose(a, b, rtol=1e-12)
         lin = spec.nonlinearity.value(0.5 * u[1:] + u[:-1])
         direct = np.linalg.lstsq(np.column_stack([u[1:], u[:-1]]), lin, rcond=None)[0]
@@ -123,15 +124,15 @@ class TestSimulatedMap:
     def test_same_seed_bitwise_identical(self):
         spec = paper_spec()
         u = gen_white(gaussian_white(SU2), 301, 78, path=(0,))
-        a = SimulatedMap(u, spec, s_count=4, seed=123, lags=(0, 1))(0.4)
-        b = SimulatedMap(u, spec, s_count=4, seed=123, lags=(0, 1))(0.4)
+        a = SimulatedMap(u, spec, s_count=4, seed=123)(0.4)
+        b = SimulatedMap(u, spec, s_count=4, seed=123)(0.4)
         np.testing.assert_array_equal(a, b)
 
     def test_matches_analytic_map_at_scale(self):
         spec = paper_spec()
         n = 10**5
         u = gen_white(gaussian_white(SU2), n + 1, 79, path=(0,))
-        beta = SimulatedMap(u, spec, s_count=10, seed=5, lags=(0, 1))(0.5)
+        beta = SimulatedMap(u, spec, s_count=10, seed=5)(0.5)
         # conservative 3-sigma bound from a single-replicate sandwich fit
         v = gen_white(gaussian_white(SV2), n, 80, path=(1,))
         _, y_one = simulate(spec, u, v, np.zeros(n))
@@ -151,7 +152,7 @@ class TestSimulatedMap:
         np.testing.assert_array_equal(first, again)
         assert smap.inflation == pytest.approx(1 + 1 / 3)
 
-    @pytest.mark.parametrize("lags", [(0, 1), (0, 1, 2)])
+    @pytest.mark.parametrize("lags", [FIRST_ORDER_LAGS])
     @pytest.mark.parametrize("nl", [cubic(), polynomial((0.1, 1.0, -0.3, 0.5)), identity()],
                              ids=["cubic", "polynomial", "identity"])
     @pytest.mark.parametrize("s_count", [1, 3, 10])
@@ -161,7 +162,7 @@ class TestSimulatedMap:
         spec = paper_spec()
         spec.nonlinearity = nl
         u = gen_white(gaussian_white(SU2), 401, 83, path=(0,))
-        smap = SimulatedMap(u, spec, s_count=s_count, seed=17, lags=lags)
+        smap = SimulatedMap(u, spec, s_count=s_count, seed=17)
         n = len(u) - max(lags[-1], 1)
         v = np.stack([
             gen_white(gaussian_white(SV2), len(u) - 1, 17, path=(int(StreamRole.SIMULATION), s))
@@ -226,6 +227,39 @@ class TestStep2:
         amap = AnalyticMap(SU2, SV2, 3.0)
         with pytest.raises(ValueError, match=rf"^beta_hat of shape {re.escape(str(shape))}; step2"):
             step2(np.full(shape, 0.9), np.eye(2), amap, beta_cov=np.eye(2) / 100)
+
+    # (input, whether beta_hat is a stack of 3, a value of the wrong shape):
+    # an input is stacked exactly as beta_hat is, with m = 2
+    @pytest.mark.parametrize("argument, stacked, value", [
+        pytest.param("W", False, np.ones(2), id="W-(m,)"),
+        pytest.param("W", False, 1.0, id="W-scalar"),
+        pytest.param("W", False, np.eye(3), id="W-(m+1,m+1)"),
+        pytest.param("W", True, np.eye(2), id="W-unstacked"),
+        pytest.param("W", True, np.stack([np.eye(2)] * 2), id="W-short-stack"),
+        pytest.param("beta_cov", False, np.full(2, 1e-3), id="beta_cov-(m,)"),
+        pytest.param("beta_cov", False, 1e-3, id="beta_cov-scalar"),
+        pytest.param("beta_cov", False, np.eye(3) / 500, id="beta_cov-(m+1,m+1)"),
+        pytest.param("beta_cov", True, np.eye(2) / 500, id="beta_cov-unstacked"),
+        pytest.param("beta_map.coeffs", True, AnalyticMap(SU2, SV2, 3.0).coeffs, id="coeffs-unstacked"),
+        pytest.param("beta_map.coeffs", False, AnalyticMap(SU2, SV2, 3.0).coeffs[None],
+                     id="coeffs-stacked"),
+        pytest.param("beta_map.inflation", False, np.ones(1), id="inflation-(1,)"),
+        pytest.param("beta_map.inflation", True, 1.0, id="inflation-unstacked"),
+        pytest.param("beta_map.inflation", True, np.ones(2), id="inflation-short-stack"),
+    ])
+    def test_input_of_the_wrong_shape_rejected_by_name(self, argument, stacked, value):
+        # a shared or misshapen value is never broadcast into a covariance
+        amap = AnalyticMap(SU2, SV2, 3.0)
+        inputs = {"beta_hat": amap(0.5) + 0.01, "W": np.eye(2), "beta_cov": np.eye(2) / 500,
+                  "beta_map.coeffs": amap.coeffs, "beta_map.inflation": 1.0}
+        if stacked:
+            inputs = {name: np.stack([v] * 3) for name, v in inputs.items()}
+        inputs[argument] = value
+        beta_map = SimpleNamespace(coeffs=inputs["beta_map.coeffs"],
+                                   inflation=inputs["beta_map.inflation"])
+        shape = re.escape(str(np.shape(value)))
+        with pytest.raises(ValueError, match=rf"^{re.escape(argument)} of shape {shape}; step2 needs"):
+            step2(inputs["beta_hat"], inputs["W"], beta_map, beta_cov=inputs["beta_cov"])
 
     def test_needs_beta_cov(self):
         # beta_cov scales the predicted std alone
@@ -303,11 +337,6 @@ class TestStep2Stack:
         W = np.array([f.W for _, f in fits])
         beta_cov = np.array([f.cov_beta for _, f in fits])
         self.check_rows(beta_hat, W, [amap] * self.R, beta_cov)
-        # one shared map and one shared metric are the same rows
-        shared = step2(beta_hat, np.eye(2), amap, beta_cov=beta_cov)
-        for i in range(self.R):
-            own = step2(beta_hat[i], np.eye(2), amap, beta_cov=beta_cov[i])
-            assert (shared.theta_hat[i], shared.predicted_std[i]) == (own.theta_hat[0], own.predicted_std)
 
     def test_simulated_maps_with_failing_rows(self):
         fits = self.fits()
@@ -328,6 +357,35 @@ class TestStep2Stack:
         assert str(result.errors[5]) == "beta_map.coeffs must be finite"
 
 
+    @given(rows=st.integers(1, 4), width=st.integers(1, 3), degree=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1),
+           poison=st.lists(st.sampled_from(["beta_hat", "beta_cov", "coeffs", "not SPD", None]),
+                           min_size=4, max_size=4))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_rows_are_their_own_calls_on_random_stacks(self, rows, width, degree, seed, poison):
+        # random finite fits near random maps of the bracket, SPD metrics
+        # and covariances, and some rows poisoned by NaN or a non-SPD W
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=(rows, degree + 1, width))
+        theta = rng.uniform(*BRACKET, size=rows)
+        beta_hat = np.array([npoly.polyval(t, c) for t, c in zip(theta, coeffs)])
+        beta_hat += rng.normal(scale=0.1, size=(rows, width))
+        spd = lambda: (a := rng.normal(size=(width, width))) @ a.T + 0.1 * np.eye(width)
+        W = np.array([spd() for _ in range(rows)])
+        beta_cov = np.array([spd() for _ in range(rows)]) / 100
+        inflation = rng.uniform(1.0, 2.0, size=rows)
+        for i, bad in enumerate(poison[:rows]):
+            if bad == "not SPD":
+                W[i] = -W[i]
+            elif bad is not None:
+                {"beta_hat": beta_hat, "beta_cov": beta_cov, "coeffs": coeffs}[bad][i].flat[0] = np.nan
+        stack = step2(beta_hat, W, SimpleNamespace(coeffs=coeffs, inflation=inflation), beta_cov)
+        assert_rows_are_their_own_calls(stack, [
+            lambda i=i: step2(beta_hat[i], W[i],
+                              SimpleNamespace(coeffs=coeffs[i], inflation=inflation[i]), beta_cov[i])
+            for i in range(rows)])
+
+
 class TestBindingMapContract:
     # step2 reads a map's coeffs alone: one row per power of theta, one
     # column per auxiliary coefficient
@@ -335,7 +393,8 @@ class TestBindingMapContract:
         np.zeros(4), np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((4, 2, 1)), np.zeros((0, 2)),
     ], ids=["1-D", "too-wide", "too-narrow", "3-D", "no-rows"])
     def test_coeffs_of_the_wrong_shape_rejected(self, coeffs):
-        with pytest.raises(ValueError, match=r"step2 needs \(degree \+ 1, 2\)"):
+        message = rf"^beta_map.coeffs of shape {re.escape(str(coeffs.shape))}; step2 needs \(degree \+ 1, 2\)$"
+        with pytest.raises(ValueError, match=message):
             step2(np.array([0.9, 1.8]), np.eye(2), SimpleNamespace(coeffs=coeffs),
                   beta_cov=np.eye(2) / 500)
 

@@ -492,8 +492,8 @@ class TestCoarseStage:
 
 
 class TestRowBlocks:
-    """The likelihood terms, and their posterior moments, do not depend on
-    how many rows ml._log_terms integrates per block."""
+    """The likelihood terms and their posterior mean and variance of s do
+    not depend on how many rows ml._log_terms integrates per block."""
 
     @pytest.mark.parametrize("order", [40, 100, 200, 1000])
     @pytest.mark.parametrize("nl", [cubic(), identity(), polynomial([0.0, 1.0, 0.0, 0.5])],
@@ -502,18 +502,16 @@ class TestRowBlocks:
         spec, data = make_data(0.2, 0.1, 300, 41, nl=nl)
         a = linear_output(spec.fir, [0.5], data.u)[-data.n_obs:]
         settings = MlSettings(quad_order=order)
-        default = (ml._log_terms(data.y, a, spec, settings),
-                   ml._log_terms(data.y, a, spec, settings, moments=True))
+        default = ml._log_terms(data.y, a, spec, settings)
+        assert all(np.all(np.isfinite(out)) for out in default)
         # blocks of 1 and 7 rows round up to ROW_ALIGN, and 304 rows take
         # the whole record (N = 300) in one block
         for rows in (1, 7, 16, 160, 304):
             monkeypatch.setattr(ml, "ROW_ELEMENTS", rows * order)
-            plain = ml._log_terms(data.y, a, spec, settings)
-            moments = ml._log_terms(data.y, a, spec, settings, moments=True)
-            assert np.all(np.isfinite(plain))
-            assert np.array_equal(plain, default[0]), f"{rows} rows"
-            for got, want in zip(moments, default[1], strict=True):
-                assert np.array_equal(got, want), f"{rows} rows"
+            got = ml._log_terms(data.y, a, spec, settings)
+            assert len(got) == 3
+            for name, out, want in zip(("terms", "mean", "variance"), got, default, strict=True):
+                assert np.array_equal(out, want), f"{name}, {rows} rows"
 
 
 class TestMlSettings:
@@ -555,16 +553,26 @@ class TestMlEstimate:
 
     @pytest.mark.parametrize("path", ["seeded", "fallback", "scan"])
     def test_min_value_is_the_likelihood_at_the_estimate(self, path):
-        # Newton's (nodes, 3) weight product against the plain likelihood's
-        # (nodes,) weight vector: the same value to rounding on every path
+        # Newton, the scan and neg_log_likelihood share one (nodes, 3) weight
+        # product, so every path reports the likelihood's own bits
         spec, data = make_data(0.2, 0.1, 300, 42)
         settings = MlSettings(quad_order=200)
         start = {"seeded": Estimate(np.array([0.45]), 0.05),
                  "fallback": Estimate(np.array([1.45]), 0.01), "scan": None}[path]
         est = ml_estimate(data, spec, settings, start=start)
         assert est.diagnostics.fallback == (path == "fallback")
-        want = neg_log_likelihood(est.theta_hat[0], data, spec, settings)
-        assert est.diagnostics.min_value == pytest.approx(want, rel=1e-14, abs=0)
+        assert est.diagnostics.min_value == neg_log_likelihood(est.theta_hat[0], data, spec, settings)
+
+    @pytest.mark.parametrize("realization", [4, 7, 12, 14])
+    def test_min_value_is_the_likelihood_on_desk_records(self, realization):
+        # desk records whose min_value a (nodes,) weight vector in
+        # neg_log_likelihood missed by one ulp
+        config = TestSeededSearch.config(realizations=20)
+        record = make_record(config, realization)
+        est = run_method(config, "ML", record, realization)
+        settings = MlSettings(quad_order=DESK_ML_QUAD_ORDER)
+        want = neg_log_likelihood(est.theta_hat[0], record, config.template(), settings)
+        assert est.diagnostics.min_value == want
 
 
 def symmetric_cost(theta):
