@@ -28,9 +28,9 @@ The gate set, at master seeds 20260809 and 20261017 each:
                                  bracket, 10 realizations
   zero_process_noise             all five methods with sigma_v2 = 0, 10 realizations
   crafted, crafted_s3            all five methods on 10 records, y = 1e200 at one
-                                 sample of records 3 and 8, u times 1e-160 on
-                                 record 6 and u = 0 on record 9, without and
-                                 with s_count = 3
+                                 sample of records 3 and 8, y = 0 on record 4,
+                                 u times 1e-160 on record 6 and u = 0 on
+                                 record 9, without and with s_count = 3
 The ML experiments run at desk scale.  --small runs the first seed alone,
 each experiment on at most 8 realizations (crafted ones keep their 10):
 2.2-2.3 s on a 2-core x86-64 VM, against 7.1-7.6 s for the whole set
@@ -54,11 +54,12 @@ from wienerid import bench
 CONFIGS = Path(__file__).resolve().parent / "configs"
 SEEDS = (20260809, 20261017)
 ALL_METHODS = ("ML", "PEM_W", "II0", "II1_UNW", "II1_W")
-# crafted records: one y = 1e200 overflows PEM's Gram, the slope variance
-# and I_hat; u times 1e-160 has subnormal squares, which underflow the
-# slope variance's sum and overflow J_hat's inverse; u = 0 makes every
-# auxiliary fit rank deficient
+# crafted records: one y = 1e200 overflows PEM's Gram and the I_hat of
+# both auxiliary fits; y = 0 leaves their residuals, and so their I_hat,
+# zero; u times 1e-160 has subnormal squares, which overflow J_hat's
+# inverse; u = 0 makes every auxiliary fit rank deficient
 HUGE_OUTPUT = (3, 8)
+ZERO_OUTPUT = 4
 TINY_INPUT = 6
 ZERO_INPUT = 9
 SMALL = 8
@@ -93,11 +94,13 @@ real_make_record = bench.make_record
 
 
 def crafted_record(config, realization):
-    """bench.make_record with the crafted faults of HUGE_OUTPUT, TINY_INPUT
-    and ZERO_INPUT."""
+    """bench.make_record with the crafted faults of HUGE_OUTPUT,
+    ZERO_OUTPUT, TINY_INPUT and ZERO_INPUT."""
     record = real_make_record(config, realization)
     if realization in HUGE_OUTPUT:
         record.y[5] = 1e200
+    if realization == ZERO_OUTPUT:
+        record.y[:] = 0.0
     if realization == TINY_INPUT:
         record = w.DataRecord(u=record.u * 1e-160, y=record.y)
     if realization == ZERO_INPUT:

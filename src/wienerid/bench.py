@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import bla
-from .indirect import FIRST_ORDER_LAGS, SimulatedMap, analytic_binding, step2, zero_order_fit
+from .indirect import FIRST_ORDER_LAGS, ZERO_ORDER_LAGS, SimulatedMap, analytic_binding, step2
 from .ml import MlSettings, ml_estimate
 from .numerics import Estimate, NumericsError, RowErrors, check_quad_order
 from .pem import pem_estimate
@@ -30,7 +30,11 @@ METHOD_ORDER = ("ML", "PEM_W", "II0", "II1_UNW", "II1_W")
 # the methods whose Estimate carries a predicted std: the indirect ones,
 # whose Step 2 run_experiment runs over every realization at once
 PREDICTS_STD = ("II0", "II1_UNW", "II1_W")
-# _run runs PEM_W, the order-zero fit and the lag-(0, 1) BLA fit once per
+# the lags of the weighted BLA fit each method reads: II0 inverts the
+# order-zero fit, and ML starts from II1_W's step2
+AUXILIARY_LAGS = {"ML": FIRST_ORDER_LAGS, "II0": ZERO_ORDER_LAGS,
+                  "II1_UNW": FIRST_ORDER_LAGS, "II1_W": FIRST_ORDER_LAGS}
+# _run runs PEM_W and the weighted BLA fit at each set of lags once per
 # chunk of this many records.  PEM_W's error coefficients take
 # 8 (deg f + 1) N bytes per record of N samples, and a chunk's peak memory
 # is a few times that.  Chunks of 8 ran both 100-realization tables about
@@ -186,18 +190,21 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
     run_experiment, run_method and replay_realization.  The records come in
     realization order, so row j of a chunk's fit is every method's j-th.
 
-    The loop gathers chunks of up to CHUNK records.  Per chunk, PEM_W, the
-    order-zero fit of II0 and the lag-(0, 1) BLA fit with its weighting,
-    shared by II1_UNW, II1_W and ML, each run once on the chunk's records;
-    with s_count set, each record's simulated map is built first, and a
-    record whose map fails gets that error rather than its fit's.  Every
-    stacked call follows one rule: a row fails with its numerics.RowErrors
-    entry, and an exception the call raises as a whole fails every row of
-    its chunk.  The indirect methods keep each record's auxiliary fit
-    (about 20 floats) and run one stacked step2 each after the loop.  ML
-    runs per record, started at the stack of one step2 of its record's
-    II1_W row, or scanning the whole bracket where that raises
-    NumericsError or ValueError.
+    The loop gathers chunks of up to CHUNK records.  Per chunk, PEM_W and
+    the weighted BLA fit at each set of AUXILIARY_LAGS, the order-zero one
+    of II0 and the lag-(0, 1) one shared by II1_UNW, II1_W and ML, each run
+    once on the chunk's records; with s_count set, each record's simulated
+    map is built before the lag-(0, 1) fit (II0 always reads the closed-form
+    map), and a record whose map fails gets that error rather than its
+    fit's.  Every stacked call follows one rule: a row fails with its
+    numerics.RowErrors entry, and an exception the call raises as a whole
+    fails every row of its chunk.  The indirect methods keep each record's
+    Step 2 row, of one form for all three: the fit's beta_hat, its W for
+    II1_W or else the identity, its cov_beta, the first len(lags) columns
+    of the map's coeffs and the map's inflation (about 20 floats); each
+    runs one stacked step2 after the loop.  ML runs per record, started at
+    the stack of one step2 of its record's II1_W row, or scanning the whole
+    bracket where that raises NumericsError or ValueError.
 
     Returns per method its (realizations, outcome) pairs, an outcome being a
     stacked Estimate, ML's single one or the exception raised, and per
@@ -212,15 +219,16 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
     wall = dict.fromkeys(runs, 0.0)
     # per Step 2 method: (realization, beta_hat, W, beta_cov, map coeffs, inflation) per record
     fits = {m: [] for m in runs if m in PREDICTS_STD}
-    lag_one = [m for m in ("ML", "II1_UNW", "II1_W") if m in runs]
 
-    def lag_one_fits(chunk):
-        """The weighted fit (None if it raised), maps and RowErrors of the
-        chunk's records that ML, II1_UNW or II1_W run on, map errors first."""
-        chunk = [(r, record) for r, record in chunk if any(r < runs[m] for m in lag_one)]
+    def auxiliary_fits(chunk, lags):
+        """The weighted fit at lags (None if it raised), maps and RowErrors
+        of the chunk's records that a method of those lags runs on, map
+        errors first."""
+        readers = [m for m in runs if AUXILIARY_LAGS.get(m) == lags]
+        chunk = [(r, record) for r, record in chunk if any(r < runs[m] for m in readers)]
         records = [record for _, record in chunk]
         errors, maps, fit = RowErrors([None] * len(chunk)), [analytic] * len(chunk), None
-        if config.s_count is not None:
+        if config.s_count is not None and lags == FIRST_ORDER_LAGS:
             for j, (r, record) in enumerate(chunk):
                 try:
                     maps[j] = SimulatedMap(
@@ -228,37 +236,35 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
                 except Exception as exc:  # noqa: BLE001 - per-realization isolation
                     errors[j] = exc
         try:
-            fit = bla.estimate_weighting(records, bla.fit_bla(records, FIRST_ORDER_LAGS))
+            fit = bla.estimate_weighting(records, bla.fit_bla(records, lags))
             errors.merge(fit.errors)
         except Exception as exc:  # noqa: BLE001 - a stack-wide error is every row's
             errors.merge([exc] * len(chunk))
         return fit, maps, errors
 
     def run_chunk(chunk) -> None:
-        shared = None  # lag_one_fits of the chunk, once a method needs them
+        shared = {}  # auxiliary_fits of the chunk by lags, once a method needs them
         for m in runs:
             mine = [(r, record) for r, record in chunk if r < runs[m]]
             if not mine:
                 continue
             done = [r for r, _ in mine]
             t0 = time.perf_counter()
-            if m in lag_one and shared is None:
-                shared = lag_one_fits(chunk)
+            lags = AUXILIARY_LAGS.get(m)
+            if lags is not None and lags not in shared:
+                shared[lags] = auxiliary_fits(chunk, lags)
             try:
                 if m == "PEM_W":
                     outcomes[m].append((done, pem_estimate([d for _, d in mine], template)))
-                elif m == "II0":
-                    slope, variance, errors = zero_order_fit([d for _, d in mine])
-                    keep(m, done, errors, lambda j: (
-                        [slope[j]], [[1.0]], [[variance[j]]], analytic.coeffs[:, :1], 1.0))
                 elif m == "ML":
                     for j, (r, record) in enumerate(mine):
-                        outcomes[m].append(([r], run_ml(record, shared, j)))
+                        outcomes[m].append(([r], run_ml(record, shared[lags], j)))
                 else:
-                    fit, maps, errors = shared
+                    fit, maps, errors = shared[lags]
+                    width = len(lags)
                     keep(m, done, errors, lambda j: (
-                        fit.beta_hat[j], fit.W[j] if m == "II1_W" else np.eye(2),
-                        fit.cov_beta[j], maps[j].coeffs, maps[j].inflation))
+                        fit.beta_hat[j], fit.W[j] if m == "II1_W" else np.eye(width),
+                        fit.cov_beta[j], maps[j].coeffs[:, :width], maps[j].inflation))
             except Exception as exc:  # noqa: BLE001 - a stack-wide error is every row's
                 outcomes[m].append((done, exc))
             wall[m] += time.perf_counter() - t0

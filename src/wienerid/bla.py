@@ -77,8 +77,8 @@ def _condition(sym: np.ndarray) -> np.ndarray:
 
 def _inv(stack: np.ndarray, errors: RowErrors) -> np.ndarray:
     """The inverse of each matrix of a stack from one stacked inv; a singular
-    one (a zero I_hat, from residuals that are all zero) fails its row with
-    the LinAlgError its own inv raises."""
+    one (from a rank-one I_hat of subnormal entries, whose ridge underflows)
+    fails its row with the LinAlgError its own inv raises."""
     try:
         return np.linalg.inv(stack)
     except np.linalg.LinAlgError:
@@ -97,9 +97,10 @@ def estimate_weighting(data: DataRecord | Sequence[DataRecord], est: BlaEstimate
 
     The middle term I_hat may be ridge-regularized when its condition number
     exceeds RIDGE_CONDITION_LIMIT; the event is recorded on the estimate.
-    Residuals whose squares overflow leave I_hat non-finite, and an input
-    whose squares are subnormal leaves cov_beta non-finite (J_hat's inverse
-    overflows); either raises LinAlgError (a ValueError).
+    Residuals whose squares overflow leave I_hat non-finite, residuals that
+    are all zero leave it zero, which no ridge makes invertible, and an
+    input whose squares are subnormal leaves cov_beta non-finite (J_hat's
+    inverse overflows); each raises LinAlgError (a ValueError).
 
     The stacked fit of a sequence of records gives their weighted fit:
     every check runs per row under numerics.RowErrors, after the fit's own
@@ -135,6 +136,9 @@ def estimate_weighting(data: DataRecord | Sequence[DataRecord], est: BlaEstimate
     J_hat = 0.5 * (J_hat + J_hat.swapaxes(1, 2))
     errors.fail(~np.isfinite(I_hat).all(axis=(1, 2)), lambda i: np.linalg.LinAlgError(
         f"I_hat is not finite (squared residuals overflow): {I_hat[i]}"))
+    # no ridge makes a zero matrix invertible
+    errors.fail((I_hat == 0.0).all(axis=(1, 2)), lambda i: np.linalg.LinAlgError(
+        "I_hat is zero (the fit's residuals are all zero)"))
 
     # a failed row goes on with the identity, and its numbers are dropped
     def live(a: np.ndarray) -> np.ndarray:

@@ -22,31 +22,32 @@ W Sigma W G H^-1, H = G' W G, Sigma the covariance of the auxiliary fit.
 Step 2 takes one fit or a stack of them, each row bit for bit its own call,
 so an experiment matches all its records in one call per method.
 
-The order-zero method is Step 2 on the slope of y on u(t) against the
-closed-form map's first component: with as many auxiliary coefficients as
-theta the match solves beta1(theta) = slope on the bracket, the weighting
-drops out and the sandwich is the delta method through that inverse.
+The order-zero method is Step 2 on the same auxiliary fit at
+ZERO_ORDER_LAGS, the slope of y on u(t) alone with its sandwich variance,
+against the closed-form map's first component: with as many auxiliary
+coefficients as theta the match solves beta1(theta) = slope on the bracket,
+the weighting drops out and the sandwich is the delta method through that
+inverse.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .numerics import (
-    Estimate, RankDeficiencyError, RowErrors, gram_coeffs, least_squares, poly_argmin,
-)
+from .numerics import Estimate, RankDeficiencyError, RowErrors, gram_coeffs, poly_argmin
 from .pem import theta_coeffs
 from .signals import (
     Distribution, DistributionKind, Seed, StreamRole, gaussian_white, gen_white, uniform_white,
 )
-from .system import DataRecord, SystemSpec, lagged_matrix, linear_output, stack_records
+from .system import SystemSpec, lagged_matrix, linear_output
 
-# the lags of the first-order auxiliary fit, u(t) and u(t - 1), and of the simulated map
+# the lags of the order-zero auxiliary fit, u(t) alone, and of the
+# first-order one, u(t) and u(t - 1), which the simulated map fits too
+ZERO_ORDER_LAGS = (0,)
 FIRST_ORDER_LAGS = (0, 1)
 
 
@@ -164,7 +165,8 @@ def step2(beta_hat: np.ndarray, W: np.ndarray, beta_map, beta_cov: np.ndarray):
     beta_map gives `coeffs`, the (degree + 1, len(beta_hat)) ascending power
     coefficients of the binding function in theta, and may give `inflation`
     (default 1); it is not called.  A non-finite beta_hat, W, coeffs or
-    beta_cov raises ValueError naming it.
+    beta_cov raises ValueError naming it, and so do a beta_cov that is not
+    positive semi-definite and an inflation that is not finite and positive.
     The criterion, the Gram form of R M R' (R the coeffs less beta_hat in the
     constant row, M the metric) of degree 2 * degree in theta, is minimized
     exactly on numerics.BRACKET, and G is the derivative of the coefficients at the estimate.
@@ -214,6 +216,8 @@ def step2(beta_hat: np.ndarray, W: np.ndarray, beta_map, beta_cov: np.ndarray):
         if not (finite := np.isfinite(value)).all():
             bad = ~finite.reshape(rows, -1).all(axis=1)
             errors.fail(bad, lambda i, n=name: ValueError(f"{n} must be finite"))
+    errors.fail(~(np.isfinite(inflation) & (inflation > 0.0)), lambda i: ValueError(
+        f"beta_map.inflation must be finite and positive, got {inflation[i]}"))
     finite_rows = errors.ok
     # a failed row's numbers are dropped, so its warnings would say nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -226,6 +230,14 @@ def step2(beta_hat: np.ndarray, W: np.ndarray, beta_map, beta_cov: np.ndarray):
         eigvals[finite_rows] = np.linalg.eigvalsh(W[finite_rows])
         errors.fail(eigvals[:, 0] <= 1e-12 * np.maximum(eigvals[:, -1], 0.0),
                     lambda i: ValueError(f"W must be positive definite (eigenvalues {eigvals[i]})"))
+        # the sandwich is a quadratic form in beta_cov, so its symmetric part
+        # must not be negative on any direction
+        cov_eigvals = np.zeros((rows, width))
+        cov_eigvals[finite_rows] = np.linalg.eigvalsh(
+            0.5 * (beta_cov + beta_cov.swapaxes(1, 2))[finite_rows])
+        errors.fail(cov_eigvals[:, 0] < -1e-12 * np.maximum(cov_eigvals[:, -1], 0.0),
+                    lambda i: ValueError(
+                        f"beta_cov must be positive semi-definite (eigenvalues {cov_eigvals[i]})"))
 
         metric = np.round(W / np.trace(W, axis1=1, axis2=2)[:, None, None] * 2.0**40) / 2.0**40
         # the residual beta(theta) - beta_hat is R' p(theta), p = (1, theta, ...)
@@ -260,29 +272,3 @@ def analytic_binding(spec_template: SystemSpec) -> AnalyticMap:
     """The closed-form map of the template's input."""
     dist = spec_template.input_dist
     return AnalyticMap(dist.variance, spec_template.sigma_v2, dist.kurtosis)
-
-
-def zero_order_fit(data: DataRecord | Sequence[DataRecord]):
-    """The order-zero auxiliary fit of a stack of K records of one len(u)
-    and one n_obs: per record the slope of y on u(t) alone, and its
-    heteroskedasticity-robust variance sum u^2 eps^2 / (sum u^2)^2 with eps
-    the regression residual, from one stacked least_squares.
-
-    Returns the (K,) slopes and variances and the RowErrors of the rows,
-    a failed row's numbers NaN.  Squares that overflow, or an input whose
-    squares underflow to zero, leave that variance non-finite, a
-    LinAlgError (a ValueError), as in bla.estimate_weighting.  One
-    DataRecord is the stack of one.
-    """
-    u, y = stack_records(data)
-    u0 = lagged_matrix(u, y.shape[1], (0,))
-    beta1, resid, errors = least_squares(u0, y)
-    # a square that overflows, or a sum of squares of u that underflows to
-    # zero, raises LinAlgError below, so numpy's warning would only repeat it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u2 = u0[..., 0] ** 2
-        variance = np.sum(u2 * resid * resid, axis=1) / np.sum(u2, axis=1) ** 2
-    errors.fail(~np.isfinite(variance), lambda i: np.linalg.LinAlgError(
-        f"robust slope variance is not finite (squares overflow or underflow): {variance[i]}"))
-    ok = errors.ok
-    return np.where(ok, beta1[:, 0], np.nan), np.where(ok, variance, np.nan), errors

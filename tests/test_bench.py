@@ -21,7 +21,7 @@ from wienerid.bench import (
     run_method,
 )
 from wienerid.cli import main as cli_main
-from wienerid.indirect import SimulatedMap
+from wienerid.indirect import FIRST_ORDER_LAGS, ZERO_ORDER_LAGS, SimulatedMap
 from wienerid.numerics import Estimate
 from wienerid.signals import DistributionKind
 from wienerid.system import DataRecord
@@ -55,8 +55,8 @@ def zero_input_on(bad):
 
 def huge_output_on(bad):
     """make_record with one y = 1e200 on realization `bad`: its squares
-    overflow PEM's Gram, II0's slope variance and I_hat, while u, all that
-    the simulated map reads, is untouched."""
+    overflow PEM's Gram and the I_hat of both auxiliary fits, while u, all
+    that the simulated map reads, is untouched."""
     real = bench.make_record
 
     def make(config, realization):
@@ -302,15 +302,17 @@ class TestStartChain:
     Step 2 take no start.  ML starts from the II1_W of its record."""
 
     def test_zero_order_fitted_once_per_realization(self, monkeypatch):
-        # one stacked call per chunk, each realization in one of them
+        # one stacked fit at the order-zero lags per chunk, each realization
+        # in one of them
         calls = []
-        real = bench.zero_order_fit
+        real = bla.fit_bla
 
-        def counted(records):
-            calls.append(len(records))
-            return real(records)
+        def counted(records, lags):
+            if lags == ZERO_ORDER_LAGS:
+                calls.append(len(records))
+            return real(records, lags)
 
-        monkeypatch.setattr(bench, "zero_order_fit", counted)
+        monkeypatch.setattr(bla, "fit_bla", counted)
         run_experiment(small_config(methods=("PEM_W", "II0", "II1_UNW", "II1_W")))
         assert calls == [3]
         del calls[:]
@@ -527,8 +529,8 @@ class FailureParity:
         return result
 
     def assert_overflow_parity(self, monkeypatch, config, bad):
-        """One y = 1e200 on record `bad` overflows PEM's Gram, II0's slope
-        variance and I_hat: four typed errors, in METHOD_ORDER."""
+        """One y = 1e200 on record `bad` overflows PEM's Gram and the I_hat
+        of both auxiliary fits: four typed errors, in METHOD_ORDER."""
         clean = run_experiment(config)
         monkeypatch.setattr(bench, "make_record", huge_output_on(bad))
         self.assert_parity(config, clean, [
@@ -583,9 +585,10 @@ class TestStackedStep2(FailureParity):
         real = bla.estimate_weighting
 
         def indefinite_on_bad(records, fit):
+            # II0's order-zero fit reads no W, and keeps its own
             est = real(records, fit)
             for i, record in enumerate(records):
-                if np.array_equal(record.y, bad_y):
+                if np.array_equal(record.y, bad_y) and fit.lags == FIRST_ORDER_LAGS:
                     est.W[i] = [[1.0, 0.0], [0.0, -1.0]]
             return est
 
@@ -637,8 +640,8 @@ class TestStackedStep2(FailureParity):
 
 
 class TestChunkedPem(FailureParity):
-    """run_experiment runs PEM_W, the order-zero fit and the lag-(0, 1) BLA
-    fit on chunks of CHUNK records: a full chunk and the last partial one
+    """run_experiment runs PEM_W and the order-zero and lag-(0, 1) BLA fits
+    on chunks of CHUNK records: a full chunk and the last partial one
     give run_method's estimate on each record, and a row that fails
     anywhere in its chunk gives the failures of per-method run_method
     calls.  An exception that a stacked call raises as a whole fails every
@@ -669,26 +672,25 @@ class TestChunkedPem(FailureParity):
             (m, "RankDeficiencyError") for m in ("II0", "II1_UNW", "II1_W")], bad)
         assert result.estimates["ML"][bad] == result.estimates["PEM_W"][bad] == 0.0
 
-    @pytest.mark.parametrize("target", ["zero_order_fit", "fit_bla", "estimate_weighting"])
+    @pytest.mark.parametrize("target", ["fit_bla", "estimate_weighting"])
     @pytest.mark.parametrize("bad", [0, bench.CHUNK])
     def test_stack_wide_fit_error_fails_every_row_of_its_chunk(self, monkeypatch, target, bad):
         # the fit raises as a whole on the chunk holding record `bad`: the
-        # full chunk at 0, the partial one at CHUNK
+        # full chunk at 0, the partial one at CHUNK, at both orders
         config = small_config(methods=self.methods, realizations=bench.CHUNK + 1)
         clean = run_experiment(config)
         bad_y = make_record(config, bad).y
-        module = bench if target == "zero_order_fit" else bla
-        real = getattr(module, target)
+        real = getattr(bla, target)
 
         def refusing(records, *args):
             if any(np.array_equal(d.y, bad_y) for d in records):
                 raise RuntimeError("synthetic stack failure")
             return real(records, *args)
 
-        monkeypatch.setattr(module, target, refusing)
+        monkeypatch.setattr(bla, target, refusing)
         result = run_experiment(config)
         chunk = range(bench.CHUNK) if bad == 0 else [bench.CHUNK]
-        failing = ["II0"] if target == "zero_order_fit" else ["II1_UNW", "II1_W"]
+        failing = ["II0", "II1_UNW", "II1_W"]
         assert [(f.realization, f.method, f.message) for f in result.failures] == [
             (r, m, "RuntimeError: synthetic stack failure") for r in chunk for m in failing]
         for m in config.methods:

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from wienerid import bench
 from wienerid.bla import BlaEstimate, _condition, estimate_weighting, fit_bla
-from wienerid.indirect import zero_order_fit
+from wienerid.indirect import FIRST_ORDER_LAGS, ZERO_ORDER_LAGS
 from wienerid.numerics import RankDeficiencyError
 from wienerid.signals import DistributionKind, gaussian_white, gen_white, uniform_white
 from wienerid.system import DataRecord, SystemSpec, cubic, identity, paper_fir, simulate
 
-from stack_checks import Rows, assert_rows_are_their_own_calls
+from stack_checks import assert_rows_are_their_own_calls
 
 
 def make_data(theta, sigma_v2, sigma_e2, input_dist, n, seed, nl=None):
@@ -193,8 +193,8 @@ class TestWeighting:
 
 
 class TestStack:
-    """fit_bla, estimate_weighting and zero_order_fit on a stack of records:
-    each row bit for bit the stack of one of its record."""
+    """fit_bla and estimate_weighting on a stack of records: each row bit
+    for bit the stack of one of its record."""
 
     @staticmethod
     def records(kind, count):
@@ -205,54 +205,76 @@ class TestStack:
         return [bench.make_record(config, r) for r in range(count)]
 
     @staticmethod
-    def weighted(data):
-        return estimate_weighting(data, fit_bla(data, (0, 1)))
+    def weighted(data, lags=FIRST_ORDER_LAGS):
+        return estimate_weighting(data, fit_bla(data, lags))
 
-    def assert_contract(self, records):
-        """The weighted fit and the order-zero fit of the stack, row by row
-        against their calls on each record alone."""
-        stack, zero = self.weighted(records), Rows(zero_order_fit(records))
-        assert_rows_are_their_own_calls(stack, [lambda r=r: self.weighted(r) for r in records])
-        assert_rows_are_their_own_calls(zero, [lambda r=r: Rows(zero_order_fit(r)).row(0)
-                                               for r in records])
-        return stack, zero
+    def assert_contract(self, records, lags=FIRST_ORDER_LAGS):
+        """The weighted fit of the stack, row by row against the calls on
+        each record alone."""
+        stack = self.weighted(records, lags)
+        assert_rows_are_their_own_calls(stack, [lambda r=r: self.weighted(r, lags)
+                                                for r in records])
+        return stack
 
     @pytest.mark.parametrize("kind", list(DistributionKind))
     @pytest.mark.parametrize("count", [1, 2, bench.CHUNK, bench.CHUNK + 1])
     def test_rows_are_their_stack_of_one(self, kind, count):
-        stack, zero = self.assert_contract(self.records(kind, count))
-        assert stack.errors == zero.errors == [None] * count
+        stack = self.assert_contract(self.records(kind, count))
+        assert stack.errors == [None] * count
 
     def test_failing_rows_carry_their_own_errors(self):
         # u = 0 on row 1, one y = 1e200 on row 3 and y = 0 on row 4 (zero
-        # residuals: a zero I_hat, ridged, then singular): each row gets the
-        # error its own call raises, and the other rows are their stack of one
+        # residuals: a zero I_hat, refused before any ridge, so no warning):
+        # each row gets the error its own call raises, and the other rows
+        # are their stack of one
         records = self.records(DistributionKind.GAUSSIAN_WHITE, 6)
         records[1] = DataRecord(u=np.zeros_like(records[1].u), y=records[1].y)
         y = records[3].y.copy()
         y[5] = 1e200
         records[3] = DataRecord(u=records[3].u, y=y)
         records[4] = DataRecord(u=records[4].u, y=np.zeros_like(y))
-        with pytest.warns(UserWarning, match="ridge"):
-            self.weighted(records)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            stack, zero = self.assert_contract(records)
-        failed, zero_failed = ~stack.errors.ok, ~zero.errors.ok
+            warnings.simplefilter("error", UserWarning)
+            stack = self.assert_contract(records)
+        failed = ~stack.errors.ok
         assert np.isnan(stack.W[failed]).all() and np.isnan(stack.cov_beta[failed]).all()
-        assert np.isnan(zero.arrays[0][zero_failed]).all()
-        assert all(np.isnan(zero_order_fit(records[i])[0][0]) for i in np.flatnonzero(zero_failed))
+        assert not stack.ridge_applied.any()
         expected = [None, "RankDeficiencyError: rank-deficient", None,
-                    "LinAlgError: I_hat is not finite", "LinAlgError: Singular matrix", None]
+                    "LinAlgError: I_hat is not finite",
+                    "LinAlgError: I_hat is zero (the fit's residuals are all zero)", None]
         for error, want in zip(stack.errors, expected, strict=True):
             message = f"{type(error).__name__}: {error}"
             assert error is None if want is None else message.startswith(want)
+
+    @given(lags=st.sampled_from([ZERO_ORDER_LAGS, FIRST_ORDER_LAGS]), n=st.integers(3, 12),
+           seed=st.integers(0, 2**32 - 1),
+           poison=st.lists(st.one_of(st.none(), st.sampled_from([
+               "u = 0", "y = 1e200", "y = 0", "u * 1e-160"])), min_size=1, max_size=7))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @pytest.mark.filterwarnings("ignore:I_hat ill-conditioned:UserWarning")
+    def test_rows_are_their_own_calls_on_random_stacks(self, lags, n, seed, poison):
+        # stacks of 1-7 short random records, some rows poisoned, at both
+        # orders of the auxiliary fit; a ridged row is compared by its flag
+        rng = np.random.default_rng(seed)
+        records = []
+        for bad in poison:
+            u, y = rng.normal(size=n + 1), rng.normal(size=n)
+            if bad == "u = 0":
+                u[:] = 0.0
+            elif bad == "y = 1e200":
+                y[rng.integers(n)] = 1e200
+            elif bad == "y = 0":
+                y[:] = 0.0
+            elif bad == "u * 1e-160":
+                u *= 1e-160
+            records.append(DataRecord(u=u, y=y))
+        self.assert_contract(records, lags)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_input_squares_fail_their_row_alone(self):
         records = self.records(DistributionKind.GAUSSIAN_WHITE, bench.CHUNK)
         records[2] = DataRecord(u=records[2].u * 1e-160, y=records[2].y)
-        stack, _ = self.assert_contract(records)
+        stack = self.assert_contract(records)
         assert [type(e).__name__ if e else None for e in stack.errors] == [
             None, None, "LinAlgError", None, None, None]
         assert str(stack.errors[2]).startswith("cov_beta is not finite")
@@ -299,10 +321,9 @@ class TestStack:
     def test_mixed_lengths_rejected(self):
         records = self.records(DistributionKind.GAUSSIAN_WHITE, 2)
         short = DataRecord(u=records[1].u[:-1], y=records[1].y[:-1])
-        for call in (lambda: fit_bla([records[0], short], (0, 1)),
-                     lambda: zero_order_fit([records[0], short])):
+        for lags in (ZERO_ORDER_LAGS, FIRST_ORDER_LAGS):
             with pytest.raises(ValueError, match="one len"):
-                call()
+                fit_bla([records[0], short], lags)
 
 
 class TestBussgang:

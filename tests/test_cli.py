@@ -7,7 +7,7 @@ import pytest
 from wienerid import bench, ml
 from wienerid.cli import main
 from wienerid.bla import estimate_weighting, fit_bla
-from wienerid.indirect import AnalyticMap, step2, zero_order_fit
+from wienerid.indirect import ZERO_ORDER_LAGS, AnalyticMap, step2
 from wienerid.pem import pem_estimate
 from wienerid.system import DataRecord
 
@@ -135,9 +135,9 @@ def test_estimate_on_a_record_of_another_length(config_file, tmp_path, capsys, m
     amap = AnalyticMap(config.sigma_u2, config.sigma_v2, template.input_dist.kurtosis)
 
     def zero_order():
-        slope, variance, _ = zero_order_fit(record)
-        return step2(slope, np.eye(1), SimpleNamespace(coeffs=amap.coeffs[:, :1]),
-                     beta_cov=variance[:, None])
+        fit = estimate_weighting(record, fit_bla(record, ZERO_ORDER_LAGS))
+        return step2(fit.beta_hat, np.eye(1), SimpleNamespace(coeffs=amap.coeffs[:, :1]),
+                     beta_cov=fit.cov_beta)
 
     def first_order(weighted):
         fit = estimate_weighting(record, fit_bla(record, (0, 1)))

@@ -27,13 +27,13 @@ def test_small_gate_set(script, tmp_path, capsys):
     assert bench.make_record is script.real_make_record
     prints = json.loads(out.read_text())
     assert list(prints) == sorted(name for name, _, _ in script.experiments(small=True))
-    assert capsys.readouterr().out == f"9 experiments, 56 failure records -> {out}\n"
-    # the huge outputs fail every method, and the tiny input and u = 0 the
-    # three indirect ones
+    assert capsys.readouterr().out == f"9 experiments, 62 failure records -> {out}\n"
+    # the huge outputs fail every method, and y = 0, the tiny input and
+    # u = 0 the three indirect ones
     crafted = prints["crafted@20260809"]
     assert {(r, m) for r, m, _ in crafted["failures"]} == {
         (r, m) for r in (3, 8) for m in script.ALL_METHODS} | {
-        (r, m) for r in (6, 9) for m in ("II0", "II1_UNW", "II1_W")}
+        (r, m) for r in (4, 6, 9) for m in ("II0", "II1_UNW", "II1_W")}
     for name, p in prints.items():
         for r, m, message in p["failures"]:
             assert p["estimates"][m][r] == "nan" and ": " in message
@@ -72,6 +72,8 @@ def check_single_record(script, p) -> None:
         fit = single["estimate_weighting"]
         if r in script.HUGE_OUTPUT:
             assert fit.startswith("LinAlgError: I_hat is not finite")
+        elif r == script.ZERO_OUTPUT:
+            assert fit == "LinAlgError: I_hat is zero (the fit's residuals are all zero)"
         elif r == script.TINY_INPUT:
             assert fit.startswith("LinAlgError: cov_beta is not finite")
         elif r == script.ZERO_INPUT:

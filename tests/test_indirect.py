@@ -222,6 +222,31 @@ class TestStep2:
         with pytest.raises(ValueError, match="symmetric"):
             step2(amap(0.5), np.array([[1.0, 0.5], [0.0, 1.0]]), amap, beta_cov=np.eye(2) / 100)
 
+    @pytest.mark.parametrize("beta_cov", [
+        -1e-3 * np.eye(2), np.diag([1e-3, -1e-9]), np.array([[1e-3, 0.0], [-3e-3, 1e-3]]),
+    ], ids=["negative", "one-negative-direction", "negative-symmetric-part"])
+    def test_beta_cov_not_positive_semi_definite_rejected(self, beta_cov):
+        # the sandwich is negative along some direction: a named error, not
+        # a NaN std
+        amap = AnalyticMap(SU2, SV2, 3.0)
+        with pytest.raises(ValueError, match="^beta_cov must be positive semi-definite"):
+            step2(amap(0.5) + 0.01, np.eye(2), amap, beta_cov=beta_cov)
+
+    def test_singular_beta_cov_accepted(self):
+        # positive semi-definite is enough: a zero covariance predicts a zero std
+        amap = AnalyticMap(SU2, SV2, 3.0)
+        rank_one = step2(amap(0.5) + 0.01, np.eye(2), amap, beta_cov=np.ones((2, 2)) / 1000)
+        zero = step2(amap(0.5) + 0.01, np.eye(2), amap, beta_cov=np.zeros((2, 2)))
+        assert rank_one.predicted_std > 0.0 and zero.predicted_std == 0.0
+
+    @pytest.mark.parametrize("inflation", [np.nan, np.inf, -1.0, 0.0])
+    def test_inflation_not_finite_and_positive_rejected(self, inflation):
+        # a NaN std, or with 0.0 a confident zero one, would follow
+        amap = AnalyticMap(SU2, SV2, 3.0)
+        beta_map = SimpleNamespace(coeffs=amap.coeffs, inflation=inflation)
+        with pytest.raises(ValueError, match="^beta_map.inflation must be finite and positive"):
+            step2(amap(0.5) + 0.01, np.eye(2), beta_map, beta_cov=np.eye(2) / 500)
+
     @pytest.mark.parametrize("shape", [(), (1, 1, 2)], ids=["0-d", "3-D"])
     def test_beta_hat_of_the_wrong_shape_rejected(self, shape):
         amap = AnalyticMap(SU2, SV2, 3.0)
@@ -359,12 +384,14 @@ class TestStep2Stack:
 
     @given(rows=st.integers(1, 4), width=st.integers(1, 3), degree=st.integers(0, 3),
            seed=st.integers(0, 2**32 - 1),
-           poison=st.lists(st.sampled_from(["beta_hat", "beta_cov", "coeffs", "not SPD", None]),
-                           min_size=4, max_size=4))
+           poison=st.lists(st.one_of(st.none(), st.sampled_from([
+               "beta_hat", "beta_cov", "coeffs", "not SPD", "cov not PSD", "inflation"])),
+               min_size=4, max_size=4))
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_rows_are_their_own_calls_on_random_stacks(self, rows, width, degree, seed, poison):
         # random finite fits near random maps of the bracket, SPD metrics
-        # and covariances, and some rows poisoned by NaN or a non-SPD W
+        # and covariances, and some rows poisoned by NaN, a non-SPD W, a
+        # negative definite covariance or an inflation that is not positive
         rng = np.random.default_rng(seed)
         coeffs = rng.normal(size=(rows, degree + 1, width))
         theta = rng.uniform(*BRACKET, size=rows)
@@ -377,6 +404,10 @@ class TestStep2Stack:
         for i, bad in enumerate(poison[:rows]):
             if bad == "not SPD":
                 W[i] = -W[i]
+            elif bad == "cov not PSD":
+                beta_cov[i] = -beta_cov[i]
+            elif bad == "inflation":
+                inflation[i] = rng.choice([np.nan, np.inf, -1.0, 0.0])
             elif bad is not None:
                 {"beta_hat": beta_hat, "beta_cov": beta_cov, "coeffs": coeffs}[bad][i].flat[0] = np.nan
         stack = step2(beta_hat, W, SimpleNamespace(coeffs=coeffs, inflation=inflation), beta_cov)
@@ -535,11 +566,20 @@ class TestZeroOrder:
         assert abs(report.theta_hat[0] - 0.5) < 0.2
 
     def test_zero_coefficient_maps_to_zero_theta(self):
+        # a zero slope matches beta1(0) = 0 in Step 2; y = 0 gives that
+        # slope with residuals that are all zero, so no sandwich: II0
+        # raises there, as II1_UNW does
+        amap = AnalyticMap(SU2, SV2, 3.0)
+        report = step2(np.zeros(1), np.eye(1), SimpleNamespace(coeffs=amap.coeffs[:, :1]),
+                       beta_cov=np.eye(1) / 100)
+        assert report.theta_hat[0] == 0.0 and np.isfinite(report.predicted_std)
         dist = gaussian_white(SU2)
         spec, _ = make_data(dist, 100, 84)
         data = DataRecord(u=gen_white(dist, 101, 85, path=(0,)), y=np.zeros(100))
-        report = zero_order_estimate(data, spec)
-        assert report.theta_hat[0] == pytest.approx(0.0, abs=1e-12)
+        for call in (lambda: zero_order_estimate(data, spec),
+                     lambda: first_order_estimate(data, spec, weighted=False)):
+            with pytest.raises(np.linalg.LinAlgError, match=r"^I_hat is zero \(the fit's residuals"):
+                call()
 
     def test_huge_outputs_give_a_finite_estimate(self):
         # a slope near 1e119 makes beta1(theta) - slope one value to 16 ulps
@@ -554,21 +594,23 @@ class TestZeroOrder:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_slope_variance_raises_lin_alg_error(self):
-        # one y = 1e200 overflows the squared residual: a typed error, not
-        # theta_hat = -8.4e65 with an infinite std, and no warning before it
+        # one y = 1e200 overflows the squared residual of the order-zero
+        # fit's I_hat: a typed error, not theta_hat = -8.4e65 with an
+        # infinite std, and no warning before it
         spec, data = make_data(gaussian_white(SU2), 120, 88)
         y = data.y.copy()
         y[5] = 1e200
-        with pytest.raises(np.linalg.LinAlgError, match="slope variance is not finite"):
+        with pytest.raises(np.linalg.LinAlgError, match="^I_hat is not finite"):
             zero_order_estimate(DataRecord(u=data.u, y=y), spec)
 
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_input_raises_lin_alg_error(self):
-        # u of 1e-160 passes the relative rank check, but sum u^2 underflows
-        # to zero: a typed error, not a ZeroDivisionError or a warning
+        # u of 1e-160 passes the relative rank check, but its squares are
+        # subnormal and J_hat's inverse overflows: a typed error, not a
+        # ZeroDivisionError or a warning
         spec, data = make_data(gaussian_white(SU2), 120, 88)
-        with pytest.raises(np.linalg.LinAlgError, match="slope variance is not finite"):
+        with pytest.raises(np.linalg.LinAlgError, match="^cov_beta is not finite"):
             zero_order_estimate(DataRecord(u=data.u * 1e-160, y=data.y), spec)
 
 

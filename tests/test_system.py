@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from wienerid.bench import make_record
 from wienerid.bla import estimate_weighting, fit_bla
-from wienerid.indirect import zero_order_fit
+from wienerid.indirect import FIRST_ORDER_LAGS, ZERO_ORDER_LAGS
 from wienerid.pem import pem_estimate
 from wienerid.signals import DistributionKind, gaussian_white, gen_white
 from wienerid.system import (
@@ -250,8 +250,8 @@ class TestStackRecords:
             d.u.setflags(write=False)
             d.y.setflags(write=False)
         for data in (records[0], records):
-            estimate_weighting(data, fit_bla(data, (0, 1)))
-            zero_order_fit(data)
+            for lags in (ZERO_ORDER_LAGS, FIRST_ORDER_LAGS):
+                estimate_weighting(data, fit_bla(data, lags))
             for weighted in (False, True):
                 pem_estimate(data, config.template(), weighted=weighted)
         for d, (u, y) in zip(records, before):
