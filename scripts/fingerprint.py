@@ -2,14 +2,15 @@
 """Write a bit-exact fingerprint of every estimate on a fixed set of
 experiments, so that two source trees can be compared byte for byte.
 
-For each experiment the JSON file holds its config, every theta_hat and
+For each experiment the JSON file holds its config, the ledger's `runs`
+(the number of realizations each method ran on), every theta_hat and
 predicted std as float.hex (so NaN and -0.0 are told apart), and every
 failure record as (realization, method, "Type: message").  A crafted
 experiment also holds, per record, the single-record path: run_method's
 theta_hat, predicted std and every diagnostics field of each method, and
 the weighted lag-(0, 1) fit of the record alone, each value with its type
 (so a numpy scalar is told from a Python one), or the error raised.  Equal
-files mean equal estimates, stds and failures to the last bit:
+files mean equal runs, estimates, stds and failures to the last bit:
 
     PYTHONPATH=/path/to/tree_a/src python scripts/fingerprint.py a.json
     PYTHONPATH=/path/to/tree_b/src python scripts/fingerprint.py b.json
@@ -164,6 +165,7 @@ def fingerprint(config, crafted: bool) -> dict:
 
     out = {
         "config": bench.config_to_dict(config),
+        "runs": result.seed_ledger["runs"],
         "estimates": hexes(result.estimates),
         "predicted_stds": hexes(result.predicted_stds),
         "failures": [[f.realization, f.method, f.message] for f in result.failures],

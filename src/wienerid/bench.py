@@ -14,7 +14,6 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,7 +43,7 @@ AUXILIARY_LAGS = {"ML": FIRST_ORDER_LAGS, "II0": ZERO_ORDER_LAGS,
 CHUNK = 6
 
 # the windowed likelihood rule is already converged at this order; desk
-# scale mainly caps the number of ML realizations
+# scale also caps the realizations of an experiment that runs ML
 DESK_ML_QUAD_ORDER = 200
 DESK_ML_REALIZATIONS = 200
 
@@ -170,25 +169,19 @@ def _simulation_seed(config: ExperimentConfig, realization: int) -> int:
     return int(state[0]) | (int(state[1]) << 32)
 
 
-def _ml_runs(config: ExperimentConfig) -> int:
-    if config.desk_scale:
+def _realizations(config: ExperimentConfig) -> int:
+    """The number of realizations every method runs on: desk scale caps an
+    experiment that runs ML at DESK_ML_REALIZATIONS."""
+    if config.desk_scale and "ML" in config.methods:
         return min(config.realizations, DESK_ML_REALIZATIONS)
     return config.realizations
 
 
-def _runs(config: ExperimentConfig) -> dict[str, int]:
-    """The number of realizations each requested method runs on, in METHOD_ORDER."""
-    return {
-        m: _ml_runs(config) if m == "ML" else config.realizations
-        for m in METHOD_ORDER if m in config.methods
-    }
-
-
-def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict, dict]:
-    """Run each method m of `runs` on the (realization, record) pairs of
-    `records` with realization < runs[m]: the record loop behind
-    run_experiment, run_method and replay_realization.  The records come in
-    realization order, so row j of a chunk's fit is every method's j-th.
+def _run(config: ExperimentConfig, methods, records) -> tuple[dict, dict]:
+    """Run each of `methods`, in METHOD_ORDER, on every (realization,
+    record) pair of `records`: the record loop behind run_experiment,
+    run_method and replay_realization.  The records come in realization
+    order, so row j of a chunk's fit is every method's j-th.
 
     The loop gathers chunks of up to CHUNK records.  Per chunk, PEM_W and
     the weighted BLA fit at each set of AUXILIARY_LAGS, the order-zero one
@@ -199,33 +192,29 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
     fit's.  Every stacked call follows one rule: a row fails with its
     numerics.RowErrors entry, and an exception the call raises as a whole
     fails every row of its chunk.  The indirect methods keep each record's
-    Step 2 row, of one form for all three: the fit's beta_hat, its W for
-    II1_W or else the identity, its cov_beta, the first len(lags) columns
-    of the map's coeffs and the map's inflation (about 20 floats); each
-    runs one stacked step2 after the loop.  ML runs per record, started at
-    the stack of one step2 of its record's II1_W row, or scanning the whole
-    bracket where that raises NumericsError or ValueError.
+    Step 2 row, step2's own arguments (`step2_row`: about 20 floats), and
+    each runs one stacked step2 on its rows after the loop.  ML runs per
+    record, started at step2 of its record's II1_W row, or scanning the
+    whole bracket where that raises NumericsError or ValueError.
 
     Returns per method its (realizations, outcome) pairs, an outcome being a
     stacked Estimate, ML's single one or the exception raised, and per
     method its wall time: its share of each chunk plus its stacked call, the
     chunk's shared fit and maps going to the first method that needs them.
     """
+    methods = [m for m in METHOD_ORDER if m in methods]
     template = config.template()
     analytic = analytic_binding(template)
     order = DESK_ML_QUAD_ORDER if config.desk_scale else config.ml_quad_order
     settings = MlSettings(quad_order=order)
-    outcomes = {m: [] for m in runs}
-    wall = dict.fromkeys(runs, 0.0)
-    # per Step 2 method: (realization, beta_hat, W, beta_cov, map coeffs, inflation) per record
-    fits = {m: [] for m in runs if m in PREDICTS_STD}
+    outcomes = {m: [] for m in methods}
+    wall = dict.fromkeys(methods, 0.0)
+    # per Step 2 method: (realization, step2_row) per record
+    rows = {m: [] for m in methods if m in PREDICTS_STD}
 
     def auxiliary_fits(chunk, lags):
         """The weighted fit at lags (None if it raised), maps and RowErrors
-        of the chunk's records that a method of those lags runs on, map
-        errors first."""
-        readers = [m for m in runs if AUXILIARY_LAGS.get(m) == lags]
-        chunk = [(r, record) for r, record in chunk if any(r < runs[m] for m in readers)]
+        of the chunk's records, map errors first."""
         records = [record for _, record in chunk]
         errors, maps, fit = RowErrors([None] * len(chunk)), [analytic] * len(chunk), None
         if config.s_count is not None and lags == FIRST_ORDER_LAGS:
@@ -242,47 +231,45 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
             errors.merge([exc] * len(chunk))
         return fit, maps, errors
 
+    def step2_row(m: str, fit, maps, j: int) -> tuple:
+        """step2's arguments for record j of the chunk: beta_hat, W for
+        II1_W or else the identity, the map's first len(lags) columns, and
+        cov_beta times the map's inflation."""
+        width = fit.order
+        return (fit.beta_hat[j], fit.W[j] if m == "II1_W" else np.eye(width),
+                maps[j].coeffs[:, :width], fit.cov_beta[j] * maps[j].inflation)
+
     def run_chunk(chunk) -> None:
         shared = {}  # auxiliary_fits of the chunk by lags, once a method needs them
-        for m in runs:
-            mine = [(r, record) for r, record in chunk if r < runs[m]]
-            if not mine:
-                continue
-            done = [r for r, _ in mine]
+        done = [r for r, _ in chunk]
+        for m in methods:
             t0 = time.perf_counter()
             lags = AUXILIARY_LAGS.get(m)
             if lags is not None and lags not in shared:
                 shared[lags] = auxiliary_fits(chunk, lags)
             try:
                 if m == "PEM_W":
-                    outcomes[m].append((done, pem_estimate([d for _, d in mine], template)))
+                    outcomes[m].append((done, pem_estimate([d for _, d in chunk], template)))
                 elif m == "ML":
-                    for j, (r, record) in enumerate(mine):
+                    for j, (r, record) in enumerate(chunk):
                         outcomes[m].append(([r], run_ml(record, shared[lags], j)))
                 else:
                     fit, maps, errors = shared[lags]
-                    width = len(lags)
-                    keep(m, done, errors, lambda j: (
-                        fit.beta_hat[j], fit.W[j] if m == "II1_W" else np.eye(width),
-                        fit.cov_beta[j], maps[j].coeffs[:, :width], maps[j].inflation))
+                    for j, r in enumerate(done):
+                        if errors.ok[j]:
+                            rows[m].append((r, step2_row(m, fit, maps, j)))
+                        else:
+                            outcomes[m].append(([r], errors[j]))
             except Exception as exc:  # noqa: BLE001 - a stack-wide error is every row's
                 outcomes[m].append((done, exc))
             wall[m] += time.perf_counter() - t0
 
-    def keep(m: str, done: list, errors: RowErrors, row) -> None:
-        """Step 2's input row(j) of each realization done[j], or its error."""
-        for j, (r, ok) in enumerate(zip(done, errors.ok)):
-            if ok:
-                fits[m].append((r, *row(j)))
-            else:
-                outcomes[m].append(([r], errors[j]))
-
     def run_ml(record: DataRecord, shared, j: int):
         try:
             fit, maps, errors = shared
-            try:  # the start: the stack of one step2 of II1_W
+            try:  # the start: step2 of the record's II1_W row
                 errors.check(j)
-                start = step2(fit.beta_hat[j], fit.W[j], maps[j], beta_cov=fit.cov_beta[j])
+                start = step2(*step2_row("II1_W", fit, maps, j))
             except (NumericsError, ValueError):
                 start = None  # scan the whole bracket
             return ml_estimate(record, template, settings, start=start)
@@ -293,13 +280,11 @@ def _run(config: ExperimentConfig, runs: dict[str, int], records) -> tuple[dict,
     while chunk := list(itertools.islice(records, CHUNK)):
         run_chunk(chunk)
 
-    for m, rows in fits.items():
-        if rows:
+    for m, stack in rows.items():
+        if stack:
             t0 = time.perf_counter()
-            done, *stacks = zip(*rows)
-            beta_hat, W, beta_cov, coeffs, inflation = map(np.array, stacks)
-            beta_map = SimpleNamespace(coeffs=coeffs, inflation=inflation)
-            outcomes[m].append((list(done), step2(beta_hat, W, beta_map, beta_cov=beta_cov)))
+            done, args = zip(*stack)
+            outcomes[m].append((list(done), step2(*map(np.array, zip(*args)))))
             wall[m] += time.perf_counter() - t0
     return outcomes, wall
 
@@ -322,7 +307,7 @@ def run_method(
     if method not in METHOD_ORDER:
         raise ValueError(f"unknown method {method!r}")
     check_seed(realization, "realization")
-    outcomes, _ = _run(config, {method: realization + 1}, [(realization, record)])
+    outcomes, _ = _run(config, (method,), [(realization, record)])
     ((_, outcome),) = outcomes[method]
     return _estimate(outcome)
 
@@ -368,15 +353,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Draw fresh input and noises per realization, run every requested method
     on the same record (`_run`), and aggregate.
 
-    make_record is called once per realization, in order.  ML runs on the
-    first _ml_runs(config) realizations.  Failures are listed by
-    realization, then in METHOD_ORDER.
+    Every method runs on the first _realizations(config) realizations, and
+    make_record is called once per realization, in order.  Failures are
+    listed by realization, then in METHOD_ORDER.
     """
-    runs = _runs(config)
-    records = ((r, make_record(config, r)) for r in range(max(runs.values())))
-    outcomes, wall = _run(config, runs, records)
-    estimates = {m: np.full(n, np.nan) for m, n in runs.items()}
-    predicted = {m: np.full(n, np.nan) for m, n in runs.items() if m in PREDICTS_STD}
+    runs = _realizations(config)
+    records = ((r, make_record(config, r)) for r in range(runs))
+    outcomes, wall = _run(config, config.methods, records)
+    estimates = {m: np.full(runs, np.nan) for m in outcomes}
+    predicted = {m: np.full(runs, np.nan) for m in outcomes if m in PREDICTS_STD}
     failures: list[FailureRecord] = []
     for m, pairs in outcomes.items():
         for done, outcome in pairs:
@@ -397,7 +382,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "config": config_to_dict(config),
         "stream_roles": {role.name.lower(): int(role) for role in StreamRole},
         "substream_rule": "SeedSequence(master_seed, spawn_key=(realization, role)) -> Philox",
-        "runs": runs,
+        "runs": dict.fromkeys(outcomes, runs),
         "failures": [dataclasses.asdict(f) for f in failures],
     }
     return ExperimentResult(
@@ -412,11 +397,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 def replay_realization(config: ExperimentConfig, realization: int) -> dict[str, float]:
     """Re-run every method of one realization, an integer in
-    0..realizations - 1, from its derived substreams; a method that failed
-    there raises its error."""
-    if not 0 <= realization < config.realizations:
-        raise ValueError(f"realization {realization} outside 0..{config.realizations - 1}")
-    outcomes, _ = _run(config, _runs(config), [(realization, make_record(config, realization))])
+    0..runs - 1 with runs = _realizations(config), from its derived
+    substreams; a method that failed there raises its error."""
+    runs = _realizations(config)
+    if not 0 <= realization < runs:
+        raise ValueError(f"realization {realization} outside 0..{runs - 1}")
+    outcomes, _ = _run(config, config.methods, [(realization, make_record(config, realization))])
     return {m: float(_estimate(o).theta_hat[0]) for m, pairs in outcomes.items() for _, o in pairs}
 
 

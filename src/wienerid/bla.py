@@ -97,10 +97,12 @@ def estimate_weighting(data: DataRecord | Sequence[DataRecord], est: BlaEstimate
 
     The middle term I_hat may be ridge-regularized when its condition number
     exceeds RIDGE_CONDITION_LIMIT; the event is recorded on the estimate.
-    Residuals whose squares overflow leave I_hat non-finite, residuals that
-    are all zero leave it zero, which no ridge makes invertible, and an
-    input whose squares are subnormal leaves cov_beta non-finite (J_hat's
-    inverse overflows); each raises LinAlgError (a ValueError).
+    Residuals whose squares overflow leave I_hat non-finite; residuals that
+    are all zero, or whose squares underflow, leave it zero, which no ridge
+    makes invertible; an input whose squares are subnormal leaves cov_beta
+    non-finite (J_hat's inverse overflows); and residuals whose squares are
+    subnormal leave W non-finite (the inverse of N cov_beta overflows).
+    Each raises LinAlgError (a ValueError) naming the matrix and the cause.
 
     The stacked fit of a sequence of records gives their weighted fit:
     every check runs per row under numerics.RowErrors, after the fit's own
@@ -137,8 +139,10 @@ def estimate_weighting(data: DataRecord | Sequence[DataRecord], est: BlaEstimate
     errors.fail(~np.isfinite(I_hat).all(axis=(1, 2)), lambda i: np.linalg.LinAlgError(
         f"I_hat is not finite (squared residuals overflow): {I_hat[i]}"))
     # no ridge makes a zero matrix invertible
-    errors.fail((I_hat == 0.0).all(axis=(1, 2)), lambda i: np.linalg.LinAlgError(
+    zero = (I_hat == 0.0).all(axis=(1, 2))
+    errors.fail(zero & ~residuals.any(axis=1), lambda i: np.linalg.LinAlgError(
         "I_hat is zero (the fit's residuals are all zero)"))
+    errors.fail(zero, lambda i: np.linalg.LinAlgError("I_hat is zero (squared residuals underflow)"))
 
     # a failed row goes on with the identity, and its numbers are dropped
     def live(a: np.ndarray) -> np.ndarray:
@@ -164,7 +168,12 @@ def estimate_weighting(data: DataRecord | Sequence[DataRecord], est: BlaEstimate
     errors.fail(~np.isfinite(cov_beta).all(axis=(1, 2)), lambda i: np.linalg.LinAlgError(
         f"cov_beta is not finite (squares of the input underflow): {cov_beta[i]}"))
     W = _inv(n * live(cov_beta), errors)
-    W = 0.5 * (W + W.swapaxes(1, 2))
+    # a W that overflows fails its row below, so numpy's warning would only
+    # repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = 0.5 * (W + W.swapaxes(1, 2))
+    errors.fail(~np.isfinite(W).all(axis=(1, 2)), lambda i: np.linalg.LinAlgError(
+        f"W is not finite (the inverse of N cov_beta overflows): {W[i]}"))
     failed = ~errors.ok
     for a in (I_hat, J_hat, W, cov_beta):
         a[failed] = np.nan

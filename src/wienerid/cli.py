@@ -17,7 +17,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--desk-scale", action="store_true",
-                        help="run the ML column at reduced order and realization count")
+                        help="run ML at reduced order, and every method of an experiment that"
+                             f" runs ML on at most {bench.DESK_ML_REALIZATIONS} realizations")
 
 
 def _load(args) -> bench.ExperimentConfig:

@@ -17,10 +17,12 @@ alone: with R the matrix less beta_hat in its constant row, the W-metric
 criterion p' R M R' p, p = (1, theta, ...), is a polynomial of twice the
 map's degree, minimized exactly from its coefficients (`gram_coeffs`,
 `poly_argmin`); G comes from the matrix's derivative.  The predicted std
-is the square root of the asymptotic sandwich variance inflation * H^-1 G'
-W Sigma W G H^-1, H = G' W G, Sigma the covariance of the auxiliary fit.
-Step 2 takes one fit or a stack of them, each row bit for bit its own call,
-so an experiment matches all its records in one call per method.
+is the square root of the asymptotic sandwich variance
+H^-1 G' W Sigma W G H^-1, H = G' W G, with Sigma the one covariance of
+the auxiliary fit less the binding function: the fit's cov_beta, times
+1 + 1/S (`SimulatedMap.inflation`) for a map of S replicates.  Step 2
+takes these arrays for one fit or a stack of them, each row bit for bit its
+own call, so an experiment matches all its records in one call per method.
 
 The order-zero method is Step 2 on the same auxiliary fit at
 ZERO_ORDER_LAGS, the slope of y on u(t) alone with its sandwich variance,
@@ -159,27 +161,29 @@ class SimulatedMap:
         return npoly.polyval(theta, self.coeffs).T
 
 
-def step2(beta_hat: np.ndarray, W: np.ndarray, beta_map, beta_cov: np.ndarray):
+def step2(beta_hat: np.ndarray, W: np.ndarray, coeffs: np.ndarray, beta_cov: np.ndarray):
     """Match the binding function to the auxiliary fit in the W metric.
 
-    beta_map gives `coeffs`, the (degree + 1, len(beta_hat)) ascending power
-    coefficients of the binding function in theta, and may give `inflation`
-    (default 1); it is not called.  A non-finite beta_hat, W, coeffs or
-    beta_cov raises ValueError naming it, and so do a beta_cov that is not
-    positive semi-definite and an inflation that is not finite and positive.
-    The criterion, the Gram form of R M R' (R the coeffs less beta_hat in the
-    constant row, M the metric) of degree 2 * degree in theta, is minimized
-    exactly on numerics.BRACKET, and G is the derivative of the coefficients at the estimate.
-    The criterion weighs residuals by W / trace(W) rounded to 40 binary
-    places, so the argmin is invariant to positive rescaling of W (unless an
-    entry lies within a few ulps of a rounding boundary).  predicted_std is
-    the square root of the sandwich inflation * H^-1 G' W beta_cov W G H^-1,
-    H = G' W G, where beta_cov is the covariance of beta_hat.  It is
-    infinite when the criterion is flat or its minimum is a bracket end.
+    coeffs is the binding function as its (degree + 1, len(beta_hat))
+    ascending power coefficients in theta (a map's `coeffs`, or its first
+    columns), and beta_cov the covariance of beta_hat less the binding
+    function: the fit's cov_beta for the closed-form map, and that times the
+    map's `inflation` for a simulated one, whose coefficients carry
+    simulation noise.  A non-finite beta_hat, W, coeffs or beta_cov raises
+    ValueError naming it, and so does a beta_cov that is not positive
+    semi-definite.  The criterion, the Gram form of R M R' (R the coeffs
+    less beta_hat in the constant row, M the metric) of degree 2 * degree in
+    theta, is minimized exactly on numerics.BRACKET, and G is the derivative
+    of the coefficients at the estimate.  The criterion weighs residuals by
+    W / trace(W) rounded to 40 binary places, so the argmin is invariant to
+    positive rescaling of W (unless an entry lies within a few ulps of a
+    rounding boundary).  predicted_std is the square root of the sandwich
+    H^-1 G' W beta_cov W G H^-1, H = G' W G.  It is infinite when the
+    criterion is flat or its minimum is a bracket end.
 
     A stack of R fits, beta_hat (R, m), gives their stacked Estimate, and
-    every other input is stacked with it: W and beta_cov (R, m, m), coeffs
-    (R, degree + 1, m) and inflation (R,).  Every check runs per row under
+    every other input is stacked with it: W and beta_cov (R, m, m) and
+    coeffs (R, degree + 1, m).  Every check runs per row under
     numerics.RowErrors, so the other rows go on.  The rows share one
     matmul, inverse and search per step, each slice computed as its own
     call computes it, so a row's estimate is bit for bit that of its own
@@ -203,21 +207,18 @@ def step2(beta_hat: np.ndarray, W: np.ndarray, beta_map, beta_cov: np.ndarray):
         return value.reshape(rows, *shape)
 
     # coeffs has its own number of powers, and no powers is a wrong shape
-    powers = max((1, *np.shape(beta_map.coeffs)[-2:-1]))
-    coeffs = row_stack("beta_map.coeffs", beta_map.coeffs, (powers, width), ("degree + 1", width))
+    powers = max((1, *np.shape(coeffs)[-2:-1]))
+    coeffs = row_stack("coeffs", coeffs, (powers, width), ("degree + 1", width))
     W = row_stack("W", W, (width, width))
     beta_cov = row_stack("beta_cov", beta_cov, (width, width))
-    inflation = row_stack("beta_map.inflation", getattr(beta_map, "inflation", np.ones(lead)), ())
 
     # the checks run in the order of a call of its own
     errors = RowErrors([None] * rows)
-    named = [("beta_hat", fits), ("W", W), ("beta_map.coeffs", coeffs), ("beta_cov", beta_cov)]
+    named = [("beta_hat", fits), ("W", W), ("coeffs", coeffs), ("beta_cov", beta_cov)]
     for name, value in named:
         if not (finite := np.isfinite(value)).all():
             bad = ~finite.reshape(rows, -1).all(axis=1)
             errors.fail(bad, lambda i, n=name: ValueError(f"{n} must be finite"))
-    errors.fail(~(np.isfinite(inflation) & (inflation > 0.0)), lambda i: ValueError(
-        f"beta_map.inflation must be finite and positive, got {inflation[i]}"))
     finite_rows = errors.ok
     # a failed row's numbers are dropped, so its warnings would say nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -261,7 +262,7 @@ def step2(beta_hat: np.ndarray, W: np.ndarray, beta_map, beta_cov: np.ndarray):
         cov = np.full((rows, 1, 1), np.inf)
         h_inv, wg = np.linalg.inv(h[curved]), wg[curved]
         sandwich = wg.swapaxes(1, 2) @ beta_cov[curved] @ wg
-        cov[curved] = inflation[curved, None, None] * h_inv @ sandwich @ h_inv
+        cov[curved] = h_inv @ sandwich @ h_inv
         theta_hat = np.where(ok, search.argmin, np.nan)
         std = np.where(ok, np.sqrt(cov[:, 0, 0]), np.nan)
     result = Estimate(theta_hat, std, search, errors)

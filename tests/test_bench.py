@@ -266,19 +266,24 @@ class TestRunExperiment:
         assert summary.mean == pytest.approx(good.mean())
 
     def test_desk_scale_caps_ml_runs(self):
-        assert bench._ml_runs(small_config(realizations=500, desk_scale=True)) == 200
-        assert bench._ml_runs(small_config(realizations=500)) == 500
-        assert bench._ml_runs(small_config(realizations=50, desk_scale=True)) == 50
+        # desk scale caps every method of an experiment that runs ML
+        with_ml = dict(methods=("ML", "II0"))
+        assert bench._realizations(small_config(realizations=500, desk_scale=True, **with_ml)) == 200
+        assert bench._realizations(small_config(realizations=500, **with_ml)) == 500
+        assert bench._realizations(small_config(realizations=50, desk_scale=True, **with_ml)) == 50
+        assert bench._realizations(small_config(realizations=500, desk_scale=True)) == 500
 
     def test_ml_runs_only_on_its_capped_realizations(self, monkeypatch):
+        # and so does every other method of the experiment
         monkeypatch.setattr(bench, "DESK_ML_REALIZATIONS", 2)
         config = small_config(methods=("ML", "II0"), desk_scale=True)
         result = run_experiment(config)
-        assert result.seed_ledger["runs"] == {"ML": 2, "II0": 3}
-        assert [len(result.estimates[m]) for m in ("ML", "II0")] == [2, 3]
+        assert result.seed_ledger["runs"] == {"ML": 2, "II0": 2}
+        assert [len(result.estimates[m]) for m in ("ML", "II0")] == [2, 2]
         assert np.isfinite(result.estimates["ML"]).all()
         assert replay_realization(config, 1).keys() == {"ML", "II0"}
-        assert replay_realization(config, 2).keys() == {"II0"}
+        with pytest.raises(ValueError, match=r"^realization 2 outside 0\.\.1$"):
+            replay_realization(config, 2)
 
     def test_simulated_step2_path(self):
         config = small_config(methods=("II1_W",), s_count=3, realizations=2, n_obs=200)
@@ -610,7 +615,7 @@ class TestStackedStep2(FailureParity):
 
         monkeypatch.setattr(SimulatedMap, "__post_init__", nan_on_bad)
         result = self.assert_parity(config, clean, [("II1_UNW", "ValueError"), ("II1_W", "ValueError")])
-        assert result.failures[0].message == "ValueError: beta_map.coeffs must be finite"
+        assert result.failures[0].message == "ValueError: coeffs must be finite"
 
     def test_tracer_sees_every_record_and_no_run_method(self, monkeypatch):
         # perfbench's tracer wraps the module-global make_record and

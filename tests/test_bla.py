@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -26,6 +27,12 @@ def make_data(theta, sigma_v2, sigma_e2, input_dist, n, seed, nl=None):
     e = gen_white(gaussian_white(sigma_e2), n, seed, path=(2,))
     _, y = simulate(spec, u, v, e)
     return spec, DataRecord(u=u, y=y)
+
+
+def tiny_output(scale):
+    """A record of N = 1000 standard-normal u and e, with y = scale * e."""
+    rng = np.random.default_rng(0)
+    return DataRecord(u=rng.standard_normal(1001), y=scale * rng.standard_normal(1000))
 
 
 class TestFitBla:
@@ -171,6 +178,48 @@ class TestWeighting:
         with pytest.raises(np.linalg.LinAlgError, match="cov_beta is not finite"):
             estimate_weighting(tiny, fit_bla(tiny, lags))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lags", [(0, 1), (0,)])
+    def test_subnormal_residual_squares_raise_naming_w(self, lags):
+        # residuals of about 1e-155 have subnormal squares, so cov_beta is
+        # subnormal and the inverse of N cov_beta overflows: a typed error,
+        # not a W of +-inf
+        data = tiny_output(1e-155)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^W is not finite \(the inverse of N cov_beta overflows\)"):
+            estimate_weighting(data, fit_bla(data, lags))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lags", [(0, 1), (0,)])
+    def test_underflowing_residual_squares_named(self, lags):
+        # residuals of about 1e-162 square to zero: I_hat is zero because
+        # the squares underflow, though the residuals are not all zero
+        data = tiny_output(1e-162)
+        assert fit_bla(data, lags).residuals.all()
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^I_hat is zero \(squared residuals underflow\)$"):
+            estimate_weighting(data, fit_bla(data, lags))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale, message", [
+        (1e-155, "W is not finite (the inverse of N cov_beta overflows)"),
+        (1e-162, "I_hat is zero (squared residuals underflow)"),
+    ], ids=["subnormal-squares", "underflowing-squares"])
+    def test_run_method_outcomes_on_tiny_outputs(self, scale, message):
+        # the indirect methods, at both lag sets, fail with the weighting's
+        # error; ML, whose II1_W start fails, scans the bracket, and PEM_W
+        # reads no weighting
+        config = bench.ExperimentConfig(
+            theta_o=0.5, sigma_v2=0.2, sigma_e2=0.1, sigma_u2=1 / 3,
+            input_kind=DistributionKind.GAUSSIAN_WHITE, n_obs=1000, desk_scale=True)
+        data = tiny_output(scale)
+        for method in ("II0", "II1_UNW", "II1_W"):
+            with pytest.raises(np.linalg.LinAlgError, match=f"^{re.escape(message)}"):
+                bench.run_method(config, method, data)
+        ml = bench.run_method(config, "ML", data)
+        assert np.isfinite(ml.theta_hat[0]) and ml.diagnostics.iterations >= 61
+        assert np.isfinite(bench.run_method(config, "PEM_W", data).theta_hat[0])
+
     @given(
         log_cond=st.floats(0.0, 12.0), angle=st.floats(0.0, np.pi),
         scale=st.floats(1e-6, 1e6),
@@ -249,7 +298,7 @@ class TestStack:
     @given(lags=st.sampled_from([ZERO_ORDER_LAGS, FIRST_ORDER_LAGS]), n=st.integers(3, 12),
            seed=st.integers(0, 2**32 - 1),
            poison=st.lists(st.one_of(st.none(), st.sampled_from([
-               "u = 0", "y = 1e200", "y = 0", "u * 1e-160"])), min_size=1, max_size=7))
+               "u = 0", "y = 1e200", "y = 0", "u * 1e-160", "y * 1e-155"])), min_size=1, max_size=7))
     @settings(max_examples=60, deadline=None, derandomize=True)
     @pytest.mark.filterwarnings("ignore:I_hat ill-conditioned:UserWarning")
     def test_rows_are_their_own_calls_on_random_stacks(self, lags, n, seed, poison):
@@ -267,6 +316,8 @@ class TestStack:
                 y[:] = 0.0
             elif bad == "u * 1e-160":
                 u *= 1e-160
+            elif bad == "y * 1e-155":
+                y *= 1e-155
             records.append(DataRecord(u=u, y=y))
         self.assert_contract(records, lags)
 

@@ -1,5 +1,4 @@
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,12 +135,12 @@ def test_estimate_on_a_record_of_another_length(config_file, tmp_path, capsys, m
 
     def zero_order():
         fit = estimate_weighting(record, fit_bla(record, ZERO_ORDER_LAGS))
-        return step2(fit.beta_hat, np.eye(1), SimpleNamespace(coeffs=amap.coeffs[:, :1]),
-                     beta_cov=fit.cov_beta)
+        return step2(fit.beta_hat, np.eye(1), amap.coeffs[:, :1], beta_cov=fit.cov_beta)
 
     def first_order(weighted):
         fit = estimate_weighting(record, fit_bla(record, (0, 1)))
-        return step2(fit.beta_hat, fit.W if weighted else np.eye(2), amap, beta_cov=fit.cov_beta)
+        return step2(fit.beta_hat, fit.W if weighted else np.eye(2), amap.coeffs,
+                     beta_cov=fit.cov_beta)
 
     expected = {
         "PEM_W": lambda: pem_estimate(record, template),

@@ -1,6 +1,7 @@
-"""scripts/fingerprint.py writes every estimate, predicted std and failure of
-its gate set bit for bit, and on the crafted records the single-record path,
-so that two trees compare entry by entry with --diff."""
+"""scripts/fingerprint.py writes the realizations each method ran on, and
+every estimate, predicted std and failure of its gate set bit for bit, and
+on the crafted records the single-record path, so that two trees compare
+entry by entry with --diff."""
 
 import importlib.util
 import json
@@ -35,6 +36,8 @@ def test_small_gate_set(script, tmp_path, capsys):
         (r, m) for r in (3, 8) for m in script.ALL_METHODS} | {
         (r, m) for r in (4, 6, 9) for m in ("II0", "II1_UNW", "II1_W")}
     for name, p in prints.items():
+        # every method runs on every realization of the gate set
+        assert p["runs"] == dict.fromkeys(p["config"]["methods"], p["config"]["realizations"])
         for r, m, message in p["failures"]:
             assert p["estimates"][m][r] == "nan" and ": " in message
         assert ("single_record" in p) == name.startswith("crafted")
@@ -43,6 +46,7 @@ def test_small_gate_set(script, tmp_path, capsys):
     # the hex values are the experiment's own
     table = prints["table_gaussian@20260809"]
     result = bench.run_experiment(bench.config_from_dict(table["config"]))
+    assert table["runs"] == result.seed_ledger["runs"]
     for m, values in result.estimates.items():
         assert table["estimates"][m] == [float(v).hex() for v in values]
     for m, values in result.predicted_stds.items():

@@ -1,5 +1,4 @@
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -183,9 +182,8 @@ class TestSimulatedMap:
 class TestStep2:
     def test_exact_fixed_point(self):
         amap = AnalyticMap(SU2, SV2, 3.0)
-        report = step2(amap(0.5), np.eye(2), amap, beta_cov=np.eye(2) / 1000)
+        report = step2(amap(0.5), np.eye(2), amap.coeffs, beta_cov=np.eye(2) / 1000)
         assert report.theta_hat[0] == pytest.approx(0.5, abs=1e-6)
-        # the exact map carries no inflation
         G = analytic_jacobian(amap, report.theta_hat[0])
         assert report.predicted_std**2 == pytest.approx(1.0 / float(G[:, 0] @ G[:, 0]) / 1000, rel=1e-9)
 
@@ -193,8 +191,8 @@ class TestStep2:
         amap = AnalyticMap(SU2, SV2, 3.0)
         beta_hat = np.array([0.9, 1.8])
         W = np.array([[2.0, 0.3], [0.3, 1.0]])
-        a = step2(beta_hat, W, amap, beta_cov=np.eye(2) / 500)
-        b = step2(beta_hat, 7.0 * W, amap, beta_cov=np.eye(2) / 500)
+        a = step2(beta_hat, W, amap.coeffs, beta_cov=np.eye(2) / 500)
+        b = step2(beta_hat, 7.0 * W, amap.coeffs, beta_cov=np.eye(2) / 500)
         assert a.theta_hat[0] == b.theta_hat[0]
 
     def test_weighting_scale_invariance_on_random_metrics(self):
@@ -204,23 +202,23 @@ class TestStep2:
             A = rng.normal(size=(2, 2))
             W = A @ A.T + 0.1 * np.eye(2)
             beta_hat = amap(rng.uniform(-2.0, 2.0)) + rng.normal(scale=0.05, size=2)
-            a = step2(beta_hat, W, amap, beta_cov=np.eye(2) / 500)
+            a = step2(beta_hat, W, amap.coeffs, beta_cov=np.eye(2) / 500)
             scale = np.exp(rng.uniform(-10.0, 10.0))
-            b = step2(beta_hat, scale * W, amap, beta_cov=np.eye(2) / 500)
+            b = step2(beta_hat, scale * W, amap.coeffs, beta_cov=np.eye(2) / 500)
             assert a.theta_hat[0] == b.theta_hat[0]
 
     def test_identifiability_across_grid(self):
         amap = AnalyticMap(SU2, SV2, 3.0)
         for theta in np.linspace(-2.9, 2.9, 50):
-            report = step2(amap(theta), np.eye(2), amap, beta_cov=np.eye(2) / 100)
+            report = step2(amap(theta), np.eye(2), amap.coeffs, beta_cov=np.eye(2) / 100)
             assert abs(report.theta_hat[0] - theta) < 1e-6
 
     def test_non_positive_definite_weighting_rejected(self):
         amap = AnalyticMap(SU2, SV2, 3.0)
         with pytest.raises(ValueError, match="positive definite"):
-            step2(amap(0.5), np.array([[1.0, 0.0], [0.0, -1.0]]), amap, beta_cov=np.eye(2) / 100)
+            step2(amap(0.5), np.array([[1.0, 0.0], [0.0, -1.0]]), amap.coeffs, beta_cov=np.eye(2) / 100)
         with pytest.raises(ValueError, match="symmetric"):
-            step2(amap(0.5), np.array([[1.0, 0.5], [0.0, 1.0]]), amap, beta_cov=np.eye(2) / 100)
+            step2(amap(0.5), np.array([[1.0, 0.5], [0.0, 1.0]]), amap.coeffs, beta_cov=np.eye(2) / 100)
 
     @pytest.mark.parametrize("beta_cov", [
         -1e-3 * np.eye(2), np.diag([1e-3, -1e-9]), np.array([[1e-3, 0.0], [-3e-3, 1e-3]]),
@@ -230,28 +228,20 @@ class TestStep2:
         # a NaN std
         amap = AnalyticMap(SU2, SV2, 3.0)
         with pytest.raises(ValueError, match="^beta_cov must be positive semi-definite"):
-            step2(amap(0.5) + 0.01, np.eye(2), amap, beta_cov=beta_cov)
+            step2(amap(0.5) + 0.01, np.eye(2), amap.coeffs, beta_cov=beta_cov)
 
     def test_singular_beta_cov_accepted(self):
         # positive semi-definite is enough: a zero covariance predicts a zero std
         amap = AnalyticMap(SU2, SV2, 3.0)
-        rank_one = step2(amap(0.5) + 0.01, np.eye(2), amap, beta_cov=np.ones((2, 2)) / 1000)
-        zero = step2(amap(0.5) + 0.01, np.eye(2), amap, beta_cov=np.zeros((2, 2)))
+        rank_one = step2(amap(0.5) + 0.01, np.eye(2), amap.coeffs, beta_cov=np.ones((2, 2)) / 1000)
+        zero = step2(amap(0.5) + 0.01, np.eye(2), amap.coeffs, beta_cov=np.zeros((2, 2)))
         assert rank_one.predicted_std > 0.0 and zero.predicted_std == 0.0
-
-    @pytest.mark.parametrize("inflation", [np.nan, np.inf, -1.0, 0.0])
-    def test_inflation_not_finite_and_positive_rejected(self, inflation):
-        # a NaN std, or with 0.0 a confident zero one, would follow
-        amap = AnalyticMap(SU2, SV2, 3.0)
-        beta_map = SimpleNamespace(coeffs=amap.coeffs, inflation=inflation)
-        with pytest.raises(ValueError, match="^beta_map.inflation must be finite and positive"):
-            step2(amap(0.5) + 0.01, np.eye(2), beta_map, beta_cov=np.eye(2) / 500)
 
     @pytest.mark.parametrize("shape", [(), (1, 1, 2)], ids=["0-d", "3-D"])
     def test_beta_hat_of_the_wrong_shape_rejected(self, shape):
         amap = AnalyticMap(SU2, SV2, 3.0)
         with pytest.raises(ValueError, match=rf"^beta_hat of shape {re.escape(str(shape))}; step2"):
-            step2(np.full(shape, 0.9), np.eye(2), amap, beta_cov=np.eye(2) / 100)
+            step2(np.full(shape, 0.9), np.eye(2), amap.coeffs, beta_cov=np.eye(2) / 100)
 
     # (input, whether beta_hat is a stack of 3, a value of the wrong shape):
     # an input is stacked exactly as beta_hat is, with m = 2
@@ -265,51 +255,42 @@ class TestStep2:
         pytest.param("beta_cov", False, 1e-3, id="beta_cov-scalar"),
         pytest.param("beta_cov", False, np.eye(3) / 500, id="beta_cov-(m+1,m+1)"),
         pytest.param("beta_cov", True, np.eye(2) / 500, id="beta_cov-unstacked"),
-        pytest.param("beta_map.coeffs", True, AnalyticMap(SU2, SV2, 3.0).coeffs, id="coeffs-unstacked"),
-        pytest.param("beta_map.coeffs", False, AnalyticMap(SU2, SV2, 3.0).coeffs[None],
-                     id="coeffs-stacked"),
-        pytest.param("beta_map.inflation", False, np.ones(1), id="inflation-(1,)"),
-        pytest.param("beta_map.inflation", True, 1.0, id="inflation-unstacked"),
-        pytest.param("beta_map.inflation", True, np.ones(2), id="inflation-short-stack"),
+        pytest.param("coeffs", True, AnalyticMap(SU2, SV2, 3.0).coeffs, id="coeffs-unstacked"),
+        pytest.param("coeffs", False, AnalyticMap(SU2, SV2, 3.0).coeffs[None], id="coeffs-stacked"),
     ])
     def test_input_of_the_wrong_shape_rejected_by_name(self, argument, stacked, value):
         # a shared or misshapen value is never broadcast into a covariance
         amap = AnalyticMap(SU2, SV2, 3.0)
-        inputs = {"beta_hat": amap(0.5) + 0.01, "W": np.eye(2), "beta_cov": np.eye(2) / 500,
-                  "beta_map.coeffs": amap.coeffs, "beta_map.inflation": 1.0}
+        inputs = {"beta_hat": amap(0.5) + 0.01, "W": np.eye(2), "coeffs": amap.coeffs,
+                  "beta_cov": np.eye(2) / 500}
         if stacked:
             inputs = {name: np.stack([v] * 3) for name, v in inputs.items()}
         inputs[argument] = value
-        beta_map = SimpleNamespace(coeffs=inputs["beta_map.coeffs"],
-                                   inflation=inputs["beta_map.inflation"])
         shape = re.escape(str(np.shape(value)))
-        with pytest.raises(ValueError, match=rf"^{re.escape(argument)} of shape {shape}; step2 needs"):
-            step2(inputs["beta_hat"], inputs["W"], beta_map, beta_cov=inputs["beta_cov"])
+        with pytest.raises(ValueError, match=rf"^{argument} of shape {shape}; step2 needs"):
+            step2(*inputs.values())
 
     def test_needs_beta_cov(self):
         # beta_cov scales the predicted std alone
         amap = AnalyticMap(SU2, SV2, 3.0)
         with pytest.raises(TypeError, match="beta_cov"):
-            step2(amap(0.5), np.eye(2), amap)
-        a = step2(amap(0.45), np.eye(2), amap, beta_cov=np.eye(2) / 100)
-        b = step2(amap(0.45), np.eye(2), amap, beta_cov=np.eye(2) / 400)
+            step2(amap(0.5), np.eye(2), amap.coeffs)
+        a = step2(amap(0.45), np.eye(2), amap.coeffs, beta_cov=np.eye(2) / 100)
+        b = step2(amap(0.45), np.eye(2), amap.coeffs, beta_cov=np.eye(2) / 400)
         assert a.theta_hat[0] == b.theta_hat[0]
         assert b.predicted_std == pytest.approx(a.predicted_std / 2.0, rel=1e-14)
 
     def test_flat_criterion_flagged(self):
-        class FlatMap:
-            # a constant cubic; no __call__, so step2 reads the matrix alone
-            inflation = 1.0
-            coeffs = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-
-        report = step2(np.array([0.0, 0.0]), np.eye(2), FlatMap(), beta_cov=np.eye(2) / 100)
+        # a constant cubic
+        flat = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        report = step2(np.array([0.0, 0.0]), np.eye(2), flat, beta_cov=np.eye(2) / 100)
         assert report.diagnostics.degenerate
         assert report.predicted_std == np.inf
 
     def test_predicted_covariance_formula(self):
         amap = AnalyticMap(SU2, SV2, 3.0)
         W = np.diag([2.0, 3.0])
-        report = step2(amap(0.5), W, amap, beta_cov=np.linalg.inv(250 * W))
+        report = step2(amap(0.5), W, amap.coeffs, beta_cov=np.linalg.inv(250 * W))
         G = analytic_jacobian(amap, report.theta_hat[0])
         expected = 1.0 / float(G[:, 0] @ W @ G[:, 0]) / 250
         assert report.predicted_std**2 == pytest.approx(expected, rel=1e-9)
@@ -319,10 +300,10 @@ class TestStep2:
         spec.sigma_v2 = 0.0
         u = gen_white(gaussian_white(SU2), 2001, 82, path=(0,))
         smap = SimulatedMap(u, spec, s_count=1, seed=3)
-        report = step2(smap(0.5), np.eye(2), smap, beta_cov=np.eye(2) / 2000)
+        report = step2(smap(0.5), np.eye(2), smap.coeffs, beta_cov=np.eye(2) / 2000 * smap.inflation)
         assert abs(report.theta_hat[0] - 0.5) < 1e-10
         # G against a central difference of the map (error about 1e-10),
-        # the variance inflated by 1 + 1/S
+        # the covariance inflated by 1 + 1/S
         h = 1e-5
         G = (smap(report.theta_hat[0] + h) - smap(report.theta_hat[0] - h)) / (2 * h)
         assert report.predicted_std**2 == pytest.approx(2.0 / float(G @ G) / 2000, rel=1e-8)
@@ -342,10 +323,10 @@ class TestStep2Stack:
         return out
 
     def check_rows(self, beta_hat, W, maps, beta_cov):
-        coeffs = np.array([m.coeffs for m in maps])
-        stacked_map = SimpleNamespace(coeffs=coeffs, inflation=np.array([m.inflation for m in maps]))
-        result = step2(beta_hat, W, stacked_map, beta_cov=beta_cov)
-        own = [lambda i=i: step2(beta_hat[i], W[i], maps[i], beta_cov=beta_cov[i])
+        # each row's covariance carries its map's inflation
+        beta_cov = beta_cov * np.array([m.inflation for m in maps])[:, None, None]
+        result = step2(beta_hat, W, np.array([m.coeffs for m in maps]), beta_cov)
+        own = [lambda i=i: step2(beta_hat[i], W[i], maps[i].coeffs, beta_cov[i])
                for i in range(self.R)]
         assert_rows_are_their_own_calls(result, own)
         ok = result.errors.ok
@@ -379,19 +360,19 @@ class TestStep2Stack:
         assert [type(e).__name__ if e else None for e in result.errors] == [
             None, "ValueError", None, "ValueError", "ValueError", "ValueError", "ValueError", None]
         assert str(result.errors[3]).startswith("W must be positive definite")
-        assert str(result.errors[5]) == "beta_map.coeffs must be finite"
+        assert str(result.errors[5]) == "coeffs must be finite"
 
 
     @given(rows=st.integers(1, 4), width=st.integers(1, 3), degree=st.integers(0, 3),
            seed=st.integers(0, 2**32 - 1),
            poison=st.lists(st.one_of(st.none(), st.sampled_from([
-               "beta_hat", "beta_cov", "coeffs", "not SPD", "cov not PSD", "inflation"])),
+               "beta_hat", "beta_cov", "coeffs", "not SPD", "cov not PSD"])),
                min_size=4, max_size=4))
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_rows_are_their_own_calls_on_random_stacks(self, rows, width, degree, seed, poison):
         # random finite fits near random maps of the bracket, SPD metrics
-        # and covariances, and some rows poisoned by NaN, a non-SPD W, a
-        # negative definite covariance or an inflation that is not positive
+        # and covariances, and some rows poisoned by NaN, a non-SPD W or a
+        # negative definite covariance
         rng = np.random.default_rng(seed)
         coeffs = rng.normal(size=(rows, degree + 1, width))
         theta = rng.uniform(*BRACKET, size=rows)
@@ -400,50 +381,41 @@ class TestStep2Stack:
         spd = lambda: (a := rng.normal(size=(width, width))) @ a.T + 0.1 * np.eye(width)
         W = np.array([spd() for _ in range(rows)])
         beta_cov = np.array([spd() for _ in range(rows)]) / 100
-        inflation = rng.uniform(1.0, 2.0, size=rows)
         for i, bad in enumerate(poison[:rows]):
             if bad == "not SPD":
                 W[i] = -W[i]
             elif bad == "cov not PSD":
                 beta_cov[i] = -beta_cov[i]
-            elif bad == "inflation":
-                inflation[i] = rng.choice([np.nan, np.inf, -1.0, 0.0])
             elif bad is not None:
                 {"beta_hat": beta_hat, "beta_cov": beta_cov, "coeffs": coeffs}[bad][i].flat[0] = np.nan
-        stack = step2(beta_hat, W, SimpleNamespace(coeffs=coeffs, inflation=inflation), beta_cov)
+        stack = step2(beta_hat, W, coeffs, beta_cov)
         assert_rows_are_their_own_calls(stack, [
-            lambda i=i: step2(beta_hat[i], W[i],
-                              SimpleNamespace(coeffs=coeffs[i], inflation=inflation[i]), beta_cov[i])
-            for i in range(rows)])
+            lambda i=i: step2(beta_hat[i], W[i], coeffs[i], beta_cov[i]) for i in range(rows)])
 
 
 class TestBindingMapContract:
-    # step2 reads a map's coeffs alone: one row per power of theta, one
+    # step2 reads a map as its coeffs: one row per power of theta, one
     # column per auxiliary coefficient
     @pytest.mark.parametrize("coeffs", [
         np.zeros(4), np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((4, 2, 1)), np.zeros((0, 2)),
     ], ids=["1-D", "too-wide", "too-narrow", "3-D", "no-rows"])
     def test_coeffs_of_the_wrong_shape_rejected(self, coeffs):
-        message = rf"^beta_map.coeffs of shape {re.escape(str(coeffs.shape))}; step2 needs \(degree \+ 1, 2\)$"
+        message = rf"^coeffs of shape {re.escape(str(coeffs.shape))}; step2 needs \(degree \+ 1, 2\)$"
         with pytest.raises(ValueError, match=message):
-            step2(np.array([0.9, 1.8]), np.eye(2), SimpleNamespace(coeffs=coeffs),
-                  beta_cov=np.eye(2) / 500)
+            step2(np.array([0.9, 1.8]), np.eye(2), coeffs, beta_cov=np.eye(2) / 500)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("argument", ["beta_hat", "W", "beta_map.coeffs", "beta_cov"])
+    @pytest.mark.parametrize("argument", ["beta_hat", "W", "coeffs", "beta_cov"])
     def test_non_finite_input_rejected_by_name(self, argument, bad):
         # bad input, not a theta point, is named in the error
         inputs = {
             "beta_hat": np.array([0.9, 1.8]), "W": np.eye(2),
-            "beta_map.coeffs": AnalyticMap(SU2, SV2, 3.0).coeffs.copy(),
+            "coeffs": AnalyticMap(SU2, SV2, 3.0).coeffs.copy(),
             "beta_cov": np.eye(2) / 500,
         }
         inputs[argument].flat[0] = bad
         with pytest.raises(ValueError, match=f"^{argument} must be finite"):
-            step2(
-                inputs["beta_hat"], inputs["W"], SimpleNamespace(coeffs=inputs["beta_map.coeffs"]),
-                beta_cov=inputs["beta_cov"],
-            )
+            step2(*inputs.values())
 
 
 class TestStep2Criterion:
@@ -452,7 +424,7 @@ class TestStep2Criterion:
     @staticmethod
     def assert_criterion_is_its_definition(monkeypatch, beta_map, est, W):
         costs = capture_costs(monkeypatch, indirect_mod)
-        step2(est.beta_hat, W, beta_map, beta_cov=est.cov_beta)
+        step2(est.beta_hat, W, beta_map.coeffs, beta_cov=est.cov_beta)
         (coeffs, bracket), = costs
         for theta in np.linspace(*bracket, 13):
             resid = beta_map(theta) - est.beta_hat
@@ -505,8 +477,8 @@ class TestBracketEdge:
 
 def invert_cubic(c3, c1, target):
     """II0's match of beta1(theta) = c3 theta^3 + c1 theta to a slope."""
-    beta_map = SimpleNamespace(coeffs=np.array([[0.0], [c1], [0.0], [c3]]))
-    return step2(np.array([target]), np.eye(1), beta_map, beta_cov=np.eye(1) / 1000)
+    coeffs = np.array([[0.0], [c1], [0.0], [c3]])
+    return step2(np.array([target]), np.eye(1), coeffs, beta_cov=np.eye(1) / 1000)
 
 
 class TestMonotoneCubic:
@@ -570,8 +542,7 @@ class TestZeroOrder:
         # slope with residuals that are all zero, so no sandwich: II0
         # raises there, as II1_UNW does
         amap = AnalyticMap(SU2, SV2, 3.0)
-        report = step2(np.zeros(1), np.eye(1), SimpleNamespace(coeffs=amap.coeffs[:, :1]),
-                       beta_cov=np.eye(1) / 100)
+        report = step2(np.zeros(1), np.eye(1), amap.coeffs[:, :1], beta_cov=np.eye(1) / 100)
         assert report.theta_hat[0] == 0.0 and np.isfinite(report.predicted_std)
         dist = gaussian_white(SU2)
         spec, _ = make_data(dist, 100, 84)
@@ -625,7 +596,7 @@ class TestFirstOrder:
         amap = AnalyticMap(SU2, SV2, dist.kurtosis)
         est = estimate_weighting(data, fit_bla(data, (0, 1)))
         for report, W in ((unw, np.eye(2)), (wgt, est.W)):
-            direct = step2(est.beta_hat, W, amap, beta_cov=est.cov_beta)
+            direct = step2(est.beta_hat, W, amap.coeffs, beta_cov=est.cov_beta)
             assert report.theta_hat[0] == direct.theta_hat[0]
             assert report.predicted_std == direct.predicted_std
             assert abs(report.theta_hat[0] - 0.5) < 0.25
@@ -638,7 +609,7 @@ class TestFirstOrder:
         spec, data = make_data(dist, 2000, 87)
         est = estimate_weighting(data, fit_bla(data, (0, 1)))
         amap = AnalyticMap(SU2, SV2, dist.kurtosis)
-        sandwich = step2(est.beta_hat, est.W, amap, beta_cov=est.cov_beta)
+        sandwich = step2(est.beta_hat, est.W, amap.coeffs, beta_cov=est.cov_beta)
         G = analytic_jacobian(amap, sandwich.theta_hat[0])[:, 0]
         inverse_curvature = 1.0 / float(G @ est.W @ G) / data.n_obs
         assert sandwich.predicted_std**2 == pytest.approx(inverse_curvature, rel=1e-12)
@@ -771,7 +742,7 @@ def inflation_runs():
     for r in range(INFLATION_R):
         spec, data = make_data(dist, INFLATION_N, 90000 + r)
         est = estimate_weighting(data, fit_bla(data, (0, 1)))
-        analytic[r] = step2(est.beta_hat, est.W, amap, beta_cov=est.cov_beta).theta_hat[0]
+        analytic[r] = step2(est.beta_hat, est.W, amap.coeffs, beta_cov=est.cov_beta).theta_hat[0]
 
         phi = data.regressors((0, 1))
         gram = phi.T @ phi
@@ -782,14 +753,12 @@ def inflation_runs():
         a = thetas[:, None] * data.lagged(0) + data.lagged(1)
         target = conditional_mean(spec.nonlinearity, a, spec.sigma_v2)
 
-        class CondMap:
-            inflation = 1.0
-            coeffs = npoly.polyfit(thetas, np.linalg.solve(gram, (target @ phi).T).T, 3)
-
-        conditional[r] = step2(est.beta_hat, est.W, CondMap(), beta_cov=est.cov_beta).theta_hat[0]
+        cond_coeffs = npoly.polyfit(thetas, np.linalg.solve(gram, (target @ phi).T).T, 3)
+        conditional[r] = step2(est.beta_hat, est.W, cond_coeffs, beta_cov=est.cov_beta).theta_hat[0]
         for s in INFLATION_S:
             smap = SimulatedMap(data.u, spec, s_count=s, seed=50000 + r)
-            simulated[s][r] = step2(est.beta_hat, est.W, smap, beta_cov=est.cov_beta).theta_hat[0]
+            cov = est.cov_beta * smap.inflation
+            simulated[s][r] = step2(est.beta_hat, est.W, smap.coeffs, beta_cov=cov).theta_hat[0]
     return analytic, conditional, simulated
 
 

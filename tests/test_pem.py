@@ -209,6 +209,35 @@ class TestPemStack:
         assert isinstance(stack.errors[bad], CostEvaluationError)
         assert np.isnan(stack.theta_hat).tolist() == [i == bad for i in range(self.R)]
 
+    @given(n=st.integers(3, 12), seed=st.integers(0, 2**32 - 1),
+           sigma_v2=st.sampled_from([0.0, 0.2]), sigma_e2=st.sampled_from([1e-12, 0.1]),
+           weighted=st.booleans(),
+           poison=st.lists(st.one_of(st.none(), st.sampled_from([
+               "u = 0", "y = 1e200", "y = 0", "u * 1e-160"])), min_size=1, max_size=7))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_are_their_own_calls_on_random_stacks(
+            self, n, seed, sigma_v2, sigma_e2, weighted, poison):
+        # stacks of 1-7 short random records, some rows poisoned, with and
+        # without process noise, at a tiny and the paper's measurement noise
+        rng = np.random.default_rng(seed)
+        records = []
+        for bad in poison:
+            u, y = rng.normal(size=n + 1), rng.normal(size=n)
+            if bad == "u = 0":
+                u[:] = 0.0
+            elif bad == "y = 1e200":
+                y[rng.integers(n)] = 1e200
+            elif bad == "y = 0":
+                y[:] = 0.0
+            elif bad == "u * 1e-160":
+                u *= 1e-160
+            records.append(DataRecord(u=u, y=y))
+        spec = paper_spec(sigma_v2, sigma_e2)
+        stack = pem_estimate(records, spec, weighted=weighted)
+        assert_rows_are_their_own_calls(
+            stack, [lambda r=r: pem_estimate(r, spec, weighted=weighted) for r in records])
+
     def test_mixed_lengths_raise_value_error(self):
         spec, records = self.records()
         padded = DataRecord(u=np.concatenate([[0.33], records[1].u]), y=records[1].y)

@@ -27,7 +27,7 @@ AMAP = AnalyticMap(1 / 3, 0.2, 3.0)
 CASES = {
     "weighted fit": lambda: estimate_weighting(RECORD, fit_bla(RECORD, (0, 1))),
     "pem_estimate": lambda: pem_estimate(RECORD, TEMPLATE),
-    "step2": lambda: step2(AMAP(0.5) + 0.01, np.eye(2), AMAP, beta_cov=np.eye(2) / 300),
+    "step2": lambda: step2(AMAP(0.5) + 0.01, np.eye(2), AMAP.coeffs, beta_cov=np.eye(2) / 300),
     "poly_argmin": lambda: poly_argmin([1.0, -0.5, 0.0, 1.0]),
     "zero_order_estimate": lambda: bench.zero_order_estimate(RECORD, TEMPLATE),
     "first_order_estimate": lambda: bench.first_order_estimate(RECORD, TEMPLATE),
