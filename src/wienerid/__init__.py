@@ -26,7 +26,6 @@ from .system import (
     identity,
     linear_output,
     paper_fir,
-    polynomial,
     simulate,
 )
 from .numerics import (

@@ -423,22 +423,24 @@ _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _REQUIRED = ("theta_o", "sigma_v2", "sigma_e2", "sigma_u2", "input_kind", "n_obs")
 
 
-def _input_kind(raw) -> DistributionKind:
-    try:
-        return DistributionKind(str(raw).lower())
-    except ValueError:
-        kinds = [k.value for k in DistributionKind]
-        raise ValueError(f"input_kind must be one of {kinds}, got {raw!r}") from None
+# the keys whose text is a number, each with its type
+_NUMBERS = {"theta_o": float, "sigma_v2": float, "sigma_e2": float, "sigma_u2": float,
+            "n_obs": int, "realizations": int, "ml_quad_order": int, "master_seed": int,
+            "s_count": int}
 
 
 def _parse_value(name: str, raw: str):
+    """The value of key `name` from its text; ValueError naming the key
+    when the text is none of its values."""
     raw = raw.strip()
-    if name in ("theta_o", "sigma_v2", "sigma_e2", "sigma_u2"):
-        return float(raw)
-    if name in ("n_obs", "realizations", "ml_quad_order", "master_seed"):
-        return int(raw)
-    if name == "s_count":
-        return None if raw.lower() in ("", "none") else int(raw)
+    if name == "s_count" and raw.lower() in ("", "none"):
+        return None
+    if name in _NUMBERS:
+        try:
+            return _NUMBERS[name](raw)
+        except ValueError:
+            what = "a number" if _NUMBERS[name] is float else "an integer"
+            raise ValueError(f"{name} must be {what}, got {raw!r}") from None
     if name == "desk_scale":
         if raw.lower() in ("true", "1", "yes"):
             return True
@@ -446,15 +448,36 @@ def _parse_value(name: str, raw: str):
             return False
         raise ValueError(f"desk_scale must be true or false, got {raw!r}")
     if name == "input_kind":
-        return _input_kind(raw)
+        try:
+            return DistributionKind(raw.lower())
+        except ValueError:
+            kinds = [k.value for k in DistributionKind]
+            raise ValueError(f"input_kind must be one of {kinds}, got {raw!r}") from None
     if name == "methods":
         return tuple(part.strip() for part in raw.split(",") if part.strip())
     raise AssertionError(name)
 
 
+def _read_config(entries) -> ExperimentConfig:
+    """The config of (place, key, text) entries, each value read from its
+    text by _parse_value.  An unknown or repeated key raises ValueError
+    naming its place, and so do missing required keys."""
+    values: dict = {}
+    for place, key, raw in entries:
+        if key not in _CONFIG_FIELDS:
+            raise ValueError(f"{place}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{place}: duplicate key {key!r}")
+        values[key] = _parse_value(key, raw)
+    missing = [k for k in _REQUIRED if k not in values]
+    if missing:
+        raise ValueError(f"missing required keys: {', '.join(missing)}")
+    return ExperimentConfig(**values)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key = value experiment format; unknown keys are errors."""
-    values: dict = {}
+    entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -462,15 +485,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_FIELDS:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw)
-    missing = [k for k in _REQUIRED if k not in values]
-    if missing:
-        raise ValueError(f"missing required keys: {', '.join(missing)}")
-    return ExperimentConfig(**values)
+        entries.append((f"line {lineno}", key, raw))
+    return _read_config(entries)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -484,11 +500,21 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
+def _config_text(value) -> str:
+    """The .cfg text of a JSON value: a string as itself, null as none, a
+    list of strings without commas as their comma-separated list, and any
+    other value as its JSON text, so 3.0 is no integer and true no number."""
+    if isinstance(value, list) and all(isinstance(v, str) and "," not in v for v in value):
+        return ", ".join(value)
+    if value is None:
+        return "none"
+    return value if isinstance(value, str) else json.dumps(value)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
-    data["input_kind"] = _input_kind(data["input_kind"])
-    data["methods"] = tuple(data["methods"])
-    return ExperimentConfig(**data)
+    """The config of config_to_dict's dict, each value read by the .cfg
+    rules from its text (_config_text)."""
+    return _read_config(("config", key, _config_text(value)) for key, value in data.items())
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ eps(t) = y(t) - sum_k beta_k u(t - lag_k).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from collections.abc import Sequence
@@ -75,20 +76,16 @@ def _condition(sym: np.ndarray) -> np.ndarray:
         return np.where(eig[..., 0] > 0, eig[..., -1] / eig[..., 0], math.inf)
 
 
-def _inv(stack: np.ndarray, errors: RowErrors) -> np.ndarray:
-    """The inverse of each matrix of a stack from one stacked inv; a singular
-    one (from a rank-one I_hat of subnormal entries, whose ridge underflows)
-    fails its row with the LinAlgError its own inv raises."""
+def _inv(stack: np.ndarray) -> np.ndarray:
+    """The inverse of each matrix of a stack from one stacked inv; that of
+    a singular one, which fails the stacked inv, is NaN."""
     try:
         return np.linalg.inv(stack)
     except np.linalg.LinAlgError:
-        out, own = np.full_like(stack, np.nan), [None] * len(stack)
+        out = np.full_like(stack, np.nan)
         for i, matrix in enumerate(stack):
-            try:
+            with contextlib.suppress(np.linalg.LinAlgError):
                 out[i] = np.linalg.inv(matrix)
-            except np.linalg.LinAlgError as exc:
-                own[i] = exc
-        errors.merge(own)
         return out
 
 
@@ -101,8 +98,9 @@ def estimate_weighting(data: DataRecord | Sequence[DataRecord], est: BlaEstimate
     are all zero, or whose squares underflow, leave it zero, which no ridge
     makes invertible; an input whose squares are subnormal leaves cov_beta
     non-finite (J_hat's inverse overflows); and residuals whose squares are
-    subnormal leave W non-finite (the inverse of N cov_beta overflows).
-    Each raises LinAlgError (a ValueError) naming the matrix and the cause.
+    subnormal leave W non-finite (the inverse of N cov_beta overflows), or
+    no W at all where cov_beta underflows to a singular matrix.  Each
+    raises LinAlgError (a ValueError) naming the matrix and the cause.
 
     The stacked fit of a sequence of records gives their weighted fit:
     every check runs per row under numerics.RowErrors, after the fit's own
@@ -167,7 +165,10 @@ def estimate_weighting(data: DataRecord | Sequence[DataRecord], est: BlaEstimate
         cov_beta = 0.5 * (cov_beta + cov_beta.swapaxes(1, 2))
     errors.fail(~np.isfinite(cov_beta).all(axis=(1, 2)), lambda i: np.linalg.LinAlgError(
         f"cov_beta is not finite (squares of the input underflow): {cov_beta[i]}"))
-    W = _inv(n * live(cov_beta), errors)
+    n_cov = n * live(cov_beta)
+    W = _inv(n_cov)
+    errors.fail(np.isnan(W).all(axis=(1, 2)), lambda i: np.linalg.LinAlgError(
+        f"W does not exist (N cov_beta is singular: cov_beta underflows): {n_cov[i]}"))
     # a W that overflows fails its row below, so numpy's warning would only
     # repeat it
     with np.errstate(over="ignore", invalid="ignore"):

@@ -11,17 +11,9 @@ from . import bench
 from .system import DataRecord
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="experiment config file")
-    parser.add_argument("--seed", type=int, default=None, help="override master_seed")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--desk-scale", action="store_true",
-                        help="run ML at reduced order, and every method of an experiment that"
-                             f" runs ML on at most {bench.DESK_ML_REALIZATIONS} realizations")
-
-
 def _load(args) -> bench.ExperimentConfig:
+    """The config file with --seed, and --desk-scale where the subcommand
+    takes it."""
     config = bench.load_config(args.config)
     overrides = {}
     if args.seed is not None:
@@ -82,8 +74,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    config = _load(args)
-    print(f"{bench.linear_baseline_std(config):.17g}")
+    print(f"{bench.linear_baseline_std(bench.load_config(args.config)):.17g}")
     return 0
 
 
@@ -93,24 +84,30 @@ def main(argv=None) -> int:
         description="Stochastic Wiener system identification toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="emit one simulated data record as CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("estimate", help="run one method on one data record")
-    _add_common(p)
-    p.add_argument("--data", required=True, help="data record CSV")
-    p.add_argument("--method", required=True, choices=bench.METHOD_ORDER)
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("bench", help="run a Monte Carlo experiment from a config file")
-    _add_common(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("baseline", help="linear-case asymptotic standard deviation")
-    _add_common(p)
-    p.set_defaults(func=cmd_baseline)
+    flags = {
+        "--seed": dict(type=int, default=None, help="override master_seed"),
+        "--out": dict(default=".", help="output directory"),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--desk-scale": dict(action="store_true",
+                             help="run ML at reduced order, and every method of an experiment that"
+                                  f" runs ML on at most {bench.DESK_ML_REALIZATIONS} realizations"),
+        "--data": dict(required=True, help="data record CSV"),
+        "--method": dict(required=True, choices=bench.METHOD_ORDER),
+    }
+    # each subcommand takes --config and the flags it reads, no other
+    for name, func, text, names in (
+        ("simulate", cmd_simulate, "emit one simulated data record as CSV", ("--seed", "--out")),
+        ("estimate", cmd_estimate, "run one method on one data record",
+         ("--seed", "--desk-scale", "--data", "--method")),
+        ("bench", cmd_bench, "run a Monte Carlo experiment from a config file",
+         ("--seed", "--out", "--format", "--desk-scale")),
+        ("baseline", cmd_baseline, "linear-case asymptotic standard deviation", ()),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="experiment config file")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
 
     args = parser.parse_args(argv)
     try:

@@ -38,9 +38,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .numerics import Estimate, RankDeficiencyError, RowErrors, gram_coeffs, poly_argmin
+from .numerics import Estimate, RankDeficiencyError, RowErrors, gram_coeffs, horner, poly_argmin
 from .pem import theta_coeffs
 from .signals import (
     Distribution, DistributionKind, Seed, StreamRole, gaussian_white, gen_white, uniform_white,
@@ -84,7 +83,7 @@ class AnalyticMap:
         object.__setattr__(self, "coeffs", np.array(coeffs))
 
     def __call__(self, theta) -> np.ndarray:
-        return npoly.polyval(theta, self.coeffs).T
+        return horner(self.coeffs, np.asarray(theta)[..., None])
 
 
 def beta_map_gaussian(theta, sigma_u2: float, sigma_v2: float):
@@ -158,7 +157,7 @@ class SimulatedMap:
         return 1.0 + 1.0 / self.s_count
 
     def __call__(self, theta) -> np.ndarray:
-        return npoly.polyval(theta, self.coeffs).T
+        return horner(self.coeffs, np.asarray(theta)[..., None])
 
 
 def step2(beta_hat: np.ndarray, W: np.ndarray, coeffs: np.ndarray, beta_cov: np.ndarray):
@@ -174,10 +173,10 @@ def step2(beta_hat: np.ndarray, W: np.ndarray, coeffs: np.ndarray, beta_cov: np.
     semi-definite.  The criterion, the Gram form of R M R' (R the coeffs
     less beta_hat in the constant row, M the metric) of degree 2 * degree in
     theta, is minimized exactly on numerics.BRACKET, and G is the derivative
-    of the coefficients at the estimate.  The criterion weighs residuals by
-    W / trace(W) rounded to 40 binary places, so the argmin is invariant to
-    positive rescaling of W (unless an entry lies within a few ulps of a
-    rounding boundary).  predicted_std is the square root of the sandwich
+    of the coefficients, valued at the estimate by numerics.horner.  The
+    criterion weighs residuals by W / trace(W) rounded to 40 binary places,
+    so the argmin is invariant to positive rescaling of W (unless an entry
+    lies within a few ulps of a rounding boundary).  predicted_std is the square root of the sandwich
     H^-1 G' W beta_cov W G H^-1, H = G' W G.  It is infinite when the
     criterion is flat or its minimum is a bracket end.
 
@@ -247,11 +246,9 @@ def step2(beta_hat: np.ndarray, W: np.ndarray, coeffs: np.ndarray, beta_cov: np.
         search = poly_argmin(gram_coeffs(R @ metric @ R.swapaxes(1, 2)))
         errors.merge(search.errors)
         ok = errors.ok
-        # G, the coefficients' derivative at the estimate, as npoly.polyder
-        # and npoly.polyval form it for one row
+        # G, the coefficients' derivative at each row's estimate
         slope = coeffs[:, 1:] * np.arange(1, powers)[:, None] if powers > 1 else coeffs * 0.0
-        g = npoly.polyval(search.argmin[:, None], np.moveaxis(slope, 1, 0), tensor=False)
-        G = g[:, :, None]
+        G = horner(np.moveaxis(slope, 1, 0), search.argmin[:, None])[:, :, None]
 
         wg = W @ G
         h = G.swapaxes(1, 2) @ wg

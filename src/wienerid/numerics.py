@@ -310,14 +310,6 @@ class Estimate(Stackable):
         object.__setattr__(self, "theta_hat", np.atleast_1d(self.theta_hat))
 
 
-@functools.lru_cache(maxsize=32)
-def _shift(m: int) -> np.ndarray:
-    """The m x m matrix of ones on the superdiagonal: a companion matrix
-    less its first column."""
-    (shift,) = _read_only(np.eye(m, k=1))
-    return shift
-
-
 def _roots(c: np.ndarray) -> np.ndarray:
     """The complex roots of each row of an (R, m + 1) stack of ascending
     coefficients, each with a nonzero c[:, m], from one stacked eigensolve
@@ -325,17 +317,9 @@ def _roots(c: np.ndarray) -> np.ndarray:
     roots are found beside large ones."""
     m = c.shape[1] - 1
     companion = np.empty((len(c), m, m))
-    companion[:] = _shift(m)
+    companion[:] = np.eye(m, k=1)
     companion[:, :, 0] -= c[:, m - 1 :: -1] / c[:, m : m + 1]
     return np.linalg.eigvals(companion)
-
-
-@functools.lru_cache(maxsize=64)
-def _derivative_scales(k: int, reach: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For K = k coefficients: the factors 1..k-1 of the derivative, its
-    powers 0..k-2, and reach to those powers."""
-    powers = np.arange(k - 1)
-    return _read_only(powers + 1.0, powers, reach ** powers)
 
 
 def poly_argmin(coeffs, bracket: tuple[float, float] = BRACKET):
@@ -343,12 +327,12 @@ def poly_argmin(coeffs, bracket: tuple[float, float] = BRACKET):
     of ascending power coefficients `coeffs` in theta, or each row of an
     (R, K) stack of them.  Its candidates are the bracket ends and the real
     parts of its derivative's roots inside (a multiple root may come out as
-    a complex cluster); the smallest value wins (exact ties: the smallest
-    magnitude, then the first of lo, hi and the roots), and iterations
-    counts the candidates.  The extremes on the bracket lie among them, so values that
-    agree to 16 ulps make it degenerate.  A non-finite value is an error
-    with its point: a non-finite coefficient gives one at every theta, so
-    at lo.
+    a complex cluster), every row valued at its own in one `horner` call;
+    the smallest value wins (exact ties: the smallest magnitude, then the
+    first of lo, hi and the roots), and iterations counts the candidates.
+    The extremes on the bracket lie among them, so values that agree to 16
+    ulps make it degenerate.  A non-finite value is an error with its
+    point: a non-finite coefficient gives one at every theta, so at lo.
 
     A stack gives the stacked ScalarMinResult; its rows share one
     companion eigensolve per kept degree, and each row's result is bit for
@@ -363,13 +347,13 @@ def poly_argmin(coeffs, bracket: tuple[float, float] = BRACKET):
     rows, k = stack.shape
     # a non-finite value is its row's error, so numpy's warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        factors, powers, scales = _derivative_scales(k, max(-lo, hi))
-        d = stack[:, 1:] * factors
+        powers = np.arange(k - 1)
+        d = stack[:, 1:] * (powers + 1.0)
         # derivative terms below eps of the largest on the bracket move no
         # root there but would swamp the companion matrix (a non-finite one
         # keeps no root); rotated as in chebroots, it finds small roots
         # beside large ones
-        size = np.abs(d) * scales
+        size = np.abs(d) * max(-lo, hi) ** powers
         kept = size > _EPS * np.maximum.reduce(size, axis=1, initial=0.0, keepdims=True)
         degree = np.maximum.reduce(kept * powers, axis=1, initial=0)  # each row's kept degree
         degrees = set(degree.tolist())
@@ -385,12 +369,8 @@ def poly_argmin(coeffs, bracket: tuple[float, float] = BRACKET):
             xs[idx, 2 : 2 + m] = _roots(d[idx, : m + 1]).real
         roots = xs[:, 2:]
         np.minimum(np.maximum(roots, lo, out=roots), hi, out=roots)
-        # Horner's rule, each coefficient spread over its row's candidates
-        terms = stack.T[:, :, None].repeat(xs.shape[1], axis=2)
-        vals = terms[-1]
-        for term in terms[-2::-1]:
-            vals *= xs
-            vals += term
+        # each row's coefficients against its own candidates
+        vals = horner(stack.T[:, :, None], xs)
         best = np.lexsort((np.abs(xs), vals))[:, 0]
         r = np.arange(rows)
         argmin, min_value, high = xs[r, best], vals[r, best], np.maximum.reduce(vals, axis=1)
@@ -418,12 +398,15 @@ def poly_argmin(coeffs, bracket: tuple[float, float] = BRACKET):
 
 
 def horner(coeffs, x) -> np.ndarray:
-    """sum_k coeffs[k] x^k, elementwise in x, by Horner's rule; a zero
-    coefficient costs no addition, so x^3 is exactly x * x * x."""
-    out = np.full_like(x, coeffs[-1], dtype=float)
+    """sum_k coeffs[k] x^k by Horner's rule, elementwise in x.  Each
+    coefficient is a number, or an array that broadcasts against x, all of
+    one shape; the result has the broadcast shape of x and coeffs[-1].  A
+    zero number costs no addition, so x^3 is exactly x * x * x; an array
+    coefficient is always added."""
+    out = np.full(np.broadcast_shapes(np.shape(coeffs[-1]), np.shape(x)), coeffs[-1], dtype=float)
     for c in coeffs[-2::-1]:
         out *= x
-        if c:
+        if np.ndim(c) or c:
             out += c
     return out
 

@@ -43,11 +43,8 @@ class StreamRole(enum.IntEnum):
 
 @dataclass(frozen=True)
 class Distribution:
-    """Zero-mean white distribution with a given power.
-
-    The uniform variant has support [-L, L] with L = sqrt(3 * variance), which
-    is the unique symmetric interval matching the requested variance.
-    """
+    """Zero-mean white distribution with a given power: gaussian, or
+    uniform on the one symmetric interval of that variance (gen_white)."""
 
     kind: DistributionKind
     variance: float
@@ -55,13 +52,6 @@ class Distribution:
     def __post_init__(self):
         if not math.isfinite(self.variance) or self.variance < 0:
             raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
-
-    @property
-    def half_width(self) -> float:
-        """Support half-width of the uniform variant."""
-        if self.kind is not DistributionKind.UNIFORM_WHITE:
-            raise ValueError("half_width is only defined for uniform distributions")
-        return math.sqrt(3.0 * self.variance)
 
     @property
     def kurtosis(self) -> float:
@@ -102,12 +92,13 @@ def gen_white(dist: Distribution, n: int, seed: Seed, path: tuple[int, ...] = ()
 
     Gaussian samples come from the generator's exact normal transform scaled
     by the standard deviation; uniform samples from a scaled unit uniform on
-    [-L, L).  Deterministic given (dist, n, seed, path).
+    [-L, L) with L = sqrt(3 * variance), the half-width of that variance.
+    Deterministic given (dist, n, seed, path).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = substream(seed, *path)
     if dist.kind is DistributionKind.GAUSSIAN_WHITE:
         return rng.standard_normal(n) * math.sqrt(dist.variance)
-    half = dist.half_width
+    half = math.sqrt(3.0 * dist.variance)
     return rng.uniform(-half, half, n)

@@ -49,10 +49,6 @@ def identity() -> Nonlinearity:
     return Nonlinearity((0.0, 1.0))
 
 
-def polynomial(coeffs) -> Nonlinearity:
-    return Nonlinearity(coeffs)
-
-
 @dataclass(frozen=True)
 class FirStructure:
     """FIR coefficient structure: free lags plus (lag, value) fixed taps."""
@@ -210,10 +206,6 @@ class DataRecord:
     def lead(self) -> int:
         """Number of input samples before t = 1 (the maximum usable lag)."""
         return len(self.u) - len(self.y)
-
-    def lagged(self, lag: int) -> np.ndarray:
-        """u(t - lag) for t = 1..N."""
-        return lagged_matrix(self.u, self.n_obs, [lag])[:, 0]
 
     def regressors(self, lags) -> np.ndarray:
         return lagged_matrix(self.u, self.n_obs, lags)

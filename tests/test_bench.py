@@ -116,6 +116,10 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config(CONFIG_TEXT + "bogus = 1\n")
 
+    def test_line_without_a_value_rejected(self):
+        with pytest.raises(ValueError, match=r"^line 13: expected 'key = value', got 'theta_o 0.5'$"):
+            parse_config(CONFIG_TEXT + "theta_o 0.5\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse_config(CONFIG_TEXT + "theta_o = 0.4\n")
@@ -151,6 +155,8 @@ class TestConfigParsing:
         ("ml_quad_order", "0", "ml_quad_order must be >= 1"),
         ("theta_o", "nan", "theta_o and the variances must be finite"),
         ("sigma_e2", "inf", "theta_o and the variances must be finite"),
+        ("sigma_v2", "-0.1", "variances must be >= 0"),
+        ("desk_scale", "maybe", "desk_scale must be true or false, got 'maybe'"),
     ])
     def test_out_of_range_values_rejected(self, key, value, message, tmp_path, capsys):
         lines = [line for line in CONFIG_TEXT.splitlines() if not line.startswith(key)]
@@ -158,7 +164,7 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=message):
             parse_config(text)
         config = bench.config_to_dict(small_config())
-        config[key] = float(value) if key in ("theta_o", "sigma_e2") else int(value)
+        config[key] = {"s_count": int, "ml_quad_order": int, "desk_scale": str}.get(key, float)(value)
         ledger = tmp_path / "ledger.json"
         ledger.write_text(json.dumps({"format": bench.LEDGER_FORMAT, "config": config}))
         with pytest.raises(ValueError, match=message):
@@ -213,6 +219,9 @@ class TestLinearBaseline:
     def test_zero_noise(self):
         config = small_config(sigma_v2=0.0, sigma_e2=0.0)
         assert linear_baseline_std(config) == 0.0
+
+    def test_silent_input_with_noise_is_infinite(self):
+        assert linear_baseline_std(small_config(sigma_u2=0.0)) == float("inf")
 
     def test_quarter_sample_doubles(self):
         a = linear_baseline_std(small_config(n_obs=4000))
@@ -363,6 +372,10 @@ class TestRunMethod:
             assert est.predicted_std == experiment.predicted_stds[method][0]
         else:
             assert est.predicted_std is None
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="^unknown method 'II2'$"):
+            run_method(self.config, "II2", make_record(self.config, 0))
 
 
 class TestRecordContext:
@@ -777,18 +790,31 @@ class TestEmitReport:
             load_ledger(paths["ledger"])
 
     @pytest.mark.parametrize("text, error", [
-        (ledger_text(drop="input_kind"), "KeyError"),
-        (ledger_text(bogus=1), "TypeError"),
-        (ledger_text(theta_o="half"), "TypeError"),
-        (f"[{ledger_text()}]", "AttributeError"),
-        ("realization,method,theta_hat\n", "JSONDecodeError"),
-    ], ids=["no_input_kind", "unknown_key", "non_numeric_theta_o", "json_list", "not_json"])
+        (ledger_text(drop="input_kind"), "ValueError: missing required keys: input_kind)"),
+        (ledger_text(bogus=1), "ValueError: config: unknown key 'bogus')"),
+        (ledger_text(theta_o="half"), "ValueError: theta_o must be a number, got 'half')"),
+        (f"[{ledger_text()}]", "AttributeError: "),
+        ("realization,method,theta_hat\n", "JSONDecodeError: "),
+        (ledger_text(s_count=3.0), "ValueError: s_count must be an integer, got '3.0')"),
+        (ledger_text(theta_o=True), "ValueError: theta_o must be a number, got 'true')"),
+        (ledger_text(n_obs=1000.0), "ValueError: n_obs must be an integer, got '1000.0')"),
+        (json.dumps({"format": "wienerid-ledger-v0", "config": {}}),
+         "ValueError: format 'wienerid-ledger-v0')"),
+    ], ids=["no_input_kind", "unknown_key", "non_numeric_theta_o", "json_list", "not_json",
+            "float_s_count", "bool_theta_o", "float_n_obs", "other_format"])
     def test_malformed_ledger_rejected(self, tmp_path, text, error):
         path = tmp_path / "ledger.json"
         path.write_text(text)
-        prefix = rf"^{re.escape(str(path))}: not a wienerid-ledger-v1 ledger \({error}: "
+        prefix = rf"^{re.escape(str(path))}: not a wienerid-ledger-v1 ledger \({re.escape(error)}"
         with pytest.raises(ValueError, match=prefix):
             load_ledger(path)
+
+    @pytest.mark.parametrize("text, desk_scale", [("false", False), ("true", True)])
+    def test_ledger_string_read_as_its_cfg_text(self, tmp_path, text, desk_scale):
+        # a JSON string is the text a .cfg file would hold, not a truthy value
+        path = tmp_path / "ledger.json"
+        path.write_text(ledger_text(desk_scale=text))
+        assert load_ledger(path) == small_config(desk_scale=desk_scale)
 
     def test_unknown_format_rejected(self, tmp_path):
         result = run_experiment(small_config(realizations=1))

@@ -331,6 +331,22 @@ class TestStack:
         assert str(stack.errors[2]).startswith("cov_beta is not finite")
         assert np.isnan(stack.W[2]).all() and np.isnan(stack.cov_beta[2]).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lags", [ZERO_ORDER_LAGS, FIRST_ORDER_LAGS])
+    def test_underflowing_cov_beta_fails_its_row_naming_w(self, lags):
+        # a residual of 1e-160 at one sample and zero elsewhere: cov_beta
+        # underflows to zero, so N cov_beta has no inverse, alone or beside
+        # a healthy record, which keeps its bits
+        rng = np.random.default_rng(2)
+        u, y = rng.standard_normal(101), np.zeros(100)
+        y[7] = 1e-160
+        healthy = DataRecord(u=rng.standard_normal(101), y=rng.standard_normal(100))
+        message = r"^W does not exist \(N cov_beta is singular: cov_beta underflows\)"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            self.weighted(DataRecord(u=u, y=y), lags)
+        stack = self.assert_contract([healthy, DataRecord(u=u, y=y)], lags)
+        assert stack.errors[0] is None and np.isnan(stack.W[1]).all()
+
     def test_ridge_on_one_row_only(self):
         # row 1's residuals sit on one sample: one warning for the stack,
         # and only row 1 ridged, as its stack of one is

@@ -203,3 +203,19 @@ def test_missing_data_file_gives_nonzero_exit(config_file, capsys):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--format=json"), ("simulate", "--desk-scale"),
+    ("estimate", "--out=."), ("estimate", "--format=json"),
+    ("baseline", "--seed=1"), ("baseline", "--out=."), ("baseline", "--format=json"),
+    ("baseline", "--desk-scale"),
+])
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(config_file, capsys, command, flag):
+    args = [command, "--config", str(config_file), flag]
+    if command == "estimate":
+        args += ["--data", "data.csv", "--method", "II0"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -24,8 +24,8 @@ from wienerid.numerics import BRACKET, CostEvaluationError, RankDeficiencyError,
 from wienerid.pem import conditional_mean, pem_estimate
 from wienerid.signals import DistributionKind, StreamRole, gaussian_white, gen_white, uniform_white
 from wienerid.system import (
-    DataRecord, FirStructure, SystemSpec, cubic, identity, lagged_matrix, paper_fir, polynomial,
-    simulate,
+    DataRecord, FirStructure, Nonlinearity, SystemSpec, cubic, identity, lagged_matrix,
+    paper_fir, simulate,
 )
 
 from cost_checks import capture_costs, reference_argmin
@@ -152,7 +152,7 @@ class TestSimulatedMap:
         assert smap.inflation == pytest.approx(1 + 1 / 3)
 
     @pytest.mark.parametrize("lags", [FIRST_ORDER_LAGS])
-    @pytest.mark.parametrize("nl", [cubic(), polynomial((0.1, 1.0, -0.3, 0.5)), identity()],
+    @pytest.mark.parametrize("nl", [cubic(), Nonlinearity((0.1, 1.0, -0.3, 0.5)), identity()],
                              ids=["cubic", "polynomial", "identity"])
     @pytest.mark.parametrize("s_count", [1, 3, 10])
     def test_matches_stacked_least_squares(self, s_count, nl, lags):
@@ -172,6 +172,11 @@ class TestSimulatedMap:
             lin = (theta * u[1:] + u[:-1])[-n:]
             want = np.linalg.lstsq(stacked, nl.value(lin + v).ravel(), rcond=None)[0]
             np.testing.assert_allclose(smap(theta), want, rtol=1e-12)
+
+    def test_no_replicates_rejected(self):
+        u = gen_white(gaussian_white(SU2), 301, 78, path=(0,))
+        with pytest.raises(ValueError, match="^s_count must be >= 1$"):
+            SimulatedMap(u, paper_spec(), s_count=0, seed=1)
 
     def test_rank_deficient_regressors_rejected_at_construction(self):
         # a constant input makes the lagged columns equal
@@ -750,7 +755,8 @@ def inflation_runs():
         # exact large-S limit of the simulated map on this input, a cubic in
         # theta: the coefficients interpolating its values at 4 points
         thetas = np.array([-3.0, -1.0, 1.0, 3.0])
-        a = thetas[:, None] * data.lagged(0) + data.lagged(1)
+        u_t, u_tm1 = data.regressors([0, 1]).T
+        a = thetas[:, None] * u_t + u_tm1
         target = conditional_mean(spec.nonlinearity, a, spec.sigma_v2)
 
         cond_coeffs = npoly.polyfit(thetas, np.linalg.solve(gram, (target @ phi).T).T, 3)

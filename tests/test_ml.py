@@ -15,7 +15,8 @@ from wienerid.numerics import BRACKET, Estimate, NumericsError
 from wienerid.pem import pem_estimate
 from wienerid.signals import DistributionKind, gaussian_white, gen_white
 from wienerid.system import (
-    DataRecord, SystemSpec, cubic, identity, linear_output, paper_fir, polynomial, simulate,
+    DataRecord, FirStructure, Nonlinearity, SystemSpec, cubic, identity, linear_output, paper_fir,
+    simulate,
 )
 
 from cost_checks import reference_argmin
@@ -37,9 +38,15 @@ def make_data(sigma_v2, sigma_e2, n, seed, nl=None):
     return spec, DataRecord(u=u, y=y)
 
 
+def fir_output(theta, data):
+    """theta u(t) + u(t - 1), the paper FIR's output on data's input."""
+    u_t, u_tm1 = data.regressors([0, 1]).T
+    return theta * u_t + u_tm1
+
+
 def log_term_oracle(theta, data, sigma_v2, sigma_e2, t):
     """Adaptive quadrature of one likelihood term (standard-normal measure)."""
-    a = theta * data.lagged(0)[t] + data.lagged(1)[t]
+    a = fir_output(theta, data)[t]
     sv = np.sqrt(sigma_v2)
     y_t = data.y[t]
 
@@ -81,7 +88,7 @@ class TestNegLogLikelihood:
         settings = MlSettings(quad_order=200)
         for theta in (0.2, 0.5, 0.9):
             got = neg_log_likelihood(theta, data, spec, settings)
-            a = theta * data.lagged(0) + data.lagged(1)
+            a = fir_output(theta, data)
             explicit = float(np.sum((data.y - a**3) ** 2) / (2 * 0.1))
             assert got == pytest.approx(explicit, rel=1e-4)
 
@@ -118,7 +125,7 @@ class TestNegLogLikelihood:
         # measurement scale goes through the generic nonlinearity path
         spec, data = make_data(0.2, 0.1, 300, 33, nl=identity())
         for theta in (-3.0, 0.5, 3.0):
-            a = theta * data.lagged(0) + data.lagged(1)
+            a = fir_output(theta, data)
             want = -0.5 * np.log(0.3 / 0.1) - (data.y - a) ** 2 / (2 * 0.3)
             for t in range(0, 300, 20):
                 single = DataRecord(u=data.u[t : t + 2], y=data.y[t : t + 1])
@@ -133,10 +140,10 @@ class TestNegLogLikelihood:
         ((1.0, -2.0, 0.0, 0.5, 0.25), 1000),
     ], ids=["monotone-200", "monotone-1000", "quartic-1000"])
     def test_polynomial_terms_match_oracle(self, coeffs, order):
-        nl = polynomial(coeffs)
+        nl = Nonlinearity(coeffs)
         spec, data = make_data(0.2, 0.1, 1000, 22, nl=nl)
         for theta in (-3.0, 0.5, 3.0):
-            a = theta * data.lagged(0) + data.lagged(1)
+            a = fir_output(theta, data)
             for t in np.random.default_rng(1).integers(0, 1000, size=15):
                 single = DataRecord(u=data.u[t : t + 2], y=data.y[t : t + 1])
                 got = -neg_log_likelihood(theta, single, spec, MlSettings(quad_order=order))
@@ -148,11 +155,11 @@ class TestNegLogLikelihood:
         # f leaves nothing to integrate: each term is -(y - c)^2 / (2 sigma_e^2)
         spec, data = make_data(0.2, 0.1, 200, 34, nl=identity())
         settings = MlSettings(quad_order=200)
-        padded = paper_spec(nl=polynomial([0.0, 1.0, 0.0, 0.0]))
+        padded = paper_spec(nl=Nonlinearity([0.0, 1.0, 0.0, 0.0]))
         assert neg_log_likelihood(0.4, data, padded, settings) == pytest.approx(
             neg_log_likelihood(0.4, data, spec, settings), rel=1e-13
         )
-        constant = paper_spec(nl=polynomial([2.0]))
+        constant = paper_spec(nl=Nonlinearity([2.0]))
         want = np.sum((data.y - 2.0) ** 2) / (2 * 0.1)
         assert neg_log_likelihood(0.4, data, constant, settings) == pytest.approx(want, rel=1e-12)
 
@@ -173,7 +180,7 @@ class TestNegLogLikelihood:
         for theta in (0.2, 0.5, 0.9):
             with np.errstate(all="raise"):
                 got = neg_log_likelihood(theta, data, spec, MlSettings(quad_order=200))
-            a = theta * data.lagged(0) + data.lagged(1)
+            a = fir_output(theta, data)
             assert got == pytest.approx(np.sum((data.y - a**3) ** 2) / (2 * 0.1), rel=1e-12)
 
     def test_additive_constant_does_not_move_argmin(self):
@@ -279,7 +286,7 @@ class TestExactDerivatives:
     nodes of one evaluation (ml._nll_derivatives)."""
 
     @pytest.mark.parametrize("order", [200, 1000])
-    @pytest.mark.parametrize("nl", [cubic(), identity(), polynomial([0.0, 1.0, 0.0, 0.5])],
+    @pytest.mark.parametrize("nl", [cubic(), identity(), Nonlinearity([0.0, 1.0, 0.0, 0.5])],
                              ids=["cube", "identity", "polynomial"])
     def test_match_richardson_differences(self, nl, order):
         # the polynomial's windows come from _level_set_hull
@@ -300,10 +307,10 @@ class TestExactDerivatives:
         # identity f: the negative log-likelihood is sum (y - a)^2 / (2 s2),
         # s2 = sigma_v2 + sigma_e2, up to a constant
         spec, data = make_data(0.2, 0.1, 300, 41, nl=identity())
-        u = data.lagged(0)
+        u, u_tm1 = data.regressors([0, 1]).T
         for theta in (-1.0, 0.5, 0.9):
             _, score, information = ml._nll_derivatives(theta, data, spec, MlSettings(200))
-            residual = data.y - theta * u - data.lagged(1)
+            residual = data.y - theta * u - u_tm1
             assert score == pytest.approx(-np.sum(u * residual) / 0.3, rel=1e-11, abs=1e-11)
             assert information == pytest.approx(np.sum(u * u) / 0.3, rel=1e-11)
 
@@ -496,7 +503,7 @@ class TestRowBlocks:
     not depend on how many rows ml._log_terms integrates per block."""
 
     @pytest.mark.parametrize("order", [40, 100, 200, 1000])
-    @pytest.mark.parametrize("nl", [cubic(), identity(), polynomial([0.0, 1.0, 0.0, 0.5])],
+    @pytest.mark.parametrize("nl", [cubic(), identity(), Nonlinearity([0.0, 1.0, 0.0, 0.5])],
                              ids=["cube", "identity", "polynomial"])
     def test_blocks_never_change_a_bit(self, nl, order, monkeypatch):
         spec, data = make_data(0.2, 0.1, 300, 41, nl=nl)
@@ -529,6 +536,12 @@ class TestMlEstimate:
         spec, data = make_data(1e-12, 1e-6, 500, 30)
         report = ml_estimate(data, spec, MlSettings(quad_order=100))
         assert report.theta_hat[0] == pytest.approx(0.5, abs=1e-3)
+
+    def test_two_free_lags_rejected(self):
+        spec, data = make_data(0.2, 0.1, 50, 32)
+        spec.fir, spec.theta = FirStructure(free_lags=(0, 1)), np.array([0.5, 1.0])
+        with pytest.raises(ValueError, match="^scalar search supports exactly one free coefficient$"):
+            ml_estimate(data, spec, MlSettings(quad_order=100))
 
     def test_paper_scale_single_run(self):
         spec, data = make_data(0.2, 0.1, 1000, 31)

@@ -224,14 +224,24 @@ class TestMpmathOracle:
 
 
 class TestNumpyOnlyRuntime:
-    def test_import_loads_no_scipy(self):
+    @staticmethod
+    def imported(package: str) -> str:
+        """The modules of package, itself included, that a fresh
+        `import wienerid` loads, as a printed sorted list."""
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             f"import sys; sys.path.insert(0, {str(src)!r}); import wienerid; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_import_loads_no_scipy(self):
+        assert self.imported("scipy") == "[]"
+
+    def test_import_loads_no_numpy_polynomial(self):
+        # numerics.horner is the one polynomial evaluator
+        assert self.imported("numpy.polynomial") == "[]"
 
 
 class TestLeastSquares:
@@ -280,6 +290,10 @@ class TestLeastSquares:
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError):
             least_squares(np.ones((1, 2, 3)), np.ones((1, 2)))
+
+    def test_targets_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"targets of shape \(1, 4\) do not match regressors"):
+            least_squares(np.ones((1, 3, 2)), np.ones((1, 4)))
 
     @given(seed=st.integers(0, 2**32), m=st.integers(1, 4), rows=st.integers(1, 9))
     @settings(max_examples=30, deadline=None)

@@ -16,7 +16,9 @@ from wienerid.pem import (
     prediction_variance,
 )
 from wienerid.signals import DistributionKind, gaussian_white, gen_white
-from wienerid.system import DataRecord, SystemSpec, cubic, paper_fir, polynomial, simulate
+from wienerid.system import (
+    DataRecord, FirStructure, Nonlinearity, SystemSpec, cubic, paper_fir, simulate,
+)
 
 from cost_checks import capture_costs, capture_searches, reference_argmin
 from stack_checks import assert_rows_are_their_own_calls
@@ -147,17 +149,27 @@ class TestPemEstimate:
         spec, data = self.make_data(0.2, 0.1, 300, 15)
         data = DataRecord(u=np.concatenate([np.full(lead_pad, 0.33), data.u]), y=data.y)
         if linear_term:  # f(z) = z + z^3 / 2 in place of the cube
-            spec.nonlinearity = polynomial([0.0, 1.0, 0.0, 0.5])
+            spec.nonlinearity = Nonlinearity([0.0, 1.0, 0.0, 0.5])
         costs = capture_costs(monkeypatch, pem_mod)
         searches = capture_searches(monkeypatch, pem_mod)
         pem_estimate(data, spec, weighted=True)
         assert len(costs) == 2  # unweighted search, then the weighted one
-        u_t, u_tm1, nl = data.lagged(0), data.lagged(1), spec.nonlinearity
+        (u_t, u_tm1), nl = data.regressors([0, 1]).T, spec.nonlinearity
         frozen = conditional_variance(nl, searches[0].argmin * u_t + u_tm1, 0.2, 0.1)
         for (coeffs, bracket), weights in zip(costs, (1.0, frozen)):
             for theta in np.linspace(*bracket, 13):
                 resid = data.y - conditional_mean(nl, theta * u_t + u_tm1, 0.2)
                 assert horner(coeffs, theta) == pytest.approx(np.mean(resid**2 / weights), rel=1e-9)
+
+    def test_other_fir_structures_rejected(self):
+        spec, data = self.make_data(0.2, 0.1, 50, 17)
+        spec.fir, spec.theta = FirStructure(free_lags=(0, 1)), np.array([0.5, 1.0])
+        with pytest.raises(ValueError, match="exactly one free coefficient"):
+            pem_estimate(data, spec)
+        # the record's one leading sample covers lag 1, not a tap at lag 2
+        spec.fir, spec.theta = FirStructure(free_lags=(0,), fixed=((2, 1.0),)), np.array([0.5])
+        with pytest.raises(ValueError, match="^lag 2 exceeds the 1 leading input samples available$"):
+            pem_estimate(data, spec)
 
     def test_overflowing_output_raises_cost_evaluation_error(self):
         # one y = 1e200 overflows the squared error: a typed error, not a
@@ -190,7 +202,7 @@ class TestPemStack:
     def test_rows_match_scalar_calls(self, weighted, lead_pad, linear_term):
         spec, records = self.records(lead_pad)
         if linear_term:  # f(z) = z + z^3 / 2 in place of the cube
-            spec.nonlinearity = polynomial([0.0, 1.0, 0.0, 0.5])
+            spec.nonlinearity = Nonlinearity([0.0, 1.0, 0.0, 0.5])
         stack = pem_estimate(records, spec, weighted=weighted)
         assert stack.predicted_std is None and stack.errors == [None] * self.R
         assert_rows_are_their_own_calls(
@@ -252,7 +264,7 @@ class TestExactMoments:
     def test_degree_60_against_gauss_hermite_120(self):
         # the 120-node rule is exact to degree 239, so it integrates both
         # moments of z^60; a 50-node rule misses the variance by 7.4e-7
-        nl = polynomial([0.0] * 60 + [1.0])
+        nl = Nonlinearity([0.0] * 60 + [1.0])
         rule = gauss_hermite(120)
         for sv2 in (0.2, 1.0):
             sv = np.sqrt(sv2)
@@ -286,7 +298,7 @@ class TestExactSearch:
             record = make_record(config, r)
             run_method(config, "PEM_W", record, r)
             unweighted, weighted = searches[-2:]
-            u_t, u_tm1, sv2 = record.lagged(0), record.lagged(1), config.sigma_v2
+            (u_t, u_tm1), sv2 = record.regressors([0, 1]).T, config.sigma_v2
             frozen = prediction_variance(unweighted.argmin, u_t, u_tm1, sv2, config.sigma_e2)
             for exact, weights in ((unweighted, 1.0), (weighted, frozen)):
 

@@ -12,12 +12,12 @@ from wienerid.system import (
     DataRecord,
     FirStructure,
     NonFiniteDataError,
+    Nonlinearity,
     SystemSpec,
     cubic,
     identity,
     linear_output,
     paper_fir,
-    polynomial,
     simulate,
     stack_records,
 )
@@ -62,6 +62,10 @@ class TestLinearOutput:
         with pytest.raises(ValueError):
             linear_output(paper_fir(), [0.5], [1.0])
 
+    def test_theta_length_checked(self):
+        with pytest.raises(ValueError, match="^expected 1 free coefficients, got 2$"):
+            linear_output(paper_fir(), [0.5, 0.1], [1.0, 0.0, 2.0])
+
     def test_leading_theta_axis_matches_rows(self):
         fir = FirStructure(free_lags=(0, 2), fixed=((1, -1.0),))
         u = gen_white(gaussian_white(1.0), 40, 5, path=(0,))
@@ -92,6 +96,15 @@ class TestFirStructure:
     def test_theta_dimension_checked(self):
         with pytest.raises(ValueError):
             paper_spec(theta=np.array([0.5, 0.1]))
+
+    def test_negative_lag_rejected(self):
+        with pytest.raises(ValueError, match="^lags must be non-negative$"):
+            FirStructure(free_lags=(0,), fixed=((-1, 1.0),))
+
+    @pytest.mark.parametrize("noise", ["sigma_v2", "sigma_e2"])
+    def test_negative_noise_variance_rejected(self, noise):
+        with pytest.raises(ValueError, match="^noise variances must be >= 0$"):
+            paper_spec(**{noise: -0.1})
 
 
 class TestSimulate:
@@ -139,22 +152,22 @@ class TestSimulate:
 
 class TestNonlinearity:
     def test_polynomial_value(self):
-        nl = polynomial([1.0, 0.0, 2.0])
+        nl = Nonlinearity([1.0, 0.0, 2.0])
         np.testing.assert_allclose(nl.value(3.0), 1.0 + 2.0 * 9.0)
 
     def test_empty_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            polynomial([])
+            Nonlinearity([])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_rejected(self, bad):
         # rejected at construction, not later as a non-finite cost
         with pytest.raises(ValueError, match="finite"):
-            polynomial([0.0, bad])
+            Nonlinearity([0.0, bad])
 
     def test_named_nonlinearities_are_their_coefficients(self):
-        assert cubic() == polynomial([0, 0, 0, 1]) and cubic().degree == 3
-        assert identity() == polynomial([0, 1]) and identity().degree == 1
+        assert cubic() == Nonlinearity([0, 0, 0, 1]) and cubic().degree == 3
+        assert identity() == Nonlinearity([0, 1]) and identity().degree == 1
 
 
 class TestDataRecordCsv:
@@ -199,6 +212,24 @@ class TestDataRecordCsv:
         with pytest.raises(ValueError, match="header"):
             DataRecord.from_csv(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1.0,\n1,2.0\n", r"malformed row \['1', '2.0'\]"),
+        ("0,1.0,5.0\n1,2.0,3.0\n", "unexpected output at t = 0"),
+        ("0,1.0,\n1,2.0,3.0\n3,2.0,4.0\n", "time indices must be contiguous"),
+        ("2,1.0,3.0\n3,2.0,4.0\n", "outputs must run from t = 1 to the last row"),
+    ], ids=["short_row", "output_before_t1", "gap_in_t", "outputs_start_late"])
+    def test_malformed_csv_rejected(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,u,y\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            DataRecord.from_csv(path)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("t,u,y\n0,1.0,\n\n1,2.0,3.0\n\n")
+        record = DataRecord.from_csv(path)
+        assert record.u.tolist() == [1.0, 2.0] and record.y.tolist() == [3.0]
+
     def test_missing_output_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,u,y\n0,1.0,\n1,2.0,\n")
@@ -222,16 +253,22 @@ class TestDataRecordCsv:
             DataRecord.from_csv(path)
         assert (excinfo.value.name, excinfo.value.index) == ("y", 1)
 
+    @pytest.mark.parametrize("name", ["u", "y"])
+    def test_two_dimensional_samples_rejected(self, name):
+        samples = {"u": np.arange(6.0), "y": np.arange(5.0)}
+        samples[name] = samples[name][None]
+        with pytest.raises(ValueError, match="^u and y must be one-dimensional$"):
+            DataRecord(**samples)
+
     def test_record_needs_leading_input(self):
         with pytest.raises(ValueError):
             DataRecord(u=np.array([1.0, 2.0]), y=np.array([1.0, 2.0]))
 
     def test_lagged_views(self):
         rec = DataRecord(u=np.array([1.0, 2.0, 3.0]), y=np.array([0.0, 0.0]))
-        np.testing.assert_array_equal(rec.lagged(0), [2.0, 3.0])
-        np.testing.assert_array_equal(rec.lagged(1), [1.0, 2.0])
+        np.testing.assert_array_equal(rec.regressors([0, 1]), [[2.0, 1.0], [3.0, 2.0]])
         with pytest.raises(ValueError):
-            rec.lagged(2)
+            rec.regressors([2])
 
 
 class TestStackRecords:
