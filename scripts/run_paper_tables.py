@@ -4,9 +4,11 @@
 Runs the experiments of scripts/configs at the given seed and realization
 count: the four fast estimators over 1000 seeded realizations per table
 (gaussian.cfg, uniform.cfg), plus the reduced-order ML column (ml_desk.cfg:
-at most 200 realizations at quadrature order 200) unless --full-ml runs
-ml_desk.cfg without desk scale, order 1000 over all realizations (10-12 s
-on a 2-core x86-64 VM over 9 runs, 8.3-10.2 s of it the ML column).
+at most 200 realizations with the quadrature order capped at 200) unless
+--full-ml runs ml_desk.cfg without desk scale, the order capped at 1000,
+over all realizations (8.4-9.7 s on a 2-core x86-64 VM over 3 runs,
+6.2-7.3 s of it the ML column; on the paper's system every fit ends on
+order 200 at either cap).
 """
 
 import argparse
@@ -29,7 +31,7 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, default=None, help="emit CSV reports here")
     parser.add_argument("--skip-ml", action="store_true")
     parser.add_argument("--full-ml", action="store_true",
-                        help="order-1000 quadrature over all realizations (about 11 s)")
+                        help="quadrature order capped at 1000, all realizations (about 9 s)")
     args = parser.parse_args(argv)
     try:
         run_tables(args)

@@ -45,6 +45,9 @@ def cmd_estimate(args) -> int:
     for flag in ("at_bracket_edge", "degenerate", "fallback"):
         if getattr(est.diagnostics, flag):
             line += f" {flag}=True"
+    if est.diagnostics.quad_order is not None:  # ML's likelihood, and its accuracy
+        line += f" quad_order={est.diagnostics.quad_order}"
+        line += f" quad_change={est.diagnostics.quad_change:.17g}"
     print(line)
     return 0
 

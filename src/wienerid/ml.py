@@ -8,10 +8,11 @@ sigma_e / (3 z^2) in z for the cubic), which fixed Gauss-Hermite nodes cannot
 resolve, so every term gets its own integration window: the interval of s
 outside which the integrand is below exp(-k^2 / 2) times its peak, found from
 the standardized distances of the measurement-noise factor and of the
-process-noise factor (see `_windows`).  A Gauss-Legendre rule with
-`MlSettings.quad_order` nodes covers that window.  This is the one module
-that tells one f from another, by coefficients: the cube and the identity
-bound the window by their inverses, and the cube has its own kernel.
+process-noise factor (see `_windows`).  A Gauss-Legendre rule of at most
+`MlSettings.quad_order` nodes covers that window (see below).  This is the
+one module that tells one f from another, by coefficients: the cube and the
+identity bound the window by their inverses, and the cube has its own
+kernel.
 
 The terms are integrated in blocks of about ROW_ELEMENTS / quad_order rows
 with two reused work arrays, in about eleven array passes per block (see
@@ -29,11 +30,16 @@ estimate (bench passes the II1_W of the same record, from the BLA fit and
 binding function that the methods of the record share) in theta_start +- 6
 predicted stds or, without one or when Newton gives up there, at the
 smallest of 61 likelihood values on the bracket, in the grid cell around
-it.  Above order COARSE_ORDER, Newton first converges on that order's
-rule, which gives the same argmin to about 1e-14 on the paper's system,
-and then on the configured rule, where it stops at its first evaluation:
-on the paper's system, 3 or 4 coarse evaluations and 1 configured from the
-first start, 61 plus 4 or 5 from the second.  With sigma_v2 = 0, ML is the
+it.  Newton runs in stages on rules of doubling order, COARSE_ORDER, twice
+that and so on, up to MlSettings.quad_order, the cap; each stage starts at
+the argmin of the one before.  A fit ends at the first stage after the
+first whose Newton stops at its first evaluation with the likelihood there
+within 16 ulps of the stage before's, so a fit states its accuracy at no
+extra evaluation; quad_order and quad_change of its ScalarMinResult tell
+which order it ended on and by how much the likelihood moved there.  On
+the paper's system a fit ends on order 200, whatever the cap above it: 3
+or 4 evaluations at order 100 and 1 at order 200 from the first start, 61
+at order 100 plus 4 or 5 from the second.  With sigma_v2 = 0, ML is the
 unweighted PEM.
 """
 
@@ -70,7 +76,8 @@ WINDOW_K = 9.0
 ROW_ELEMENTS = 16 * 1000
 ROW_ALIGN = 8
 
-# above this order, Newton first converges on this order's rule
+# Newton's first stage and the bracket scan run on this order's rule, or on
+# the cap's below it
 COARSE_ORDER = 100
 
 # Newton runs inside theta_start +- LOCAL_HALF_WIDTH predicted stds, or in
@@ -112,9 +119,11 @@ class QuadratureUnderflowError(Exception):
 
 @dataclass(frozen=True)
 class MlSettings:
-    """quad_order is the node count of the Gauss-Legendre rule that
-    integrates each likelihood term over its window; 200 is converged to
-    about 1e-13 per term on the paper's system."""
+    """quad_order caps the node count of the Gauss-Legendre rules that
+    integrate each likelihood term over its window, whose order ml_estimate
+    doubles from COARSE_ORDER until the likelihood at its argmin stops
+    moving; 200 is converged to about 1e-13 per term on the paper's
+    system."""
 
     quad_order: int = DEFAULT_QUAD_ORDER
 
@@ -372,11 +381,14 @@ def ml_estimate(
     (exact ties: the smallest |theta|) inside the grid cell around it, with
     fallback set when the seeded Newton came first; NumericsError names the
     cell when Newton gives up in it.  Values equal at every grid point are
-    degenerate, argmin the grid point nearest 0.  Above order COARSE_ORDER
-    each Newton runs on that order's rule first, then on the configured
-    rule from its argmin (from its own start when the coarse stage gives
-    up).  iterations counts the evaluations of every stage.  With sigma_v2
-    = 0 the likelihood is sum (y - f(a))^2 / (2 sigma_e^2), and ML is the
+    degenerate, argmin the grid point nearest 0.  The scan and Newton's
+    first stage run on the order-COARSE_ORDER rule (the cap's, when that is
+    lower), Newton's later stages on doubling orders up to the cap, each
+    from the argmin of the stage before (from that stage's own start when
+    it gave up), until one passes the check of the module docstring.  The
+    result is the last stage's, with its quad_order and quad_change, and
+    iterations counts the evaluations of every stage.  With sigma_v2 = 0
+    the likelihood is sum (y - f(a))^2 / (2 sigma_e^2), and ML is the
     unweighted PEM: one poly_argmin on its Gram polynomial.
     """
     if spec_template.fir.n_free != 1:
@@ -386,17 +398,34 @@ def ml_estimate(
             raise ValueError("sigma_e2 must be positive for the likelihood")
         return pem_estimate(data, spec_template, weighted=False)
 
+    # the stages' orders: COARSE_ORDER, doubling, up to the configured order
+    orders = [min(COARSE_ORDER, settings.quad_order)]
+    while orders[-1] < settings.quad_order:
+        orders.append(min(2 * orders[-1], settings.quad_order))
+
     def newton(theta, window, spent):
-        """Both Newton stages from theta on the window: (result or None,
-        spent plus their evaluations)."""
-        # the order-COARSE_ORDER stage first, when the configured order is above it
-        for order in sorted({min(COARSE_ORDER, settings.quad_order), settings.quad_order}):
+        """Newton's stages from theta on the window, up to the first after
+        the first whose Newton stops at its first evaluation, within 16 ulps
+        of the stage before's likelihood there: (result or None, spent plus
+        their evaluations)."""
+        last = None  # the stage before's result, None when it gave up
+        for order in orders:
             stage = replace(settings, quad_order=order)
             result, evals = _newton(lambda t: _nll_derivatives(t, data, spec_template, stage),
                                     theta, window, BRACKET)
             spent += evals
-            theta = theta if result is None else result.argmin
-        return None if result is None else replace(result, iterations=spent), spent
+            if result is None:  # the next stage runs from this stage's start
+                last = None
+                continue
+            if last is None or evals > 1:  # no value of the order before at argmin
+                change = math.nan if order == orders[0] else math.inf
+            else:
+                change = abs(result.min_value - last.min_value)
+            result = replace(result, iterations=spent, quad_order=order, quad_change=change)
+            if change <= _FLAT * abs(result.min_value):
+                break
+            theta, last = result.argmin, result
+        return result, spent
 
     spent = 0  # the seeded Newton's evaluations, > 0 when the scan follows them
     if (window := _window(start, *BRACKET)) is not None:
@@ -404,14 +433,16 @@ def ml_estimate(
         if result is not None:
             return Estimate(np.array([result.argmin]), diagnostics=result)
     xs = np.linspace(*BRACKET, GRID_POINTS)
-    # one likelihood per point: a (G, N, nodes) batch would only multiply
-    # the memory, the work per point is the same
-    vals = np.array([neg_log_likelihood(x, data, spec_template, settings) for x in xs])
+    # one likelihood per point, on the first stage's rule: a (G, N, nodes)
+    # batch would only multiply the memory, the work per point is the same
+    scan = replace(settings, quad_order=orders[0])
+    vals = np.array([neg_log_likelihood(x, data, spec_template, scan) for x in xs])
     i = int(np.lexsort((np.abs(xs), vals))[0])
     x, fallback = float(xs[i]), spent > 0
     if vals.max() == vals[i]:
         result = ScalarMinResult(x, float(vals[i]), spent + len(xs), degenerate=True,
-                                 at_bracket_edge=x in BRACKET, fallback=fallback)
+                                 at_bracket_edge=x in BRACKET, fallback=fallback,
+                                 quad_order=orders[0], quad_change=math.nan)
         return Estimate(np.array([x]), diagnostics=result)
     cell = (float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)]))
     result, spent = newton(x, cell, spent + len(xs))

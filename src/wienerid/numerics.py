@@ -268,15 +268,20 @@ class ScalarMinResult(Stackable):
 
     iterations counts the points where a polynomial was valued (poly_argmin)
     or, for ML (`ml.ml_estimate`), the likelihood evaluations of every
-    stage: the bracket scan and Newton's at the coarse and the configured
-    quadrature order; min_value is the polynomial's value at argmin, or
-    for ML ml.neg_log_likelihood at argmin, bit for bit, at the configured
-    order (the unweighted PEM's mean squared error with sigma_v2 = 0);
-    at_bracket_edge is true when argmin is an end of the bracket, so the
-    true minimum may lie outside it; degenerate is true when the criterion
-    took one value at every point valued; fallback is true when ML's seeded
-    Newton gave up and the bracket scan followed, iterations counting the
-    evaluations of both.
+    stage: the bracket scan and Newton's at each quadrature order; min_value
+    is the polynomial's value at argmin, or for ML ml.neg_log_likelihood at
+    argmin, bit for bit, at order quad_order (the unweighted PEM's mean
+    squared error with sigma_v2 = 0); at_bracket_edge is true when argmin
+    is an end of the bracket, so the true minimum may lie outside it;
+    degenerate is true when the criterion took one value at every point
+    valued; fallback is true when ML's seeded Newton gave up and the
+    bracket scan followed, iterations counting the evaluations of both.
+    quad_order is the quadrature order of ML's min_value, and quad_change
+    the |change| of the likelihood at argmin from the order of the stage
+    before: NaN when one stage ran, inf when the last stage moved argmin or
+    followed a stage that gave up, so that no value of the order before is
+    known there.  ML states its accuracy when quad_change is within 16 ulps
+    of |min_value|; both are None for a search without quadrature.
     """
 
     argmin: float
@@ -285,6 +290,8 @@ class ScalarMinResult(Stackable):
     degenerate: bool = False
     at_bracket_edge: bool = False
     fallback: bool = False
+    quad_order: int | None = None
+    quad_change: float | None = None
     errors: RowErrors | None = None
 
 

@@ -174,9 +174,10 @@ class NonFiniteDataError(ValueError):
 
 @dataclass
 class DataRecord:
-    """One experiment: inputs u(1-L .. N) and outputs y(1 .. N).
+    """One experiment: inputs u(1-L .. N) and outputs y(1 .. N), N >= 1.
 
-    Every sample must be finite; the first one that is not raises
+    A record of no observation raises ValueError, from_csv's too.  Every
+    sample must be finite; the first one that is not raises
     NonFiniteDataError with its 0-based array index.
     """
 
@@ -188,6 +189,8 @@ class DataRecord:
         self.y = np.asarray(self.y, dtype=float)
         if self.u.ndim != 1 or self.y.ndim != 1:
             raise ValueError("u and y must be one-dimensional")
+        if len(self.y) == 0:
+            raise ValueError("a data record needs at least one observation (y is empty)")
         for name, values in (("u", self.u), ("y", self.y)):
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:

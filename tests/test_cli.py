@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from wienerid import bench, ml
 from wienerid.cli import main
 from wienerid.bla import estimate_weighting, fit_bla
 from wienerid.indirect import ZERO_ORDER_LAGS, AnalyticMap, step2
+from wienerid.numerics import _FLAT
 from wienerid.pem import pem_estimate
 from wienerid.system import DataRecord
 
@@ -115,9 +117,48 @@ def test_estimate_prints_ml_evaluations_and_fallback(config_file, tmp_path, caps
         assert lines[case] == (
             f"method=ML theta_hat={est.theta_hat[0]:.17g} "
             f"iterations={est.diagnostics.iterations}"
-            + (" fallback=True" if case == "fallback" else "") + "\n"
+            + (" fallback=True" if case == "fallback" else "")
+            + f" quad_order=200 quad_change={est.diagnostics.quad_change:.17g}\n"
         )
-    assert 3 <= int(lines["newton"].split("iterations=")[1]) <= ml._NEWTON_EVALS
+    assert 3 <= int(lines["newton"].split("iterations=")[1].split()[0]) <= ml._NEWTON_EVALS
+
+
+def test_estimate_prints_the_order_and_change_of_the_ml_likelihood(config_file, tmp_path, capsys):
+    # with ml_quad_order = 1000 as the cap, the fit ends on order 200, whose
+    # likelihood at the estimate is within 16 ulps of order 100's; both
+    # fields carry the estimate's own values, the change to 17 digits
+    main(["simulate", "--config", str(config_file), "--out", str(tmp_path)])
+    capsys.readouterr()
+    config = bench.load_config(config_file)
+    assert config.ml_quad_order == 1000 and not config.desk_scale
+    est = bench.run_method(config, "ML", DataRecord.from_csv(tmp_path / "data.csv"))
+    assert main([
+        "estimate", "--config", str(config_file), "--data", str(tmp_path / "data.csv"),
+        "--method", "ML",
+    ]) == 0
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+    assert list(fields)[-2:] == ["quad_order", "quad_change"]
+    assert fields["quad_order"] == "200" == str(est.diagnostics.quad_order)
+    change = float(fields["quad_change"])
+    assert change == est.diagnostics.quad_change and fields["quad_change"] == f"{change:.17g}"
+    assert change <= _FLAT * abs(est.diagnostics.min_value)
+
+
+@pytest.mark.parametrize("method", bench.METHOD_ORDER)
+def test_estimate_on_a_record_of_no_observation_fails(tmp_path, config_file, capsys, method):
+    # every row lies before t = 1: no method has a number to give
+    path = tmp_path / "empty.csv"
+    path.write_text("t,u,y\n-1,1.0,\n0,2.0,\n")
+    with pytest.raises(ValueError, match="needs at least one observation"):
+        DataRecord.from_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "estimate", "--config", str(config_file), "--data", str(path), "--method", method,
+        ])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: a data record needs at least one observation (y is empty)\n"
 
 
 @pytest.mark.parametrize("method", ["PEM_W", "II0", "II1_UNW", "II1_W"])

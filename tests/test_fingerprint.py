@@ -56,6 +56,9 @@ def test_small_gate_set(script, tmp_path, capsys):
 
 SEARCH_TYPES = {"argmin": "float", "min_value": "float", "iterations": "int",
                 "degenerate": "bool", "at_bracket_edge": "bool", "fallback": "bool"}
+# ML's likelihood states its quadrature order and change; no other search integrates
+QUAD_TYPES = {True: {"quad_order": "int", "quad_change": "float"},
+              False: {"quad_order": "NoneType", "quad_change": "NoneType"}}
 
 
 def check_single_record(script, p) -> None:
@@ -72,7 +75,8 @@ def check_single_record(script, p) -> None:
             assert est["theta_hat"] == {"shape": [1], "hex": [p["estimates"][m][r]]}
             std = p["predicted_stds"][m][r] if m in p["predicted_stds"] else None
             assert est["predicted_std"] == ("NoneType:None" if std is None else f"float:{std}")
-            assert {k: v.split(":")[0] for k, v in est["diagnostics"].items()} == SEARCH_TYPES
+            assert {k: v.split(":")[0] for k, v in est["diagnostics"].items()} == {
+                **SEARCH_TYPES, **QUAD_TYPES[m == "ML"]}
         fit = single["estimate_weighting"]
         if r in script.HUGE_OUTPUT:
             assert fit.startswith("LinAlgError: I_hat is not finite")

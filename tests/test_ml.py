@@ -11,7 +11,7 @@ from wienerid.bench import (
 )
 from wienerid import ml
 from wienerid.ml import MlSettings, QuadratureUnderflowError, ml_estimate, neg_log_likelihood
-from wienerid.numerics import BRACKET, Estimate, NumericsError
+from wienerid.numerics import BRACKET, Estimate, NumericsError, _FLAT
 from wienerid.pem import pem_estimate
 from wienerid.signals import DistributionKind, gaussian_white, gen_white
 from wienerid.system import (
@@ -418,22 +418,24 @@ def underflow(value):
 
 
 class TestCoarseStage:
-    """Above ml.COARSE_ORDER, ml_estimate runs Newton on the order-COARSE_ORDER
-    rule first and then on the configured rule from its argmin."""
+    """ml_estimate runs Newton on rules of doubling order, from ml.COARSE_ORDER
+    up to the configured order, the cap, each stage from the argmin of the
+    one before.  It stops at the first stage after the first whose Newton
+    stops at its first evaluation, within 16 ulps of the stage before's
+    likelihood there."""
 
     SEED = (0.45, 0.05)
 
     @staticmethod
-    def counting(monkeypatch, coarse=None):
+    def counting(monkeypatch, perturb=None):
         """Patch ml._nll_derivatives to record each evaluation's order; an
-        order-COARSE_ORDER evaluation returns coarse(its exact value)."""
+        evaluation returns perturb(theta, order, its exact value)."""
         exact, orders = ml._nll_derivatives, []
 
         def derivatives(theta, data, spec, settings):
             orders.append(settings.quad_order)
-            if coarse is not None and settings.quad_order == ml.COARSE_ORDER:
-                return coarse(exact(theta, data, spec, settings))
-            return exact(theta, data, spec, settings)
+            value = exact(theta, data, spec, settings)
+            return value if perturb is None else perturb(theta, settings.quad_order, value)
 
         monkeypatch.setattr(ml, "_nll_derivatives", derivatives)
         return orders
@@ -448,6 +450,10 @@ class TestCoarseStage:
             self.SEED[0], ml._window(self.start(), *BRACKET), BRACKET,
         )
 
+    @staticmethod
+    def within_tolerance(search):
+        return search.quad_change <= _FLAT * abs(search.min_value)
+
     @pytest.mark.parametrize("order", [40, ml.COARSE_ORDER])
     def test_single_stage_at_or_below_the_coarse_order(self, order, monkeypatch):
         spec, data = make_data(0.2, 0.1, 300, 42)
@@ -455,7 +461,9 @@ class TestCoarseStage:
         today, evals = self.configured_newton(data, spec, settings)
         orders = self.counting(monkeypatch)
         est = ml_estimate(data, spec, settings, start=self.start())
-        assert est.theta_hat[0] == today.argmin and est.diagnostics == today
+        assert est.theta_hat[0] == today.argmin and math.isnan(est.diagnostics.quad_change)
+        assert dataclasses.replace(est.diagnostics, quad_change=None) == dataclasses.replace(
+            today, quad_order=order)
         assert orders == [order] * evals
 
     @pytest.mark.parametrize("coarse", [
@@ -463,21 +471,117 @@ class TestCoarseStage:
         lambda value: (value[0], value[1], -value[2]),
     ], ids=["underflow", "information"])
     def test_coarse_stage_that_gives_up(self, coarse, monkeypatch):
-        # the configured-order Newton then runs from the seed itself
+        # the order-200 Newton then runs from the seed itself, and with no
+        # order-COARSE_ORDER value at its argmin it states no accuracy
         spec, data = make_data(0.2, 0.1, 300, 42)
         settings = MlSettings(quad_order=200)
         today, evals = self.configured_newton(data, spec, settings)
-        orders = self.counting(monkeypatch, coarse=coarse)
+        orders = self.counting(
+            monkeypatch, lambda t, order, value: coarse(value) if order == ml.COARSE_ORDER else value)
         est = ml_estimate(data, spec, settings, start=self.start())
         assert today is not None and not est.diagnostics.fallback
         assert est.theta_hat[0] == today.argmin
-        assert est.diagnostics == dataclasses.replace(today, iterations=evals + 1)
+        assert est.diagnostics == dataclasses.replace(
+            today, iterations=evals + 1, quad_order=200, quad_change=math.inf)
         assert orders == [ml.COARSE_ORDER] + [200] * evals
 
     @pytest.mark.parametrize("master_seed", [20260809, 20261017])
+    def test_cap_1000_ends_at_order_200(self, master_seed, monkeypatch):
+        # on the paper's system order 200 confirms the order-COARSE_ORDER
+        # argmin, and the estimate is that of cap 200 to the last bit
+        config = TestSeededSearch.config(realizations=4, master_seed=master_seed)
+        template = config.template()
+        orders = self.counting(monkeypatch)
+        for r in range(config.realizations):
+            record = make_record(config, r)
+            start = first_order_estimate(record, template, config.input_kind)
+            orders.clear()
+            est = ml_estimate(record, template, MlSettings(quad_order=1000), start=start)
+            k = orders.count(ml.COARSE_ORDER)
+            assert orders == [ml.COARSE_ORDER] * k + [200] and k >= 2, f"realization {r}"
+            search = est.diagnostics
+            assert search.quad_order == 200 and self.within_tolerance(search)
+            assert search.iterations == len(orders) and not search.fallback
+            capped = ml_estimate(record, template, MlSettings(quad_order=200), start=start)
+            assert est.theta_hat[0] == capped.theta_hat[0] and search == capped.diagnostics
+
+    @pytest.mark.parametrize("perturb, moves", [
+        # a constant off the likelihood at order COARSE_ORDER: the order-200
+        # Newton stops at its first evaluation, 1e-6 away
+        (lambda t, value: (value[0] + 1e-6, *value[1:]), False),
+        # a minimum shifted by 1e-4 / information: the order-200 Newton moves
+        (lambda t, value: (value[0] + 1e-4 * t, value[1] + 1e-4, value[2]), True),
+        # a score whose root is 1e-9 off: the order-200 Newton moves, and
+        # the likelihood by far less than 16 ulps
+        (lambda t, value: (value[0], value[1] + 1e-9 * value[2], value[2]), True),
+    ], ids=["offset", "shifted_minimum", "nudged_minimum"])
+    def test_coarse_rule_off_doubles_to_400(self, perturb, moves, monkeypatch):
+        spec, data = make_data(0.2, 0.1, 300, 42)
+        settings = MlSettings(quad_order=1000)
+        exact = ml_estimate(data, spec, settings, start=self.start())
+        orders = self.counting(
+            monkeypatch, lambda t, order, value: perturb(t, value) if order == ml.COARSE_ORDER else value)
+        est = ml_estimate(data, spec, settings, start=self.start())
+        search = est.diagnostics
+        assert orders[-1] == 400 and orders.count(400) == 1
+        assert (orders.count(200) > 1) == moves and 200 in orders
+        assert search.quad_order == 400 and self.within_tolerance(search)
+        assert search.iterations == len(orders)
+        assert abs(est.theta_hat[0] - exact.theta_hat[0]) <= 1e-11
+        assert search.min_value == neg_log_likelihood(
+            est.theta_hat[0], data, spec, MlSettings(quad_order=400))
+
+    def test_perturbation_below_the_cap_ends_at_the_cap(self, monkeypatch):
+        # each order below the cap off by its own constant: no stage passes,
+        # and the fit ends at the cap with its |change| above the tolerance
+        spec, data = make_data(0.2, 0.1, 300, 42)
+        settings = MlSettings(quad_order=1000)
+        exact = ml_estimate(data, spec, settings, start=self.start())
+        orders = self.counting(
+            monkeypatch,
+            lambda t, order, value: value if order == 1000 else (value[0] + 1e-9 * order, *value[1:]))
+        est = ml_estimate(data, spec, settings, start=self.start())
+        search = est.diagnostics
+        k = orders.count(ml.COARSE_ORDER)
+        assert orders == [ml.COARSE_ORDER] * k + [200, 400, 800, 1000]
+        assert search.quad_order == 1000 and not self.within_tolerance(search)
+        assert search.quad_change == pytest.approx(8e-7, rel=1e-3)
+        assert est.theta_hat[0] == exact.theta_hat[0]
+        assert search.min_value == neg_log_likelihood(est.theta_hat[0], data, spec, settings)
+
+    def test_scan_runs_on_the_first_stage_rule(self, monkeypatch):
+        # at cap 1000 the 61 grid values are order-COARSE_ORDER likelihoods,
+        # and a degenerate scan (u = 0) reports its order and no change
+        spec, data = make_data(0.2, 0.1, 300, 42)
+        value, scanned = ml.neg_log_likelihood, []
+        monkeypatch.setattr(ml, "neg_log_likelihood",
+                            lambda t, d, s, settings: scanned.append(settings.quad_order)
+                            or value(t, d, s, settings))
+        settings = MlSettings(quad_order=1000)
+        assert ml_estimate(data, spec, settings).diagnostics.quad_order == 200
+        assert scanned == [ml.COARSE_ORDER] * ml.GRID_POINTS
+        flat = DataRecord(u=np.zeros_like(data.u), y=data.y)
+        search = ml_estimate(flat, spec, settings).diagnostics
+        assert search.degenerate and search.quad_order == ml.COARSE_ORDER
+        assert math.isnan(search.quad_change)
+        assert search.min_value == value(0.0, flat, spec, MlSettings(quad_order=ml.COARSE_ORDER))
+
+    @pytest.mark.parametrize("master_seed", [20260809, 20261017])
+    def test_stated_accuracy_holds_against_order_1000(self, master_seed):
+        # the likelihood at the estimate, at the order a desk fit ends on,
+        # is within the 16 ulps it states of the same likelihood at order 1000
+        config = TestSeededSearch.config(realizations=10, master_seed=master_seed)
+        for r in range(config.realizations):
+            record = make_record(config, r)
+            search = run_method(config, "ML", record, r).diagnostics
+            fine = neg_log_likelihood(search.argmin, record, config.template(), MlSettings(1000))
+            assert search.quad_order == DESK_ML_QUAD_ORDER and self.within_tolerance(search)
+            assert abs(search.min_value - fine) <= _FLAT * abs(fine), f"realization {r}"
+
+    @pytest.mark.parametrize("master_seed", [20260809, 20261017])
     def test_order_1000_estimate_is_stationary(self, master_seed, monkeypatch):
-        # the Richardson test of test_newton_estimate_is_stationary at the
-        # configured order, which the coarse stage leaves one evaluation
+        # the Richardson test of test_newton_estimate_is_stationary on the
+        # order-1000 likelihood, at the estimate of cap 1000
         config = dataclasses.replace(
             TestSeededSearch.config(realizations=2, master_seed=master_seed), desk_scale=False)
         settings = MlSettings(quad_order=config.ml_quad_order)
@@ -488,7 +592,7 @@ class TestCoarseStage:
             record = make_record(config, r)
             est = run_method(config, "ML", record, r)
             assert not est.diagnostics.fallback
-            assert orders[-1] == 1000 and orders.count(1000) == 1
+            assert est.diagnostics.quad_order == orders[-1] == 200 and 1000 not in orders
             assert est.diagnostics.iterations == len(orders)
 
             def cost(theta):
@@ -567,14 +671,17 @@ class TestMlEstimate:
     @pytest.mark.parametrize("path", ["seeded", "fallback", "scan"])
     def test_min_value_is_the_likelihood_at_the_estimate(self, path):
         # Newton, the scan and neg_log_likelihood share one (nodes, 3) weight
-        # product, so every path reports the likelihood's own bits
+        # product, so every path reports the likelihood's own bits, at the
+        # order its last stage ran on: 200, below the cap of 1000
         spec, data = make_data(0.2, 0.1, 300, 42)
-        settings = MlSettings(quad_order=200)
         start = {"seeded": Estimate(np.array([0.45]), 0.05),
                  "fallback": Estimate(np.array([1.45]), 0.01), "scan": None}[path]
-        est = ml_estimate(data, spec, settings, start=start)
-        assert est.diagnostics.fallback == (path == "fallback")
-        assert est.diagnostics.min_value == neg_log_likelihood(est.theta_hat[0], data, spec, settings)
+        est = ml_estimate(data, spec, MlSettings(quad_order=1000), start=start)
+        search = est.diagnostics
+        assert search.fallback == (path == "fallback") and search.quad_order == 200
+        assert search.quad_change <= _FLAT * abs(search.min_value)
+        assert search.min_value == neg_log_likelihood(
+            est.theta_hat[0], data, spec, MlSettings(quad_order=200))
 
     @pytest.mark.parametrize("realization", [4, 7, 12, 14])
     def test_min_value_is_the_likelihood_on_desk_records(self, realization):

@@ -36,25 +36,30 @@ CASES = {
 }
 SEARCH_TYPES = {"argmin": float, "min_value": float, "iterations": int, "degenerate": bool,
                 "at_bracket_edge": bool, "fallback": bool}
+# ML's likelihood states its quadrature order and change; no other search integrates
+QUAD_TYPES = {True: {"quad_order": int, "quad_change": float},
+              False: {"quad_order": type(None), "quad_change": type(None)}}
 
 
-def check_search(result: ScalarMinResult) -> None:
+def check_search(result: ScalarMinResult, quadrature: bool) -> None:
     assert result.errors is None
-    for name, kind in SEARCH_TYPES.items():
+    types = {**SEARCH_TYPES, **QUAD_TYPES[quadrature]}
+    for name, kind in types.items():
         assert type(getattr(result, name)) is kind, name
-    assert {f.name for f in dataclasses.fields(result)} == {*SEARCH_TYPES, "errors"}
+    assert {f.name for f in dataclasses.fields(result)} == {*types, "errors"}
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_one_record_gives_python_scalars(case):
     result = CASES[case]()
+    quadrature = case == "run_method ML"
     if isinstance(result, ScalarMinResult):
-        check_search(result)
+        check_search(result, quadrature)
     elif isinstance(result, Estimate):
         assert result.errors is None
         assert type(result.theta_hat) is np.ndarray and result.theta_hat.shape == (1,)
         assert result.predicted_std is None or type(result.predicted_std) is float
-        check_search(result.diagnostics)
+        check_search(result.diagnostics, quadrature)
     else:
         assert result.errors is None and type(result.ridge_applied) is bool
         assert result.beta_hat.shape == (2,) and result.residuals.shape == (300,)
